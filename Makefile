@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race prop fuzz-smoke bench bench-json bench-gate bench-serve serve-smoke report examples clean
+.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race prop fuzz-smoke bench bench-json bench-gate bench-harness bench-serve serve-smoke report examples clean
 
 all: build vet lint test test-race report serve-smoke
 
 # Fast pre-commit gate: compile, vet, determinism lint, unit tests (no race
 # detector), a shuffled re-run (test-order independence), the cold-vs-cached
-# report identity check, and the service-mode smoke (humnetd + humnetload
-# determinism end-to-end).
-check: build vet lint test test-shuffle report serve-smoke
+# report identity check, the service-mode smoke (humnetd + humnetload
+# determinism end-to-end), and the benchmark harness's vet and tests.
+check: build vet lint test test-shuffle report serve-smoke bench-harness
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,12 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -compare BENCH_timeline.json -max-regress $(MAXREGRESS) <$$tmp \
 		|| { rm -f $$tmp; exit 1; }; \
 	rm -f $$tmp
+
+# Vet and test the benchmark harness. bench/ is its own module (it imports
+# this one through a replace directive), so the root `go test ./...` never
+# builds it; this target catches an API change that breaks the harness.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One-command Markdown report of all measured tables, generated twice through
 # the experiment registry's result cache — once cold, once warm — and compared

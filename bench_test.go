@@ -10,6 +10,7 @@ package repro
 // reproduces every table/series in one command.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -46,7 +47,7 @@ func BenchmarkE1Circumvention(b *testing.B) {
 	var rows []ixp.CircumventionRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = ixp.CircumventionSweep(6, 0.6, 6)
+		rows, err = ixp.CircumventionSweepCtx(context.Background(), 6, 0.6, 6, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func BenchmarkE2IXPGravity(b *testing.B) {
 	var rows []ixp.GravityRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = ixp.GravitySweep(60, 6, presences, 42)
+		rows, err = ixp.GravitySweepCtx(context.Background(), 60, 6, presences, 42, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +327,7 @@ func BenchmarkE14RouteLeak(b *testing.B) {
 	var rows []bgpsim.LeakRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bgpsim.RunLeakSweep(8, 20, 5)
+		rows, err = bgpsim.RunLeakSweepCtx(context.Background(), 8, 20, 5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,7 +404,7 @@ func BenchmarkE16Hijack(b *testing.B) {
 	var rows []bgpsim.HijackRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bgpsim.RunHijackSweep(8, 20, 5)
+		rows, err = bgpsim.RunHijackSweepCtx(context.Background(), 8, 20, 5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,7 +490,9 @@ func BenchmarkBetweennessSerial(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.BetweennessCentralityWorkers(1)
+		if _, err := g.BetweennessCentralityCtx(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -497,7 +500,9 @@ func BenchmarkBetweennessParallel(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.BetweennessCentralityWorkers(0)
+		if _, err := g.BetweennessCentralityCtx(context.Background(), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -505,7 +510,9 @@ func BenchmarkClosenessSerial(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.ClosenessCentralityWorkers(1)
+		if _, err := g.ClosenessCentralityCtx(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -513,7 +520,9 @@ func BenchmarkClosenessParallel(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.ClosenessCentralityWorkers(0)
+		if _, err := g.ClosenessCentralityCtx(context.Background(), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -531,7 +540,7 @@ func BenchmarkBootstrapCISerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := rng.New(42)
-		_, _ = stats.BootstrapCIWorkers(xs, stats.Median, 2000, 0.95, r, 1)
+		_, _ = stats.BootstrapCI(xs, stats.Median, 2000, 0.95, r, 1)
 	}
 }
 
@@ -540,6 +549,6 @@ func BenchmarkBootstrapCIParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := rng.New(42)
-		_, _ = stats.BootstrapCIWorkers(xs, stats.Median, 2000, 0.95, r, 0)
+		_, _ = stats.BootstrapCI(xs, stats.Median, 2000, 0.95, r, 0)
 	}
 }

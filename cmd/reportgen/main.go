@@ -134,11 +134,12 @@ func runTimeline(path string, workers int, jsonOut bool, out string, stdout io.W
 	if doc.Topo == nil {
 		return fmt.Errorf("timeline document %s has no base topology to replay against", path)
 	}
-	m, err := timeline.NewBGPMachine(context.Background(), doc.Topo, workers)
+	ctx := context.Background()
+	m, err := timeline.NewBGPMachine(ctx, doc.Topo, workers)
 	if err != nil {
 		return err
 	}
-	series, err := timeline.Replay(doc.Stream, m)
+	series, err := timeline.ReplayCtx(ctx, doc.Stream, m)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,11 +19,12 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	fmt.Println("== Scene: 1 incumbent (60% of users), 4 competitors, 1 IXP, foreign transit ==")
 
 	show := func(title string, cfg ixp.CircumventionConfig) {
-		row, err := ixp.RunCircumvention(cfg)
+		row, err := ixp.RunCircumventionCtx(ctx, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +59,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt := fabric.Topo.Converge()
+	rt, err := fabric.Topo.ConvergeCtx(ctx, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	const comp0 = bgpsim.ASN(1000)
 	path := rt.Path(comp0, "pfx-incumbent")

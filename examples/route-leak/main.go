@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -30,7 +31,14 @@ func main() {
 	fmt.Printf("topology: %d tier-1s, %d mids, %d stubs; victim prefix %s\n\n",
 		len(h.Tier1), len(h.Mids), len(h.Stubs), prefix)
 
-	baseline := h.Topo.Converge()
+	converge := func() *bgpsim.RoutingTables {
+		rt, err := h.Topo.ConvergeCtx(context.Background(), 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rt
+	}
+	baseline := converge()
 	fmt.Println("baseline (no leak): example paths to the victim")
 	for _, n := range []bgpsim.ASN{h.Tier1[0], h.Mids[0], h.Stubs[0]} {
 		fmt.Printf("  AS%-5d -> %v\n", n, baseline.Path(n, prefix))
@@ -47,7 +55,7 @@ func main() {
 	var results []result
 	try := func(kind string, leaker bgpsim.ASN) {
 		h.Topo.MarkLeaker(leaker)
-		rt := h.Topo.Converge()
+		rt := converge()
 		affected, reachable := bgpsim.BlastRadius(rt, leaker, prefix)
 		h.Topo.ClearLeaker(leaker)
 		share := 0.0
@@ -74,7 +82,7 @@ func main() {
 
 	// Show one hijacked path end to end.
 	h.Topo.MarkLeaker(worst.asn)
-	rt := h.Topo.Converge()
+	rt := converge()
 	affected, _ := bgpsim.BlastRadius(rt, worst.asn, prefix)
 	if len(affected) > 0 {
 		vic := affected[0]

@@ -5,6 +5,7 @@ package repro
 // units.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -76,7 +77,7 @@ func TestCircumventionLocalityVsIncumbentShare(t *testing.T) {
 	shares := []float64{0.2, 0.35, 0.5, 0.65, 0.8}
 	locality := make([]float64, len(shares))
 	for i, s := range shares {
-		row, err := ixp.RunCircumvention(ixp.CircumventionConfig{
+		row, err := ixp.RunCircumventionCtx(context.Background(), ixp.CircumventionConfig{
 			Competitors: 5, IncumbentShare: s, Shells: 2, Mode: ixp.RegulationCircumvented,
 		})
 		if err != nil {

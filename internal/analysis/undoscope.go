@@ -11,8 +11,8 @@ import (
 // silently depends on: every mutation of the compiled routing state
 // (engine, entry, RoutingTables, nodeArena in internal/bgpsim) must happen
 // on the recording path — reachable, over the static call graph in the
-// interprocedural summaries, from the Converge*/Apply/applyScoped/Revert
-// roots. A write reached any other way bypasses undo recording, and the
+// interprocedural summaries, from the ConvergeCtx/ConvergeStateCtx/Apply/
+// applyScoped/Revert roots. A write reached any other way bypasses undo recording, and the
 // next Revert restores a world that never existed. Writes to bare local
 // variables are rebinds, not shared-state mutation, and are out of scope;
 // the rule looks at selector/index/deref stores, IncDec, and the copy/delete
@@ -21,23 +21,23 @@ import (
 // The rule is configuration-driven (NewUndoScope) so fixture suites can
 // exercise it against a miniature state machine without colliding with the
 // real bgpsim package. The production instance carries one scope per
-// protected package: bgpsim's undo log, and the composition layer's cascade
-// bookkeeping (fired/pending/injected in Composition), which the same
-// argument protects — a Composition mutated outside Compose/Replay replays
-// a cascade history that never happened.
+// protected package: bgpsim's undo log, and the composition layer's wiring
+// and replay-once flag (Composition), which the same argument protects — a
+// Composition mutated outside Compose/ReplayCtx replays a cascade history
+// that never happened.
 var UndoScope = NewUndoScope(
 	UndoScopeConfig{
 		PkgSuffix:  "/internal/bgpsim",
 		StateTypes: []string{"engine", "entry", "RoutingTables", "nodeArena"},
 		Roots: []string{
-			"Converge", "ConvergeWorkers", "ConvergeState", "ConvergeStateCtx",
+			"ConvergeCtx", "ConvergeStateCtx",
 			"Apply", "applyScoped", "Revert",
 		},
 	},
 	UndoScopeConfig{
 		PkgSuffix:  "/internal/timeline",
 		StateTypes: []string{"Composition"},
-		Roots:      []string{"Compose", "ReplayCtx", "Replay"},
+		Roots:      []string{"Compose", "ReplayCtx"},
 	},
 )
 
@@ -57,7 +57,7 @@ type UndoScopeConfig struct {
 func NewUndoScope(cfgs ...UndoScopeConfig) *Analyzer {
 	return &Analyzer{
 		Name: "undoscope",
-		Doc:  "engine state writes must be reachable from the undo-recording path (applyDelta/Revert)",
+		Doc:  "engine state writes must be reachable from the undo-recording path (Apply/Revert)",
 		Run: func(pass *Pass) {
 			for _, cfg := range cfgs {
 				runUndoScope(pass, cfg)

@@ -18,7 +18,7 @@
 //	t.AddAS(64500, bgpsim.ASInfo{Name: "Eyeball", Country: "MX"})
 //	t.AddProviderCustomer(1, 64500)
 //	t.Originate(64500, "10.0.0.0/8")
-//	rt := t.Converge()
+//	rt, err := t.ConvergeCtx(context.Background(), 1)
 //	path := rt.Path(1, "10.0.0.0/8") // [1 64500]
 package bgpsim
 
@@ -84,7 +84,7 @@ type as struct {
 }
 
 // Topology is a mutable AS-level interconnection graph. Add ASes and links,
-// originate prefixes, then call Converge to compute routing tables. The zero
+// originate prefixes, then call ConvergeCtx to compute routing tables. The zero
 // value is not usable; call NewTopology.
 type Topology struct {
 	ases map[ASN]*as

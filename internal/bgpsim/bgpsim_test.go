@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -26,6 +27,27 @@ func mustPeer(t *testing.T, topo *Topology, a, b ASN) {
 	if err := topo.AddPeer(a, b); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// converge runs the cold convergence on workers goroutines, failing the test
+// on error.
+func converge(tb testing.TB, topo *Topology, workers int) *RoutingTables {
+	tb.Helper()
+	rt, err := topo.ConvergeCtx(context.Background(), workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rt
+}
+
+// convergeState is converge for the live state Apply/Revert patch.
+func convergeState(tb testing.TB, topo *Topology, workers int) *Converged {
+	tb.Helper()
+	c, err := topo.ConvergeStateCtx(context.Background(), workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 func pathEq(a []ASN, b ...ASN) bool {
@@ -60,7 +82,7 @@ func TestOriginRoute(t *testing.T) {
 	if err := topo.Originate(10, "p1"); err != nil {
 		t.Fatal(err)
 	}
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	r := rt.Route(10, "p1")
 	if r == nil || r.Learned != Origin || !pathEq(r.Path, 10) {
 		t.Fatalf("origin route = %+v", r)
@@ -76,7 +98,7 @@ func TestCustomerChainPropagation(t *testing.T) {
 	mustPC(t, topo, 1, 2)
 	mustPC(t, topo, 2, 3)
 	_ = topo.Originate(3, "p")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !pathEq(rt.Path(1, "p"), 1, 2, 3) {
 		t.Errorf("tier1 path = %v", rt.Path(1, "p"))
 	}
@@ -94,7 +116,7 @@ func TestProviderRoutePropagatesDown(t *testing.T) {
 	mustPC(t, topo, 1, 2)
 	mustPC(t, topo, 2, 3)
 	_ = topo.Originate(1, "up")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !pathEq(rt.Path(3, "up"), 3, 2, 1) {
 		t.Errorf("stub path = %v", rt.Path(3, "up"))
 	}
@@ -113,7 +135,7 @@ func TestPeeringUpPeerDown(t *testing.T) {
 	mustPC(t, topo, 200, 2) // B=200 provider of C2=2
 	mustPeer(t, topo, 100, 200)
 	_ = topo.Originate(2, "c2")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !pathEq(rt.Path(1, "c2"), 1, 100, 200, 2) {
 		t.Errorf("path = %v, want [1 100 200 2]", rt.Path(1, "c2"))
 	}
@@ -129,7 +151,7 @@ func TestNoValleyThroughPeerChain(t *testing.T) {
 	mustPeer(t, topo, 1, 2)
 	mustPeer(t, topo, 2, 3)
 	_ = topo.Originate(1, "a")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if rt.Reachable(3, "a") {
 		t.Errorf("valley path leaked: %v", rt.Path(3, "a"))
 	}
@@ -149,7 +171,7 @@ func TestNoTransitThroughCustomerValley(t *testing.T) {
 	mustPC(t, topo, 1, 3)
 	mustPC(t, topo, 2, 3)
 	_ = topo.Originate(1, "p1")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if rt.Reachable(2, "p1") {
 		t.Errorf("valley through customer leaked: %v", rt.Path(2, "p1"))
 	}
@@ -182,7 +204,7 @@ func TestPreferCustomerOverPeerEvenIfLonger(t *testing.T) {
 	mustPC(t, topo2, 20, 40)
 	mustPeer(t, topo2, 10, 20)
 	_ = topo2.Originate(40, "x")
-	rt := topo2.Converge()
+	rt := converge(t, topo2, 1)
 	r := rt.Route(10, "x")
 	if r.Learned != FromCustomer {
 		t.Fatalf("learned = %v path = %v, want customer route", r.Learned, r.Path)
@@ -204,7 +226,7 @@ func TestShorterPathTiebreakWithinSameClass(t *testing.T) {
 	mustPC(t, topo, 3, 2) // ...whose provider is 3
 	mustPC(t, topo, 3, 1)
 	_ = topo.Originate(3, "t")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	// 9 sees "t" via 1 (9-1-3) and via 2 (9-2-3): equal length; lexicographic
 	// tiebreak gives via 1.
 	if !pathEq(rt.Path(9, "t"), 9, 1, 3) {
@@ -223,7 +245,7 @@ func TestMOASAnycastPicksNearest(t *testing.T) {
 	mustPC(t, topo, 1, 6)
 	_ = topo.Originate(5, "any")
 	_ = topo.Originate(6, "any")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !pathEq(rt.Path(7, "any"), 7, 5) {
 		t.Errorf("anycast path = %v, want [7 5]", rt.Path(7, "any"))
 	}
@@ -236,7 +258,7 @@ func TestRemovePeerSeversPath(t *testing.T) {
 	}
 	mustPeer(t, topo, 1, 2)
 	_ = topo.Originate(2, "p")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !rt.Reachable(1, "p") {
 		t.Fatal("peer route missing")
 	}
@@ -244,7 +266,7 @@ func TestRemovePeerSeversPath(t *testing.T) {
 	if topo.HasPeer(1, 2) {
 		t.Error("peer not removed")
 	}
-	rt = topo.Converge()
+	rt = converge(t, topo, 1)
 	if rt.Reachable(1, "p") {
 		t.Error("route survived peer removal")
 	}
@@ -255,7 +277,7 @@ func TestUnreachableWithoutLinks(t *testing.T) {
 	mustAS(t, topo, 1, ASInfo{})
 	mustAS(t, topo, 2, ASInfo{})
 	_ = topo.Originate(2, "p")
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if rt.Reachable(1, "p") {
 		t.Error("isolated AS should not reach prefix")
 	}
@@ -319,7 +341,7 @@ func TestPropertyConvergedPathsAreValleyFree(t *testing.T) {
 		for i, s := range stubs {
 			_ = topo.Originate(s, prefixName(i))
 		}
-		rt := topo.Converge()
+		rt := converge(t, topo, 1)
 		for _, n := range topo.ASNs() {
 			for _, p := range rt.Prefixes(n) {
 				path := rt.Path(n, p)
@@ -353,7 +375,7 @@ func TestPropertyFullReachabilityInHierarchy(t *testing.T) {
 	for i, s := range stubs {
 		_ = topo.Originate(s, prefixName(i))
 	}
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	for _, n := range topo.ASNs() {
 		for i := range stubs {
 			if !rt.Reachable(n, prefixName(i)) {
@@ -372,7 +394,7 @@ func TestConvergeDeterministic(t *testing.T) {
 		for i, s := range stubs {
 			_ = topo.Originate(s, prefixName(i))
 		}
-		return topo.Converge()
+		return converge(t, topo, 1)
 	}
 	a, b := build(), build()
 	r := rng.New(7)
@@ -404,7 +426,9 @@ func BenchmarkConvergeHierarchy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = topo.Converge()
+		if _, err := topo.ConvergeCtx(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -421,9 +445,18 @@ func TestConvergeTerminatesOnProviderCycle(t *testing.T) {
 	mustPC(t, topo, 3, 1)
 	_ = topo.Originate(1, "p")
 	done := make(chan *RoutingTables, 1)
-	go func() { done <- topo.Converge() }()
+	go func() {
+		rt, err := topo.ConvergeCtx(context.Background(), 1)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- rt
+	}()
 	select {
 	case rt := <-done:
+		if rt == nil {
+			return
+		}
 		for _, n := range topo.ASNs() {
 			path := rt.Path(n, "p")
 			seen := make(map[ASN]bool)
@@ -435,12 +468,12 @@ func TestConvergeTerminatesOnProviderCycle(t *testing.T) {
 			}
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Converge did not terminate on a provider cycle")
+		t.Fatal("ConvergeCtx did not terminate on a provider cycle")
 	}
 }
 
 func TestConvergeEmptyTopology(t *testing.T) {
-	rt := NewTopology().Converge()
+	rt := converge(t, NewTopology(), 1)
 	if rt == nil {
 		t.Fatal("nil tables for empty topology")
 	}

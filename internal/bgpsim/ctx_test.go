@@ -2,40 +2,11 @@ package bgpsim
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/rng"
 )
-
-// TestSweepCtxMatchesWorkers pins the ctxflow remediation: the Ctx sweep
-// variants with a Background context return exactly the rows the Workers
-// entry points do.
-func TestSweepCtxMatchesWorkers(t *testing.T) {
-	wantLeak, err := RunLeakSweepWorkers(8, 20, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLeak, err := RunLeakSweepCtx(context.Background(), 8, 20, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotLeak, wantLeak) {
-		t.Errorf("leak rows differ between Ctx(Background) and Workers")
-	}
-
-	wantHijack, err := RunHijackSweepWorkers(8, 20, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotHijack, err := RunHijackSweepCtx(context.Background(), 8, 20, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotHijack, wantHijack) {
-		t.Errorf("hijack rows differ between Ctx(Background) and Workers")
-	}
-}
 
 // TestSweepCtxCancelled checks the sweeps stop between events and surface
 // ctx.Err() rather than returning partial rows.
@@ -50,26 +21,28 @@ func TestSweepCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestConvergeCtxMatchesWorkers pins Topology.ConvergeCtx to the cold
-// convergence oracle, serially and in parallel.
-func TestConvergeCtxMatchesWorkers(t *testing.T) {
+// TestConvergeCtxCancelled checks a cancelled convergence returns an error
+// instead of partial tables.
+func TestConvergeCtxCancelled(t *testing.T) {
 	h, err := BuildHierarchy(rng.New(9), 6, 15)
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := h.Topo.ConvergeWorkers(1)
-	for _, workers := range []int{1, 3} {
-		got, err := h.Topo.ConvergeCtx(context.Background(), workers)
-		if err != nil {
-			t.Fatalf("ConvergeCtx(workers=%d): %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ConvergeCtx(workers=%d) tables differ from ConvergeWorkers(1)", workers)
-		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := h.Topo.ConvergeCtx(ctx, 1); err == nil {
 		t.Error("ConvergeCtx on a cancelled context returned tables, want error")
+	}
+}
+
+// TestLeakHijackScenariosNeedStubs checks E14 and E16 with no stubs, and so
+// no victim prefix to draw, return an error rather than panic.
+func TestLeakHijackScenariosNeedStubs(t *testing.T) {
+	p := experiment.Values{"mids": 8, "stubs": 0}
+	if _, err := runE14(context.Background(), p, 5); err == nil {
+		t.Error("E14 without stubs succeeded, want error")
+	}
+	if _, err := runE16(context.Background(), p, 5); err == nil {
+		t.Error("E16 without stubs succeeded, want error")
 	}
 }

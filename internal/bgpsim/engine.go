@@ -1,8 +1,8 @@
 package bgpsim
 
-// The compiled routing engine behind Converge/ConvergeWorkers.
+// The compiled routing engine behind ConvergeCtx and ConvergeStateCtx.
 //
-// The original fixpoint (kept as convergeReference in reference.go) is a
+// The original fixpoint (kept as convergeReference in reference_test.go) is a
 // synchronous Bellman–Ford over map[ASN]map[string]*Route: every round it
 // rebuilds every table, re-derives and re-sorts every neighbor list, and
 // copies every candidate AS path. This engine computes the exact same
@@ -32,7 +32,7 @@ package bgpsim
 //     only round r-1 state), including its 4·|AS|+16 safety cap on malformed
 //     (cyclic provider graph) topologies.
 //
-// Prefix columns never interact, so ConvergeWorkers fans independent
+// Prefix columns never interact, so ConvergeCtx fans independent
 // prefixes across internal/parallel workers; each prefix's fixpoint is fully
 // self-contained and lands at its own table offset, making the result
 // bit-identical for every worker count.
@@ -120,8 +120,8 @@ type neighborEdge struct {
 	receiveAll bool
 }
 
-// engine is the compiled form of a Topology. A plain Converge discards it
-// with the run; ConvergeState keeps it alive (together with the interning
+// engine is the compiled form of a Topology. ConvergeCtx discards it with
+// the run; ConvergeStateCtx keeps it alive (together with the interning
 // maps and safety statistics below) so Apply can patch the compiled form
 // in place and re-converge only the blast radius of a delta.
 type engine struct {
@@ -465,7 +465,7 @@ func (e *engine) selectBest(i int32, p int, col []entry, arena *nodeArena) (entr
 
 // candBetter reports whether candidate a should replace incumbent b under
 // the standard decision order — higher local pref, then shorter path, then
-// lexicographically smaller path — mirroring better() in reference.go. Both
+// lexicographically smaller path — mirroring better() in reference_test.go. Both
 // paths start with the same AS (self), so only the tails are compared.
 func candBetter(aRel Relationship, aLen int32, aTail *pathNode, bRel Relationship, bLen int32, bTail *pathNode) bool {
 	if aRel != bRel {
@@ -483,14 +483,14 @@ func candBetter(aRel Relationship, aLen int32, aTail *pathNode, bRel Relationshi
 	return false
 }
 
-// Converge computes the Gao–Rexford routing fixpoint and returns the
+// ConvergeCtx computes the Gao–Rexford routing fixpoint and returns the
 // resulting tables. Each (logical) round, an AS recomputes its best route
 // per prefix from its neighbors' previous-round selections — synchronous
 // Bellman–Ford over policies — but only ASes whose neighborhood actually
 // changed are re-evaluated, and prefixes converge independently over flat
 // interned tables (see the package comment of engine.go). The result is
-// bit-identical to the original whole-topology loop, which survives as
-// convergeReference for the equivalence tests.
+// bit-identical to the original whole-topology loop, which survives in the
+// tests as convergeReference.
 //
 // Valley-free export: a neighbor's route is a candidate only if that
 // neighbor originated it or learned it from a customer, unless we are the
@@ -498,29 +498,15 @@ func candBetter(aRel Relationship, aLen int32, aTail *pathNode, bRel Relationshi
 //
 // Gao–Rexford guarantees convergence when the provider–customer graph is
 // acyclic; a safety cap of 4·|AS|+16 rounds guards malformed topologies.
-func (t *Topology) Converge() *RoutingTables {
-	return t.ConvergeWorkers(1)
-}
-
-// ConvergeWorkers is Converge with the independent per-prefix fixpoints
-// fanned out across at most workers goroutines (workers <= 0 means
-// GOMAXPROCS; 1 runs serially on the calling goroutine). Every prefix's
-// column is self-contained and lands at its own table offset, so the result
-// is bit-identical for every worker count. Prefer it over Converge when a
-// single large topology converges on an otherwise idle machine; when many
-// scenarios already run in parallel (the sweep entry points), the serial
-// engine per scenario avoids oversubscription.
-func (t *Topology) ConvergeWorkers(workers int) *RoutingTables {
-	e := t.compile()
-	rt := newRoutingTables(e.asns, e.prefixes)
-	e.convergeAll(rt, workers)
-	return rt
-}
-
-// ConvergeCtx is ConvergeWorkers with cooperative cancellation between
-// prefix columns. On a cancelled context the partially-converged tables are
-// discarded and ctx.Err() is returned; otherwise the tables are bit-identical
-// to the Background variants.
+//
+// The independent per-prefix fixpoints fan out across at most workers
+// goroutines (workers <= 0 means GOMAXPROCS; 1 runs serially on the calling
+// goroutine). Every prefix's column is self-contained and lands at its own
+// table offset, so the result is bit-identical for every worker count. Many
+// workers suit one large topology on an otherwise idle machine; when many
+// scenarios already run in parallel (the sweep entry points), workers 1 per
+// scenario avoids oversubscription. ctx is checked between prefix columns:
+// on cancellation the partial tables are discarded and ctx.Err() returned.
 func (t *Topology) ConvergeCtx(ctx context.Context, workers int) (*RoutingTables, error) {
 	e := t.compile()
 	rt := newRoutingTables(e.asns, e.prefixes)
@@ -531,7 +517,7 @@ func (t *Topology) ConvergeCtx(ctx context.Context, workers int) (*RoutingTables
 }
 
 // serialWorkFloor is the table-cell count (prefixes × ASes) below which the
-// fork-join machinery costs more than it saves and convergeAll runs the
+// fork-join machinery costs more than it saves and convergeAllCtx runs the
 // columns serially on the calling goroutine regardless of the worker knob.
 const serialWorkFloor = 1 << 15
 
@@ -547,22 +533,13 @@ func convergeChunks(nP, workers int) int {
 	return chunk
 }
 
-// convergeAll runs the cold fixpoint for every column of rt. Columns are
+// convergeAllCtx runs the cold fixpoint for every column of rt. Columns are
 // independent, so the fan-out chunks them coarsely across workers; below
 // serialWorkFloor cells (or with one effective worker) it skips the
-// parallel machinery entirely.
-func (e *engine) convergeAll(rt *RoutingTables, workers int) {
-	if err := e.convergeAllCtx(context.Background(), rt, workers); err != nil {
-		// The tasks never return errors and Background never cancels, so
-		// only a worker panic can land here; re-raise it.
-		panic(err)
-	}
-}
-
-// convergeAllCtx is convergeAll with cooperative cancellation between
-// prefix columns. On a cancelled context the tables are left partially
-// converged and ctx.Err() is returned — callers must discard them (cold
-// convergence builds fresh tables, so there is no state to corrupt).
+// parallel machinery entirely. ctx is checked between prefix columns; on
+// cancellation the tables are left partially converged and ctx.Err() is
+// returned — callers must discard them (cold convergence builds fresh
+// tables, so there is no state to corrupt).
 func (e *engine) convergeAllCtx(ctx context.Context, rt *RoutingTables, workers int) error {
 	nAS, nP := len(e.asns), len(e.prefixes)
 	if nAS == 0 || nP == 0 {

@@ -89,7 +89,9 @@ func benchmarkConverge(b *testing.B, workers int) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = topo.ConvergeWorkers(workers)
+				if _, err := topo.ConvergeCtx(context.Background(), workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -138,7 +140,9 @@ func BenchmarkConvergeScale(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = h.Topo.Converge()
+				if _, err := h.Topo.ConvergeCtx(context.Background(), 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -153,7 +157,7 @@ func BenchmarkDeltaWithdraw(b *testing.B) {
 		h := benchHierarchyOpts(b, benchScales[0].o)
 		victim := h.OriginStubs[0]
 		d := Delta{Kind: DeltaWithdraw, A: victim, Prefix: fmt.Sprintf("pfx-%d", victim)}
-		c := h.Topo.ConvergeState(1)
+		c := convergeState(b, h.Topo, 1)
 		// One warm-up apply/revert: the first pays one-time arena growth,
 		// which would dominate a single-iteration (BENCHTIME=1x) gate run.
 		if p, err := c.Apply(d); err != nil {
@@ -183,13 +187,15 @@ func BenchmarkDeltaWithdrawCold(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = h.Topo.Converge()
+			if _, err := h.Topo.ConvergeCtx(context.Background(), 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
 
-// benchSweepShape is the ≥5k-AS shape the sweep benchmarks run on, with the
-// victim drawn the way RunLeakSweepOpts/RunHijackSweepOpts draw it.
+// benchSweepShape is the ≥5k-AS shape the sweep benchmarks run on. Only every
+// 16th stub originates, so the victim is drawn from the originating stubs.
 var benchSweepShape = HierarchyOpts{NMid: 80, NStub: 5000, OriginEvery: 16}
 
 func benchSweepSetup(b *testing.B) (*Hierarchy, ASN) {
@@ -270,7 +276,7 @@ func BenchmarkSweepHijackFull(b *testing.B) {
 func BenchmarkLeakSweepEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunLeakSweep(40, 160, 5); err != nil {
+		if _, err := RunLeakSweepCtx(context.Background(), 40, 160, 5, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // equivalenceWorkers are the worker counts every engine equivalence test
 // pins against the reference implementation. 0 means GOMAXPROCS inside
-// ConvergeWorkers; the explicit GOMAXPROCS entry keeps the intent visible
+// ConvergeCtx; the explicit GOMAXPROCS entry keeps the intent visible
 // even if the normalization changes.
 func equivalenceWorkers() []int {
 	return []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -43,7 +43,7 @@ func assertEngineMatchesReference(t *testing.T, label string, topo *Topology) {
 	ref := topo.convergeReference()
 	prefixes := topoPrefixes(topo)
 	for _, w := range equivalenceWorkers() {
-		rt := topo.ConvergeWorkers(w)
+		rt := converge(t, topo, w)
 		for _, n := range topo.ASNs() {
 			refTbl := ref[n]
 			var wantPrefixes []string
@@ -235,9 +235,9 @@ func TestConvergeWorkersDeterministicAcrossRuns(t *testing.T) {
 		return h.Topo
 	}
 	topo := build()
-	a := topo.ConvergeWorkers(4)
-	b := topo.ConvergeWorkers(4)
-	c := topo.ConvergeWorkers(1)
+	a := converge(t, topo, 4)
+	b := converge(t, topo, 4)
+	c := converge(t, topo, 1)
 	for _, n := range topo.ASNs() {
 		for _, p := range a.Prefixes(n) {
 			pa, pb, pc := a.Path(n, p), b.Path(n, p), c.Path(n, p)
@@ -256,7 +256,7 @@ func TestConvergeWorkersParallelHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := h.Topo.ConvergeWorkers(8)
+	rt := converge(t, h.Topo, 8)
 	for _, s := range h.Stubs {
 		prefix := fmt.Sprintf("pfx-%d", s)
 		for _, n := range h.Topo.ASNs() {
@@ -276,7 +276,7 @@ func TestRouteReturnsCopy(t *testing.T) {
 	if err := topo.Originate(2, "p"); err != nil {
 		t.Fatal(err)
 	}
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	r := rt.Route(1, "p")
 	if r == nil || !pathEq(r.Path, 1, 2) {
 		t.Fatalf("route = %+v", r)
@@ -351,13 +351,13 @@ func TestWithdrawOriginReconverges(t *testing.T) {
 	mustPC(t, topo, 1, 3)
 	_ = topo.Originate(2, "p")
 	_ = topo.Originate(3, "p") // MOAS
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !pathEq(rt.Path(1, "p"), 1, 2) {
 		t.Fatalf("pre-withdraw path = %v", rt.Path(1, "p"))
 	}
 	// Withdraw the preferred origin: routes must shift to the survivor.
 	topo.WithdrawOrigin(2, "p")
-	rt = topo.Converge()
+	rt = converge(t, topo, 1)
 	if !pathEq(rt.Path(1, "p"), 1, 3) {
 		t.Errorf("post-withdraw path = %v, want via 3", rt.Path(1, "p"))
 	}
@@ -366,7 +366,7 @@ func TestWithdrawOriginReconverges(t *testing.T) {
 	}
 	// Withdraw the last origin: the prefix disappears everywhere.
 	topo.WithdrawOrigin(3, "p")
-	rt = topo.Converge()
+	rt = converge(t, topo, 1)
 	for _, n := range topo.ASNs() {
 		if rt.Reachable(n, "p") {
 			t.Errorf("AS %d still reaches withdrawn prefix", n)
@@ -377,17 +377,17 @@ func TestWithdrawOriginReconverges(t *testing.T) {
 
 func TestLeakerFlagReconverges(t *testing.T) {
 	build := func() *Topology { return leakScenario(t) }
-	clean := build().Converge()
+	clean := converge(t, build(), 1)
 
 	topo := build()
 	topo.MarkLeaker(30)
-	leaked := topo.Converge()
+	leaked := converge(t, topo, 1)
 	if pathEq(leaked.Path(20, "victim"), clean.Path(20, "victim")...) {
 		t.Fatal("leak did not change routing")
 	}
 	// Clearing the flag and reconverging must restore the exact baseline.
 	topo.ClearLeaker(30)
-	restored := topo.Converge()
+	restored := converge(t, topo, 1)
 	for _, n := range topo.ASNs() {
 		for _, p := range clean.Prefixes(n) {
 			if !pathEq(restored.Path(n, p), clean.Path(n, p)...) {
@@ -397,7 +397,7 @@ func TestLeakerFlagReconverges(t *testing.T) {
 	}
 	// Mark → clear → mark again behaves like a fresh leak.
 	topo.MarkLeaker(30)
-	again := topo.Converge()
+	again := converge(t, topo, 1)
 	for _, n := range topo.ASNs() {
 		for _, p := range leaked.Prefixes(n) {
 			if !pathEq(again.Path(n, p), leaked.Path(n, p)...) {

@@ -160,51 +160,62 @@ type LeakRow struct {
 	AffectedShare float64 // affected / reachable ASes
 }
 
-// RunLeakSweep builds a hierarchy, then measures the blast radius of a leak
-// by a representative stub and by each mid-tier AS, against a randomly
-// chosen victim prefix. Rows are sorted by the order tried (stub first,
-// then mids ascending). The base topology converges once; each leaker is a
-// single incremental toggle applied and reverted against that state. See
-// RunLeakSweepWorkers for the parallelism knob.
-func RunLeakSweep(nMid, nStub int, seed uint64) ([]LeakRow, error) {
-	return RunLeakSweepWorkers(nMid, nStub, seed, 0)
-}
-
-// RunLeakSweepWorkers is RunLeakSweep with the convergences fanning
-// independent prefix columns across at most workers goroutines (workers <= 0
-// means GOMAXPROCS). Convergence is bit-identical for every worker count, so
-// the rows are too.
-func RunLeakSweepWorkers(nMid, nStub int, seed uint64, workers int) ([]LeakRow, error) {
-	return RunLeakSweepCtx(context.Background(), nMid, nStub, seed, workers)
-}
-
-// RunLeakSweepCtx is RunLeakSweepWorkers with cooperative cancellation: ctx
-// is checked during the base convergence and between leaker events (each
-// scoped apply+revert runs to completion to keep the undo log consistent).
-// Rows are identical to the Background variants when ctx never cancels.
+// RunLeakSweepCtx builds a hierarchy, then measures the blast radius of a
+// leak by a representative stub and by each mid-tier AS, against a randomly
+// chosen victim prefix. Rows are sorted by the order tried (stub first, then
+// mids ascending). The base topology converges once, fanning independent
+// prefix columns across at most workers goroutines (workers <= 0 means
+// GOMAXPROCS); each leaker is a single incremental toggle applied and
+// reverted against that state. Convergence is bit-identical for every
+// worker count, so the rows are too. ctx is checked during the base
+// convergence and between leaker events (each scoped apply+revert runs to
+// completion to keep the undo log consistent). A hierarchy without stubs
+// has no victim to draw and is an error.
 func RunLeakSweepCtx(ctx context.Context, nMid, nStub int, seed uint64, workers int) ([]LeakRow, error) {
-	r := rng.New(seed)
-	h, err := BuildHierarchy(r.Split(), nMid, nStub)
+	h, victim, err := sweepHierarchy(nMid, nStub, seed)
 	if err != nil {
 		return nil, err
 	}
-	victim := h.Stubs[r.Intn(len(h.Stubs))]
 	return leakSweepRows(ctx, h, victim, workers)
 }
 
-// RunLeakSweepOpts is the leak sweep over a BuildHierarchyOpts shape; the
-// victim is drawn from the originating stubs.
-func RunLeakSweepOpts(o HierarchyOpts, seed uint64, workers int) ([]LeakRow, error) {
+// sweepHierarchy builds the seeded hierarchy a leak or hijack sweep runs on
+// and draws the victim stub from the same seed.
+func sweepHierarchy(nMid, nStub int, seed uint64) (*Hierarchy, ASN, error) {
 	r := rng.New(seed)
-	h, err := BuildHierarchyOpts(r.Split(), o)
+	h, err := BuildHierarchy(r.Split(), nMid, nStub)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if len(h.OriginStubs) == 0 {
-		return nil, fmt.Errorf("bgpsim: leak sweep needs at least one originating stub")
+	if len(h.Stubs) == 0 {
+		return nil, 0, fmt.Errorf("bgpsim: sweep needs at least one stub to draw a victim from")
 	}
-	victim := h.OriginStubs[r.Intn(len(h.OriginStubs))]
-	return leakSweepRows(context.Background(), h, victim, workers)
+	return h, h.Stubs[r.Intn(len(h.Stubs))], nil
+}
+
+// sweepRows measures one representative stub that is not the victim, then
+// every mid in ascending order — the row order of both sweeps.
+func sweepRows[R any](h *Hierarchy, victim ASN, measure func(kind string, n ASN) (R, error)) ([]R, error) {
+	var rows []R
+	add := func(kind string, n ASN) error {
+		row, err := measure(kind, n)
+		rows = append(rows, row)
+		return err
+	}
+	for _, s := range h.Stubs {
+		if s != victim {
+			if err := add("stub", s); err != nil {
+				return nil, err
+			}
+			break
+		}
+	}
+	for _, m := range h.Mids {
+		if err := add("mid", m); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
 }
 
 // leakSweepRows converges the base once and measures each leaker as an
@@ -243,76 +254,7 @@ func leakSweepRows(ctx context.Context, h *Hierarchy, victim ASN, workers int) (
 		}
 		return row, nil
 	}
-
-	var rows []LeakRow
-	// One representative stub leaker that is not the victim.
-	for _, s := range h.Stubs {
-		if s != victim {
-			row, err := measure("stub", s)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-			break
-		}
-	}
-	for _, m := range h.Mids {
-		row, err := measure("mid", m)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// runLeakSweepFullWorkers is the pre-incremental sweep — one cold
-// convergence per leaker — kept as the equality oracle for the incremental
-// path and as the honest "before" side of the sweep benchmarks.
-func runLeakSweepFullWorkers(nMid, nStub int, seed uint64, workers int) ([]LeakRow, error) {
-	r := rng.New(seed)
-	h, err := BuildHierarchy(r.Split(), nMid, nStub)
-	if err != nil {
-		return nil, err
-	}
-	victim := h.Stubs[r.Intn(len(h.Stubs))]
-	return leakSweepRowsFull(h, victim, workers)
-}
-
-// leakSweepRowsFull is the cold-per-leaker counterpart of leakSweepRows over
-// an already-built hierarchy, so benchmarks can run both sides on the same
-// shape.
-func leakSweepRowsFull(h *Hierarchy, victim ASN, workers int) ([]LeakRow, error) {
-	prefix := fmt.Sprintf("pfx-%d", victim)
-
-	measure := func(kind string, leaker ASN) LeakRow {
-		h.Topo.MarkLeaker(leaker)
-		rt := h.Topo.ConvergeWorkers(workers)
-		affected, reachable := BlastRadius(rt, leaker, prefix)
-		h.Topo.ClearLeaker(leaker)
-		row := LeakRow{
-			LeakerKind: kind,
-			LeakerASN:  leaker,
-			Providers:  len(providersOf(h.Topo, leaker)),
-			Affected:   len(affected),
-		}
-		if reachable > 0 {
-			row.AffectedShare = float64(row.Affected) / float64(reachable)
-		}
-		return row
-	}
-
-	var rows []LeakRow
-	for _, s := range h.Stubs {
-		if s != victim {
-			rows = append(rows, measure("stub", s))
-			break
-		}
-	}
-	for _, m := range h.Mids {
-		rows = append(rows, measure("mid", m))
-	}
-	return rows, nil
+	return sweepRows(h, victim, measure)
 }
 
 func providersOf(t *Topology, n ASN) []ASN {
@@ -334,52 +276,24 @@ type HijackRow struct {
 	CapturedShare float64 // captured / ASes with any route (excluding both principals)
 }
 
-// RunHijackSweep measures exact-prefix (MOAS) hijacks: the attacker
+// RunHijackSweepCtx measures exact-prefix (MOAS) hijacks: the attacker
 // originates the victim's prefix, and every AS picks whichever origin its
 // policies prefer. Like leaks, the blast radius is economic: an attacker
 // close to many customers captures more of the network. One representative
 // stub and every mid-tier AS attack in turn; each attack is an incremental
-// announce applied and reverted against the once-converged base. See
-// RunHijackSweepWorkers for the parallelism knob.
-func RunHijackSweep(nMid, nStub int, seed uint64) ([]HijackRow, error) {
-	return RunHijackSweepWorkers(nMid, nStub, seed, 0)
-}
-
-// RunHijackSweepWorkers is RunHijackSweep with the convergences fanning
-// independent prefix columns across at most workers goroutines (workers <= 0
-// means GOMAXPROCS). Convergence is bit-identical for every worker count, so
-// the rows are too.
-func RunHijackSweepWorkers(nMid, nStub int, seed uint64, workers int) ([]HijackRow, error) {
-	return RunHijackSweepCtx(context.Background(), nMid, nStub, seed, workers)
-}
-
-// RunHijackSweepCtx is RunHijackSweepWorkers with cooperative cancellation:
-// ctx is checked during the base convergence and between attack events (each
-// announce+revert pair runs to completion to keep the undo log consistent).
-// Rows are identical to the Background variants when ctx never cancels.
+// announce applied and reverted against the once-converged base. The base
+// convergence fans independent prefix columns across at most workers
+// goroutines (workers <= 0 means GOMAXPROCS) and is bit-identical for every
+// worker count, so the rows are too. ctx is checked during the base
+// convergence and between attack events (each announce+revert pair runs to
+// completion to keep the undo log consistent). A hierarchy without stubs
+// has no victim to draw and is an error.
 func RunHijackSweepCtx(ctx context.Context, nMid, nStub int, seed uint64, workers int) ([]HijackRow, error) {
-	r := rng.New(seed)
-	h, err := BuildHierarchy(r.Split(), nMid, nStub)
+	h, victim, err := sweepHierarchy(nMid, nStub, seed)
 	if err != nil {
 		return nil, err
 	}
-	victim := h.Stubs[r.Intn(len(h.Stubs))]
 	return hijackSweepRows(ctx, h, victim, workers)
-}
-
-// RunHijackSweepOpts is the hijack sweep over a BuildHierarchyOpts shape;
-// the victim is drawn from the originating stubs.
-func RunHijackSweepOpts(o HierarchyOpts, seed uint64, workers int) ([]HijackRow, error) {
-	r := rng.New(seed)
-	h, err := BuildHierarchyOpts(r.Split(), o)
-	if err != nil {
-		return nil, err
-	}
-	if len(h.OriginStubs) == 0 {
-		return nil, fmt.Errorf("bgpsim: hijack sweep needs at least one originating stub")
-	}
-	victim := h.OriginStubs[r.Intn(len(h.OriginStubs))]
-	return hijackSweepRows(context.Background(), h, victim, workers)
 }
 
 // hijackSweepRows converges the base once and measures each attacker as an
@@ -424,90 +338,5 @@ func hijackSweepRows(ctx context.Context, h *Hierarchy, victim ASN, workers int)
 		c.Revert(p)
 		return row, nil
 	}
-
-	var rows []HijackRow
-	for _, s := range h.Stubs {
-		if s != victim {
-			row, err := measure("stub", s)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-			break
-		}
-	}
-	for _, m := range h.Mids {
-		row, err := measure("mid", m)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// runHijackSweepFullWorkers is the pre-incremental hijack sweep — one cold
-// convergence per attacker — kept as the equality oracle and benchmark
-// baseline (see runLeakSweepFullWorkers).
-func runHijackSweepFullWorkers(nMid, nStub int, seed uint64, workers int) ([]HijackRow, error) {
-	r := rng.New(seed)
-	h, err := BuildHierarchy(r.Split(), nMid, nStub)
-	if err != nil {
-		return nil, err
-	}
-	victim := h.Stubs[r.Intn(len(h.Stubs))]
-	return hijackSweepRowsFull(h, victim, workers)
-}
-
-// hijackSweepRowsFull is the cold-per-attacker counterpart of
-// hijackSweepRows over an already-built hierarchy (see leakSweepRowsFull).
-func hijackSweepRowsFull(h *Hierarchy, victim ASN, workers int) ([]HijackRow, error) {
-	prefix := fmt.Sprintf("pfx-%d", victim)
-
-	measure := func(kind string, attacker ASN) (HijackRow, error) {
-		if err := h.Topo.Originate(attacker, prefix); err != nil {
-			return HijackRow{}, err
-		}
-		rt := h.Topo.ConvergeWorkers(workers)
-		row := HijackRow{AttackerKind: kind, AttackerASN: attacker}
-		total := 0
-		for _, n := range h.Topo.ASNs() {
-			if n == victim || n == attacker {
-				continue
-			}
-			path := rt.Path(n, prefix)
-			if path == nil {
-				continue
-			}
-			total++
-			if path[len(path)-1] == attacker {
-				row.Captured++
-			}
-		}
-		if total > 0 {
-			row.CapturedShare = float64(row.Captured) / float64(total)
-		}
-		h.Topo.WithdrawOrigin(attacker, prefix)
-		return row, nil
-	}
-
-	var rows []HijackRow
-	for _, s := range h.Stubs {
-		if s != victim {
-			row, err := measure("stub", s)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-			break
-		}
-	}
-	for _, m := range h.Mids {
-		row, err := measure("mid", m)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweepRows(h, victim, measure)
 }

@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestBuildHierarchyStructure(t *testing.T) {
 		t.Fatalf("sizes = %d/%d/%d", len(h.Tier1), len(h.Mids), len(h.Stubs))
 	}
 	// Every stub's prefix is globally reachable.
-	rt := h.Topo.Converge()
+	rt := converge(t, h.Topo, 1)
 	for _, s := range h.Stubs {
 		prefix := fmt.Sprintf("pfx-%d", s)
 		for _, n := range h.Topo.ASNs() {
@@ -28,7 +29,7 @@ func TestBuildHierarchyStructure(t *testing.T) {
 }
 
 func TestRunLeakSweepShapes(t *testing.T) {
-	rows, err := RunLeakSweep(8, 20, 5)
+	rows, err := RunLeakSweepCtx(context.Background(), 8, 20, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestRunLeakSweepShapes(t *testing.T) {
 }
 
 func TestRunLeakSweepDeterministic(t *testing.T) {
-	a, err := RunLeakSweep(6, 15, 11)
+	a, err := RunLeakSweepCtx(context.Background(), 6, 15, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLeakSweep(6, 15, 11)
+	b, err := RunLeakSweepCtx(context.Background(), 6, 15, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRunLeakSweepDeterministic(t *testing.T) {
 
 func BenchmarkRunLeakSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunLeakSweep(8, 20, 1); err != nil {
+		if _, err := RunLeakSweepCtx(context.Background(), 8, 20, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +103,7 @@ func TestWithdrawOrigin(t *testing.T) {
 }
 
 func TestRunHijackSweepShapes(t *testing.T) {
-	rows, err := RunHijackSweep(8, 20, 5)
+	rows, err := RunHijackSweepCtx(context.Background(), 8, 20, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRunHijackSweepShapes(t *testing.T) {
 func TestHijackSweepRestoresTopology(t *testing.T) {
 	// After the sweep, converging again must route everything to the true
 	// victim (all attacker originations withdrawn).
-	rows, err := RunHijackSweep(6, 12, 9)
+	rows, err := RunHijackSweepCtx(context.Background(), 6, 12, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestHijackSweepRestoresTopology(t *testing.T) {
 	// Rebuild the same hierarchy and confirm single-origin state matches a
 	// fresh run (the sweep mutated a topology we no longer hold, so just
 	// re-running deterministically is the check).
-	again, err := RunHijackSweep(6, 12, 9)
+	again, err := RunHijackSweepCtx(context.Background(), 6, 12, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

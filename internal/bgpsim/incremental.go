@@ -3,7 +3,7 @@ package bgpsim
 // Incremental re-convergence. The paper's routing case studies are deltas on
 // a stable world — one ASN re-shuffled, one leaker appearing, one prefix
 // hijacked — so re-running the full fixpoint per event wastes almost all of
-// its work. ConvergeState keeps the compiled engine, the node arenas, and
+// its work. ConvergeStateCtx keeps the compiled engine, the node arenas, and
 // the dense tables alive; Apply patches the compiled form in place and
 // re-converges only the affected prefix columns, seeding the change-driven
 // work queue from the frontier of ASes whose inputs the delta touched
@@ -11,7 +11,7 @@ package bgpsim
 // from a sparse undo log without re-converging at all.
 //
 // Contract: after every Apply, the live tables are observably identical
-// (Route/Path/Prefixes on every AS) to a cold Converge of the mutated
+// (Route/Path/Prefixes on every AS) to a cold ConvergeCtx of the mutated
 // topology. That holds unconditionally, not just in expectation:
 //
 //   - When the effective provider→customer digraph is acyclic and no AS
@@ -108,12 +108,13 @@ func (d Delta) inverse() Delta {
 // (unknown AS, withdrawing an absent origin, adding a present link, ...).
 var ErrBadDelta = fmt.Errorf("bgpsim: inapplicable delta")
 
-// applyDelta validates d against the current topology and mutates it.
-// Validation is strict in both directions — a withdraw of an absent origin
-// or a link-up of a present edge is an error, never a no-op — so every
-// applied delta has a well-defined inverse, which Revert and the scenario
-// parser both rely on.
-func (t *Topology) applyDelta(d Delta) error {
+// ApplyDelta validates d against the topology and mutates it. Validation is
+// strict in both directions — a withdraw of an absent origin or a link-up of
+// a present edge is an error, never a no-op — so every applied delta has a
+// well-defined inverse, which Revert relies on and which lets the scenario
+// parsers test-apply event sequences on a Clone before replaying them
+// through Converged.Apply.
+func (t *Topology) ApplyDelta(d Delta) error {
 	switch d.Kind {
 	case DeltaWithdraw:
 		if !t.hasOrigin(d.A, d.Prefix) {
@@ -197,7 +198,7 @@ func (p *Patch) Cells() int {
 // Converged is a reusable convergence state: the topology, its compiled
 // engine, and the live routing tables, kept together so successive deltas
 // re-converge incrementally instead of from scratch. Obtain one with
-// ConvergeState; it is not safe for concurrent use.
+// ConvergeStateCtx; it is not safe for concurrent use.
 type Converged struct {
 	t       *Topology
 	e       *engine
@@ -207,22 +208,13 @@ type Converged struct {
 	applied int // LIFO depth, for Revert-order enforcement
 }
 
-// ConvergeState compiles t, converges it fully (fanning prefix columns over
-// at most workers goroutines; <= 0 means GOMAXPROCS), and returns the live
-// state. The topology is captured by reference: mutate it only through
-// Apply/Revert while the state is in use, or the compiled form goes stale.
-func (t *Topology) ConvergeState(workers int) *Converged {
-	c, err := t.ConvergeStateCtx(context.Background(), workers)
-	if err != nil {
-		// Background never cancels; only a worker panic can land here.
-		panic(err)
-	}
-	return c
-}
-
-// ConvergeStateCtx is ConvergeState with cooperative cancellation during
-// the cold convergence: ctx is checked between prefix columns, and on
-// cancellation the half-built tables are discarded and ctx.Err() returned.
+// ConvergeStateCtx compiles t, converges it fully (fanning prefix columns
+// over at most workers goroutines; <= 0 means GOMAXPROCS; the tables are
+// bit-identical for every worker count), and returns the live state. The
+// topology is captured by reference: mutate it only through Apply/Revert
+// while the state is in use, or the compiled form goes stale. ctx is checked
+// between prefix columns of the cold convergence; on cancellation the
+// half-built tables are discarded and ctx.Err() returned.
 // Once the state is returned, Apply/Revert events themselves run to
 // completion — cancelling mid-event would leave the undo log inconsistent —
 // so callers driving event sweeps check the context between events.
@@ -251,12 +243,12 @@ func (c *Converged) Topology() *Topology { return c.t }
 
 // Apply mutates the topology by d and re-converges exactly the affected
 // prefix columns from the frontier of ASes the delta touched. On success
-// the live tables are observably identical to a cold Converge of the
+// the live tables are observably identical to a cold ConvergeCtx of the
 // mutated topology, and the returned patch undoes everything via Revert.
 // On error nothing changed.
 //
 // Deltas that introduce or remove an AS are deliberately absent: the dense
-// index space is fixed at ConvergeState time.
+// index space is fixed at ConvergeStateCtx time.
 func (c *Converged) Apply(d Delta) (*Patch, error) {
 	return c.applyScoped(d, nil)
 }
@@ -325,7 +317,7 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
 			return false, fmt.Errorf("%w: %d", ErrUnknownAS, d.A)
 		}
 	}
-	if err := c.t.applyDelta(d); err != nil {
+	if err := c.t.ApplyDelta(d); err != nil {
 		return false, err
 	}
 	switch d.Kind {
@@ -484,7 +476,7 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 }
 
 // insertSorted adds v to a sorted int32 slice, keeping it sorted; duplicate
-// inserts are impossible (applyDelta rejects duplicate originations).
+// inserts are impossible (ApplyDelta rejects duplicate originations).
 func insertSorted(s []int32, v int32) []int32 {
 	at := sort.Search(len(s), func(i int) bool { return s[i] >= v })
 	s = append(s, 0)

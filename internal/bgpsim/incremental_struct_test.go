@@ -67,7 +67,7 @@ func TestPropEngineStructuralEquivalence(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		c := topo.ConvergeState(1)
+		c := convergeState(t, topo, 1)
 		var stack []*Patch
 		extra := 0
 		steps := g.IntRange(3, 8)

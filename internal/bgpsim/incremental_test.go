@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,7 +14,7 @@ import (
 
 // assertTablesMatchCold requires the live tables of c to be observably
 // identical — reachability, learned relationship, full path, and per-AS
-// prefix enumeration — to a cold Converge of the same (mutated) topology.
+// prefix enumeration — to a cold ConvergeCtx of the same (mutated) topology.
 // This is the incremental engine's central contract.
 func assertTablesMatchCold(t *testing.T, label string, c *Converged) {
 	t.Helper()
@@ -25,7 +26,10 @@ func assertTablesMatchCold(t *testing.T, label string, c *Converged) {
 // tablesEqualCold is assertTablesMatchCold in error form, shared with the
 // property suite.
 func tablesEqualCold(c *Converged) error {
-	cold := c.Topology().Converge()
+	cold, err := c.Topology().ConvergeCtx(context.Background(), 1)
+	if err != nil {
+		return err
+	}
 	live := c.Tables()
 	for _, n := range c.Topology().ASNs() {
 		cp, lp := cold.Prefixes(n), live.Prefixes(n)
@@ -72,7 +76,7 @@ func TestIncrementalWithdrawBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := h.Topo.ConvergeState(1)
+	c := convergeState(t, h.Topo, 1)
 	base := snapshotEntries(c.Tables())
 
 	victim := h.Stubs[5]
@@ -105,7 +109,7 @@ func TestIncrementalAnnounceNewPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := h.Topo.ConvergeState(1)
+	c := convergeState(t, h.Topo, 1)
 	base := snapshotEntries(c.Tables())
 	basePrefixes := c.Tables().Prefixes(h.Tier1[0])
 
@@ -135,7 +139,7 @@ func TestIncrementalLinkFlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := h.Topo.ConvergeState(1)
+	c := convergeState(t, h.Topo, 1)
 	base := snapshotEntries(c.Tables())
 
 	// Down one stub's transit link, then add a rescue peering, strictly LIFO.
@@ -166,7 +170,7 @@ func TestIncrementalLeakToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := h.Topo.ConvergeState(1)
+	c := convergeState(t, h.Topo, 1)
 	base := snapshotEntries(c.Tables())
 
 	// Any leaker voids the unique-fixpoint guarantee (see incrementalSafe),
@@ -213,7 +217,7 @@ func TestIncrementalUnsafeCycleFallsBack(t *testing.T) {
 	mustPC(t, topo, 3, 4)
 	_ = topo.Originate(1, "p")
 
-	c := topo.ConvergeState(1)
+	c := convergeState(t, topo, 1)
 	if c.e.incrementalSafe() {
 		t.Fatal("provider cycle reported as incrementally safe")
 	}
@@ -231,7 +235,7 @@ func TestIncrementalApplyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := h.Topo.ConvergeState(1)
+	c := convergeState(t, h.Topo, 1)
 	base := snapshotEntries(c.Tables())
 	stub := h.Stubs[0]
 	pfx := fmt.Sprintf("pfx-%d", stub)
@@ -268,7 +272,7 @@ func TestIncrementalRevertEnforcesLIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := h.Topo.ConvergeState(1)
+	c := convergeState(t, h.Topo, 1)
 	p1, err := c.Apply(Delta{Kind: DeltaLeakToggle, A: h.Mids[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +293,7 @@ func TestIncrementalRevertEnforcesLIFO(t *testing.T) {
 // REPORT.md cannot drift.
 func TestSweepsMatchFull(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		gotLeak, err := RunLeakSweepWorkers(8, 20, 5, w)
+		gotLeak, err := RunLeakSweepCtx(context.Background(), 8, 20, 5, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +304,7 @@ func TestSweepsMatchFull(t *testing.T) {
 		if !reflect.DeepEqual(gotLeak, wantLeak) {
 			t.Fatalf("workers=%d: incremental leak sweep diverged:\n got %+v\nwant %+v", w, gotLeak, wantLeak)
 		}
-		gotHijack, err := RunHijackSweepWorkers(8, 20, 5, w)
+		gotHijack, err := RunHijackSweepCtx(context.Background(), 8, 20, 5, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +351,7 @@ func TestBuildHierarchyOptsVariants(t *testing.T) {
 			}
 		}
 	}
-	rt := h.Topo.Converge()
+	rt := converge(t, h.Topo, 1)
 	for _, s := range h.OriginStubs {
 		pfx := fmt.Sprintf("pfx-%d", s)
 		for _, n := range h.Tier1 {
@@ -449,7 +453,7 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 				if err != nil {
 					return fmt.Errorf("building topology: %w", err)
 				}
-				c := topo.ConvergeState(w)
+				c := convergeState(t, topo, w)
 				base := snapshotEntries(c.Tables())
 				var stack []*Patch
 				extra := 0
@@ -504,7 +508,7 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("building topology: %w", err)
 		}
-		c := topo.ConvergeState(1)
+		c := convergeState(t, topo, 1)
 		base := snapshotEntries(c.Tables())
 		baseText := FormatTopology(topo)
 		extra := 0

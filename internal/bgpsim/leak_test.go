@@ -36,7 +36,7 @@ func leakScenario(t *testing.T) *Topology {
 
 func TestNoLeakBaseline(t *testing.T) {
 	topo := leakScenario(t)
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	// P2 reaches the victim via its peer P1, not via its customer L.
 	if !pathEq(rt.Path(20, "victim"), 20, 10, 40) {
 		t.Errorf("P2 path = %v, want via peer", rt.Path(20, "victim"))
@@ -55,7 +55,7 @@ func TestLeakPullsTrafficThroughLeaker(t *testing.T) {
 	if !topo.IsLeaker(30) {
 		t.Fatal("IsLeaker false")
 	}
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	// P2 now hears the victim from its CUSTOMER L (leaked provider route)
 	// and prefers it economically — the leak's whole mechanism.
 	if !pathEq(rt.Path(20, "victim"), 20, 30, 10, 40) {
@@ -80,7 +80,7 @@ func TestLeakPullsTrafficThroughLeaker(t *testing.T) {
 func TestLeakPathsRemainLoopFree(t *testing.T) {
 	topo := leakScenario(t)
 	topo.MarkLeaker(30)
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	for _, n := range topo.ASNs() {
 		for _, p := range rt.Prefixes(n) {
 			path := rt.Path(n, p)
@@ -99,7 +99,7 @@ func TestClearLeakerRestoresBaseline(t *testing.T) {
 	topo := leakScenario(t)
 	topo.MarkLeaker(30)
 	topo.ClearLeaker(30)
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !pathEq(rt.Path(20, "victim"), 20, 10, 40) {
 		t.Errorf("path after clearing = %v", rt.Path(20, "victim"))
 	}
@@ -144,7 +144,7 @@ func TestLeakBlastGrowsWithLeakerConnectivity(t *testing.T) {
 			_ = topo.AddProviderCustomer(asn(2+i%2), n)
 		}
 		topo.MarkLeaker(200)
-		rt := topo.Converge()
+		rt := converge(t, topo, 1)
 		affected, _ := BlastRadius(rt, 200, "v")
 		return len(affected)
 	}
@@ -166,7 +166,7 @@ func TestPropertyLeakedPathsLoopFreeAcrossTopologies(t *testing.T) {
 		candidates := append(append([]ASN{}, h.Mids...), h.Stubs...)
 		leaker := candidates[r.Intn(len(candidates))]
 		h.Topo.MarkLeaker(leaker)
-		rt := h.Topo.Converge()
+		rt := converge(t, h.Topo, 1)
 		for _, n := range h.Topo.ASNs() {
 			for _, p := range rt.Prefixes(n) {
 				path := rt.Path(n, p)
@@ -181,7 +181,7 @@ func TestPropertyLeakedPathsLoopFreeAcrossTopologies(t *testing.T) {
 		}
 		// Reachability never shrinks under a leak (leaks add paths).
 		h.Topo.ClearLeaker(leaker)
-		base := h.Topo.Converge()
+		base := converge(t, h.Topo, 1)
 		for _, n := range h.Topo.ASNs() {
 			for _, p := range base.Prefixes(n) {
 				if !rt.Reachable(n, p) {

@@ -1,31 +1,12 @@
 package bgpsim
 
-// Replay-support surface for the timeline engine (internal/timeline): the
-// event-line grammar exported as standalone delta parsing/formatting, strict
-// delta application on bare topologies (shadow validation), and two
-// observation helpers — table-wide reachability counts for per-tick series
+// Replay-support surface for the timeline engine (internal/timeline), next to
+// ParseDelta/FormatDelta (parse.go) and Topology.ApplyDelta (incremental.go):
+// two observation helpers — table-wide reachability counts for per-tick series
 // and a pointer-identity fingerprint that certifies Revert restored the
 // exact pre-Apply state, shared path chains included.
 
 import "fmt"
-
-// ParseDelta parses one event line — the directive keyword (a
-// DeltaKind.String() value: withdraw, announce, link+, link-, leak) plus its
-// space-split arguments — into a Delta. It is the single-line form of the
-// ParseScenario event grammar; FormatDelta is its inverse.
-func ParseDelta(directive string, args []string) (Delta, error) {
-	return parseDelta(directive, args)
-}
-
-// FormatDelta renders d as its event-grammar line; inverse of ParseDelta.
-func FormatDelta(d Delta) string { return formatDelta(d) }
-
-// ApplyDelta validates d against the topology and mutates it. Validation is
-// strict in both directions — withdrawing an absent origin or adding a
-// present link is an error, never a no-op — so every applied delta has a
-// well-defined inverse. Scenario parsers use this to test-apply event
-// sequences on a Clone before replaying them through Converged.Apply.
-func (t *Topology) ApplyDelta(d Delta) error { return t.applyDelta(d) }
 
 // Size returns the table dimensions: the number of ASes and of prefix
 // columns currently converged.

@@ -178,13 +178,13 @@ func parseDoc(r io.Reader, allowEvents bool) (*Topology, []Delta, error) {
 				break
 			}
 			var d Delta
-			if d, err = parseDelta(directive, args); err != nil {
+			if d, err = ParseDelta(directive, args); err != nil {
 				break
 			}
 			if shadow == nil {
 				shadow = t.Clone()
 			}
-			if err = shadow.applyDelta(d); err != nil {
+			if err = shadow.ApplyDelta(d); err != nil {
 				break
 			}
 			events = append(events, d)
@@ -205,9 +205,12 @@ func errBaseAfterEvent(directive string) error {
 	return fmt.Errorf("base directive %q after first event line", directive)
 }
 
-// parseDelta parses one event line into a Delta. The directive keywords are
-// exactly DeltaKind.String() values, so FormatScenario round-trips.
-func parseDelta(directive string, args []string) (Delta, error) {
+// ParseDelta parses one event line — the directive keyword (a
+// DeltaKind.String() value: withdraw, announce, link+, link-, leak) plus its
+// space-split arguments — into a Delta. It is the single-line form of the
+// ParseScenario event grammar, so FormatScenario round-trips; FormatDelta is
+// its inverse.
+func ParseDelta(directive string, args []string) (Delta, error) {
 	var d Delta
 	switch directive {
 	case "withdraw", "announce":
@@ -301,14 +304,14 @@ func FormatScenario(t *Topology, events []Delta) string {
 	var b strings.Builder
 	b.WriteString(FormatTopology(t))
 	for _, d := range events {
-		b.WriteString(formatDelta(d))
+		b.WriteString(FormatDelta(d))
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// formatDelta renders one event line; inverse of parseDelta.
-func formatDelta(d Delta) string {
+// FormatDelta renders d as its event-grammar line; inverse of ParseDelta.
+func FormatDelta(d Delta) string {
 	switch d.Kind {
 	case DeltaWithdraw, DeltaAnnounce:
 		return fmt.Sprintf("%s %d %s", d.Kind, d.A, d.Prefix)

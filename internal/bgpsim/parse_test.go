@@ -44,12 +44,12 @@ func TestParseScenarioSample(t *testing.T) {
 	}
 	// Replaying the validated sequence through the incremental engine must
 	// succeed and stay bit-identical to cold convergence at every step.
-	c := topo.ConvergeState(1)
+	c := convergeState(t, topo, 1)
 	for i, d := range events {
 		if _, err := c.Apply(d); err != nil {
-			t.Fatalf("replaying event %d (%s): %v", i, formatDelta(d), err)
+			t.Fatalf("replaying event %d (%s): %v", i, FormatDelta(d), err)
 		}
-		assertTablesMatchCold(t, formatDelta(d), c)
+		assertTablesMatchCold(t, FormatDelta(d), c)
 	}
 	if !c.Topology().HasPeer(100, 1000) {
 		t.Error("link+ peer event not applied on replay")
@@ -126,7 +126,7 @@ func TestParseTopologySample(t *testing.T) {
 	if !topo.IsLeaker(100) {
 		t.Error("leaker 100 not applied")
 	}
-	rt := topo.Converge()
+	rt := converge(t, topo, 1)
 	if !rt.Reachable(1, "pfx-1000") {
 		t.Error("converged topology cannot reach the stub prefix")
 	}
@@ -212,7 +212,7 @@ func FuzzParseTopology(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rt := topo.Converge()
+		rt := converge(t, topo, 1)
 		ref := topo.convergeReference()
 		for _, n := range topo.ASNs() {
 			for pfx := range ref[n] {
@@ -240,14 +240,14 @@ func FuzzParseTopology(f *testing.F) {
 		// Event sequences replay through the incremental engine; after each
 		// delta the live tables must be bit-identical to a cold convergence
 		// of the mutated topology (the incremental oracle).
-		c := topo.Clone().ConvergeState(1)
+		c := convergeState(t, topo.Clone(), 1)
 		for i, d := range events {
 			if _, err := c.Apply(d); err != nil {
 				t.Fatalf("event %d (%s) failed on replay after parse validated it: %v\n%s",
-					i, formatDelta(d), err, text)
+					i, FormatDelta(d), err, text)
 			}
 			if err := tablesEqualCold(c); err != nil {
-				t.Fatalf("after event %d (%s): %v\n%s", i, formatDelta(d), err, text)
+				t.Fatalf("after event %d (%s): %v\n%s", i, FormatDelta(d), err, text)
 			}
 		}
 		// And the whole scenario round-trips through its formatter.

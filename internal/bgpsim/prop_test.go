@@ -2,6 +2,7 @@ package bgpsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/proptest"
@@ -101,7 +102,7 @@ func TestPropConvergeMatchesReference(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("building topology: %w", err)
 		}
-		rt := topo.Converge()
+		rt := converge(t, topo, 1)
 		if err := tablesMatchReference(topo, rt, topo.convergeReference(), stubPrefixes(stubs)); err != nil {
 			return fmt.Errorf("engine diverged from reference on spec %+v: %w", spec, err)
 		}
@@ -116,13 +117,14 @@ func TestPropConvergeWorkerInvariant(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("building topology: %w", err)
 		}
-		workers := g.IntRange(2, 8)
-		serial := topo.Converge()
-		fanned := topo.ConvergeWorkers(workers)
-		for _, n := range topo.ASNs() {
-			for _, pfx := range stubPrefixes(stubs) {
-				if !routesEqual(serial.Route(n, pfx), fanned.Route(n, pfx)) {
-					return fmt.Errorf("workers=%d differs at AS %d prefix %s", workers, n, pfx)
+		serial := converge(t, topo, 1)
+		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+			fanned := converge(t, topo, workers)
+			for _, n := range topo.ASNs() {
+				for _, pfx := range stubPrefixes(stubs) {
+					if !routesEqual(serial.Route(n, pfx), fanned.Route(n, pfx)) {
+						return fmt.Errorf("workers=%d differs at AS %d prefix %s", workers, n, pfx)
+					}
 				}
 			}
 		}
@@ -137,7 +139,7 @@ func TestPropConvergedPathsValleyFree(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("building topology: %w", err)
 		}
-		rt := topo.Converge()
+		rt := converge(t, topo, 1)
 		for _, n := range topo.ASNs() {
 			for _, pfx := range stubPrefixes(stubs) {
 				path := rt.Path(n, pfx)
@@ -167,7 +169,7 @@ func TestPropBlastRadiusWithinReachable(t *testing.T) {
 		if !topo.MarkLeaker(leaker) {
 			return fmt.Errorf("MarkLeaker(%d) failed", leaker)
 		}
-		rt := topo.Converge()
+		rt := converge(t, topo, 1)
 		pfx := fmt.Sprintf("pfx-%d", stubs[g.Intn(len(stubs))])
 		affected, reachable := BlastRadius(rt, leaker, pfx)
 		if len(affected) >= reachable && len(affected) > 0 {
@@ -206,11 +208,11 @@ func TestPropWithdrawReannounceIdempotent(t *testing.T) {
 			return nil
 		}
 		prefixes := stubPrefixes(stubs)
-		before := topo.Converge()
+		before := converge(t, topo, 1)
 		victim := stubs[g.Intn(len(stubs))]
 		pfx := fmt.Sprintf("pfx-%d", victim)
 		topo.WithdrawOrigin(victim, pfx)
-		gone := topo.Converge()
+		gone := converge(t, topo, 1)
 		for _, n := range topo.ASNs() {
 			if gone.Reachable(n, pfx) {
 				return fmt.Errorf("AS %d still reaches withdrawn %s", n, pfx)
@@ -219,7 +221,7 @@ func TestPropWithdrawReannounceIdempotent(t *testing.T) {
 		if err := topo.Originate(victim, pfx); err != nil {
 			return fmt.Errorf("re-announcing %s: %w", pfx, err)
 		}
-		after := topo.Converge()
+		after := converge(t, topo, 1)
 		for _, n := range topo.ASNs() {
 			for _, p := range prefixes {
 				if !routesEqual(before.Route(n, p), after.Route(n, p)) {

@@ -1,8 +1,8 @@
 package bgpsim
 
 // The original synchronous whole-topology convergence loop, preserved
-// verbatim in behavior as the reference implementation for the engine
-// equivalence tests (engine_test.go) and the allocation-baseline benchmarks.
+// verbatim in behavior as the test oracle for the engine equivalence tests
+// (engine_test.go) and the allocation-baseline benchmarks.
 // It is intentionally naive: every round rebuilds every table, re-derives
 // and re-sorts every neighbor list, and copies every candidate AS path. The
 // production engine in engine.go must stay bit-identical to it.

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCanonicalInjective is the collision regression test: under the old
@@ -378,6 +379,65 @@ func TestRunnerCoalesceFollowerHonoursContext(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// TestRunnerCoalescePanicReleasesFlight: a scenario panic is an error for
+// the leader and every parked follower, and it releases the key, so a later
+// identical job runs afresh instead of parking on a flight that never ends.
+func TestRunnerCoalescePanicReleasesFlight(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var execs atomic.Int64
+	d := synthDef("T1")
+	d.Run = func(ctx context.Context, p Values, seed uint64) (*Result, error) {
+		if execs.Add(1) == 1 {
+			entered <- struct{}{}
+			<-release
+		}
+		panic("scenario blew up")
+	}
+	sc := def{d}
+	r := &Runner{Coalesce: true}
+	job := NewJob(sc)
+	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
+
+	run := func() <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.RunOne(context.Background(), job)
+			done <- err
+		}()
+		return done
+	}
+	wait := func(who string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "scenario blew up") {
+				t.Fatalf("%s: err = %v, want the scenario panic as an error", who, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still parked after the leader panicked", who)
+		}
+	}
+
+	leader := run()
+	<-entered
+	follower := run()
+	for r.flight.waiters(key) < 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wait("leader", leader)
+	wait("follower", follower)
+
+	wait("later job", run())
+	if n := execs.Load(); n != 2 {
+		t.Fatalf("scenario executed %d times, want 2 (one flight, then a fresh one)", n)
+	}
+	if n := r.Waiting(); n != 0 {
+		t.Fatalf("Waiting() = %d after every flight ended, want 0", n)
+	}
 }
 
 // BenchmarkCacheKey is the humnetd hot-path cost of one key derivation.

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -29,7 +31,9 @@ type flightCall struct {
 // shared=false; followers park until the leader finishes (or their own
 // context ends) and return shared=true. The key is removed before done is
 // closed, so a caller arriving after completion starts a fresh flight — the
-// group coalesces concurrency, it does not cache.
+// group coalesces concurrency, it does not cache. A panic in fn becomes the
+// flight's error, which the leader and every follower receive; the key is
+// released either way, so a panicking run cannot strand later callers.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Result, error)) (res *Result, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -49,12 +53,17 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Result, er
 	g.m[key] = c
 	g.mu.Unlock()
 
+	defer func() {
+		if v := recover(); v != nil {
+			c.res, c.err = nil, fmt.Errorf("experiment: run panicked: %v\n%s", v, debug.Stack())
+			res, err = nil, c.err
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.res, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.res, false, c.err
 }
 

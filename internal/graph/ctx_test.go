@@ -7,33 +7,6 @@ import (
 	"repro/internal/rng"
 )
 
-// TestCentralityCtxMatchesWorkers pins the ctxflow remediation: the Ctx
-// variants with a Background context must return exactly the rows the
-// Workers wrappers do, for serial and parallel paths alike.
-func TestCentralityCtxMatchesWorkers(t *testing.T) {
-	g := ErdosRenyi(120, 0.05, rng.New(7))
-	for _, workers := range []int{1, 3} {
-		bw := g.BetweennessCentralityWorkers(workers)
-		bc, err := g.BetweennessCentralityCtx(context.Background(), workers)
-		if err != nil {
-			t.Fatalf("BetweennessCentralityCtx(workers=%d): %v", workers, err)
-		}
-		cw := g.ClosenessCentralityWorkers(workers)
-		cc, err := g.ClosenessCentralityCtx(context.Background(), workers)
-		if err != nil {
-			t.Fatalf("ClosenessCentralityCtx(workers=%d): %v", workers, err)
-		}
-		for i := range bw {
-			if bc[i] != bw[i] {
-				t.Fatalf("workers=%d: betweenness Ctx[%d]=%v != Workers %v", workers, i, bc[i], bw[i])
-			}
-			if cc[i] != cw[i] {
-				t.Fatalf("workers=%d: closeness Ctx[%d]=%v != Workers %v", workers, i, cc[i], cw[i])
-			}
-		}
-	}
-}
-
 // TestCentralityCtxCancelled checks both centrality variants stop and
 // surface ctx.Err() instead of returning half-accumulated scores.
 func TestCentralityCtxCancelled(t *testing.T) {

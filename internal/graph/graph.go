@@ -278,31 +278,15 @@ func (g *Graph) DegreeCentrality() []float64 {
 	return c
 }
 
-// ClosenessCentrality returns, for each node, (reachable)/(n-1) *
+// ClosenessCentralityCtx returns, for each node, (reachable)/(n-1) *
 // (reachable/sum-of-distances) — the Wasserman–Faust normalization that
-// handles disconnected graphs. Hop distances are used (unweighted). It runs
-// the per-source BFS fan-out on GOMAXPROCS workers; see
-// ClosenessCentralityWorkers for the worker-count knob.
-func (g *Graph) ClosenessCentrality() []float64 {
-	return g.ClosenessCentralityWorkers(0)
-}
-
-// ClosenessCentralityWorkers is ClosenessCentrality parallelized over source
-// nodes on at most workers goroutines (workers <= 0 means GOMAXPROCS,
-// workers == 1 runs serially). Each source writes only its own entry, so the
-// output is bit-identical for every worker count.
-func (g *Graph) ClosenessCentralityWorkers(workers int) []float64 {
-	c, err := g.ClosenessCentralityCtx(context.Background(), workers)
-	if err != nil {
-		panic(err) // Background never cancels and tasks never fail: panics only
-	}
-	return c
-}
-
-// ClosenessCentralityCtx is ClosenessCentralityWorkers with cooperative
-// cancellation: ctx is checked between per-source BFS tasks, so a cancelled
-// caller stops paying for sources it no longer wants. On cancellation the
-// partial result is discarded and ctx.Err() returned.
+// handles disconnected graphs. Hop distances are used (unweighted). The
+// per-source BFS runs on at most workers goroutines (workers <= 0 means
+// GOMAXPROCS, workers == 1 runs serially); each source writes only its own
+// entry, so the output is bit-identical for every worker count. ctx is
+// checked between per-source BFS tasks, so a cancelled caller stops paying
+// for sources it no longer wants; the partial result is discarded and
+// ctx.Err() returned.
 func (g *Graph) ClosenessCentralityCtx(ctx context.Context, workers int) ([]float64, error) {
 	n := len(g.adj)
 	c := make([]float64, n)
@@ -370,30 +354,14 @@ func (g *Graph) brandesFrom(s int, delta []float64) {
 	}
 }
 
-// BetweennessCentrality returns Brandes' betweenness centrality (unweighted).
-// For undirected graphs the counts are halved per convention. It runs the
-// per-source fan-out on GOMAXPROCS workers; see
-// BetweennessCentralityWorkers for the worker-count knob.
-func (g *Graph) BetweennessCentrality() []float64 {
-	return g.BetweennessCentralityWorkers(0)
-}
-
-// BetweennessCentralityWorkers is BetweennessCentrality parallelized over
-// source nodes on at most workers goroutines (workers <= 0 means GOMAXPROCS,
-// workers == 1 runs serially with no goroutines). Per-source dependency
-// vectors are computed concurrently but merged into the result strictly in
-// source order, so the floating-point accumulation order — and therefore the
-// output, bit for bit — is identical for every worker count.
-func (g *Graph) BetweennessCentralityWorkers(workers int) []float64 {
-	cb, err := g.BetweennessCentralityCtx(context.Background(), workers)
-	if err != nil {
-		panic(err) // Background never cancels and tasks never fail: panics only
-	}
-	return cb
-}
-
-// BetweennessCentralityCtx is BetweennessCentralityWorkers with cooperative
-// cancellation: ctx is checked between per-source Brandes phases. On
+// BetweennessCentralityCtx returns Brandes' betweenness centrality
+// (unweighted). For undirected graphs the counts are halved per convention.
+// The source nodes fan out across at most workers goroutines (workers <= 0
+// means GOMAXPROCS, workers == 1 runs serially with no goroutines).
+// Per-source dependency vectors are computed concurrently but merged into
+// the result strictly in source order, so the floating-point accumulation
+// order — and therefore the output, bit for bit — is identical for every
+// worker count. ctx is checked between per-source Brandes phases; on
 // cancellation the partial accumulation is discarded and ctx.Err() returned.
 func (g *Graph) BetweennessCentralityCtx(ctx context.Context, workers int) ([]float64, error) {
 	n := len(g.adj)

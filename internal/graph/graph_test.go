@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -167,7 +168,7 @@ func TestDegreeCentralityStar(t *testing.T) {
 
 func TestClosenessCentralityStar(t *testing.T) {
 	g := star(5)
-	c := g.ClosenessCentrality()
+	c := closeness(t, g, 0)
 	if math.Abs(c[0]-1) > 1e-9 {
 		t.Errorf("center closeness = %g, want 1", c[0])
 	}
@@ -179,7 +180,7 @@ func TestClosenessCentralityStar(t *testing.T) {
 
 func TestBetweennessLine(t *testing.T) {
 	g := line(3)
-	cb := g.BetweennessCentrality()
+	cb := betweenness(t, g, 0)
 	if cb[0] != 0 || cb[2] != 0 {
 		t.Errorf("endpoints betweenness = %g, %g, want 0", cb[0], cb[2])
 	}
@@ -190,7 +191,7 @@ func TestBetweennessLine(t *testing.T) {
 
 func TestBetweennessStarCenter(t *testing.T) {
 	g := star(5)
-	cb := g.BetweennessCentrality()
+	cb := betweenness(t, g, 0)
 	// Center lies on all C(4,2)=6 leaf pairs.
 	if cb[0] != 6 {
 		t.Errorf("center betweenness = %g, want 6", cb[0])
@@ -432,6 +433,26 @@ func TestQuickDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 // centralityWorkerCounts are the equivalence matrix from the determinism
 // contract: parallel output must be bit-identical to serial for workers in
 // {1, 4, GOMAXPROCS} (0 = the GOMAXPROCS default).
+// betweenness and closeness run the centralities on workers goroutines,
+// failing the test on error.
+func betweenness(t *testing.T, g *Graph, workers int) []float64 {
+	t.Helper()
+	cb, err := g.BetweennessCentralityCtx(context.Background(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cb
+}
+
+func closeness(t *testing.T, g *Graph, workers int) []float64 {
+	t.Helper()
+	c, err := g.ClosenessCentralityCtx(context.Background(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func centralityWorkerCounts() []int {
 	return []int{1, 4, runtime.GOMAXPROCS(0), 0}
 }
@@ -450,9 +471,9 @@ func TestBetweennessParallelBitIdenticalToSerial(t *testing.T) {
 		}(),
 	}
 	for name, g := range graphs {
-		serial := g.BetweennessCentralityWorkers(1)
+		serial := betweenness(t, g, 1)
 		for _, workers := range centralityWorkerCounts() {
-			got := g.BetweennessCentralityWorkers(workers)
+			got := betweenness(t, g, workers)
 			for i := range serial {
 				if got[i] != serial[i] {
 					t.Fatalf("%s workers=%d: cb[%d] = %v, serial %v (not bit-identical)",
@@ -460,20 +481,14 @@ func TestBetweennessParallelBitIdenticalToSerial(t *testing.T) {
 				}
 			}
 		}
-		def := g.BetweennessCentrality()
-		for i := range serial {
-			if def[i] != serial[i] {
-				t.Fatalf("%s: default BetweennessCentrality diverges from serial at %d", name, i)
-			}
-		}
 	}
 }
 
 func TestClosenessParallelBitIdenticalToSerial(t *testing.T) {
 	g := ErdosRenyi(180, 0.04, rng.New(11))
-	serial := g.ClosenessCentralityWorkers(1)
+	serial := closeness(t, g, 1)
 	for _, workers := range centralityWorkerCounts() {
-		got := g.ClosenessCentralityWorkers(workers)
+		got := closeness(t, g, workers)
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: c[%d] = %v, serial %v (not bit-identical)", workers, i, got[i], serial[i])
@@ -486,7 +501,9 @@ func BenchmarkBetweenness200(b *testing.B) {
 	g := ErdosRenyi(200, 0.05, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.BetweennessCentrality()
+		if _, err := g.BetweennessCentralityCtx(context.Background(), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package graph_test
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,11 +18,18 @@ import (
 // counts, and LabelPropagation always returns a valid compacted partition.
 
 func TestPropClosenessPermutationEquivariant(t *testing.T) {
+	ctx := context.Background()
 	proptest.Run(t, 201, 80, func(g *proptest.G) error {
 		spec := g.Graph(12, 0.3)
 		p := g.Perm(spec.N)
-		c1 := buildFromSpecErr(spec).ClosenessCentrality()
-		c2 := buildRelabeledErr(spec, p).ClosenessCentrality()
+		c1, err := buildFromSpecErr(spec).ClosenessCentralityCtx(ctx, 0)
+		if err != nil {
+			return err
+		}
+		c2, err := buildRelabeledErr(spec, p).ClosenessCentralityCtx(ctx, 0)
+		if err != nil {
+			return err
+		}
 		for i := range c1 {
 			if !proptest.SameFloat(c1[i], c2[p[i]]) {
 				return fmt.Errorf("closeness not equivariant at node %d (as %d): %v vs %v",
@@ -32,11 +41,18 @@ func TestPropClosenessPermutationEquivariant(t *testing.T) {
 }
 
 func TestPropBetweennessPermutationEquivariant(t *testing.T) {
+	ctx := context.Background()
 	proptest.Run(t, 202, 80, func(g *proptest.G) error {
 		spec := g.ConnectedGraph(10, 0.25)
 		p := g.Perm(spec.N)
-		c1 := buildFromSpecErr(spec).BetweennessCentrality()
-		c2 := buildRelabeledErr(spec, p).BetweennessCentrality()
+		c1, err := buildFromSpecErr(spec).BetweennessCentralityCtx(ctx, 0)
+		if err != nil {
+			return err
+		}
+		c2, err := buildRelabeledErr(spec, p).BetweennessCentralityCtx(ctx, 0)
+		if err != nil {
+			return err
+		}
 		for i := range c1 {
 			if !proptest.ApproxEq(c1[i], c2[p[i]], 1e-9) {
 				return fmt.Errorf("betweenness not equivariant at node %d (as %d): %v vs %v",
@@ -48,19 +64,33 @@ func TestPropBetweennessPermutationEquivariant(t *testing.T) {
 }
 
 func TestPropCentralityWorkerInvariant(t *testing.T) {
+	ctx := context.Background()
 	proptest.Run(t, 203, 60, func(g *proptest.G) error {
 		spec := g.ConnectedGraph(12, 0.3)
 		gr := buildFromSpecErr(spec)
-		workers := g.IntRange(2, 8)
-		b1 := gr.BetweennessCentralityWorkers(1)
-		bw := gr.BetweennessCentralityWorkers(workers)
-		if !proptest.FloatsApproxEq(b1, bw, 0) {
-			return fmt.Errorf("betweenness differs at workers=%d:\n serial %v\n workers %v", workers, b1, bw)
+		b1, err := gr.BetweennessCentralityCtx(ctx, 1)
+		if err != nil {
+			return err
 		}
-		c1 := gr.ClosenessCentralityWorkers(1)
-		cw := gr.ClosenessCentralityWorkers(workers)
-		if !proptest.FloatsApproxEq(c1, cw, 0) {
-			return fmt.Errorf("closeness differs at workers=%d:\n serial %v\n workers %v", workers, c1, cw)
+		c1, err := gr.ClosenessCentralityCtx(ctx, 1)
+		if err != nil {
+			return err
+		}
+		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+			bw, err := gr.BetweennessCentralityCtx(ctx, workers)
+			if err != nil {
+				return err
+			}
+			if !proptest.FloatsApproxEq(b1, bw, 0) {
+				return fmt.Errorf("betweenness differs at workers=%d:\n serial %v\n workers %v", workers, b1, bw)
+			}
+			cw, err := gr.ClosenessCentralityCtx(ctx, workers)
+			if err != nil {
+				return err
+			}
+			if !proptest.FloatsApproxEq(c1, cw, 0) {
+				return fmt.Errorf("closeness differs at workers=%d:\n serial %v\n workers %v", workers, c1, cw)
+			}
 		}
 		return nil
 	})

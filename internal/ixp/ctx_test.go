@@ -2,56 +2,8 @@ package ixp
 
 import (
 	"context"
-	"reflect"
 	"testing"
 )
-
-// TestSweepCtxMatchesWorkers pins the ctxflow remediation: every sweep's
-// Ctx variant with a Background context returns exactly the rows its
-// Workers wrapper does.
-func TestSweepCtxMatchesWorkers(t *testing.T) {
-	ctx := context.Background()
-
-	wantCirc, err := CircumventionSweepWorkers(3, 0.5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCirc, err := CircumventionSweepCtx(ctx, 3, 0.5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotCirc, wantCirc) {
-		t.Error("circumvention rows differ between Ctx(Background) and Workers")
-	}
-
-	presences := []float64{0, 0.5, 1}
-	wantGrav, err := GravitySweepWorkers(12, 3, presences, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotGrav, err := GravitySweepCtx(ctx, 12, 3, presences, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotGrav, wantGrav) {
-		t.Error("gravity rows differ between Ctx(Background) and Workers")
-	}
-
-	base := EconConfig{SouthISPs: 12, LocalIXPs: 3, ContentPresence: 0.5,
-		ContentVolume: 10, TransitPricePerUnit: 2, Seed: 7}
-	costs := []float64{1, 25, 100}
-	wantEcon, err := EconomicSweepWorkers(base, costs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEcon, err := EconomicSweepCtx(ctx, base, costs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotEcon, wantEcon) {
-		t.Error("economic rows differ between Ctx(Background) and Workers")
-	}
-}
 
 // TestSweepCtxCancelled checks cancellation stops each sweep with an error
 // instead of partial rows.

@@ -41,16 +41,11 @@ type EconRow struct {
 	MeanCost float64
 }
 
-// RunEconomic runs one configuration: ISPs without local content compare
+// RunEconomicCtx runs one configuration: ISPs without local content compare
 // the transit bill (volume × price) against the remote port fee and pick
 // the cheaper option; ISPs with local content always peer locally (free).
-func RunEconomic(cfg EconConfig) (EconRow, error) {
-	return RunEconomicCtx(context.Background(), cfg)
-}
-
-// RunEconomicCtx is RunEconomic with cooperative cancellation of the
-// underlying gravity convergence; the row is identical when ctx never
-// cancels.
+// ctx cancels the underlying gravity convergence; the row is identical
+// whenever ctx never cancels.
 func RunEconomicCtx(ctx context.Context, cfg EconConfig) (EconRow, error) {
 	if cfg.SouthISPs <= 0 || cfg.LocalIXPs <= 0 {
 		return EconRow{}, fmt.Errorf("ixp: economic config incomplete")
@@ -66,7 +61,7 @@ func RunEconomicCtx(ctx context.Context, cfg EconConfig) (EconRow, error) {
 	remoteWorthIt := cfg.ContentVolume*cfg.TransitPricePerUnit > cfg.RemotePortCost
 
 	// Reuse the gravity scenario builder twice: the deterministic rule in
-	// RunGravity matches "remote-peer when content absent locally", which
+	// RunGravityCtx matches "remote-peer when content absent locally", which
 	// is exactly the worth-it case; when not worth it, nobody remote-peers
 	// and content-absent ISPs ride transit. We emulate the latter with a
 	// presence-1 run restricted to content-present ISPs plus a transit
@@ -95,22 +90,11 @@ func RunEconomicCtx(ctx context.Context, cfg EconConfig) (EconRow, error) {
 	return out, nil
 }
 
-// EconomicSweep sweeps the remote port cost and returns one row per price
-// point, exposing the adoption crossover at portCost = volume × transit
-// price.
-func EconomicSweep(base EconConfig, portCosts []float64) ([]EconRow, error) {
-	return EconomicSweepWorkers(base, portCosts, 0)
-}
-
-// EconomicSweepWorkers is EconomicSweep with the price points fanned out
-// across at most workers goroutines (workers <= 0 means GOMAXPROCS). Rows
-// are written by index, so the output is identical for every worker count.
-func EconomicSweepWorkers(base EconConfig, portCosts []float64, workers int) ([]EconRow, error) {
-	return EconomicSweepCtx(context.Background(), base, portCosts, workers)
-}
-
-// EconomicSweepCtx is EconomicSweepWorkers with cooperative cancellation
-// between price points.
+// EconomicSweepCtx sweeps the remote port cost and returns one row per
+// price point, exposing the adoption crossover at portCost = volume ×
+// transit price. The price points fan out across at most workers goroutines
+// (workers <= 0 means GOMAXPROCS); rows are written by index, so the output
+// is identical for every worker count. ctx is checked between price points.
 func EconomicSweepCtx(ctx context.Context, base EconConfig, portCosts []float64, workers int) ([]EconRow, error) {
 	return parallel.Map(ctx, len(portCosts), workers, func(i int) (EconRow, error) {
 		cfg := base

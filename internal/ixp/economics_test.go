@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,7 +15,7 @@ func econBase() EconConfig {
 }
 
 func TestEconomicValidation(t *testing.T) {
-	if _, err := RunEconomic(EconConfig{}); err == nil {
+	if _, err := RunEconomicCtx(context.Background(), EconConfig{}); err == nil {
 		t.Error("empty config accepted")
 	}
 }
@@ -22,7 +23,7 @@ func TestEconomicValidation(t *testing.T) {
 func TestEconomicCheapPortMeansRemotePeering(t *testing.T) {
 	cfg := econBase()
 	cfg.RemotePortCost = 5 // << volume*price = 20
-	row, err := RunEconomic(cfg)
+	row, err := RunEconomicCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestEconomicCheapPortMeansRemotePeering(t *testing.T) {
 func TestEconomicExpensivePortMeansTransit(t *testing.T) {
 	cfg := econBase()
 	cfg.RemotePortCost = 100 // >> 20
-	row, err := RunEconomic(cfg)
+	row, err := RunEconomicCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestEconomicExpensivePortMeansTransit(t *testing.T) {
 func TestEconomicSweepCrossover(t *testing.T) {
 	cfg := econBase() // crossover at portCost = 20
 	costs := []float64{5, 10, 15, 19, 21, 30, 50}
-	rows, err := EconomicSweep(cfg, costs)
+	rows, err := EconomicSweepCtx(context.Background(), cfg, costs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestEconomicLocalAlwaysFree(t *testing.T) {
 	cfg := econBase()
 	cfg.ContentPresence = 1 // everyone covered locally
 	cfg.RemotePortCost = 1
-	row, err := RunEconomic(cfg)
+	row, err := RunEconomicCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

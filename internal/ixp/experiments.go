@@ -192,13 +192,9 @@ func circumventionDemands(cfg CircumventionConfig) []Demand {
 	return demands
 }
 
-// RunCircumvention executes one E1 scenario and returns its measured row.
-func RunCircumvention(cfg CircumventionConfig) (CircumventionRow, error) {
-	return RunCircumventionCtx(context.Background(), cfg)
-}
-
-// RunCircumventionCtx is RunCircumvention with cooperative cancellation of
-// the scenario convergence; the row is identical when ctx never cancels.
+// RunCircumventionCtx executes one E1 scenario and returns its measured row.
+// ctx cancels the scenario convergence; the row is identical whenever ctx
+// never cancels.
 func RunCircumventionCtx(ctx context.Context, cfg CircumventionConfig) (CircumventionRow, error) {
 	f, demands, err := BuildCircumventionScenario(cfg)
 	if err != nil {
@@ -261,24 +257,12 @@ func RunCircumventionCtx(ctx context.Context, cfg CircumventionConfig) (Circumve
 	}, nil
 }
 
-// CircumventionSweep runs E1 across the three scenarios, sweeping the shell
-// count for the circumvention scenario, and returns all rows. Scenarios run
-// on GOMAXPROCS workers; see CircumventionSweepWorkers for the knob.
-func CircumventionSweep(competitors int, incumbentShare float64, maxShells int) ([]CircumventionRow, error) {
-	return CircumventionSweepWorkers(competitors, incumbentShare, maxShells, 0)
-}
-
-// CircumventionSweepWorkers is CircumventionSweep with the independent
-// scenarios fanned out across at most workers goroutines (workers <= 0 means
-// GOMAXPROCS). Each scenario builds its own topology and writes its row by
-// index, so the rows are identical for every worker count.
-func CircumventionSweepWorkers(competitors int, incumbentShare float64, maxShells, workers int) ([]CircumventionRow, error) {
-	return CircumventionSweepCtx(context.Background(), competitors, incumbentShare, maxShells, workers)
-}
-
-// CircumventionSweepCtx is CircumventionSweepWorkers with cooperative
-// cancellation between scenario points; rows are identical to the
-// Background-context variants when the context never cancels.
+// CircumventionSweepCtx runs E1 across the three scenarios, sweeping the
+// shell count for the circumvention scenario, and returns all rows. The
+// independent scenarios fan out across at most workers goroutines (workers
+// <= 0 means GOMAXPROCS). Each scenario builds its own topology and writes
+// its row by index, so the rows are identical for every worker count. ctx is
+// checked between scenario points.
 func CircumventionSweepCtx(ctx context.Context, competitors int, incumbentShare float64, maxShells, workers int) ([]CircumventionRow, error) {
 	base := CircumventionConfig{Competitors: competitors, IncumbentShare: incumbentShare}
 	var cfgs []CircumventionConfig
@@ -298,24 +282,14 @@ func CircumventionSweepCtx(ctx context.Context, competitors int, incumbentShare 
 	})
 }
 
-// PolicySweep runs the regulator's counter-move analysis: under the
+// PolicySweepCtx runs the regulator's counter-move analysis: under the
 // circumvention scenario (2 shells), sweep the user share the law forces
 // onto the IXP-member AS and measure how incumbent-traffic locality
 // recovers. The policy lesson the ethnography points at: regulating
-// *presence* is gameable, regulating *served users* is not.
-func PolicySweep(competitors int, incumbentShare float64, migrations []float64) ([]CircumventionRow, error) {
-	return PolicySweepWorkers(competitors, incumbentShare, migrations, 0)
-}
-
-// PolicySweepWorkers is PolicySweep with the migration points fanned out
-// across at most workers goroutines (workers <= 0 means GOMAXPROCS). Rows
-// are written by index, so the output is identical for every worker count.
-func PolicySweepWorkers(competitors int, incumbentShare float64, migrations []float64, workers int) ([]CircumventionRow, error) {
-	return PolicySweepCtx(context.Background(), competitors, incumbentShare, migrations, workers)
-}
-
-// PolicySweepCtx is PolicySweepWorkers with cooperative cancellation between
-// migration points.
+// *presence* is gameable, regulating *served users* is not. The migration
+// points fan out across at most workers goroutines (workers <= 0 means
+// GOMAXPROCS); rows are written by index, so the output is identical for
+// every worker count. ctx is checked between migration points.
 func PolicySweepCtx(ctx context.Context, competitors int, incumbentShare float64, migrations []float64, workers int) ([]CircumventionRow, error) {
 	return parallel.Map(ctx, len(migrations), workers, func(i int) (CircumventionRow, error) {
 		return RunCircumventionCtx(ctx, CircumventionConfig{
@@ -367,13 +341,8 @@ const (
 	southBase   bgpsim.ASN = 2000
 )
 
-// RunGravity executes one E2 configuration.
-func RunGravity(cfg GravityConfig) (GravityRow, error) {
-	return RunGravityCtx(context.Background(), cfg)
-}
-
-// RunGravityCtx is RunGravity with cooperative cancellation of the scenario
-// convergence; the row is identical when ctx never cancels.
+// RunGravityCtx executes one E2 configuration. ctx cancels the scenario
+// convergence; the row is identical whenever ctx never cancels.
 func RunGravityCtx(ctx context.Context, cfg GravityConfig) (GravityRow, error) {
 	r := rng.New(cfg.Seed)
 	topo := bgpsim.NewTopology()
@@ -480,23 +449,12 @@ func hasIXP(names []string, want string) bool {
 	return false
 }
 
-// GravitySweep runs E2 over a sweep of local content presence values on
-// GOMAXPROCS workers; see GravitySweepWorkers for the knob.
-func GravitySweep(southISPs, localIXPs int, presences []float64, seed uint64) ([]GravityRow, error) {
-	return GravitySweepWorkers(southISPs, localIXPs, presences, seed, 0)
-}
-
-// GravitySweepWorkers is GravitySweep with the presence points fanned out
-// across at most workers goroutines (workers <= 0 means GOMAXPROCS). Each
-// point derives its own seed from its index — exactly the seeds the serial
-// sweep used — and rows are written by index, so the output is identical for
-// every worker count.
-func GravitySweepWorkers(southISPs, localIXPs int, presences []float64, seed uint64, workers int) ([]GravityRow, error) {
-	return GravitySweepCtx(context.Background(), southISPs, localIXPs, presences, seed, workers)
-}
-
-// GravitySweepCtx is GravitySweepWorkers with cooperative cancellation
-// between presence points.
+// GravitySweepCtx runs E2 over a sweep of local content presence values,
+// fanned out across at most workers goroutines (workers <= 0 means
+// GOMAXPROCS). Each point derives its own seed from its index — exactly the
+// seeds the serial sweep used — and rows are written by index, so the output
+// is identical for every worker count. ctx is checked between presence
+// points.
 func GravitySweepCtx(ctx context.Context, southISPs, localIXPs int, presences []float64, seed uint64, workers int) ([]GravityRow, error) {
 	return parallel.Map(ctx, len(presences), workers, func(i int) (GravityRow, error) {
 		return RunGravityCtx(ctx, GravityConfig{

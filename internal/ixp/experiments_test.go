@@ -1,12 +1,13 @@
 package ixp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func TestE1NoRegulationLocalityMatchesCompetitorPairs(t *testing.T) {
-	row, err := RunCircumvention(CircumventionConfig{
+	row, err := RunCircumventionCtx(context.Background(), CircumventionConfig{
 		Competitors: 4, IncumbentShare: 0.6, Mode: NoRegulation,
 	})
 	if err != nil {
@@ -38,7 +39,7 @@ func TestE1NoRegulationLocalityMatchesCompetitorPairs(t *testing.T) {
 }
 
 func TestE1CompliantLocalityIsFull(t *testing.T) {
-	row, err := RunCircumvention(CircumventionConfig{
+	row, err := RunCircumventionCtx(context.Background(), CircumventionConfig{
 		Competitors: 4, IncumbentShare: 0.6, Mode: RegulationCompliant,
 	})
 	if err != nil {
@@ -53,14 +54,14 @@ func TestE1CompliantLocalityIsFull(t *testing.T) {
 }
 
 func TestE1CircumventionDefeatsRegulation(t *testing.T) {
-	noReg, err := RunCircumvention(CircumventionConfig{
+	noReg, err := RunCircumventionCtx(context.Background(), CircumventionConfig{
 		Competitors: 4, IncumbentShare: 0.6, Mode: NoRegulation,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for shells := 1; shells <= 4; shells++ {
-		row, err := RunCircumvention(CircumventionConfig{
+		row, err := RunCircumventionCtx(context.Background(), CircumventionConfig{
 			Competitors: 4, IncumbentShare: 0.6, Shells: shells, Mode: RegulationCircumvented,
 		})
 		if err != nil {
@@ -84,7 +85,7 @@ func TestE1CircumventionDefeatsRegulation(t *testing.T) {
 }
 
 func TestE1SweepOrdering(t *testing.T) {
-	rows, err := CircumventionSweep(5, 0.5, 3)
+	rows, err := CircumventionSweepCtx(context.Background(), 5, 0.5, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestE1SweepOrdering(t *testing.T) {
 
 func TestE2GravityExtremes(t *testing.T) {
 	// No local content: everything at the giant IXP.
-	row0, err := RunGravity(GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 0, Seed: 1})
+	row0, err := RunGravityCtx(context.Background(), GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestE2GravityExtremes(t *testing.T) {
 		t.Errorf("p=0 remote peered = %d, want 20", row0.RemotePeered)
 	}
 	// Full local content: everything local.
-	row1, err := RunGravity(GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 1, Seed: 1})
+	row1, err := RunGravityCtx(context.Background(), GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestE2GravityExtremes(t *testing.T) {
 
 func TestE2SweepMonotoneTrend(t *testing.T) {
 	presences := []float64{0, 0.25, 0.5, 0.75, 1}
-	rows, err := GravitySweep(40, 5, presences, 7)
+	rows, err := GravitySweepCtx(context.Background(), 40, 5, presences, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestE2TransitBypassWithoutRemotePeering(t *testing.T) {
 	// with no local content would ride transit. Here we instead verify the
 	// giant IXP substitutes for Tier-1: with remote peering the transit
 	// share at p=0 is zero.
-	row, err := RunGravity(GravityConfig{SouthISPs: 10, LocalIXPs: 2, ContentPresence: 0, Seed: 3})
+	row, err := RunGravityCtx(context.Background(), GravityConfig{SouthISPs: 10, LocalIXPs: 2, ContentPresence: 0, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestE2TransitBypassWithoutRemotePeering(t *testing.T) {
 
 func TestPolicySweepMigrationRestoresLocality(t *testing.T) {
 	migrations := []float64{0, 0.25, 0.5, 0.75, 1}
-	rows, err := PolicySweep(4, 0.6, migrations)
+	rows, err := PolicySweepCtx(context.Background(), 4, 0.6, migrations, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +207,13 @@ func TestPolicySweepMigrationRestoresLocality(t *testing.T) {
 }
 
 func TestMigrationZeroMatchesClassicCircumvention(t *testing.T) {
-	classic, err := RunCircumvention(CircumventionConfig{
+	classic, err := RunCircumventionCtx(context.Background(), CircumventionConfig{
 		Competitors: 4, IncumbentShare: 0.6, Shells: 2, Mode: RegulationCircumvented,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := RunCircumvention(CircumventionConfig{
+	zero, err := RunCircumventionCtx(context.Background(), CircumventionConfig{
 		Competitors: 4, IncumbentShare: 0.6, Shells: 2, Mode: RegulationCircumvented,
 		MigratedShare: 0,
 	})
@@ -225,11 +226,11 @@ func TestMigrationZeroMatchesClassicCircumvention(t *testing.T) {
 }
 
 func TestE1Deterministic(t *testing.T) {
-	a, err := RunCircumvention(CircumventionConfig{Competitors: 6, IncumbentShare: 0.55, Shells: 2, Mode: RegulationCircumvented})
+	a, err := RunCircumventionCtx(context.Background(), CircumventionConfig{Competitors: 6, IncumbentShare: 0.55, Shells: 2, Mode: RegulationCircumvented})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCircumvention(CircumventionConfig{Competitors: 6, IncumbentShare: 0.55, Shells: 2, Mode: RegulationCircumvented})
+	b, err := RunCircumventionCtx(context.Background(), CircumventionConfig{Competitors: 6, IncumbentShare: 0.55, Shells: 2, Mode: RegulationCircumvented})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +241,11 @@ func TestE1Deterministic(t *testing.T) {
 
 func TestE2Deterministic(t *testing.T) {
 	cfg := GravityConfig{SouthISPs: 30, LocalIXPs: 4, ContentPresence: 0.5, Seed: 11}
-	a, err := RunGravity(cfg)
+	a, err := RunGravityCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGravity(cfg)
+	b, err := RunGravityCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,14 +268,14 @@ func TestE2PathLengthSeparatesRegimes(t *testing.T) {
 	// the economic model's "not worth it" branch analog: compare mean path
 	// length between full local presence (all peering) and an economic run
 	// where remote peering is priced out.
-	peered, err := RunGravity(GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 1, Seed: 3})
+	peered, err := RunGravityCtx(context.Background(), GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(peered.MeanPathLen-2) > 1e-9 {
 		t.Errorf("fully peered mean path length = %g, want 2", peered.MeanPathLen)
 	}
-	mixed, err := RunGravity(GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 0, Seed: 3})
+	mixed, err := RunGravityCtx(context.Background(), GravityConfig{SouthISPs: 20, LocalIXPs: 4, ContentPresence: 0, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +290,11 @@ func TestE2PathLengthSeparatesRegimes(t *testing.T) {
 // configuration run is independent.
 func TestSweepsParallelMatchSerial(t *testing.T) {
 	for _, workers := range []int{4, 0} {
-		serialC, err := CircumventionSweepWorkers(4, 0.6, 3, 1)
+		serialC, err := CircumventionSweepCtx(context.Background(), 4, 0.6, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parC, err := CircumventionSweepWorkers(4, 0.6, 3, workers)
+		parC, err := CircumventionSweepCtx(context.Background(), 4, 0.6, 3, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,11 +308,11 @@ func TestSweepsParallelMatchSerial(t *testing.T) {
 		}
 
 		migrations := []float64{0, 0.25, 0.5, 0.75, 1}
-		serialP, err := PolicySweepWorkers(4, 0.6, migrations, 1)
+		serialP, err := PolicySweepCtx(context.Background(), 4, 0.6, migrations, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parP, err := PolicySweepWorkers(4, 0.6, migrations, workers)
+		parP, err := PolicySweepCtx(context.Background(), 4, 0.6, migrations, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,11 +323,11 @@ func TestSweepsParallelMatchSerial(t *testing.T) {
 		}
 
 		presences := []float64{0, 0.2, 0.4, 0.6, 0.8, 1}
-		serialG, err := GravitySweepWorkers(40, 3, presences, 7, 1)
+		serialG, err := GravitySweepCtx(context.Background(), 40, 3, presences, 7, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parG, err := GravitySweepWorkers(40, 3, presences, 7, workers)
+		parG, err := GravitySweepCtx(context.Background(), 40, 3, presences, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,11 +342,11 @@ func TestSweepsParallelMatchSerial(t *testing.T) {
 			ContentVolume: 10, TransitPricePerUnit: 2, Seed: 7,
 		}
 		portCosts := []float64{1, 10, 19, 20, 21, 40}
-		serialE, err := EconomicSweepWorkers(base, portCosts, 1)
+		serialE, err := EconomicSweepCtx(context.Background(), base, portCosts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parE, err := EconomicSweepWorkers(base, portCosts, workers)
+		parE, err := EconomicSweepCtx(context.Background(), base, portCosts, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,21 @@
 package ixp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bgpsim"
 )
+
+// converge runs the serial cold convergence of the fabric's topology.
+func converge(t *testing.T, f *Fabric) *bgpsim.RoutingTables {
+	t.Helper()
+	rt, err := f.Topo.ConvergeCtx(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
 
 // twoISPFabric builds two MX ISPs under a US transit, with one MX IXP.
 func twoISPFabric(t *testing.T) (*Fabric, bgpsim.ASN, bgpsim.ASN) {
@@ -138,7 +149,7 @@ func TestLeave(t *testing.T) {
 func TestClassifyPathDomesticVsInternational(t *testing.T) {
 	f, a, b := twoISPFabric(t)
 	// Without peering, a reaches b's prefix via the US transit.
-	rt := f.Topo.Converge()
+	rt := converge(t, f)
 	rep := f.ClassifyPath(rt, Demand{Src: a, Prefix: "pb", Volume: 1}, "MX")
 	if !rep.Reach || rep.Domestic {
 		t.Fatalf("transit path should be reachable and international: %+v", rep)
@@ -147,7 +158,7 @@ func TestClassifyPathDomesticVsInternational(t *testing.T) {
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Open)
 	f.EstablishSessions(Regulation{})
-	rt = f.Topo.Converge()
+	rt = converge(t, f)
 	rep = f.ClassifyPath(rt, Demand{Src: a, Prefix: "pb", Volume: 1}, "MX")
 	if !rep.Domestic {
 		t.Fatalf("peered path should be domestic: %+v", rep)
@@ -162,7 +173,7 @@ func TestLocalityAggregation(t *testing.T) {
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Open)
 	f.EstablishSessions(Regulation{})
-	rt := f.Topo.Converge()
+	rt := converge(t, f)
 	demands := []Demand{
 		{Src: a, Prefix: "pb", Volume: 3},
 		{Src: b, Prefix: "pa", Volume: 1},
@@ -182,7 +193,7 @@ func TestLocalityAggregation(t *testing.T) {
 
 func TestLocalityUnreachable(t *testing.T) {
 	f, a, _ := twoISPFabric(t)
-	rt := f.Topo.Converge()
+	rt := converge(t, f)
 	res := f.Locality(rt, []Demand{{Src: a, Prefix: "missing", Volume: 1}}, "MX")
 	if res.UnreachableCount != 1 || res.ReachableVolume != 0 {
 		t.Errorf("unreachable accounting wrong: %+v", res)

@@ -1,8 +1,10 @@
 package ixp_test
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/ixp"
@@ -26,7 +28,7 @@ func TestPropCircumventionRowInvariants(t *testing.T) {
 			cfg.Shells = g.IntRange(1, 5)
 			cfg.MigratedShare = g.Float64Range(0, 0.5)
 		}
-		row, err := ixp.RunCircumvention(cfg)
+		row, err := ixp.RunCircumventionCtx(context.Background(), cfg)
 		if err != nil {
 			return fmt.Errorf("%+v: %w", cfg, err)
 		}
@@ -48,7 +50,7 @@ func TestPropCircumventionRowInvariants(t *testing.T) {
 			}
 		}
 		// Determinism: the scenario has no hidden randomness at all.
-		row2, err := ixp.RunCircumvention(cfg)
+		row2, err := ixp.RunCircumventionCtx(context.Background(), cfg)
 		if err != nil {
 			return err
 		}
@@ -68,7 +70,7 @@ func TestPropGravityRowInvariants(t *testing.T) {
 			RemotePeerAlways: g.Bool(0.3),
 			Seed:             g.Uint64(),
 		}
-		row, err := ixp.RunGravity(cfg)
+		row, err := ixp.RunGravityCtx(context.Background(), cfg)
 		if err != nil {
 			return fmt.Errorf("%+v: %w", cfg, err)
 		}
@@ -100,44 +102,44 @@ func TestPropGravityRowInvariants(t *testing.T) {
 }
 
 func TestPropSweepsWorkerInvariant(t *testing.T) {
+	ctx := context.Background()
 	proptest.Run(t, 603, 12, func(g *proptest.G) error {
-		workers := g.IntRange(2, 8)
-
 		competitors := g.IntRange(1, 5)
 		share := g.Float64Range(0.2, 0.8)
 		maxShells := g.IntRange(1, 4)
-		serialC, err := ixp.CircumventionSweepWorkers(competitors, share, maxShells, 1)
-		if err != nil {
-			return err
-		}
-		fannedC, err := ixp.CircumventionSweepWorkers(competitors, share, maxShells, workers)
-		if err != nil {
-			return err
-		}
-		if len(serialC) != len(fannedC) {
-			return fmt.Errorf("circumvention sweep lengths differ: %d vs %d", len(serialC), len(fannedC))
-		}
-		for i := range serialC {
-			if serialC[i] != fannedC[i] {
-				return fmt.Errorf("circumvention row %d differs at workers=%d:\n %+v\n %+v",
-					i, workers, serialC[i], fannedC[i])
-			}
-		}
-
 		presences := g.FloatsIn(1, 5, 0, 1)
 		seed := g.Uint64()
-		serialG, err := ixp.GravitySweepWorkers(3, 2, presences, seed, 1)
+		serialC, err := ixp.CircumventionSweepCtx(ctx, competitors, share, maxShells, 1)
 		if err != nil {
 			return err
 		}
-		fannedG, err := ixp.GravitySweepWorkers(3, 2, presences, seed, workers)
+		serialG, err := ixp.GravitySweepCtx(ctx, 3, 2, presences, seed, 1)
 		if err != nil {
 			return err
 		}
-		for i := range serialG {
-			if serialG[i] != fannedG[i] {
-				return fmt.Errorf("gravity row %d differs at workers=%d:\n %+v\n %+v",
-					i, workers, serialG[i], fannedG[i])
+		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+			fannedC, err := ixp.CircumventionSweepCtx(ctx, competitors, share, maxShells, workers)
+			if err != nil {
+				return err
+			}
+			if len(serialC) != len(fannedC) {
+				return fmt.Errorf("circumvention sweep lengths differ: %d vs %d", len(serialC), len(fannedC))
+			}
+			for i := range serialC {
+				if serialC[i] != fannedC[i] {
+					return fmt.Errorf("circumvention row %d differs at workers=%d:\n %+v\n %+v",
+						i, workers, serialC[i], fannedC[i])
+				}
+			}
+			fannedG, err := ixp.GravitySweepCtx(ctx, 3, 2, presences, seed, workers)
+			if err != nil {
+				return err
+			}
+			for i := range serialG {
+				if serialG[i] != fannedG[i] {
+					return fmt.Errorf("gravity row %d differs at workers=%d:\n %+v\n %+v",
+						i, workers, serialG[i], fannedG[i])
+				}
 			}
 		}
 		return nil

@@ -192,6 +192,37 @@ func TestListHealthzMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// TestRunPanickingScenarioAnswers500: a scenario that panics answers 500 and
+// counts as failed on every request, instead of dropping the connection and
+// leaving its coalescing key held so the next identical request hangs.
+func TestRunPanickingScenarioAnswers500(t *testing.T) {
+	reg := experiment.NewRegistry()
+	d := testDef("P")
+	d.Run = func(context.Context, experiment.Values, uint64) (*experiment.Result, error) {
+		panic("scenario blew up")
+	}
+	if err := reg.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Registry: reg, LRUSize: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Get(ts.URL + "/run?id=P")
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		_ = resp.Body.Close() // only the status is read
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500", i, resp.StatusCode)
+		}
+	}
+	if m := srv.Metrics(); m.Failed != 2 {
+		t.Fatalf("failed = %d, want 2", m.Failed)
+	}
+}
+
 // blockingDef returns a scenario that parks in Run until release closes,
 // signalling each entry on entered.
 func blockingDef(id string, entered chan<- struct{}, release <-chan struct{}) experiment.Def {

@@ -3,6 +3,7 @@ package stats_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/proptest"
@@ -176,18 +177,19 @@ func TestPropBootstrapCIOrderedAndWorkerInvariant(t *testing.T) {
 		level := g.Float64Range(0.5, 0.99)
 		nres := g.IntRange(1, 150)
 		seed := g.Uint64()
-		lo, hi := stats.BootstrapCI(xs, stats.Mean, nres, level, rng.New(seed))
+		lo, hi := stats.BootstrapCI(xs, stats.Mean, nres, level, rng.New(seed), 1)
 		if math.IsNaN(lo) != math.IsNaN(hi) {
 			return fmt.Errorf("half-NaN interval [%v, %v]", lo, hi)
 		}
 		if !math.IsNaN(lo) && lo > hi {
 			return fmt.Errorf("inverted interval [%v, %v]", lo, hi)
 		}
-		workers := g.IntRange(2, 8)
-		lo2, hi2 := stats.BootstrapCIWorkers(xs, stats.Mean, nres, level, rng.New(seed), workers)
-		if !proptest.SameFloat(lo, lo2) || !proptest.SameFloat(hi, hi2) {
-			return fmt.Errorf("workers=%d interval [%v, %v] differs from serial [%v, %v]",
-				workers, lo2, hi2, lo, hi)
+		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+			lo2, hi2 := stats.BootstrapCI(xs, stats.Mean, nres, level, rng.New(seed), workers)
+			if !proptest.SameFloat(lo, lo2) || !proptest.SameFloat(hi, hi2) {
+				return fmt.Errorf("workers=%d interval [%v, %v] differs from serial [%v, %v]",
+					workers, lo2, hi2, lo, hi)
+			}
 		}
 		return nil
 	})
@@ -235,7 +237,7 @@ func TestPropHistogramConserves(t *testing.T) {
 // above the (1-alpha)-quantile, returning an inverted interval.
 func TestRegressionBootstrapCINotInverted(t *testing.T) {
 	c := -63.83635221284221
-	lo, hi := stats.BootstrapCI([]float64{c}, stats.Mean, 84, 0.5000006714585733, rng.New(0))
+	lo, hi := stats.BootstrapCI([]float64{c}, stats.Mean, 84, 0.5000006714585733, rng.New(0), 1)
 	if lo > hi {
 		t.Fatalf("BootstrapCI inverted: lo=%v > hi=%v", lo, hi)
 	}

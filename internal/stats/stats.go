@@ -378,19 +378,14 @@ const bootstrapBatch = 64
 // statistic fn over xs at the given confidence level (e.g. 0.95), using
 // nresamples resamples seeded from r. Returns NaNs for empty input, and
 // propagates NaN (NaN, NaN) when any resample estimate is NaN — e.g. when xs
-// itself carries NaNs. Equivalent to BootstrapCIWorkers with workers == 1.
-func BootstrapCI(xs []float64, fn func([]float64) float64, nresamples int, level float64, r *rng.Rand) (lo, hi float64) {
-	return BootstrapCIWorkers(xs, fn, nresamples, level, r, 1)
-}
-
-// BootstrapCIWorkers is BootstrapCI with the resampling fanned out across at
-// most workers goroutines (workers <= 0 means GOMAXPROCS, workers == 1 runs
-// serially). Resamples are grouped into fixed batches; batch i always draws
-// from the i-th stream split from r and writes its estimates at fixed
-// indices, so the interval is bit-identical for every worker count. fn must
-// be safe for concurrent calls on distinct slices (any pure statistic, such
-// as Mean or Median, is).
-func BootstrapCIWorkers(xs []float64, fn func([]float64) float64, nresamples int, level float64, r *rng.Rand, workers int) (lo, hi float64) {
+// itself carries NaNs. The resampling fans out across at most workers
+// goroutines (workers <= 0 means GOMAXPROCS, workers == 1 runs serially).
+// Resamples are grouped into fixed batches; batch i always draws from the
+// i-th stream split from r and writes its estimates at fixed indices, so the
+// interval is bit-identical for every worker count. fn must be safe for
+// concurrent calls on distinct slices (any pure statistic, such as Mean or
+// Median, is).
+func BootstrapCI(xs []float64, fn func([]float64) float64, nresamples int, level float64, r *rng.Rand, workers int) (lo, hi float64) {
 	if len(xs) == 0 || nresamples <= 0 {
 		return math.NaN(), math.NaN()
 	}

@@ -231,7 +231,7 @@ func TestBootstrapCIContainsMean(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.NormFloat64() + 10
 	}
-	lo, hi := BootstrapCI(xs, Mean, 500, 0.95, r)
+	lo, hi := BootstrapCI(xs, Mean, 500, 0.95, r, 1)
 	m := Mean(xs)
 	if !(lo < m && m < hi) {
 		t.Errorf("95%% CI [%g, %g] should contain the sample mean %g", lo, hi, m)
@@ -306,7 +306,7 @@ func TestSummarizeMatchesQuantiles(t *testing.T) {
 }
 
 func TestBootstrapCINaNPropagates(t *testing.T) {
-	lo, hi := BootstrapCI([]float64{1, math.NaN(), 2}, Mean, 50, 0.95, rng.New(1))
+	lo, hi := BootstrapCI([]float64{1, math.NaN(), 2}, Mean, 50, 0.95, rng.New(1), 1)
 	if !math.IsNaN(lo) || !math.IsNaN(hi) {
 		t.Errorf("NaN-bearing bootstrap CI = [%g, %g], want NaNs", lo, hi)
 	}
@@ -320,13 +320,9 @@ func TestBootstrapCIWorkersBitIdentical(t *testing.T) {
 	}
 	// 130 resamples spans three batches, the last one partial.
 	run := func(workers int) (float64, float64) {
-		return BootstrapCIWorkers(xs, Median, 130, 0.9, rng.New(23), workers)
+		return BootstrapCI(xs, Median, 130, 0.9, rng.New(23), workers)
 	}
 	baseLo, baseHi := run(1)
-	serialLo, serialHi := BootstrapCI(xs, Median, 130, 0.9, rng.New(23))
-	if baseLo != serialLo || baseHi != serialHi {
-		t.Fatalf("BootstrapCI [%v, %v] != BootstrapCIWorkers(1) [%v, %v]", serialLo, serialHi, baseLo, baseHi)
-	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
 		lo, hi := run(workers)
 		if lo != baseLo || hi != baseHi {

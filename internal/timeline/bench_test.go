@@ -34,7 +34,7 @@ func BenchmarkReplayFlapStorm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series, err := Replay(storm, m)
+		series, err := ReplayCtx(context.Background(), storm, m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func BenchmarkComposedReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		out, err := comp.Replay(st)
+		out, err := comp.ReplayCtx(context.Background(), st)
 		if err != nil {
 			b.Fatal(err)
 		}

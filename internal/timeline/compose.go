@@ -88,16 +88,14 @@ type CascadeRule struct {
 
 // Composition is a set of parts wired by cascade rules, ready to replay.
 // Build it with Compose. Not safe for concurrent use; like machines, parts
-// are mutated by replay, so a fresh composition replays one stream once.
+// are mutated by replay, so a fresh composition replays one stream once and
+// a second ReplayCtx is an error.
 type Composition struct {
-	parts  []Part
-	byKind map[Kind]int // event kind -> index into parts
-	rules  []CascadeRule
-
-	fired    []bool
-	pending  []Event // injected, not yet due, in injection order
-	injected []Event // every injected event, in injection order
-	dropped  int     // injected events whose landing tick was past the horizon
+	parts    []Part
+	byKind   map[Kind]int // event kind -> index into parts
+	rules    []CascadeRule
+	from     []int // per rule, the index of the part it fires from
+	replayed bool
 }
 
 // Compose validates the wiring and returns a composition. Part names must be
@@ -138,9 +136,11 @@ func Compose(parts []Part, rules []CascadeRule) (*Composition, error) {
 			return nil, fmt.Errorf("timeline: duplicate rule %q", r.Name)
 		}
 		ruleNames[r.Name] = true
-		if _, ok := partIdx[r.From]; !ok {
+		from, ok := partIdx[r.From]
+		if !ok {
 			return nil, fmt.Errorf("timeline: rule %q fires from unknown part %q", r.Name, r.From)
 		}
+		c.from = append(c.from, from)
 		if r.Delay < 1 {
 			return nil, fmt.Errorf("timeline: rule %q has delay %d (want >= 1)", r.Name, r.Delay)
 		}
@@ -148,7 +148,6 @@ func Compose(parts []Part, rules []CascadeRule) (*Composition, error) {
 			return nil, fmt.Errorf("timeline: rule %q has no Fire hook", r.Name)
 		}
 	}
-	c.fired = make([]bool, len(rules))
 	return c, nil
 }
 
@@ -162,12 +161,6 @@ type ComposedSeries struct {
 	Dropped  int
 }
 
-// Replay is ReplayCtx under a background context, for callers with no
-// context to thread.
-func (c *Composition) Replay(s Stream) (*ComposedSeries, error) {
-	return c.ReplayCtx(context.Background(), s)
-}
-
 // ReplayCtx canonicalizes and validates the stream, then runs it through the
 // composition: for each tick, apply the tick's due events (scripted plus
 // cascade-injected, in canonical order) each to its consuming part, observe
@@ -176,7 +169,13 @@ func (c *Composition) Replay(s Stream) (*ComposedSeries, error) {
 // that would land at or past the horizon are counted in Dropped instead (a
 // cascade cannot extend the story), and the total injection count shares the
 // stream's MaxEvents budget so a rule mis-firing every tick cannot run away.
+// The context is checked once per tick; machines capture their own context
+// at construction if their internals fan out.
 func (c *Composition) ReplayCtx(ctx context.Context, s Stream) (*ComposedSeries, error) {
+	if c.replayed {
+		return nil, fmt.Errorf("timeline: composition already replayed; compose fresh parts to replay again")
+	}
+	c.replayed = true
 	cs := s.Canonicalize()
 	if err := cs.Validate(); err != nil {
 		return nil, err
@@ -191,6 +190,8 @@ func (c *Composition) ReplayCtx(ctx context.Context, s Stream) (*ComposedSeries,
 		out.Parts = append(out.Parts, p.Name)
 		out.Series = append(out.Series, &Series{Cols: p.M.Cols()})
 	}
+	fired := make([]bool, len(c.rules))
+	var pending []Event // injected, not yet due, in injection order
 	next := 0
 	for tick := 0; tick < cs.Horizon; tick++ {
 		if err := ctx.Err(); err != nil {
@@ -201,15 +202,15 @@ func (c *Composition) ReplayCtx(ctx context.Context, s Stream) (*ComposedSeries,
 			due = append(due, cs.Events[next])
 			next++
 		}
-		keep := c.pending[:0]
-		for _, e := range c.pending {
+		keep := pending[:0]
+		for _, e := range pending {
 			if e.At == tick {
 				due = append(due, e)
 			} else {
 				keep = append(keep, e)
 			}
 		}
-		c.pending = keep
+		pending = keep
 		sort.SliceStable(due, func(i, j int) bool { return less(due[i], due[j]) })
 		for _, e := range due {
 			p := c.parts[c.byKind[e.Kind]]
@@ -236,14 +237,14 @@ func (c *Composition) ReplayCtx(ctx context.Context, s Stream) (*ComposedSeries,
 		}
 		for ri := range c.rules {
 			r := &c.rules[ri]
-			if r.Once && c.fired[ri] {
+			if r.Once && fired[ri] {
 				continue
 			}
-			evs := r.Fire(obs[c.partIndex(r.From)])
+			evs := r.Fire(obs[c.from[ri]])
 			if len(evs) == 0 {
 				continue
 			}
-			c.fired[ri] = true
+			fired[ri] = true
 			for _, e := range evs {
 				e.At = tick + r.Delay
 				e.Prov = r.Name
@@ -253,32 +254,20 @@ func (c *Composition) ReplayCtx(ctx context.Context, s Stream) (*ComposedSeries,
 				if _, ok := c.byKind[e.Kind]; !ok {
 					return nil, fmt.Errorf("timeline: tick %d: rule %s: no part consumes %s events", tick, r.Name, e.Kind)
 				}
-				if len(cs.Events)+len(c.injected) >= MaxEvents {
+				if len(cs.Events)+len(out.Injected) >= MaxEvents {
 					return nil, fmt.Errorf("timeline: tick %d: rule %s: cascade exceeded the %d-event budget",
 						tick, r.Name, MaxEvents)
 				}
 				if e.At >= cs.Horizon {
-					c.dropped++
+					out.Dropped++
 					continue
 				}
-				c.pending = append(c.pending, e)
-				c.injected = append(c.injected, e)
+				pending = append(pending, e)
+				out.Injected = append(out.Injected, e)
 			}
 		}
 	}
-	out.Injected = append([]Event(nil), c.injected...)
-	out.Dropped = c.dropped
 	return out, nil
-}
-
-// partIndex resolves a part name Compose already validated.
-func (c *Composition) partIndex(name string) int {
-	for i, p := range c.parts {
-		if p.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // Tables renders every part's series into res as "<id>-<part>" tables plus,

@@ -140,7 +140,7 @@ func TestComposeRoutesAndInjects(t *testing.T) {
 		{At: 2, Kind: KindCNRepair, Node: 3},
 		{At: 6, Kind: KindCNFail, Node: 4},
 	}}
-	out, err := comp.Replay(st)
+	out, err := comp.ReplayCtx(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,21 +188,21 @@ func TestComposeReplayErrors(t *testing.T) {
 	}
 	// A stream event no part consumes is rejected before the first tick.
 	c := newComp()
-	_, err := c.Replay(Stream{Horizon: 2, Events: []Event{{At: 0, Kind: KindRegulate, Name: "MX"}}})
+	_, err := c.ReplayCtx(context.Background(), Stream{Horizon: 2, Events: []Event{{At: 0, Kind: KindRegulate, Name: "MX"}}})
 	if err == nil || !strings.Contains(err.Error(), "no part consumes") {
 		t.Errorf("unroutable stream event: %v", err)
 	}
 	// An injected event no part consumes fails at the firing tick.
 	c = newComp(CascadeRule{Name: "r", From: "nodes", Delay: 1,
 		Fire: func(Obs) []Event { return []Event{{Kind: KindStakeShift, Value: 0.1}} }})
-	_, err = c.Replay(Stream{Horizon: 2})
+	_, err = c.ReplayCtx(context.Background(), Stream{Horizon: 2})
 	if err == nil || !strings.Contains(err.Error(), "no part consumes") {
 		t.Errorf("unroutable injection: %v", err)
 	}
 	// An injected event that fails validation names the rule.
 	c = newComp(CascadeRule{Name: "bad-demand", From: "nodes", Delay: 1,
 		Fire: func(Obs) []Event { return []Event{{Kind: KindCNFail, Node: -5}} }})
-	_, err = c.Replay(Stream{Horizon: 2})
+	_, err = c.ReplayCtx(context.Background(), Stream{Horizon: 2})
 	if err == nil || !strings.Contains(err.Error(), "bad-demand") {
 		t.Errorf("invalid injection: %v", err)
 	}
@@ -215,9 +215,19 @@ func TestComposeReplayErrors(t *testing.T) {
 			}
 			return evs
 		}})
-	_, err = c.Replay(Stream{Horizon: 64})
+	_, err = c.ReplayCtx(context.Background(), Stream{Horizon: 64})
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Errorf("budget overflow: %v", err)
+	}
+	// A composition replays one stream once: the second call is an error,
+	// not a replay that inherits the first one's cascade state.
+	c = newComp()
+	if _, err := c.ReplayCtx(context.Background(), Stream{Horizon: 2}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.ReplayCtx(context.Background(), Stream{Horizon: 2})
+	if err == nil || !strings.Contains(err.Error(), "already replayed") {
+		t.Errorf("second replay: %v", err)
 	}
 }
 
@@ -321,7 +331,7 @@ func TestPropComposedReplayInputOrderInvariance(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		base, err := comp.Replay(st)
+		base, err := comp.ReplayCtx(context.Background(), st)
 		if err != nil {
 			return err
 		}
@@ -334,7 +344,7 @@ func TestPropComposedReplayInputOrderInvariance(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := comp2.Replay(shuffled)
+		got, err := comp2.ReplayCtx(context.Background(), shuffled)
 		if err != nil {
 			return fmt.Errorf("shuffled composed replay failed: %w", err)
 		}
@@ -408,7 +418,10 @@ func (m *coldIXPMachine) Observe(int) ([]float64, error) {
 			members += len(x.Members())
 		}
 	}
-	rt := m.f.Topo.Converge()
+	rt, err := m.f.Topo.ConvergeCtx(context.Background(), 1)
+	if err != nil {
+		return nil, err
+	}
 	loc := m.f.Locality(rt, m.demands, m.country)
 	reachShare := 0.0
 	if loc.TotalVolume > 0 {
@@ -451,12 +464,12 @@ func TestIXPMachineIncrementalMatchesColdPerTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incSeries, err := Replay(st, inc, func(tick int) error {
+	incSeries, err := ReplayCtx(context.Background(), st, hookedMachine{inc, func(tick int) error {
 		if err := tablesEqualCold(inc.State()); err != nil {
 			return fmt.Errorf("incremental tables diverge from cold at tick %d: %w", tick, err)
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +480,7 @@ func TestIXPMachineIncrementalMatchesColdPerTick(t *testing.T) {
 	}
 	cold := &coldIXPMachine{f: cf, demands: cdemands, country: "MX"}
 	cold.f.EstablishSessions(cold.reg)
-	coldSeries, err := Replay(st, cold)
+	coldSeries, err := ReplayCtx(context.Background(), st, cold)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,11 @@ func (m *IXPMachine) Apply(ev Event) error {
 	case KindRegulate:
 		m.reg = ixp.Regulation{Country: ev.Name, MandatoryPeering: true}
 		m.f.EstablishSessions(m.reg)
-		m.conv = m.f.Topo.ConvergeState(m.workers)
+		conv, err := m.f.Topo.ConvergeStateCtx(context.Background(), m.workers)
+		if err != nil {
+			return err
+		}
+		m.conv = conv
 	default:
 		return fmt.Errorf("IXP machine cannot apply %s events", ev.Kind)
 	}

@@ -16,7 +16,10 @@ import (
 // cell through the exported accessors.
 func tablesEqualCold(c *bgpsim.Converged) error {
 	live := c.Tables()
-	cold := c.Topology().Converge()
+	cold, err := c.Topology().ConvergeCtx(context.Background(), 1)
+	if err != nil {
+		return err
+	}
 	for _, n := range c.Topology().ASNs() {
 		lp, cp := live.Prefixes(n), cold.Prefixes(n)
 		if len(lp) != len(cp) {
@@ -95,7 +98,7 @@ func TestParseDocFlapstormReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := Replay(doc.Stream, m, func(int) error { return tablesEqualCold(m.State()) })
+	series, err := ReplayCtx(context.Background(), doc.Stream, hookedMachine{m, func(int) error { return tablesEqualCold(m.State()) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +237,7 @@ func FuzzParseStream(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Replay(sub, m, func(int) error { return tablesEqualCold(m.State()) }); err != nil {
+		if _, err := ReplayCtx(context.Background(), sub, hookedMachine{m, func(int) error { return tablesEqualCold(m.State()) }}); err != nil {
 			t.Fatalf("validated document failed replay: %v\n%s", err, text)
 		}
 	})

@@ -83,7 +83,7 @@ func renderStream(w worldSpec, s Stream, workers int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	series, err := Replay(s, m)
+	series, err := ReplayCtx(context.Background(), s, m)
 	if err != nil {
 		return "", err
 	}
@@ -174,12 +174,12 @@ func TestPropIncrementalMatchesColdEveryTick(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = Replay(stream, m, func(tick int) error {
+		_, err = ReplayCtx(context.Background(), stream, hookedMachine{m, func(tick int) error {
 			if err := tablesEqualCold(m.State()); err != nil {
 				return fmt.Errorf("tick %d diverges from cold oracle: %w", tick, err)
 			}
 			return nil
-		})
+		}})
 		return err
 	})
 }
@@ -199,7 +199,7 @@ func TestPropUnwindRestoresStatePointerExactly(t *testing.T) {
 			return err
 		}
 		before := m.State().StateFingerprint()
-		if _, err := Replay(stream, m); err != nil {
+		if _, err := ReplayCtx(context.Background(), stream, m); err != nil {
 			return err
 		}
 		if len(stream.Events) > 0 && m.Applied() != len(stream.Events) {
@@ -214,7 +214,7 @@ func TestPropUnwindRestoresStatePointerExactly(t *testing.T) {
 		}
 		// The unwound machine is live: the same stream replays again to the
 		// same place.
-		if _, err := Replay(stream, m); err != nil {
+		if _, err := ReplayCtx(context.Background(), stream, m); err != nil {
 			return fmt.Errorf("re-replay after unwind failed: %w", err)
 		}
 		return nil
@@ -246,7 +246,7 @@ func TestPropCNReplayDeterministic(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			series, err := Replay(stream, m)
+			series, err := ReplayCtx(context.Background(), stream, m)
 			if err != nil {
 				return "", err
 			}

@@ -171,13 +171,17 @@ func TestGenFlapStormIsNetZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := Replay(st, m)
+	series, err := ReplayCtx(context.Background(), st, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Net-zero: the last tick's reachability equals a fresh build's.
 	fresh := buildTestHierarchy(t, 11, 4, 9)
-	wantReach, _ := fresh.Topo.Converge().ReachableCells()
+	rt, err := fresh.Topo.ConvergeCtx(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReach, _ := rt.ReachableCells()
 	last := series.Rows[len(series.Rows)-1]
 	if int(last[2]) != wantReach {
 		t.Fatalf("final reachable = %d, fresh topology has %d", int(last[2]), wantReach)
@@ -197,7 +201,7 @@ func TestGenPrefixMigrationTracksHolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(st, m); err != nil {
+	if _, err := ReplayCtx(context.Background(), st, m); err != nil {
 		t.Fatalf("generated migration does not replay: %v", err)
 	}
 }
@@ -214,7 +218,7 @@ func TestGenCNChurnReplaysStrictly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := Replay(st, m)
+	series, err := ReplayCtx(context.Background(), st, m)
 	if err != nil {
 		t.Fatalf("generated churn does not replay: %v", err)
 	}
@@ -324,7 +328,7 @@ func TestReplayRejectsUnknownTickEvents(t *testing.T) {
 	bad := Stream{Horizon: 2, Events: []Event{
 		{At: 1, Kind: KindBGP, Delta: bgpsim.Delta{Kind: bgpsim.DeltaWithdraw, A: 1, Prefix: "no-such"}},
 	}}
-	if _, err := Replay(bad, m); err == nil {
+	if _, err := ReplayCtx(context.Background(), bad, m); err == nil {
 		t.Fatal("replay of an inapplicable delta succeeded")
 	}
 	// The failed replay must not leave the machine half-applied.
