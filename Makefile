@@ -77,7 +77,11 @@ bench:
 # Record the routing-engine + E1-E10 benchmark baseline into
 # BENCH_bgpsim.json (ns/op, B/op, allocs/op per benchmark) and the timeline
 # replay baseline into BENCH_timeline.json (plus events/sec and cells/event
-# custom metrics for the flap-storm and composed replays). The baselines are
+# custom metrics for the flap-storm and composed replays). Every benchmark
+# runs five times (-count 5); benchjson folds the repeats into one row of
+# medians with the ns/op min/max and the sample count. Five samples of the
+# 50k/100k-AS convergences outlast go test's default 10-minute timeout, hence
+# -timeout 0. The baselines are
 # committed; re-run after perf-relevant changes and diff. BENCHTIME=1x gives
 # a quick single-iteration snapshot. BENCHREGEXP covers the engine scales,
 # the incremental-vs-cold delta pair, and the event-driven sweep pairs.
@@ -87,19 +91,20 @@ TIMELINEREGEXP = ^(BenchmarkReplayFlapStorm|BenchmarkComposedReplay)$$
 bench-json:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCHREGEXP)' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/bgpsim >>$$tmp || { rm -f $$tmp; exit 1; }; \
+		-benchmem -benchtime $(BENCHTIME) -count 5 -timeout 0 ./internal/bgpsim >>$$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) test -run '^$$' -bench '^BenchmarkE([1-9]|10)[A-Z]' \
-		-benchmem -benchtime $(BENCHTIME) . >>$$tmp || { rm -f $$tmp; exit 1; }; \
+		-benchmem -benchtime $(BENCHTIME) -count 5 -timeout 0 . >>$$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -out BENCH_bgpsim.json <$$tmp; \
 	rm -f $$tmp
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(TIMELINEREGEXP)' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/timeline >>$$tmp || { rm -f $$tmp; exit 1; }; \
+		-benchmem -benchtime $(BENCHTIME) -count 5 -timeout 0 ./internal/timeline >>$$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -out BENCH_timeline.json <$$tmp; \
 	rm -f $$tmp
 
 # Re-run the same benchmarks and gate them against the committed baselines:
-# any benchmark whose ns/op regressed more than MAXREGRESS percent fails.
+# any benchmark whose ns/op regressed more than MAXREGRESS percent, or whose
+# B/op regressed more than a fixed 10 percent, fails.
 # Benchmarks that exist on only one side (added/retired) are reported, never
 # fatal. CI runs this with a looser threshold to absorb shared-runner noise.
 MAXREGRESS ?= 25

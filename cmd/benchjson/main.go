@@ -4,9 +4,14 @@
 // bgpsim engine + E1–E10 experiment benchmarks into BENCH_bgpsim.json so the
 // repo's perf trajectory is tracked in-tree.
 //
+// Repeated result lines of one benchmark (`go test -count N`) fold into one
+// row: median ns/op, B/op, allocs/op and custom metrics, the ns/op min and
+// max, and the sample count.
+//
 // With -compare it becomes a regression gate instead: the fresh results on
 // stdin are checked against a committed baseline, and any benchmark whose
-// ns/op regressed more than -max-regress percent fails the run (exit 1).
+// ns/op regressed more than -max-regress percent, or whose B/op regressed
+// more than a fixed 10%, fails the run (exit 1).
 // Benchmarks present on only one side are reported but never fatal, so
 // adding or retiring benchmarks does not wedge the gate.
 //
@@ -54,9 +59,9 @@ func main() {
 			fmt.Println(line)
 		}
 		if regressed {
-			log.Fatalf("ns/op regressions above %g%% against %s", *maxRegress, *compare)
+			log.Fatalf("regressions above %g%% ns/op or %d%% B/op against %s", *maxRegress, maxBytesRegressPct, *compare)
 		}
-		fmt.Printf("ok: no benchmark regressed more than %g%% against %s\n", *maxRegress, *compare)
+		fmt.Printf("ok: no benchmark regressed more than %g%% ns/op or %d%% B/op against %s\n", *maxRegress, maxBytesRegressPct, *compare)
 		return
 	}
 

@@ -105,3 +105,66 @@ func TestCompareUnmatchedBenchmarksAreNotFatal(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFoldsRepeats: -count repeats of one benchmark fold into a single
+// row of medians with the ns/op spread, in first-seen benchmark order.
+func TestParseFoldsRepeats(t *testing.T) {
+	const out = `BenchmarkA-4   10   300 ns/op   7 cells/event   1200 B/op   9 allocs/op
+BenchmarkB-4   5   50 ns/op
+BenchmarkA-4   20   100 ns/op   5 cells/event   1000 B/op   9 allocs/op
+BenchmarkA-4   30   200 ns/op   6 cells/event   1100 B/op   9 allocs/op
+`
+	base, err := parseBenchOutput(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Benchmarks) != 2 || base.Benchmarks[0].Name != "BenchmarkA" || base.Benchmarks[1].Name != "BenchmarkB" {
+		t.Fatalf("folded rows = %+v, want BenchmarkA then BenchmarkB", base.Benchmarks)
+	}
+	a := base.Benchmarks[0]
+	if a.Samples != 3 || a.Iterations != 60 {
+		t.Errorf("samples/iterations = %d/%d, want 3/60", a.Samples, a.Iterations)
+	}
+	if a.NsPerOp != 200 || a.NsMin != 100 || a.NsMax != 300 {
+		t.Errorf("ns/op median [min, max] = %g [%g, %g], want 200 [100, 300]", a.NsPerOp, a.NsMin, a.NsMax)
+	}
+	if a.BytesPerOp == nil || *a.BytesPerOp != 1100 || a.AllocsPerOp == nil || *a.AllocsPerOp != 9 {
+		t.Errorf("memory medians = %+v", a)
+	}
+	if a.Metrics["cells/event"] != 6 {
+		t.Errorf("custom metric median = %v, want 6", a.Metrics)
+	}
+	if b := base.Benchmarks[1]; b.Samples != 1 || b.NsPerOp != 50 || b.NsMin != 50 || b.NsMax != 50 {
+		t.Errorf("single-sample row = %+v", b)
+	}
+}
+
+func withBytes(base Baseline, bytes map[string]int64) Baseline {
+	for i := range base.Benchmarks {
+		if v, ok := bytes[base.Benchmarks[i].Name]; ok {
+			base.Benchmarks[i].BytesPerOp = &v
+		}
+	}
+	return base
+}
+
+// TestCompareGatesBytes: B/op is gated at a fixed 10% whatever the ns/op
+// threshold, and only where both sides recorded it.
+func TestCompareGatesBytes(t *testing.T) {
+	base := withBytes(mkBaseline(map[string]float64{"BenchmarkA": 100}), map[string]int64{"BenchmarkA": 1000})
+	for _, tc := range []struct {
+		bytes   map[string]int64
+		regress bool
+	}{
+		{map[string]int64{"BenchmarkA": 1150}, true},
+		{map[string]int64{"BenchmarkA": 1090}, false},
+		{map[string]int64{"BenchmarkA": 500}, false},
+		{nil, false}, // run without -benchmem: nothing to gate
+	} {
+		cur := withBytes(mkBaseline(map[string]float64{"BenchmarkA": 100}), tc.bytes)
+		report, regressed := compareBaselines(cur, base, 1000)
+		if regressed != tc.regress {
+			t.Errorf("B/op %v against 1000: regressed = %v, want %v\n%s", tc.bytes, regressed, tc.regress, strings.Join(report, "\n"))
+		}
+	}
+}

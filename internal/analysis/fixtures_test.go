@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -44,18 +45,7 @@ func runFixture(t *testing.T, an *Analyzer) {
 // (undoscope) or in-package test files (atomicmix with IncludeTests).
 func runFixtureOpts(t *testing.T, an *Analyzer, fixture string, opts LoadOpts) {
 	t.Helper()
-	root := moduleRoot(t)
-	l, err := NewLoaderOpts(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "internal", "analysis", "testdata", "src", fixture)
-	path := "repro/internal/" + fixture + "fix"
-	l.AddDir(path, dir)
-	pkg, err := l.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, pkg := loadFixture(t, fixture, opts)
 	res := Run(l.Fset, []*Package{pkg}, []*Analyzer{an})
 
 	type key struct {
@@ -108,6 +98,25 @@ func runFixtureOpts(t *testing.T, an *Analyzer, fixture string, opts LoadOpts) {
 	}
 }
 
+// loadFixture loads testdata/src/<fixture> as the pseudo-internal package
+// repro/internal/<fixture>fix.
+func loadFixture(t *testing.T, fixture string, opts LoadOpts) (*Loader, *Package) {
+	t.Helper()
+	root := moduleRoot(t)
+	l, err := NewLoaderOpts(root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "internal", "analysis", "testdata", "src", fixture)
+	path := "repro/internal/" + fixture + "fix"
+	l.AddDir(path, dir)
+	pkg, err := l.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, pkg
+}
+
 func TestRangeMapFixtures(t *testing.T) { runFixture(t, RangeMap) }
 func TestWildRandFixtures(t *testing.T) { runFixture(t, WildRand) }
 func TestErrDropFixtures(t *testing.T)  { runFixture(t, ErrDrop) }
@@ -129,4 +138,27 @@ func TestUndoScopeFixtures(t *testing.T) {
 		StateTypes: []string{"engine"},
 		Roots:      []string{"Apply", "Revert"},
 	}), "undoscope", LoadOpts{})
+}
+
+// TestUndoScopeUndeclaredConfig misspells a state type and a root: each must
+// surface as a finding instead of silently disarming the rule.
+func TestUndoScopeUndeclaredConfig(t *testing.T) {
+	l, pkg := loadFixture(t, "undoscope", LoadOpts{})
+	res := Run(l.Fset, []*Package{pkg}, []*Analyzer{NewUndoScope(UndoScopeConfig{
+		PkgSuffix:  "/internal/undoscopefix",
+		StateTypes: []string{"engnie"},
+		Roots:      []string{"Apply", "Revrt"},
+	})})
+	want := []string{ // findings at one position sort by message
+		"undoscope root Revrt is not declared in repro/internal/undoscopefix",
+		"undoscope state type engnie is not declared in repro/internal/undoscopefix",
+	}
+	if len(res.Findings) != len(want) {
+		t.Fatalf("got %d findings, want %d: %v", len(res.Findings), len(want), res.Findings)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(res.Findings[i].Message, w) {
+			t.Errorf("finding %d = %q, want prefix %q", i, res.Findings[i].Message, w)
+		}
+	}
 }

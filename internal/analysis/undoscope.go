@@ -9,14 +9,16 @@ import (
 
 // UndoScope guards the invariant the incremental engine's sparse undo log
 // silently depends on: every mutation of the compiled routing state
-// (engine, entry, RoutingTables, nodeArena in internal/bgpsim) must happen
+// (engine, entry, RoutingTables, pathNode in internal/bgpsim) must happen
 // on the recording path — reachable, over the static call graph in the
 // interprocedural summaries, from the ConvergeCtx/ConvergeStateCtx/Apply/
 // applyScoped/Revert roots. A write reached any other way bypasses undo recording, and the
 // next Revert restores a world that never existed. Writes to bare local
 // variables are rebinds, not shared-state mutation, and are out of scope;
 // the rule looks at selector/index/deref stores, IncDec, and the copy/delete
-// builtins whose target's type chain includes a protected named type.
+// builtins whose target's type chain includes a protected named type. A
+// configured state type or root the package does not declare is a finding
+// too: after a rename the rule would otherwise match nothing and pass.
 //
 // The rule is configuration-driven (NewUndoScope) so fixture suites can
 // exercise it against a miniature state machine without colliding with the
@@ -28,7 +30,7 @@ import (
 var UndoScope = NewUndoScope(
 	UndoScopeConfig{
 		PkgSuffix:  "/internal/bgpsim",
-		StateTypes: []string{"engine", "entry", "RoutingTables", "nodeArena"},
+		StateTypes: []string{"engine", "entry", "RoutingTables", "pathNode"},
 		Roots: []string{
 			"ConvergeCtx", "ConvergeStateCtx",
 			"Apply", "applyScoped", "Revert",
@@ -80,13 +82,16 @@ func runUndoScope(pass *Pass, cfg UndoScopeConfig) {
 	}
 
 	var roots []string
+	declared := make(map[string]bool, len(cfg.Roots))
 	decls := packageFuncDecls(pass.Pkg)
 	for _, d := range decls {
 		if rootNames[d.fd.Name.Name] {
 			roots = append(roots, FuncID(d.fn))
+			declared[d.fd.Name.Name] = true
 		}
 	}
 	sort.Strings(roots)
+	reportUndeclared(pass, cfg, declared)
 	reach := pass.Facts.Reachable(roots)
 
 	for _, d := range decls {
@@ -94,6 +99,27 @@ func runUndoScope(pass *Pass, cfg UndoScopeConfig) {
 			continue
 		}
 		reportStateWrites(pass, d.fd, stateSet)
+	}
+}
+
+// reportUndeclared flags every configured state type or root the package
+// does not declare. A rename would otherwise disarm the rule silently: an
+// unknown state type protects nothing, and an unknown root drops its whole
+// call tree from the recording path.
+func reportUndeclared(pass *Pass, cfg UndoScopeConfig, declaredRoots map[string]bool) {
+	if len(pass.Pkg.Files) == 0 {
+		return
+	}
+	pos := pass.Pkg.Files[0].Package
+	for _, t := range cfg.StateTypes {
+		if _, ok := pass.Pkg.Types.Scope().Lookup(t).(*types.TypeName); !ok {
+			pass.Reportf(pos, "undoscope state type %s is not declared in %s; update the rule's configuration", t, pass.Pkg.Path)
+		}
+	}
+	for _, r := range cfg.Roots {
+		if !declaredRoots[r] {
+			pass.Reportf(pos, "undoscope root %s is not declared in %s; update the rule's configuration", r, pass.Pkg.Path)
+		}
 	}
 }
 

@@ -32,9 +32,9 @@ import (
 type ASN int
 
 // Relationship classifies how a route was learned, which determines both
-// local preference and export policy under Gao–Rexford. The underlying type
-// is a byte so the engine's dense table cells stay 16 bytes (see entry in
-// engine.go); the constant values and ordering are part of the public API.
+// local preference and export policy under Gao–Rexford. The engine packs it
+// into the two low bits of a dense table cell (see entry in engine.go); the
+// constant values and ordering are part of the public API.
 type Relationship uint8
 
 // Relationship values, ordered by local preference (higher is preferred).
@@ -297,14 +297,16 @@ type Route struct {
 // RoutingTables holds the converged best route of every AS for every prefix.
 // Internally the tables are dense: ASNs and prefixes are interned to indices
 // and each (prefix, AS) cell stores the selected relationship, the path
-// length, and the head of an immutable shared path chain (see engine.go).
-// All accessors return copies; nothing handed out aliases engine state.
+// length, and the slab index of an immutable shared path chain in its
+// column's slab (see engine.go). All accessors return copies; nothing handed
+// out aliases engine state.
 type RoutingTables struct {
 	asns     []ASN
 	asIdx    map[ASN]int32
 	prefixes []string
 	pfxIdx   map[string]int32
-	entries  []entry // prefix-major: entries[p*len(asns)+a]
+	entries  []entry      // prefix-major: entries[p*len(asns)+a]
+	slabs    [][]pathNode // per column: the path nodes its cells refer to
 	// order lists column indices in ascending prefix-string order. A cold
 	// compile sorts prefixes so order starts as the identity; incremental
 	// announcements of new prefixes append their column at the end of
@@ -313,13 +315,19 @@ type RoutingTables struct {
 	order []int32
 }
 
-func newRoutingTables(asns []ASN, prefixes []string) *RoutingTables {
+// newRoutingTables allocates zeroed tables; the caller converges them and
+// fills every column's slab.
+func newRoutingTables(asns []ASN, prefixes []string) (*RoutingTables, error) {
+	if len(asns) > maxASes {
+		return nil, fmt.Errorf("bgpsim: %d ASes exceed the engine's bound of %d", len(asns), maxASes)
+	}
 	rt := &RoutingTables{
 		asns:     asns,
 		asIdx:    make(map[ASN]int32, len(asns)),
 		prefixes: prefixes,
 		pfxIdx:   make(map[string]int32, len(prefixes)),
 		entries:  make([]entry, len(asns)*len(prefixes)),
+		slabs:    make([][]pathNode, len(prefixes)),
 		order:    make([]int32, len(prefixes)),
 	}
 	for i, n := range asns {
@@ -329,7 +337,7 @@ func newRoutingTables(asns []ASN, prefixes []string) *RoutingTables {
 		rt.pfxIdx[p] = int32(i)
 		rt.order[i] = int32(i)
 	}
-	return rt
+	return rt, nil
 }
 
 // addPrefixColumn appends a zeroed column for a new prefix and returns its
@@ -339,6 +347,7 @@ func (rt *RoutingTables) addPrefixColumn(prefix string) int32 {
 	rt.prefixes = append(rt.prefixes, prefix)
 	rt.pfxIdx[prefix] = pi
 	rt.entries = append(rt.entries, make([]entry, len(rt.asns))...)
+	rt.slabs = append(rt.slabs, make([]pathNode, 1)) // just the nil slot
 	at := sort.Search(len(rt.order), func(i int) bool {
 		return rt.prefixes[rt.order[i]] >= prefix
 	})
@@ -356,6 +365,7 @@ func (rt *RoutingTables) dropLastPrefixColumn() {
 	rt.prefixes = rt.prefixes[:pi]
 	delete(rt.pfxIdx, prefix)
 	rt.entries = rt.entries[:int(pi)*len(rt.asns)]
+	rt.slabs = rt.slabs[:pi]
 	for i, o := range rt.order {
 		if o == pi {
 			rt.order = append(rt.order[:i], rt.order[i+1:]...)
@@ -364,24 +374,27 @@ func (rt *RoutingTables) dropLastPrefixColumn() {
 	}
 }
 
-// lookup returns the cell for (n, prefix), or nil when either is unknown.
-func (rt *RoutingTables) lookup(n ASN, prefix string) *entry {
+// lookup returns the column index and cell for (n, prefix); the cell is
+// empty (head == nilRef) when either is unknown.
+func (rt *RoutingTables) lookup(n ASN, prefix string) (int32, entry) {
 	ai, ok := rt.asIdx[n]
 	if !ok {
-		return nil
+		return 0, entry{}
 	}
 	pi, ok := rt.pfxIdx[prefix]
 	if !ok {
-		return nil
+		return 0, entry{}
 	}
-	return &rt.entries[int(pi)*len(rt.asns)+int(ai)]
+	return pi, rt.entries[int(pi)*len(rt.asns)+int(ai)]
 }
 
-// materialize copies a path chain into a fresh slice.
-func materialize(head *pathNode, plen int32) []ASN {
-	out := make([]ASN, 0, plen)
-	for c := head; c != nil; c = c.next {
-		out = append(out, c.asn)
+// materialize copies the path of a routed cell of column pi into a fresh
+// slice of ASNs.
+func (rt *RoutingTables) materialize(pi int32, en entry) []ASN {
+	nodes := rt.slabs[pi]
+	out := make([]ASN, 0, en.plen())
+	for r := en.head; r != nilRef; r = nodes[r].next {
+		out = append(out, rt.asns[nodes[r].as])
 	}
 	return out
 }
@@ -390,27 +403,27 @@ func materialize(head *pathNode, plen int32) []ASN {
 // The caller owns the returned Route: mutating it, including its Path slice,
 // never affects the converged tables or the result of other calls.
 func (rt *RoutingTables) Route(n ASN, prefix string) *Route {
-	en := rt.lookup(n, prefix)
-	if en == nil || en.head == nil {
+	pi, en := rt.lookup(n, prefix)
+	if en.head == nilRef {
 		return nil
 	}
-	return &Route{Prefix: prefix, Path: materialize(en.head, en.plen), Learned: en.learned}
+	return &Route{Prefix: prefix, Path: rt.materialize(pi, en), Learned: en.learned()}
 }
 
 // Path returns the AS path from n to prefix (n first, origin last), or nil
 // when unreachable. The slice is a fresh copy owned by the caller.
 func (rt *RoutingTables) Path(n ASN, prefix string) []ASN {
-	en := rt.lookup(n, prefix)
-	if en == nil || en.head == nil {
+	pi, en := rt.lookup(n, prefix)
+	if en.head == nilRef {
 		return nil
 	}
-	return materialize(en.head, en.plen)
+	return rt.materialize(pi, en)
 }
 
 // Reachable reports whether n has any route to prefix.
 func (rt *RoutingTables) Reachable(n ASN, prefix string) bool {
-	en := rt.lookup(n, prefix)
-	return en != nil && en.head != nil
+	_, en := rt.lookup(n, prefix)
+	return en.head != nilRef
 }
 
 // Prefixes returns the sorted prefixes in n's table.
@@ -421,7 +434,7 @@ func (rt *RoutingTables) Prefixes(n ASN) []string {
 	}
 	out := make([]string, 0, len(rt.prefixes))
 	for _, pi := range rt.order {
-		if rt.entries[int(pi)*len(rt.asns)+int(ai)].head != nil {
+		if rt.entries[int(pi)*len(rt.asns)+int(ai)].head != nilRef {
 			out = append(out, rt.prefixes[pi])
 		}
 	}

@@ -11,16 +11,19 @@ package bgpsim
 //
 //   - ASNs and prefixes are interned to dense indices once, at convergence
 //     start, and the routing state is a flat column of entries per prefix
-//     instead of nested maps.
+//     instead of nested maps. Dense AS indices follow ascending ASN order, so
+//     comparing indices orders hops exactly as comparing ASNs would.
 //   - Neighbor adjacency is precompiled once per convergence: for every AS a
 //     sorted slice of (neighbor index, learned relationship, exports-all)
 //     edges replaces the per-AS-per-round map iteration + sort.
-//   - AS paths are immutable cons cells allocated from a block arena. A
-//     candidate path is the routing AS consed onto the neighbor's current
-//     path head — O(1), no slice copy — and comparisons (lexicographic
-//     tie-break, loop check, change detection) walk the cells. Because cells
-//     are snapshots, mid-convergence comparisons see exactly the paths the
-//     reference engine would materialize.
+//   - AS paths are immutable cons cells in a per-column slab. A candidate
+//     path is the routing AS consed onto the neighbor's current path head —
+//     O(1), no slice copy — and comparisons (lexicographic tie-break, loop
+//     check, change detection) walk the cells. Because cells are snapshots,
+//     mid-convergence comparisons see exactly the paths the reference engine
+//     would materialize. Cells and table entries are pointer-free (int32
+//     slab refs and dense AS indices), so the garbage collector never traces
+//     the tables.
 //   - Rounds are change-driven: only ASes with a neighbor whose selection
 //     changed in the previous round are re-evaluated. An AS's selection
 //     depends only on its neighbors' previous-round selections (and its own
@@ -34,80 +37,91 @@ package bgpsim
 //
 // Prefix columns never interact, so ConvergeCtx fans independent
 // prefixes across internal/parallel workers; each prefix's fixpoint is fully
-// self-contained and lands at its own table offset, making the result
-// bit-identical for every worker count.
+// self-contained and lands at its own table offset and in its own slab,
+// making the result bit-identical for every worker count.
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/parallel"
 )
 
-// pathNode is one hop of an AS path stored as an immutable cons cell: the
-// path of a route is its node's asn followed by the chain behind next, with
-// the origin AS last (next == nil). Nodes are shared between the adopting AS
-// and its neighbor's route, never mutated after allocation.
+// pathNode is one hop of an AS path stored as an immutable cons cell in a
+// column's slab: as is the dense index of the hop's AS, and next the slab
+// index of the rest of the path, with the origin AS last (next == nilRef).
+// Nodes are shared between the adopting AS and its neighbor's route, and
+// never mutated once appended.
 type pathNode struct {
-	asn  ASN
-	next *pathNode
+	as, next int32
 }
 
-// nodeArena hands out pathNodes from fixed-size blocks so a convergence run
-// costs one allocation per block instead of one per selection change. Blocks
-// stay alive for as long as any table entry references a node inside them.
-type nodeArena struct {
-	block []pathNode
-	used  int
-}
+// nilRef is the slab index that ends a chain. Slot 0 of every slab is a
+// reserved placeholder, so no real node ever has index 0.
+const nilRef = 0
 
-const arenaBlock = 256
+// Bounds of the packed layout: slab indices are int32, and a cell packs its
+// path length (at most one hop per AS) above the two relationship bits of an
+// int32.
+const (
+	maxSlab = math.MaxInt32
+	maxASes = math.MaxInt32 >> 2
+)
 
-func (a *nodeArena) alloc(asn ASN, next *pathNode) *pathNode {
-	if a.used == len(a.block) {
-		a.block = make([]pathNode, arenaBlock)
-		a.used = 0
+// appendNode appends the hop (as, next) to the slab and returns its index.
+func appendNode(slab *[]pathNode, as, next int32) int32 {
+	r := len(*slab)
+	if r >= maxSlab {
+		panic(fmt.Sprintf("bgpsim: path slab exceeds %d nodes", maxSlab))
 	}
-	n := &a.block[a.used]
-	a.used++
-	n.asn = asn
-	n.next = next
-	return n
+	*slab = append(*slab, pathNode{as: as, next: next})
+	return int32(r)
 }
 
-// chainContains reports whether asn appears anywhere in the chain.
-func chainContains(c *pathNode, asn ASN) bool {
-	for ; c != nil; c = c.next {
-		if c.asn == asn {
+// chainContains reports whether AS index as appears anywhere in chain r.
+func chainContains(nodes []pathNode, r, as int32) bool {
+	for ; r != nilRef; r = nodes[r].next {
+		if nodes[r].as == as {
 			return true
 		}
 	}
 	return false
 }
 
-// chainEqual reports whether two chains hold the same hops.
-func chainEqual(a, b *pathNode) bool {
-	for a != nil && b != nil {
+// chainEqual reports whether chains a and b of one slab hold the same hops.
+func chainEqual(nodes []pathNode, a, b int32) bool {
+	for a != nilRef && b != nilRef {
 		if a == b {
 			return true // shared suffix: identical by construction
 		}
-		if a.asn != b.asn {
+		if nodes[a].as != nodes[b].as {
 			return false
 		}
-		a, b = a.next, b.next
+		a, b = nodes[a].next, nodes[b].next
 	}
-	return a == nil && b == nil
+	return a == b
 }
 
 // entry is one dense routing-table cell: the selected route of one AS for
-// one prefix. head == nil means no route; otherwise head is the full path
-// (self first, origin last) and plen its length.
+// one prefix, in 8 pointer-free bytes. head == nilRef means no route;
+// otherwise head is the slab index of the full path (self first, origin
+// last), and meta packs the path length and the learned relationship as
+// plen<<2 | learned.
 type entry struct {
-	head    *pathNode
-	plen    int32
-	learned Relationship
+	head int32
+	meta int32
 }
+
+func mkEntry(head, plen int32, learned Relationship) entry {
+	return entry{head: head, meta: plen<<2 | int32(learned)}
+}
+
+func (en entry) plen() int32 { return en.meta >> 2 }
+
+func (en entry) learned() Relationship { return Relationship(en.meta & 3) }
 
 // neighborEdge is one precompiled adjacency edge from the perspective of the
 // owning AS.
@@ -296,27 +310,25 @@ type colUpdate struct {
 	e   entry
 }
 
-// convState is the reusable per-worker scratch of a prefix fixpoint. The
-// arena is carried along so successive prefixes fill partially used blocks,
-// but nodes themselves are never reused — finished tables keep their blocks
-// alive.
+// convState is the reusable per-worker scratch of a prefix fixpoint. slab
+// is the scratch column slab of cold convergence (see convergeRange).
 type convState struct {
 	inQueue []bool
 	queue   []int32
 	changed []int32
 	updates []colUpdate
-	arena   nodeArena
+	slab    []pathNode
 }
 
 // convergePrefix runs the change-driven fixpoint for prefix p, writing the
-// final column (one entry per AS, dense index order) into col. col must be
-// zeroed on entry.
-func (e *engine) convergePrefix(p int, col []entry, st *convState) {
+// final column (one entry per AS, dense index order) into col and the path
+// nodes it selects onto slab. col must be zeroed on entry.
+func (e *engine) convergePrefix(p int, col []entry, slab *[]pathNode, st *convState) {
 	// Round 0 of the reference engine sees only empty tables, so exactly the
 	// origin ASes obtain a route. Seed those and mark them changed.
 	st.changed = st.changed[:0]
 	for _, o := range e.origins[p] {
-		col[o] = entry{head: st.arena.alloc(e.asns[o], nil), plen: 1, learned: Origin}
+		col[o] = mkEntry(appendNode(slab, o, nilRef), 1, Origin)
 		st.changed = append(st.changed, o)
 	}
 	for round := 1; round < e.maxRounds && len(st.changed) > 0; round++ {
@@ -336,7 +348,7 @@ func (e *engine) convergePrefix(p int, col []entry, st *convState) {
 		st.updates = st.updates[:0]
 		for _, i := range st.queue {
 			st.inQueue[i] = false
-			if ne, changed := e.selectBest(i, p, col, &st.arena); changed {
+			if ne, changed := e.selectBest(i, p, col, slab); changed {
 				st.updates = append(st.updates, colUpdate{idx: i, e: ne})
 			}
 		}
@@ -364,10 +376,10 @@ type undoCell struct {
 // to *log, oldest first. Returns false when the round cap was hit before
 // quiescence — the caller must then recompute the column cold, which keeps
 // malformed (non-converging) topologies bit-identical to the cold oracle.
-func (e *engine) reconvergeColumn(p int, col []entry, st *convState, seeds []int32, log *[]undoCell) bool {
+func (e *engine) reconvergeColumn(p int, col []entry, slab *[]pathNode, st *convState, seeds []int32, log *[]undoCell) bool {
 	st.updates = st.updates[:0]
 	for _, i := range seeds {
-		if ne, changed := e.selectBest(i, p, col, &st.arena); changed {
+		if ne, changed := e.selectBest(i, p, col, slab); changed {
 			st.updates = append(st.updates, colUpdate{idx: i, e: ne})
 		}
 	}
@@ -396,7 +408,7 @@ func (e *engine) reconvergeColumn(p int, col []entry, st *convState, seeds []int
 		st.updates = st.updates[:0]
 		for _, i := range st.queue {
 			st.inQueue[i] = false
-			if ne, changed := e.selectBest(i, p, col, &st.arena); changed {
+			if ne, changed := e.selectBest(i, p, col, slab); changed {
 				st.updates = append(st.updates, colUpdate{idx: i, e: ne})
 			}
 		}
@@ -408,77 +420,80 @@ func (e *engine) reconvergeColumn(p int, col []entry, st *convState, seeds []int
 // empty ones included, since the recompute may fill them and the caller's
 // undo log must restore the exact pre-Apply state — and zeroing the column.
 // Used when incremental re-convergence is not trusted (unsafe topology
-// before or after the delta) or gave up (round cap).
-func (e *engine) coldColumn(p int, col []entry, st *convState, log *[]undoCell) {
+// before or after the delta) or gave up (round cap). The new nodes append to
+// slab: the logged cells still reference the old ones.
+func (e *engine) coldColumn(p int, col []entry, slab *[]pathNode, st *convState, log *[]undoCell) {
 	for i := range col {
 		*log = append(*log, undoCell{idx: int32(i), e: col[i]})
 		col[i] = entry{}
 	}
-	e.convergePrefix(p, col, st)
+	e.convergePrefix(p, col, slab, st)
 }
 
 // selectBest recomputes AS i's selection for prefix p from the current
 // column and reports whether it differs from the incumbent entry. A best
 // candidate is tracked as (relationship, length, tail) where the full path
 // is self consed onto tail; the origin candidate has a nil tail. A node is
-// allocated only when the selection actually changed.
-func (e *engine) selectBest(i int32, p int, col []entry, arena *nodeArena) (entry, bool) {
-	self := e.asns[i]
+// appended to slab only when the selection actually changed.
+func (e *engine) selectBest(i int32, p int, col []entry, slab *[]pathNode) (entry, bool) {
+	nodes := *slab
 	var bestRel Relationship
 	var bestLen int32
-	var bestTail *pathNode
+	bestTail := int32(nilRef)
 	has := false
 	if e.originates(p, i) {
-		bestRel, bestLen, bestTail, has = Origin, 1, nil, true
+		bestRel, bestLen, has = Origin, 1, true
 	}
 	for _, ed := range e.nbr[i] {
-		ne := &col[ed.idx]
-		if ne.head == nil {
+		ne := col[ed.idx]
+		if ne.head == nilRef {
 			continue
 		}
 		// Export policy from the neighbor's side: we receive everything if
 		// we are its customer or it leaks; otherwise only origin/customer
 		// routes (valley-free).
-		if !ed.receiveAll && ne.learned != Origin && ne.learned != FromCustomer {
+		if learned := ne.learned(); !ed.receiveAll && learned != Origin && learned != FromCustomer {
 			continue
 		}
 		// Loop prevention: reject paths already containing us.
-		if chainContains(ne.head, self) {
+		if chainContains(nodes, ne.head, i) {
 			continue
 		}
-		candLen := ne.plen + 1
-		if has && !candBetter(ed.rel, candLen, ne.head, bestRel, bestLen, bestTail) {
+		candLen := ne.plen() + 1
+		if has && !candBetter(nodes, ed.rel, candLen, ne.head, bestRel, bestLen, bestTail) {
 			continue
 		}
 		bestRel, bestLen, bestTail, has = ed.rel, candLen, ne.head, true
 	}
-	old := &col[i]
+	old := col[i]
 	if !has {
-		return entry{}, old.head != nil
+		return entry{}, old.head != nilRef
 	}
-	if old.head != nil && old.learned == bestRel && old.plen == bestLen &&
-		chainEqual(old.head.next, bestTail) {
-		return *old, false
+	best := mkEntry(old.head, bestLen, bestRel)
+	if old.head != nilRef && old.meta == best.meta && chainEqual(nodes, nodes[old.head].next, bestTail) {
+		return old, false
 	}
-	return entry{head: arena.alloc(self, bestTail), plen: bestLen, learned: bestRel}, true
+	best.head = appendNode(slab, i, bestTail)
+	return best, true
 }
 
 // candBetter reports whether candidate a should replace incumbent b under
 // the standard decision order — higher local pref, then shorter path, then
 // lexicographically smaller path — mirroring better() in reference_test.go. Both
 // paths start with the same AS (self), so only the tails are compared.
-func candBetter(aRel Relationship, aLen int32, aTail *pathNode, bRel Relationship, bLen int32, bTail *pathNode) bool {
+func candBetter(nodes []pathNode, aRel Relationship, aLen, aTail int32, bRel Relationship, bLen, bTail int32) bool {
 	if aRel != bRel {
 		return aRel > bRel
 	}
 	if aLen != bLen {
 		return aLen < bLen
 	}
-	for aTail != nil && bTail != nil {
-		if aTail.asn != bTail.asn {
-			return aTail.asn < bTail.asn
+	for aTail != nilRef && bTail != nilRef {
+		a, b := nodes[aTail], nodes[bTail]
+		if a.as != b.as {
+			return a.as < b.as
 		}
-		aTail, bTail = aTail.next, bTail.next
+		aTail, bTail = a.next, b.next
 	}
 	return false
 }
@@ -509,7 +524,10 @@ func candBetter(aRel Relationship, aLen int32, aTail *pathNode, bRel Relationshi
 // on cancellation the partial tables are discarded and ctx.Err() returned.
 func (t *Topology) ConvergeCtx(ctx context.Context, workers int) (*RoutingTables, error) {
 	e := t.compile()
-	rt := newRoutingTables(e.asns, e.prefixes)
+	rt, err := newRoutingTables(e.asns, e.prefixes)
+	if err != nil {
+		return nil, err
+	}
 	if err := e.convergeAllCtx(ctx, rt, workers); err != nil {
 		return nil, err
 	}
@@ -533,6 +551,10 @@ func convergeChunks(nP, workers int) int {
 	return chunk
 }
 
+// slabChunk caps, in nodes, the shared allocation convergeRange packs
+// column slabs into.
+const slabChunk = 1 << 16
+
 // convergeAllCtx runs the cold fixpoint for every column of rt. Columns are
 // independent, so the fan-out chunks them coarsely across workers; below
 // serialWorkFloor cells (or with one effective worker) it skips the
@@ -547,14 +569,7 @@ func (e *engine) convergeAllCtx(ctx context.Context, rt *RoutingTables, workers 
 	}
 	w := parallel.Workers(workers, nP)
 	if w == 1 || nAS*nP < serialWorkFloor {
-		st := &convState{inQueue: make([]bool, nAS)}
-		for p := 0; p < nP; p++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.convergePrefix(p, rt.entries[p*nAS:(p+1)*nAS], st)
-		}
-		return nil
+		return e.convergeRange(ctx, rt, 0, nP, &convState{inQueue: make([]bool, nAS)})
 	}
 	chunk := convergeChunks(nP, w)
 	nChunks := (nP + chunk - 1) / chunk
@@ -563,14 +578,34 @@ func (e *engine) convergeAllCtx(ctx context.Context, rt *RoutingTables, workers 
 	}}
 	return parallel.ForEach(ctx, nChunks, w, func(ci int) error {
 		st := pool.Get().(*convState)
-		hi := (ci + 1) * chunk
-		if hi > nP {
-			hi = nP
-		}
-		for p := ci * chunk; p < hi; p++ {
-			e.convergePrefix(p, rt.entries[p*nAS:(p+1)*nAS], st)
-		}
-		pool.Put(st)
-		return nil
+		defer pool.Put(st)
+		return e.convergeRange(ctx, rt, ci*chunk, min((ci+1)*chunk, nP), st)
 	})
+}
+
+// convergeRange cold-converges columns [lo, hi) of rt. Each column is built
+// in the scratch slab and then copied into a shared buffer as a three-index
+// slice of it, so a later Apply appending to one column reallocates that
+// column instead of overwriting its neighbor. A buffer is sized for one node
+// per cell of the remaining columns (a hierarchy selects each route exactly
+// once), capped at slabChunk nodes, so a small topology costs one slab
+// allocation in total.
+func (e *engine) convergeRange(ctx context.Context, rt *RoutingTables, lo, hi int, st *convState) error {
+	nAS := len(e.asns)
+	var buf []pathNode
+	for p := lo; p < hi; p++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st.slab = append(st.slab[:0], pathNode{})
+		e.convergePrefix(p, rt.entries[p*nAS:(p+1)*nAS], &st.slab, st)
+		n := len(st.slab)
+		if cap(buf)-len(buf) < n {
+			buf = make([]pathNode, 0, max(n, min(slabChunk, (hi-p)*(nAS+1))))
+		}
+		start := len(buf)
+		buf = append(buf, st.slab...)
+		rt.slabs[p] = buf[start:len(buf):len(buf)]
+	}
+	return nil
 }

@@ -158,7 +158,7 @@ func BenchmarkDeltaWithdraw(b *testing.B) {
 		victim := h.OriginStubs[0]
 		d := Delta{Kind: DeltaWithdraw, A: victim, Prefix: fmt.Sprintf("pfx-%d", victim)}
 		c := convergeState(b, h.Topo, 1)
-		// One warm-up apply/revert: the first pays one-time arena growth,
+		// One warm-up apply/revert: the first pays one-time slab growth,
 		// which would dominate a single-iteration (BENCHTIME=1x) gate run.
 		if p, err := c.Apply(d); err != nil {
 			b.Fatal(err)

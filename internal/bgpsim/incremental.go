@@ -3,12 +3,14 @@ package bgpsim
 // Incremental re-convergence. The paper's routing case studies are deltas on
 // a stable world — one ASN re-shuffled, one leaker appearing, one prefix
 // hijacked — so re-running the full fixpoint per event wastes almost all of
-// its work. ConvergeStateCtx keeps the compiled engine, the node arenas, and
-// the dense tables alive; Apply patches the compiled form in place and
+// its work. ConvergeStateCtx keeps the compiled engine and the dense tables,
+// path slabs included, alive; Apply patches the compiled form in place and
 // re-converges only the affected prefix columns, seeding the change-driven
 // work queue from the frontier of ASes whose inputs the delta touched
-// instead of from every origin; Revert restores the exact pre-Apply state
-// from a sparse undo log without re-converging at all.
+// instead of from every origin, and appending the path nodes it selects to
+// each column's slab; Revert restores the exact pre-Apply state from a
+// sparse undo log without re-converging at all, truncating every slab back
+// to its pre-Apply length so the nodes Apply appended are reused.
 //
 // Contract: after every Apply, the live tables are observably identical
 // (Route/Path/Prefixes on every AS) to a cold ConvergeCtx of the mutated
@@ -165,10 +167,12 @@ func (t *Topology) ApplyDelta(d Delta) error {
 }
 
 // patchCol is the sparse undo log of one re-converged prefix column:
-// every overwritten cell's previous value, oldest first.
+// every overwritten cell's previous value, oldest first, and the column's
+// slab length before the apply appended to it.
 type patchCol struct {
-	p   int32
-	log []undoCell
+	p       int32
+	slabLen int
+	log     []undoCell
 }
 
 // Patch records everything needed to undo one Apply: the delta itself (its
@@ -220,7 +224,10 @@ type Converged struct {
 // so callers driving event sweeps check the context between events.
 func (t *Topology) ConvergeStateCtx(ctx context.Context, workers int) (*Converged, error) {
 	e := t.compile()
-	rt := newRoutingTables(e.asns, e.prefixes)
+	rt, err := newRoutingTables(e.asns, e.prefixes)
+	if err != nil {
+		return nil, err
+	}
 	if err := e.convergeAllCtx(ctx, rt, workers); err != nil {
 		return nil, err
 	}
@@ -282,9 +289,10 @@ func (c *Converged) applyScoped(d Delta, scope []int32) (*Patch, error) {
 }
 
 // Revert undoes the most recent unreverted Apply: replays the undo log in
-// reverse (restoring the exact pre-Apply table bytes, shared path chains
-// included) and applies the inverse delta to the topology and compiled
-// engine. Patches are LIFO; reverting out of order panics.
+// reverse (restoring the exact pre-Apply table bytes, shared path-chain refs
+// included), truncates each slab to its pre-Apply length, and applies the
+// inverse delta to the topology and compiled engine. Patches are LIFO;
+// reverting out of order panics.
 func (c *Converged) Revert(p *Patch) {
 	if p == nil || p.seq != c.applied {
 		panic("bgpsim: Converged.Revert: patches must be reverted in LIFO order")
@@ -296,6 +304,7 @@ func (c *Converged) Revert(p *Patch) {
 		for j := len(pc.log) - 1; j >= 0; j-- {
 			col[pc.log[j].idx] = pc.log[j].e
 		}
+		c.rt.slabs[pc.p] = c.rt.slabs[pc.p][:pc.slabLen]
 	}
 	if _, err := c.applyStructural(p.delta.inverse()); err != nil {
 		// The inverse of a validated, applied delta always applies.
@@ -425,52 +434,54 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 			cols[i] = int32(i)
 		}
 	}
-	run := func(pi int32, st *convState) []undoCell {
-		var log []undoCell
+	// Each column appends only to its own slab, so concurrent columns never
+	// share a write.
+	run := func(pi int32, st *convState) patchCol {
+		slab := &rt.slabs[pi]
+		pc := patchCol{p: pi, slabLen: len(*slab)}
 		col := rt.entries[int(pi)*nAS : (int(pi)+1)*nAS]
-		if !safe || !e.reconvergeColumn(int(pi), col, st, seeds, &log) {
-			e.coldColumn(int(pi), col, st, &log)
+		if !safe || !e.reconvergeColumn(int(pi), col, slab, st, seeds, &pc.log) {
+			e.coldColumn(int(pi), col, slab, st, &pc.log)
 		}
-		return log
+		return pc
 	}
 
-	logs := make([][]undoCell, len(cols))
+	pcs := make([]patchCol, len(cols))
 	w := parallel.Workers(c.workers, len(cols))
 	if w == 1 || nAS*len(cols) < serialWorkFloor {
 		for i, pi := range cols {
-			logs[i] = run(pi, c.st)
+			pcs[i] = run(pi, c.st)
 		}
 	} else {
 		chunk := convergeChunks(len(cols), w)
 		nChunks := (len(cols) + chunk - 1) / chunk
-		chunkLogs := make([][][]undoCell, nChunks) // each task writes only its own index
+		chunkCols := make([][]patchCol, nChunks) // each task writes only its own index
 		pool := sync.Pool{New: func() any {
 			return &convState{inQueue: make([]bool, nAS)}
 		}}
 		err := parallel.ForEach(context.Background(), nChunks, w, func(ci int) error {
 			st := pool.Get().(*convState)
-			lo, hi := ci*chunk, (ci+1)*chunk
-			if hi > len(cols) {
-				hi = len(cols)
-			}
-			out := make([][]undoCell, 0, hi-lo)
+			lo, hi := ci*chunk, min((ci+1)*chunk, len(cols))
+			out := make([]patchCol, 0, hi-lo)
 			for i := lo; i < hi; i++ {
 				out = append(out, run(cols[i], st))
 			}
-			chunkLogs[ci] = out
+			chunkCols[ci] = out
 			pool.Put(st)
 			return nil
 		})
 		if err != nil {
 			panic(err) // only worker panics can land here; re-raise
 		}
-		for ci, outs := range chunkLogs {
-			copy(logs[ci*chunk:], outs)
+		for ci, outs := range chunkCols {
+			copy(pcs[ci*chunk:], outs)
 		}
 	}
-	for i, pi := range cols {
-		if len(logs[i]) > 0 {
-			p.cols = append(p.cols, patchCol{p: pi, log: logs[i]})
+	// A column that appended nodes also overwrote cells, so the log alone
+	// decides which columns the patch records.
+	for _, pc := range pcs {
+		if len(pc.log) > 0 {
+			p.cols = append(p.cols, pc)
 		}
 	}
 }

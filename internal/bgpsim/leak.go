@@ -43,19 +43,19 @@ func BlastRadius(rt *RoutingTables, leaker ASN, prefix string) (affected []ASN, 
 		return nil, 0
 	}
 	col := rt.entries[int(pi)*len(rt.asns) : (int(pi)+1)*len(rt.asns)]
+	nodes := rt.slabs[pi]
+	li, known := rt.asIdx[leaker]
 	// Dense indices are ascending ASNs, so affected comes out sorted.
-	for i := range col {
-		en := &col[i]
-		if en.head == nil {
+	for i, en := range col {
+		if en.head == nilRef {
 			continue
 		}
 		reachable++
-		n := rt.asns[i]
-		if n == leaker {
-			continue
+		if !known || int32(i) == li {
+			continue // an unknown leaker is on no path
 		}
-		if chainContains(en.head.next, leaker) { // skip self hop
-			affected = append(affected, n)
+		if chainContains(nodes, nodes[en.head].next, li) { // skip self hop
+			affected = append(affected, rt.asns[i])
 		}
 	}
 	return affected, reachable

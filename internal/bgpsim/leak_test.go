@@ -191,3 +191,20 @@ func TestPropertyLeakedPathsLoopFreeAcrossTopologies(t *testing.T) {
 		}
 	}
 }
+
+// TestBlastRadiusUnknownLeaker pins the contract for a leaker ASN the tables
+// have never heard of: no AS routes through it, but the reachable count of
+// the prefix is still reported.
+func TestBlastRadiusUnknownLeaker(t *testing.T) {
+	rt := converge(t, leakScenario(t), 1)
+	affected, reachable := BlastRadius(rt, 99, "victim")
+	if affected != nil {
+		t.Errorf("affected = %v, want nil", affected)
+	}
+	if reachable != 5 {
+		t.Errorf("reachable = %d, want 5", reachable)
+	}
+	if affected, reachable := BlastRadius(rt, 99, "no-such-prefix"); affected != nil || reachable != 0 {
+		t.Errorf("unknown prefix: (%v, %d), want (nil, 0)", affected, reachable)
+	}
+}

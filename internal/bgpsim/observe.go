@@ -3,10 +3,8 @@ package bgpsim
 // Replay-support surface for the timeline engine (internal/timeline), next to
 // ParseDelta/FormatDelta (parse.go) and Topology.ApplyDelta (incremental.go):
 // two observation helpers — table-wide reachability counts for per-tick series
-// and a pointer-identity fingerprint that certifies Revert restored the
-// exact pre-Apply state, shared path chains included.
-
-import "fmt"
+// and a state fingerprint that certifies Revert restored the exact pre-Apply
+// state, shared path-chain refs included.
 
 // Size returns the table dimensions: the number of ASes and of prefix
 // columns currently converged.
@@ -19,52 +17,51 @@ func (rt *RoutingTables) Size() (ases, prefixes int) {
 // is the global reachability share the temporal experiments chart per tick.
 func (rt *RoutingTables) ReachableCells() (reachable, total int) {
 	for i := range rt.entries {
-		if rt.entries[i].head != nil {
+		if rt.entries[i].head != nilRef {
 			reachable++
 		}
 	}
 	return reachable, len(rt.entries)
 }
 
-// StateFingerprint hashes the live routing state including the identity of
-// the shared path-chain nodes (their addresses, not just the hops they
-// spell), the prefix interning order, and the LIFO depth. Equal fingerprints
-// within one process therefore certify the tables are pointer-exactly
+// StateFingerprint hashes the live routing state: every cell's slab refs
+// (the identity of the shared path-chain nodes, not just the hops they
+// spell), every column's slab length, the prefix interning order, and the
+// LIFO depth. Slabs are append-only below their length and Revert truncates
+// them back, so equal fingerprints certify the tables are ref-exactly
 // identical — the guarantee Revert makes and the timeline unwind property
-// pins. The value is meaningful only within a single process run; it is a
-// test-support probe, not a cache key.
+// pins. It is a test-support probe, not a cache key.
 func (c *Converged) StateFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		h ^= v
+		h *= 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
 	mixStr := func(s string) {
 		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
+			mix(uint64(s[i]))
 		}
-		h ^= uint64(len(s)) ^ 0xff
-		h *= prime64
+		mix(uint64(len(s)))
 	}
-	mixInt := func(v int64) { mixStr(fmt.Sprintf("%d", v)) }
-	mixInt(int64(c.applied))
-	mixInt(int64(len(c.rt.asns)))
-	for _, n := range c.rt.asns {
-		mixInt(int64(n))
+	rt := c.rt
+	mix(uint64(c.applied))
+	mix(uint64(len(rt.asns)))
+	for _, n := range rt.asns {
+		mix(uint64(n))
 	}
-	mixInt(int64(len(c.rt.prefixes)))
-	for _, p := range c.rt.prefixes {
+	mix(uint64(len(rt.prefixes)))
+	for _, p := range rt.prefixes {
 		mixStr(p)
 	}
-	for _, o := range c.rt.order {
-		mixInt(int64(o))
+	for _, o := range rt.order {
+		mix(uint64(o))
 	}
-	for i := range c.rt.entries {
-		en := &c.rt.entries[i]
-		// %p folds the node address in: chains rebuilt with identical hops at
-		// different addresses fingerprint differently, which is the point.
-		mixStr(fmt.Sprintf("%d|%d|%p", en.learned, en.plen, en.head))
+	for _, slab := range rt.slabs {
+		mix(uint64(len(slab)))
+	}
+	for _, en := range rt.entries {
+		mix(uint64(uint32(en.head))<<32 | uint64(uint32(en.meta)))
 	}
 	return h
 }

@@ -2,7 +2,7 @@ package timeline
 
 // BGPMachine replays KindBGP events through bgpsim's incremental engine. Each
 // applied delta produces a Patch, kept on a LIFO stack so Unwind can restore
-// the initial converged state pointer-exactly; the incremental-vs-cold
+// the initial converged state ref-exactly; the incremental-vs-cold
 // fallback decision (the uniqueness gate) happens inside Converged.Apply,
 // so observations here are identical to cold re-convergence by contract.
 
@@ -88,7 +88,7 @@ func (m *BGPMachine) Observe(int) ([]float64, error) {
 
 // Unwind reverts every applied event in LIFO order, restoring the machine —
 // topology, tables, and shared path chains — to its pre-replay state
-// pointer-exactly (the bgpsim Revert guarantee, pinned by the property
+// ref-exactly (the bgpsim Revert guarantee, pinned by the property
 // suite via StateFingerprint).
 func (m *BGPMachine) Unwind() {
 	for i := len(m.patches) - 1; i >= 0; i-- {

@@ -24,7 +24,7 @@ import (
 //     are cell-identical to a cold convergence of the mutated topology
 //     (extending bgpsim's per-delta oracle to whole streams, PR 7 pattern);
 //   - revert: unwinding a replayed machine restores the pre-replay state
-//     pointer-exactly, as certified by the chain-head fingerprint.
+//     ref-exactly, as certified by the slab-ref fingerprint.
 
 // worldSpec describes a rebuildable BGP world plus one generated stream over
 // it. Building from a seed (rather than drawing the topology edge by edge)
