@@ -18,13 +18,12 @@ vet:
 
 # Run the repo's determinism linters (internal/analysis via cmd/humnetlint):
 # rangemap, wildrand, errdrop, paraccum plus the interprocedural aliasret,
-# ctxflow, atomicmix, undoscope. Exits nonzero on findings; packages are
-# analyzed in parallel (output is byte-identical for any worker count). Use
+# ctxflow, atomicmix, undoscope. Exits nonzero on findings. Use
 # `go run ./cmd/humnetlint -json` for machine-readable output (CI
 # annotation) and //humnet:allow <rule> -- <reason> for documented
 # exceptions; see DESIGN.md "Determinism invariants" and §9.
 lint:
-	$(GO) run ./cmd/humnetlint -workers 0
+	$(GO) run ./cmd/humnetlint
 
 # Apply the linters' suggested fixes (aliasret copy-on-return, ctxflow
 # context forwarding) in place, then verify a second pass edits nothing:
@@ -69,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/qualcode
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textproc
 	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime $(FUZZTIME) ./internal/textproc
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRun$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Regenerate every experiment table (E1-E14) alongside timing.
 bench:

@@ -4,17 +4,16 @@
 // Usage:
 //
 //	humnetlint [-C dir] [-json] [-rules rangemap,wildrand,...]
-//	           [-workers N] [-fix] [-tests] [-cache dir] [pkgdir ...]
+//	           [-list] [-fix] [-tests] [pkgdir ...]
 //
 // With no arguments it lints the whole module rooted at -C (default ".").
 // Positional arguments restrict reporting to the given module-relative
 // package directories (everything is still loaded, since analyzers need
 // whole-program type information).
 //
-// -workers fans the analyzers out across packages (0 = GOMAXPROCS); output
-// is byte-identical for every worker count. -cache reuses per-package
-// interprocedural summaries content-addressed by file hash. -tests loads
-// in-package _test.go files so test-only accesses are visible to atomicmix.
+// The interprocedural summaries are built once per run, then each package is
+// analyzed in turn. -tests loads in-package _test.go files so test-only
+// accesses are visible to atomicmix.
 // -fix applies the suggested fixes (aliasret copy-on-return, ctxflow context
 // threading) in place; fixes are idempotent — a second run edits nothing.
 //
@@ -31,7 +30,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -54,10 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	rules := fs.String("rules", "", "comma-separated rule subset (default: all)")
 	list := fs.Bool("list", false, "print the rule names and docs, then exit")
-	workers := fs.Int("workers", 1, "packages analyzed concurrently (0 = GOMAXPROCS)")
 	fix := fs.Bool("fix", false, "apply suggested fixes in place")
 	tests := fs.Bool("tests", false, "include in-package _test.go files")
-	cacheDir := fs.String("cache", "", "directory for the content-addressed summary cache")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	loader, err := analysis.NewLoaderOpts(*dir, analysis.LoadOpts{IncludeTests: *tests})
+	loader, err := analysis.NewLoader(*dir, *tests)
 	if err != nil {
 		emitf(stderr, "humnetlint: %v\n", err)
 		return 2
@@ -105,19 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkgs = kept
 	}
 
-	var cache *analysis.FactCache
-	if *cacheDir != "" {
-		cache, err = analysis.OpenFactCache(*cacheDir)
-		if err != nil {
-			emitf(stderr, "humnetlint: %v\n", err)
-			return 2
-		}
-	}
-
-	res := analysis.RunOpts(loader.Fset, pkgs, analyzers, analysis.Options{
-		Workers: *workers,
-		Cache:   cache,
-	})
+	res := analysis.Run(loader.Fset, pkgs, analyzers)
 
 	if *fix {
 		edits, files, ferr := analysis.ApplyFixes(res.Findings)
@@ -181,21 +165,12 @@ func packageFilter(loader *analysis.Loader, args []string, stderr io.Writer) map
 }
 
 // relativize rewrites absolute finding paths relative to the module root so
-// the output is stable across checkouts, then restores sorted order.
+// the output is stable across checkouts. Stripping one common root keeps the
+// driver's sorted order.
 func relativize(res *analysis.Result, root string) {
 	for i := range res.Findings {
 		if rel, err := filepath.Rel(root, res.Findings[i].File); err == nil {
 			res.Findings[i].File = filepath.ToSlash(rel)
 		}
 	}
-	sort.Slice(res.Findings, func(i, j int) bool {
-		a, b := res.Findings[i], res.Findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
 }

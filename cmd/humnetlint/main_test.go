@@ -157,22 +157,6 @@ func Wait(ctx context.Context) error {
 	return dir
 }
 
-func TestWorkersOutputByteIdentical(t *testing.T) {
-	dir := seedFixableModule(t)
-	outputs := make(map[string][]byte)
-	for _, workers := range []string{"1", "4", "0"} {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-C", dir, "-json", "-workers", workers}, &stdout, &stderr); code != 1 {
-			t.Fatalf("-workers %s: exit = %d, want 1\nstderr: %s", workers, code, &stderr)
-		}
-		outputs[workers] = stdout.Bytes()
-	}
-	if !bytes.Equal(outputs["1"], outputs["4"]) || !bytes.Equal(outputs["1"], outputs["0"]) {
-		t.Errorf("JSON output differs across -workers 1/4/0:\n-1-\n%s\n-4-\n%s\n-0-\n%s",
-			outputs["1"], outputs["4"], outputs["0"])
-	}
-}
-
 func TestFixAppliesAndIsIdempotent(t *testing.T) {
 	dir := seedFixableModule(t)
 	src := filepath.Join(dir, "internal", "sim", "sim.go")
@@ -212,27 +196,6 @@ func TestFixAppliesAndIsIdempotent(t *testing.T) {
 	}
 	if !bytes.Equal(fixed, refixed) {
 		t.Errorf("-fix is not idempotent:\n--- first ---\n%s\n--- second ---\n%s", fixed, refixed)
-	}
-}
-
-func TestWarmCacheOutputIdentical(t *testing.T) {
-	dir := seedFixableModule(t)
-	cache := filepath.Join(t.TempDir(), "factcache")
-
-	var cold, warm, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-json", "-cache", cache}, &cold, &stderr); code != 1 {
-		t.Fatalf("cold run: exit = %d, want 1\nstderr: %s", code, &stderr)
-	}
-	entries, err := os.ReadDir(cache)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run left no cache entries (err %v)", err)
-	}
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-json", "-cache", cache}, &warm, &stderr); code != 1 {
-		t.Fatalf("warm run: exit = %d, want 1\nstderr: %s", code, &stderr)
-	}
-	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-		t.Errorf("warm cache output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", &cold, &warm)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -96,9 +97,10 @@ func reportAliasSource(pass *Pass, fd *ast.FuncDecl, res ast.Expr, t types.Type,
 		if dot < 0 {
 			return
 		}
-		calleeID, resIdx := rest[:dot], rest[dot+1:]
+		calleeID := rest[:dot]
+		resIdx, err := strconv.Atoi(rest[dot+1:])
 		sum := pass.Facts.Lookup(calleeID)
-		if sum == nil {
+		if err != nil || sum == nil {
 			return
 		}
 		for _, inner := range sum.AliasReturns[resIdx] {

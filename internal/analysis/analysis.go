@@ -16,7 +16,6 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -24,8 +23,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"repro/internal/parallel"
 )
 
 // Finding is one rule violation at a source position. Fix, when present, is
@@ -52,9 +49,7 @@ type Analyzer struct {
 }
 
 // Pass carries one analyzer's view of one package. Facts holds the
-// module-wide interprocedural summaries (nil when the driver ran without
-// them; the interprocedural rules then stay quiet or degrade to their
-// intraprocedural half).
+// module-wide interprocedural summaries the driver built before the run.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -155,52 +150,16 @@ func collectSuppressions(fset *token.FileSet, pkg *Package, known map[string]boo
 	return idx
 }
 
-// Options configures a driver run.
-type Options struct {
-	// Workers bounds the fan-out across packages (and across packages during
-	// fact building). <= 0 means GOMAXPROCS; 1 runs serially. Findings are
-	// bit-identical for every value: each package's findings land at its
-	// index and the merged list is fully sorted.
-	Workers int
-	// Facts supplies precomputed interprocedural summaries; nil builds them
-	// from the packages (through Cache when set).
-	Facts *Facts
-	// Cache, when set and Facts is nil, serves per-package summaries
-	// content-addressed by file hash instead of recomputing them.
-	Cache *FactCache
-}
-
-// Run executes the analyzers over the packages serially with freshly built
-// facts — the PR 3 entry point, kept for tests and simple callers.
+// Run builds the module-wide facts over pkgs, executes the analyzers over
+// each package in order, applies suppression comments, and returns the
+// surviving findings sorted by position.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) Result {
-	return RunOpts(fset, pkgs, analyzers, Options{Workers: 1})
-}
-
-// RunOpts executes the analyzers over the packages, applies suppression
-// comments, and returns the surviving findings sorted by position. Packages
-// are analyzed on at most opt.Workers goroutines; the result is
-// bit-identical for any worker count.
-func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opt Options) Result {
-	facts := opt.Facts
-	if facts == nil {
-		perPkg, err := parallel.Map(context.Background(), len(pkgs), opt.Workers, func(i int) ([]Summary, error) {
-			return CachedPackageSummaries(opt.Cache, pkgs[i]), nil
-		})
-		if err != nil {
-			panic(err) // summary building never errors; only task panics arrive here
-		}
-		facts = MergeFacts(perPkg)
-	}
+	facts := BuildFacts(pkgs)
 	known := knownRules(analyzers)
-	type pkgResult struct {
-		findings   []Finding
-		suppressed int
-	}
-	outs, err := parallel.Map(context.Background(), len(pkgs), opt.Workers, func(i int) (pkgResult, error) {
-		var pr pkgResult
-		pkg := pkgs[i]
+	var res Result
+	for _, pkg := range pkgs {
 		sup := collectSuppressions(fset, pkg, known, func(f Finding) {
-			pr.findings = append(pr.findings, f)
+			res.Findings = append(res.Findings, f)
 		})
 		for _, an := range analyzers {
 			pass := &Pass{Analyzer: an, Fset: fset, Pkg: pkg, Facts: facts}
@@ -208,25 +167,16 @@ func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opt Op
 				p := fset.Position(pos)
 				if sup[suppressKey{p.Filename, p.Line, an.Name}] ||
 					sup[suppressKey{p.Filename, p.Line - 1, an.Name}] {
-					pr.suppressed++
+					res.Suppressed++
 					return
 				}
-				pr.findings = append(pr.findings, Finding{
+				res.Findings = append(res.Findings, Finding{
 					File: p.Filename, Line: p.Line, Col: p.Column,
 					Rule: an.Name, Message: msg, Fix: fix,
 				})
 			}
 			an.Run(pass)
 		}
-		return pr, nil
-	})
-	if err != nil {
-		panic(err) // analyzers never return errors; only task panics arrive here
-	}
-	var res Result
-	for _, pr := range outs {
-		res.Findings = append(res.Findings, pr.findings...)
-		res.Suppressed += pr.suppressed
 	}
 	sort.Slice(res.Findings, func(i, j int) bool {
 		a, b := res.Findings[i], res.Findings[j]

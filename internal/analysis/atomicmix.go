@@ -21,9 +21,6 @@ var AtomicMix = &Analyzer{
 }
 
 func runAtomicMix(pass *Pass) {
-	if pass.Facts == nil {
-		return
-	}
 	for _, file := range pass.Pkg.Files {
 		spans := fileAtomicSpans(pass.Pkg, file)
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -37,15 +37,15 @@ func moduleRoot(t *testing.T) string {
 // finding must be expected.
 func runFixture(t *testing.T, an *Analyzer) {
 	t.Helper()
-	runFixtureOpts(t, an, an.Name, LoadOpts{})
+	runFixtureOpts(t, an, an.Name, false)
 }
 
-// runFixtureOpts is runFixture with the fixture directory and loader options
-// explicit, for analyzers that need a fixture-scoped configuration
-// (undoscope) or in-package test files (atomicmix with IncludeTests).
-func runFixtureOpts(t *testing.T, an *Analyzer, fixture string, opts LoadOpts) {
+// runFixtureOpts is runFixture with the fixture directory and test-file
+// loading explicit, for analyzers that need a fixture-scoped configuration
+// (undoscope) or in-package test files (atomicmix).
+func runFixtureOpts(t *testing.T, an *Analyzer, fixture string, includeTests bool) {
 	t.Helper()
-	l, pkg := loadFixture(t, fixture, opts)
+	l, pkg := loadFixture(t, fixture, includeTests)
 	res := Run(l.Fset, []*Package{pkg}, []*Analyzer{an})
 
 	type key struct {
@@ -100,10 +100,10 @@ func runFixtureOpts(t *testing.T, an *Analyzer, fixture string, opts LoadOpts) {
 
 // loadFixture loads testdata/src/<fixture> as the pseudo-internal package
 // repro/internal/<fixture>fix.
-func loadFixture(t *testing.T, fixture string, opts LoadOpts) (*Loader, *Package) {
+func loadFixture(t *testing.T, fixture string, includeTests bool) (*Loader, *Package) {
 	t.Helper()
 	root := moduleRoot(t)
-	l, err := NewLoaderOpts(root, opts)
+	l, err := NewLoader(root, includeTests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCtxFlowFixtures(t *testing.T)  { runFixture(t, CtxFlow) }
 // TestAtomicMixFixtures loads the fixture with in-package test files so the
 // plain access in plain_test.go is visible (the -tests flag path).
 func TestAtomicMixFixtures(t *testing.T) {
-	runFixtureOpts(t, AtomicMix, AtomicMix.Name, LoadOpts{IncludeTests: true})
+	runFixtureOpts(t, AtomicMix, AtomicMix.Name, true)
 }
 
 // TestUndoScopeFixtures scopes the rule to the fixture's miniature state
@@ -137,13 +137,13 @@ func TestUndoScopeFixtures(t *testing.T) {
 		PkgSuffix:  "/internal/undoscopefix",
 		StateTypes: []string{"engine"},
 		Roots:      []string{"Apply", "Revert"},
-	}), "undoscope", LoadOpts{})
+	}), "undoscope", false)
 }
 
 // TestUndoScopeUndeclaredConfig misspells a state type and a root: each must
 // surface as a finding instead of silently disarming the rule.
 func TestUndoScopeUndeclaredConfig(t *testing.T) {
-	l, pkg := loadFixture(t, "undoscope", LoadOpts{})
+	l, pkg := loadFixture(t, "undoscope", false)
 	res := Run(l.Fset, []*Package{pkg}, []*Analyzer{NewUndoScope(UndoScopeConfig{
 		PkgSuffix:  "/internal/undoscopefix",
 		StateTypes: []string{"engnie"},

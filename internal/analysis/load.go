@@ -16,26 +16,17 @@ import (
 // Package is one type-checked package of the module under analysis. By
 // default only non-test files are loaded: the determinism invariants guard
 // production code paths, and test-only helpers are free to trade hermeticity
-// for convenience. LoadOpts.IncludeTests pulls in-package _test.go files
+// for convenience. NewLoader's includeTests pulls in-package _test.go files
 // into the same unit (external foo_test packages are still dropped — they
 // are a different package and would collide), so rules like atomicmix can
 // see test-only plain reads of production state.
 type Package struct {
 	Path      string   // import path, e.g. "repro/internal/bgpsim"
 	Dir       string   // absolute directory the files were read from
-	Filenames []string // absolute source file paths, sorted (fact-cache key input)
+	Filenames []string // absolute source file paths, sorted
 	Files     []*ast.File
 	Types     *types.Package
 	Info      *types.Info
-}
-
-// LoadOpts configures package discovery.
-type LoadOpts struct {
-	// IncludeTests loads in-package _test.go files alongside production
-	// files (external *_test packages are skipped). Off by default: the
-	// linters guard production paths, and mixed cmd/ packages would
-	// otherwise drag test-only dependencies into every run.
-	IncludeTests bool
 }
 
 // Loader discovers, parses, and type-checks every package of a Go module
@@ -52,20 +43,17 @@ type Loader struct {
 	pkgs     map[string]*Package
 	checking map[string]bool
 	std      types.Importer
-	opts     LoadOpts
+	tests    bool // also load in-package _test.go files
 }
 
 // NewLoader scans the module rooted at root (the directory containing
 // go.mod) and registers every directory holding non-test Go files. Packages
 // are type-checked lazily by Load/All. Directories named testdata or vendor
 // and dot/underscore directories are skipped, so analyzer fixtures do not
-// count as module packages.
-func NewLoader(root string) (*Loader, error) {
-	return NewLoaderOpts(root, LoadOpts{})
-}
-
-// NewLoaderOpts is NewLoader with explicit discovery options.
-func NewLoaderOpts(root string, opts LoadOpts) (*Loader, error) {
+// count as module packages. includeTests loads in-package _test.go files
+// alongside production files (external *_test packages are skipped); the
+// linters guard production paths, so callers normally leave it off.
+func NewLoader(root string, includeTests bool) (*Loader, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -83,7 +71,7 @@ func NewLoaderOpts(root string, opts LoadOpts) (*Loader, error) {
 		pkgs:     make(map[string]*Package),
 		checking: make(map[string]bool),
 		std:      importer.ForCompiler(fset, "source", nil),
-		opts:     opts,
+		tests:    includeTests,
 	}
 	err = filepath.WalkDir(abs, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -98,7 +86,7 @@ func NewLoaderOpts(root string, opts LoadOpts) (*Loader, error) {
 			return filepath.SkipDir
 		}
 		// Discovery keys off non-test files: a directory holding only tests
-		// is not a production package even when IncludeTests is set.
+		// is not a production package even when test files are loaded.
 		if len(goFiles(path, false)) == 0 {
 			return nil
 		}
@@ -192,7 +180,7 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 
 	var files []*ast.File
 	var filenames []string
-	for _, fname := range goFiles(dir, l.opts.IncludeTests) {
+	for _, fname := range goFiles(dir, l.tests) {
 		f, err := parser.ParseFile(l.Fset, fname, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
@@ -200,7 +188,7 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 		files = append(files, f)
 		filenames = append(filenames, fname)
 	}
-	if l.opts.IncludeTests {
+	if l.tests {
 		files, filenames = dropExternalTestFiles(files, filenames)
 	}
 	if len(files) == 0 {

@@ -6,9 +6,9 @@ import (
 )
 
 // fixtureBasenames lists the base names of the files the loader picked up.
-func fixtureBasenames(t *testing.T, opts LoadOpts) map[string]bool {
+func fixtureBasenames(t *testing.T, includeTests bool) map[string]bool {
 	t.Helper()
-	_, pkg := loadFixturePkg(t, "atomicmix", opts)
+	_, pkg := loadFixture(t, "atomicmix", includeTests)
 	out := make(map[string]bool, len(pkg.Filenames))
 	for _, f := range pkg.Filenames {
 		out[filepath.Base(f)] = true
@@ -17,7 +17,7 @@ func fixtureBasenames(t *testing.T, opts LoadOpts) map[string]bool {
 }
 
 func TestLoaderExcludesTestFilesByDefault(t *testing.T) {
-	names := fixtureBasenames(t, LoadOpts{})
+	names := fixtureBasenames(t, false)
 	if names["plain_test.go"] {
 		t.Error("default load picked up plain_test.go")
 	}
@@ -29,9 +29,9 @@ func TestLoaderExcludesTestFilesByDefault(t *testing.T) {
 }
 
 func TestLoaderIncludeTestsAddsInPackageTestFiles(t *testing.T) {
-	names := fixtureBasenames(t, LoadOpts{IncludeTests: true})
+	names := fixtureBasenames(t, true)
 	if !names["plain_test.go"] {
-		t.Errorf("IncludeTests load missing plain_test.go (got %v)", names)
+		t.Errorf("test-file load missing plain_test.go (got %v)", names)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestLoaderIncludeTestsAddsInPackageTestFiles(t *testing.T) {
 // whole-module path the humnetlint -tests flag takes.
 func TestLoaderIncludeTestsModuleWide(t *testing.T) {
 	root := moduleRoot(t)
-	l, err := NewLoaderOpts(root, LoadOpts{IncludeTests: true})
+	l, err := NewLoader(root, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +55,6 @@ func TestLoaderIncludeTestsModuleWide(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("IncludeTests module load did not pick up parallel_test.go: %v", pkg.Filenames)
+		t.Errorf("test-file module load did not pick up parallel_test.go: %v", pkg.Filenames)
 	}
 }

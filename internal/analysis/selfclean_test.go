@@ -8,7 +8,7 @@ import "testing"
 // silently passing.
 func TestRepoIsLintClean(t *testing.T) {
 	root := moduleRoot(t)
-	l, err := NewLoader(root)
+	l, err := NewLoader(root, false)
 	if err != nil {
 		t.Fatal(err)
 	}

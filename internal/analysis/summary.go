@@ -1,68 +1,63 @@
 package analysis
 
 // Interprocedural substrate. Every declared function gets a Summary — a
-// serializable fact record covering what the four cross-function analyzers
-// (aliasret, ctxflow, atomicmix, undoscope) need to see across call
-// boundaries: which results alias which inputs or hidden state, whether a
-// context parameter is forwarded or dropped, which struct fields are touched
-// with sync/atomic versus plain loads/stores, which named types the body
-// writes to, and the static intra-module call edges. Summaries are a pure
-// function of one package's syntax and types, so they cache per package,
-// content-addressed by file hash (factcache.go); the cross-function
-// propagation (transitive ambient blocking, call-graph reachability) is
-// recomputed cheaply from the merged summaries on every run.
+// fact record covering what the four cross-function analyzers (aliasret,
+// ctxflow, atomicmix, undoscope) need to see across call boundaries: which
+// results alias which inputs or hidden state, whether a context parameter is
+// forwarded or dropped, which struct fields are touched with sync/atomic
+// versus plain loads/stores, which named types the body writes to, and the
+// static intra-module call edges. Summaries are a pure function of one
+// package's syntax and types; the cross-function propagation (transitive
+// ambient blocking, call-graph reachability) is computed from the merged
+// summaries once per run.
 
 import (
-	"context"
 	"go/ast"
 	"go/types"
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/parallel"
 )
 
 // Summary is the interprocedural fact record of one declared function or
-// method. Fields are ordered and slice-valued so the JSON encoding (and with
-// it the on-disk fact cache) is deterministic.
+// method. Slice-valued fields are sorted and deduplicated.
 type Summary struct {
 	// ID names the function: "pkgpath.Func" or "pkgpath.(Recv).Method".
-	ID       string `json:"id"`
-	Exported bool   `json:"exported,omitempty"`
+	ID       string
+	Exported bool
 
 	// CtxParam is the index of the first context.Context parameter, or -1.
-	CtxParam int `json:"ctx_param"`
+	CtxParam int
 	// ForwardsCtx reports that some call in the body receives the context
 	// parameter (directly or inside a derived expression).
-	ForwardsCtx bool `json:"forwards_ctx,omitempty"`
+	ForwardsCtx bool
 	// AmbientBlock reports that the body hands a literal context.Background()
 	// or context.TODO() to a context-taking callee — the body blocks on work
 	// that a caller-supplied context could have cancelled.
-	AmbientBlock bool `json:"ambient_block,omitempty"`
+	AmbientBlock bool
 
 	// MutatesRecv reports an assignment through the receiver.
-	MutatesRecv bool `json:"mutates_recv,omitempty"`
+	MutatesRecv bool
 
-	// AliasReturns maps a result index (decimal string, for stable JSON) to
-	// the alias sources that result may share memory with: "recv" (a
-	// receiver's unexported field), "var.<name>" (an unexported package-level
-	// variable), "param.<i>", or "call.<FuncID>.<k>" (result k of a callee,
-	// resolved one level deep by aliasret). Fresh results are absent.
-	AliasReturns map[string][]string `json:"alias_returns,omitempty"`
+	// AliasReturns maps a result index to the alias sources that result may
+	// share memory with: "recv" (a receiver's unexported field), "var.<name>"
+	// (an unexported package-level variable), "param.<i>", or
+	// "call.<FuncID>.<k>" (result k of a callee, resolved one level deep by
+	// aliasret). Fresh results are absent.
+	AliasReturns map[int][]string
 
 	// AtomicFields and PlainFields record struct fields (or package-level
 	// vars) touched via sync/atomic calls and via plain loads/stores of
 	// atomic-operable integer kinds, keyed "pkgpath.Type.field" / "var.pkgpath.name".
-	AtomicFields []string `json:"atomic_fields,omitempty"`
-	PlainFields  []string `json:"plain_fields,omitempty"`
+	AtomicFields []string
+	PlainFields  []string
 
 	// WritesTypes lists the named types ("pkgpath.Name") whose values the
 	// body assigns into (including copy/delete builtin targets).
-	WritesTypes []string `json:"writes_types,omitempty"`
+	WritesTypes []string
 
 	// Calls lists static intra-module callees by FuncID, sorted and deduped.
-	Calls []string `json:"calls,omitempty"`
+	Calls []string
 }
 
 // Facts is the merged module-wide view over every package's summaries plus
@@ -75,30 +70,19 @@ type Facts struct {
 
 // Lookup returns the summary for a FuncID, or nil.
 func (f *Facts) Lookup(id string) *Summary {
-	if f == nil {
-		return nil
-	}
 	return f.byID[id]
-}
-
-// ForFunc returns the summary of a resolved function object, or nil.
-func (f *Facts) ForFunc(fn *types.Func) *Summary {
-	if fn == nil {
-		return nil
-	}
-	return f.Lookup(FuncID(fn))
 }
 
 // AtomicField reports whether any function in the module touches the given
 // field key through sync/atomic.
 func (f *Facts) AtomicField(key string) bool {
-	return f != nil && f.atomic[key]
+	return f.atomic[key]
 }
 
 // AmbientBlocker reports whether the function (or anything it transitively
 // calls inside the module) blocks on a literal context.Background()/TODO().
 func (f *Facts) AmbientBlocker(id string) bool {
-	return f != nil && f.ambient[id]
+	return f.ambient[id]
 }
 
 // Reachable returns the set of FuncIDs reachable from roots over the static
@@ -120,28 +104,16 @@ func (f *Facts) Reachable(roots []string) map[string]bool {
 	return seen
 }
 
-// BuildFacts summarizes every package (fanned across at most workers
-// goroutines; summaries land at their package index, so the result is
-// bit-identical for any worker count) and merges the result.
-func BuildFacts(pkgs []*Package, workers int) *Facts {
-	sums, err := parallel.Map(context.Background(), len(pkgs), workers, func(i int) ([]Summary, error) {
-		return PackageSummaries(pkgs[i]), nil
-	})
-	if err != nil {
-		panic(err) // tasks never fail and the context never ends: panics only
-	}
-	return MergeFacts(sums)
-}
-
-// MergeFacts folds per-package summary lists (in package order) into the
+// BuildFacts summarizes every package (in package order) into the
 // module-wide fact index and computes the derived closures.
-func MergeFacts(perPkg [][]Summary) *Facts {
+func BuildFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		byID:    make(map[string]*Summary),
 		atomic:  make(map[string]bool),
 		ambient: make(map[string]bool),
 	}
-	for _, sums := range perPkg {
+	for _, pkg := range pkgs {
+		sums := PackageSummaries(pkg)
 		for i := range sums {
 			s := &sums[i]
 			f.byID[s.ID] = s
@@ -392,7 +364,7 @@ func summarize(pkg *Package, fd *ast.FuncDecl, fn *types.Func) Summary {
 	atomicF := map[string]bool{}
 	plainF := map[string]bool{}
 	writes := map[string]bool{}
-	aliases := map[string]map[string]bool{}
+	aliases := map[int]map[string]bool{}
 	atomicArgs := atomicArgSpans(pkg, fd)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -457,7 +429,7 @@ func summarize(pkg *Package, fd *ast.FuncDecl, fn *types.Func) Summary {
 	sum.PlainFields = sortedKeys(plainF)
 	sum.WritesTypes = sortedKeys(writes)
 	if len(aliases) > 0 {
-		sum.AliasReturns = make(map[string][]string, len(aliases))
+		sum.AliasReturns = make(map[int][]string, len(aliases))
 		for idx, srcs := range aliases {
 			sum.AliasReturns[idx] = sortedKeys(srcs)
 		}
@@ -594,7 +566,7 @@ func collectWrittenTypes(pkg *Package, e ast.Expr, out map[string]bool) {
 
 // noteAliasReturns classifies every slice- or map-typed returned expression.
 func noteAliasReturns(pkg *Package, recvObj types.Object, params map[types.Object]int,
-	sig *types.Signature, ret *ast.ReturnStmt, out map[string]map[string]bool) {
+	sig *types.Signature, ret *ast.ReturnStmt, out map[int]map[string]bool) {
 	if len(ret.Results) == 0 {
 		return
 	}
@@ -602,12 +574,11 @@ func noteAliasReturns(pkg *Package, recvObj types.Object, params map[types.Objec
 		if len(srcs) == 0 {
 			return
 		}
-		key := strconv.Itoa(idx)
-		if out[key] == nil {
-			out[key] = make(map[string]bool)
+		if out[idx] == nil {
+			out[idx] = make(map[string]bool)
 		}
 		for _, s := range srcs {
-			out[key][s] = true
+			out[idx][s] = true
 		}
 	}
 	if len(ret.Results) == 1 && sig.Results().Len() > 1 {
@@ -757,7 +728,7 @@ func hasUnexportedSelector(pkg *Package, e ast.Expr) bool {
 }
 
 // sortedKeys returns the set's keys sorted — the canonical slice encoding of
-// every summary set, keeping cached facts byte-stable.
+// every summary set, so facts never depend on map iteration order.
 func sortedKeys(m map[string]bool) []string {
 	if len(m) == 0 {
 		return nil

@@ -1,34 +1,13 @@
 package analysis
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// loadFixturePkg loads one testdata/src fixture as a pseudo-internal
-// package for white-box fact assertions.
-func loadFixturePkg(t *testing.T, fixture string, opts LoadOpts) (*Loader, *Package) {
-	t.Helper()
-	root := moduleRoot(t)
-	l, err := NewLoaderOpts(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := "repro/internal/" + fixture + "fix"
-	l.AddDir(path, filepath.Join(root, "internal", "analysis", "testdata", "src", fixture))
-	pkg, err := l.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l, pkg
-}
-
 func TestSummariesCtxFacts(t *testing.T) {
-	_, pkg := loadFixturePkg(t, "ctxflow", LoadOpts{})
-	facts := BuildFacts([]*Package{pkg}, 1)
+	_, pkg := loadFixture(t, "ctxflow", false)
+	facts := BuildFacts([]*Package{pkg})
 	prefix := pkg.Path + "."
 
 	waits := facts.Lookup(prefix + "waitCtx")
@@ -53,19 +32,19 @@ func TestSummariesCtxFacts(t *testing.T) {
 }
 
 func TestSummariesAliasAndAtomicFacts(t *testing.T) {
-	_, aliasPkg := loadFixturePkg(t, "aliasret", LoadOpts{})
-	facts := BuildFacts([]*Package{aliasPkg}, 1)
+	_, aliasPkg := loadFixture(t, "aliasret", false)
+	facts := BuildFacts([]*Package{aliasPkg})
 	view := facts.Lookup(aliasPkg.Path + ".view")
 	if view == nil {
 		t.Fatal("no summary for view")
 	}
 	want := []string{"var.registry"}
-	if got := view.AliasReturns["0"]; !reflect.DeepEqual(got, want) {
+	if got := view.AliasReturns[0]; !reflect.DeepEqual(got, want) {
 		t.Errorf("view.AliasReturns[0] = %v, want %v", got, want)
 	}
 
-	_, atomicPkg := loadFixturePkg(t, "atomicmix", LoadOpts{})
-	afacts := BuildFacts([]*Package{atomicPkg}, 1)
+	_, atomicPkg := loadFixture(t, "atomicmix", false)
+	afacts := BuildFacts([]*Package{atomicPkg})
 	if !afacts.AtomicField(atomicPkg.Path + ".counter.n") {
 		t.Error("counter.n not in the atomic field set")
 	}
@@ -78,8 +57,8 @@ func TestSummariesAliasAndAtomicFacts(t *testing.T) {
 }
 
 func TestReachableFollowsCallGraph(t *testing.T) {
-	_, pkg := loadFixturePkg(t, "undoscope", LoadOpts{})
-	facts := BuildFacts([]*Package{pkg}, 1)
+	_, pkg := loadFixture(t, "undoscope", false)
+	facts := BuildFacts([]*Package{pkg})
 	prefix := pkg.Path + "."
 	reach := facts.Reachable([]string{prefix + "Apply", prefix + "Revert"})
 	for _, id := range []string{"Apply", "Revert", "record"} {
@@ -91,132 +70,5 @@ func TestReachableFollowsCallGraph(t *testing.T) {
 		if reach[prefix+id] {
 			t.Errorf("%s wrongly reachable from the roots", id)
 		}
-	}
-}
-
-func TestBuildFactsWorkerCountInvariant(t *testing.T) {
-	root := moduleRoot(t)
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	summariesJSON := func(workers int) []byte {
-		facts := BuildFacts(pkgs, workers)
-		ids := make([]string, 0, len(facts.byID))
-		for id := range facts.byID {
-			ids = append(ids, id)
-		}
-		b, err := json.Marshal(struct {
-			N       int
-			Ambient []string
-		}{len(ids), sortedKeys(facts.ambient)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	serial := summariesJSON(1)
-	parallelJSON := summariesJSON(4)
-	if string(serial) != string(parallelJSON) {
-		t.Errorf("facts differ across worker counts:\n-1-\n%s\n-4-\n%s", serial, parallelJSON)
-	}
-}
-
-func TestFactCacheRoundTrip(t *testing.T) {
-	_, pkg := loadFixturePkg(t, "ctxflow", LoadOpts{})
-	cache, err := OpenFactCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := FactKey(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cold := PackageSummaries(pkg)
-	if len(cold) == 0 {
-		t.Fatal("no summaries computed")
-	}
-	if _, ok := cache.Get(key, pkg.Path); ok {
-		t.Fatal("Get hit on an empty cache")
-	}
-	warm := CachedPackageSummaries(cache, pkg) // miss: computes and stores
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cold-path summaries differ from direct computation")
-	}
-	got, ok := cache.Get(key, pkg.Path)
-	if !ok {
-		t.Fatal("Get miss after CachedPackageSummaries stored the entry")
-	}
-	if !reflect.DeepEqual(got, cold) {
-		t.Errorf("cached summaries differ from computed:\n%+v\nvs\n%+v", got, cold)
-	}
-	// A warm re-read through the same helper is byte-identical.
-	rewarm := CachedPackageSummaries(cache, pkg)
-	a, _ := json.Marshal(warm)
-	b, _ := json.Marshal(rewarm)
-	if string(a) != string(b) {
-		t.Errorf("warm summaries not byte-identical to cold:\n%s\nvs\n%s", a, b)
-	}
-	// The entry must not resolve under a different package path.
-	if _, ok := cache.Get(key, "repro/internal/otherpkg"); ok {
-		t.Error("Get returned an entry recorded for a different package path")
-	}
-}
-
-func TestFactKeyTracksFileContent(t *testing.T) {
-	root := moduleRoot(t)
-	src := filepath.Join(root, "internal", "analysis", "testdata", "src", "ctxflow")
-
-	// Copy the fixture into a scratch dir so we can mutate a file.
-	scratch := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(scratch, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	load := func() *Package {
-		l, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := "repro/internal/ctxflowfix"
-		l.AddDir(path, scratch)
-		pkg, err := l.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pkg
-	}
-	before, err := FactKey(load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := filepath.Join(scratch, "hit.go")
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(target, append(data, []byte("\n// touched\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	after, err := FactKey(load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == after {
-		t.Error("FactKey unchanged after file content changed")
 	}
 }

@@ -69,7 +69,7 @@ func NewUndoScope(cfgs ...UndoScopeConfig) *Analyzer {
 }
 
 func runUndoScope(pass *Pass, cfg UndoScopeConfig) {
-	if pass.Facts == nil || !strings.HasSuffix(pass.Pkg.Path, cfg.PkgSuffix) {
+	if !strings.HasSuffix(pass.Pkg.Path, cfg.PkgSuffix) {
 		return
 	}
 	stateSet := make(map[string]bool, len(cfg.StateTypes))

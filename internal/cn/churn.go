@@ -9,11 +9,7 @@ package cn
 // schedules differ only in timing, and an empty stream reproduces the
 // all-up trajectory exactly.
 
-import (
-	"fmt"
-
-	"repro/internal/rng"
-)
+import "fmt"
 
 // ChurnConfig parameterizes a churn-aware run. It mirrors SimConfig minus
 // the epoch count (the replaying stream's horizon decides that).
@@ -23,21 +19,17 @@ type ChurnConfig struct {
 	// CapacityFactor scales the gateway capacity relative to the mean
 	// offered airtime load of the full (all-up) membership.
 	CapacityFactor float64
-	MeshRadius     float64
 	Seed           uint64
 }
 
 // ChurnSim is the live state: mesh, demand model, scheduler, and the up/down
 // member set. Not safe for concurrent use.
 type ChurnSim struct {
-	cfg       ChurnConfig
-	net       *Network
-	model     DemandModel
-	sched     Scheduler
-	capacity  float64
-	demandRNG *rng.Rand
-	up        []bool
-	nUp       int
+	simSetup
+	cfg   ChurnConfig
+	sched Scheduler
+	up    []bool
+	nUp   int
 	// scale multiplies every member's demand draw (1 = baseline). It scales
 	// the draw after the RNG consumes it, so changing the scale mid-run never
 	// perturbs the demand process itself — the same churn-independence
@@ -46,33 +38,16 @@ type ChurnSim struct {
 }
 
 // NewChurnSim builds the mesh and demand model exactly as Simulate does for
-// the same (Members, HeavyFrac, MeshRadius, Seed) and starts every member
-// up. Member i maps to mesh node i+1 (node 0 is the gateway).
+// the same (Members, HeavyFrac, Seed) and starts every member up. Member i
+// maps to mesh node i+1 (node 0 is the gateway).
 func NewChurnSim(cfg ChurnConfig, sched Scheduler) (*ChurnSim, error) {
 	if cfg.Members < 2 {
 		return nil, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
 	}
-	r := rng.New(cfg.Seed)
-	radius := cfg.MeshRadius
-	if radius == 0 {
-		radius = 0.35
-	}
-	net, err := BuildMesh(cfg.Members+1, radius, r.Split())
+	setup, err := newSimSetup(cfg.Members, cfg.HeavyFrac, cfg.CapacityFactor, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	model := NewDemandModel(cfg.Members, cfg.HeavyFrac)
-	demandRNG := r.Split()
-
-	meanBytes := 0.0
-	for _, k := range model.Kinds {
-		if k == HeavyUser {
-			meanBytes += model.HeavyBase
-		} else {
-			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
-		}
-	}
-	capacity := cfg.CapacityFactor * meanBytes * net.MeanPathETX()
 
 	sched.Reset(cfg.Members)
 	up := make([]bool, cfg.Members)
@@ -80,15 +55,12 @@ func NewChurnSim(cfg ChurnConfig, sched Scheduler) (*ChurnSim, error) {
 		up[i] = true
 	}
 	return &ChurnSim{
-		cfg:       cfg,
-		net:       net,
-		model:     model,
-		sched:     sched,
-		capacity:  capacity,
-		demandRNG: demandRNG,
-		up:        up,
-		nUp:       cfg.Members,
-		scale:     1,
+		simSetup: setup,
+		cfg:      cfg,
+		sched:    sched,
+		up:       up,
+		nUp:      cfg.Members,
+		scale:    1,
 	}, nil
 }
 

@@ -85,7 +85,6 @@ type SimConfig struct {
 	// airtime load; < 1 means chronic congestion.
 	CapacityFactor float64
 	Epochs         int
-	MeshRadius     float64
 	Seed           uint64
 }
 
@@ -111,26 +110,31 @@ type SimResult struct {
 	CongestedEpochs int
 }
 
-// Simulate runs the demand process through sched over a freshly built mesh
-// and returns the summary. Member 0 of the behavioural model maps to mesh
-// node 1 (node 0 is the gateway).
-func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
-	if cfg.Members < 2 {
-		return SimResult{}, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
-	}
-	r := rng.New(cfg.Seed)
-	radius := cfg.MeshRadius
-	if radius == 0 {
-		radius = 0.35
-	}
-	net, err := BuildMesh(cfg.Members+1, radius, r.Split())
+// meshRadius is the radio range of every congestion run's mesh.
+const meshRadius = 0.35
+
+// simSetup is the common start of Simulate, SimulateTopologyAware and
+// NewChurnSim: the mesh, the demand model and its RNG stream, and the
+// gateway capacity.
+type simSetup struct {
+	net       *Network
+	model     DemandModel
+	demandRNG *rng.Rand
+	capacity  float64
+}
+
+// newSimSetup builds the mesh from the seed's first split and the demand
+// stream from its second, then sizes the gateway capacity as capacityFactor
+// times the mean offered airtime load of the full membership.
+func newSimSetup(members int, heavyFrac, capacityFactor float64, seed uint64) (simSetup, error) {
+	r := rng.New(seed)
+	net, err := BuildMesh(members+1, meshRadius, r.Split())
 	if err != nil {
-		return SimResult{}, err
+		return simSetup{}, err
 	}
-	model := NewDemandModel(cfg.Members, cfg.HeavyFrac)
+	model := NewDemandModel(members, heavyFrac)
 	demandRNG := r.Split()
 
-	// Estimate mean offered airtime to size capacity.
 	meanBytes := 0.0
 	for _, k := range model.Kinds {
 		if k == HeavyUser {
@@ -139,8 +143,26 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
 		}
 	}
-	meanETX := net.MeanPathETX()
-	capacity := cfg.CapacityFactor * meanBytes * meanETX
+	return simSetup{
+		net:       net,
+		model:     model,
+		demandRNG: demandRNG,
+		capacity:  capacityFactor * meanBytes * net.MeanPathETX(),
+	}, nil
+}
+
+// Simulate runs the demand process through sched over a freshly built mesh
+// and returns the summary. Member 0 of the behavioural model maps to mesh
+// node 1 (node 0 is the gateway).
+func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
+	if cfg.Members < 2 {
+		return SimResult{}, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
+	}
+	setup, err := newSimSetup(cfg.Members, cfg.HeavyFrac, cfg.CapacityFactor, cfg.Seed)
+	if err != nil {
+		return SimResult{}, err
+	}
+	net, model, demandRNG, capacity := setup.net, setup.model, setup.demandRNG, setup.capacity
 
 	sched.Reset(cfg.Members)
 	var (

@@ -3,7 +3,6 @@ package cn
 import (
 	"fmt"
 
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -28,28 +27,11 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 	if cfg.Members < 4 {
 		return TopoAwareResult{}, fmt.Errorf("cn: topology-aware sim needs >= 4 members")
 	}
-	r := rng.New(cfg.Seed)
-	radius := cfg.MeshRadius
-	if radius == 0 {
-		radius = 0.35
-	}
-	net, err := BuildMesh(cfg.Members+1, radius, r.Split())
+	setup, err := newSimSetup(cfg.Members, cfg.HeavyFrac, cfg.CapacityFactor, cfg.Seed)
 	if err != nil {
 		return TopoAwareResult{}, err
 	}
-	model := NewDemandModel(cfg.Members, cfg.HeavyFrac)
-	demandRNG := r.Split()
-
-	meanBytes := 0.0
-	for _, k := range model.Kinds {
-		if k == HeavyUser {
-			meanBytes += model.HeavyBase
-		} else {
-			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
-		}
-	}
-	meanETX := net.MeanPathETX()
-	capacity := cfg.CapacityFactor * meanBytes * meanETX
+	net, model, demandRNG, capacity := setup.net, setup.model, setup.demandRNG, setup.capacity
 
 	// Topology rates, rescaled so their sum equals the gateway capacity —
 	// the two layers then describe the same total resource.
