@@ -57,18 +57,21 @@ prop:
 	PROPTEST_N=$(PROPTEST_N) $(GO) test -run 'TestProp' ./internal/...
 
 # Short native-fuzz pass over every Fuzz* target (seeds + FUZZTIME of
-# mutation each). `go test -fuzz` takes one target per invocation, hence the
-# loop. Not part of `make check`; CI runs it as its own job.
+# mutation each). The targets are found from the `func Fuzz...`
+# declarations in each package's *_test.go files, so a new target cannot be
+# left out. `go test -fuzz` takes one target per invocation, hence the loop.
+# Not part of `make check`; CI runs it as its own job.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzQuantile$$' -fuzztime $(FUZZTIME) ./internal/stats
-	$(GO) test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime $(FUZZTIME) ./internal/stats
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/bgpsim
-	$(GO) test -run '^$$' -fuzz '^FuzzParseStream$$' -fuzztime $(FUZZTIME) ./internal/timeline
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/qualcode
-	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textproc
-	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime $(FUZZTIME) ./internal/textproc
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRun$$' -fuzztime $(FUZZTIME) ./internal/serve
+	@set -e; pkgs=$$($(GO) list -f '{{.ImportPath}}:{{.Dir}}' ./...); n=0; \
+	for p in $$pkgs; do \
+		for fn in $$(cat "$${p#*:}"/*_test.go 2>/dev/null | sed -nE 's/^func (Fuzz[A-Za-z0-9_]+)\(.*/\1/p'); do \
+			echo "fuzz-smoke: $$fn ($${p%%:*})"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $${p%%:*}; \
+			n=$$((n + 1)); \
+		done; \
+	done; \
+	[ $$n -gt 0 ] || { echo "fuzz-smoke: no Fuzz targets found" >&2; exit 1; }
 
 # Regenerate every experiment table (E1-E14) alongside timing.
 bench:

@@ -73,3 +73,16 @@ func fileAtomicSpans(pkg *Package, file *ast.File) []span {
 	})
 	return out
 }
+
+// span is a half-open source range.
+type span struct{ lo, hi int }
+
+// inSpans reports whether pos falls inside any recorded span.
+func inSpans(spans []span, pos int) bool {
+	for _, s := range spans {
+		if pos >= s.lo && pos < s.hi {
+			return true
+		}
+	}
+	return false
+}

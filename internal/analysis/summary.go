@@ -3,10 +3,9 @@ package analysis
 // Interprocedural substrate. Every declared function gets a Summary — a
 // fact record covering what the four cross-function analyzers (aliasret,
 // ctxflow, atomicmix, undoscope) need to see across call boundaries: which
-// results alias which inputs or hidden state, whether a context parameter is
-// forwarded or dropped, which struct fields are touched with sync/atomic
-// versus plain loads/stores, which named types the body writes to, and the
-// static intra-module call edges. Summaries are a pure function of one
+// results alias which inputs or hidden state, whether the body blocks on a
+// literal ambient context, which struct fields are touched with sync/atomic,
+// and the static intra-module call edges. Summaries are a pure function of one
 // package's syntax and types; the cross-function propagation (transitive
 // ambient blocking, call-graph reachability) is computed from the merged
 // summaries once per run.
@@ -23,21 +22,12 @@ import (
 // method. Slice-valued fields are sorted and deduplicated.
 type Summary struct {
 	// ID names the function: "pkgpath.Func" or "pkgpath.(Recv).Method".
-	ID       string
-	Exported bool
+	ID string
 
-	// CtxParam is the index of the first context.Context parameter, or -1.
-	CtxParam int
-	// ForwardsCtx reports that some call in the body receives the context
-	// parameter (directly or inside a derived expression).
-	ForwardsCtx bool
 	// AmbientBlock reports that the body hands a literal context.Background()
 	// or context.TODO() to a context-taking callee — the body blocks on work
 	// that a caller-supplied context could have cancelled.
 	AmbientBlock bool
-
-	// MutatesRecv reports an assignment through the receiver.
-	MutatesRecv bool
 
 	// AliasReturns maps a result index to the alias sources that result may
 	// share memory with: "recv" (a receiver's unexported field), "var.<name>"
@@ -46,15 +36,9 @@ type Summary struct {
 	// aliasret). Fresh results are absent.
 	AliasReturns map[int][]string
 
-	// AtomicFields and PlainFields record struct fields (or package-level
-	// vars) touched via sync/atomic calls and via plain loads/stores of
-	// atomic-operable integer kinds, keyed "pkgpath.Type.field" / "var.pkgpath.name".
+	// AtomicFields records struct fields (or package-level vars) touched via
+	// sync/atomic calls, keyed "pkgpath.Type.field" / "var.pkgpath.name".
 	AtomicFields []string
-	PlainFields  []string
-
-	// WritesTypes lists the named types ("pkgpath.Name") whose values the
-	// body assigns into (including copy/delete builtin targets).
-	WritesTypes []string
 
 	// Calls lists static intra-module callees by FuncID, sorted and deduped.
 	Calls []string
@@ -305,20 +289,6 @@ func accessKey(pkg *Package, e ast.Expr) string {
 	return ""
 }
 
-// atomicOperable reports whether t is one of the integer kinds sync/atomic
-// can address function-style.
-func atomicOperable(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	switch b.Kind() {
-	case types.Int32, types.Int64, types.Uint32, types.Uint64, types.Uintptr:
-		return true
-	}
-	return false
-}
-
 // PackageSummaries computes the summary of every declared function in pkg, in
 // file and declaration order (stable: Loader sorts file names).
 func PackageSummaries(pkg *Package) []Summary {
@@ -343,29 +313,18 @@ func PackageSummaries(pkg *Package) []Summary {
 // declaration — a fact established by a closure holds for its host).
 func summarize(pkg *Package, fd *ast.FuncDecl, fn *types.Func) Summary {
 	sig := fn.Type().(*types.Signature)
-	sum := Summary{
-		ID:       FuncID(fn),
-		Exported: fd.Name.IsExported(),
-		CtxParam: ctxParamIndex(sig),
-	}
+	sum := Summary{ID: FuncID(fn)}
 	root := moduleRootOf(pkg.Path)
 
 	var recvObj types.Object
 	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 		recvObj = pkg.Info.ObjectOf(fd.Recv.List[0].Names[0])
 	}
-	var ctxObj types.Object
-	if sum.CtxParam >= 0 {
-		ctxObj = sig.Params().At(sum.CtxParam)
-	}
 	params := paramIndex(pkg, fd)
 
 	calls := map[string]bool{}
 	atomicF := map[string]bool{}
-	plainF := map[string]bool{}
-	writes := map[string]bool{}
 	aliases := map[int]map[string]bool{}
-	atomicArgs := atomicArgSpans(pkg, fd)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch t := n.(type) {
@@ -387,37 +346,6 @@ func summarize(pkg *Package, fd *ast.FuncDecl, fn *types.Func) Summary {
 					}
 				}
 			}
-			if ctxObj != nil {
-				for _, arg := range t.Args {
-					if mentionsObject(pkg, arg, ctxObj) {
-						sum.ForwardsCtx = true
-						break
-					}
-				}
-			}
-			if fun, ok := ast.Unparen(t.Fun).(*ast.Ident); ok {
-				if b, isB := pkg.Info.ObjectOf(fun).(*types.Builtin); isB &&
-					(b.Name() == "copy" || b.Name() == "delete") && len(t.Args) > 0 {
-					collectWrittenTypes(pkg, t.Args[0], writes)
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range t.Lhs {
-				collectWrittenTypes(pkg, lhs, writes)
-				if recvObj != nil && rootObjectOf(pkg, lhs) == recvObj {
-					sum.MutatesRecv = true
-				}
-				notePlainAccess(pkg, lhs, plainF, atomicArgs)
-			}
-		case *ast.IncDecStmt:
-			collectWrittenTypes(pkg, t.X, writes)
-			if recvObj != nil && rootObjectOf(pkg, t.X) == recvObj {
-				sum.MutatesRecv = true
-			}
-			notePlainAccess(pkg, t.X, plainF, atomicArgs)
-		case *ast.SelectorExpr:
-			notePlainAccess(pkg, t, plainF, atomicArgs)
-			return true
 		case *ast.ReturnStmt:
 			noteAliasReturns(pkg, recvObj, params, sig, t, aliases)
 		}
@@ -426,8 +354,6 @@ func summarize(pkg *Package, fd *ast.FuncDecl, fn *types.Func) Summary {
 
 	sum.Calls = sortedKeys(calls)
 	sum.AtomicFields = sortedKeys(atomicF)
-	sum.PlainFields = sortedKeys(plainF)
-	sum.WritesTypes = sortedKeys(writes)
 	if len(aliases) > 0 {
 		sum.AliasReturns = make(map[int][]string, len(aliases))
 		for idx, srcs := range aliases {
@@ -470,15 +396,6 @@ func calleeOf(pkg *Package, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// rootObjectOf strips selectors/indexes/derefs and returns the base object.
-func rootObjectOf(pkg *Package, e ast.Expr) types.Object {
-	id := rootIdent(e)
-	if id == nil {
-		return nil
-	}
-	return pkg.Info.ObjectOf(id)
-}
-
 // mentionsObject reports whether the subtree references obj anywhere.
 func mentionsObject(pkg *Package, root ast.Node, obj types.Object) bool {
 	found := false
@@ -489,79 +406,6 @@ func mentionsObject(pkg *Package, root ast.Node, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// span is a half-open source range.
-type span struct{ lo, hi int }
-
-// atomicArgSpans records the source spans of sync/atomic call arguments so
-// plain-access detection can skip the &x.f inside atomic.AddInt64(&x.f, 1).
-func atomicArgSpans(pkg *Package, fd *ast.FuncDecl) []span {
-	var out []span
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if atomicOpField(pkg, call) != "" {
-			out = append(out, span{int(call.Pos()), int(call.End())})
-		}
-		return true
-	})
-	return out
-}
-
-// inSpans reports whether pos falls inside any recorded span.
-func inSpans(spans []span, pos int) bool {
-	for _, s := range spans {
-		if pos >= s.lo && pos < s.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// notePlainAccess records a plain load/store of an atomic-operable integer
-// field or package var, outside any sync/atomic call.
-func notePlainAccess(pkg *Package, e ast.Expr, plain map[string]bool, atomicArgs []span) {
-	e = ast.Unparen(e)
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if inSpans(atomicArgs, int(e.Pos())) {
-		return
-	}
-	t := pkg.Info.TypeOf(e)
-	if t == nil || !atomicOperable(t) {
-		return
-	}
-	if key := accessKey(pkg, e); key != "" {
-		plain[key] = true
-	}
-	_ = sel
-}
-
-// collectWrittenTypes adds the named types reachable in any subexpression of
-// a write target (pointers dereferenced) to the set, "pkgpath.Name"-keyed.
-func collectWrittenTypes(pkg *Package, e ast.Expr, out map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		ex, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		t := pkg.Info.TypeOf(ex)
-		if t == nil {
-			return true
-		}
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			out[named.Obj().Pkg().Path()+"."+named.Obj().Name()] = true
-		}
-		return true
-	})
 }
 
 // noteAliasReturns classifies every slice- or map-typed returned expression.

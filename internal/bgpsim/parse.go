@@ -10,8 +10,12 @@ package bgpsim
 //	origin <asn> <prefix>    asn originates prefix
 //	leaker <asn>             mark asn as violating export policy
 //
-// ParseScenario additionally accepts event lines after the base topology —
-// the textual form of the incremental engine's deltas (see incremental.go):
+// Topology.ApplyDirective applies one such line. ParseTopology runs it over
+// a whole document, and the timeline package runs it over the base block of
+// a timeline document with that document's line numbers.
+//
+// The incremental engine's deltas (see incremental.go) have a one-line form
+// too, read by ParseDelta and written by FormatDelta:
 //
 //	withdraw <asn> <prefix>  asn stops originating prefix
 //	announce <asn> <prefix>  asn originates prefix (a hijack when not its own)
@@ -21,14 +25,14 @@ package bgpsim
 //	link- peer <a> <b>       remove a peering edge
 //	leak <asn>               toggle asn's leaker flag
 //
-// Events are validated in sequence against a shadow copy of the base
-// topology, and base directives after the first event line are rejected, so
-// a parsed scenario always replays cleanly through Converged.Apply.
+// Sequences of deltas are timeline documents (`@<tick> <delta>` lines after
+// the base directives); the timeline package owns their grammar and checks
+// that they apply to the base in order.
 //
 // Parsing is strict: unknown directives, malformed ASNs, references to
-// undeclared ASes, inapplicable events, and oversized inputs are errors,
-// never silent skips — a scenario file that drifts from the topology it
-// claims to describe would otherwise corrupt an experiment quietly.
+// undeclared ASes, and oversized inputs are errors, never silent skips — a
+// scenario file that drifts from the topology it claims to describe would
+// otherwise corrupt an experiment quietly.
 
 import (
 	"bufio"
@@ -42,51 +46,16 @@ import (
 // Parse limits. They bound the work a hostile (fuzzed) input can demand
 // while staying far above any scenario the experiments use.
 const (
-	maxParseLine   = 1 << 10 // bytes per line
-	maxParseASes   = 4096
-	maxParseEvents = 4096
+	maxParseLine = 1 << 10 // bytes per line
+	maxParseASes = 4096
 )
 
 // ParseTopology reads the text format from r and returns the topology.
-// Event lines are rejected; use ParseScenario for documents with events.
 func ParseTopology(r io.Reader) (*Topology, error) {
-	t, _, err := parseDoc(r, false)
-	return t, err
-}
-
-// ParseTopologyString is ParseTopology over an in-memory document.
-func ParseTopologyString(s string) (*Topology, error) {
-	return ParseTopology(strings.NewReader(s))
-}
-
-// ParseScenario reads a base topology followed by event lines. The returned
-// topology is the base (events NOT applied); the deltas replay in order
-// through Converged.Apply or Topology mutators. Every event was validated
-// against a shadow copy of the topology during parsing, so replaying the
-// sequence on the base cannot fail.
-func ParseScenario(r io.Reader) (*Topology, []Delta, error) {
-	return parseDoc(r, true)
-}
-
-// ParseScenarioString is ParseScenario over an in-memory document.
-func ParseScenarioString(s string) (*Topology, []Delta, error) {
-	return ParseScenario(strings.NewReader(s))
-}
-
-// parseDoc is the shared line loop behind ParseTopology and ParseScenario.
-// With allowEvents=false, event directives fall through to the unknown-
-// directive error, keeping ParseTopology's strictness unchanged.
-func parseDoc(r io.Reader, allowEvents bool) (*Topology, []Delta, error) {
 	t := NewTopology()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, maxParseLine), maxParseLine)
-	nAS := 0
 	lineNo := 0
-	var events []Delta
-	// shadow is a clone of the base topology that events are test-applied
-	// to as they parse; it exists from the first event line onward and
-	// also marks that base directives are no longer allowed.
-	var shadow *Topology
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
@@ -97,119 +66,84 @@ func parseDoc(r io.Reader, allowEvents bool) (*Topology, []Delta, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		directive, args := fields[0], fields[1:]
-		var err error
-		switch directive {
-		case "as":
-			if shadow != nil {
-				err = errBaseAfterEvent(directive)
-				break
-			}
-			if len(args) < 1 || len(args) > 2 {
-				err = fmt.Errorf("want `as <asn> [name]`, got %d args", len(args))
-				break
-			}
-			if nAS >= maxParseASes {
-				err = fmt.Errorf("more than %d ASes", maxParseASes)
-				break
-			}
-			var n ASN
-			if n, err = parseASN(args[0]); err != nil {
-				break
-			}
-			info := ASInfo{}
-			if len(args) == 2 {
-				info.Name = args[1]
-			}
-			if err = t.AddAS(n, info); err == nil {
-				nAS++
-			}
-		case "p2c", "peer":
-			if shadow != nil {
-				err = errBaseAfterEvent(directive)
-				break
-			}
-			var a, b ASN
-			if a, b, err = parseASNPair(args); err != nil {
-				break
-			}
-			if directive == "p2c" {
-				err = t.AddProviderCustomer(a, b)
-			} else {
-				err = t.AddPeer(a, b)
-			}
-		case "origin":
-			if shadow != nil {
-				err = errBaseAfterEvent(directive)
-				break
-			}
-			if len(args) != 2 {
-				err = fmt.Errorf("want `origin <asn> <prefix>`, got %d args", len(args))
-				break
-			}
-			var n ASN
-			if n, err = parseASN(args[0]); err != nil {
-				break
-			}
-			err = t.Originate(n, args[1])
-		case "leaker":
-			if shadow != nil {
-				err = errBaseAfterEvent(directive)
-				break
-			}
-			if len(args) != 1 {
-				err = fmt.Errorf("want `leaker <asn>`, got %d args", len(args))
-				break
-			}
-			var n ASN
-			if n, err = parseASN(args[0]); err != nil {
-				break
-			}
-			if !t.MarkLeaker(n) {
-				err = fmt.Errorf("unknown AS %d", n)
-			}
-		case "withdraw", "announce", "link+", "link-", "leak":
-			if !allowEvents {
-				err = fmt.Errorf("unknown directive %q", directive)
-				break
-			}
-			if len(events) >= maxParseEvents {
-				err = fmt.Errorf("more than %d events", maxParseEvents)
-				break
-			}
-			var d Delta
-			if d, err = ParseDelta(directive, args); err != nil {
-				break
-			}
-			if shadow == nil {
-				shadow = t.Clone()
-			}
-			if err = shadow.ApplyDelta(d); err != nil {
-				break
-			}
-			events = append(events, d)
-		default:
-			err = fmt.Errorf("unknown directive %q", directive)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("bgpsim: line %d: %w", lineNo, err)
+		if err := t.ApplyDirective(fields[0], fields[1:]); err != nil {
+			return nil, fmt.Errorf("bgpsim: line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("bgpsim: reading topology: %w", err)
+		return nil, fmt.Errorf("bgpsim: reading topology: %w", err)
 	}
-	return t, events, nil
+	return t, nil
 }
 
-func errBaseAfterEvent(directive string) error {
-	return fmt.Errorf("base directive %q after first event line", directive)
+// IsDirective reports whether keyword names a base directive that
+// ApplyDirective accepts.
+func IsDirective(keyword string) bool {
+	switch keyword {
+	case "as", "p2c", "peer", "origin", "leaker":
+		return true
+	}
+	return false
 }
 
-// ParseDelta parses one event line — the directive keyword (a
+// ApplyDirective applies one base directive line — its keyword plus the
+// space-split arguments — to t. A topology fed through it holds at most
+// maxParseASes ASes.
+func (t *Topology) ApplyDirective(directive string, args []string) error {
+	switch directive {
+	case "as":
+		if len(args) < 1 || len(args) > 2 {
+			return fmt.Errorf("want `as <asn> [name]`, got %d args", len(args))
+		}
+		if len(t.ases) >= maxParseASes {
+			return fmt.Errorf("more than %d ASes", maxParseASes)
+		}
+		n, err := ParseASN(args[0])
+		if err != nil {
+			return err
+		}
+		info := ASInfo{}
+		if len(args) == 2 {
+			info.Name = args[1]
+		}
+		return t.AddAS(n, info)
+	case "p2c", "peer":
+		a, b, err := parseASNPair(args)
+		if err != nil {
+			return err
+		}
+		if directive == "p2c" {
+			return t.AddProviderCustomer(a, b)
+		}
+		return t.AddPeer(a, b)
+	case "origin":
+		if len(args) != 2 {
+			return fmt.Errorf("want `origin <asn> <prefix>`, got %d args", len(args))
+		}
+		n, err := ParseASN(args[0])
+		if err != nil {
+			return err
+		}
+		return t.Originate(n, args[1])
+	case "leaker":
+		if len(args) != 1 {
+			return fmt.Errorf("want `leaker <asn>`, got %d args", len(args))
+		}
+		n, err := ParseASN(args[0])
+		if err != nil {
+			return err
+		}
+		if !t.MarkLeaker(n) {
+			return fmt.Errorf("unknown AS %d", n)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown directive %q", directive)
+}
+
+// ParseDelta parses one delta line — the directive keyword (a
 // DeltaKind.String() value: withdraw, announce, link+, link-, leak) plus its
-// space-split arguments — into a Delta. It is the single-line form of the
-// ParseScenario event grammar, so FormatScenario round-trips; FormatDelta is
-// its inverse.
+// space-split arguments — into a Delta. FormatDelta is its inverse.
 func ParseDelta(directive string, args []string) (Delta, error) {
 	var d Delta
 	switch directive {
@@ -217,7 +151,7 @@ func ParseDelta(directive string, args []string) (Delta, error) {
 		if len(args) != 2 {
 			return d, fmt.Errorf("want `%s <asn> <prefix>`, got %d args", directive, len(args))
 		}
-		n, err := parseASN(args[0])
+		n, err := ParseASN(args[0])
 		if err != nil {
 			return d, err
 		}
@@ -243,7 +177,7 @@ func ParseDelta(directive string, args []string) (Delta, error) {
 		if len(args) != 1 {
 			return d, fmt.Errorf("want `leak <asn>`, got %d args", len(args))
 		}
-		n, err := parseASN(args[0])
+		n, err := ParseASN(args[0])
 		if err != nil {
 			return d, err
 		}
@@ -297,20 +231,7 @@ func FormatTopology(t *Topology) string {
 	return b.String()
 }
 
-// FormatScenario renders a base topology plus an ordered event sequence.
-// ParseScenario ∘ FormatScenario is the identity on (topology, events)
-// whenever the events actually apply to the base in order.
-func FormatScenario(t *Topology, events []Delta) string {
-	var b strings.Builder
-	b.WriteString(FormatTopology(t))
-	for _, d := range events {
-		b.WriteString(FormatDelta(d))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// FormatDelta renders d as its event-grammar line; inverse of ParseDelta.
+// FormatDelta renders d as its delta line; inverse of ParseDelta.
 func FormatDelta(d Delta) string {
 	switch d.Kind {
 	case DeltaWithdraw, DeltaAnnounce:
@@ -337,7 +258,8 @@ func sortedNeighborASNs(neighbors map[ASN]Relationship) []ASN {
 	return out
 }
 
-func parseASN(s string) (ASN, error) {
+// ParseASN parses a non-negative decimal ASN that fits in 32 bits.
+func ParseASN(s string) (ASN, error) {
 	v, err := strconv.ParseInt(s, 10, 32)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("bad ASN %q", s)
@@ -349,11 +271,11 @@ func parseASNPair(args []string) (ASN, ASN, error) {
 	if len(args) != 2 {
 		return 0, 0, fmt.Errorf("want two ASNs, got %d args", len(args))
 	}
-	a, err := parseASN(args[0])
+	a, err := ParseASN(args[0])
 	if err != nil {
 		return 0, 0, err
 	}
-	b, err := parseASN(args[1])
+	b, err := ParseASN(args[1])
 	if err != nil {
 		return 0, 0, err
 	}

@@ -281,7 +281,7 @@ func TestRunnerCoalescesConcurrentIdenticalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Cache: cache, Coalesce: true}
+	r := &Runner{Cache: cache}
 	job := NewJob(sc)
 	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
 
@@ -350,7 +350,7 @@ func TestRunnerCoalesceFollowerHonoursContext(t *testing.T) {
 		return inner(ctx, p, seed)
 	}
 	sc := def{d}
-	r := &Runner{Coalesce: true}
+	r := &Runner{}
 	job := NewJob(sc)
 	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
 
@@ -397,7 +397,7 @@ func TestRunnerCoalescePanicReleasesFlight(t *testing.T) {
 		panic("scenario blew up")
 	}
 	sc := def{d}
-	r := &Runner{Coalesce: true}
+	r := &Runner{}
 	job := NewJob(sc)
 	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
 

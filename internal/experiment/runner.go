@@ -35,6 +35,11 @@ type CacheStats struct {
 // through a content-addressed result cache. Results land at their job index
 // via internal/parallel, so the output slice is bit-identical for any
 // Workers value; scenarios promise the same for ScenarioWorkers.
+//
+// Concurrent identical jobs are coalesced: callers whose cache key matches
+// an in-flight execution share its result instead of running the scenario
+// again (or racing on the cache). Shared Results are shared pointers and
+// must be treated as read-only, which is already the package contract.
 type Runner struct {
 	// Workers bounds concurrently-running scenarios (<= 0 means GOMAXPROCS).
 	Workers int
@@ -43,12 +48,6 @@ type Runner struct {
 	ScenarioWorkers int
 	// Cache, when non-nil, is consulted before and filled after every run.
 	Cache *Cache
-	// Coalesce, when set, deduplicates concurrent identical jobs: callers
-	// whose cache key matches an in-flight execution share its result
-	// instead of running the scenario again (or racing on the cache).
-	// Results handed to coalesced callers are shared pointers and must be
-	// treated as read-only, which is already the package contract.
-	Coalesce bool
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -78,8 +77,8 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]*Result, error) {
 
 // RunOne executes one job: merge params against the schema, consult the
 // cache, run on a miss, stamp the result's identity fields, and store it.
-// With Coalesce set, concurrent calls that resolve to the same cache key
-// share one execution.
+// Concurrent calls that resolve to the same cache key share one execution,
+// and a panicking scenario run becomes an error for every one of them.
 func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
 	s := job.Scenario
 	if s == nil {
@@ -90,9 +89,6 @@ func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
 		return nil, fmt.Errorf("scenario %s: %w", s.ID(), err)
 	}
 	key := CacheKey(s.ID(), merged, job.Seed)
-	if !r.Coalesce {
-		return r.runKeyed(ctx, s, merged, job.Seed, key)
-	}
 	res, shared, err := r.flight.do(ctx, key, func() (*Result, error) {
 		return r.runKeyed(ctx, s, merged, job.Seed, key)
 	})
@@ -102,8 +98,8 @@ func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
 	return res, err
 }
 
-// runKeyed is the uncoalesced execution path: cache lookup, scenario run on
-// a miss, identity stamping, and write-back.
+// runKeyed is one flight's execution: cache lookup, scenario run on a miss,
+// identity stamping, and write-back.
 func (r *Runner) runKeyed(ctx context.Context, s Scenario, merged Values, seed uint64, key string) (*Result, error) {
 	if r.Cache != nil {
 		if res, ok := r.Cache.Get(key, s.ID()); ok {

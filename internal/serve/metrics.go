@@ -20,6 +20,7 @@ type metrics struct {
 	requests  atomic.Int64 // every HTTP request, any endpoint
 	runOK     atomic.Int64 // /run 200s
 	lruHits   atomic.Int64 // /run responses served from the in-memory LRU
+	coalesced atomic.Int64 // /run requests answered with another request's fill
 	bad       atomic.Int64 // /run 400s (malformed id/seed/params)
 	notFound  atomic.Int64 // /run 404s (unknown scenario)
 	shedQueue atomic.Int64 // /run 429s (admission queue full)

@@ -4,9 +4,9 @@
 //
 //   - a bounded in-memory LRU of rendered /run responses (lru.go), so the
 //     popular head of a skewed workload never touches the disk cache;
-//   - request coalescing via the experiment Runner's singleflight: all
-//     concurrent requests for one cache key share a single scenario
-//     execution;
+//   - request coalescing: requests that miss the LRU while another
+//     request for the same cache key is executing wait for its answer
+//     instead of executing again;
 //   - the disk cache: any (id, params, seed) triple executes at most once
 //     per cache lifetime, however many requests ask for it;
 //   - graceful shedding: a bounded admission queue with a per-request wait
@@ -79,8 +79,10 @@ type Server struct {
 	runner *experiment.Runner
 	now    func() time.Time
 
-	mu  sync.Mutex
-	lru *lru
+	mu      sync.Mutex
+	lru     *lru
+	fills   map[string]*fill // in-progress LRU misses by cache key
+	waiting int              // requests parked on another request's fill
 
 	slots  chan struct{}
 	queued atomic.Int64
@@ -115,10 +117,10 @@ func New(cfg Config) *Server {
 		runner: &experiment.Runner{
 			ScenarioWorkers: cfg.ScenarioWorkers,
 			Cache:           cfg.Cache,
-			Coalesce:        true,
 		},
 		now:   now,
 		lru:   newLRU(cfg.LRUSize, cfg.LRUBytes),
+		fills: make(map[string]*fill),
 		slots: make(chan struct{}, cfg.MaxInFlight),
 	}
 }
@@ -241,8 +243,19 @@ func (s *Server) shed(w http.ResponseWriter, status int) {
 	writeJSON(w, status, errorBody(http.StatusText(status)+"; retry later"))
 }
 
-// handleRun serves one scenario execution: LRU, then admission, then the
-// coalescing runner over the disk cache, executing only on a full miss.
+// fill is one in-progress LRU miss. Its leader runs the job behind
+// admission and renders the body; requests that miss the LRU for the same
+// key meanwhile wait on done, and all of them answer with its outcome.
+type fill struct {
+	done   chan struct{}
+	status int    // 200, the shed status, or 500
+	body   []byte // the rendered response when status is 200
+	msg    string // the error message when status is 500
+}
+
+// handleRun serves one scenario execution: LRU, then a fill of the same key
+// in progress, then admission and the runner over the disk cache, executing
+// only on a full miss.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	s.met.requests.Add(1)
@@ -265,38 +278,89 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	key := experiment.CacheKey(sc.ID(), merged, seed)
 
+	// The LRU lookup and joining a fill share one critical section, and the
+	// leader caches its body and retires its fill in another, so a miss
+	// finds either the body or the fill producing it and never executes
+	// the key a second time.
 	s.mu.Lock()
-	entry, ok := s.lru.get(key)
-	s.mu.Unlock()
-	if ok {
+	if entry, ok := s.lru.get(key); ok {
+		s.mu.Unlock()
 		s.met.lruHits.Add(1)
 		s.finishRun(w, start, entry.body)
 		return
 	}
+	if f, ok := s.fills[key]; ok {
+		s.waiting++
+		s.mu.Unlock()
+		s.awaitFill(w, r, start, f)
+		return
+	}
+	f := &fill{done: make(chan struct{}), status: http.StatusInternalServerError, msg: "serve: run aborted"}
+	s.fills[key] = f
+	s.mu.Unlock()
 
+	func() {
+		// Retire the fill even if the run panics, so its key is never
+		// stranded; waiters then answer 500.
+		defer func() {
+			s.mu.Lock()
+			if f.status == http.StatusOK {
+				s.lru.add(key, f.body)
+			}
+			delete(s.fills, key)
+			s.mu.Unlock()
+			close(f.done)
+		}()
+		s.execute(r, f, experiment.Job{Scenario: sc, Params: over, Seed: seed})
+	}()
+	s.answer(w, start, f)
+}
+
+// execute runs a fill's job once admitted and renders its body.
+func (s *Server) execute(r *http.Request, f *fill, job experiment.Job) {
 	release, shedStatus := s.acquire(r)
 	if shedStatus != 0 {
-		s.shed(w, shedStatus)
+		f.status = shedStatus
 		return
 	}
 	defer release()
-
-	res, err := s.runner.RunOne(r.Context(), experiment.Job{Scenario: sc, Params: over, Seed: seed})
+	res, err := s.runner.RunOne(r.Context(), job)
+	if err == nil {
+		f.body, err = experiment.RenderOneJSON(res)
+	}
 	if err != nil {
-		s.met.failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody(err.Error()))
+		f.msg = err.Error()
 		return
 	}
-	body, err := experiment.RenderOneJSON(res)
-	if err != nil {
-		s.met.failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody(err.Error()))
-		return
+	f.status = http.StatusOK
+}
+
+// awaitFill parks a request on another request's fill and answers with its
+// outcome, or with 500 if the client gives up first.
+func (s *Server) awaitFill(w http.ResponseWriter, r *http.Request, start time.Time, f *fill) {
+	select {
+	case <-f.done:
+	case <-r.Context().Done():
+		f = &fill{status: http.StatusInternalServerError, msg: r.Context().Err().Error()}
 	}
 	s.mu.Lock()
-	s.lru.add(key, body)
+	s.waiting--
 	s.mu.Unlock()
-	s.finishRun(w, start, body)
+	s.met.coalesced.Add(1)
+	s.answer(w, start, f)
+}
+
+// answer writes a finished fill's outcome and counts it.
+func (s *Server) answer(w http.ResponseWriter, start time.Time, f *fill) {
+	switch f.status {
+	case http.StatusOK:
+		s.finishRun(w, start, f.body)
+	case http.StatusInternalServerError:
+		s.met.failed.Add(1)
+		writeJSON(w, f.status, errorBody(f.msg))
+	default:
+		s.shed(w, f.status)
+	}
 }
 
 // finishRun stamps success metrics and writes the response body.
@@ -377,7 +441,7 @@ func (s *Server) Metrics() Snapshot {
 		RunOK:     s.met.runOK.Load(),
 		LRUHits:   s.met.lruHits.Load(),
 		DiskHits:  st.Hits,
-		Coalesced: st.Shared,
+		Coalesced: s.met.coalesced.Load(),
 		Executed:  st.Misses,
 
 		BadRequest: s.met.bad.Load(),

@@ -223,6 +223,63 @@ func TestRunPanickingScenarioAnswers500(t *testing.T) {
 	}
 }
 
+// waiters reports how many requests are parked on another request's fill.
+func (s *Server) waiters() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.waiting
+}
+
+// TestRunNeverReexecutesAKey replays waves of requests over a few keys from
+// concurrent clients. Every request either hits the LRU, waits on the
+// key's fill, or executes it, so each key executes exactly once however the
+// requests interleave with a fill's completion.
+func TestRunNeverReexecutesAKey(t *testing.T) {
+	const keys, clients, perClient = 3, 8, 60
+	reg := experiment.NewRegistry()
+	var execs atomic.Int64
+	d := testDef("T1")
+	inner := d.Run
+	d.Run = func(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+		execs.Add(1)
+		return inner(ctx, p, seed)
+	}
+	if err := reg.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Registry: reg, LRUSize: 8, MaxInFlight: clients, MaxQueue: clients})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Get(fmt.Sprintf("%s/run?id=T1&seed=%d", ts.URL, (c+i)%keys))
+				if err != nil {
+					t.Errorf("client %d request %d: %v", c, i, err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				_ = resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d request %d: status %d", c, i, resp.StatusCode)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := execs.Load(); n != keys {
+		t.Fatalf("scenario executed %d times for %d keys", n, keys)
+	}
+	if m := srv.Metrics(); m.Executed != keys || m.RunOK != clients*perClient {
+		t.Fatalf("metrics = %+v, want %d executed / %d ok", m, keys, clients*perClient)
+	}
+}
+
 // blockingDef returns a scenario that parks in Run until release closes,
 // signalling each entry on entered.
 func blockingDef(id string, entered chan<- struct{}, release <-chan struct{}) experiment.Def {
@@ -278,12 +335,12 @@ func TestRunCoalescesConcurrentIdenticalRequests(t *testing.T) {
 		wg.Add(1)
 		go fetch(i)
 	}
-	// Followers park on the runner's flight; release once they are all
+	// Followers park on the leader's fill; release once they are all
 	// there. Bounded yield loop instead of a wall-clock deadline — the
 	// wildrand rule keeps time.Now out of internal packages.
-	for i := 0; srv.runner.Waiting() < followers; i++ {
+	for i := 0; srv.waiters() < followers; i++ {
 		if i > 500_000_000 {
-			t.Fatalf("only %d followers joined the flight", srv.runner.Waiting())
+			t.Fatalf("only %d followers joined the flight", srv.waiters())
 		}
 		runtime.Gosched()
 	}

@@ -1,22 +1,24 @@
 package timeline
 
-// The timeline text format: a replayable artifact for event streams,
-// extending the bgpsim scenario grammar direction with tick-stamped lines.
-// One directive per line, '#' starts a comment, blank lines are ignored:
+// The timeline text format: the one replayable grammar for event streams. A
+// document is an optional bgpsim base topology followed by tick-stamped
+// event lines. One directive per line, '#' starts a comment, blank lines are
+// ignored:
 //
 //	horizon <n>              ticks to replay (optional; inferred as the
 //	                         last event tick + 1 when omitted)
 //	<base directives>        a bgpsim topology (as/p2c/peer/origin/leaker),
 //	                         only in documents (ParseDoc), only before the
-//	                         first event line
+//	                         first event line; bgpsim.ApplyDirective applies
+//	                         each line as it is read
 //	@<tick> <event>          an event at a tick; ticks must be nondecreasing
 //
 // Events:
 //
-//	@3 withdraw 64500 pfx-a      BGP deltas — exactly the bgpsim event
-//	@3 announce 64501 pfx-a      grammar (withdraw/announce/link+/link-/
-//	@4 link- p2c 10 64500        leak), applied through the incremental
-//	@7 leak 20                   engine
+//	@3 withdraw 64500 pfx-a      BGP deltas — bgpsim.ParseDelta's one-line
+//	@3 announce 64501 pfx-a      form (withdraw/announce/link+/link-/leak),
+//	@4 link- p2c 10 64500        applied through the incremental engine
+//	@7 leak 20
 //	@2 fail 5                    community-network member churn
 //	@6 repair 5
 //	@1 join IXP-MX 1000 open     exchange membership (policy: open,
@@ -32,15 +34,17 @@ package timeline
 // injected events format like hand-written ones.
 //
 // Parsing is strict — unknown directives, malformed ticks or ASNs,
-// out-of-order ticks, oversized inputs, and (when a base topology is
-// present) BGP events that do not apply to it in canonical order are all
-// errors, never silent skips. FormatStream/FormatDoc emit the canonical
-// form; parse ∘ format is the identity on it.
+// out-of-order ticks, oversized inputs, bad base directives, and (when a
+// base topology is present) BGP events that do not apply to it in canonical
+// order are all errors naming the document line, never silent skips.
+// FormatStream/FormatDoc emit the canonical form; parse ∘ format is the
+// identity on it.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -65,9 +69,6 @@ type Doc struct {
 // a BGPMachine over the base cannot fail.
 func ParseDoc(r io.Reader) (*Doc, error) { return parseTimeline(r, true) }
 
-// ParseDocString is ParseDoc over an in-memory document.
-func ParseDocString(s string) (*Doc, error) { return ParseDoc(strings.NewReader(s)) }
-
 // ParseStream reads a stream-only document (horizon + events); base topology
 // directives are rejected. BGP events parse but are not validated against
 // any topology — the machine is strict at replay time.
@@ -79,19 +80,17 @@ func ParseStream(r io.Reader) (Stream, error) {
 	return d.Stream, nil
 }
 
-// ParseStreamString is ParseStream over an in-memory document.
-func ParseStreamString(s string) (Stream, error) { return ParseStream(strings.NewReader(s)) }
-
 // parseTimeline is the shared line loop.
 func parseTimeline(r io.Reader, allowBase bool) (*Doc, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, maxLineBytes), maxLineBytes)
 	var (
-		baseLines []string
-		events    []Event
-		horizon   = -1
-		lastAt    = 0
-		lineNo    = 0
+		topo    *bgpsim.Topology
+		events  []Event
+		lines   []int // document line of each event
+		horizon = -1
+		lastAt  = 0
+		lineNo  = 0
 	)
 	for sc.Scan() {
 		lineNo++
@@ -130,6 +129,7 @@ func parseTimeline(r io.Reader, allowBase bool) (*Doc, error) {
 			}
 			lastAt = at
 			events = append(events, ev)
+			lines = append(lines, lineNo)
 		case directive == "horizon":
 			if len(events) > 0 {
 				err = fmt.Errorf("horizon after first event line")
@@ -149,8 +149,7 @@ func parseTimeline(r io.Reader, allowBase bool) (*Doc, error) {
 				break
 			}
 			horizon = h
-		case directive == "as" || directive == "p2c" || directive == "peer" ||
-			directive == "origin" || directive == "leaker":
+		case bgpsim.IsDirective(directive):
 			if !allowBase {
 				err = fmt.Errorf("base directive %q not allowed in a stream document", directive)
 				break
@@ -159,7 +158,10 @@ func parseTimeline(r io.Reader, allowBase bool) (*Doc, error) {
 				err = fmt.Errorf("base directive %q after first event line", directive)
 				break
 			}
-			baseLines = append(baseLines, strings.Join(fields, " "))
+			if topo == nil {
+				topo = bgpsim.NewTopology()
+			}
+			err = topo.ApplyDirective(directive, fields[1:])
 		default:
 			err = fmt.Errorf("unknown directive %q", directive)
 		}
@@ -177,25 +179,28 @@ func parseTimeline(r io.Reader, allowBase bool) (*Doc, error) {
 		}
 		horizon = lastAt + 1
 	}
-	doc := &Doc{Stream: Stream{Horizon: horizon, Events: events}.Canonicalize()}
+	// Canonicalize by sorting event indices with the same stable order, so
+	// each event keeps its document line for the applicability check.
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return less(events[order[a]], events[order[b]]) })
+	canon := make([]Event, len(events))
+	for k, i := range order {
+		canon[k] = events[i]
+	}
+	doc := &Doc{Topo: topo, Stream: Stream{Horizon: horizon, Events: canon}}
 	if err := doc.Stream.Validate(); err != nil {
 		return nil, err
 	}
-	if len(baseLines) > 0 {
-		// Base errors carry bgpsim's line numbers within the collected base
-		// block, not the document; the message names the offending directive.
-		t, err := bgpsim.ParseTopologyString(strings.Join(baseLines, "\n") + "\n")
-		if err != nil {
-			return nil, fmt.Errorf("timeline: base topology: %w", err)
-		}
-		doc.Topo = t
-		shadow := t.Clone()
-		for i, e := range doc.Stream.Events {
-			if e.Kind != KindBGP {
-				continue
-			}
-			if err := shadow.ApplyDelta(e.Delta); err != nil {
-				return nil, fmt.Errorf("timeline: event %d (tick %d): %w", i, e.At, err)
+	if topo != nil {
+		shadow := topo.Clone()
+		for _, i := range order {
+			if e := events[i]; e.Kind == KindBGP {
+				if err := shadow.ApplyDelta(e.Delta); err != nil {
+					return nil, fmt.Errorf("timeline: line %d: %w", lines[i], err)
+				}
 			}
 		}
 	}
@@ -228,7 +233,7 @@ func parseEvent(at int, directive string, args []string) (Event, error) {
 		if len(args) != 3 {
 			return ev, fmt.Errorf("want `join <ixp> <asn> <policy>`, got %d args", len(args))
 		}
-		n, err := parseASN(args[1])
+		n, err := bgpsim.ParseASN(args[1])
 		if err != nil {
 			return ev, err
 		}
@@ -241,7 +246,7 @@ func parseEvent(at int, directive string, args []string) (Event, error) {
 		if len(args) != 2 {
 			return ev, fmt.Errorf("want `leave <ixp> <asn>`, got %d args", len(args))
 		}
-		n, err := parseASN(args[1])
+		n, err := bgpsim.ParseASN(args[1])
 		if err != nil {
 			return ev, err
 		}
@@ -255,7 +260,7 @@ func parseEvent(at int, directive string, args []string) (Event, error) {
 		if len(args) != 3 {
 			return ev, fmt.Errorf("want `pressure <ixp> <asn> <policy>`, got %d args", len(args))
 		}
-		n, err := parseASN(args[1])
+		n, err := bgpsim.ParseASN(args[1])
 		if err != nil {
 			return ev, err
 		}
@@ -280,14 +285,6 @@ func parseEvent(at int, directive string, args []string) (Event, error) {
 		return ev, fmt.Errorf("unknown event directive %q", directive)
 	}
 	return ev, ev.validate()
-}
-
-func parseASN(s string) (bgpsim.ASN, error) {
-	v, err := strconv.ParseInt(s, 10, 32)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad ASN %q", s)
-	}
-	return bgpsim.ASN(v), nil
 }
 
 func parsePolicy(s string) (ixp.PeeringPolicy, error) {

@@ -414,19 +414,7 @@ func deltaConflicts(a, b bgpsim.Delta) bool {
 func describeEvent(e Event) string {
 	switch e.Kind {
 	case KindBGP:
-		d := e.Delta
-		switch d.Kind {
-		case bgpsim.DeltaWithdraw, bgpsim.DeltaAnnounce:
-			return fmt.Sprintf("%s %d %s", d.Kind, d.A, d.Prefix)
-		case bgpsim.DeltaLeakToggle:
-			return fmt.Sprintf("leak %d", d.A)
-		default:
-			kind := "p2c"
-			if d.Peer {
-				kind = "peer"
-			}
-			return fmt.Sprintf("%s %s %d %d", d.Kind, kind, d.A, d.B)
-		}
+		return bgpsim.FormatDelta(e.Delta)
 	case KindCNFail, KindCNRepair:
 		return fmt.Sprintf("%s %d", e.Kind, e.Node)
 	case KindIXPJoin, KindIXPPressure:
