@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race prop fuzz-smoke bench bench-json bench-gate bench-harness bench-serve serve-smoke report examples clean
+.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race prop fuzz-smoke bench bench-json bench-gate bench-harness serve-smoke report examples clean
 
 all: build vet lint test test-race report serve-smoke
 
@@ -164,24 +164,6 @@ serve-smoke:
 		|| { echo "serve-smoke: humnetload failed" >&2; cat $$tmp/daemon.log >&2; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
 	kill $$pid; wait $$pid 2>/dev/null; rm -rf $$tmp; \
 	echo "serve-smoke ok (deterministic responses, single execution per triple)"
-
-# Record the humnetd service baseline into BENCH_humnetd.json: a seeded
-# 100k-request Zipf trace over every report scenario, replayed twice against
-# a cold daemon. The load generator fails the target unless both replays
-# digest identically and /metrics shows zero re-executions of repeated
-# triples; p50/p99/throughput land in the committed baseline.
-SERVE_N ?= 100000
-bench-serve:
-	@tmp=$$(mktemp -d); \
-	$(GO) build -o $$tmp/humnetd ./cmd/humnetd || { rm -rf $$tmp; exit 1; }; \
-	$(GO) build -o $$tmp/humnetload ./cmd/humnetload || { rm -rf $$tmp; exit 1; }; \
-	$$tmp/humnetd -addr 127.0.0.1:0 -addr-file $$tmp/addr -cache-dir $$tmp/cache 2>$$tmp/daemon.log & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
-	[ -s $$tmp/addr ] || { echo "bench-serve: humnetd did not start:" >&2; cat $$tmp/daemon.log >&2; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
-	$$tmp/humnetload -addr $$(cat $$tmp/addr) -n $(SERVE_N) -variants 4 -repeat 2 -workers 64 \
-		-expect-single-exec -out BENCH_humnetd.json \
-		|| { echo "bench-serve: humnetload failed" >&2; cat $$tmp/daemon.log >&2; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
-	kill $$pid; wait $$pid 2>/dev/null; rm -rf $$tmp
 
 examples:
 	@for ex in examples/*/; do \

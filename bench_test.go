@@ -29,7 +29,6 @@ import (
 	"repro/internal/qualcode"
 	"repro/internal/rng"
 	"repro/internal/standards"
-	"repro/internal/stats"
 	"repro/internal/survey"
 )
 
@@ -523,32 +522,5 @@ func BenchmarkClosenessParallel(b *testing.B) {
 		if _, err := g.ClosenessCentralityCtx(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func benchBootstrapData() []float64 {
-	r := rng.New(7)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = r.Pareto(1, 1.5)
-	}
-	return xs
-}
-
-func BenchmarkBootstrapCISerial(b *testing.B) {
-	xs := benchBootstrapData()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rng.New(42)
-		_, _ = stats.BootstrapCI(xs, stats.Median, 2000, 0.95, r, 1)
-	}
-}
-
-func BenchmarkBootstrapCIParallel(b *testing.B) {
-	xs := benchBootstrapData()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rng.New(42)
-		_, _ = stats.BootstrapCI(xs, stats.Median, 2000, 0.95, r, 0)
 	}
 }

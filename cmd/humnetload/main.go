@@ -14,10 +14,9 @@
 //	humnetload -addr 127.0.0.1:8080 [-n 100000] [-variants 4] [-zipf 1.1]
 //	           [-seed 1] [-workers 64] [-repeat 2] [-param-echo 0.25]
 //	           [-scenarios E1,E2,...] [-timeout 60s]
-//	           [-expect-single-exec] [-out BENCH_humnetd.json]
+//	           [-expect-single-exec]
 //
-// Per-repeat p50/p99/throughput go to stdout; -out writes the committed
-// machine-readable baseline (BENCH_humnetd.json).
+// Per-repeat p50/p99/throughput and the response digest go to stdout.
 package main
 
 import (
@@ -49,29 +48,14 @@ func main() {
 	}
 }
 
-// repReport is one repeat's measurement, as committed to -out.
+// repReport is one repeat's measurement.
 type repReport struct {
-	Requests      int     `json:"requests"`
-	Seconds       float64 `json:"seconds"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50US         int64   `json:"p50_us"`
-	P99US         int64   `json:"p99_us"`
-	Digest        string  `json:"digest"`
-}
-
-// benchReport is the -out JSON shape.
-type benchReport struct {
-	Addr      string         `json:"addr"`
-	Scenarios []string       `json:"scenarios"`
-	Requests  int            `json:"requests_per_rep"`
-	Variants  int            `json:"variants_per_scenario"`
-	ZipfS     float64        `json:"zipf_s"`
-	Seed      uint64         `json:"seed"`
-	Workers   int            `json:"workers"`
-	ParamEcho float64        `json:"param_echo"`
-	Distinct  int            `json:"distinct_triples"`
-	Reps      []repReport    `json:"reps"`
-	Metrics   serve.Snapshot `json:"server_metrics"`
+	Requests      int
+	Seconds       float64
+	ThroughputRPS float64
+	P50US         int64
+	P99US         int64
+	Digest        string
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -88,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scenarios := fs.String("scenarios", "", "comma-separated scenario IDs (default: every report scenario)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request timeout")
 	expectSingle := fs.Bool("expect-single-exec", false, "assert via /metrics that repeated triples never re-execute")
-	out := fs.String("out", "", "write the machine-readable bench report here")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -173,24 +156,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if _, err := fmt.Fprintln(stdout, "verified: byte-identical digests across repeats, zero re-executions of repeated triples"); err != nil {
 				return err
 			}
-		}
-	}
-
-	if *out != "" {
-		report := benchReport{
-			Addr: *addr, Scenarios: ids, Requests: *n, Variants: *variants,
-			ZipfS: *zipfS, Seed: *seed, Workers: *workers, ParamEcho: *paramEcho,
-			Distinct: distinct, Reps: reports, Metrics: after,
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(stdout, "wrote %s\n", *out); err != nil {
-			return err
 		}
 	}
 	return nil

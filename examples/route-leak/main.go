@@ -22,7 +22,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	h, err := bgpsim.BuildHierarchy(rng.New(5), 8, 20)
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(5), bgpsim.HierarchyOpts{NMid: 8, NStub: 20})
 	if err != nil {
 		log.Fatal(err)
 	}

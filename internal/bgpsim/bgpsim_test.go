@@ -327,7 +327,7 @@ func TestValleyFreeChecker(t *testing.T) {
 
 // buildRandomHierarchy wraps the exported generator for the property tests.
 func buildRandomHierarchy(r *rng.Rand, nMid, nStub int) (*Topology, []ASN) {
-	h, err := BuildHierarchy(r, nMid, nStub)
+	h, err := BuildHierarchyOpts(r, HierarchyOpts{NMid: nMid, NStub: nStub})
 	if err != nil {
 		panic(err)
 	}

@@ -24,7 +24,7 @@ func TestSweepCtxCancelled(t *testing.T) {
 // TestConvergeCtxCancelled checks a cancelled convergence returns an error
 // instead of partial tables.
 func TestConvergeCtxCancelled(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(9), 6, 15)
+	h, err := BuildHierarchyOpts(rng.New(9), HierarchyOpts{NMid: 6, NStub: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 	"repro/internal/rng"
 )
 
-// benchSizes are the three classic BuildHierarchy scales: ≈100, ≈1k, and
+// benchSizes are the three classic three-tier hierarchy scales: ≈100, ≈1k, and
 // ≈5k ASes (3 tier-1s + mids + stubs). At 5k the full all-stubs prefix set
 // would make each table ~21M cells, so keepEvery thins the originations to
 // every 16th stub — the benchmark then measures per-prefix convergence cost
@@ -55,7 +55,7 @@ var benchScales = []struct {
 
 func benchTopology(b *testing.B, nMid, nStub, keepEvery int) *Topology {
 	b.Helper()
-	h, err := BuildHierarchy(rng.New(1), nMid, nStub)
+	h, err := BuildHierarchyOpts(rng.New(1), HierarchyOpts{NMid: nMid, NStub: nStub})
 	if err != nil {
 		b.Fatal(err)
 	}

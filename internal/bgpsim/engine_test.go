@@ -92,7 +92,7 @@ func assertEngineMatchesReference(t *testing.T, label string, topo *Topology) {
 func TestEngineMatchesReferenceOnHierarchies(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		r := rng.New(seed)
-		h, err := BuildHierarchy(r, 6, 12)
+		h, err := BuildHierarchyOpts(r, HierarchyOpts{NMid: 6, NStub: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestEngineMatchesReferenceOnLeaks(t *testing.T) {
 
 	for seed := uint64(1); seed <= 4; seed++ {
 		r := rng.New(seed)
-		h, err := BuildHierarchy(r, 6, 12)
+		h, err := BuildHierarchyOpts(r, HierarchyOpts{NMid: 6, NStub: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestEngineMatchesReferenceOnLeaks(t *testing.T) {
 
 func TestEngineMatchesReferenceOnHijack(t *testing.T) {
 	r := rng.New(11)
-	h, err := BuildHierarchy(r, 6, 12)
+	h, err := BuildHierarchyOpts(r, HierarchyOpts{NMid: 6, NStub: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestEngineMatchesReferenceOnDegenerateTopologies(t *testing.T) {
 
 func TestConvergeWorkersDeterministicAcrossRuns(t *testing.T) {
 	build := func() *Topology {
-		h, err := BuildHierarchy(rng.New(21), 8, 16)
+		h, err := BuildHierarchyOpts(rng.New(21), HierarchyOpts{NMid: 8, NStub: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestConvergeWorkersDeterministicAcrossRuns(t *testing.T) {
 // fan-out on a larger topology; under -race this is the engine's data-race
 // regression test.
 func TestConvergeWorkersParallelHierarchy(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(33), 12, 40)
+	h, err := BuildHierarchyOpts(rng.New(33), HierarchyOpts{NMid: 12, NStub: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,9 @@ type Hierarchy struct {
 }
 
 // HierarchyOpts parameterizes BuildHierarchyOpts. The zero value of every
-// knob reproduces the classic BuildHierarchy shape exactly (same ASNs, same
-// RNG draw sequence), so existing seeds keep their topologies.
+// knob past NMid and NStub reproduces the classic three-tier shape exactly
+// (same ASNs, same RNG draw sequence), so existing seeds keep their
+// topologies.
 type HierarchyOpts struct {
 	NMid  int
 	NStub int
@@ -40,18 +41,14 @@ type HierarchyOpts struct {
 	OriginEvery int
 }
 
-// BuildHierarchy generates a random three-tier Internet: a tier-1 clique of
-// peers, a middle tier with one or two tier-1 providers and some lateral
-// peering, and stubs with one or two mid providers. Every stub originates a
-// /16-style prefix named "pfx-<asn>".
-func BuildHierarchy(r *rng.Rand, nMid, nStub int) (*Hierarchy, error) {
-	return BuildHierarchyOpts(r, HierarchyOpts{NMid: nMid, NStub: nStub})
-}
-
-// BuildHierarchyOpts is BuildHierarchy with the scale knobs exposed. With
-// o.Hubs == 0 and o.OriginEvery <= 1 it draws exactly the same RNG sequence
-// and assigns the same ASNs as the classic generator (for nMid <= 900),
-// so seeded experiment topologies are stable across the two entry points.
+// BuildHierarchyOpts generates a random three-tier Internet: a tier-1
+// clique of peers, a middle tier of o.NMid ASes with one or two tier-1
+// providers and some lateral peering, and o.NStub stubs with one or two mid
+// providers. Every stub originates a /16-style prefix named "pfx-<asn>"
+// unless o.OriginEvery thins them, and o.Hubs inserts a concentrator tier.
+// With o.Hubs == 0 and o.OriginEvery <= 1 the RNG draw sequence and ASNs
+// are those of the classic three-tier generator (for NMid <= 900), so
+// seeded experiment topologies stay stable.
 func BuildHierarchyOpts(r *rng.Rand, o HierarchyOpts) (*Hierarchy, error) {
 	if o.NStub > 0 && o.NMid <= 0 {
 		return nil, fmt.Errorf("bgpsim: hierarchy needs mids to home %d stubs", o.NStub)
@@ -183,7 +180,7 @@ func RunLeakSweepCtx(ctx context.Context, nMid, nStub int, seed uint64, workers 
 // and draws the victim stub from the same seed.
 func sweepHierarchy(nMid, nStub int, seed uint64) (*Hierarchy, ASN, error) {
 	r := rng.New(seed)
-	h, err := BuildHierarchy(r.Split(), nMid, nStub)
+	h, err := BuildHierarchyOpts(r.Split(), HierarchyOpts{NMid: nMid, NStub: nStub})
 	if err != nil {
 		return nil, 0, err
 	}

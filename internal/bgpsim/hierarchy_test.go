@@ -9,7 +9,7 @@ import (
 )
 
 func TestBuildHierarchyStructure(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(3), 8, 20)
+	h, err := BuildHierarchyOpts(rng.New(3), HierarchyOpts{NMid: 8, NStub: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

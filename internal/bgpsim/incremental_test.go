@@ -72,7 +72,7 @@ func assertEntriesRestored(t *testing.T, label string, rt *RoutingTables, snap [
 }
 
 func TestIncrementalWithdrawBitIdentical(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(7), 8, 24)
+	h, err := BuildHierarchyOpts(rng.New(7), HierarchyOpts{NMid: 8, NStub: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestIncrementalWithdrawBitIdentical(t *testing.T) {
 }
 
 func TestIncrementalAnnounceNewPrefix(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(9), 6, 12)
+	h, err := BuildHierarchyOpts(rng.New(9), HierarchyOpts{NMid: 6, NStub: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestIncrementalAnnounceNewPrefix(t *testing.T) {
 }
 
 func TestIncrementalLinkFlap(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(13), 8, 24)
+	h, err := BuildHierarchyOpts(rng.New(13), HierarchyOpts{NMid: 8, NStub: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestIncrementalLinkFlap(t *testing.T) {
 }
 
 func TestIncrementalLeakToggle(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(17), 8, 24)
+	h, err := BuildHierarchyOpts(rng.New(17), HierarchyOpts{NMid: 8, NStub: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestIncrementalUnsafeCycleFallsBack(t *testing.T) {
 }
 
 func TestIncrementalApplyErrors(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(19), 4, 8)
+	h, err := BuildHierarchyOpts(rng.New(19), HierarchyOpts{NMid: 4, NStub: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestIncrementalApplyErrors(t *testing.T) {
 }
 
 func TestIncrementalRevertEnforcesLIFO(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(23), 4, 8)
+	h, err := BuildHierarchyOpts(rng.New(23), HierarchyOpts{NMid: 4, NStub: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,17 +318,20 @@ func TestSweepsMatchFull(t *testing.T) {
 	}
 }
 
+// TestBuildHierarchyOptsClassicCompatible: OriginEvery 1 is the classic
+// shape, the same as its zero value: the same topology, every stub an
+// origin.
 func TestBuildHierarchyOptsClassicCompatible(t *testing.T) {
-	classic, err := BuildHierarchy(rng.New(41), 8, 16)
+	classic, err := BuildHierarchyOpts(rng.New(41), HierarchyOpts{NMid: 8, NStub: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := BuildHierarchyOpts(rng.New(41), HierarchyOpts{NMid: 8, NStub: 16})
+	opts, err := BuildHierarchyOpts(rng.New(41), HierarchyOpts{NMid: 8, NStub: 16, OriginEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if FormatTopology(classic.Topo) != FormatTopology(opts.Topo) {
-		t.Fatal("zero-valued HierarchyOpts changed the generated topology")
+		t.Fatal("OriginEvery 1 changed the generated topology")
 	}
 	if !reflect.DeepEqual(classic.Stubs, opts.OriginStubs) {
 		t.Fatalf("OriginStubs %v, want all stubs %v", opts.OriginStubs, classic.Stubs)

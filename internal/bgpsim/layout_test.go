@@ -52,7 +52,7 @@ func findPointer(typ reflect.Type, path string) (string, bool) {
 // pre-Apply length and the state fingerprint to return each time: Revert
 // reclaims the nodes Apply appended instead of leaking them.
 func TestLinkFlapCyclesReclaimSlabs(t *testing.T) {
-	h, err := BuildHierarchy(rng.New(11), 8, 24)
+	h, err := BuildHierarchyOpts(rng.New(11), HierarchyOpts{NMid: 8, NStub: 24})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func TestLeakBlastGrowsWithLeakerConnectivity(t *testing.T) {
 func TestPropertyLeakedPathsLoopFreeAcrossTopologies(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.New(seed)
-		h, err := BuildHierarchy(r, 6, 12)
+		h, err := BuildHierarchyOpts(r, HierarchyOpts{NMid: 6, NStub: 12})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,17 +170,6 @@ func (c *Corpus) Venues() []string {
 	return out
 }
 
-// PapersAt returns the papers published at venue, sorted by ID.
-func (c *Corpus) PapersAt(venue string) []Paper {
-	var out []Paper
-	for _, id := range c.PaperIDs() {
-		if p := c.papers[id]; p.Venue == venue {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // CoauthorGraph builds the undirected coauthorship graph: node per author
 // (dense indices in AuthorIDs order), edge weight = number of joint papers.
 // It returns the graph and the author ID order used for node indices.
@@ -207,46 +196,6 @@ func (c *Corpus) CoauthorGraph() (*graph.Graph, []int) {
 		_ = g.AddEdge(pair[0], pair[1], w)
 	}
 	return g, ids
-}
-
-// PaperCountsBy aggregates paper counts by a key function over authors
-// (each paper counted once per distinct key among its authors).
-func (c *Corpus) PaperCountsBy(key func(Author) string) map[string]float64 {
-	out := make(map[string]float64)
-	for _, p := range c.papers {
-		seen := make(map[string]bool)
-		for _, aid := range p.Authors {
-			k := key(c.authors[aid])
-			if !seen[k] {
-				out[k]++
-				seen[k] = true
-			}
-		}
-	}
-	return out
-}
-
-// AffiliationCounts returns per-affiliation paper counts.
-func (c *Corpus) AffiliationCounts() map[string]float64 {
-	return c.PaperCountsBy(func(a Author) string { return a.Affiliation })
-}
-
-// RegionAuthorShare returns the fraction of authorship slots (paper-author
-// pairs) held by the given region.
-func (c *Corpus) RegionAuthorShare(region string) float64 {
-	var total, match float64
-	for _, p := range c.papers {
-		for _, aid := range p.Authors {
-			total++
-			if c.authors[aid].Region == region {
-				match++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return match / total
 }
 
 // MethodMix returns the per-method share of papers at a venue (by the

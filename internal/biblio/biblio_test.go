@@ -64,9 +64,6 @@ func TestCorpusQueries(t *testing.T) {
 	if got := c.Venues(); len(got) != 2 || got[0] != "HCI" || got[1] != "SYS" {
 		t.Errorf("venues = %v", got)
 	}
-	if got := c.PapersAt("SYS"); len(got) != 2 {
-		t.Errorf("SYS papers = %d", len(got))
-	}
 }
 
 func TestCoauthorGraph(t *testing.T) {
@@ -90,31 +87,6 @@ func TestCoauthorGraph(t *testing.T) {
 	}
 	if g.HasEdge(1, 3) {
 		t.Error("phantom edge 1-3")
-	}
-}
-
-func TestAffiliationCountsOncePerPaper(t *testing.T) {
-	c := smallCorpus(t)
-	counts := c.AffiliationCounts()
-	// MIT appears on papers 0, 1, 3 → 3 (authors 0 and 1 share MIT, paper 0
-	// counted once).
-	if counts["MIT"] != 3 {
-		t.Errorf("MIT count = %g, want 3", counts["MIT"])
-	}
-	if counts["NSU"] != 3 {
-		t.Errorf("NSU count = %g, want 3", counts["NSU"])
-	}
-	if counts["UW"] != 1 {
-		t.Errorf("UW count = %g, want 1", counts["UW"])
-	}
-}
-
-func TestRegionAuthorShare(t *testing.T) {
-	c := smallCorpus(t)
-	// Author slots: papers have 2+2+2+3 = 9 slots; south (author 2) holds 3.
-	got := c.RegionAuthorShare("south")
-	if got < 0.33 || got > 0.34 {
-		t.Errorf("south share = %g, want 1/3", got)
 	}
 }
 

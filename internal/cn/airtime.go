@@ -137,17 +137,3 @@ func (n *Network) MaxMinRates(linkCapacity float64) ([]float64, error) {
 	}
 	return rates, nil
 }
-
-// AggregateCapacity returns the sum of max-min rates — the mesh's total
-// deliverable goodput under fair sharing.
-func (n *Network) AggregateCapacity(linkCapacity float64) (float64, error) {
-	rates, err := n.MaxMinRates(linkCapacity)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, r := range rates {
-		total += r
-	}
-	return total, nil
-}

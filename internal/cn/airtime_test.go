@@ -130,14 +130,15 @@ func TestAggregateCapacityScalesWithLinkCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := net.AggregateCapacity(1)
+	r1, err := net.MaxMinRates(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := net.AggregateCapacity(2)
+	r2, err := net.MaxMinRates(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c1, c2 := stats.Sum(r1), stats.Sum(r2)
 	if math.Abs(c2-2*c1) > 1e-6 {
 		t.Errorf("capacity should scale linearly: %g vs 2x%g", c2, c1)
 	}
@@ -154,15 +155,15 @@ func TestOptimizedGatewayRaisesAggregateCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd, err := def.AggregateCapacity(1)
+		rd, err := def.MaxMinRates(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		co, err := opt.AggregateCapacity(1)
+		ro, err := opt.MaxMinRates(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if co >= cd-1e-9 {
+		if stats.Sum(ro) >= stats.Sum(rd)-1e-9 {
 			wins++
 		}
 	}

@@ -102,9 +102,6 @@ func (s *ChurnSim) SetUp(m int, up bool) error {
 	return nil
 }
 
-// Up reports whether member m is currently up.
-func (s *ChurnSim) Up(m int) bool { return m >= 0 && m < len(s.up) && s.up[m] }
-
 // EpochStats summarizes one epoch of the churn-aware run. Offered and Served
 // are airtime (ETX-weighted bytes) over the up members only.
 type EpochStats struct {

@@ -88,9 +88,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // path maps a key to its entry file.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestCanonicalInjective is the collision regression test: under the old
@@ -256,187 +254,25 @@ func TestCacheGetDuringPut(t *testing.T) {
 	}
 }
 
-// TestRunnerCoalescesConcurrentIdenticalJobs is the runner-level coalescing
-// contract: N identical concurrent jobs execute the scenario exactly once.
-// The scenario blocks until every follower has parked on the flight, so the
-// assertion is deterministic rather than timing-dependent.
-func TestRunnerCoalescesConcurrentIdenticalJobs(t *testing.T) {
-	const followers = 7
-
-	var execs atomic.Int64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	d := synthDef("T1")
-	inner := d.Run
-	d.Run = func(ctx context.Context, p Values, seed uint64) (*Result, error) {
-		if execs.Add(1) == 1 {
-			close(entered)
-		}
-		<-release
-		return inner(ctx, p, seed)
-	}
-	sc := def{d}
-
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Cache: cache}
-	job := NewJob(sc)
-	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
-
-	results := make([]*Result, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0], errs[0] = r.RunOne(context.Background(), job)
-	}()
-	<-entered // the leader is inside Run and holds the flight
-
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = r.RunOne(context.Background(), job)
-		}(i)
-	}
-	// Release the leader only once every follower is parked on the flight;
-	// waiters() makes that observable without sleeps.
-	for r.flight.waiters(key) < followers {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("scenario executed %d times for %d identical concurrent jobs, want exactly 1", n, followers+1)
-	}
-	st := r.Stats()
-	if st.Misses != 1 || st.Hits != 0 || st.Shared != followers {
-		t.Fatalf("stats = %+v, want 1 miss / 0 hits / %d shared", st, followers)
-	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("caller %d got a different result than the leader", i)
-		}
-	}
-	// A later identical job coalesces with nothing and hits the disk cache.
-	if _, err := r.RunOne(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.Hits != 1 || st.Misses != 1 || st.Shared != followers {
-		t.Fatalf("post-flight stats = %+v, want the late job to be a disk hit", st)
-	}
-}
-
-// TestRunnerCoalesceFollowerHonoursContext: a parked follower whose context
-// is cancelled returns promptly with the context error instead of waiting
-// for the leader.
-func TestRunnerCoalesceFollowerHonoursContext(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	d := synthDef("T1")
-	inner := d.Run
-	d.Run = func(ctx context.Context, p Values, seed uint64) (*Result, error) {
-		close(entered)
-		<-release
-		return inner(ctx, p, seed)
-	}
-	sc := def{d}
-	r := &Runner{}
-	job := NewJob(sc)
-	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := r.RunOne(context.Background(), job); err != nil {
-			t.Errorf("leader: %v", err)
-		}
-	}()
-	<-entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	followerErr := make(chan error, 1)
-	go func() {
-		_, err := r.RunOne(ctx, job)
-		followerErr <- err
-	}()
-	for r.flight.waiters(key) < 1 {
-		runtime.Gosched()
-	}
-	cancel()
-	if err := <-followerErr; err != context.Canceled {
-		t.Fatalf("cancelled follower returned %v, want context.Canceled", err)
-	}
-	close(release)
-	wg.Wait()
-}
-
-// TestRunnerCoalescePanicReleasesFlight: a scenario panic is an error for
-// the leader and every parked follower, and it releases the key, so a later
-// identical job runs afresh instead of parking on a flight that never ends.
-func TestRunnerCoalescePanicReleasesFlight(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
+// TestRunOnePanicIsError: a scenario panic comes back from RunOne as an
+// error naming the panic, and a later identical job executes afresh.
+func TestRunOnePanicIsError(t *testing.T) {
 	var execs atomic.Int64
 	d := synthDef("T1")
 	d.Run = func(ctx context.Context, p Values, seed uint64) (*Result, error) {
-		if execs.Add(1) == 1 {
-			entered <- struct{}{}
-			<-release
-		}
+		execs.Add(1)
 		panic("scenario blew up")
 	}
-	sc := def{d}
 	r := &Runner{}
-	job := NewJob(sc)
-	key := CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed)
-
-	run := func() <-chan error {
-		done := make(chan error, 1)
-		go func() {
-			_, err := r.RunOne(context.Background(), job)
-			done <- err
-		}()
-		return done
-	}
-	wait := func(who string, done <-chan error) {
-		t.Helper()
-		select {
-		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), "scenario blew up") {
-				t.Fatalf("%s: err = %v, want the scenario panic as an error", who, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s still parked after the leader panicked", who)
+	job := NewJob(def{d})
+	for i := 0; i < 2; i++ {
+		_, err := r.RunOne(context.Background(), job)
+		if err == nil || !strings.Contains(err.Error(), "scenario blew up") {
+			t.Fatalf("run %d: err = %v, want the scenario panic as an error", i, err)
 		}
 	}
-
-	leader := run()
-	<-entered
-	follower := run()
-	for r.flight.waiters(key) < 1 {
-		runtime.Gosched()
-	}
-	close(release)
-	wait("leader", leader)
-	wait("follower", follower)
-
-	wait("later job", run())
 	if n := execs.Load(); n != 2 {
-		t.Fatalf("scenario executed %d times, want 2 (one flight, then a fresh one)", n)
-	}
-	if n := r.Waiting(); n != 0 {
-		t.Fatalf("Waiting() = %d after every flight ended, want 0", n)
+		t.Fatalf("scenario executed %d times, want 2", n)
 	}
 }
 

@@ -235,15 +235,6 @@ func (v Values) Float(name string) float64 {
 	return x
 }
 
-// Bool returns the bool parameter name.
-func (v Values) Bool(name string) bool {
-	x, ok := v.get(name).(bool)
-	if !ok {
-		panic(fmt.Sprintf("experiment: param %q is %T, not bool", name, v[name]))
-	}
-	return x
-}
-
 // String returns the string parameter name.
 func (v Values) String(name string) string {
 	x, ok := v.get(name).(string)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -22,24 +23,18 @@ func NewJob(s Scenario) Job {
 }
 
 // CacheStats counts a runner's cache traffic. Misses counts scenario
-// executions, so with a nil cache every job is a miss. Shared counts
-// coalesced calls: concurrent identical jobs that received another caller's
-// in-flight result without executing or touching the disk cache themselves.
+// executions, so with a nil cache every job is a miss.
 type CacheStats struct {
 	Hits   int64
 	Misses int64
-	Shared int64
 }
 
 // Runner executes jobs — concurrently, deterministically, and optionally
 // through a content-addressed result cache. Results land at their job index
 // via internal/parallel, so the output slice is bit-identical for any
 // Workers value; scenarios promise the same for ScenarioWorkers.
-//
-// Concurrent identical jobs are coalesced: callers whose cache key matches
-// an in-flight execution share its result instead of running the scenario
-// again (or racing on the cache). Shared Results are shared pointers and
-// must be treated as read-only, which is already the package contract.
+// The Runner does not coalesce concurrent identical jobs; a caller that may
+// issue them (humnetd) coalesces above it.
 type Runner struct {
 	// Workers bounds concurrently-running scenarios (<= 0 means GOMAXPROCS).
 	Workers int
@@ -51,20 +46,12 @@ type Runner struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
-	shared atomic.Int64
-	flight flightGroup
 }
 
 // Stats returns the cache counters accumulated so far.
 func (r *Runner) Stats() CacheStats {
-	return CacheStats{Hits: r.hits.Load(), Misses: r.misses.Load(), Shared: r.shared.Load()}
+	return CacheStats{Hits: r.hits.Load(), Misses: r.misses.Load()}
 }
-
-// Waiting reports how many coalesced callers are currently parked on
-// in-flight executions — a live-load observability signal (and the hook
-// that lets tests release a blocked leader only after every concurrent
-// caller has joined its flight).
-func (r *Runner) Waiting() int { return r.flight.totalWaiters() }
 
 // Run executes every job and returns the results in job order. The first
 // failing job (by index) aborts the batch, matching internal/parallel's
@@ -77,9 +64,9 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]*Result, error) {
 
 // RunOne executes one job: merge params against the schema, consult the
 // cache, run on a miss, stamp the result's identity fields, and store it.
-// Concurrent calls that resolve to the same cache key share one execution,
-// and a panicking scenario run becomes an error for every one of them.
-func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
+// A panicking scenario run becomes an error, so one bad scenario cannot take
+// down a daemon serving other requests.
+func (r *Runner) RunOne(ctx context.Context, job Job) (res *Result, err error) {
 	s := job.Scenario
 	if s == nil {
 		return nil, fmt.Errorf("experiment: job with nil scenario")
@@ -88,18 +75,16 @@ func (r *Runner) RunOne(ctx context.Context, job Job) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.ID(), err)
 	}
-	key := CacheKey(s.ID(), merged, job.Seed)
-	res, shared, err := r.flight.do(ctx, key, func() (*Result, error) {
-		return r.runKeyed(ctx, s, merged, job.Seed, key)
-	})
-	if shared {
-		r.shared.Add(1)
-	}
-	return res, err
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("experiment: run panicked: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return r.runKeyed(ctx, s, merged, job.Seed, CacheKey(s.ID(), merged, job.Seed))
 }
 
-// runKeyed is one flight's execution: cache lookup, scenario run on a miss,
-// identity stamping, and write-back.
+// runKeyed is one execution: cache lookup, scenario run on a miss, identity
+// stamping, and write-back.
 func (r *Runner) runKeyed(ctx context.Context, s Scenario, merged Values, seed uint64, key string) (*Result, error) {
 	if r.Cache != nil {
 		if res, ok := r.Cache.Get(key, s.ID()); ok {

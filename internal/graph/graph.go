@@ -46,9 +46,6 @@ func (g *Graph) N() int { return len(g.adj) }
 // M returns the number of edges (each undirected edge counted once).
 func (g *Graph) M() int { return g.edges }
 
-// Directed reports whether the graph is directed.
-func (g *Graph) Directed() bool { return g.directed }
-
 // AddNode appends a new node and returns its ID.
 func (g *Graph) AddNode() int {
 	g.adj = append(g.adj, nil)
@@ -99,15 +96,6 @@ func (g *Graph) Neighbors(u int) []Edge { //humnet:allow aliasret -- zero-copy r
 
 // Degree returns the out-degree of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
-// WeightedDegree returns the sum of edge weights incident to u.
-func (g *Graph) WeightedDegree(u int) float64 {
-	s := 0.0
-	for _, e := range g.adj[u] {
-		s += e.Weight
-	}
-	return s
-}
 
 // BFS returns the hop distance from src to every node (-1 when unreachable).
 func (g *Graph) BFS(src int) []int {
@@ -263,19 +251,6 @@ func (g *Graph) GiantComponentSize() int {
 		}
 	}
 	return best
-}
-
-// DegreeCentrality returns degree/(n-1) for each node (0 for n < 2).
-func (g *Graph) DegreeCentrality() []float64 {
-	n := len(g.adj)
-	c := make([]float64, n)
-	if n < 2 {
-		return c
-	}
-	for u := range g.adj {
-		c[u] = float64(len(g.adj[u])) / float64(n-1)
-	}
-	return c
 }
 
 // ClosenessCentralityCtx returns, for each node, (reachable)/(n-1) *
@@ -454,50 +429,6 @@ func (g *Graph) PageRank(damping float64, maxIter int, tol float64) []float64 {
 	return rank
 }
 
-// EigenvectorCentrality returns the principal-eigenvector centrality via
-// power iteration (undirected interpretation: uses out-edges). The vector is
-// normalized to unit max.
-func (g *Graph) EigenvectorCentrality(maxIter int, tol float64) []float64 {
-	n := len(g.adj)
-	if n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	next := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		// Shifted iteration (A+I)v: same eigenvectors as A, but converges on
-		// bipartite graphs where plain power iteration oscillates.
-		copy(next, v)
-		for u := range g.adj {
-			for _, e := range g.adj[u] {
-				next[e.To] += v[u] * e.Weight
-			}
-		}
-		maxVal := 0.0
-		for _, x := range next {
-			if x > maxVal {
-				maxVal = x
-			}
-		}
-		if maxVal == 0 {
-			return next
-		}
-		diff := 0.0
-		for i := range next {
-			next[i] /= maxVal
-			diff += math.Abs(next[i] - v[i])
-		}
-		v, next = next, v
-		if diff < tol {
-			break
-		}
-	}
-	return v
-}
-
 // LabelPropagation partitions the graph into communities using synchronous-
 // free asynchronous label propagation with a deterministic node order drawn
 // from r. It returns a community label per node (labels are compacted to
@@ -555,50 +486,6 @@ func (g *Graph) LabelPropagation(r *rng.Rand, maxRounds int) (label []int, count
 		label[i] = c
 	}
 	return label, len(remap)
-}
-
-// Modularity returns the Newman modularity of the given partition
-// (undirected, weighted).
-func (g *Graph) Modularity(label []int) float64 {
-	if len(label) != len(g.adj) {
-		return math.NaN()
-	}
-	var total float64 // 2m for undirected stored both ways
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			total += e.Weight
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	inside := make(map[int]float64)
-	degSum := make(map[int]float64)
-	for u := range g.adj {
-		degSum[label[u]] += g.WeightedDegree(u)
-		for _, e := range g.adj[u] {
-			if label[u] == label[e.To] {
-				inside[label[u]] += e.Weight
-			}
-		}
-	}
-	// Accumulate per-community terms in sorted community order: float
-	// addition is not associative, so map order would change low bits
-	// run-to-run.
-	comms := make([]int, 0, len(degSum))
-	for c := range degSum {
-		comms = append(comms, c)
-	}
-	sort.Ints(comms)
-	q := 0.0
-	for _, c := range comms {
-		if in, ok := inside[c]; ok {
-			q += in/total - (degSum[c]/total)*(degSum[c]/total)
-		} else {
-			q -= (degSum[c] / total) * (degSum[c] / total)
-		}
-	}
-	return q
 }
 
 // DegreeAssortativity returns the Pearson correlation of degrees across

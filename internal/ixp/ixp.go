@@ -1,5 +1,5 @@
 // Package ixp models Internet exchange points on top of the AS-level BGP
-// simulator: membership, peering policies, route-server-style session
+// simulator: membership, peering policies, policy-driven session
 // establishment, peering regulation (and its circumvention via shell ASNs),
 // and traffic-locality analysis.
 //
@@ -56,11 +56,6 @@ func (p PeeringPolicy) String() string {
 type member struct {
 	policy PeeringPolicy
 	allow  map[bgpsim.ASN]bool
-	// viaRS marks multilateral peering through the exchange's route
-	// server: all route-server participants peer with each other
-	// automatically. Large restrictive networks famously stay off the
-	// route server and peer bilaterally — both behaviours coexist here.
-	viaRS bool
 }
 
 // IXP is one exchange point: a set of members with policies.
@@ -176,28 +171,6 @@ func (f *Fabric) Join(ixpName string, n bgpsim.ASN, policy PeeringPolicy, allow 
 	return nil
 }
 
-// JoinViaRouteServer adds AS n to the named IXP as a route-server
-// participant: it will peer multilaterally with every other route-server
-// participant, and bilaterally (Open policy) with members who ask.
-func (f *Fabric) JoinViaRouteServer(ixpName string, n bgpsim.ASN) error {
-	if err := f.Join(ixpName, n, Open); err != nil {
-		return err
-	}
-	f.ixps[ixpName].members[n].viaRS = true
-	return nil
-}
-
-// ViaRouteServer reports whether n participates in the named exchange's
-// route server.
-func (f *Fabric) ViaRouteServer(ixpName string, n bgpsim.ASN) bool {
-	x, ok := f.ixps[ixpName]
-	if !ok {
-		return false
-	}
-	m, ok := x.members[n]
-	return ok && m.viaRS
-}
-
 // Leave removes AS n from the named IXP (sessions already established are
 // not retracted; call EstablishSessions again after mutating membership).
 func (f *Fabric) Leave(ixpName string, n bgpsim.ASN) {
@@ -265,9 +238,8 @@ func (f *Fabric) EstablishSessions(reg Regulation) int {
 		for i := 0; i < len(ms); i++ {
 			for j := i + 1; j < len(ms); j++ {
 				a, b := ms[i], ms[j]
-				multilateral := x.members[a].viaRS && x.members[b].viaRS
 				agree := x.members[a].wouldPeer(b) && x.members[b].wouldPeer(a)
-				if !multilateral && !agree && !forced {
+				if !agree && !forced {
 					continue
 				}
 				if f.Topo.HasPeer(a, b) {
@@ -313,9 +285,8 @@ func (f *Fabric) EstablishMemberSessionsVia(n bgpsim.ASN, reg Regulation, add fu
 			if m == n {
 				continue
 			}
-			multilateral := x.members[n].viaRS && x.members[m].viaRS
 			agree := x.members[n].wouldPeer(m) && x.members[m].wouldPeer(n)
-			if !multilateral && !agree && !forced {
+			if !agree && !forced {
 				continue
 			}
 			if f.Topo.HasPeer(n, m) {

@@ -225,46 +225,3 @@ func TestPolicyString(t *testing.T) {
 		t.Error("policy strings wrong")
 	}
 }
-
-func TestRouteServerMultilateral(t *testing.T) {
-	f, a, b := twoISPFabric(t)
-	if err := f.JoinViaRouteServer("X", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.JoinViaRouteServer("X", b); err != nil {
-		t.Fatal(err)
-	}
-	if !f.ViaRouteServer("X", a) || !f.ViaRouteServer("X", b) {
-		t.Fatal("RS membership not recorded")
-	}
-	if n := f.EstablishSessions(Regulation{}); n != 1 {
-		t.Fatalf("RS sessions = %d, want 1", n)
-	}
-	if !f.Topo.HasPeer(a, b) {
-		t.Error("multilateral peering missing")
-	}
-}
-
-func TestRouteServerBypassedByRestrictiveBilateral(t *testing.T) {
-	// One member on the route server, the other bilateral-restrictive: no
-	// session (the RS only connects its own participants).
-	f, a, b := twoISPFabric(t)
-	_ = f.JoinViaRouteServer("X", a)
-	_ = f.Join("X", b, Restrictive)
-	if n := f.EstablishSessions(Regulation{}); n != 0 {
-		t.Fatalf("sessions = %d, want 0", n)
-	}
-	if f.ViaRouteServer("X", b) {
-		t.Error("restrictive member reported on RS")
-	}
-}
-
-func TestRouteServerUnknownIXP(t *testing.T) {
-	f, a, _ := twoISPFabric(t)
-	if err := f.JoinViaRouteServer("nope", a); err == nil {
-		t.Error("join via RS at unknown IXP accepted")
-	}
-	if f.ViaRouteServer("nope", a) {
-		t.Error("unknown IXP reported RS membership")
-	}
-}

@@ -13,7 +13,6 @@ package measure
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -232,75 +231,4 @@ func Evaluate(events []Event, detections []Detection, slack int) Eval {
 		ev.MeanDelay = s / float64(len(delays))
 	}
 	return ev
-}
-
-// TopAnomalousDays returns the k most anomalous days by |deviation from the
-// series median|, sorted by day — a model-free summary used by examples.
-func TopAnomalousDays(s Series, k int) []int {
-	type scored struct {
-		day   int
-		score float64
-	}
-	med := median(s.Values)
-	ss := make([]scored, len(s.Values))
-	for d, v := range s.Values {
-		ss[d] = scored{day: d, score: math.Abs(v - med)}
-	}
-	sort.Slice(ss, func(a, b int) bool {
-		if ss[a].score != ss[b].score {
-			return ss[a].score > ss[b].score
-		}
-		return ss[a].day < ss[b].day
-	})
-	if k > len(ss) {
-		k = len(ss)
-	}
-	days := make([]int, k)
-	for i := 0; i < k; i++ {
-		days[i] = ss[i].day
-	}
-	sort.Ints(days)
-	return days
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// EWMADetect runs an exponentially-weighted moving-average control chart:
-// the EWMA statistic z_t = lambda*x_t + (1-lambda)*z_{t-1} alarms when it
-// leaves the band mean ± width*sigma_z, with mean and sigma estimated from
-// the first window days. The statistic re-centers after each alarm.
-// EWMA sits between the z-score (fast, spiky) and CUSUM (slow, drifty)
-// detectors: lambda near 1 approaches the former, near 0 the latter.
-func EWMADetect(s Series, window int, lambda, width float64) []Detection {
-	if window < 2 || len(s.Values) <= window || lambda <= 0 || lambda > 1 {
-		return nil
-	}
-	mean, std := meanStd(s.Values[:window])
-	if std < 1e-12 {
-		std = 1e-12
-	}
-	// Asymptotic EWMA standard deviation.
-	sigmaZ := std * math.Sqrt(lambda/(2-lambda))
-	z := mean
-	var out []Detection
-	for d := window; d < len(s.Values); d++ {
-		z = lambda*s.Values[d] + (1-lambda)*z
-		dev := math.Abs(z - mean)
-		if dev > width*sigmaZ {
-			out = append(out, Detection{Day: d, Score: dev / sigmaZ})
-			z = mean // re-center after alarm
-		}
-	}
-	return out
 }

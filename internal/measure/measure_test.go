@@ -131,23 +131,6 @@ func TestEvaluateCounts(t *testing.T) {
 	}
 }
 
-func TestTopAnomalousDays(t *testing.T) {
-	s := genLatency(t, []Event{{Day: 77, Duration: 1, Magnitude: 100, Label: "x"}})
-	days := TopAnomalousDays(s, 3)
-	found := false
-	for _, d := range days {
-		if d == 77 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("top days %v miss the injected spike", days)
-	}
-	if len(TopAnomalousDays(s, 1000)) != len(s.Values) {
-		t.Error("k larger than series should clamp")
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	if LatencyMs.String() != "latency-ms" || LossRate.String() != "loss-rate" {
 		t.Error("metric strings wrong")
@@ -173,32 +156,5 @@ func BenchmarkZScoreDetect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ZScoreDetect(s, 14, 4)
-	}
-}
-
-func TestEWMADetectsModerateShift(t *testing.T) {
-	events := []Event{{Day: 100, Duration: 20, Magnitude: 4, Label: "shift"}}
-	s := genLatency(t, events)
-	det := EWMADetect(s, 50, 0.2, 5)
-	ev := Evaluate(events, det, 3)
-	if ev.Recall < 1 {
-		t.Errorf("EWMA missed the shift: %+v (detections %v)", ev, det)
-	}
-}
-
-func TestEWMAQuietSeries(t *testing.T) {
-	s := genLatency(t, nil)
-	if det := EWMADetect(s, 50, 0.2, 6); len(det) > 1 {
-		t.Errorf("quiet series alarms: %v", det)
-	}
-}
-
-func TestEWMADegenerate(t *testing.T) {
-	s := genLatency(t, nil)
-	if EWMADetect(s, 1, 0.2, 5) != nil {
-		t.Error("window < 2 should detect nothing")
-	}
-	if EWMADetect(s, 50, 0, 5) != nil || EWMADetect(s, 50, 1.5, 5) != nil {
-		t.Error("invalid lambda should detect nothing")
 	}
 }

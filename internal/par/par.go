@@ -270,12 +270,3 @@ func (p *Project) Engagements() []Engagement {
 	}
 	return out
 }
-
-// AllReflections returns every (phase, note) pair in phase order.
-func (p *Project) AllReflections() map[Phase][]string {
-	out := make(map[Phase][]string, len(p.reflections))
-	for ph, notes := range p.reflections {
-		out[ph] = append([]string(nil), notes...)
-	}
-	return out
-}

@@ -2,14 +2,11 @@
 // worker pools over an index space [0, n) whose results are bit-identical to
 // serial execution regardless of worker count.
 //
-// Determinism comes from three rules that every helper follows:
+// Determinism comes from two rules that every helper follows:
 //
 //   - Tasks are identified by index, and outputs land at their index (Map) or
 //     are consumed strictly in index order (ReduceOrdered); scheduling order
 //     never reaches the caller.
-//   - Randomized tasks draw from per-index RNG streams split from a parent
-//     generator before any task runs (MapSeeded), so stream assignment depends
-//     only on the parent state and n.
 //   - Worker panics are captured and converted into errors (PanicError), so a
 //     buggy task fails the call instead of crashing the process.
 //
@@ -25,8 +22,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/rng"
 )
 
 // PanicError wraps a panic recovered from a worker task. The engine converts
@@ -156,22 +151,4 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// MapSeeded is Map for randomized tasks: task i receives the i-th RNG stream
-// split from parent. All n streams are split serially before any task runs,
-// so the stream handed to task i depends only on parent's state and n — never
-// on worker count or scheduling — and the output is bit-identical for every
-// worker count. The parent generator advances by n Split calls.
-func MapSeeded[T any](ctx context.Context, n, workers int, parent *rng.Rand, fn func(i int, r *rng.Rand) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	streams := make([]*rng.Rand, n)
-	for i := range streams {
-		streams[i] = parent.Split()
-	}
-	return Map(ctx, n, workers, func(i int) (T, error) {
-		return fn(i, streams[i])
-	})
 }

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func TestWorkersNormalization(t *testing.T) {
@@ -125,53 +123,6 @@ func TestMapResultsByIndex(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-func TestMapSeededBitIdenticalAcrossWorkers(t *testing.T) {
-	draw := func(workers int) []float64 {
-		parent := rng.New(99)
-		out, err := MapSeeded(context.Background(), 64, workers, parent, func(i int, r *rng.Rand) (float64, error) {
-			s := 0.0
-			for k := 0; k < 10+i%7; k++ {
-				s += r.Float64()
-			}
-			return s, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	base := draw(1)
-	for _, workers := range []int{4, 7, runtime.GOMAXPROCS(0)} {
-		got := draw(workers)
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: stream %d diverged: %v != %v", workers, i, got[i], base[i])
-			}
-		}
-	}
-}
-
-func TestMapSeededStreamsIndependentOfTaskOrder(t *testing.T) {
-	// The i-th task must see the i-th Split of the parent, exactly as a
-	// serial pre-split would produce.
-	parent := rng.New(7)
-	want := make([]float64, 16)
-	for i := range want {
-		want[i] = parent.Split().Float64()
-	}
-	got, err := MapSeeded(context.Background(), 16, 5, rng.New(7), func(i int, r *rng.Rand) (float64, error) {
-		return r.Float64(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stream %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

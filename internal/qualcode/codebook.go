@@ -86,18 +86,6 @@ func (cb *Codebook) IDs() []string {
 	return out
 }
 
-// Children returns the direct children of id, sorted.
-func (cb *Codebook) Children(id string) []string {
-	var out []string
-	for cid, c := range cb.codes {
-		if c.Parent == id {
-			out = append(out, cid)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Ancestors returns the chain of ancestors of id from parent to root.
 func (cb *Codebook) Ancestors(id string) []string {
 	var out []string

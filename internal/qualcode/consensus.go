@@ -74,26 +74,3 @@ func (p *Project) BuildConsensus(name string, minVotes int) error {
 	}
 	return nil
 }
-
-// AccuracyAgainst returns the fraction of segments on which the coder's
-// primary code (first in sorted order) matches the latent truth. Segments
-// the coder left uncoded count as misses; segments without truth are
-// skipped.
-func (p *Project) AccuracyAgainst(truth Truth, coder string) float64 {
-	var total, hit float64
-	for _, u := range p.units() {
-		want := truth.Code(u.doc, u.seg)
-		if want == "" {
-			continue
-		}
-		total++
-		got := p.CodesFor(u.doc, u.seg, coder)
-		if len(got) > 0 && got[0] == want {
-			hit++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return hit / total
-}

@@ -68,34 +68,22 @@ func TestConsensusBeatsIndividualCoders(t *testing.T) {
 	if err := p.BuildConsensus("consensus", 2); err != nil {
 		t.Fatal(err)
 	}
+	// Every coder and the consensus apply one code per segment, so agreement
+	// with a perfect coder is accuracy against the latent truth.
+	perfect := SimulatedCoder{Name: "truth", Accuracy: 1}
+	if err := perfect.CodeProject(p, truth, cfg, rng.New(32)); err != nil {
+		t.Fatal(err)
+	}
 	var indivSum float64
 	for _, n := range names {
-		indivSum += p.AccuracyAgainst(truth, n)
+		indivSum += p.PercentAgreement(n, "truth")
 	}
 	indiv := indivSum / float64(len(names))
-	cons := p.AccuracyAgainst(truth, "consensus")
+	cons := p.PercentAgreement("consensus", "truth")
 	if !(cons > indiv+0.05) {
 		t.Errorf("consensus accuracy %g should clearly beat individual mean %g", cons, indiv)
 	}
 	if cons < 0.85 {
 		t.Errorf("consensus accuracy %g unexpectedly low", cons)
-	}
-}
-
-func TestAccuracyAgainstPerfectCoder(t *testing.T) {
-	cfg := SynthConfig{Docs: 4, SegsPerDoc: 8}
-	p, truth, err := GenerateCorpus(cfg, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := SimulatedCoder{Name: "perfect", Accuracy: 1}
-	if err := sc.CodeProject(p, truth, cfg, rng.New(6)); err != nil {
-		t.Fatal(err)
-	}
-	if acc := p.AccuracyAgainst(truth, "perfect"); acc != 1 {
-		t.Errorf("perfect accuracy = %g", acc)
-	}
-	if acc := p.AccuracyAgainst(truth, "nobody"); acc != 0 {
-		t.Errorf("absent coder accuracy = %g", acc)
 	}
 }

@@ -2,7 +2,6 @@ package qualcode
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Memo is an analytic note — the grounded-theory practice of writing down
@@ -69,30 +68,6 @@ func (p *Project) Memos(codeID string) []Memo {
 			if c == codeID {
 				out = append(out, m)
 				break
-			}
-		}
-	}
-	return out
-}
-
-// MemoTrail renders the memos for a code in ID order as a Markdown
-// fragment, with their cited evidence — the audit trail from data to
-// interpretation.
-func (p *Project) MemoTrail(codeID string) string {
-	memos := p.Memos(codeID)
-	if len(memos) == 0 {
-		return fmt.Sprintf("No memos for %q.\n", codeID)
-	}
-	sort.Slice(memos, func(i, j int) bool { return memos[i].ID < memos[j].ID })
-	out := fmt.Sprintf("### Memo trail: %s\n\n", codeID)
-	for _, m := range memos {
-		out += fmt.Sprintf("- **memo %d** (%s): %s\n", m.ID, m.Author, m.Text)
-		for _, ref := range m.Segments {
-			d := p.docs[ref.DocID]
-			for _, s := range d.Segments {
-				if s.ID == ref.SegmentID {
-					out += fmt.Sprintf("  - evidence [%s/%d]: %q\n", ref.DocID, ref.SegmentID, s.Text)
-				}
 			}
 		}
 	}

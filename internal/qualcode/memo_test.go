@@ -1,9 +1,6 @@
 package qualcode
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestAddMemoValidation(t *testing.T) {
 	p := newTestProject(t)
@@ -45,28 +42,5 @@ func TestMemosFilteredByCode(t *testing.T) {
 	}
 	if got := p.Memos("z"); len(got) != 0 {
 		t.Errorf("z memos = %+v", got)
-	}
-}
-
-func TestMemoTrailRendersEvidence(t *testing.T) {
-	p := newTestProject(t)
-	if _, err := p.AddMemo(Memo{
-		Author: "lead",
-		Text:   "billing confusion and trust co-occur",
-		Codes:  []string{"x"},
-		Segments: []SegmentRef{
-			{DocID: "d1", SegmentID: 0},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	trail := p.MemoTrail("x")
-	for _, want := range []string{"Memo trail: x", "billing confusion and trust co-occur", "segment zero", "[d1/0]"} {
-		if !strings.Contains(trail, want) {
-			t.Errorf("trail missing %q:\n%s", want, trail)
-		}
-	}
-	if !strings.Contains(p.MemoTrail("y"), "No memos") {
-		t.Error("empty trail should say so")
 	}
 }

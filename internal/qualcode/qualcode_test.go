@@ -37,9 +37,6 @@ func TestCodebookHierarchy(t *testing.T) {
 	if len(anc) != 2 || anc[0] != "interview" || anc[1] != "methods" {
 		t.Errorf("ancestors = %v", anc)
 	}
-	if kids := cb.Children("methods"); len(kids) != 1 || kids[0] != "interview" {
-		t.Errorf("children = %v", kids)
-	}
 	if roots := cb.Roots(); len(roots) != 1 || roots[0] != "methods" {
 		t.Errorf("roots = %v", roots)
 	}

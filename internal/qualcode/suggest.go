@@ -139,28 +139,3 @@ func (s *Suggester) Suggest(text string, k int) []Suggestion {
 	}
 	return out
 }
-
-// EvaluateSuggester measures top-1 accuracy of the suggester against the
-// latent truth over every segment of the project (including segments it
-// trained on; pass a held-out project for generalization numbers).
-func EvaluateSuggester(s *Suggester, p *Project, truth Truth) float64 {
-	var total, hit float64
-	for _, docID := range p.DocumentIDs() {
-		d, _ := p.Document(docID)
-		for _, seg := range d.Segments {
-			want := truth.Code(docID, seg.ID)
-			if want == "" {
-				continue
-			}
-			total++
-			got := s.Suggest(seg.Text, 1)
-			if len(got) > 0 && got[0].CodeID == want {
-				hit++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return hit / total
-}

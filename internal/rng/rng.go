@@ -95,21 +95,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate lambda (mean 1/lambda).
-// It panics if lambda <= 0.
-func (r *Rand) ExpFloat64(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: ExpFloat64 requires lambda > 0")
-	}
-	return -math.Log(1-r.Float64()) / lambda
-}
-
-// LogNormal returns a lognormal variate with the given parameters of the
-// underlying normal (mu, sigma).
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Pareto returns a Pareto(alpha) variate with minimum value xm. Heavy-tailed
 // demand and popularity models use this. It panics if alpha or xm <= 0.
 func (r *Rand) Pareto(xm, alpha float64) float64 {
@@ -117,27 +102,6 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 		panic("rng: Pareto requires xm, alpha > 0")
 	}
 	return xm / math.Pow(1-r.Float64(), 1/alpha)
-}
-
-// Poisson returns a Poisson(lambda) variate (Knuth's algorithm; adequate for
-// the small lambdas used here). It panics if lambda < 0.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda < 0 {
-		panic("rng: Poisson requires lambda >= 0")
-	}
-	if lambda == 0 {
-		return 0
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Perm returns a random permutation of [0, n).
@@ -155,14 +119,6 @@ func (r *Rand) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

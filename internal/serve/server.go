@@ -157,6 +157,18 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 // parseRun resolves a /run query into (scenario, param overrides, seed).
 // A non-zero status reports the client error to answer with.
 func (s *Server) parseRun(q url.Values) (sc experiment.Scenario, over experiment.Values, seed uint64, status int, msg string) {
+	names := make([]string, 0, len(q))
+	for name := range q {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// A repeated param, id and seed included, is ambiguous: q.Get would
+	// silently keep the first value.
+	for _, name := range names {
+		if n := len(q[name]); n != 1 {
+			return nil, nil, 0, http.StatusBadRequest, fmt.Sprintf("param %q given %d times, want exactly one value", name, n)
+		}
+	}
 	id := q.Get("id")
 	if id == "" {
 		return nil, nil, 0, http.StatusBadRequest, "missing required query param id"
@@ -175,24 +187,15 @@ func (s *Server) parseRun(q url.Values) (sc experiment.Scenario, over experiment
 	}
 	schema := sc.Params()
 	over = make(experiment.Values)
-	names := make([]string, 0, len(q))
-	for name := range q {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	for _, name := range names {
 		if name == "id" || name == "seed" {
 			continue
-		}
-		vals := q[name]
-		if len(vals) != 1 {
-			return nil, nil, 0, http.StatusBadRequest, fmt.Sprintf("param %q given %d times, want exactly one value", name, len(vals))
 		}
 		spec, ok := schema.Lookup(name)
 		if !ok {
 			return nil, nil, 0, http.StatusBadRequest, fmt.Sprintf("scenario %s has no param %q (see /list)", sc.ID(), name)
 		}
-		v, err := spec.Parse(vals[0])
+		v, err := spec.Parse(q.Get(name))
 		if err != nil {
 			return nil, nil, 0, http.StatusBadRequest, err.Error()
 		}

@@ -136,6 +136,8 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		{"/run?id=T1&rows=many", http.StatusBadRequest},                 // mistyped param
 		{"/run?id=T1&bogus=1", http.StatusBadRequest},                   // unknown param
 		{"/run?id=T1&rows=1&rows=2", http.StatusBadRequest},             // repeated param
+		{"/run?id=T1&id=T2", http.StatusBadRequest},                     // repeated id
+		{"/run?id=T1&seed=1&seed=2", http.StatusBadRequest},             // repeated seed
 		{"/run?id=T1&seed=18446744073709551616", http.StatusBadRequest}, // uint64 overflow
 	}
 	for _, c := range cases {
@@ -145,8 +147,8 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		}
 	}
 	m := srv.Metrics()
-	if m.NotFound != 1 || m.BadRequest != 6 {
-		t.Fatalf("metrics = %+v, want 1 not-found / 6 bad-request", m)
+	if m.NotFound != 1 || m.BadRequest != 8 {
+		t.Fatalf("metrics = %+v, want 1 not-found / 8 bad-request", m)
 	}
 	if m.Executed != 0 {
 		t.Fatal("a rejected request executed a scenario")

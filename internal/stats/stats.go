@@ -1,6 +1,6 @@
 // Package stats provides the descriptive and inferential statistics used by
-// the humnet experiments: moments, quantiles, correlation, inequality and
-// fairness indices, bootstrap confidence intervals, and simple regression.
+// the humnet experiments: moments, quantiles, summaries, histograms,
+// correlation, inequality and fairness indices, and simple regression.
 //
 // All functions are pure and operate on float64 slices. Functions that
 // require non-empty input document that requirement and return NaN (never
@@ -9,12 +9,8 @@
 package stats
 
 import (
-	"context"
 	"math"
 	"sort"
-
-	"repro/internal/parallel"
-	"repro/internal/rng"
 )
 
 // hasNaN reports whether xs contains a NaN.
@@ -110,7 +106,7 @@ func Quantile(xs []float64, q float64) float64 {
 
 // quantileSorted returns the type-7 q-quantile of s, which must be sorted
 // ascending and NaN-free. It lets callers that need several quantiles of the
-// same sample (Summarize, BootstrapCI) sort once.
+// same sample (Summarize) sort once.
 func quantileSorted(s []float64, q float64) float64 {
 	if len(s) == 0 || q < 0 || q > 1 {
 		return math.NaN()
@@ -233,27 +229,6 @@ func Jain(xs []float64) float64 {
 	return s * s / (float64(len(xs)) * sq)
 }
 
-// Theil returns the Theil-T inequality index of xs (0 = equality). Values
-// must be positive; non-positive entries are skipped. Returns NaN if no
-// positive entries remain.
-func Theil(xs []float64) float64 {
-	var pos []float64
-	for _, x := range xs {
-		if x > 0 {
-			pos = append(pos, x)
-		}
-	}
-	if len(pos) == 0 {
-		return math.NaN()
-	}
-	m := Mean(pos)
-	t := 0.0
-	for _, x := range pos {
-		t += (x / m) * math.Log(x/m)
-	}
-	return t / float64(len(pos))
-}
-
 // TopKShare returns the fraction of the total held by the k largest entries.
 // Returns NaN for empty input, 1 if k >= len(xs), and NaN if total is 0.
 func TopKShare(xs []float64, k int) float64 {
@@ -323,24 +298,6 @@ func Histogram(xs []float64, nbins int) []int {
 	return counts
 }
 
-// ChiSquare returns the chi-square statistic for observed vs expected counts.
-// Expected entries must be positive; pairs with expected <= 0 are skipped.
-func ChiSquare(observed, expected []float64) float64 {
-	n := len(observed)
-	if len(expected) < n {
-		n = len(expected)
-	}
-	stat := 0.0
-	for i := 0; i < n; i++ {
-		if expected[i] <= 0 {
-			continue
-		}
-		d := observed[i] - expected[i]
-		stat += d * d / expected[i]
-	}
-	return stat
-}
-
 // LinearFit fits y = a + b*x by ordinary least squares and returns the
 // intercept a, slope b, and coefficient of determination r2. Returns NaNs for
 // fewer than two points or zero x-variance.
@@ -366,66 +323,6 @@ func LinearFit(xs, ys []float64) (a, b, r2 float64) {
 	}
 	r2 = sxy * sxy / (sxx * syy)
 	return a, b, r2
-}
-
-// bootstrapBatch is the number of resamples drawn from one RNG stream split
-// from the caller's generator. The batch structure depends only on
-// nresamples — never on worker count — so serial and parallel execution
-// consume identical random streams.
-const bootstrapBatch = 64
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// statistic fn over xs at the given confidence level (e.g. 0.95), using
-// nresamples resamples seeded from r. Returns NaNs for empty input, and
-// propagates NaN (NaN, NaN) when any resample estimate is NaN — e.g. when xs
-// itself carries NaNs. The resampling fans out across at most workers
-// goroutines (workers <= 0 means GOMAXPROCS, workers == 1 runs serially).
-// Resamples are grouped into fixed batches; batch i always draws from the
-// i-th stream split from r and writes its estimates at fixed indices, so the
-// interval is bit-identical for every worker count. fn must be safe for
-// concurrent calls on distinct slices (any pure statistic, such as Mean or
-// Median, is).
-func BootstrapCI(xs []float64, fn func([]float64) float64, nresamples int, level float64, r *rng.Rand, workers int) (lo, hi float64) {
-	if len(xs) == 0 || nresamples <= 0 {
-		return math.NaN(), math.NaN()
-	}
-	nbatches := (nresamples + bootstrapBatch - 1) / bootstrapBatch
-	streams := make([]*rng.Rand, nbatches)
-	for i := range streams {
-		streams[i] = r.Split()
-	}
-	est := make([]float64, nresamples)
-	_ = parallel.ForEach(context.Background(), nbatches, workers, func(bi int) error {
-		br := streams[bi]
-		start := bi * bootstrapBatch
-		end := start + bootstrapBatch
-		if end > nresamples {
-			end = nresamples
-		}
-		buf := make([]float64, len(xs))
-		for i := start; i < end; i++ {
-			for j := range buf {
-				buf[j] = xs[br.Intn(len(xs))]
-			}
-			//humnet:allow paraccum -- batch bi owns the disjoint index range [start,end); no two tasks touch the same est element
-			est[i] = fn(buf)
-		}
-		return nil
-	})
-	if hasNaN(est) {
-		return math.NaN(), math.NaN()
-	}
-	sort.Float64s(est)
-	alpha := (1 - level) / 2
-	lo = quantileSorted(est, alpha)
-	hi = quantileSorted(est, 1-alpha)
-	// When alpha and 1-alpha fall in the same inter-order-statistic segment
-	// (tiny samples, level near 0), interpolation rounding can still invert
-	// the endpoints by an ulp; the interval contract is lo <= hi.
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return lo, hi
 }
 
 // Summary captures the standard five-number-plus summary of a sample.
@@ -456,95 +353,4 @@ func Summarize(xs []float64) Summary {
 	s.P95 = quantileSorted(sorted, 0.95)
 	s.Max = sorted[len(sorted)-1]
 	return s
-}
-
-// Cronbach returns Cronbach's alpha for an item matrix: items[i][j] is
-// respondent j's score on item i. All items must have the same number of
-// respondents (>= 2) and there must be >= 2 items; otherwise NaN. Alpha is
-// the standard internal-consistency reliability of a multi-item scale.
-func Cronbach(items [][]float64) float64 {
-	k := len(items)
-	if k < 2 {
-		return math.NaN()
-	}
-	n := len(items[0])
-	if n < 2 {
-		return math.NaN()
-	}
-	for _, it := range items {
-		if len(it) != n {
-			return math.NaN()
-		}
-	}
-	totals := make([]float64, n)
-	var itemVarSum float64
-	for _, it := range items {
-		itemVarSum += Variance(it)
-		for j, v := range it {
-			totals[j] += v
-		}
-	}
-	totalVar := Variance(totals)
-	if totalVar == 0 {
-		return math.NaN()
-	}
-	return float64(k) / float64(k-1) * (1 - itemVarSum/totalVar)
-}
-
-// MannWhitneyU returns the Mann–Whitney U statistic for sample xs against
-// ys and the normal-approximation z-score (positive z means xs tends to
-// exceed ys). NaNs for empty samples. Ties are handled with mid-ranks; the
-// z-score uses the no-ties variance, adequate for the continuous synthetic
-// data in this repository.
-func MannWhitneyU(xs, ys []float64) (u, z float64) {
-	n1, n2 := float64(len(xs)), float64(len(ys))
-	if n1 == 0 || n2 == 0 {
-		return math.NaN(), math.NaN()
-	}
-	combined := make([]float64, 0, len(xs)+len(ys))
-	combined = append(combined, xs...)
-	combined = append(combined, ys...)
-	r := ranks(combined)
-	var r1 float64
-	for i := range xs {
-		r1 += r[i]
-	}
-	u = r1 - n1*(n1+1)/2
-	mu := n1 * n2 / 2
-	sigma := math.Sqrt(n1 * n2 * (n1 + n2 + 1) / 12)
-	if sigma == 0 {
-		return u, math.NaN()
-	}
-	z = (u - mu) / sigma
-	return u, z
-}
-
-// KolmogorovSmirnov returns the two-sample KS statistic D — the maximum
-// distance between the empirical CDFs of xs and ys. NaN for empty samples.
-func KolmogorovSmirnov(xs, ys []float64) float64 {
-	if len(xs) == 0 || len(ys) == 0 {
-		return math.NaN()
-	}
-	a := append([]float64(nil), xs...)
-	b := append([]float64(nil), ys...)
-	sort.Float64s(a)
-	sort.Float64s(b)
-	var i, j int
-	var d float64
-	for i < len(a) && j < len(b) {
-		// Advance both CDFs past the next value so ties step together.
-		v := math.Min(a[i], b[j])
-		for i < len(a) && a[i] == v {
-			i++
-		}
-		for j < len(b) && b[j] == v {
-			j++
-		}
-		fa := float64(i) / float64(len(a))
-		fb := float64(j) / float64(len(b))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d
 }

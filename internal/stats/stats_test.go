@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -131,18 +130,6 @@ func TestJain(t *testing.T) {
 	}
 }
 
-func TestTheil(t *testing.T) {
-	if got := Theil([]float64{2, 2, 2}); !almostEq(got, 0, 1e-9) {
-		t.Errorf("equal Theil = %g, want 0", got)
-	}
-	if Theil([]float64{1, 100}) <= 0 {
-		t.Error("unequal Theil should be positive")
-	}
-	if !math.IsNaN(Theil([]float64{0, -1})) {
-		t.Error("no positive entries should yield NaN")
-	}
-}
-
 func TestTopKShare(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := TopKShare(xs, 1); !almostEq(got, 0.4, 1e-9) {
@@ -205,39 +192,12 @@ func TestHistogramNaNWithConstantRest(t *testing.T) {
 	}
 }
 
-func TestChiSquare(t *testing.T) {
-	obs := []float64{10, 20, 30}
-	if got := ChiSquare(obs, obs); got != 0 {
-		t.Errorf("identical chi-square = %g, want 0", got)
-	}
-	got := ChiSquare([]float64{12, 18}, []float64{15, 15})
-	if !almostEq(got, 9.0/15+9.0/15, 1e-9) {
-		t.Errorf("chi-square = %g", got)
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
 	a, b, r2 := LinearFit(xs, ys)
 	if !almostEq(a, 1, 1e-9) || !almostEq(b, 2, 1e-9) || !almostEq(r2, 1, 1e-9) {
 		t.Errorf("fit = (%g, %g, %g), want (1, 2, 1)", a, b, r2)
-	}
-}
-
-func TestBootstrapCIContainsMean(t *testing.T) {
-	r := rng.New(7)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.NormFloat64() + 10
-	}
-	lo, hi := BootstrapCI(xs, Mean, 500, 0.95, r, 1)
-	m := Mean(xs)
-	if !(lo < m && m < hi) {
-		t.Errorf("95%% CI [%g, %g] should contain the sample mean %g", lo, hi, m)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI [%g, %g] too wide for n=500", lo, hi)
 	}
 }
 
@@ -301,33 +261,6 @@ func TestSummarizeMatchesQuantiles(t *testing.T) {
 	} {
 		if want := Quantile(xs, c.q); c.got != want {
 			t.Errorf("%s = %v, want Quantile(%g) = %v", c.name, c.got, c.q, want)
-		}
-	}
-}
-
-func TestBootstrapCINaNPropagates(t *testing.T) {
-	lo, hi := BootstrapCI([]float64{1, math.NaN(), 2}, Mean, 50, 0.95, rng.New(1), 1)
-	if !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Errorf("NaN-bearing bootstrap CI = [%g, %g], want NaNs", lo, hi)
-	}
-}
-
-func TestBootstrapCIWorkersBitIdentical(t *testing.T) {
-	xs := make([]float64, 300)
-	gen := rng.New(5)
-	for i := range xs {
-		xs[i] = gen.Pareto(1, 1.3)
-	}
-	// 130 resamples spans three batches, the last one partial.
-	run := func(workers int) (float64, float64) {
-		return BootstrapCI(xs, Median, 130, 0.9, rng.New(23), workers)
-	}
-	baseLo, baseHi := run(1)
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
-		lo, hi := run(workers)
-		if lo != baseLo || hi != baseHi {
-			t.Errorf("workers=%d: CI [%v, %v] != serial [%v, %v] (not bit-identical)",
-				workers, lo, hi, baseLo, baseHi)
 		}
 	}
 }
@@ -406,122 +339,5 @@ func BenchmarkGini(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Gini(xs)
-	}
-}
-
-func TestCronbachParallelItems(t *testing.T) {
-	// Items = latent trait + small independent noise → high alpha.
-	r := rng.New(55)
-	const n = 400
-	latent := make([]float64, n)
-	for j := range latent {
-		latent[j] = r.NormFloat64()
-	}
-	items := make([][]float64, 4)
-	for i := range items {
-		items[i] = make([]float64, n)
-		for j := range items[i] {
-			items[i][j] = latent[j] + 0.3*r.NormFloat64()
-		}
-	}
-	if a := Cronbach(items); a < 0.85 {
-		t.Errorf("parallel-items alpha = %g, want high", a)
-	}
-}
-
-func TestCronbachIndependentItems(t *testing.T) {
-	r := rng.New(56)
-	const n = 400
-	items := make([][]float64, 4)
-	for i := range items {
-		items[i] = make([]float64, n)
-		for j := range items[i] {
-			items[i][j] = r.NormFloat64()
-		}
-	}
-	a := Cronbach(items)
-	if a > 0.3 {
-		t.Errorf("independent-items alpha = %g, want near 0", a)
-	}
-}
-
-func TestCronbachDegenerate(t *testing.T) {
-	if !math.IsNaN(Cronbach(nil)) {
-		t.Error("nil should be NaN")
-	}
-	if !math.IsNaN(Cronbach([][]float64{{1, 2}})) {
-		t.Error("single item should be NaN")
-	}
-	if !math.IsNaN(Cronbach([][]float64{{1, 2}, {1}})) {
-		t.Error("ragged matrix should be NaN")
-	}
-	if !math.IsNaN(Cronbach([][]float64{{1, 1}, {2, 2}})) {
-		t.Error("zero total variance should be NaN")
-	}
-}
-
-func TestMannWhitneyShifted(t *testing.T) {
-	r := rng.New(71)
-	xs := make([]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = r.NormFloat64() + 1
-		ys[i] = r.NormFloat64()
-	}
-	_, z := MannWhitneyU(xs, ys)
-	if z < 3 {
-		t.Errorf("z = %g, want strongly positive for shifted sample", z)
-	}
-	_, zRev := MannWhitneyU(ys, xs)
-	if zRev > -3 {
-		t.Errorf("reversed z = %g, want strongly negative", zRev)
-	}
-}
-
-func TestMannWhitneyNull(t *testing.T) {
-	r := rng.New(73)
-	xs := make([]float64, 300)
-	ys := make([]float64, 300)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-		ys[i] = r.NormFloat64()
-	}
-	_, z := MannWhitneyU(xs, ys)
-	if math.Abs(z) > 3 {
-		t.Errorf("null z = %g, want near 0", z)
-	}
-}
-
-func TestMannWhitneyDegenerate(t *testing.T) {
-	u, z := MannWhitneyU(nil, []float64{1})
-	if !math.IsNaN(u) || !math.IsNaN(z) {
-		t.Error("empty sample should be NaN")
-	}
-}
-
-func TestKolmogorovSmirnov(t *testing.T) {
-	same := []float64{1, 2, 3, 4, 5}
-	if d := KolmogorovSmirnov(same, same); d > 1e-9 {
-		t.Errorf("identical D = %g", d)
-	}
-	disjoint := KolmogorovSmirnov([]float64{1, 2, 3}, []float64{10, 11, 12})
-	if math.Abs(disjoint-1) > 1e-9 {
-		t.Errorf("disjoint D = %g, want 1", disjoint)
-	}
-	if !math.IsNaN(KolmogorovSmirnov(nil, same)) {
-		t.Error("empty KS should be NaN")
-	}
-}
-
-func TestKSDetectsVarianceChange(t *testing.T) {
-	r := rng.New(79)
-	narrow := make([]float64, 400)
-	wide := make([]float64, 400)
-	for i := range narrow {
-		narrow[i] = r.NormFloat64()
-		wide[i] = 3 * r.NormFloat64()
-	}
-	if d := KolmogorovSmirnov(narrow, wide); d < 0.15 {
-		t.Errorf("variance-change D = %g, want detectable", d)
 	}
 }

@@ -130,11 +130,6 @@ func (p *Population) Strata() []string {
 	return out
 }
 
-// StratumIDs returns the member IDs of a stratum.
-func (p *Population) StratumIDs(s string) []int {
-	return append([]int(nil), p.strata[s]...)
-}
-
 // TrueMean returns the population mean of TrueScore.
 func (p *Population) TrueMean() float64 {
 	if len(p.People) == 0 {

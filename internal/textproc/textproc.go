@@ -31,9 +31,6 @@ var defaultStopwords = map[string]bool{
 	"what": true, "when": true, "how": true, "if": true, "then": true,
 }
 
-// IsStopword reports whether w (lowercase) is in the default stopword list.
-func IsStopword(w string) bool { return defaultStopwords[w] }
-
 // Tokenize splits text into lowercase word tokens, dropping punctuation.
 // Tokens of length < 2 are discarded.
 func Tokenize(text string) []string {
@@ -124,19 +121,6 @@ func StemAll(tokens []string) []string {
 	return out
 }
 
-// NGrams returns the contiguous n-grams of tokens joined by spaces. n <= 0 or
-// n > len(tokens) yields nil.
-func NGrams(tokens []string, n int) []string {
-	if n <= 0 || n > len(tokens) {
-		return nil
-	}
-	out := make([]string, 0, len(tokens)-n+1)
-	for i := 0; i+n <= len(tokens); i++ {
-		out = append(out, strings.Join(tokens[i:i+n], " "))
-	}
-	return out
-}
-
 // TermFreq returns the term-frequency map of tokens.
 func TermFreq(tokens []string) map[string]float64 {
 	tf := make(map[string]float64, len(tokens))
@@ -217,52 +201,4 @@ func sortedTerms(v map[string]float64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Keyword is a term with a score, as returned by TopTerms.
-type Keyword struct {
-	Term  string
-	Score float64
-}
-
-// TopTerms returns the k highest-scoring terms of a sparse vector, ties
-// broken alphabetically for determinism.
-func TopTerms(vec map[string]float64, k int) []Keyword {
-	kws := make([]Keyword, 0, len(vec))
-	for t, s := range vec {
-		kws = append(kws, Keyword{Term: t, Score: s})
-	}
-	sort.Slice(kws, func(i, j int) bool {
-		if kws[i].Score != kws[j].Score {
-			return kws[i].Score > kws[j].Score
-		}
-		return kws[i].Term < kws[j].Term
-	})
-	if k < len(kws) {
-		kws = kws[:k]
-	}
-	return kws
-}
-
-// Jaccard returns the Jaccard similarity of two token sets.
-func Jaccard(a, b []string) float64 {
-	sa := make(map[string]bool, len(a))
-	for _, t := range a {
-		sa[t] = true
-	}
-	sb := make(map[string]bool, len(b))
-	for _, t := range b {
-		sb[t] = true
-	}
-	if len(sa) == 0 && len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	return float64(inter) / float64(union)
 }

@@ -79,17 +79,6 @@ func TestStemIdempotentOnCommonForms(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	toks := []string{"community", "network", "congestion"}
-	bi := NGrams(toks, 2)
-	if len(bi) != 2 || bi[0] != "community network" || bi[1] != "network congestion" {
-		t.Errorf("bigrams = %v", bi)
-	}
-	if NGrams(toks, 4) != nil || NGrams(toks, 0) != nil {
-		t.Error("degenerate n-grams should be nil")
-	}
-}
-
 func TestTermFreq(t *testing.T) {
 	tf := TermFreq([]string{"x", "y", "x"})
 	if tf["x"] != 2 || tf["y"] != 1 {
@@ -142,31 +131,6 @@ func TestCorpusSimilarityGrouping(t *testing.T) {
 	simCross := Cosine(c.TFIDF(i0), c.TFIDF(i2))
 	if simQual <= simCross {
 		t.Errorf("qualitative docs similarity %g should exceed cross-method %g", simQual, simCross)
-	}
-}
-
-func TestTopTermsDeterministicOrder(t *testing.T) {
-	vec := map[string]float64{"b": 1, "a": 1, "c": 2}
-	top := TopTerms(vec, 3)
-	if top[0].Term != "c" || top[1].Term != "a" || top[2].Term != "b" {
-		t.Errorf("top terms = %v", top)
-	}
-	if got := TopTerms(vec, 1); len(got) != 1 {
-		t.Errorf("k=1 returned %d terms", len(got))
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	a := []string{"x", "y"}
-	b := []string{"y", "z"}
-	if got := Jaccard(a, b); math.Abs(got-1.0/3) > 1e-9 {
-		t.Errorf("jaccard = %g, want 1/3", got)
-	}
-	if got := Jaccard(nil, nil); got != 0 {
-		t.Errorf("empty jaccard = %g", got)
-	}
-	if got := Jaccard(a, a); got != 1 {
-		t.Errorf("self jaccard = %g", got)
 	}
 }
 

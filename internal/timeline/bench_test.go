@@ -18,7 +18,7 @@ import (
 // iterations, so each iteration replays against identical initial tables
 // without paying a re-convergence.
 func BenchmarkReplayFlapStorm(b *testing.B) {
-	h, err := bgpsim.BuildHierarchy(rng.New(11), 6, 20)
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(11), bgpsim.HierarchyOpts{NMid: 6, NStub: 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	// run (replay mutates them). The control composes the same parts with no
 	// cascade rules — the uncoupled economy.
 	build := func(coupled bool) (*Composition, error) {
-		h, err := bgpsim.BuildHierarchy(rng.New(seed), p.Int("mids"), p.Int("stubs"))
+		h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +203,7 @@ func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 
 	// Stream: the storm over the hierarchy, the staged rollout and scheduled
 	// regulation over the exchange.
-	h, err := bgpsim.BuildHierarchy(rng.New(seed), p.Int("mids"), p.Int("stubs"))
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +277,7 @@ func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	ticks := p.Int("ticks")
 	region, outAt, outLen := p.Int("region"), p.Int("out-at"), p.Int("out-len")
-	h, err := bgpsim.BuildHierarchy(rng.New(seed), p.Int("mids"), p.Int("stubs"))
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
 	if err != nil {
 		return nil, err
 	}

@@ -270,7 +270,7 @@ func TestComposedScenariosWorkerInvariance(t *testing.T) {
 // Rebuildable from the seed, for invariance properties that need several
 // identical copies.
 func composedFixture(seed uint64) (*Composition, Stream, error) {
-	h, err := bgpsim.BuildHierarchy(rng.New(seed), 3, 6)
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: 3, NStub: 6})
 	if err != nil {
 		return nil, Stream{}, err
 	}

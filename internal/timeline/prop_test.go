@@ -56,7 +56,7 @@ func drawWorldSpec(g *proptest.G) worldSpec {
 }
 
 func (w worldSpec) build() (*bgpsim.Hierarchy, Stream, error) {
-	h, err := bgpsim.BuildHierarchy(rng.New(w.seed), w.mids, w.stubs)
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(w.seed), bgpsim.HierarchyOpts{NMid: w.mids, NStub: w.stubs})
 	if err != nil {
 		return nil, Stream{}, err
 	}
@@ -75,7 +75,7 @@ func (w worldSpec) build() (*bgpsim.Hierarchy, Stream, error) {
 // renderStream replays s over a fresh copy of w's world at the given worker
 // count and returns the rendered observation table.
 func renderStream(w worldSpec, s Stream, workers int) (string, error) {
-	h, err := bgpsim.BuildHierarchy(rng.New(w.seed), w.mids, w.stubs)
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(w.seed), bgpsim.HierarchyOpts{NMid: w.mids, NStub: w.stubs})
 	if err != nil {
 		return "", err
 	}

@@ -73,7 +73,7 @@ func init() {
 
 // runE17 replays a flap storm through the incremental BGP engine.
 func runE17(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	h, err := bgpsim.BuildHierarchy(rng.New(seed), p.Int("mids"), p.Int("stubs"))
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // buildTestHierarchy is the shared small world for engine tests.
 func buildTestHierarchy(t *testing.T, seed uint64, mids, stubs int) *bgpsim.Hierarchy {
 	t.Helper()
-	h, err := bgpsim.BuildHierarchy(rng.New(seed), mids, stubs)
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: mids, NStub: stubs})
 	if err != nil {
 		t.Fatal(err)
 	}
