@@ -21,6 +21,7 @@ import (
 	"repro/internal/cn"
 	"repro/internal/diary"
 	"repro/internal/ethno"
+	"repro/internal/experiment"
 	"repro/internal/focusgroup"
 	"repro/internal/graph"
 	"repro/internal/ixp"
@@ -522,5 +523,35 @@ func BenchmarkClosenessParallel(b *testing.B) {
 		if _, err := g.ClosenessCentralityCtx(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBiblioGraph runs the registered biblio-graph study at the bench
+// harness's graph workload shape (1000 papers, 500 authors): corpus
+// generation, coauthorship graph, k-core, communities and both exact
+// centralities.
+func BenchmarkBiblioGraph(b *testing.B) {
+	sc, ok := experiment.Get("biblio-graph")
+	if !ok {
+		b.Fatal("biblio-graph not registered")
+	}
+	p, err := sc.Params().Merge(experiment.Values{"papers": 1000, "authors": 500})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.Run(ctx, p, sc.DefaultSeed()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKCore(b *testing.B) {
+	g := graph.BarabasiAlbert(20000, 3, rng.New(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.KCore()
 	}
 }

@@ -191,9 +191,21 @@ func (c *Corpus) CoauthorGraph() (*graph.Graph, []int) {
 			}
 		}
 	}
+	// Add edges in (a, b) order: adjacency order fixes BFS order, and with
+	// it the float accumulation order of the centralities.
+	pairs := make([][2]int, 0, len(weights))
+	for pair := range weights {
+		pairs = append(pairs, pair)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i][0] != pairs[j][0] {
+			return pairs[i][0] < pairs[j][0]
+		}
+		return pairs[i][1] < pairs[j][1]
+	})
 	g := graph.New(len(ids), false)
-	for pair, w := range weights {
-		_ = g.AddEdge(pair[0], pair[1], w)
+	for _, pair := range pairs {
+		_ = g.AddEdge(pair[0], pair[1], weights[pair])
 	}
 	return g, ids
 }
@@ -229,6 +241,18 @@ func methodVocabulary() map[Method][]string {
 	}
 }
 
+// classifierVocab is methodVocabulary stemmed once, indexed by Method (the
+// four vocabulary methods precede Mixed).
+var classifierVocab = func() (v [Mixed][]string) {
+	vocab := methodVocabulary()
+	for m := range v {
+		for _, w := range vocab[Method(m)] {
+			v[m] = append(v[m], textproc.Stem(w))
+		}
+	}
+	return v
+}()
+
 // ClassifyAbstract assigns the method whose vocabulary best matches the
 // abstract (stemmed-token overlap). Abstracts matching both qualitative and
 // a quantitative vocabulary strongly are labelled Mixed; no match defaults
@@ -239,16 +263,16 @@ func ClassifyAbstract(abstract string) Method {
 	for _, t := range tokens {
 		counts[t]++
 	}
-	scores := make(map[Method]int)
-	for m, vocab := range methodVocabulary() {
-		for _, w := range vocab {
-			scores[m] += counts[textproc.Stem(w)]
+	var scores [Mixed]int
+	for m, stems := range classifierVocab {
+		for _, w := range stems {
+			scores[m] += counts[w]
 		}
 	}
 	best, bestScore := Measurement, 0
-	for _, m := range []Method{Measurement, SystemsBuilding, Theory, Qualitative} {
-		if scores[m] > bestScore {
-			best, bestScore = m, scores[m]
+	for m, score := range scores {
+		if score > bestScore {
+			best, bestScore = Method(m), score
 		}
 	}
 	if bestScore == 0 {
@@ -261,25 +285,4 @@ func ClassifyAbstract(abstract string) Method {
 		return Mixed
 	}
 	return best
-}
-
-// ClassifiedMix classifies every abstract at a venue and returns the method
-// shares — the tooling path a real corpus (no labels) would use.
-func (c *Corpus) ClassifiedMix(venue string) map[Method]float64 {
-	counts := make(map[Method]float64)
-	total := 0.0
-	for _, p := range c.papers {
-		if venue != "" && p.Venue != venue {
-			continue
-		}
-		counts[ClassifyAbstract(p.Abstract)]++
-		total++
-	}
-	if total == 0 {
-		return counts
-	}
-	for m := range counts {
-		counts[m] /= total
-	}
-	return counts
 }

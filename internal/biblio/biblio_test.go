@@ -1,6 +1,9 @@
 package biblio
 
 import (
+	"context"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -252,6 +255,40 @@ func TestCoauthorGraphSkewUnderPrefAttachment(t *testing.T) {
 	mean := float64(sum) / float64(g.N())
 	if float64(maxDeg) < 4*mean {
 		t.Errorf("coauthor degree max %d not heavy-tailed vs mean %.1f", maxDeg, mean)
+	}
+}
+
+// TestCoauthorGraphBetweennessReproducible is the regression for adding
+// edges in map order: adjacency order fixes the centralities' float
+// accumulation order, so two builds of one corpus must give bit-identical
+// betweenness at every worker count.
+func TestCoauthorGraphBetweennessReproducible(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.Papers = 600
+	cfg.Authors = 300
+	c, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first, _ := c.CoauthorGraph()
+	want, err := first.BetweennessCentralityCtx(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for build := 0; build < 3; build++ {
+		g, _ := c.CoauthorGraph()
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			got, err := g.BetweennessCentralityCtx(ctx, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("build %d workers=%d: cb[%d] = %v, first build %v", build, workers, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

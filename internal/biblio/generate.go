@@ -184,6 +184,14 @@ func RunE5(cfg GenConfig) ([]E5Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Classify each abstract once, the tooling path a real corpus (no
+	// labels) would use; every row counts the labels of its papers.
+	ids := c.PaperIDs()
+	classified := make([]Method, len(ids))
+	for i, id := range ids {
+		p, _ := c.Paper(id)
+		classified[i] = ClassifyAbstract(p.Abstract)
+	}
 	venues := append([]string{"ALL"}, c.Venues()...)
 	rows := make([]E5Row, 0, len(venues))
 	for _, v := range venues {
@@ -194,18 +202,19 @@ func RunE5(cfg GenConfig) ([]E5Row, error) {
 		row := E5Row{Venue: v}
 		mix := c.MethodMix(filter)
 		row.QualitativeShare = mix[Qualitative] + mix[Mixed]
-		cmix := c.ClassifiedMix(filter)
-		row.ClassifiedQual = cmix[Qualitative] + cmix[Mixed]
 
-		// Per-venue affiliation concentration and southern representation.
+		// Per-venue classified method mix, affiliation concentration and
+		// southern representation.
+		var classifiedCounts [Mixed + 1]float64
 		affCounts := make(map[string]float64)
 		var total, south float64
-		for _, id := range c.PaperIDs() {
+		for i, id := range ids {
 			p, _ := c.Paper(id)
 			if filter != "" && p.Venue != filter {
 				continue
 			}
 			row.Papers++
+			classifiedCounts[classified[i]]++
 			seen := make(map[string]bool)
 			for _, aid := range p.Authors {
 				a, _ := c.Author(aid)
@@ -227,6 +236,10 @@ func RunE5(cfg GenConfig) ([]E5Row, error) {
 			vals = append(vals, cnt)
 		}
 		sort.Float64s(vals)
+		if row.Papers > 0 {
+			n := float64(row.Papers)
+			row.ClassifiedQual = classifiedCounts[Qualitative]/n + classifiedCounts[Mixed]/n
+		}
 		row.AffiliationGini = stats.Gini(vals)
 		row.Top10AffilShare = stats.TopKShare(vals, 10)
 		if total > 0 {

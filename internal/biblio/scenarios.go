@@ -130,9 +130,13 @@ func runGraph(ctx context.Context, p experiment.Values, seed uint64) (*experimen
 	}
 	_, communities := g.LabelPropagation(rng.New(seed), 50)
 	core := g.KCore()
+	degeneracy := 0
+	for _, k := range core {
+		degeneracy = max(degeneracy, k)
+	}
 	inCore := 0
 	for _, k := range core {
-		if k == g.Degeneracy() {
+		if k == degeneracy {
 			inCore++
 		}
 	}
@@ -149,7 +153,7 @@ func runGraph(ctx context.Context, p experiment.Values, seed uint64) (*experimen
 	t.AddRow(experiment.S("giant-component"), experiment.I(g.GiantComponentSize()))
 	t.AddRow(experiment.S("communities"), experiment.I(communities))
 	t.AddRow(experiment.S("degree-assortativity"), experiment.F3(g.DegreeAssortativity()))
-	t.AddRow(experiment.S("degeneracy"), experiment.I(g.Degeneracy()))
+	t.AddRow(experiment.S("degeneracy"), experiment.I(degeneracy))
 	t.AddRow(experiment.S("innermost-core"), experiment.I(inCore))
 
 	workers := experiment.WorkersFrom(ctx)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -97,28 +98,45 @@ func (g *Graph) Neighbors(u int) []Edge { //humnet:allow aliasret -- zero-copy r
 // Degree returns the out-degree of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// BFS returns the hop distance from src to every node (-1 when unreachable).
-func (g *Graph) BFS(src int) []int {
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
+// bfsScratch is one task's reusable breadth-first-search state: hop
+// distances (-1 = unvisited) and the visit order, which doubles as the queue
+// and, read backwards, as Brandes' stack. Between searches every dist entry
+// is -1 and order is empty, so a search costs O(reached + their arcs), not
+// O(n).
+type bfsScratch struct {
+	dist  []int
+	order []int
+}
+
+func newBFSScratch(n int) bfsScratch {
+	s := bfsScratch{dist: make([]int, n), order: make([]int, 0, n)}
+	for i := range s.dist {
+		s.dist[i] = -1
 	}
-	if src < 0 || src >= len(g.adj) {
-		return dist
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[u] {
-			if dist[e.To] == -1 {
-				dist[e.To] = dist[u] + 1
-				queue = append(queue, e.To)
+	return s
+}
+
+// run records the hop distance from src over adj to every node it reaches.
+func (s *bfsScratch) run(adj [][]Edge, src int) {
+	s.dist[src] = 0
+	s.order = append(s.order, src)
+	for head := 0; head < len(s.order); head++ {
+		u := s.order[head]
+		for _, e := range adj[u] {
+			if s.dist[e.To] == -1 {
+				s.dist[e.To] = s.dist[u] + 1
+				s.order = append(s.order, e.To)
 			}
 		}
 	}
-	return dist
+}
+
+// reset restores the between-searches state.
+func (s *bfsScratch) reset() {
+	for _, v := range s.order {
+		s.dist[v] = -1
+	}
+	s.order = s.order[:0]
 }
 
 // pqItem is a priority-queue entry for Dijkstra.
@@ -196,6 +214,24 @@ func Path(prev []int, src, dst int) []int {
 	return rev
 }
 
+// undirectedView returns the adjacency with every arc stored at both
+// endpoints: g.adj itself for an undirected graph, a fresh copy for a
+// directed one (an arc u→v joins v's list as v→u, so u↔v arcs become
+// parallel edges).
+func (g *Graph) undirectedView() [][]Edge {
+	if !g.directed {
+		return g.adj
+	}
+	view := make([][]Edge, len(g.adj))
+	for u, es := range g.adj {
+		for _, e := range es {
+			view[u] = append(view[u], e)
+			view[e.To] = append(view[e.To], Edge{To: u, Weight: e.Weight})
+		}
+	}
+	return view
+}
+
 // Components returns, for undirected graphs, the component label of each node
 // and the number of components. For directed graphs it treats edges as
 // undirected (weak components).
@@ -205,17 +241,7 @@ func (g *Graph) Components() (label []int, count int) {
 	for i := range label {
 		label[i] = -1
 	}
-	// Build an undirected view for directed graphs.
-	undirected := g.adj
-	if g.directed {
-		undirected = make([][]Edge, n)
-		for u, es := range g.adj {
-			for _, e := range es {
-				undirected[u] = append(undirected[u], e)
-				undirected[e.To] = append(undirected[e.To], Edge{To: u, Weight: e.Weight})
-			}
-		}
-	}
+	undirected := g.undirectedView()
 	for s := 0; s < n; s++ {
 		if label[s] != -1 {
 			continue
@@ -257,26 +283,31 @@ func (g *Graph) GiantComponentSize() int {
 // (reachable/sum-of-distances) — the Wasserman–Faust normalization that
 // handles disconnected graphs. Hop distances are used (unweighted). The
 // per-source BFS runs on at most workers goroutines (workers <= 0 means
-// GOMAXPROCS, workers == 1 runs serially); each source writes only its own
-// entry, so the output is bit-identical for every worker count. ctx is
-// checked between per-source BFS tasks, so a cancelled caller stops paying
-// for sources it no longer wants; the partial result is discarded and
-// ctx.Err() returned.
+// GOMAXPROCS, workers == 1 runs serially), each on reused scratch; each
+// source writes only its own entry, so the output is bit-identical for every
+// worker count. ctx is checked between per-source BFS tasks, so a cancelled
+// caller stops paying for sources it no longer wants; the partial result is
+// discarded and ctx.Err() returned.
 func (g *Graph) ClosenessCentralityCtx(ctx context.Context, workers int) ([]float64, error) {
 	n := len(g.adj)
 	c := make([]float64, n)
 	if n < 2 {
 		return c, nil
 	}
+	pool := sync.Pool{New: func() any {
+		s := newBFSScratch(n)
+		return &s
+	}}
 	err := parallel.ForEach(ctx, n, workers, func(u int) error {
-		dist := g.BFS(u)
+		s := pool.Get().(*bfsScratch)
+		s.run(g.adj, u)
 		sum, reach := 0, 0
-		for v, d := range dist {
-			if v != u && d > 0 {
-				sum += d
-				reach++
-			}
+		for _, v := range s.order[1:] {
+			sum += s.dist[v]
+			reach++
 		}
+		s.reset()
+		pool.Put(s)
 		if sum > 0 {
 			r := float64(reach)
 			c[u] = (r / float64(n-1)) * (r / float64(sum))
@@ -289,44 +320,53 @@ func (g *Graph) ClosenessCentralityCtx(ctx context.Context, workers int) ([]floa
 	return c, nil
 }
 
+// brandesScratch is one task's reusable Brandes state: the BFS scratch plus
+// shortest-path counts (zero between sources) and the dependency vector the
+// source hands to the reducer.
+type brandesScratch struct {
+	bfsScratch
+	sigma []float64
+	delta []float64
+}
+
 // brandesFrom runs the single-source phase of Brandes' algorithm from s
 // (shortest-path DAG construction plus dependency accumulation, Brandes
-// 2001) and writes each node's dependency into delta, which must be a zeroed
-// slice of length N.
-func (g *Graph) brandesFrom(s int, delta []float64) {
-	n := len(g.adj)
-	stack := make([]int, 0, n)
-	preds := make([][]int, n)
-	sigma := make([]float64, n)
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
+// 2001) and leaves each node's dependency in sc.delta. in lists each node's
+// in-arcs: a DAG predecessor of w is an in-neighbour v with dist[v] =
+// dist[w]-1, found by scanning in[w] instead of storing predecessor lists.
+// Each delta[v] receives its contributions in reverse BFS order of w, the
+// order predecessor lists give, so the result is the same bit for bit.
+func (g *Graph) brandesFrom(s int, in [][]Edge, sc *brandesScratch) {
+	dist, sigma, delta := sc.dist, sc.sigma, sc.delta
+	clear(delta)
 	sigma[s] = 1
 	dist[s] = 0
-	queue := []int{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		stack = append(stack, v)
+	sc.order = append(sc.order, s)
+	for head := 0; head < len(sc.order); head++ {
+		v := sc.order[head]
 		for _, e := range g.adj[v] {
 			w := e.To
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+				sc.order = append(sc.order, w)
 			}
 			if dist[w] == dist[v]+1 {
 				sigma[w] += sigma[v]
-				preds[w] = append(preds[w], v)
 			}
 		}
 	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		w := stack[i]
-		for _, v := range preds[w] {
-			delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+	for i := len(sc.order) - 1; i > 0; i-- {
+		w := sc.order[i]
+		for _, e := range in[w] {
+			if v := e.To; dist[v] == dist[w]-1 {
+				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+			}
 		}
 	}
+	for _, v := range sc.order {
+		sigma[v] = 0
+	}
+	sc.reset()
 }
 
 // BetweennessCentralityCtx returns Brandes' betweenness centrality
@@ -336,7 +376,8 @@ func (g *Graph) brandesFrom(s int, delta []float64) {
 // Per-source dependency vectors are computed concurrently but merged into
 // the result strictly in source order, so the floating-point accumulation
 // order — and therefore the output, bit for bit — is identical for every
-// worker count. ctx is checked between per-source Brandes phases; on
+// worker count. Each source costs O(n+m) time on scratch that is reused
+// across sources. ctx is checked between per-source Brandes phases; on
 // cancellation the partial accumulation is discarded and ctx.Err() returned.
 func (g *Graph) BetweennessCentralityCtx(ctx context.Context, workers int) ([]float64, error) {
 	n := len(g.adj)
@@ -344,35 +385,35 @@ func (g *Graph) BetweennessCentralityCtx(ctx context.Context, workers int) ([]fl
 	if n == 0 {
 		return cb, nil
 	}
-	accumulate := func(s int, delta []float64) error {
-		for w, d := range delta {
-			if w != s {
-				cb[w] += d
+	in := g.adj
+	if g.directed {
+		in = make([][]Edge, n)
+		for u, es := range g.adj {
+			for _, e := range es {
+				in[e.To] = append(in[e.To], Edge{To: u, Weight: e.Weight})
 			}
 		}
-		return nil
 	}
-	if parallel.Workers(workers, n) == 1 {
-		delta := make([]float64, n)
-		for s := 0; s < n; s++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	pool := sync.Pool{New: func() any {
+		return &brandesScratch{bfsScratch: newBFSScratch(n), sigma: make([]float64, n), delta: make([]float64, n)}
+	}}
+	err := parallel.ReduceOrdered(ctx, n, workers,
+		func(s int) (*brandesScratch, error) {
+			sc := pool.Get().(*brandesScratch)
+			g.brandesFrom(s, in, sc)
+			return sc, nil
+		},
+		func(s int, sc *brandesScratch) error {
+			for w, d := range sc.delta {
+				if w != s {
+					cb[w] += d
+				}
 			}
-			clear(delta)
-			g.brandesFrom(s, delta)
-			_ = accumulate(s, delta)
-		}
-	} else {
-		err := parallel.ReduceOrdered(ctx, n, workers,
-			func(s int) ([]float64, error) {
-				delta := make([]float64, n)
-				g.brandesFrom(s, delta)
-				return delta, nil
-			},
-			accumulate)
-		if err != nil {
-			return nil, err
-		}
+			pool.Put(sc)
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	if !g.directed {
 		for i := range cb {
@@ -525,53 +566,59 @@ func mean(xs []float64) float64 {
 }
 
 // KCore returns each node's core number: the largest k such that the node
-// belongs to a subgraph where every member has degree >= k (undirected
-// interpretation; uses the standard peeling algorithm). Core numbers
-// identify the densely collaborating center of a coauthorship network —
-// who is structurally "in the room".
+// belongs to a subgraph where every member has degree >= k. A directed graph
+// is read as undirected (undirectedView), and parallel edges each count
+// toward degree. Core numbers identify the densely collaborating center of a
+// coauthorship network — who is structurally "in the room". It peels with
+// Batagelj and Zaversnik's bucket algorithm (2003) in O(n+m): nodes sit in
+// an array sorted by current degree, and a neighbour's decrement moves it
+// to the front of its bucket in O(1).
 func (g *Graph) KCore() []int {
-	n := len(g.adj)
+	adj := g.undirectedView()
+	n := len(adj)
 	deg := make([]int, n)
-	for u := range g.adj {
-		deg[u] = len(g.adj[u])
+	maxDeg := 0
+	for u, es := range adj {
+		deg[u] = len(es)
+		maxDeg = max(maxDeg, deg[u])
 	}
-	core := make([]int, n)
-	removed := make([]bool, n)
-	// Peel the minimum-degree node repeatedly; the core number is the
-	// running maximum of degrees at removal time.
-	k := 0
-	for peeled := 0; peeled < n; peeled++ {
-		u, best := -1, int(^uint(0)>>1)
-		for v := 0; v < n; v++ {
-			if !removed[v] && deg[v] < best {
-				u, best = v, deg[v]
+	// bin[d] is where the degree-d bucket starts in vert; pos inverts vert.
+	bin := make([]int, maxDeg+1)
+	for _, d := range deg {
+		bin[d]++
+	}
+	for d, start := 0, 0; d <= maxDeg; d++ {
+		bin[d], start = start, start+bin[d]
+	}
+	vert := make([]int, n)
+	pos := make([]int, n)
+	for u, d := range deg {
+		pos[u] = bin[d]
+		vert[pos[u]] = u
+		bin[d]++
+	}
+	for d := maxDeg; d > 0; d-- {
+		bin[d] = bin[d-1]
+	}
+	bin[0] = 0
+	// Peel in nondecreasing degree order; deg[v] is final when v is peeled.
+	// A decrement only swaps nodes at positions past i (not yet peeled).
+	for i := 0; i < n; i++ {
+		v := vert[i]
+		for _, e := range adj[v] {
+			u := e.To
+			if deg[u] <= deg[v] {
+				continue
 			}
-		}
-		if u == -1 {
-			break
-		}
-		removed[u] = true
-		if deg[u] > k {
-			k = deg[u]
-		}
-		core[u] = k
-		for _, e := range g.adj[u] {
-			if !removed[e.To] && deg[e.To] > 0 {
-				deg[e.To]--
+			du, pu := deg[u], pos[u]
+			pw := bin[du]
+			if w := vert[pw]; w != u {
+				pos[u], pos[w] = pw, pu
+				vert[pu], vert[pw] = w, u
 			}
+			bin[du]++
+			deg[u]--
 		}
 	}
-	return core
-}
-
-// Degeneracy returns the graph's degeneracy (maximum core number), 0 for
-// empty graphs.
-func (g *Graph) Degeneracy() int {
-	best := 0
-	for _, c := range g.KCore() {
-		if c > best {
-			best = c
-		}
-	}
-	return best
+	return deg
 }

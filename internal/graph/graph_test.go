@@ -2,11 +2,14 @@ package graph
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/proptest"
 	"repro/internal/rng"
 )
 
@@ -30,6 +33,23 @@ func star(n int) *Graph {
 		}
 	}
 	return g
+}
+
+// hops runs the breadth-first search the closeness centrality uses from src
+// and returns a copy of its hop distances (-1 when unreachable).
+func hops(g *Graph, src int) []int {
+	s := newBFSScratch(g.N())
+	s.run(g.adj, src)
+	return append([]int(nil), s.dist...)
+}
+
+// degeneracy is the graph's maximum core number, 0 for an empty graph.
+func degeneracy(g *Graph) int {
+	best := 0
+	for _, c := range g.KCore() {
+		best = max(best, c)
+	}
+	return best
 }
 
 func TestAddEdgeValidation(t *testing.T) {
@@ -77,7 +97,7 @@ func TestAddNode(t *testing.T) {
 
 func TestBFSLine(t *testing.T) {
 	g := line(5)
-	d := g.BFS(0)
+	d := hops(g, 0)
 	for i, want := range []int{0, 1, 2, 3, 4} {
 		if d[i] != want {
 			t.Errorf("dist[%d] = %d, want %d", i, d[i], want)
@@ -88,7 +108,7 @@ func TestBFSLine(t *testing.T) {
 func TestBFSUnreachable(t *testing.T) {
 	g := New(3, false)
 	_ = g.AddEdge(0, 1, 1)
-	d := g.BFS(0)
+	d := hops(g, 0)
 	if d[2] != -1 {
 		t.Errorf("unreachable dist = %d, want -1", d[2])
 	}
@@ -332,7 +352,7 @@ func TestQuickBFSTriangleInequality(t *testing.T) {
 	r := rng.New(11)
 	f := func(seed uint32) bool {
 		g := ErdosRenyi(30, 0.15, rng.New(uint64(seed)))
-		d := g.BFS(0)
+		d := hops(g, 0)
 		// For every edge (u,v): |d[u]-d[v]| <= 1 when both reachable.
 		for u := 0; u < g.N(); u++ {
 			for _, e := range g.Neighbors(u) {
@@ -356,7 +376,7 @@ func TestQuickBFSTriangleInequality(t *testing.T) {
 func TestQuickDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 	f := func(seed uint32) bool {
 		g := ErdosRenyi(25, 0.2, rng.New(uint64(seed)))
-		bfs := g.BFS(0)
+		bfs := hops(g, 0)
 		dij, _ := g.Dijkstra(0)
 		for i := range bfs {
 			if bfs[i] == -1 {
@@ -481,8 +501,8 @@ func TestKCoreCliqueWithTail(t *testing.T) {
 	if core[4] != 1 || core[5] != 1 {
 		t.Errorf("tail cores = %d, %d, want 1", core[4], core[5])
 	}
-	if g.Degeneracy() != 3 {
-		t.Errorf("degeneracy = %d, want 3", g.Degeneracy())
+	if degeneracy(g) != 3 {
+		t.Errorf("degeneracy = %d, want 3", degeneracy(g))
 	}
 }
 
@@ -503,7 +523,7 @@ func TestKCoreIsolatedNodes(t *testing.T) {
 			t.Errorf("isolated node %d core = %d", u, c)
 		}
 	}
-	if g.Degeneracy() != 0 {
+	if degeneracy(g) != 0 {
 		t.Error("empty degeneracy should be 0")
 	}
 }
@@ -511,9 +531,9 @@ func TestKCoreIsolatedNodes(t *testing.T) {
 func TestKCoreMonotoneUnderDensity(t *testing.T) {
 	sparse := ErdosRenyi(60, 0.05, rng.New(3))
 	dense := ErdosRenyi(60, 0.3, rng.New(3))
-	if !(dense.Degeneracy() > sparse.Degeneracy()) {
+	if !(degeneracy(dense) > degeneracy(sparse)) {
 		t.Errorf("denser graph should have higher degeneracy: %d vs %d",
-			dense.Degeneracy(), sparse.Degeneracy())
+			degeneracy(dense), degeneracy(sparse))
 	}
 }
 
@@ -529,7 +549,284 @@ func TestKCoreBoundedByDegree(t *testing.T) {
 		}
 	}
 	// BA(m=3) graphs have degeneracy exactly m.
-	if d := g.Degeneracy(); d != 3 {
+	if d := degeneracy(g); d != 3 {
 		t.Errorf("BA degeneracy = %d, want 3", d)
 	}
+}
+
+// kcoreOracle is the textbook O(n²) peel: repeatedly remove
+// a minimum-degree node (lowest ID on ties); a node's core number is the
+// running maximum of degrees at removal time. It reads g.adj as given, so
+// it is an oracle for undirected graphs only.
+func kcoreOracle(g *Graph) []int {
+	n := len(g.adj)
+	deg := make([]int, n)
+	for u := range g.adj {
+		deg[u] = len(g.adj[u])
+	}
+	core := make([]int, n)
+	removed := make([]bool, n)
+	k := 0
+	for peeled := 0; peeled < n; peeled++ {
+		u, best := -1, int(^uint(0)>>1)
+		for v := 0; v < n; v++ {
+			if !removed[v] && deg[v] < best {
+				u, best = v, deg[v]
+			}
+		}
+		removed[u] = true
+		k = max(k, deg[u])
+		core[u] = k
+		for _, e := range g.adj[u] {
+			if !removed[e.To] && deg[e.To] > 0 {
+				deg[e.To]--
+			}
+		}
+	}
+	return core
+}
+
+// brandesOracle is the single-source Brandes phase with explicit
+// predecessor lists, written as in Brandes (2001): it adds source s's
+// dependencies into delta, a zeroed slice of length N.
+func brandesOracle(g *Graph, s int, delta []float64) {
+	n := len(g.adj)
+	stack := make([]int, 0, n)
+	preds := make([][]int, n)
+	sigma := make([]float64, n)
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	sigma[s] = 1
+	dist[s] = 0
+	queue := []int{s}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		stack = append(stack, v)
+		for _, e := range g.adj[v] {
+			w := e.To
+			if dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+			if dist[w] == dist[v]+1 {
+				sigma[w] += sigma[v]
+				preds[w] = append(preds[w], v)
+			}
+		}
+	}
+	for i := len(stack) - 1; i >= 0; i-- {
+		w := stack[i]
+		for _, v := range preds[w] {
+			delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+		}
+	}
+}
+
+// betweennessOracle accumulates brandesOracle serially in source order.
+func betweennessOracle(g *Graph) []float64 {
+	n := len(g.adj)
+	cb := make([]float64, n)
+	delta := make([]float64, n)
+	for s := 0; s < n; s++ {
+		clear(delta)
+		brandesOracle(g, s, delta)
+		for w, d := range delta {
+			if w != s {
+				cb[w] += d
+			}
+		}
+	}
+	if !g.directed {
+		for i := range cb {
+			cb[i] /= 2
+		}
+	}
+	return cb
+}
+
+// multiSpec builds an undirected graph from spec, adding each edge one to
+// three times so the result has parallel edges.
+func multiSpec(pg *proptest.G, spec proptest.GraphSpec) *Graph {
+	g := New(spec.N, false)
+	for k, e := range spec.Edges {
+		for c := pg.IntRange(1, 3); c > 0; c-- {
+			if err := g.AddEdge(e[0], e[1], spec.Weights[k]); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return g
+}
+
+// randomDigraph draws a directed graph on 1..maxN nodes: each ordered pair
+// gets an arc with probability p, and an arc is doubled with probability
+// 0.2, so both u→v and v→u and parallel arcs all occur.
+func randomDigraph(pg *proptest.G, maxN int, p float64) *Graph {
+	n := pg.IntRange(1, maxN)
+	g := New(n, true)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v || !pg.Bool(p) {
+				continue
+			}
+			copies := 1
+			if pg.Bool(0.2) {
+				copies = 2
+			}
+			for ; copies > 0; copies-- {
+				if err := g.AddEdge(u, v, 1); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// undirectedCopy returns g with every arc u→v turned into an undirected
+// edge u-v (so u→v plus v→u becomes a parallel pair).
+func undirectedCopy(g *Graph) *Graph {
+	u := New(g.N(), false)
+	for v, es := range g.adj {
+		for _, e := range es {
+			if err := u.AddEdge(v, e.To, e.Weight); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return u
+}
+
+// oracleGraphs are the generated undirected graphs the oracle tests share:
+// random, heavy-tailed, star, disconnected, and a multigraph.
+func oracleGraphs() map[string]*Graph {
+	multi := ErdosRenyi(80, 0.08, rng.New(13))
+	for u := 0; u < multi.N(); u += 3 {
+		for _, e := range append([]Edge(nil), multi.adj[u]...) {
+			if e.To > u {
+				_ = multi.AddEdge(u, e.To, e.Weight)
+			}
+		}
+	}
+	return map[string]*Graph{
+		"erdos-renyi-sparse": ErdosRenyi(150, 0.03, rng.New(3)),
+		"erdos-renyi-dense":  ErdosRenyi(60, 0.3, rng.New(4)),
+		"barabasi-2":         BarabasiAlbert(300, 2, rng.New(5)),
+		"barabasi-5":         BarabasiAlbert(200, 5, rng.New(6)),
+		"star":               star(40),
+		"line":               line(30),
+		"empty":              New(0, false),
+		"isolated":           New(5, false),
+		"multigraph":         multi,
+	}
+}
+
+func TestKCoreMatchesOracle(t *testing.T) {
+	for name, g := range oracleGraphs() {
+		if got, want := g.KCore(), kcoreOracle(g); !slices.Equal(got, want) {
+			t.Errorf("%s: KCore = %v, oracle %v", name, got, want)
+		}
+	}
+}
+
+func TestPropKCoreMatchesOracle(t *testing.T) {
+	proptest.Run(t, 205, 120, func(pg *proptest.G) error {
+		g := multiSpec(pg, pg.Graph(16, pg.Float64Range(0.05, 0.6)))
+		if got, want := g.KCore(), kcoreOracle(g); !slices.Equal(got, want) {
+			return fmt.Errorf("KCore = %v, oracle %v", got, want)
+		}
+		return nil
+	})
+}
+
+// TestKCoreDirectedCycle is the regression for peeling out-degrees: a
+// directed 3-cycle is a triangle when read undirected, so every node has
+// core number 2, not 1.
+func TestKCoreDirectedCycle(t *testing.T) {
+	g := New(3, true)
+	_ = g.AddEdge(0, 1, 1)
+	_ = g.AddEdge(1, 2, 1)
+	_ = g.AddEdge(2, 0, 1)
+	if got := g.KCore(); !slices.Equal(got, []int{2, 2, 2}) {
+		t.Errorf("directed 3-cycle KCore = %v, want [2 2 2]", got)
+	}
+}
+
+func TestPropKCoreDirectedIsUndirected(t *testing.T) {
+	proptest.Run(t, 206, 120, func(pg *proptest.G) error {
+		g := randomDigraph(pg, 14, pg.Float64Range(0.05, 0.4))
+		if got, want := g.KCore(), undirectedCopy(g).KCore(); !slices.Equal(got, want) {
+			return fmt.Errorf("directed KCore = %v, undirected copy %v", got, want)
+		}
+		return nil
+	})
+}
+
+// oracleWorkerCounts are the worker counts checked against the serial
+// oracle.
+func oracleWorkerCounts() []int {
+	return []int{1, 2, runtime.GOMAXPROCS(0)}
+}
+
+// sameBetweenness compares got against the oracle bit for bit.
+func sameBetweenness(got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("len %d, oracle %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("cb[%d] = %v, oracle %v (not bit-identical)", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+func TestBetweennessMatchesOracle(t *testing.T) {
+	graphs := oracleGraphs()
+	for i, seed := range []uint64{7, 8} {
+		g := New(60, true)
+		r := rng.New(seed)
+		for u := 0; u < g.N(); u++ {
+			for v := 0; v < g.N(); v++ {
+				if u != v && r.Bool(0.06) {
+					_ = g.AddEdge(u, v, 1)
+				}
+			}
+		}
+		graphs[fmt.Sprintf("directed-%d", i)] = g
+	}
+	for name, g := range graphs {
+		want := betweennessOracle(g)
+		for _, workers := range oracleWorkerCounts() {
+			if err := sameBetweenness(betweenness(t, g, workers), want); err != nil {
+				t.Errorf("%s workers=%d: %v", name, workers, err)
+			}
+		}
+	}
+}
+
+func TestPropBetweennessMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	proptest.Run(t, 207, 120, func(pg *proptest.G) error {
+		var g *Graph
+		if pg.Bool(0.5) {
+			g = randomDigraph(pg, 12, pg.Float64Range(0.05, 0.4))
+		} else {
+			g = multiSpec(pg, pg.Graph(12, pg.Float64Range(0.05, 0.5)))
+		}
+		want := betweennessOracle(g)
+		for _, workers := range oracleWorkerCounts() {
+			got, err := g.BetweennessCentralityCtx(ctx, workers)
+			if err != nil {
+				return err
+			}
+			if err := sameBetweenness(got, want); err != nil {
+				return fmt.Errorf("directed=%v workers=%d: %v", g.directed, workers, err)
+			}
+		}
+		return nil
+	})
 }
