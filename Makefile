@@ -73,7 +73,7 @@ fuzz-smoke:
 	done; \
 	[ $$n -gt 0 ] || { echo "fuzz-smoke: no Fuzz targets found" >&2; exit 1; }
 
-# Regenerate every experiment table (E1-E14) alongside timing.
+# Run one benchmark per experiment (E1-E16), each regenerating its table.
 bench:
 	$(GO) test -bench=. -benchmem .
 

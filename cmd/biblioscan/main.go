@@ -1,22 +1,18 @@
-// Command biblioscan analyzes publication corpora. Its experiment surface
-// is the scenario registry: the "who is in the room" concentration report
-// (E5), CFP dynamics (E15), and the coauthorship-graph structure study
-// (biblio-graph) are resolved by -scenario with schema-bound flags.
-//
-// Two I/O utilities sit outside the registry because they consume external
-// input: -classify labels one abstract, and -in analyzes a real corpus JSON
-// (optionally re-exporting it with -export).
+// Command biblioscan is the corpus utility for external publication data:
+// -classify labels one abstract, and -in analyzes a real corpus JSON
+// (optionally re-exporting it with -export). Both take input from outside
+// the repository, so neither is a registry scenario; the bibliometric
+// scenarios (E5, E15, biblio-graph) run through reportgen, e.g.
+// `reportgen -run 'id=biblio-graph&papers=800'`.
 //
 // Usage:
 //
-//	biblioscan [-scenario E5] [-papers 2000] [-authors 1200] [-seed 1]
-//	biblioscan -scenario biblio-graph [-papers 5000] [-authors 2500] [-workers 4]
-//	biblioscan -list
 //	biblioscan -in corpus.json [-export copy.json]   # analyze a real corpus
 //	biblioscan -classify "we conducted interviews with operators ..."
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,48 +20,20 @@ import (
 	"os"
 
 	"repro/internal/biblio"
-	"repro/internal/experiment/cli"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("biblioscan: ")
-	if utilityMode(os.Args[1:]) {
-		if err := runUtility(os.Args[1:], os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	os.Exit(cli.Main(cli.Config{
-		Tool:            "biblioscan",
-		DefaultScenario: "E5",
-		Intro:           "biblioscan scenarios (run with -scenario ID):\n\n",
-	}, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// utilityMode reports whether the arguments ask for the non-registry I/O
-// paths (-classify / -in), which take external input and so cannot be
-// scenarios.
-func utilityMode(args []string) bool {
-	for _, a := range args {
-		for _, name := range []string{"classify", "in"} {
-			if a == "-"+name || a == "--"+name {
-				return true
-			}
-			for _, prefix := range []string{"-" + name + "=", "--" + name + "="} {
-				if len(a) >= len(prefix) && a[:len(prefix)] == prefix {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// runUtility implements the corpus I/O paths behind a single error-returning
-// exit: classify one abstract, or load, summarize, and optionally re-export
-// a real corpus.
-func runUtility(args []string, stdout io.Writer) error {
+// run implements the corpus I/O paths behind a single error-returning exit:
+// classify one abstract, or load, summarize, and optionally re-export a real
+// corpus.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("biblioscan", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	classify := fs.String("classify", "", "classify one abstract and exit")
@@ -78,6 +46,9 @@ func runUtility(args []string, stdout io.Writer) error {
 	if *classify != "" {
 		_, err := fmt.Fprintf(stdout, "method: %s\n", biblio.ClassifyAbstract(*classify))
 		return err
+	}
+	if *in == "" {
+		return errors.New("need -classify TEXT or -in corpus.json")
 	}
 
 	f, err := os.Open(*in)

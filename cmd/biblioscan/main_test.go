@@ -8,17 +8,12 @@ import (
 	"repro/internal/clitest"
 )
 
-// TestSmoke runs the scenario surface (E5 default, biblio-graph aux) and the
-// -classify utility twice via `go run .`, requiring deterministic output.
+// TestSmoke runs the -classify utility twice via `go run .`, requiring
+// deterministic output.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping `go run` smoke test in -short mode")
 	}
-	out := string(clitest.RunCLI(t))
-	if !strings.Contains(out, "E5 — ") {
-		t.Fatalf("default run did not render E5:\n%s", out)
-	}
-	clitest.RunCLI(t, "-scenario", "biblio-graph", "-papers", "800", "-authors", "400", "-workers", "2")
 	cls := string(clitest.RunCLI(t, "-classify", "we conducted semi-structured interviews with operators"))
 	if !strings.Contains(cls, "method: qualitative") {
 		t.Fatalf("-classify output unexpected: %q", cls)

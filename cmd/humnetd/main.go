@@ -1,9 +1,11 @@
 // Command humnetd serves the experiment registry over HTTP/JSON — the
 // repository's scenario platform as a daemon. Every registered scenario
-// (E1–E19 plus the auxiliary studies) is runnable via
+// (E1–E22 plus the auxiliary studies) is runnable via
 //
 //	GET /run?id=E7&seed=9&<param>=<value>...
 //
+// (the query is read by experiment.Registry.ParseJob, the parser
+// `reportgen -run` shares, so both front ends run the same job for it)
 // with /list (registry + schemas), /healthz, and /metrics (counters, cache
 // tier hit ratios, latency histogram) alongside. The warm path is layered:
 // an in-memory LRU of rendered responses, request coalescing (concurrent

@@ -1,14 +1,19 @@
-// Command reportgen renders the full experiment report (E1–E19) from the
+// Command reportgen renders the full experiment report (E1–E22) from the
 // scenario registry — the automated regeneration of the measured sections in
-// EXPERIMENTS.md. Every experiment is resolved through internal/experiment;
-// this binary is registry iteration plus rendering and holds no
-// per-experiment code.
+// EXPERIMENTS.md — and is the registry's command-line front end. Every
+// experiment is resolved through internal/experiment; this binary is
+// registry iteration plus rendering and holds no per-experiment code.
 //
 // Usage:
 //
 //	reportgen [-out report.md] [-workers 4] [-only E3,E7] [-json] [-list]
 //	          [-cache-dir DIR] [-cache-stats]
+//	reportgen -run 'id=E1&competitors=8&seed=7' [-json] [-out FILE] [-workers 4] [-cache-dir DIR]
 //	reportgen -timeline doc.txt [-out report.md] [-workers 4] [-json]
+//
+// -run runs one scenario with any params and seed. Its argument is humnetd's
+// /run query, read by the same parser (experiment.Registry.ParseJob); with
+// -json the output is byte for byte the body GET /run?<query> serves.
 //
 // -workers bounds the goroutines used per sweep-style scenario and across
 // scenarios; every table is bit-identical for any value. With -cache-dir,
@@ -23,10 +28,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,8 +64,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory (empty = no cache)")
 	cacheStats := fs.Bool("cache-stats", false, "report cache hits/misses on stderr after the run")
 	timelinePath := fs.String("timeline", "", "replay this timeline document (base topology + @tick events) and render its series instead of the report")
+	runQuery := fs.String("run", "", "run one scenario given as a /run query, e.g. 'id=E1&competitors=8&seed=7'; with -json, print humnetd's /run body")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *runQuery != "" && (*only != "" || *timelinePath != "") {
+		return errors.New("-run cannot be combined with -only or -timeline")
 	}
 
 	if *list {
@@ -69,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runTimeline(*timelinePath, *workers, *jsonOut, *out, stdout)
 	}
 
-	scenarios, err := selectScenarios(*only)
+	jobs, err := selectJobs(*only, *runQuery)
 	if err != nil {
 		return err
 	}
@@ -81,23 +92,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		runner.Cache = cache
 	}
-	jobs := make([]experiment.Job, len(scenarios))
-	for i, s := range scenarios {
-		jobs[i] = experiment.NewJob(s)
-	}
 	results, err := runner.Run(context.Background(), jobs)
 	if err != nil {
 		return err
 	}
 
 	var rendered []byte
-	if *jsonOut {
+	switch {
+	case *jsonOut && *runQuery != "":
+		rendered, err = experiment.RenderOneJSON(results[0])
+	case *jsonOut:
 		rendered, err = experiment.RenderJSON(results)
-		if err != nil {
-			return err
-		}
-	} else {
+	default:
 		rendered = []byte(experiment.RenderMarkdown(results))
+	}
+	if err != nil {
+		return err
 	}
 	if *cacheStats {
 		st := runner.Stats()
@@ -166,32 +176,48 @@ func runTimeline(path string, workers int, jsonOut bool, out string, stdout io.W
 	return err
 }
 
-// selectScenarios resolves the -only filter against the registry: empty
-// means every report scenario; IDs (including auxiliary ones) come back in
-// registry order.
-func selectScenarios(only string) ([]experiment.Scenario, error) {
-	if only == "" {
-		return experiment.Report(), nil
-	}
-	want := make(map[string]bool)
-	for _, id := range strings.Split(only, ",") {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
+// selectJobs turns the selection flags into jobs. A -run query is one job
+// through the shared /run parser; otherwise the -only filter resolves
+// against the registry (empty means every report scenario; IDs, auxiliary
+// ones included, come back in registry order) at default params and seeds.
+func selectJobs(only, runQuery string) ([]experiment.Job, error) {
+	if runQuery != "" {
+		q, err := url.ParseQuery(runQuery)
+		if err != nil {
+			return nil, fmt.Errorf("-run: %w", err)
 		}
-		if _, ok := experiment.Get(id); !ok {
-			return nil, fmt.Errorf("unknown scenario %q in -only (try -list)", id)
+		job, err := experiment.Default.ParseJob(q)
+		if err != nil {
+			return nil, err
 		}
-		want[id] = true
+		return []experiment.Job{job}, nil
 	}
-	if len(want) == 0 {
-		return nil, fmt.Errorf("-only selected no scenarios")
-	}
-	var out []experiment.Scenario
-	for _, s := range experiment.All() {
-		if want[s.ID()] {
-			out = append(out, s)
+	scenarios := experiment.Report()
+	if only != "" {
+		want := make(map[string]bool)
+		for _, id := range strings.Split(only, ",") {
+			id = strings.TrimSpace(id)
+			if id == "" {
+				continue
+			}
+			if _, ok := experiment.Get(id); !ok {
+				return nil, fmt.Errorf("unknown scenario %q in -only (try -list)", id)
+			}
+			want[id] = true
+		}
+		if len(want) == 0 {
+			return nil, fmt.Errorf("-only selected no scenarios")
+		}
+		scenarios = nil
+		for _, s := range experiment.All() {
+			if want[s.ID()] {
+				scenarios = append(scenarios, s)
+			}
 		}
 	}
-	return out, nil
+	jobs := make([]experiment.Job, len(scenarios))
+	for i, s := range scenarios {
+		jobs[i] = experiment.NewJob(s)
+	}
+	return jobs, nil
 }

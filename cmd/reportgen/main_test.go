@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/clitest"
+	"repro/internal/serve"
 )
 
 // TestSmoke runs the full report generation twice and requires identical
@@ -126,6 +131,78 @@ func TestListMode(t *testing.T) {
 	for _, want := range []string{"E1 — ", "E16 — ", "-competitors", "(default seed 42)"} {
 		if !strings.Contains(ls, want) {
 			t.Fatalf("-list output missing %q:\n%s", want, ls)
+		}
+	}
+}
+
+// TestRunMatchesServe is the cross-path property: reportgen -json -run q
+// prints exactly the body humnetd serves for GET /run?q, because both read
+// q with the same parser and render the same Result the same way. Rejected
+// queries fail on both paths with the same message.
+func TestRunMatchesServe(t *testing.T) {
+	srv := httptest.NewServer(serve.New(serve.Config{}).Handler())
+	defer srv.Close()
+	get := func(q string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/run?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	for _, q := range []string{
+		"id=E7",
+		"id=E7&sites=010",
+		"id=E8&seed=9",
+		"id=E17&mids=3&stubs=6&ticks=6",
+	} {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-json", "-run", q, "-workers", "2"}, &out, &errOut); err != nil {
+			t.Fatalf("-run %q: %v", q, err)
+		}
+		status, body := get(q)
+		if status != http.StatusOK {
+			t.Fatalf("/run?%s = %d: %s", q, status, body)
+		}
+		if !bytes.Equal(out.Bytes(), body) {
+			t.Fatalf("-run %q differs from /run body:\n--- reportgen ---\n%s\n--- /run ---\n%s", q, out.Bytes(), body)
+		}
+		if strings.Contains(q, "sites=010") && !strings.Contains(out.String(), `"sites": "10"`) {
+			t.Fatalf("-run %q did not read sites=010 as 10:\n%s", q, out.String())
+		}
+	}
+
+	for _, q := range []string{"id=E7&seed=0x2a", "id=E7&sites=3&sites=4", "id=NOPE"} {
+		var out, errOut bytes.Buffer
+		runErr := run([]string{"-json", "-run", q}, &out, &errOut)
+		if runErr == nil {
+			t.Fatalf("-run %q accepted", q)
+		}
+		status, body := get(q)
+		if status == http.StatusOK {
+			t.Fatalf("/run?%s accepted", q)
+		}
+		var msg struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &msg); err != nil {
+			t.Fatalf("/run?%s error body %q: %v", q, body, err)
+		}
+		if msg.Error != runErr.Error() {
+			t.Fatalf("%q rejected differently: reportgen %q, /run %q", q, runErr.Error(), msg.Error)
+		}
+	}
+
+	var out, errOut bytes.Buffer
+	for _, extra := range [][]string{{"-only", "E7"}, {"-timeline", "testdata/flap.timeline"}} {
+		if err := run(append([]string{"-run", "id=E7"}, extra...), &out, &errOut); err == nil {
+			t.Fatalf("-run accepted together with %v", extra)
 		}
 	}
 }

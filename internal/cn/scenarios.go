@@ -9,7 +9,7 @@ import (
 
 // Scenario registrations for the community-network experiments: E3
 // (congestion management as a common-pool resource) plus the auxiliary
-// cnsim studies — the volunteer-maintenance sweep and the topology-aware
+// studies — the volunteer-maintenance sweep and the topology-aware
 // scheduler comparison — which are resolvable by ID but stay out of the
 // standard report.
 

@@ -1,7 +1,7 @@
 // Package all links every experiment scenario into the importing binary.
 // Each domain package registers its scenarios in init(), so a blank import
 // of this package is how cmd/reportgen (and anything else that wants the
-// full registry) pulls in E1–E19 plus the auxiliary scenarios.
+// full registry) pulls in E1–E22 plus the auxiliary scenarios.
 package all
 
 import (

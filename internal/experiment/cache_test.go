@@ -71,8 +71,16 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 	if string(coldJSON) != string(warmJSON) {
 		t.Fatal("JSON rendering of cached Result differs from cold run")
 	}
-	if RenderText(coldRes) != RenderText(warmRes) {
-		t.Fatal("text rendering of cached Result differs from cold run")
+	coldOne, err := RenderOneJSON(coldRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmOne, err := RenderOneJSON(warmRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(coldOne) != string(warmOne) {
+		t.Fatal("/run body rendering of cached Result differs from cold run")
 	}
 }
 

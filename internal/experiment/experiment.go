@@ -1,5 +1,5 @@
-// Package experiment makes the repository's measured experiments (E1–E16
-// and the auxiliary CLI scenarios) first-class data instead of main-function
+// Package experiment makes the repository's measured experiments (E1–E22
+// and the auxiliary scenarios) first-class data instead of main-function
 // prose: a Scenario is a named, self-describing, deterministic computation
 // from (Params, seed) to a Result of typed tables, registered once by its
 // owning domain package and resolved by ID everywhere else.
@@ -13,12 +13,13 @@
 //     package can resolve them by ID.
 //   - Result / Table / Cell: the deterministic output model. Tables carry
 //     ordered columns and rows of typed cells (string, int, float with a fixed
-//     precision), so every renderer — Markdown, JSON, aligned text — produces
+//     precision), so both renderers — Markdown and JSON — produce
 //     byte-identical output for equal Results, and Results survive a JSON
 //     round-trip (the cache) bit-exactly.
 //   - Registry: ordered, duplicate-rejecting scenario lookup. E-numbered
 //     scenarios sort numerically (E2 before E10); auxiliary scenarios sort
 //     after them by name and are excluded from the standard report.
+//     ParseJob reads the one text form of a run (a /run query) into a Job.
 //   - Runner + Cache: the batch executor. Scenarios fan out over
 //     internal/parallel (results land at their job index, so output is
 //     bit-identical for any worker count) with an optional content-addressed
@@ -65,8 +66,8 @@ type Def struct {
 	Claim string
 	// Seed is the default seed used by the standard report.
 	Seed uint64
-	// Aux marks auxiliary scenarios (CLI-only studies) that are resolvable
-	// by ID but excluded from the standard report.
+	// Aux marks auxiliary scenarios: resolvable by ID (reportgen -run,
+	// /run) but excluded from the standard report.
 	Aux    bool
 	Params Schema
 	Run    func(ctx context.Context, p Values, seed uint64) (*Result, error)

@@ -3,7 +3,7 @@ package experiment
 import "encoding/json"
 
 // jsonTable mirrors Table with formatted cells: consumers get the exact
-// strings the Markdown and text renderers print, so every renderer agrees on
+// strings the Markdown renderer prints, so both renderers agree on
 // the displayed values byte-for-byte.
 type jsonTable struct {
 	ID      string     `json:"id"`

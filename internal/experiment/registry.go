@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,6 +54,66 @@ func (r *Registry) Get(id string) (Scenario, bool) {
 		return nil, false
 	}
 	return def{d}, true
+}
+
+// ErrUnknownScenario is wrapped by ParseJob's error when the query's id is
+// not registered, so a front end can tell a missing scenario from a
+// malformed request (humnetd answers 404 for the one and 400 for the other).
+var ErrUnknownScenario = errors.New("unknown scenario")
+
+// ParseJob turns the text form of one run, a /run query such as
+// id=E7&sites=10&seed=9, into a Job. It is the only text-to-Job parser:
+// humnetd's /run and reportgen -run both call it, so equal text runs the
+// same job on either path. Every key must appear exactly once; id is
+// required; seed is optional (default: the scenario's) and base 10; every
+// other key must name one of the scenario's params and parse with its
+// Spec.Parse. Job.Params holds only the given params, typed.
+func (r *Registry) ParseJob(q url.Values) (Job, error) {
+	names := make([]string, 0, len(q))
+	for name := range q {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// A repeated param, id and seed included, is ambiguous: q.Get would
+	// silently keep the first value.
+	for _, name := range names {
+		if n := len(q[name]); n != 1 {
+			return Job{}, fmt.Errorf("param %q given %d times, want exactly one value", name, n)
+		}
+	}
+	id := q.Get("id")
+	if id == "" {
+		return Job{}, errors.New("missing required query param id")
+	}
+	sc, ok := r.Get(id)
+	if !ok {
+		return Job{}, fmt.Errorf("%w %q (see -list or /list)", ErrUnknownScenario, id)
+	}
+	seed := sc.DefaultSeed()
+	if raw := q.Get("seed"); raw != "" {
+		v, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			return Job{}, fmt.Errorf("bad seed %q: %w", raw, err)
+		}
+		seed = v
+	}
+	schema := sc.Params()
+	over := make(Values)
+	for _, name := range names {
+		if name == "id" || name == "seed" {
+			continue
+		}
+		spec, ok := schema.Lookup(name)
+		if !ok {
+			return Job{}, fmt.Errorf("scenario %s has no param %q (see -list or /list)", sc.ID(), name)
+		}
+		v, err := spec.Parse(q.Get(name))
+		if err != nil {
+			return Job{}, err
+		}
+		over[name] = v
+	}
+	return Job{Scenario: sc, Params: over, Seed: seed}, nil
 }
 
 // IsAux reports whether id names a registered auxiliary scenario.

@@ -66,9 +66,6 @@ func (c Cell) Format() string {
 	return fmt.Sprintf("?%v", c.Kind)
 }
 
-// Numeric reports whether the cell right-aligns in the text renderer.
-func (c Cell) Numeric() bool { return c.Kind == CellInt || c.Kind == CellFloat }
-
 // Table is one rendered section of an experiment: an ID ("E1", "E2b"), a
 // title, ordered columns, and rows of typed cells.
 type Table struct {

@@ -192,9 +192,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks in the distribution.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample returns a rank in [1, n].
 func (z *Zipf) Sample(r *Rand) int {
 	x := r.Float64()

@@ -290,9 +290,3 @@ func TestDistributionValidationPanics(t *testing.T) {
 	expectPanic(t, "NewZipf(0,1)", func() { NewZipf(0, 1) })
 	expectPanic(t, "NewZipf(5,-1)", func() { NewZipf(5, -1) })
 }
-
-func TestZipfN(t *testing.T) {
-	if NewZipf(42, 1).N() != 42 {
-		t.Error("Zipf.N wrong")
-	}
-}

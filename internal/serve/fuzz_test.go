@@ -10,9 +10,10 @@ import (
 
 // FuzzParseRun drives the untrusted /run boundary: a raw query string goes
 // through url.ParseQuery (whose error the handler ignores, as
-// r.URL.Query() does) into parseRun. Parsing must never panic, and an
-// accepted query must be idempotent: re-encoding its merged parameters with
-// id and seed and parsing that again yields the same cache key.
+// r.URL.Query() does) into Registry.ParseJob, the parser /run and
+// reportgen -run share. Parsing must never panic, and an accepted query must
+// be idempotent: re-encoding its merged parameters with id and seed and
+// parsing that again yields the same cache key.
 func FuzzParseRun(f *testing.F) {
 	reg := experiment.NewRegistry()
 	typed := testDef("T2")
@@ -26,7 +27,6 @@ func FuzzParseRun(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	srv := New(Config{Registry: reg})
 
 	for _, seed := range []string{
 		"id=T1",
@@ -47,31 +47,31 @@ func FuzzParseRun(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		q, _ := url.ParseQuery(raw)
-		sc, over, seed, status, _ := srv.parseRun(q)
-		if status != 0 {
-			return
-		}
-		merged, err := sc.Params().Merge(over)
+		job, err := reg.ParseJob(q)
 		if err != nil {
 			return
 		}
-		key := experiment.CacheKey(sc.ID(), merged, seed)
+		merged, err := job.Scenario.Params().Merge(job.Params)
+		if err != nil {
+			return
+		}
+		key := experiment.CacheKey(job.Scenario.ID(), merged, job.Seed)
 
 		again := url.Values{}
 		for name, text := range merged.Formatted() {
 			again.Set(name, text)
 		}
-		again.Set("id", sc.ID())
-		again.Set("seed", strconv.FormatUint(seed, 10))
-		sc2, over2, seed2, status2, msg2 := srv.parseRun(again)
-		if status2 != 0 {
-			t.Fatalf("re-parse of %q (from %q) rejected: %d %s", again.Encode(), raw, status2, msg2)
+		again.Set("id", job.Scenario.ID())
+		again.Set("seed", strconv.FormatUint(job.Seed, 10))
+		job2, err := reg.ParseJob(again)
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q) rejected: %v", again.Encode(), raw, err)
 		}
-		merged2, err := sc2.Params().Merge(over2)
+		merged2, err := job2.Scenario.Params().Merge(job2.Params)
 		if err != nil {
 			t.Fatalf("re-parse of %q (from %q): merge: %v", again.Encode(), raw, err)
 		}
-		if key2 := experiment.CacheKey(sc2.ID(), merged2, seed2); key2 != key {
+		if key2 := experiment.CacheKey(job2.Scenario.ID(), merged2, job2.Seed); key2 != key {
 			t.Fatalf("query %q re-encoded as %q changed the cache key", raw, again.Encode())
 		}
 	})

@@ -22,11 +22,9 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
-	"net/url"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -154,56 +152,6 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// parseRun resolves a /run query into (scenario, param overrides, seed).
-// A non-zero status reports the client error to answer with.
-func (s *Server) parseRun(q url.Values) (sc experiment.Scenario, over experiment.Values, seed uint64, status int, msg string) {
-	names := make([]string, 0, len(q))
-	for name := range q {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	// A repeated param, id and seed included, is ambiguous: q.Get would
-	// silently keep the first value.
-	for _, name := range names {
-		if n := len(q[name]); n != 1 {
-			return nil, nil, 0, http.StatusBadRequest, fmt.Sprintf("param %q given %d times, want exactly one value", name, n)
-		}
-	}
-	id := q.Get("id")
-	if id == "" {
-		return nil, nil, 0, http.StatusBadRequest, "missing required query param id"
-	}
-	sc, ok := s.reg.Get(id)
-	if !ok {
-		return nil, nil, 0, http.StatusNotFound, fmt.Sprintf("unknown scenario %q (see /list)", id)
-	}
-	seed = sc.DefaultSeed()
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return nil, nil, 0, http.StatusBadRequest, fmt.Sprintf("bad seed %q: %v", raw, err)
-		}
-		seed = v
-	}
-	schema := sc.Params()
-	over = make(experiment.Values)
-	for _, name := range names {
-		if name == "id" || name == "seed" {
-			continue
-		}
-		spec, ok := schema.Lookup(name)
-		if !ok {
-			return nil, nil, 0, http.StatusBadRequest, fmt.Sprintf("scenario %s has no param %q (see /list)", sc.ID(), name)
-		}
-		v, err := spec.Parse(q.Get(name))
-		if err != nil {
-			return nil, nil, 0, http.StatusBadRequest, err.Error()
-		}
-		over[name] = v
-	}
-	return sc, over, seed, 0, ""
-}
-
 // acquire admits one /run request into the bounded execution stage. It
 // returns a release func on success, or the shed status (429 when the queue
 // is full, 503 when the slot wait timed out or the client gave up).
@@ -263,23 +211,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	s.met.requests.Add(1)
 
-	sc, over, seed, status, msg := s.parseRun(r.URL.Query())
-	if status != 0 {
-		if status == http.StatusNotFound {
+	job, err := s.reg.ParseJob(r.URL.Query())
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, experiment.ErrUnknownScenario) {
+			status = http.StatusNotFound
 			s.met.notFound.Add(1)
 		} else {
 			s.met.bad.Add(1)
 		}
-		writeJSON(w, status, errorBody(msg))
+		writeJSON(w, status, errorBody(err.Error()))
 		return
 	}
-	merged, err := sc.Params().Merge(over)
+	merged, err := job.Scenario.Params().Merge(job.Params)
 	if err != nil {
 		s.met.bad.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
-	key := experiment.CacheKey(sc.ID(), merged, seed)
+	key := experiment.CacheKey(job.Scenario.ID(), merged, job.Seed)
 
 	// The LRU lookup and joining a fill share one critical section, and the
 	// leader caches its body and retires its fill in another, so a miss
@@ -314,7 +264,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.mu.Unlock()
 			close(f.done)
 		}()
-		s.execute(r, f, experiment.Job{Scenario: sc, Params: over, Seed: seed})
+		s.execute(r, f, job)
 	}()
 	s.answer(w, start, f)
 }

@@ -88,17 +88,17 @@ func TestBuildTraceQueriesParseAndCanonicalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Registry: reg})
 	sawEcho := false
 	for i, r := range reqs {
 		q, err := url.ParseQuery(r.Query)
 		if err != nil {
 			t.Fatalf("request %d query %q: %v", i, r.Query, err)
 		}
-		sc, over, seed, status, msg := srv.parseRun(q)
-		if status != 0 {
-			t.Fatalf("request %d rejected: %d %s", i, status, msg)
+		job, err := reg.ParseJob(q)
+		if err != nil {
+			t.Fatalf("request %d rejected: %v", i, err)
 		}
+		sc, over, seed := job.Scenario, job.Params, job.Seed
 		if sc.ID() != r.ScenarioID || seed != r.Seed {
 			t.Fatalf("request %d parsed to (%s, %d), want (%s, %d)", i, sc.ID(), seed, r.ScenarioID, r.Seed)
 		}

@@ -102,89 +102,6 @@ func TestPropJainInvariances(t *testing.T) {
 	})
 }
 
-func TestPropSummarizeConsistent(t *testing.T) {
-	proptest.Run(t, 106, 200, func(g *proptest.G) error {
-		xs := g.FloatsIn(1, 40, -1e6, 1e6)
-		s := stats.Summarize(xs)
-		if s.N != len(xs) {
-			return fmt.Errorf("Summarize.N = %d, want %d", s.N, len(xs))
-		}
-		if !proptest.SameFloat(s.Min, stats.Min(xs)) || !proptest.SameFloat(s.Max, stats.Max(xs)) {
-			return fmt.Errorf("Summarize min/max %v/%v disagree with Min/Max %v/%v",
-				s.Min, s.Max, stats.Min(xs), stats.Max(xs))
-		}
-		if !proptest.SameFloat(s.Median, stats.Median(xs)) {
-			return fmt.Errorf("Summarize.Median = %v, Median = %v", s.Median, stats.Median(xs))
-		}
-		order := []float64{s.Min, s.P25, s.Median, s.P75, s.P95, s.Max}
-		for i := 1; i < len(order); i++ {
-			if order[i-1] > order[i] && !proptest.ApproxEq(order[i-1], order[i], fpTol) {
-				return fmt.Errorf("summary order statistics not sorted: %v", order)
-			}
-		}
-		return nil
-	})
-}
-
-func TestPropSummarizeNaNPropagates(t *testing.T) {
-	proptest.Run(t, 107, 150, func(g *proptest.G) error {
-		xs := g.FloatsWithCorners(1, 20)
-		anyNaN := false
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				anyNaN = true
-			}
-		}
-		if !anyNaN {
-			xs = append(xs, math.NaN())
-		}
-		s := stats.Summarize(xs)
-		for name, v := range map[string]float64{
-			"Min": s.Min, "P25": s.P25, "Median": s.Median,
-			"P75": s.P75, "P95": s.P95, "Max": s.Max,
-		} {
-			if !math.IsNaN(v) {
-				return fmt.Errorf("NaN input but Summarize.%s = %v", name, v)
-			}
-		}
-		return nil
-	})
-}
-
-func TestPropHistogramConserves(t *testing.T) {
-	proptest.Run(t, 109, 200, func(g *proptest.G) error {
-		xs := g.FloatsWithCorners(0, 30)
-		nbins := g.IntRange(1, 12)
-		counts := stats.Histogram(xs, nbins)
-		kept := 0
-		for _, x := range xs {
-			if !math.IsNaN(x) {
-				kept++
-			}
-		}
-		if kept == 0 {
-			if counts != nil {
-				return fmt.Errorf("no finite values but Histogram = %v", counts)
-			}
-			return nil
-		}
-		if len(counts) != nbins {
-			return fmt.Errorf("Histogram has %d bins, want %d", len(counts), nbins)
-		}
-		total := 0
-		for _, c := range counts {
-			if c < 0 {
-				return fmt.Errorf("negative bin count in %v", counts)
-			}
-			total += c
-		}
-		if total != kept {
-			return fmt.Errorf("Histogram counts %d values, kept %d (xs=%v)", total, kept, xs)
-		}
-		return nil
-	})
-}
-
 // TestRegressionQuantileConstantExact pins a counterexample the bootstrap
 // property suite shrank at PROPTEST_N=2000 (replay token
 // pt1.7ca30686.AJqRhP_r1IalLoDwgvbX3wXbiomA7t2PlAI): interpolating between

@@ -1,6 +1,5 @@
 // Package stats provides the descriptive and inferential statistics used by
-// the humnet experiments: moments, quantiles, summaries, histograms,
-// correlation, inequality and fairness indices, and simple regression.
+// the humnet experiments: means, quantiles, correlation, inequality and fairness indices, and simple regression.
 //
 // All functions are pure and operate on float64 slices. Functions that
 // require non-empty input document that requirement and return NaN (never
@@ -44,24 +43,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Variance returns the unbiased sample variance of xs, or NaN for fewer than
-// two observations.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of xs, or NaN if empty.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -101,16 +82,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-// quantileSorted returns the type-7 q-quantile of s, which must be sorted
-// ascending and NaN-free. It lets callers that need several quantiles of the
-// same sample (Summarize) sort once.
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
 	if len(s) == 1 {
 		return s[0]
 	}
@@ -250,54 +221,6 @@ func TopKShare(xs []float64, k int) float64 {
 	return Sum(s[:k]) / total
 }
 
-// Histogram bins xs into nbins equal-width bins over [min, max] and returns
-// counts. Values exactly at max land in the last bin. NaN entries are skipped
-// (a NaN would poison the bin width and turn int(NaN) into a panicking
-// negative index); the range is taken over the remaining values. Returns nil
-// for empty input, nbins <= 0, or all-NaN input.
-func Histogram(xs []float64, nbins int) []int {
-	if len(xs) == 0 || nbins <= 0 {
-		return nil
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	kept := 0
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		kept++
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if kept == 0 {
-		return nil
-	}
-	counts := make([]int, nbins)
-	if hi == lo {
-		counts[0] = kept
-		return counts
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // LinearFit fits y = a + b*x by ordinary least squares and returns the
 // intercept a, slope b, and coefficient of determination r2. Returns NaNs for
 // fewer than two points or zero x-variance.
@@ -323,34 +246,4 @@ func LinearFit(xs, ys []float64) (a, b, r2 float64) {
 	}
 	r2 = sxy * sxy / (sxx * syy)
 	return a, b, r2
-}
-
-// Summary captures the standard five-number-plus summary of a sample.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, P25      float64
-	Median        float64
-	P75, P95, Max float64
-}
-
-// Summarize computes a Summary of xs. The order statistics come from a
-// single sorted copy rather than one copy+sort per quantile. Empty or
-// NaN-bearing input yields NaN order statistics (missing data propagates).
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs), Mean: Mean(xs), Std: StdDev(xs)}
-	if len(xs) == 0 || hasNaN(xs) {
-		nan := math.NaN()
-		s.Min, s.P25, s.Median, s.P75, s.P95, s.Max = nan, nan, nan, nan, nan, nan
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.P25 = quantileSorted(sorted, 0.25)
-	s.Median = quantileSorted(sorted, 0.5)
-	s.P75 = quantileSorted(sorted, 0.75)
-	s.P95 = quantileSorted(sorted, 0.95)
-	s.Max = sorted[len(sorted)-1]
-	return s
 }

@@ -24,19 +24,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4.571428571, 1e-6) {
-		t.Errorf("Variance = %g", got)
-	}
-	if !math.IsNaN(Variance([]float64{1})) {
-		t.Error("Variance of single value should be NaN")
-	}
-	if got := StdDev(xs); !almostEq(got, math.Sqrt(4.571428571), 1e-6) {
-		t.Errorf("StdDev = %g", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
 	if Min(xs) != -1 || Max(xs) != 7 {
@@ -143,68 +130,12 @@ func TestTopKShare(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	h := Histogram(xs, 5)
-	for i, c := range h {
-		if c != 2 {
-			t.Errorf("bin %d = %d, want 2", i, c)
-		}
-	}
-	same := Histogram([]float64{3, 3, 3}, 4)
-	if same[0] != 3 {
-		t.Errorf("constant data should land in first bin, got %v", same)
-	}
-	if Histogram(nil, 3) != nil {
-		t.Error("empty histogram should be nil")
-	}
-}
-
-func TestHistogramSkipsNaN(t *testing.T) {
-	// Regression: a NaN poisoned Min/Max, made the bin width NaN, and
-	// int(NaN) produced a negative index that panicked at counts[b]++.
-	h := Histogram([]float64{1, math.NaN(), 2}, 4)
-	if len(h) != 4 {
-		t.Fatalf("histogram = %v, want 4 bins", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 2 {
-		t.Errorf("histogram %v counts %d values, want 2 (NaN skipped)", h, total)
-	}
-	if h[0] != 1 || h[3] != 1 {
-		t.Errorf("histogram = %v, want value 1 in first bin and 2 in last", h)
-	}
-}
-
-func TestHistogramAllNaN(t *testing.T) {
-	if h := Histogram([]float64{math.NaN(), math.NaN()}, 3); h != nil {
-		t.Errorf("all-NaN histogram = %v, want nil", h)
-	}
-}
-
-func TestHistogramNaNWithConstantRest(t *testing.T) {
-	h := Histogram([]float64{5, math.NaN(), 5}, 3)
-	if h == nil || h[0] != 2 {
-		t.Errorf("constant-plus-NaN histogram = %v, want [2 0 0]", h)
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
 	a, b, r2 := LinearFit(xs, ys)
 	if !almostEq(a, 1, 1e-9) || !almostEq(b, 2, 1e-9) || !almostEq(r2, 1, 1e-9) {
 		t.Errorf("fit = (%g, %g, %g), want (1, 2, 1)", a, b, r2)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("summary = %+v", s)
 	}
 }
 
@@ -217,51 +148,6 @@ func TestQuantileNaNPropagates(t *testing.T) {
 	}
 	if got := Median(xs); !math.IsNaN(got) {
 		t.Errorf("Median with NaN = %g, want NaN", got)
-	}
-}
-
-func TestSummarizeNaNPropagates(t *testing.T) {
-	s := Summarize([]float64{3, math.NaN(), 1})
-	if s.N != 3 {
-		t.Errorf("N = %d, want 3", s.N)
-	}
-	// A slice keeps failure output in a stable order run-to-run; a map
-	// literal would report cases in random iteration order.
-	for _, tc := range []struct {
-		name string
-		v    float64
-	}{
-		{"Mean", s.Mean}, {"Std", s.Std}, {"Min", s.Min}, {"P25", s.P25},
-		{"Median", s.Median}, {"P75", s.P75}, {"P95", s.P95}, {"Max", s.Max},
-	} {
-		if !math.IsNaN(tc.v) {
-			t.Errorf("%s = %g, want NaN for NaN-bearing input", tc.name, tc.v)
-		}
-	}
-}
-
-func TestSummarizeMatchesQuantiles(t *testing.T) {
-	// The single-sort fast path must agree with the public one-off calls.
-	r := rng.New(17)
-	xs := make([]float64, 401)
-	for i := range xs {
-		xs[i] = r.Pareto(1, 1.5)
-	}
-	s := Summarize(xs)
-	if s.Min != Min(xs) || s.Max != Max(xs) {
-		t.Errorf("Min/Max = %g/%g, want %g/%g", s.Min, s.Max, Min(xs), Max(xs))
-	}
-	for _, c := range []struct {
-		name string
-		got  float64
-		q    float64
-	}{
-		{"P25", s.P25, 0.25}, {"Median", s.Median, 0.5},
-		{"P75", s.P75, 0.75}, {"P95", s.P95, 0.95},
-	} {
-		if want := Quantile(xs, c.q); c.got != want {
-			t.Errorf("%s = %v, want Quantile(%g) = %v", c.name, c.got, c.q, want)
-		}
 	}
 }
 

@@ -47,12 +47,9 @@ var reachAllowed = map[string]string{
 	"repro/internal/qualcode.Codebook.Depth":               "codebook-hierarchy oracle",
 	"repro/internal/qualcode.Codebook.Roots":               "codebook-hierarchy oracle",
 	"repro/internal/rng.Rand.Pareto":                       "heavy-tailed demand fixtures",
-	"repro/internal/rng.Zipf.N":                            "the Zipf tests check the rank count through it",
-	"repro/internal/stats.Histogram":                       "fuzzed NaN-skipping kernel, kept with its tests until its deletion (ROADMAP)",
 	"repro/internal/stats.Min":                             "the Quantile property and fuzz bounds",
 	"repro/internal/stats.Pearson":                         "correlation measuring tool",
 	"repro/internal/stats.Spearman":                        "rank-correlation measuring tool",
-	"repro/internal/stats.Summarize":                       "summary kernel, kept with its property tests until its deletion (ROADMAP)",
 	"repro/internal/textproc.Corpus.Len":                   "sizes the TFIDF benchmark",
 	"repro/internal/textproc.Corpus.TFIDF":                 "text-similarity measuring tool",
 	"repro/internal/textproc.Cosine":                       "text-similarity measuring tool",
