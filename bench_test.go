@@ -183,7 +183,7 @@ func BenchmarkE7Patchwork(b *testing.B) {
 		fmt.Fprintln(os.Stderr, "strategy    visits  insight  insight/day  sites  reflections  travel-overhead")
 		for _, r := range rows {
 			fmt.Fprintf(os.Stderr, "%-11s %6d  %7.1f  %11.3f  %5d  %11d  %15.3f\n",
-				r.Strategy, r.Visits, r.Insight, r.InsightPerDay, r.SitesCovered,
+				r.Strategy, r.Visits, r.Insight, r.Insight/r.BudgetDays, r.SitesCovered,
 				r.Reflections, r.TravelOverhead)
 		}
 	})
@@ -349,7 +349,7 @@ func BenchmarkA1TopologyGap(b *testing.B) {
 	var rows []cn.TopoGapRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cn.TopoGapExperiment(30, 0.35, 1, 7)
+		rows, err = cn.TopoGapExperiment(30, 0.35, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -128,7 +128,7 @@ func TestListMode(t *testing.T) {
 		t.Fatalf("run -list: %v", err)
 	}
 	ls := out.String()
-	for _, want := range []string{"E1 — ", "E16 — ", "-competitors", "(default seed 42)"} {
+	for _, want := range []string{"E1 — ", "E16 — ", "competitors=<int> (default 6)", "(default seed 42)"} {
 		if !strings.Contains(ls, want) {
 			t.Fatalf("-list output missing %q:\n%s", want, ls)
 		}

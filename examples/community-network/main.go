@@ -68,10 +68,13 @@ func main() {
 	// Sustainability: volunteers are the other scarce resource.
 	fmt.Println("\nMaintenance: availability vs volunteer count (churn after 6 epochs down)")
 	for v := 1; v <= 4; v++ {
-		res := cn.SimulateMaintenance(cn.MaintenanceConfig{
+		res, err := cn.SimulateMaintenance(cn.MaintenanceConfig{
 			Nodes: 40, FailProb: 0.06, Volunteers: v, TravelLimit: 6,
 			Epochs: 300, Seed: 3,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  volunteers=%d  availability=%.3f  abandoned=%d\n",
 			v, res.Availability, res.Abandoned)
 	}

@@ -115,6 +115,10 @@ func runE15(_ context.Context, p experiment.Values, seed uint64) (*experiment.Re
 // structure, then the top brokers by betweenness (parallel over sources but
 // bit-identical to the serial computation for any worker count).
 func runGraph(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	top := p.Int("brokers")
+	if top < 0 {
+		return nil, fmt.Errorf("biblio: graph needs brokers >= 0, got %d", top)
+	}
 	cfg := DefaultGenConfig()
 	cfg.Papers = p.Int("papers")
 	cfg.Authors = p.Int("authors")
@@ -175,7 +179,6 @@ func runGraph(ctx context.Context, p experiment.Values, seed uint64) (*experimen
 		}
 		return order[a] < order[b]
 	})
-	top := p.Int("brokers")
 	if g.N() < top {
 		top = g.N()
 	}

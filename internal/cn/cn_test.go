@@ -292,14 +292,25 @@ func TestDemandModelHeavyExceedsLight(t *testing.T) {
 	}
 }
 
+// simulateMaintenance runs SimulateMaintenance on a config the test knows is
+// valid.
+func simulateMaintenance(t *testing.T, cfg MaintenanceConfig) MaintenanceResult {
+	t.Helper()
+	res, err := SimulateMaintenance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestMaintenanceMoreVolunteersMoreAvailability(t *testing.T) {
 	base := MaintenanceConfig{Nodes: 50, FailProb: 0.05, Epochs: 400, Seed: 21}
 	few := base
 	few.Volunteers = 1
 	many := base
 	many.Volunteers = 5
-	rFew := SimulateMaintenance(few)
-	rMany := SimulateMaintenance(many)
+	rFew := simulateMaintenance(t, few)
+	rMany := simulateMaintenance(t, many)
 	if !(rMany.Availability > rFew.Availability) {
 		t.Errorf("availability: %g volunteers=5 vs %g volunteers=1", rMany.Availability, rFew.Availability)
 	}
@@ -313,13 +324,13 @@ func TestMaintenanceChurn(t *testing.T) {
 		Nodes: 30, FailProb: 0.2, Volunteers: 1, TravelLimit: 3,
 		Epochs: 200, Seed: 8,
 	}
-	res := SimulateMaintenance(cfg)
+	res := simulateMaintenance(t, cfg)
 	if res.Abandoned == 0 {
 		t.Error("under-maintained network should churn members")
 	}
 	noChurn := cfg
 	noChurn.TravelLimit = 0
-	if SimulateMaintenance(noChurn).Abandoned != 0 {
+	if simulateMaintenance(t, noChurn).Abandoned != 0 {
 		t.Error("TravelLimit=0 should disable churn")
 	}
 }
@@ -342,7 +353,7 @@ func BenchmarkSimulateCPR(b *testing.B) {
 }
 
 func TestMaintenanceZeroVolunteersCollapses(t *testing.T) {
-	res := SimulateMaintenance(MaintenanceConfig{
+	res := simulateMaintenance(t, MaintenanceConfig{
 		Nodes: 40, FailProb: 0.05, Volunteers: 0, Epochs: 400, Seed: 13,
 	})
 	if res.Availability > 0.3 {
@@ -351,7 +362,7 @@ func TestMaintenanceZeroVolunteersCollapses(t *testing.T) {
 }
 
 func TestMaintenanceNoFailuresPerfect(t *testing.T) {
-	res := SimulateMaintenance(MaintenanceConfig{
+	res := simulateMaintenance(t, MaintenanceConfig{
 		Nodes: 20, FailProb: 0, Volunteers: 1, Epochs: 100, Seed: 1,
 	})
 	if res.Availability != 1 || res.Abandoned != 0 {

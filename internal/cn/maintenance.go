@@ -1,6 +1,8 @@
 package cn
 
 import (
+	"fmt"
+
 	"repro/internal/rng"
 )
 
@@ -34,7 +36,10 @@ type MaintenanceResult struct {
 
 // SimulateMaintenance runs the failure/repair process. Repairs are FIFO:
 // the longest-failed node is fixed first.
-func SimulateMaintenance(cfg MaintenanceConfig) MaintenanceResult {
+func SimulateMaintenance(cfg MaintenanceConfig) (MaintenanceResult, error) {
+	if cfg.Nodes < 1 {
+		return MaintenanceResult{}, fmt.Errorf("cn: maintenance needs nodes >= 1, got %d", cfg.Nodes)
+	}
 	r := rng.New(cfg.Seed)
 	const (
 		up = iota
@@ -99,5 +104,5 @@ func SimulateMaintenance(cfg MaintenanceConfig) MaintenanceResult {
 		}
 		res.MeanRepairDelay = sum / float64(len(delays))
 	}
-	return res
+	return res, nil
 }

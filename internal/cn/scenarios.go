@@ -2,16 +2,18 @@ package cn
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/experiment"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 )
 
 // Scenario registrations for the community-network experiments: E3
 // (congestion management as a common-pool resource) plus the auxiliary
-// studies — the volunteer-maintenance sweep and the topology-aware
-// scheduler comparison — which are resolvable by ID but stay out of the
-// standard report.
+// studies — the volunteer-maintenance sweep, the topology-aware scheduler
+// comparison and the backhaul gateway placement — which are resolvable by
+// ID but stay out of the standard report.
 
 func init() {
 	experiment.Register(experiment.Def{
@@ -57,6 +59,18 @@ func init() {
 		},
 		Run: runTopology,
 	})
+	experiment.Register(experiment.Def{
+		ID:    "cn-gateway",
+		Title: "Backhaul gateway placement",
+		Claim: "Where a community puts its backhaul is a lever no scheduler has: the 1-median gateway shortens paths and about halves the near/far rate gap of an arbitrary site, and a second gateway shortens paths again.",
+		Seed:  7,
+		Aux:   true,
+		Params: experiment.Schema{
+			{Name: "nodes", Kind: experiment.Int, Default: 30, Doc: "mesh nodes"},
+			{Name: "radius", Kind: experiment.Float, Default: 0.35, Doc: "radio range in unit-square units"},
+		},
+		Run: runGateway,
+	})
 }
 
 // runE3 compares the three schedulers on one congestion configuration.
@@ -95,7 +109,7 @@ func runMaintenance(ctx context.Context, p experiment.Values, seed uint64) (*exp
 				TravelLimit: p.Int("travel-limit"),
 				Epochs:      p.Int("epochs"),
 				Seed:        seed,
-			}), nil
+			})
 		})
 	if err != nil {
 		return nil, err
@@ -131,7 +145,7 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 		t.AddRow(experiment.S(r.Scheduler), experiment.F3(r.NearSat), experiment.F3(r.FarSat),
 			experiment.FP(r.Gap, 2))
 	}
-	rows, err := TopoGapExperiment(p.Int("members"), p.Float("radius"), 1, seed)
+	rows, err := TopoGapExperiment(p.Int("members"), p.Float("radius"), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -141,5 +155,44 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 		tb.AddRow(experiment.S(r.Placement), experiment.I(r.Quartile),
 			experiment.FP(r.MeanHops, 2), experiment.FP(r.MeanRate, 4))
 	}
+	return res, nil
+}
+
+// runGateway compares the default (node-0) gateway with the 1-median one
+// on the same seeded mesh, each row with its max-min member rates at unit
+// link capacity, then places the best second gateway on the optimized mesh.
+func runGateway(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	nodes, radius := p.Int("nodes"), p.Float("radius")
+	gaps, err := TopoGapExperiment(nodes, radius, seed)
+	if err != nil {
+		return nil, err
+	}
+	res := &experiment.Result{}
+	t := res.AddTable("cn-gateway", "Gateway placement",
+		"placement", "links", "gateway", "mean-path-etx", "aggregate-capacity", "min-rate", "max-rate", "near/far-gap")
+	var net *Network
+	for _, pl := range placements {
+		if net, err = pl.build(nodes, radius, rng.New(seed)); err != nil {
+			return nil, err
+		}
+		rates, err := net.MaxMinRates(1)
+		if err != nil {
+			return nil, err
+		}
+		agg, lo, hi := 0.0, math.Inf(1), 0.0
+		for i, r := range rates {
+			agg += r
+			if i != net.Gateway { // the gateway's own rate is 0
+				lo, hi = min(lo, r), max(hi, r)
+			}
+		}
+		t.AddRow(experiment.S(pl.name), experiment.I(net.G.M()), experiment.I(net.Gateway),
+			experiment.FP(net.MeanPathETX(), 2), experiment.FP(agg, 2), experiment.F3(lo),
+			experiment.F3(hi), experiment.FP(NearFarGap(gaps, pl.name), 2))
+	}
+	second, combined := BestSecondGateway(net.G, net.Gateway)
+	res.AddTable("cn-gateway-second", "Best second gateway on the optimized mesh",
+		"gateway", "second-gateway", "combined-mean-etx",
+	).AddRow(experiment.I(net.Gateway), experiment.I(second), experiment.FP(combined, 2))
 	return res, nil
 }

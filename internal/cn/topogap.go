@@ -8,6 +8,16 @@ import (
 	"repro/internal/stats"
 )
 
+// placements are the two gateway choices the topology studies compare on
+// one seeded mesh: the arbitrary node-0 gateway and the 1-median.
+var placements = []struct {
+	name  string
+	build func(n int, radius float64, r *rng.Rand) (*Network, error)
+}{
+	{"default", BuildMesh},
+	{"optimized", BuildOptimizedMesh},
+}
+
 // TopoGapRow summarizes achievable max-min rates for one hop-distance
 // quartile of the mesh under one gateway placement.
 type TopoGapRow struct {
@@ -19,27 +29,21 @@ type TopoGapRow struct {
 
 // TopoGapExperiment quantifies the layer the scheduler experiments cannot
 // see: even a perfectly fair gateway discipline can only deliver what each
-// member's multi-hop path supports. It computes max-min rates by hop
-// quartile under the arbitrary (node-0) gateway and under the 1-median
-// placement, showing that placement — a community decision, not a protocol
-// — is what narrows the near/far gap.
-func TopoGapExperiment(members int, radius float64, linkCapacity float64, seed uint64) ([]TopoGapRow, error) {
+// member's multi-hop path supports. It computes max-min rates at unit link
+// capacity by hop quartile under the arbitrary (node-0) gateway and under
+// the 1-median placement, showing that placement — a community decision,
+// not a protocol — is what narrows the near/far gap.
+func TopoGapExperiment(members int, radius float64, seed uint64) ([]TopoGapRow, error) {
 	if members < 8 {
 		return nil, fmt.Errorf("cn: topology gap needs >= 8 members")
 	}
 	var rows []TopoGapRow
-	for _, placement := range []string{"default", "optimized"} {
-		var net *Network
-		var err error
-		if placement == "default" {
-			net, err = BuildMesh(members, radius, rng.New(seed))
-		} else {
-			net, err = BuildOptimizedMesh(members, radius, rng.New(seed))
-		}
+	for _, pl := range placements {
+		net, err := pl.build(members, radius, rng.New(seed))
 		if err != nil {
 			return nil, err
 		}
-		rates, err := net.MaxMinRates(linkCapacity)
+		rates, err := net.MaxMinRates(1)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +75,7 @@ func TopoGapExperiment(members int, radius float64, linkCapacity float64, seed u
 				hs = append(hs, float64(m.hops))
 			}
 			rows = append(rows, TopoGapRow{
-				Placement: placement,
+				Placement: pl.name,
 				Quartile:  q + 1,
 				MeanRate:  stats.Mean(rs),
 				MeanHops:  stats.Mean(hs),

@@ -5,13 +5,13 @@ import (
 )
 
 func TestTopoGapValidation(t *testing.T) {
-	if _, err := TopoGapExperiment(3, 0.3, 1, 1); err == nil {
+	if _, err := TopoGapExperiment(3, 0.3, 1); err == nil {
 		t.Error("tiny mesh accepted")
 	}
 }
 
 func TestTopoGapShapes(t *testing.T) {
-	rows, err := TopoGapExperiment(40, 0.3, 1, 8)
+	rows, err := TopoGapExperiment(40, 0.3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestOptimizedPlacementRaisesFarQuartile(t *testing.T) {
 	// farthest quartile's mean rate more often than not.
 	wins := 0
 	for seed := uint64(1); seed <= 7; seed++ {
-		rows, err := TopoGapExperiment(40, 0.3, 1, seed)
+		rows, err := TopoGapExperiment(40, 0.3, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

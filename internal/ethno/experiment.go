@@ -17,15 +17,13 @@ const (
 
 // E7Row is one strategy's outcome under a fixed researcher-day budget.
 type E7Row struct {
-	Strategy        Strategy
-	Visits          int
-	BudgetDays      float64
-	Insight         float64
-	InsightPerDay   float64
-	SitesCovered    int
-	Reflections     int
-	TravelOverhead  float64 // travel days / budget
-	ObservationDays float64
+	Strategy       Strategy
+	Visits         int
+	BudgetDays     float64
+	Insight        float64
+	SitesCovered   int
+	Reflections    int
+	TravelOverhead float64 // travel days / budget
 }
 
 // E7Config parameterizes the patchwork experiment.
@@ -73,6 +71,9 @@ func buildStudy(cfg E7Config) (*Study, error) {
 // budget and returns one row per strategy, in the order continuous,
 // patchwork, rapid.
 func RunE7(cfg E7Config) ([]E7Row, error) {
+	if cfg.Sites < 1 {
+		return nil, fmt.Errorf("ethno: E7 needs sites >= 1, got %d", cfg.Sites)
+	}
 	study, err := buildStudy(cfg)
 	if err != nil {
 		return nil, err
@@ -94,16 +95,14 @@ func RunE7(cfg E7Config) ([]E7Row, error) {
 			return nil, err
 		}
 		row := E7Row{
-			Strategy:        p.strategy,
-			Visits:          len(p.plan),
-			BudgetDays:      cfg.BudgetDays,
-			Insight:         res.Insight,
-			SitesCovered:    res.SitesCovered,
-			Reflections:     res.Reflections,
-			ObservationDays: res.ObservationDays,
+			Strategy:     p.strategy,
+			Visits:       len(p.plan),
+			BudgetDays:   cfg.BudgetDays,
+			Insight:      res.Insight,
+			SitesCovered: res.SitesCovered,
+			Reflections:  res.Reflections,
 		}
 		if cfg.BudgetDays > 0 {
-			row.InsightPerDay = res.Insight / cfg.BudgetDays
 			row.TravelOverhead = res.TravelDays / cfg.BudgetDays
 		}
 		rows = append(rows, row)

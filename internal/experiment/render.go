@@ -43,7 +43,8 @@ func renderMarkdownResult(b *strings.Builder, res *Result) {
 }
 
 // RenderList renders the -list view: every scenario with its seed, claim,
-// and parameter schema (name, type, default, doc), in registry order.
+// and parameter schema (name, type, default, doc), in registry order. Each
+// param prints as the /run query key it is set with: name=<type>.
 func RenderList(scs []Scenario) string {
 	var b strings.Builder
 	for i, s := range scs {
@@ -60,7 +61,7 @@ func RenderList(scs []Scenario) string {
 			continue
 		}
 		for _, spec := range sch {
-			fmt.Fprintf(&b, "  -%s %s (default %s)\n      %s\n",
+			fmt.Fprintf(&b, "  %s=<%s> (default %s)\n      %s\n",
 				spec.Name, spec.Kind, FormatValue(spec.Default), spec.Doc)
 		}
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -64,8 +63,9 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]*Result, error) {
 
 // RunOne executes one job: merge params against the schema, consult the
 // cache, run on a miss, stamp the result's identity fields, and store it.
-// A panicking scenario run becomes an error, so one bad scenario cannot take
-// down a daemon serving other requests.
+// A panicking scenario run becomes an error naming the scenario and the
+// panic value, so one bad scenario cannot take down a daemon serving other
+// requests. The error carries no stack: humnetd writes it into a 500 body.
 func (r *Runner) RunOne(ctx context.Context, job Job) (res *Result, err error) {
 	s := job.Scenario
 	if s == nil {
@@ -77,7 +77,7 @@ func (r *Runner) RunOne(ctx context.Context, job Job) (res *Result, err error) {
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, fmt.Errorf("experiment: run panicked: %v\n%s", v, debug.Stack())
+			res, err = nil, fmt.Errorf("scenario %s panicked: %v", s.ID(), v)
 		}
 	}()
 	return r.runKeyed(ctx, s, merged, job.Seed, CacheKey(s.ID(), merged, job.Seed))

@@ -344,6 +344,9 @@ const (
 // RunGravityCtx executes one E2 configuration. ctx cancels the scenario
 // convergence; the row is identical whenever ctx never cancels.
 func RunGravityCtx(ctx context.Context, cfg GravityConfig) (GravityRow, error) {
+	if cfg.LocalIXPs < 1 {
+		return GravityRow{}, fmt.Errorf("ixp: E2 needs local-ixps >= 1, got %d", cfg.LocalIXPs)
+	}
 	r := rng.New(cfg.Seed)
 	topo := bgpsim.NewTopology()
 	f := NewFabric(topo)

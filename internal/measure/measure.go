@@ -63,11 +63,10 @@ type Event struct {
 type GenConfig struct {
 	Metric Metric
 	Days   int
-	// Base is the series' steady level; Noise the per-day Gaussian sigma;
-	// Diurnal an optional weekly-cycle amplitude.
-	Base, Noise, Diurnal float64
-	Events               []Event
-	Seed                 uint64
+	// Base is the series' steady level; Noise the per-day Gaussian sigma.
+	Base, Noise float64
+	Events      []Event
+	Seed        uint64
 }
 
 // Generate builds the series with its events applied.
@@ -78,11 +77,7 @@ func Generate(cfg GenConfig) (Series, error) {
 	r := rng.New(cfg.Seed)
 	vals := make([]float64, cfg.Days)
 	for d := range vals {
-		v := cfg.Base + cfg.Noise*r.NormFloat64()
-		if cfg.Diurnal > 0 {
-			v += cfg.Diurnal * math.Sin(2*math.Pi*float64(d)/7)
-		}
-		vals[d] = v
+		vals[d] = cfg.Base + cfg.Noise*r.NormFloat64()
 	}
 	for _, e := range cfg.Events {
 		mag := e.Magnitude

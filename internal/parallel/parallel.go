@@ -26,6 +26,8 @@ import (
 
 // PanicError wraps a panic recovered from a worker task. The engine converts
 // panics into errors so one bad task cannot take down the whole process.
+// Error names the task and the panic value only; the stack stays in Stack,
+// out of messages that may reach a client.
 type PanicError struct {
 	Index int         // index of the task that panicked
 	Value interface{} // value passed to panic
@@ -34,7 +36,7 @@ type PanicError struct {
 
 // Error implements the error interface.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("parallel: task %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
+	return fmt.Sprintf("parallel: task %d panicked: %v", e.Index, e.Value)
 }
 
 // Workers normalizes a worker-count knob against n tasks: values <= 0 mean

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,7 +197,9 @@ func TestListHealthzMetricsEndpoints(t *testing.T) {
 
 // TestRunPanickingScenarioAnswers500: a scenario that panics answers 500 and
 // counts as failed on every request, instead of dropping the connection and
-// leaving its coalescing key held so the next identical request hangs.
+// leaving its coalescing key held so the next identical request hangs. The
+// body names the scenario and the panic value but carries no goroutine
+// stack: a client must not see the server's internals.
 func TestRunPanickingScenarioAnswers500(t *testing.T) {
 	reg := experiment.NewRegistry()
 	d := testDef("P")
@@ -209,15 +212,16 @@ func TestRunPanickingScenarioAnswers500(t *testing.T) {
 	srv := New(Config{Registry: reg, LRUSize: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	client := &http.Client{Timeout: 5 * time.Second}
 	for i := 0; i < 2; i++ {
-		resp, err := client.Get(ts.URL + "/run?id=P")
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+		status, body := get(t, ts, "/run?id=P")
+		if status != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500", i, status)
 		}
-		_ = resp.Body.Close() // only the status is read
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d, want 500", i, resp.StatusCode)
+		if !strings.Contains(string(body), "scenario P panicked: scenario blew up") {
+			t.Errorf("request %d: body %s does not name the scenario and panic value", i, body)
+		}
+		if strings.Contains(string(body), "goroutine") {
+			t.Errorf("request %d: body carries a stack: %s", i, body)
 		}
 	}
 	if m := srv.Metrics(); m.Failed != 2 {

@@ -190,6 +190,9 @@ func RunE8(cfg E8Config) ([]E8Row, error) {
 	if len(cfg.Strata) == 0 || cfg.Budget <= 0 {
 		return nil, fmt.Errorf("survey: E8 config incomplete")
 	}
+	if cfg.Seeds < 0 {
+		return nil, fmt.Errorf("survey: E8 needs seeds >= 0, got %d", cfg.Seeds)
+	}
 	r := rng.New(cfg.Seed)
 	pop := SynthPopulation(cfg.Strata, cfg.TiesPerPerson, r.Split())
 	trueMean := pop.TrueMean()
