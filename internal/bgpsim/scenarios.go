@@ -45,7 +45,7 @@ func runE14(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	t := res.AddTable("E14", "Route-leak blast radius",
 		"leaker", "asn", "providers", "affected", "affected-share")
 	for _, r := range rows {
-		t.AddRow(experiment.S(r.LeakerKind), experiment.I64(int64(r.LeakerASN)), experiment.I(r.Providers),
+		t.AddRow(r.LeakerKind, experiment.I64(int64(r.LeakerASN)), experiment.I(r.Providers),
 			experiment.I(r.Affected), experiment.F3(r.AffectedShare))
 	}
 	return res, nil
@@ -61,7 +61,7 @@ func runE16(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	t := res.AddTable("E16", "Exact-prefix hijack capture",
 		"attacker", "asn", "captured", "captured-share")
 	for _, r := range rows {
-		t.AddRow(experiment.S(r.AttackerKind), experiment.I64(int64(r.AttackerASN)),
+		t.AddRow(r.AttackerKind, experiment.I64(int64(r.AttackerASN)),
 			experiment.I(r.Captured), experiment.F3(r.CapturedShare))
 	}
 	return res, nil

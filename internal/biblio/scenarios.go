@@ -76,7 +76,7 @@ func runE5(_ context.Context, p experiment.Values, seed uint64) (*experiment.Res
 	t := res.AddTable("E5", "Who is in the room",
 		"venue", "papers", "qual-share", "classified-qual", "affil-gini", "top10-share", "south-share")
 	for _, r := range rows {
-		t.AddRow(experiment.S(r.Venue), experiment.I(r.Papers), experiment.F3(r.QualitativeShare),
+		t.AddRow(r.Venue, experiment.I(r.Papers), experiment.F3(r.QualitativeShare),
 			experiment.F3(r.ClassifiedQual), experiment.F3(r.AffiliationGini),
 			experiment.F3(r.Top10AffilShare), experiment.F3(r.SouthAuthorShare))
 	}
@@ -147,18 +147,18 @@ func runGraph(ctx context.Context, p experiment.Values, seed uint64) (*experimen
 
 	res := &experiment.Result{}
 	t := res.AddTable("biblio-graph", "Coauthorship graph structure", "metric", "value")
-	t.AddRow(experiment.S("authors"), experiment.I(g.N()))
-	t.AddRow(experiment.S("edges"), experiment.I(g.M()))
-	t.AddRow(experiment.S("degree-mean"), experiment.FP(stats.Mean(degs), 1))
-	t.AddRow(experiment.S("degree-median"), experiment.FP(stats.Median(degs), 0))
-	t.AddRow(experiment.S("degree-p95"), experiment.FP(stats.Quantile(degs, 0.95), 0))
-	t.AddRow(experiment.S("degree-max"), experiment.FP(stats.Max(degs), 0))
-	t.AddRow(experiment.S("degree-gini"), experiment.F3(stats.Gini(degs)))
-	t.AddRow(experiment.S("giant-component"), experiment.I(g.GiantComponentSize()))
-	t.AddRow(experiment.S("communities"), experiment.I(communities))
-	t.AddRow(experiment.S("degree-assortativity"), experiment.F3(g.DegreeAssortativity()))
-	t.AddRow(experiment.S("degeneracy"), experiment.I(degeneracy))
-	t.AddRow(experiment.S("innermost-core"), experiment.I(inCore))
+	t.AddRow("authors", experiment.I(g.N()))
+	t.AddRow("edges", experiment.I(g.M()))
+	t.AddRow("degree-mean", experiment.FP(stats.Mean(degs), 1))
+	t.AddRow("degree-median", experiment.FP(stats.Median(degs), 0))
+	t.AddRow("degree-p95", experiment.FP(stats.Quantile(degs, 0.95), 0))
+	t.AddRow("degree-max", experiment.FP(stats.Max(degs), 0))
+	t.AddRow("degree-gini", experiment.F3(stats.Gini(degs)))
+	t.AddRow("giant-component", experiment.I(g.GiantComponentSize()))
+	t.AddRow("communities", experiment.I(communities))
+	t.AddRow("degree-assortativity", experiment.F3(g.DegreeAssortativity()))
+	t.AddRow("degeneracy", experiment.I(degeneracy))
+	t.AddRow("innermost-core", experiment.I(inCore))
 
 	workers := experiment.WorkersFrom(ctx)
 	bc, err := g.BetweennessCentralityCtx(ctx, workers)

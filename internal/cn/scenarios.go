@@ -89,7 +89,7 @@ func runE3(_ context.Context, p experiment.Values, seed uint64) (*experiment.Res
 	t := res.AddTable("E3", "Community congestion management",
 		"scheduler", "light-protected", "light-sat", "burst-sat", "heavy-sat", "utilization")
 	for _, r := range rows {
-		t.AddRow(experiment.S(r.Scheduler), experiment.F3(r.LightProtected), experiment.F3(r.LightSatisfaction),
+		t.AddRow(r.Scheduler, experiment.F3(r.LightProtected), experiment.F3(r.LightSatisfaction),
 			experiment.F3(r.BurstSatisfaction), experiment.F3(r.HeavySatisfaction), experiment.F3(r.Utilization))
 	}
 	return res, nil
@@ -142,7 +142,7 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(experiment.S(r.Scheduler), experiment.F3(r.NearSat), experiment.F3(r.FarSat),
+		t.AddRow(r.Scheduler, experiment.F3(r.NearSat), experiment.F3(r.FarSat),
 			experiment.FP(r.Gap, 2))
 	}
 	rows, err := TopoGapExperiment(p.Int("members"), p.Float("radius"), seed)
@@ -152,7 +152,7 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 	tb := res.AddTable("cn-topology-quartiles", "Max-min rate by hop quartile",
 		"placement", "quartile", "mean-hops", "mean-rate")
 	for _, r := range rows {
-		tb.AddRow(experiment.S(r.Placement), experiment.I(r.Quartile),
+		tb.AddRow(r.Placement, experiment.I(r.Quartile),
 			experiment.FP(r.MeanHops, 2), experiment.FP(r.MeanRate, 4))
 	}
 	return res, nil
@@ -186,7 +186,7 @@ func runGateway(_ context.Context, p experiment.Values, seed uint64) (*experimen
 				lo, hi = min(lo, r), max(hi, r)
 			}
 		}
-		t.AddRow(experiment.S(pl.name), experiment.I(net.G.M()), experiment.I(net.Gateway),
+		t.AddRow(pl.name, experiment.I(net.G.M()), experiment.I(net.Gateway),
 			experiment.FP(net.MeanPathETX(), 2), experiment.FP(agg, 2), experiment.F3(lo),
 			experiment.F3(hi), experiment.FP(NearFarGap(gaps, pl.name), 2))
 	}

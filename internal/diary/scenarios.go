@@ -51,7 +51,7 @@ func runE12(_ context.Context, p experiment.Values, seed uint64) (*experiment.Re
 			return nil, err
 		}
 		cov := Reconcile(c, ds)
-		t.AddRow(experiment.S(prompting.name), experiment.F3(cov.DiaryOnly), experiment.F3(cov.ProbeOnly),
+		t.AddRow(prompting.name, experiment.F3(cov.DiaryOnly), experiment.F3(cov.ProbeOnly),
 			experiment.F3(cov.Combined), experiment.F3(cov.NonInstrumentableDiary))
 	}
 	return res, nil

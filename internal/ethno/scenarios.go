@@ -71,7 +71,7 @@ func runE7(_ context.Context, p experiment.Values, _ uint64) (*experiment.Result
 	t := res.AddTable("E7", "Fieldwork scheduling",
 		"strategy", "visits", "insight", "sites", "reflections", "travel-overhead")
 	for _, r := range rows {
-		t.AddRow(experiment.S(string(r.Strategy)), experiment.I(r.Visits), experiment.FP(r.Insight, 1),
+		t.AddRow(string(r.Strategy), experiment.I(r.Visits), experiment.FP(r.Insight, 1),
 			experiment.I(r.SitesCovered), experiment.I(r.Reflections), experiment.F3(r.TravelOverhead))
 	}
 	return res, nil
@@ -148,7 +148,7 @@ func runTriangulation(_ context.Context, p experiment.Values, seed uint64) (*exp
 	te := res.AddTable("ethno-triangulation-truth", "Injected disturbances",
 		"disturbance", "day", "duration")
 	for _, e := range events {
-		te.AddRow(experiment.S(e.Label), experiment.I(e.Day), experiment.I(e.Duration))
+		te.AddRow(e.Label, experiment.I(e.Day), experiment.I(e.Duration))
 	}
 	td := res.AddTable("ethno-triangulation-alarms", "Detector alarms",
 		"detector", "day", "score")
@@ -163,12 +163,12 @@ func runTriangulation(_ context.Context, p experiment.Values, seed uint64) (*exp
 	} {
 		anomalies := make([]Anomaly, len(d.dets))
 		for i, det := range d.dets {
-			td.AddRow(experiment.S(d.name), experiment.I(det.Day), experiment.FP(det.Score, 1))
+			td.AddRow(d.name, experiment.I(det.Day), experiment.FP(det.Score, 1))
 			anomalies[i] = Anomaly{Day: float64(det.Day)}
 		}
 		ev := measure.Evaluate(events, d.dets, 2)
 		tri := Triangulate(notes, anomalies, p.Float("window"))
-		ts.AddRow(experiment.S(d.name), experiment.I(len(d.dets)), experiment.FP(ev.Recall, 2),
+		ts.AddRow(d.name, experiment.I(len(d.dets)), experiment.FP(ev.Recall, 2),
 			experiment.FP(ev.Precision, 2), experiment.FP(ev.MeanDelay, 1), experiment.I(ev.FalseAlarms),
 			experiment.I(tri.Explained), experiment.FP(tri.ExplainedShare(), 2))
 	}

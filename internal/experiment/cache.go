@@ -4,13 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // cacheSchemaVersion versions the cached Result encoding and the key
@@ -21,7 +24,9 @@ import (
 //
 // v2: Values.Canonical() became injective (length-prefixed records) and the
 // key's own fields became length-prefixed; v1 entries miss cleanly.
-const cacheSchemaVersion = 2
+// v3: a table cell became the formatted string every renderer prints, so an
+// entry is the /run body's JSON shape; v2 typed-cell entries miss cleanly.
+const cacheSchemaVersion = 3
 
 // moduleVersion identifies the code that produced a cached entry. Release
 // builds get the module version; source builds get the VCS revision when the
@@ -72,9 +77,10 @@ func CacheKey(scenarioID string, p Values, seed uint64) string {
 // Cache is a content-addressed on-disk Result store: one JSON file per key.
 // Writes are atomic (temp file + rename), so a crashed run never leaves a
 // half-written entry, and any unreadable or undecodable entry is treated as
-// a miss and overwritten by the next Put.
+// a miss, counted in Corrupt, and overwritten by the next Put.
 type Cache struct {
-	dir string
+	dir     string
+	corrupt atomic.Int64
 }
 
 // OpenCache creates dir if needed and returns a cache rooted there.
@@ -99,21 +105,27 @@ func (c *Cache) path(key string) string {
 // hand-edited file) — is reported as a miss; the cache self-heals on the
 // next Put. Without the ID check, any well-formed JSON at the right path
 // would be served verbatim, so a stray rename could hand one scenario
-// another scenario's tables.
+// another scenario's tables. Every failure but absence is counted in Corrupt.
 func (c *Cache) Get(key, wantID string) (*Result, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			c.corrupt.Add(1)
+		}
 		return nil, false
 	}
 	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, false
-	}
-	if res.ID != wantID {
+	if err := json.Unmarshal(data, &res); err != nil || res.ID != wantID {
+		c.corrupt.Add(1)
 		return nil, false
 	}
 	return &res, true
 }
+
+// Corrupt is the number of entries Get found but could not serve: a read
+// error other than absence, an undecodable body, or a Result naming another
+// scenario.
+func (c *Cache) Corrupt() int64 { return c.corrupt.Load() }
 
 // Put stores res under key atomically.
 func (c *Cache) Put(key string, res *Result) error {

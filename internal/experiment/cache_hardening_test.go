@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"os"
 	"reflect"
 	"runtime/debug"
 	"sort"
@@ -83,39 +85,71 @@ func oldCacheKeyV1(scenarioID string, p Values, seed uint64) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestOldFormatEntriesMissCleanly plants a well-formed entry under the v1
-// key of a job and asserts the hardened runner never sees it: the schema
-// bump moved every key, so old-format entries are unreachable rather than
-// wrongly decodable.
-func TestOldFormatEntriesMissCleanly(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// oldCacheKeyV2 reproduces the schema-v2 key derivation (length-prefixed
+// fields and params), under which entries held typed cells.
+func oldCacheKeyV2(scenarioID string, p Values, seed uint64) string {
+	var b strings.Builder
+	for _, field := range []string{"v2", moduleVersion(), scenarioID, strconv.FormatUint(seed, 10), p.Canonical()} {
+		b.WriteString(strconv.Itoa(len(field)))
+		b.WriteByte(':')
+		b.WriteString(field)
+		b.WriteByte('\n')
 	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// typedCellEntry is a schema-v2 cache entry for synthDef("T1"): its cells
+// are {"kind", ...} objects, not the strings a v3 entry holds.
+const typedCellEntry = `{"id":"T1","title":"stale typed-cell entry","claim":"harness test scenario","seed":7,` +
+	`"params":{"label":"x","rows":"1","scale":"1.5"},"tables":[{"id":"T1","title":"synthetic",` +
+	`"columns":["label","n","value"],"rows":[[{"kind":"string","str":"x0"},{"kind":"int"},` +
+	`{"kind":"float","f":0.1234567,"prec":3}]]}]}`
+
+// TestOldFormatEntriesMissCleanly plants a well-formed entry under the v1
+// key and a typed-cell entry under the v2 key of a job, and asserts the
+// runner never sees either: each schema bump moved every key, so old-format
+// entries are unreachable rather than wrongly decodable.
+func TestOldFormatEntriesMissCleanly(t *testing.T) {
 	sc := def{synthDef("T1")}
 	merged := mustMerge(t, sc, nil)
 	seed := sc.DefaultSeed()
-
-	oldKey := oldCacheKeyV1(sc.ID(), merged, seed)
 	newKey := CacheKey(sc.ID(), merged, seed)
-	if oldKey == newKey {
-		t.Fatal("schema bump did not move the cache key")
-	}
-	poisoned := &Result{ID: sc.ID(), Title: "stale v1 entry", Seed: seed}
-	if err := cache.Put(oldKey, poisoned); err != nil {
-		t.Fatal(err)
-	}
-
-	r := &Runner{Cache: cache}
-	res, err := r.RunOne(context.Background(), NewJob(sc))
+	v1, err := json.Marshal(&Result{ID: sc.ID(), Title: "stale v1 entry", Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want a clean miss past the v1 entry", st)
-	}
-	if res.Title == poisoned.Title {
-		t.Fatal("runner served the stale v1 entry")
+	for _, old := range []struct {
+		name, key, body string
+	}{
+		{"v1", oldCacheKeyV1(sc.ID(), merged, seed), string(v1)},
+		{"v2 typed cells", oldCacheKeyV2(sc.ID(), merged, seed), typedCellEntry},
+	} {
+		if old.key == newKey {
+			t.Fatalf("%s: schema bump did not move the cache key", old.name)
+		}
+		cache, err := OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cache.path(old.key), []byte(old.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		r := &Runner{Cache: cache}
+		res, err := r.RunOne(context.Background(), NewJob(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.Hits != 0 || st.Misses != 1 {
+			t.Fatalf("%s: stats = %+v, want a clean miss past the old entry", old.name, st)
+		}
+		if strings.HasPrefix(res.Title, "stale") {
+			t.Fatalf("%s: runner served the stale entry", old.name)
+		}
+		if n := cache.Corrupt(); n != 0 {
+			t.Fatalf("%s: Corrupt() = %d, want 0: the old entry must never be read", old.name, n)
+		}
 	}
 }
 
@@ -131,12 +165,18 @@ func TestCacheGetRejectsMismatchedID(t *testing.T) {
 	merged := mustMerge(t, sc, nil)
 	key := CacheKey(sc.ID(), merged, sc.DefaultSeed())
 
+	if _, ok := cache.Get(key, sc.ID()); ok || cache.Corrupt() != 0 {
+		t.Fatalf("absent entry: ok=%v Corrupt()=%d, want a miss that is not counted", ok, cache.Corrupt())
+	}
 	alien := &Result{ID: "T2", Title: "someone else's table", Seed: 1}
 	if err := cache.Put(key, alien); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cache.Get(key, sc.ID()); ok {
 		t.Fatal("Get served an entry whose Result.ID names a different scenario")
+	}
+	if n := cache.Corrupt(); n != 1 {
+		t.Fatalf("Corrupt() = %d after one mismatched read, want 1", n)
 	}
 	if res, ok := cache.Get(key, "T2"); !ok || res.Title != alien.Title {
 		t.Fatal("Get with the matching ID should still decode the entry")

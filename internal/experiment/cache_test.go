@@ -106,41 +106,58 @@ func TestCacheMissOnDifferentInputs(t *testing.T) {
 	}
 }
 
+// TestCacheCorruptEntryIsMiss: an entry that does not decode into a Result
+// — truncated JSON, or a schema-v2 typed-cell body under the current key —
+// is a counted miss that the re-run overwrites, never a Result with empty
+// cells.
 func TestCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := def{synthDef("T1")}
-	job := NewJob(sc)
-	r := &Runner{Cache: cache}
-	if _, err := r.RunOne(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct{ name, body string }{
+		{"not json", "{not json"},
+		{"typed cells", typedCellEntry},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cache, err := OpenCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := def{synthDef("T1")}
+			job := NewJob(sc)
+			r := &Runner{Cache: cache}
+			if _, err := r.RunOne(context.Background(), job); err != nil {
+				t.Fatal(err)
+			}
+			if n := cache.Corrupt(); n != 0 {
+				t.Fatalf("Corrupt() = %d after a miss on an absent entry, want 0", n)
+			}
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("expected exactly one cache entry, got %v (err %v)", entries, err)
-	}
-	if err := os.WriteFile(entries[0], []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("expected exactly one cache entry, got %v (err %v)", entries, err)
+			}
+			if err := os.WriteFile(entries[0], []byte(tc.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	r2 := &Runner{Cache: cache}
-	res, err := r2.RunOne(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := r2.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("stats after corruption = %+v, want a self-healing miss", st)
-	}
-	if res == nil || len(res.Tables) == 0 {
-		t.Fatal("re-run after corrupt entry produced no result")
-	}
-	// The Put on the miss path must have replaced the corrupt entry.
-	if _, ok := cache.Get(CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed), sc.ID()); !ok {
-		t.Fatal("corrupt entry not rewritten after the re-run")
+			r2 := &Runner{Cache: cache}
+			res, err := r2.RunOne(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := r2.Stats(); st.Hits != 0 || st.Misses != 1 {
+				t.Fatalf("stats after corruption = %+v, want a self-healing miss", st)
+			}
+			if n := cache.Corrupt(); n != 1 {
+				t.Fatalf("Corrupt() = %d after one corrupt read, want 1", n)
+			}
+			if res == nil || len(res.Tables) == 0 || res.Tables[0].Rows[0][0] != "x0" {
+				t.Fatalf("re-run after corrupt entry did not produce the scenario's rows: %+v", res)
+			}
+			// The Put on the miss path must have replaced the corrupt entry.
+			if _, ok := cache.Get(CacheKey(sc.ID(), mustMerge(t, sc, nil), job.Seed), sc.ID()); !ok {
+				t.Fatal("corrupt entry not rewritten after the re-run")
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiment makes the repository's measured experiments (E1–E22
 // and the auxiliary scenarios) first-class data instead of main-function
 // prose: a Scenario is a named, self-describing, deterministic computation
-// from (Params, seed) to a Result of typed tables, registered once by its
+// from (Params, seed) to a Result of tables, registered once by its
 // owning domain package and resolved by ID everywhere else.
 //
 // The package provides four layers:
@@ -11,11 +11,12 @@
 //     seed, and a Run function producing a *Result. Domain packages register
 //     their scenarios in init() via Register, so any binary that links the
 //     package can resolve them by ID.
-//   - Result / Table / Cell: the deterministic output model. Tables carry
-//     ordered columns and rows of typed cells (string, int, float with a fixed
-//     precision), so both renderers — Markdown and JSON — produce
-//     byte-identical output for equal Results, and Results survive a JSON
-//     round-trip (the cache) bit-exactly.
+//   - Result / Table: the deterministic output model. Tables carry ordered
+//     columns and rows of cells, each cell the text every renderer prints,
+//     formatted when the row is added (I, I64, F3, FP, FSigned). A Result
+//     has one JSON encoding: the cache entry, the /run body and the -json
+//     report are the same bytes, and the Markdown renderer joins the same
+//     strings.
 //   - Registry: ordered, duplicate-rejecting scenario lookup. E-numbered
 //     scenarios sort numerically (E2 before E10); auxiliary scenarios sort
 //     after them by name and are excluded from the standard report.

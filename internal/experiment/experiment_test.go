@@ -29,7 +29,7 @@ func synthDef(id string) Def {
 			r := rng.New(seed)
 			for i := 0; i < p.Int("rows"); i++ {
 				tb.AddRow(
-					S(fmt.Sprintf("%s%d", p.String("label"), i)),
+					fmt.Sprintf("%s%d", p.String("label"), i),
 					I(i),
 					F3(p.Float("scale")*r.Float64()),
 				)
@@ -150,7 +150,6 @@ func TestSpecParseRoundTrips(t *testing.T) {
 		{Spec{Name: "i", Kind: Int, Default: 0}, "-3", -3},
 		{Spec{Name: "u", Kind: Uint, Default: uint64(0)}, "9", uint64(9)},
 		{Spec{Name: "f", Kind: Float, Default: 0.0}, "0.25", 0.25},
-		{Spec{Name: "b", Kind: Bool, Default: false}, "true", true},
 		{Spec{Name: "s", Kind: String, Default: ""}, "hi", "hi"},
 	}
 	for _, c := range cases {

@@ -14,7 +14,6 @@ const (
 	Int Kind = iota
 	Uint
 	Float
-	Bool
 	String
 )
 
@@ -27,8 +26,6 @@ func (k Kind) String() string {
 		return "uint"
 	case Float:
 		return "float"
-	case Bool:
-		return "bool"
 	case String:
 		return "string"
 	}
@@ -53,8 +50,6 @@ func (s Spec) check(v any) error {
 		_, ok = v.(uint64)
 	case Float:
 		_, ok = v.(float64)
-	case Bool:
-		_, ok = v.(bool)
 	case String:
 		_, ok = v.(string)
 	}
@@ -85,12 +80,6 @@ func (s Spec) Parse(text string) (any, error) {
 			return nil, fmt.Errorf("param %q: %w", s.Name, err)
 		}
 		return v, nil
-	case Bool:
-		v, err := strconv.ParseBool(text)
-		if err != nil {
-			return nil, fmt.Errorf("param %q: %w", s.Name, err)
-		}
-		return v, nil
 	case String:
 		return text, nil
 	}
@@ -108,8 +97,6 @@ func FormatValue(v any) string {
 		return strconv.FormatUint(x, 10)
 	case float64:
 		return strconv.FormatFloat(x, 'g', -1, 64)
-	case bool:
-		return strconv.FormatBool(x)
 	case string:
 		return x
 	}
@@ -194,7 +181,7 @@ func (sch Schema) Merge(over Values) (Values, error) {
 }
 
 // Values is a validated parameter assignment. The dynamic types are exactly
-// int, uint64, float64, bool, and string, matching the Kind constants.
+// int, uint64, float64, and string, matching the Kind constants.
 type Values map[string]any
 
 // get fetches a value, panicking with a precise message on misuse: scenarios

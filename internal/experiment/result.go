@@ -5,79 +5,36 @@ import (
 	"strconv"
 )
 
-// CellKind discriminates the typed cell variants.
-type CellKind string
+// I formats an int cell.
+func I(v int) string { return strconv.Itoa(v) }
 
-const (
-	CellString CellKind = "string"
-	CellInt    CellKind = "int"
-	CellFloat  CellKind = "float"
-)
+// I64 formats an int64 cell.
+func I64(v int64) string { return strconv.FormatInt(v, 10) }
 
-// Cell is one typed table value. The zero-value JSON omissions keep cached
-// Results compact while preserving an exact round-trip: strings verbatim,
-// ints as int64, floats as float64 (encoding/json emits the shortest
-// representation that parses back bit-identically).
-type Cell struct {
-	Kind CellKind `json:"kind"`
-	Str  string   `json:"str,omitempty"`
-	Int  int64    `json:"int,omitempty"`
-	F    float64  `json:"f,omitempty"`
-	// Prec is the number of fixed decimals a float cell renders with.
-	Prec int `json:"prec,omitempty"`
-	// Plus forces an explicit sign on a float cell (E8's bias column).
-	Plus bool `json:"plus,omitempty"`
-}
-
-// S builds a string cell.
-func S(s string) Cell { return Cell{Kind: CellString, Str: s} }
-
-// I builds an int cell.
-func I(v int) Cell { return Cell{Kind: CellInt, Int: int64(v)} }
-
-// I64 builds an int cell from an int64.
-func I64(v int64) Cell { return Cell{Kind: CellInt, Int: v} }
-
-// F3 builds a float cell with three fixed decimals — the repo's default
+// F3 formats a float cell with three fixed decimals — the repo's default
 // precision for shares and rates.
-func F3(v float64) Cell { return Cell{Kind: CellFloat, F: v, Prec: 3} }
+func F3(v float64) string { return FP(v, 3) }
 
-// FP builds a float cell with prec fixed decimals.
-func FP(v float64, prec int) Cell { return Cell{Kind: CellFloat, F: v, Prec: prec} }
+// FP formats a float cell with prec fixed decimals.
+func FP(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 
-// FSigned builds a float cell with prec fixed decimals and a forced sign.
-func FSigned(v float64, prec int) Cell {
-	return Cell{Kind: CellFloat, F: v, Prec: prec, Plus: true}
-}
-
-// Format renders the cell deterministically; every renderer goes through it.
-func (c Cell) Format() string {
-	switch c.Kind {
-	case CellString:
-		return c.Str
-	case CellInt:
-		return strconv.FormatInt(c.Int, 10)
-	case CellFloat:
-		if c.Plus {
-			return fmt.Sprintf("%+.*f", c.Prec, c.F)
-		}
-		return fmt.Sprintf("%.*f", c.Prec, c.F)
-	}
-	return fmt.Sprintf("?%v", c.Kind)
-}
+// FSigned formats a float cell with prec fixed decimals and a forced sign
+// (E8's bias column).
+func FSigned(v float64, prec int) string { return fmt.Sprintf("%+.*f", prec, v) }
 
 // Table is one rendered section of an experiment: an ID ("E1", "E2b"), a
-// title, ordered columns, and rows of typed cells.
+// title, ordered columns, and rows of cells. A cell is the text every
+// renderer prints, fixed when its row is added.
 type Table struct {
-	ID      string   `json:"id"`
-	Title   string   `json:"title"`
-	Columns []string `json:"columns"`
-	Rows    [][]Cell `json:"rows"`
+	ID      string     `json:"id"`
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
 }
 
 // AddRow appends one row. The cell count must match the column count; a
 // mismatch is a scenario programming error and panics with the table ID.
-func (t *Table) AddRow(cells ...Cell) {
+func (t *Table) AddRow(cells ...string) {
 	if len(cells) != len(t.Columns) {
 		panic(fmt.Sprintf("experiment: table %s row has %d cells for %d columns", t.ID, len(cells), len(t.Columns)))
 	}
@@ -86,8 +43,8 @@ func (t *Table) AddRow(cells ...Cell) {
 
 // Result is a scenario execution's complete, renderable output. ID, Title,
 // Claim, Seed, and Params are stamped by the Runner so scenarios only build
-// Tables; a Result survives a JSON round-trip (the on-disk cache) with
-// bit-identical rendering.
+// Tables. Its one JSON encoding is both the on-disk cache entry and the
+// /run body.
 type Result struct {
 	ID     string            `json:"id"`
 	Title  string            `json:"title"`
@@ -98,9 +55,10 @@ type Result struct {
 }
 
 // AddTable appends an empty table with the given identity and columns and
-// returns it for row-filling.
+// returns it for row-filling. Rows starts non-nil, so a table that never
+// gets a row still encodes as [] and not null.
 func (r *Result) AddTable(id, title string, columns ...string) *Table {
-	t := &Table{ID: id, Title: title, Columns: columns}
+	t := &Table{ID: id, Title: title, Columns: columns, Rows: [][]string{}}
 	r.Tables = append(r.Tables, t)
 	return t
 }

@@ -31,7 +31,7 @@ func runE13(_ context.Context, p experiment.Values, seed uint64) (*experiment.Re
 	t := res.AddTable("E13", "Focus-group facilitation",
 		"strategy", "speaking-jain", "insight-cov", "quiet-cov", "interventions")
 	for _, r := range rows {
-		t.AddRow(experiment.S(r.Strategy.String()), experiment.F3(r.SpeakingJain),
+		t.AddRow(r.Strategy.String(), experiment.F3(r.SpeakingJain),
 			experiment.F3(r.InsightCoverage), experiment.F3(r.QuietCoverage), experiment.I(r.Interventions))
 	}
 	return res, nil

@@ -58,7 +58,7 @@ func runE1(ctx context.Context, p experiment.Values, _ uint64) (*experiment.Resu
 	t := res.AddTable("E1", "Mandatory peering vs ASN circumvention",
 		"scenario", "shells", "sessions", "locality", "incumbent-locality")
 	for _, r := range rows {
-		t.AddRow(experiment.S(r.Mode.String()), experiment.I(r.Shells), experiment.I(r.IXPSessions),
+		t.AddRow(r.Mode.String(), experiment.I(r.Shells), experiment.I(r.IXPSessions),
 			experiment.F3(r.DomesticShare), experiment.F3(r.IncumbentLocal))
 	}
 

@@ -59,7 +59,7 @@ func runE4(_ context.Context, p experiment.Values, seed uint64) (*experiment.Res
 	t := res.AddTable("E4", "Problem discovery",
 		"pipeline", "marginal-share", "marginal-pop", "mean-impact")
 	for _, r := range rows {
-		t.AddRow(experiment.S(r.Pipeline), experiment.F3(r.MarginalShare),
+		t.AddRow(r.Pipeline, experiment.F3(r.MarginalShare),
 			experiment.F3(r.MarginalPopShare), experiment.F3(r.MeanAgendaImpact))
 	}
 	return res, nil

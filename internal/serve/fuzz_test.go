@@ -19,7 +19,6 @@ func FuzzParseRun(f *testing.F) {
 	typed := testDef("T2")
 	typed.Params = append(typed.Params,
 		experiment.Spec{Name: "rate", Kind: experiment.Float, Default: 0.5, Doc: "float param"},
-		experiment.Spec{Name: "strict", Kind: experiment.Bool, Default: false, Doc: "bool param"},
 		experiment.Spec{Name: "budget", Kind: experiment.Uint, Default: uint64(9), Doc: "uint param"},
 	)
 	for _, d := range []experiment.Def{testDef("T1"), typed} {
@@ -31,7 +30,7 @@ func FuzzParseRun(f *testing.F) {
 	for _, seed := range []string{
 		"id=T1",
 		"id=T1&seed=42&rows=5&label=a%3Db%0A",
-		"id=T2&rate=-0&strict=1&budget=18446744073709551615",
+		"id=T2&rate=-0&budget=18446744073709551615",
 		"id=T2&rate=NaN&seed=0",
 		"id=T2&rate=1e-320&rows=-3",
 		"id=T1&rows=1&rows=2",

@@ -63,11 +63,13 @@ type Snapshot struct {
 	// cache, a disk hit never executes, and Coalesced callers shared
 	// another request's in-flight execution. Executed counts actual
 	// scenario runs — the number the "zero re-execution" acceptance check
-	// reads.
-	LRUHits   int64 `json:"lru_hits"`
-	DiskHits  int64 `json:"disk_hits"`
-	Coalesced int64 `json:"coalesced"`
-	Executed  int64 `json:"executed"`
+	// reads. DiskCorrupt counts disk entries found but unusable (unreadable,
+	// undecodable, or naming another scenario); each also became a miss.
+	LRUHits     int64 `json:"lru_hits"`
+	DiskHits    int64 `json:"disk_hits"`
+	DiskCorrupt int64 `json:"disk_corrupt"`
+	Coalesced   int64 `json:"coalesced"`
+	Executed    int64 `json:"executed"`
 
 	LRUHitRatio  float64 `json:"lru_hit_ratio"`
 	DiskHitRatio float64 `json:"disk_hit_ratio"`

@@ -406,6 +406,9 @@ func (s *Server) Metrics() Snapshot {
 		LRUBytes:   lruBytes,
 		LatSumUS:   s.met.latSum.Load(),
 	}
+	if s.cfg.Cache != nil {
+		snap.DiskCorrupt = s.cfg.Cache.Corrupt()
+	}
 	snap.LRUHitRatio = ratio(snap.LRUHits, snap.RunOK)
 	snap.DiskHitRatio = ratio(snap.DiskHits, snap.RunOK)
 	snap.ExecRatio = ratio(snap.Executed, snap.RunOK)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -35,7 +37,7 @@ func testDef(id string) experiment.Def {
 			tb := res.AddTable(id, "synthetic", "label", "value")
 			r := rng.New(seed)
 			for i := 0; i < p.Int("rows"); i++ {
-				tb.AddRow(experiment.S(fmt.Sprintf("%s%d", p.String("label"), i)), experiment.F3(r.Float64()))
+				tb.AddRow(fmt.Sprintf("%s%d", p.String("label"), i), experiment.F3(r.Float64()))
 			}
 			return res, nil
 		},
@@ -84,7 +86,12 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 }
 
 func TestRunServesDeterministicBodyAcrossTiers(t *testing.T) {
-	srv, ts := newTestServer(t, nil)
+	dir := t.TempDir()
+	cache, err := experiment.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, func(c *Config) { c.Cache = cache })
 
 	status, first := get(t, ts, "/run?id=T1&seed=9&rows=4")
 	if status != http.StatusOK {
@@ -108,8 +115,28 @@ func TestRunServesDeterministicBodyAcrossTiers(t *testing.T) {
 	if status != http.StatusOK || string(third) != string(first) {
 		t.Fatalf("disk-cache body differs: status %d body %s", status, third)
 	}
-	if m := srv2.Metrics(); m.DiskHits != 1 || m.Executed != 0 {
+	if m := srv2.Metrics(); m.DiskHits != 1 || m.Executed != 0 || m.DiskCorrupt != 0 {
 		t.Fatalf("fresh-server metrics = %+v, want a pure disk hit", m)
+	}
+
+	// Corrupt the entry: a third server re-executes, serves the same body,
+	// and counts the unusable entry in disk_corrupt.
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("expected one cache entry, got %v (err %v)", entries, err)
+	}
+	if err := os.WriteFile(entries[0], []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv3 := New(Config{Registry: srv.reg, Cache: cache, LRUSize: 64})
+	ts3 := httptest.NewServer(srv3.Handler())
+	defer ts3.Close()
+	status, fourth := get(t, ts3, "/run?id=T1&seed=9&rows=4")
+	if status != http.StatusOK || string(fourth) != string(first) {
+		t.Fatalf("body after corrupt entry differs: status %d body %s", status, fourth)
+	}
+	if m := srv3.Metrics(); m.DiskCorrupt != 1 || m.DiskHits != 0 || m.Executed != 1 {
+		t.Fatalf("corrupt-entry metrics = %+v, want 1 disk_corrupt / 1 executed", m)
 	}
 
 	// The body decodes as a single result object with the right identity.

@@ -56,7 +56,7 @@ func runE11(_ context.Context, p experiment.Values, seed uint64) (*experiment.Re
 		if r.Closed {
 			name = "closed consortium"
 		}
-		t.AddRow(experiment.S(name), experiment.I(r.RFCs), experiment.FP(r.MeanRoundsToRFC, 1),
+		t.AddRow(name, experiment.I(r.RFCs), experiment.FP(r.MeanRoundsToRFC, 1),
 			experiment.F3(r.MeanFinalFit), experiment.F3(r.MeanDeployPerRFC))
 	}
 	return res, nil

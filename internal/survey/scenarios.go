@@ -44,7 +44,7 @@ func runE8(_ context.Context, p experiment.Values, seed uint64) (*experiment.Res
 	t := res.AddTable("E8", "Survey reach",
 		"design", "respondents", "marginal-share", "marginal-pop", "bias")
 	for _, r := range rows {
-		t.AddRow(experiment.S(string(r.Design)), experiment.I(r.Respondents),
+		t.AddRow(string(r.Design), experiment.I(r.Respondents),
 			experiment.F3(r.MarginalShare), experiment.F3(r.MarginalPop), experiment.FSigned(r.Bias, 3))
 	}
 	return res, nil

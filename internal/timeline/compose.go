@@ -283,9 +283,9 @@ func (cs *ComposedSeries) Tables(res *experiment.Result, id, title string) {
 	}
 	t := res.AddTable(id+"-cascade", title+" — cascade log", "tick", "rule", "event")
 	for _, e := range cs.Injected {
-		t.AddRow(experiment.I(e.At), experiment.S(e.Prov), experiment.S(formatEvent(e)))
+		t.AddRow(experiment.I(e.At), e.Prov, formatEvent(e))
 	}
 	if cs.Dropped > 0 {
-		t.AddRow(experiment.I(-1), experiment.S("(dropped)"), experiment.S(fmt.Sprintf("%d past horizon", cs.Dropped)))
+		t.AddRow(experiment.I(-1), "(dropped)", fmt.Sprintf("%d past horizon", cs.Dropped))
 	}
 }

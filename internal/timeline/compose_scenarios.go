@@ -265,7 +265,7 @@ func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	}{{"coupled", coupledOut}, {"control", controlOut}} {
 		att := r.out.Series[1]
 		last := att.Rows[len(att.Rows)-1]
-		sum.AddRow(experiment.S(r.name), experiment.I(int(last[0])), experiment.I(int(last[1])),
+		sum.AddRow(r.name, experiment.I(int(last[0])), experiment.I(int(last[1])),
 			experiment.F3(last[2]), experiment.I(len(r.out.Injected)))
 	}
 	return res, nil
@@ -387,7 +387,7 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	}
 	sum := res.AddTable("E21-totals", "Outage cascade summary",
 		"scheduler", "surge-onsets", "min-served-share", "min-light-sat")
-	sum.AddRow(experiment.S(sched.Name()), experiment.I(surgeOnsets),
+	sum.AddRow(sched.Name(), experiment.I(surgeOnsets),
 		experiment.F3(minShare), experiment.F3(minSat))
 	return res, nil
 }

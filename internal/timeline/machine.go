@@ -79,7 +79,7 @@ func (s *Series) Table(res *experiment.Result, id, title string) *experiment.Tab
 	}
 	t := res.AddTable(id, title, cols...)
 	for tick, row := range s.Rows {
-		cells := make([]experiment.Cell, 0, len(row)+1)
+		cells := make([]string, 0, len(row)+1)
 		cells = append(cells, experiment.I(tick))
 		for j, v := range row {
 			if s.Cols[j].Prec < 0 {

@@ -145,7 +145,7 @@ func runE18(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	}
 	sum := res.AddTable("E18-totals", "Churn summary",
 		"scheduler", "min-up", "min-served-share", "mean-light-sat")
-	sum.AddRow(experiment.S(sched.Name()), experiment.I(int(minUp)),
+	sum.AddRow(sched.Name(), experiment.I(int(minUp)),
 		experiment.F3(minShare), experiment.F3(satSum/float64(len(series.Rows))))
 	return res, nil
 }
