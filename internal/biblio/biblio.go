@@ -9,6 +9,7 @@ package biblio
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -104,15 +105,13 @@ func (c *Corpus) AddPaper(p Paper) error {
 	if len(p.Authors) == 0 {
 		return fmt.Errorf("biblio: paper %d needs authors", p.ID)
 	}
-	seen := make(map[int]bool, len(p.Authors))
-	for _, a := range p.Authors {
+	for i, a := range p.Authors {
 		if _, ok := c.authors[a]; !ok {
 			return fmt.Errorf("%w: %d on paper %d", ErrUnknownAuthor, a, p.ID)
 		}
-		if seen[a] {
+		if slices.Contains(p.Authors[:i], a) {
 			return fmt.Errorf("biblio: duplicate author %d on paper %d", a, p.ID)
 		}
-		seen[a] = true
 	}
 	c.papers[p.ID] = p
 	return nil
@@ -231,42 +230,56 @@ func (c *Corpus) MethodMix(venue string) map[Method]float64 {
 	return counts
 }
 
-// methodVocabulary feeds the keyword classifier.
-func methodVocabulary() map[Method][]string {
-	return map[Method][]string{
-		Measurement:     {"measurement", "traceroute", "vantage", "dataset", "longitudinal", "probing", "scan", "telemetry"},
-		SystemsBuilding: {"implementation", "deployment", "prototype", "throughput", "kernel", "design", "evaluation", "testbed"},
-		Theory:          {"theorem", "proof", "bound", "optimal", "complexity", "model", "equilibrium", "convergence"},
-		Qualitative:     {"interview", "ethnography", "participatory", "fieldwork", "positionality", "community", "qualitative", "stakeholder"},
-	}
+// methodVocabulary feeds the keyword classifier and the generator's
+// abstracts, indexed by Method (the four vocabulary methods precede Mixed).
+var methodVocabulary = [Mixed][]string{
+	Measurement:     {"measurement", "traceroute", "vantage", "dataset", "longitudinal", "probing", "scan", "telemetry"},
+	SystemsBuilding: {"implementation", "deployment", "prototype", "throughput", "kernel", "design", "evaluation", "testbed"},
+	Theory:          {"theorem", "proof", "bound", "optimal", "complexity", "model", "equilibrium", "convergence"},
+	Qualitative:     {"interview", "ethnography", "participatory", "fieldwork", "positionality", "community", "qualitative", "stakeholder"},
 }
 
-// classifierVocab is methodVocabulary stemmed once, indexed by Method (the
-// four vocabulary methods precede Mixed).
-var classifierVocab = func() (v [Mixed][]string) {
-	vocab := methodVocabulary()
-	for m := range v {
-		for _, w := range vocab[Method(m)] {
-			v[m] = append(v[m], textproc.Stem(w))
+// classifierIndex maps each stemmed vocabulary word to its hits per method:
+// a stem listed twice under one method counts twice.
+var classifierIndex = func() map[string][Mixed]int {
+	idx := make(map[string][Mixed]int)
+	for m, words := range methodVocabulary {
+		for _, w := range words {
+			stem := textproc.Stem(w)
+			hits := idx[stem]
+			hits[m]++
+			idx[stem] = hits
 		}
 	}
-	return v
+	return idx
 }()
 
-// ClassifyAbstract assigns the method whose vocabulary best matches the
-// abstract (stemmed-token overlap). Abstracts matching both qualitative and
-// a quantitative vocabulary strongly are labelled Mixed; no match defaults
-// to Measurement (the field's modal method).
-func ClassifyAbstract(abstract string) Method {
-	tokens := textproc.StemAll(textproc.TokenizeFiltered(abstract))
-	counts := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		counts[t]++
+// classifier scores abstracts against classifierIndex. A non-nil memo
+// caches each token's hits, so a corpus drawn from a small vocabulary stems
+// every distinct token once.
+type classifier struct {
+	memo map[string][Mixed]int
+}
+
+// hits returns the per-method vocabulary hits of one unstemmed token.
+func (c classifier) hits(tok string) [Mixed]int {
+	if h, ok := c.memo[tok]; ok {
+		return h
 	}
+	h := classifierIndex[textproc.Stem(tok)]
+	if c.memo != nil {
+		c.memo[tok] = h
+	}
+	return h
+}
+
+// classify is ClassifyAbstract through c's memo.
+func (c classifier) classify(abstract string) Method {
 	var scores [Mixed]int
-	for m, stems := range classifierVocab {
-		for _, w := range stems {
-			scores[m] += counts[w]
+	for _, tok := range textproc.TokenizeFiltered(abstract) {
+		h := c.hits(tok)
+		for m := range scores {
+			scores[m] += h[m]
 		}
 	}
 	best, bestScore := Measurement, 0
@@ -285,4 +298,12 @@ func ClassifyAbstract(abstract string) Method {
 		return Mixed
 	}
 	return best
+}
+
+// ClassifyAbstract assigns the method whose vocabulary best matches the
+// abstract (stemmed-token overlap). Abstracts matching both qualitative and
+// a quantitative vocabulary strongly are labelled Mixed; no match defaults
+// to Measurement (the field's modal method).
+func ClassifyAbstract(abstract string) Method {
+	return classifier{}.classify(abstract)
 }

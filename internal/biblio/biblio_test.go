@@ -342,3 +342,37 @@ func BenchmarkClassifyAbstract(b *testing.B) {
 		_ = ClassifyAbstract(abs)
 	}
 }
+
+// BenchmarkE5Phases splits E5 at its registered default shape into corpus
+// generation, abstract classification and the row pass, so a regression in
+// BenchmarkE5Concentration can be attributed to one of them.
+func BenchmarkE5Phases(b *testing.B) {
+	cfg := DefaultGenConfig()
+	cfg.Papers = 2000
+	cfg.Authors = 1200
+	c, err := Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := classifyCorpus(c)
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Generate(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("classify", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = classifyCorpus(c)
+		}
+	})
+	b.Run("rows", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = e5Rows(c, labels)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package biblio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,10 +36,10 @@ type VenueProfile struct {
 	MethodProbs [5]float64
 }
 
-// DefaultGenConfig returns the corpus used by experiment E5: two systems
-// venues dominated by quantitative work, one measurement venue, and one
-// HCI-adjacent venue where qualitative work lives — the publication
-// landscape the paper describes.
+// DefaultGenConfig returns the corpus used by experiment E5 (which
+// registers a smaller size): systems, measurement and theory venues
+// dominated by quantitative work, and one HCI-adjacent venue where
+// qualitative work lives — the publication landscape the paper describes.
 func DefaultGenConfig() GenConfig {
 	return GenConfig{
 		Papers:         5000,
@@ -58,36 +59,98 @@ func DefaultGenConfig() GenConfig {
 	}
 }
 
-// abstractVocab generates method-flavoured abstracts so ClassifyAbstract can
-// recover the latent labels.
+// abstractPools holds each method's abstract vocabulary; Mixed draws from
+// the qualitative and measurement words together.
+var abstractPools = [Mixed + 1][]string{
+	Measurement:     methodVocabulary[Measurement],
+	SystemsBuilding: methodVocabulary[SystemsBuilding],
+	Theory:          methodVocabulary[Theory],
+	Qualitative:     methodVocabulary[Qualitative],
+	Mixed:           slices.Concat(methodVocabulary[Qualitative], methodVocabulary[Measurement]),
+}
+
+// abstractFiller is the method-neutral vocabulary of generated abstracts.
+var abstractFiller = []string{"internet", "network", "system", "results", "approach", "present", "paper", "study"}
+
+// abstractWords is the length of a generated abstract in words.
+const abstractWords = 30
+
+// abstractFor generates a method-flavoured abstract so ClassifyAbstract can
+// recover the latent label.
 func abstractFor(m Method, r *rng.Rand) string {
-	vocab := methodVocabulary()
-	var pool []string
-	switch m {
-	case Mixed:
-		pool = append(append([]string{}, vocab[Qualitative]...), vocab[Measurement]...)
-	default:
-		pool = vocab[m]
-	}
-	filler := []string{"internet", "network", "system", "results", "approach", "present", "paper", "study"}
-	words := make([]string, 0, 30)
-	for i := 0; i < 30; i++ {
+	pool := abstractPools[m]
+	var words [abstractWords]string
+	for i := range words {
 		if r.Bool(0.4) {
-			words = append(words, pool[r.Intn(len(pool))])
+			words[i] = pool[r.Intn(len(pool))]
 		} else {
-			words = append(words, filler[r.Intn(len(filler))])
+			words[i] = abstractFiller[r.Intn(len(abstractFiller))]
 		}
 	}
-	return strings.Join(words, " ")
+	return strings.Join(words[:], " ")
 }
+
+// fenwick is a binary indexed tree over non-negative integer weights. Its
+// sample returns exactly the index rng.Categorical returns for the same
+// weights and stream, in O(log n) instead of a linear scan: one Float64 per
+// draw scaled by the total, prefix sums that are integers and so exact in
+// float64, and the same clamp to the last index.
+type fenwick struct {
+	tree  []int // tree[i] sums the weights (i-lowbit(i), i], 1-based
+	total int
+	top   int // largest power of two <= len(tree)-1
+}
+
+// newFenwick returns a tree over n zero weights.
+func newFenwick(n int) *fenwick {
+	f := &fenwick{tree: make([]int, n+1), top: 1}
+	for f.top*2 <= n {
+		f.top *= 2
+	}
+	return f
+}
+
+// add increases weight i by delta.
+func (f *fenwick) add(i, delta int) {
+	f.total += delta
+	for i++; i < len(f.tree); i += i & -i {
+		f.tree[i] += delta
+	}
+}
+
+// sample draws an index with probability proportional to its weight.
+func (f *fenwick) sample(r *rng.Rand) int {
+	return f.find(r.Float64() * float64(f.total))
+}
+
+// find returns the first index whose prefix sum through it exceeds x, or
+// the last index when none does.
+func (f *fenwick) find(x float64) int {
+	// Descend to the longest prefix whose sum is still <= x; the index
+	// after it is the answer.
+	pos, acc := 0, 0
+	for step := f.top; step > 0; step /= 2 {
+		if next := pos + step; next < len(f.tree) && float64(acc+f.tree[next]) <= x {
+			pos, acc = next, acc+f.tree[next]
+		}
+	}
+	return min(pos, len(f.tree)-2)
+}
+
+// maxPaperAuthors is the most distinct authors a generated paper draws.
+const maxPaperAuthors = 5
 
 // Generate builds a synthetic corpus per cfg.
 func Generate(cfg GenConfig) (*Corpus, error) {
 	if cfg.Papers <= 0 || cfg.Authors <= 0 || cfg.Affiliations <= 0 || len(cfg.Venues) == 0 {
 		return nil, fmt.Errorf("biblio: generator config incomplete")
 	}
+	if cfg.Authors < maxPaperAuthors {
+		return nil, fmt.Errorf("biblio: generator needs at least %d authors (a paper draws up to %d distinct), got %d",
+			maxPaperAuthors, maxPaperAuthors, cfg.Authors)
+	}
 	r := rng.New(cfg.Seed)
-	c := NewCorpus()
+	c := &Corpus{authors: make(map[int]Author, cfg.Authors), papers: make(map[int]Paper, cfg.Papers)}
 
 	// Institutions follow a Zipf size law.
 	affZipf := rng.NewZipf(cfg.Affiliations, 1.1)
@@ -118,9 +181,10 @@ func Generate(cfg GenConfig) (*Corpus, error) {
 		venueWeights[i] = cfg.Venues[v].Weight
 	}
 
-	productivity := make([]float64, cfg.Authors)
-	for i := range productivity {
-		productivity[i] = 1 // smoothing so newcomers can be picked
+	// Past productivity, smoothed by one so newcomers can be picked.
+	productivity := newFenwick(cfg.Authors)
+	for a := range cfg.Authors {
+		productivity.add(a, 1)
 	}
 
 	for pid := 0; pid < cfg.Papers; pid++ {
@@ -128,24 +192,21 @@ func Generate(cfg GenConfig) (*Corpus, error) {
 		profile := cfg.Venues[venue]
 		method := Method(r.Categorical(profile.MethodProbs[:]))
 
-		nAuthors := 2 + r.Intn(4)
-		chosen := make(map[int]bool, nAuthors)
+		nAuthors := 2 + r.Intn(maxPaperAuthors-1)
 		authors := make([]int, 0, nAuthors)
 		for len(authors) < nAuthors {
 			var a int
 			if r.Bool(cfg.PrefAttachment) {
-				a = r.Categorical(productivity)
+				a = productivity.sample(r)
 			} else {
 				a = r.Intn(cfg.Authors)
 			}
-			if chosen[a] {
-				continue
+			if !slices.Contains(authors, a) {
+				authors = append(authors, a)
 			}
-			chosen[a] = true
-			authors = append(authors, a)
 		}
 		for _, a := range authors {
-			productivity[a]++
+			productivity.add(a, 1)
 		}
 		if err := c.AddPaper(Paper{
 			ID:       pid,
@@ -184,68 +245,113 @@ func RunE5(cfg GenConfig) ([]E5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Classify each abstract once, the tooling path a real corpus (no
-	// labels) would use; every row counts the labels of its papers.
-	ids := c.PaperIDs()
-	classified := make([]Method, len(ids))
-	for i, id := range ids {
-		p, _ := c.Paper(id)
-		classified[i] = ClassifyAbstract(p.Abstract)
-	}
-	venues := append([]string{"ALL"}, c.Venues()...)
-	rows := make([]E5Row, 0, len(venues))
-	for _, v := range venues {
-		filter := v
-		if v == "ALL" {
-			filter = ""
-		}
-		row := E5Row{Venue: v}
-		mix := c.MethodMix(filter)
-		row.QualitativeShare = mix[Qualitative] + mix[Mixed]
+	return e5Rows(c, classifyCorpus(c)), nil
+}
 
-		// Per-venue classified method mix, affiliation concentration and
-		// southern representation.
-		var classifiedCounts [Mixed + 1]float64
-		affCounts := make(map[string]float64)
-		var total, south float64
-		for i, id := range ids {
-			p, _ := c.Paper(id)
-			if filter != "" && p.Venue != filter {
-				continue
+// classifyCorpus labels every abstract of a generated corpus, indexed by
+// paper ID (Generate numbers papers 0..Papers-1): the tooling path a real
+// corpus, which has no labels, would use. One memo serves the whole corpus.
+func classifyCorpus(c *Corpus) []Method {
+	cl := classifier{memo: make(map[string][Mixed]int)}
+	labels := make([]Method, c.NumPapers())
+	for id := range labels {
+		labels[id] = cl.classify(c.papers[id].Abstract)
+	}
+	return labels
+}
+
+// e5Rows computes the ALL row and one row per venue in a single pass over
+// a generated corpus, counting both its stored and its classified labels.
+func e5Rows(c *Corpus, classified []Method) []E5Row {
+	// Generate numbers authors 0..Authors-1; index their affiliations
+	// densely in that order.
+	type e5Author struct {
+		aff   int
+		south bool
+	}
+	authors := make([]e5Author, c.NumAuthors())
+	affIndex := make(map[string]int)
+	for id := range authors {
+		a := c.authors[id]
+		aff, ok := affIndex[a.Affiliation]
+		if !ok {
+			aff = len(affIndex)
+			affIndex[a.Affiliation] = aff
+		}
+		authors[id] = e5Author{aff: aff, south: a.Region == "south"}
+	}
+
+	// One accumulator per row: ALL, then each venue in sorted order. Every
+	// count is an integer, so the order papers arrive in cannot move a bit.
+	type e5Acc struct {
+		papers         int
+		labels         [Mixed + 1]int // stored method labels
+		classified     [Mixed + 1]int // labels from the abstract classifier
+		papersPerAff   []float64      // papers with at least one author there
+		authors, south float64        // author slots, and those from the South
+	}
+	venues := c.Venues()
+	accs := make([]e5Acc, 1+len(venues))
+	venueRow := make(map[string]int, len(venues))
+	for i := range accs {
+		accs[i].papersPerAff = make([]float64, len(affIndex))
+		if i > 0 {
+			venueRow[venues[i-1]] = i
+		}
+	}
+	var paperAffs []int
+	for id, label := range classified {
+		p := c.papers[id]
+		paperAffs = paperAffs[:0]
+		for _, aid := range p.Authors {
+			if aff := authors[aid].aff; !slices.Contains(paperAffs, aff) {
+				paperAffs = append(paperAffs, aff)
 			}
-			row.Papers++
-			classifiedCounts[classified[i]]++
-			seen := make(map[string]bool)
+		}
+		for _, row := range [2]int{0, venueRow[p.Venue]} {
+			acc := &accs[row]
+			acc.papers++
+			acc.labels[p.Method]++
+			acc.classified[label]++
+			for _, aff := range paperAffs {
+				acc.papersPerAff[aff]++
+			}
 			for _, aid := range p.Authors {
-				a, _ := c.Author(aid)
-				if !seen[a.Affiliation] {
-					affCounts[a.Affiliation]++
-					seen[a.Affiliation] = true
-				}
-				total++
-				if a.Region == "south" {
-					south++
+				acc.authors++
+				if authors[aid].south {
+					acc.south++
 				}
 			}
 		}
-		// Collect counts then sort: Gini/TopKShare re-sort internally, but
-		// handing them map-ordered input would leave order-dependence one
-		// refactor away.
-		vals := make([]float64, 0, len(affCounts))
-		for _, cnt := range affCounts {
-			vals = append(vals, cnt)
+	}
+
+	rows := make([]E5Row, len(accs))
+	for i, acc := range accs {
+		row := E5Row{Venue: "ALL", Papers: acc.papers}
+		if i > 0 {
+			row.Venue = venues[i-1]
+		}
+		if acc.papers > 0 {
+			n := float64(acc.papers)
+			row.QualitativeShare = float64(acc.labels[Qualitative])/n + float64(acc.labels[Mixed])/n
+			row.ClassifiedQual = float64(acc.classified[Qualitative])/n + float64(acc.classified[Mixed])/n
+		}
+		// Collect the affiliations present then sort: Gini/TopKShare re-sort
+		// internally, but order-dependent input would leave order-dependence
+		// one refactor away.
+		vals := make([]float64, 0, len(acc.papersPerAff))
+		for _, cnt := range acc.papersPerAff {
+			if cnt > 0 {
+				vals = append(vals, cnt)
+			}
 		}
 		sort.Float64s(vals)
-		if row.Papers > 0 {
-			n := float64(row.Papers)
-			row.ClassifiedQual = classifiedCounts[Qualitative]/n + classifiedCounts[Mixed]/n
-		}
 		row.AffiliationGini = stats.Gini(vals)
 		row.Top10AffilShare = stats.TopKShare(vals, 10)
-		if total > 0 {
-			row.SouthAuthorShare = south / total
+		if acc.authors > 0 {
+			row.SouthAuthorShare = acc.south / acc.authors
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
-	return rows, nil
+	return rows
 }

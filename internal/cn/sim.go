@@ -2,9 +2,9 @@ package cn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // MemberKind distinguishes the two behavioural classes in the congestion
@@ -166,14 +166,18 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 
 	sched.Reset(cfg.Members)
 	var (
-		lights, heavies, bursts []float64
-		utils                   []float64
+		lights, heavies, bursts meanAcc
+		utils                   meanAcc
 		congested               int
 		lightObs, lightFull     int
 	)
+	// Per-epoch buffers: the schedulers return fresh allocations and keep
+	// no reference to the demand they are handed.
+	airDemand := make([]float64, cfg.Members)
+	sat := make([]float64, cfg.Members)
 	for e := 0; e < cfg.Epochs; e++ {
 		bytesDemand, burst := model.Sample(demandRNG)
-		airDemand := make([]float64, cfg.Members)
+		clear(airDemand)
 		offered := 0.0
 		for i := range bytesDemand {
 			airDemand[i] = bytesDemand[i] * net.PathETX[i+1]
@@ -182,14 +186,14 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 		alloc := sched.Allocate(airDemand, capacity)
 
 		granted := 0.0
-		sat := make([]float64, cfg.Members)
+		clear(sat)
 		for i := range alloc {
 			granted += alloc[i]
 			if airDemand[i] > 0 {
 				sat[i] = alloc[i] / airDemand[i]
 			}
 		}
-		utils = append(utils, granted/capacity)
+		utils.add(granted / capacity)
 		epochCongested := offered > capacity
 		if epochCongested {
 			congested++
@@ -197,12 +201,12 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 		for i, k := range model.Kinds {
 			switch {
 			case k == HeavyUser:
-				heavies = append(heavies, sat[i])
+				heavies.add(sat[i])
 			case burst[i]:
-				bursts = append(bursts, sat[i])
-				lights = append(lights, sat[i])
+				bursts.add(sat[i])
+				lights.add(sat[i])
 			default:
-				lights = append(lights, sat[i])
+				lights.add(sat[i])
 			}
 			if k == LightUser && epochCongested && !burst[i] {
 				lightObs++
@@ -219,12 +223,31 @@ func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
 	return SimResult{
 		Scheduler:         sched.Name(),
 		LightProtected:    protected,
-		LightSatisfaction: stats.Mean(lights),
-		HeavySatisfaction: stats.Mean(heavies),
-		BurstSatisfaction: stats.Mean(bursts),
-		Utilization:       stats.Mean(utils),
+		LightSatisfaction: lights.mean(),
+		HeavySatisfaction: heavies.mean(),
+		BurstSatisfaction: bursts.mean(),
+		Utilization:       utils.mean(),
 		CongestedEpochs:   congested,
 	}, nil
+}
+
+// meanAcc is a running mean, bit-identical to stats.Mean over the values
+// in the order they were added.
+type meanAcc struct {
+	sum float64
+	n   int
+}
+
+func (m *meanAcc) add(x float64) {
+	m.sum += x
+	m.n++
+}
+
+func (m meanAcc) mean() float64 {
+	if m.n == 0 {
+		return math.NaN()
+	}
+	return m.sum / float64(m.n)
 }
 
 // CompareSchedulers runs the same configuration through the unmanaged,

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 )
@@ -40,6 +41,37 @@ func TestNoParamPanics(t *testing.T) {
 					t.Errorf("id=%s&%s=%v: %v", sc.ID(), spec.Name, v, err)
 				}
 			}
+		}
+	}
+}
+
+// TestSmallAuthorPopulationIsAnError is the regression for the corpus
+// generator looping forever when the author population is smaller than the
+// five distinct authors a paper may draw: both corpus scenarios must answer
+// such a query with an error, promptly.
+func TestSmallAuthorPopulationIsAnError(t *testing.T) {
+	r := &experiment.Runner{Workers: 1}
+	for _, query := range []string{"id=E5&authors=3", "id=biblio-graph&authors=4"} {
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := experiment.Default.ParseJob(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.RunOne(context.Background(), job)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "at least 5 authors") {
+				t.Errorf("%s: err = %v, want the small-population error", query, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10s", query)
 		}
 	}
 }

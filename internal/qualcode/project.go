@@ -172,14 +172,19 @@ type unit struct {
 
 // units returns every segment of every document, in deterministic order.
 func (p *Project) units() []unit {
-	var out []unit
-	for _, docID := range p.DocumentIDs() {
-		d := p.docs[docID]
-		segs := append([]Segment(nil), d.Segments...)
-		sort.Slice(segs, func(i, j int) bool { return segs[i].ID < segs[j].ID })
-		for _, s := range segs {
+	docIDs := p.DocumentIDs()
+	n := 0
+	for _, docID := range docIDs {
+		n += len(p.docs[docID].Segments)
+	}
+	out := make([]unit, 0, n)
+	for _, docID := range docIDs {
+		start := len(out)
+		for _, s := range p.docs[docID].Segments {
 			out = append(out, unit{doc: docID, seg: s.ID})
 		}
+		doc := out[start:]
+		sort.Slice(doc, func(i, j int) bool { return doc[i].seg < doc[j].seg })
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -212,46 +211,6 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 		if math.Abs(float64(counts[k])-expect) > 5*math.Sqrt(expect) {
 			t.Errorf("rank %d count %d far from uniform %g", k, counts[k], expect)
 		}
-	}
-}
-
-func TestQuickIntnInRange(t *testing.T) {
-	r := New(43)
-	f := func(n uint16) bool {
-		m := int(n%1000) + 1
-		v := r.Intn(m)
-		return v >= 0 && v < m
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickShufflePreservesMultiset(t *testing.T) {
-	r := New(47)
-	f := func(s []int) bool {
-		orig := make(map[int]int)
-		for _, v := range s {
-			orig[v]++
-		}
-		cp := append([]int(nil), s...)
-		r.ShuffleInts(cp)
-		got := make(map[int]int)
-		for _, v := range cp {
-			got[v]++
-		}
-		if len(orig) != len(got) {
-			return false
-		}
-		for k, v := range orig {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -11,6 +11,7 @@ package textproc
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -34,25 +35,41 @@ var defaultStopwords = map[string]bool{
 // Tokenize splits text into lowercase word tokens, dropping punctuation.
 // Tokens of length < 2 are discarded.
 func Tokenize(text string) []string {
-	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() >= 2 {
-			tokens = append(tokens, b.String())
-		}
-		b.Reset()
-	}
-	for _, r := range strings.ToLower(text) {
+	lower := strings.ToLower(text)
+	// Collect into a stack buffer and return an exact-size copy: one
+	// allocation for a text of up to len(buf) tokens.
+	var buf [64]string
+	tokens := buf[:0]
+	start, apostrophe := -1, false // start of the current token, -1 between tokens
+	for i, r := range lower {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\'' {
-			if r != '\'' {
-				b.WriteRune(r)
+			if start < 0 {
+				start = i
 			}
+			apostrophe = apostrophe || r == '\''
 			continue
 		}
-		flush()
+		if start >= 0 {
+			tokens = appendToken(tokens, lower[start:i], apostrophe)
+			start, apostrophe = -1, false
+		}
 	}
-	flush()
-	return tokens
+	if start >= 0 {
+		tokens = appendToken(tokens, lower[start:], apostrophe)
+	}
+	return slices.Clone(tokens)
+}
+
+// appendToken appends tok with its apostrophes removed, unless what is left
+// is shorter than two bytes.
+func appendToken(tokens []string, tok string, apostrophe bool) []string {
+	if apostrophe {
+		tok = strings.ReplaceAll(tok, "'", "")
+	}
+	if len(tok) < 2 {
+		return tokens
+	}
+	return append(tokens, tok)
 }
 
 // TokenizeFiltered tokenizes and removes stopwords.
@@ -67,6 +84,34 @@ func TokenizeFiltered(text string) []string {
 	return out
 }
 
+// stemRules are Stem's suffix rewrites, tried in order.
+var stemRules = []struct{ suffix, replace string }{
+	{"izations", "ize"},
+	{"ization", "ize"},
+	{"ational", "ate"},
+	{"fulness", "ful"},
+	{"ousness", "ous"},
+	{"iveness", "ive"},
+	{"tional", "tion"},
+	{"biliti", "ble"},
+	{"graphies", "graphy"},
+	{"ements", "ement"},
+	{"ingly", ""},
+	{"ments", "ment"},
+	{"ness", ""},
+	{"ations", "ate"},
+	{"ation", "ate"},
+	{"ities", "ity"},
+	{"ies", "y"},
+	{"ing", ""},
+	{"edly", ""},
+	{"eds", ""},
+	{"ed", ""},
+	{"ly", ""},
+	{"es", ""},
+	{"s", ""},
+}
+
 // Stem applies a small suffix-stripping stemmer (a Porter-lite) sufficient to
 // conflate the method vocabulary used by the classifier: plurals, -ing, -ed,
 // -tion/-sion, -ies, -ness, -ment. Words of length <= 3 are returned as-is.
@@ -74,34 +119,7 @@ func Stem(w string) string {
 	if len(w) <= 3 {
 		return w
 	}
-	type rule struct{ suffix, replace string }
-	rules := []rule{
-		{"izations", "ize"},
-		{"ization", "ize"},
-		{"ational", "ate"},
-		{"fulness", "ful"},
-		{"ousness", "ous"},
-		{"iveness", "ive"},
-		{"tional", "tion"},
-		{"biliti", "ble"},
-		{"graphies", "graphy"},
-		{"ements", "ement"},
-		{"ingly", ""},
-		{"ments", "ment"},
-		{"ness", ""},
-		{"ations", "ate"},
-		{"ation", "ate"},
-		{"ities", "ity"},
-		{"ies", "y"},
-		{"ing", ""},
-		{"edly", ""},
-		{"eds", ""},
-		{"ed", ""},
-		{"ly", ""},
-		{"es", ""},
-		{"s", ""},
-	}
-	for _, r := range rules {
+	for _, r := range stemRules {
 		if strings.HasSuffix(w, r.suffix) {
 			stem := w[:len(w)-len(r.suffix)] + r.replace
 			if len(stem) >= 3 {

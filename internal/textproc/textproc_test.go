@@ -1,10 +1,12 @@
 package textproc
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/proptest"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -134,22 +136,43 @@ func TestCorpusSimilarityGrouping(t *testing.T) {
 	}
 }
 
+// propText draws a string for the tokenizer properties: runes from the
+// whole code-point range, from a mix of ASCII letters, digits, separators
+// and apostrophes, from letters with non-trivial case folding, and now and
+// then a byte that is not valid UTF-8.
+func propText(g *proptest.G) string {
+	const pool = "aZ9 ,.'-_\t\nİıẞßΣσςÉé日"
+	poolRunes := []rune(pool)
+	var b strings.Builder
+	for i, n := 0, g.IntRange(0, 50); i < n; i++ {
+		switch g.Intn(4) {
+		case 0:
+			b.WriteRune(rune(g.Intn(0x10ffff)))
+		case 1:
+			b.WriteByte(byte(0x80 + g.Intn(0x80)))
+		default:
+			b.WriteRune(poolRunes[g.Intn(len(poolRunes))])
+		}
+	}
+	return b.String()
+}
+
 func TestQuickTokenizeLowercase(t *testing.T) {
-	f := func(s string) bool {
+	proptest.Run(t, 301, 200, func(g *proptest.G) error {
+		s := propText(g)
 		for _, tok := range Tokenize(s) {
 			if tok != strings.ToLower(tok) || len(tok) < 2 {
-				return false
+				return fmt.Errorf("Tokenize(%q) yields %q", s, tok)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+		return nil
+	})
 }
 
 func TestQuickCosineBounds(t *testing.T) {
-	f := func(av, bv []uint8) bool {
+	proptest.Run(t, 302, 200, func(g *proptest.G) error {
+		av := g.IntsIn(0, 50, 0, 255)
+		bv := g.IntsIn(0, 50, 0, 255)
 		a := make(map[string]float64)
 		b := make(map[string]float64)
 		for i, v := range av {
@@ -158,12 +181,11 @@ func TestQuickCosineBounds(t *testing.T) {
 		for i, v := range bv {
 			b[strings.Repeat("a", i%7+1)] += float64(v)
 		}
-		c := Cosine(a, b)
-		return c >= -1e-9 && c <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+		if c := Cosine(a, b); c < -1e-9 || c > 1+1e-9 {
+			return fmt.Errorf("Cosine(%v, %v) = %g out of [0, 1]", av, bv, c)
+		}
+		return nil
+	})
 }
 
 func BenchmarkTokenize(b *testing.B) {
