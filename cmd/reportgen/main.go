@@ -76,28 +76,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		_, err := io.WriteString(stdout, experiment.RenderList(experiment.All()))
 		return err
 	}
+	var results []*experiment.Result
 	if *timelinePath != "" {
-		return runTimeline(*timelinePath, *workers, *jsonOut, *out, stdout)
-	}
-
-	jobs, err := selectJobs(*only, *runQuery)
-	if err != nil {
-		return err
-	}
-	runner := &experiment.Runner{Workers: *workers, ScenarioWorkers: *workers}
-	if *cacheDir != "" {
-		cache, err := experiment.OpenCache(*cacheDir)
+		res, err := replayTimeline(*timelinePath, *workers)
 		if err != nil {
 			return err
 		}
-		runner.Cache = cache
-	}
-	results, err := runner.Run(context.Background(), jobs)
-	if err != nil {
-		return err
+		results = []*experiment.Result{res}
+	} else {
+		jobs, err := selectJobs(*only, *runQuery)
+		if err != nil {
+			return err
+		}
+		runner := &experiment.Runner{Workers: *workers, ScenarioWorkers: *workers}
+		if *cacheDir != "" {
+			cache, err := experiment.OpenCache(*cacheDir)
+			if err != nil {
+				return err
+			}
+			runner.Cache = cache
+		}
+		if results, err = runner.Run(context.Background(), jobs); err != nil {
+			return err
+		}
+		if *cacheStats {
+			st := runner.Stats()
+			if _, err := fmt.Fprintf(stderr, "cache: %d hits, %d misses\n", st.Hits, st.Misses); err != nil {
+				return err
+			}
+		}
 	}
 
 	var rendered []byte
+	var err error
 	switch {
 	case *jsonOut && *runQuery != "":
 		rendered, err = experiment.RenderOneJSON(results[0])
@@ -108,12 +119,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if err != nil {
 		return err
-	}
-	if *cacheStats {
-		st := runner.Stats()
-		if _, err := fmt.Fprintf(stderr, "cache: %d hits, %d misses\n", st.Hits, st.Misses); err != nil {
-			return err
-		}
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, rendered, 0o644); err != nil {
@@ -126,54 +131,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return err
 }
 
-// runTimeline replays a timeline document through the incremental BGP
-// engine and renders the per-tick series. The document must carry a base
-// topology — a stream alone has no state to replay against.
-func runTimeline(path string, workers int, jsonOut bool, out string, stdout io.Writer) error {
+// replayTimeline replays a timeline document through the incremental BGP
+// engine into a Result holding the per-tick series. The document must carry
+// a base topology — a stream alone has no state to replay against.
+func replayTimeline(path string, workers int) (*experiment.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	doc, err := timeline.ParseDoc(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if doc.Topo == nil {
-		return fmt.Errorf("timeline document %s has no base topology to replay against", path)
+		return nil, fmt.Errorf("timeline document %s has no base topology to replay against", path)
 	}
 	ctx := context.Background()
 	m, err := timeline.NewBGPMachine(ctx, doc.Topo, workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	series, err := timeline.ReplayCtx(ctx, doc.Stream, m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res := &experiment.Result{ID: "timeline", Title: fmt.Sprintf("Timeline replay: %s", filepath.Base(path))}
 	series.Table(res, "timeline", res.Title)
-
-	var rendered []byte
-	if jsonOut {
-		rendered, err = experiment.RenderJSON([]*experiment.Result{res})
-		if err != nil {
-			return err
-		}
-	} else {
-		rendered = []byte(experiment.RenderMarkdown([]*experiment.Result{res}))
-	}
-	if out != "" {
-		if err := os.WriteFile(out, rendered, 0o644); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(stdout, "wrote %s\n", out)
-		return err
-	}
-	_, err = stdout.Write(rendered)
-	return err
+	return res, nil
 }
 
 // selectJobs turns the selection flags into jobs. A -run query is one job

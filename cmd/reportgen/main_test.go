@@ -140,7 +140,8 @@ func TestListMode(t *testing.T) {
 // q with the same parser and render the same Result the same way. Rejected
 // queries fail on both paths with the same message.
 func TestRunMatchesServe(t *testing.T) {
-	srv := httptest.NewServer(serve.New(serve.Config{}).Handler())
+	daemon := serve.New(serve.Config{})
+	srv := httptest.NewServer(daemon.Handler())
 	defer srv.Close()
 	get := func(q string) (int, []byte) {
 		t.Helper()
@@ -178,15 +179,33 @@ func TestRunMatchesServe(t *testing.T) {
 		}
 	}
 
-	for _, q := range []string{"id=E7&seed=0x2a", "id=E7&sites=3&sites=4", "id=NOPE"} {
+	// Bad params answer 400 whether ParseJob rejects them against the
+	// declared range (E19, E1, E5) or the run does (E2, E18, E21).
+	rejected := []struct {
+		q      string
+		status int
+	}{
+		{"id=E7&seed=0x2a", http.StatusBadRequest},
+		{"id=E7&sites=3&sites=4", http.StatusBadRequest},
+		{"id=NOPE", http.StatusNotFound},
+		{"id=E19&competitors=0", http.StatusBadRequest},
+		{"id=E19&competitors=65", http.StatusBadRequest},
+		{"id=E1&competitors=0", http.StatusBadRequest},
+		{"id=E5&authors=3", http.StatusBadRequest},
+		{"id=E2&presences=abc", http.StatusBadRequest},
+		{"id=E18&scheduler=fifo", http.StatusBadRequest},
+		{"id=E21&out-at=30", http.StatusBadRequest},
+	}
+	for _, c := range rejected {
+		q := c.q
 		var out, errOut bytes.Buffer
 		runErr := run([]string{"-json", "-run", q}, &out, &errOut)
 		if runErr == nil {
 			t.Fatalf("-run %q accepted", q)
 		}
 		status, body := get(q)
-		if status == http.StatusOK {
-			t.Fatalf("/run?%s accepted", q)
+		if status != c.status {
+			t.Fatalf("/run?%s = %d, want %d: %s", q, status, c.status, body)
 		}
 		var msg struct {
 			Error string `json:"error"`
@@ -197,6 +216,9 @@ func TestRunMatchesServe(t *testing.T) {
 		if msg.Error != runErr.Error() {
 			t.Fatalf("%q rejected differently: reportgen %q, /run %q", q, runErr.Error(), msg.Error)
 		}
+	}
+	if m := daemon.Metrics(); m.BadRequest != int64(len(rejected)-1) || m.Failed != 0 || m.ShedQueue != 0 || m.ShedWait != 0 {
+		t.Fatalf("metrics = %+v, want %d bad-request and nothing failed or shed", m, len(rejected)-1)
 	}
 
 	var out, errOut bytes.Buffer

@@ -25,6 +25,7 @@ package bgpsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -263,6 +264,21 @@ func (t *Topology) Clone() *Topology {
 		}
 		out.ases[n] = c
 	}
+	return out
+}
+
+// Providers returns n's providers in ascending order, so callers never
+// depend on map order (nil if n is not in the topology).
+func (t *Topology) Providers(n ASN) []ASN {
+	a, ok := t.ases[n]
+	if !ok {
+		return nil
+	}
+	out := make([]ASN, 0, len(a.providers))
+	for p := range a.providers {
+		out = append(out, p)
+	}
+	slices.Sort(out)
 	return out
 }
 

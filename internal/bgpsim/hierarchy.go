@@ -3,7 +3,6 @@ package bgpsim
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -243,7 +242,7 @@ func leakSweepRows(ctx context.Context, h *Hierarchy, victim ASN, workers int) (
 		row := LeakRow{
 			LeakerKind: kind,
 			LeakerASN:  leaker,
-			Providers:  len(providersOf(h.Topo, leaker)),
+			Providers:  len(h.Topo.Providers(leaker)),
 			Affected:   len(affected),
 		}
 		if reachable > 0 {
@@ -252,17 +251,6 @@ func leakSweepRows(ctx context.Context, h *Hierarchy, victim ASN, workers int) (
 		return row, nil
 	}
 	return sweepRows(h, victim, measure)
-}
-
-func providersOf(t *Topology, n ASN) []ASN {
-	var out []ASN
-	for nb, rel := range t.Neighbors(n) {
-		if rel == FromProvider {
-			out = append(out, nb)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HijackRow is one measured point of the E16 prefix-hijack experiment.

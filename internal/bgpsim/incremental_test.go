@@ -144,7 +144,7 @@ func TestIncrementalLinkFlap(t *testing.T) {
 
 	// Down one stub's transit link, then add a rescue peering, strictly LIFO.
 	stub := h.Stubs[3]
-	provider := providersOf(h.Topo, stub)[0]
+	provider := h.Topo.Providers(stub)[0]
 	p1, err := c.Apply(Delta{Kind: DeltaLinkDown, A: provider, B: stub})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestIncrementalApplyErrors(t *testing.T) {
 	base := snapshotEntries(c.Tables())
 	stub := h.Stubs[0]
 	pfx := fmt.Sprintf("pfx-%d", stub)
-	provider := providersOf(h.Topo, stub)[0]
+	provider := h.Topo.Providers(stub)[0]
 
 	cases := []struct {
 		name string
@@ -348,7 +348,7 @@ func TestBuildHierarchyOptsVariants(t *testing.T) {
 	}
 	// Hub shape: mids are homed to hubs, not tier-1s.
 	for _, m := range h.Mids {
-		for _, p := range providersOf(h.Topo, m) {
+		for _, p := range h.Topo.Providers(m) {
 			if p < 10 || p > 99 {
 				t.Fatalf("mid %d homed to %d, want a hub", m, p)
 			}

@@ -33,7 +33,7 @@ func leakSweepRowsFull(h *Hierarchy, victim ASN, workers int) ([]LeakRow, error)
 		row := LeakRow{
 			LeakerKind: kind,
 			LeakerASN:  leaker,
-			Providers:  len(providersOf(h.Topo, leaker)),
+			Providers:  len(h.Topo.Providers(leaker)),
 			Affected:   len(affected),
 		}
 		if reachable > 0 {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -169,6 +170,29 @@ func TestGenerateShape(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(GenConfig{}); err == nil {
 		t.Error("empty config accepted")
+	}
+}
+
+// TestGenerateSmallAuthorPopulationIsAnError is the regression for the
+// generator looping forever when the author population is smaller than the
+// five distinct authors a paper may draw: it must return an error, promptly.
+func TestGenerateSmallAuthorPopulationIsAnError(t *testing.T) {
+	for _, authors := range []int{3, 4} {
+		cfg := DefaultGenConfig()
+		cfg.Authors = authors
+		done := make(chan error, 1)
+		go func() {
+			_, err := Generate(cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "at least 5 authors") {
+				t.Errorf("Authors=%d: err = %v, want the small-population error", authors, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Authors=%d: still running after 10s", authors)
+		}
 	}
 }
 

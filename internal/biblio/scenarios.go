@@ -22,7 +22,7 @@ func init() {
 		Seed:  1,
 		Params: experiment.Schema{
 			{Name: "papers", Kind: experiment.Int, Default: 2000, Doc: "corpus size"},
-			{Name: "authors", Kind: experiment.Int, Default: 1200, Doc: "author population"},
+			{Name: "authors", Kind: experiment.Int, Default: 1200, Min: experiment.Bound(5), Doc: "author population"},
 			{Name: "affiliations", Kind: experiment.Int, Default: 220, Doc: "institution count (Zipf-sized)"},
 			{Name: "south-frac", Kind: experiment.Float, Default: 0.12, Doc: "fraction of authors from the Global South"},
 			{Name: "pref-attachment", Kind: experiment.Float, Default: 0.85, Doc: "weight of past productivity in author selection"},
@@ -52,8 +52,8 @@ func init() {
 		Aux:   true,
 		Params: experiment.Schema{
 			{Name: "papers", Kind: experiment.Int, Default: 5000, Doc: "corpus size"},
-			{Name: "authors", Kind: experiment.Int, Default: 2500, Doc: "author population"},
-			{Name: "brokers", Kind: experiment.Int, Default: 5, Doc: "top betweenness brokers to list"},
+			{Name: "authors", Kind: experiment.Int, Default: 2500, Min: experiment.Bound(5), Doc: "author population"},
+			{Name: "brokers", Kind: experiment.Int, Default: 5, Min: experiment.Bound(0), Doc: "top betweenness brokers to list"},
 		},
 		Run: runGraph,
 	})
@@ -116,9 +116,6 @@ func runE15(_ context.Context, p experiment.Values, seed uint64) (*experiment.Re
 // bit-identical to the serial computation for any worker count).
 func runGraph(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	top := p.Int("brokers")
-	if top < 0 {
-		return nil, fmt.Errorf("biblio: graph needs brokers >= 0, got %d", top)
-	}
 	cfg := DefaultGenConfig()
 	cfg.Papers = p.Int("papers")
 	cfg.Authors = p.Int("authors")

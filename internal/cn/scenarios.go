@@ -36,7 +36,7 @@ func init() {
 		Seed:  42,
 		Aux:   true,
 		Params: experiment.Schema{
-			{Name: "nodes", Kind: experiment.Int, Default: 50, Doc: "mesh nodes"},
+			{Name: "nodes", Kind: experiment.Int, Default: 50, Min: experiment.Bound(1), Doc: "mesh nodes"},
 			{Name: "failprob", Kind: experiment.Float, Default: 0.05, Doc: "per-node failure probability per epoch"},
 			{Name: "epochs", Kind: experiment.Int, Default: 400, Doc: "epochs to simulate"},
 			{Name: "max-volunteers", Kind: experiment.Int, Default: 6, Doc: "sweep volunteers 1..N"},

@@ -1,14 +1,15 @@
 package cn
 
 import (
+	"fmt"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/proptest"
 	"repro/internal/rng"
 )
 
-// quickDemands turns fuzz bytes into a plausible demand vector.
-func quickDemands(raw []uint8) []float64 {
+// quickDemands turns drawn bytes into a plausible demand vector.
+func quickDemands(raw []int) []float64 {
 	if len(raw) == 0 {
 		return nil
 	}
@@ -22,72 +23,61 @@ func quickDemands(raw []uint8) []float64 {
 	return out
 }
 
+// checkFill asserts a fill's invariants: every allocation within [0,
+// demand], and either capacity or demand exhausted (within epsilon).
+func checkFill(demand, alloc []float64, capacity float64) error {
+	var sum, total float64
+	for i, a := range alloc {
+		if a < -1e-9 || a > demand[i]+1e-9 {
+			return fmt.Errorf("alloc[%d] = %g outside [0, %g]", i, a, demand[i])
+		}
+		sum += a
+		total += demand[i]
+	}
+	want := capacity
+	if total < capacity {
+		want = total
+	}
+	if !(sum <= want+1e-6 && sum >= want-1e-6) {
+		return fmt.Errorf("allocated %g, want %g (capacity %g, demand %g)", sum, want, capacity, total)
+	}
+	return nil
+}
+
 func TestQuickWaterfillInvariants(t *testing.T) {
-	f := func(raw []uint8, capRaw uint8) bool {
-		demand := quickDemands(raw)
+	proptest.Run(t, 505, 200, func(g *proptest.G) error {
+		demand := quickDemands(g.IntsIn(0, 49, 0, 255))
 		if demand == nil {
-			return true
+			return nil
 		}
-		capacity := float64(capRaw) / 4
-		alloc := waterfill(demand, capacity)
-		var sum, total float64
-		for i, a := range alloc {
-			if a < -1e-9 || a > demand[i]+1e-9 {
-				return false
-			}
-			sum += a
-			total += demand[i]
-		}
-		// Either capacity or demand is exhausted (within epsilon).
-		want := capacity
-		if total < capacity {
-			want = total
-		}
-		return sum <= want+1e-6 && sum >= want-1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+		capacity := float64(g.IntRange(0, 255)) / 4
+		return checkFill(demand, waterfill(demand, capacity), capacity)
+	})
 }
 
 func TestQuickWeightedFillInvariants(t *testing.T) {
-	f := func(raw []uint8, wRaw []uint8, capRaw uint8) bool {
-		demand := quickDemands(raw)
+	proptest.Run(t, 506, 200, func(g *proptest.G) error {
+		demand := quickDemands(g.IntsIn(0, 49, 0, 255))
 		if demand == nil {
-			return true
+			return nil
 		}
+		wRaw := g.IntsIn(0, 49, 0, 255)
 		weight := make([]float64, len(demand))
 		for i := range weight {
 			if i < len(wRaw) {
 				weight[i] = float64(wRaw[i])
 			}
 		}
-		capacity := float64(capRaw) / 4
-		alloc := weightedFill(demand, weight, capacity)
-		var sum, total float64
-		for i, a := range alloc {
-			if a < -1e-9 || a > demand[i]+1e-9 {
-				return false
-			}
-			sum += a
-			total += demand[i]
-		}
-		want := capacity
-		if total < capacity {
-			want = total
-		}
-		return sum <= want+1e-6 && sum >= want-1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+		capacity := float64(g.IntRange(0, 255)) / 4
+		return checkFill(demand, weightedFill(demand, weight, capacity), capacity)
+	})
 }
 
 func TestQuickWeightedFillMonotoneInWeight(t *testing.T) {
 	// With identical demands and binding capacity, a member with strictly
 	// larger weight never receives less.
-	f := func(seed uint32) bool {
-		r := rng.New(uint64(seed))
+	proptest.Run(t, 507, 100, func(g *proptest.G) error {
+		r := rng.New(g.Uint64())
 		n := 3 + r.Intn(6)
 		demand := make([]float64, n)
 		weight := make([]float64, n)
@@ -100,24 +90,22 @@ func TestQuickWeightedFillMonotoneInWeight(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if weight[i] > weight[j]+1e-9 && alloc[i] < alloc[j]-1e-9 {
-					return false
+					return fmt.Errorf("weight %g > %g but alloc %g < %g", weight[i], weight[j], alloc[i], alloc[j])
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+		return nil
+	})
 }
 
 func TestQuickCPRAllocationsBounded(t *testing.T) {
-	f := func(seed uint32, epochs uint8) bool {
-		r := rng.New(uint64(seed))
+	proptest.Run(t, 508, 100, func(g *proptest.G) error {
+		r := rng.New(g.Uint64())
+		epochs := g.IntRange(1, 40)
 		c := &CPR{}
 		n := 4
 		c.Reset(n)
-		for e := 0; e < int(epochs%40)+1; e++ {
+		for e := 0; e < epochs; e++ {
 			demand := make([]float64, n)
 			for i := range demand {
 				demand[i] = r.Pareto(0.5, 1.3)
@@ -126,7 +114,7 @@ func TestQuickCPRAllocationsBounded(t *testing.T) {
 			sum := 0.0
 			for i, a := range alloc {
 				if a < -1e-9 || a > demand[i]+1e-9 {
-					return false
+					return fmt.Errorf("epoch %d: alloc[%d] = %g outside [0, %g]", e, i, a, demand[i])
 				}
 				sum += a
 			}
@@ -137,19 +125,16 @@ func TestQuickCPRAllocationsBounded(t *testing.T) {
 					total += d
 				}
 				if total > 3 {
-					return false
+					return fmt.Errorf("epoch %d: allocated %g of capacity 3 under demand %g", e, sum, total)
 				}
 			}
 			// Balances never go negative.
-			for _, b := range c.Balances() {
+			for i, b := range c.Balances() {
 				if b < -1e-9 {
-					return false
+					return fmt.Errorf("epoch %d: balance[%d] = %g", e, i, b)
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+		return nil
+	})
 }

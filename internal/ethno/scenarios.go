@@ -20,7 +20,7 @@ func init() {
 		Title: "Fieldwork scheduling",
 		Claim: "Under a fixed day budget, patchwork scheduling covers more sites with more between-visit reflection at modest travel overhead, trading depth per visit.",
 		Params: experiment.Schema{
-			{Name: "sites", Kind: experiment.Int, Default: 4, Doc: "comparable field sites available"},
+			{Name: "sites", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "comparable field sites available"},
 			{Name: "budget-days", Kind: experiment.Float, Default: 60.0, Doc: "researcher-day budget per strategy"},
 			{Name: "patchwork-visits", Kind: experiment.Int, Default: 4, Doc: "visit count of the patchwork plan"},
 			{Name: "rapid-visits", Kind: experiment.Int, Default: 10, Doc: "visit count of the rapid plan"},
@@ -46,8 +46,8 @@ func init() {
 		Seed:  5,
 		Aux:   true,
 		Params: experiment.Schema{
-			{Name: "days", Kind: experiment.Int, Default: 220, Doc: "trace length in days (> 40)"},
-			{Name: "events", Kind: experiment.Int, Default: 3, Doc: "injected disturbances"},
+			{Name: "days", Kind: experiment.Int, Default: 220, Min: experiment.Bound(41), Doc: "trace length in days"},
+			{Name: "events", Kind: experiment.Int, Default: 3, Min: experiment.Bound(0), Doc: "injected disturbances"},
 			{Name: "notes", Kind: experiment.String, Default: "", Doc: "comma-separated field-note days (empty: none)"},
 			{Name: "window", Kind: experiment.Float, Default: 3.0, Doc: "triangulation window in days"},
 		},
@@ -82,7 +82,7 @@ func runE7(_ context.Context, p experiment.Values, _ uint64) (*experiment.Result
 // patchwork to continuous insight crosses 1 where reflection alone starts
 // paying for the repeated travel. The seed is unused.
 func runReflection(_ context.Context, p experiment.Values, _ uint64) (*experiment.Result, error) {
-	gains, err := experiment.ParseFloats(p.String("gains"))
+	gains, err := p.Floats("gains")
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func runReflection(_ context.Context, p experiment.Values, _ uint64) (*experimen
 			return nil, err
 		}
 		if rows[0].Insight == 0 {
-			return nil, fmt.Errorf("ethno: budget-days %g leaves the continuous plan no insight", cfg.BudgetDays)
+			return nil, fmt.Errorf("%w %q = %g leaves the continuous plan no insight", experiment.ErrBadParam, "budget-days", cfg.BudgetDays)
 		}
 		t.AddRow(experiment.FP(g, 2), experiment.FP(rows[1].Insight/rows[0].Insight, 2))
 	}
@@ -112,14 +112,11 @@ func runReflection(_ context.Context, p experiment.Values, _ uint64) (*experimen
 // truth, and triangulates its alarms against the given field-note days.
 func runTriangulation(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	days, n := p.Int("days"), p.Int("events")
-	if days <= 40 || n < 0 {
-		return nil, fmt.Errorf("ethno: triangulation needs days > 40 and events >= 0, got days=%d events=%d", days, n)
-	}
 	var notes []FieldNote
-	if s := p.String("notes"); s != "" {
-		noteDays, err := experiment.ParseFloats(s)
+	if p.String("notes") != "" {
+		noteDays, err := p.Floats("notes")
 		if err != nil {
-			return nil, fmt.Errorf("ethno: notes: %w", err)
+			return nil, err
 		}
 		for _, d := range noteDays {
 			notes = append(notes, FieldNote{Day: d})

@@ -4,19 +4,23 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/experiment"
 )
 
-// TestNoParamPanics runs every registered scenario with each Int param at 0
-// and -1 and each Uint param at 0, one override at a time, the way a /run
-// query can ask for them. Out-of-range input must come back as an error or
-// as a result, never as a recovered panic: a panic reaches a /run client as
-// a 500 with no word about which param was wrong.
+// TestNoParamPanics probes every registered scenario one param at a time,
+// the way a /run query can ask for it. A bounded Int param is probed at
+// each declared bound, which ParseJob must accept, and just outside it,
+// which ParseJob must reject with ErrBadParam; an unbounded Int is probed
+// at 0 and -1 and a Uint at 0. Whatever ParseJob accepts must come back
+// from the run as an error or as a result, never as a recovered panic: a
+// panic reaches a /run client as a 500 with no word about which param was
+// wrong.
 func TestNoParamPanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario about a dozen times; skipped under -short")
@@ -24,56 +28,63 @@ func TestNoParamPanics(t *testing.T) {
 	r := &experiment.Runner{Workers: 1, ScenarioWorkers: 2}
 	for _, sc := range experiment.All() {
 		for _, spec := range sc.Params() {
-			var probes []any
-			switch spec.Kind {
-			case experiment.Int:
-				probes = []any{0, -1}
-			case experiment.Uint:
-				probes = []any{uint64(0)}
+			var accept, reject []int
+			switch {
+			case spec.Kind == experiment.Uint:
+				accept = []int{0}
+			case spec.Kind != experiment.Int:
+			case spec.Min == nil && spec.Max == nil:
+				accept = []int{0, -1}
+			default:
+				if spec.Min != nil {
+					accept, reject = append(accept, *spec.Min), append(reject, *spec.Min-1)
+				}
+				if spec.Max != nil {
+					accept, reject = append(accept, *spec.Max), append(reject, *spec.Max+1)
+				}
 			}
-			for _, v := range probes {
-				_, err := r.RunOne(context.Background(), experiment.Job{
-					Scenario: sc,
-					Params:   experiment.Values{spec.Name: v},
-					Seed:     sc.DefaultSeed(),
-				})
-				if err != nil && strings.Contains(err.Error(), "panicked") {
-					t.Errorf("id=%s&%s=%v: %v", sc.ID(), spec.Name, v, err)
+			for _, v := range reject {
+				query := fmt.Sprintf("id=%s&%s=%d", sc.ID(), spec.Name, v)
+				if _, err := experiment.Default.ParseJob(mustQuery(t, query)); !errors.Is(err, experiment.ErrBadParam) {
+					t.Errorf("%s: ParseJob err = %v, want ErrBadParam", query, err)
+				}
+			}
+			for _, v := range accept {
+				query := fmt.Sprintf("id=%s&%s=%d", sc.ID(), spec.Name, v)
+				job, err := experiment.Default.ParseJob(mustQuery(t, query))
+				if err != nil {
+					t.Errorf("%s: ParseJob: %v", query, err)
+					continue
+				}
+				if _, err := r.RunOne(context.Background(), job); err != nil && strings.Contains(err.Error(), "panicked") {
+					t.Errorf("%s: %v", query, err)
 				}
 			}
 		}
 	}
 }
 
-// TestSmallAuthorPopulationIsAnError is the regression for the corpus
-// generator looping forever when the author population is smaller than the
-// five distinct authors a paper may draw: both corpus scenarios must answer
-// such a query with an error, promptly.
+// TestSmallAuthorPopulationIsAnError: both corpus scenarios declare that a
+// paper's up to five distinct authors need a population of at least 5, so a
+// smaller one is a bad param before anything runs. (biblio.Generate's own
+// check, which stopped the generator looping forever, is tested in
+// internal/biblio.)
 func TestSmallAuthorPopulationIsAnError(t *testing.T) {
-	r := &experiment.Runner{Workers: 1}
 	for _, query := range []string{"id=E5&authors=3", "id=biblio-graph&authors=4"} {
-		q, err := url.ParseQuery(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := experiment.Default.ParseJob(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := r.RunOne(context.Background(), job)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), "at least 5 authors") {
-				t.Errorf("%s: err = %v, want the small-population error", query, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: still running after 10s", query)
+		_, err := experiment.Default.ParseJob(mustQuery(t, query))
+		if !errors.Is(err, experiment.ErrBadParam) || !strings.Contains(err.Error(), `"authors"`) {
+			t.Errorf("%s: err = %v, want ErrBadParam naming authors", query, err)
 		}
 	}
+}
+
+func mustQuery(t *testing.T, query string) url.Values {
+	t.Helper()
+	q, err := url.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 // TestRunBodyGolden pins the /run body (RenderOneJSON of the Runner's
@@ -117,11 +128,7 @@ func TestRunBodyGolden(t *testing.T) {
 	r := &experiment.Runner{Workers: 1}
 	for _, tc := range cases {
 		t.Run(tc.query, func(t *testing.T) {
-			q, err := url.ParseQuery(tc.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			job, err := experiment.Default.ParseJob(q)
+			job, err := experiment.Default.ParseJob(mustQuery(t, tc.query))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,9 +92,22 @@ func (s def) ID() string    { return s.d.ID }
 func (s def) Title() string { return s.d.Title }
 func (s def) Claim() string { return s.d.Claim }
 
-// Params returns a copy of the schema: callers (renderers, CLI listing)
-// must not be able to reorder or edit the registered parameter specs.
-func (s def) Params() Schema      { return append(s.d.Params[:0:0], s.d.Params...) }
+// Params returns a copy of the schema, bounds included: callers
+// (renderers, CLI listing) must not be able to reorder or edit the
+// registered parameter specs.
+func (s def) Params() Schema {
+	out := append(s.d.Params[:0:0], s.d.Params...)
+	for i, spec := range out {
+		if spec.Min != nil {
+			out[i].Min = Bound(*spec.Min)
+		}
+		if spec.Max != nil {
+			out[i].Max = Bound(*spec.Max)
+		}
+	}
+	return out
+}
+
 func (s def) DefaultSeed() uint64 { return s.d.Seed }
 func (s def) Run(ctx context.Context, p Values, seed uint64) (*Result, error) {
 	return s.d.Run(ctx, p, seed)

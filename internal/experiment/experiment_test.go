@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -133,6 +135,64 @@ func TestSchemaValidateRejectsUnknownAndMistyped(t *testing.T) {
 	}
 }
 
+// TestSpecBounds: a declared range is checked on every path a value takes
+// — the default at registration, ParseJob, and Validate/Merge under
+// RunOne — and a violation wraps ErrBadParam and names the param, the value
+// and the range. Bounds on a non-Int param do not register.
+func TestSpecBounds(t *testing.T) {
+	bounded := synthDef("B")
+	bounded.Params = append(Schema{}, bounded.Params...)
+	bounded.Params[0].Min, bounded.Params[0].Max = Bound(1), Bound(8)
+	reg := NewRegistry()
+	if err := reg.Register(bounded); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, rows := range []string{"1", "8"} {
+		if _, err := reg.ParseJob(url.Values{"id": {"B"}, "rows": {rows}}); err != nil {
+			t.Errorf("rows=%s at the bound rejected: %v", rows, err)
+		}
+	}
+	for _, rows := range []string{"0", "9"} {
+		_, err := reg.ParseJob(url.Values{"id": {"B"}, "rows": {rows}})
+		if want := `bad param "rows" = ` + rows + `, want in [1, 8]`; !errors.Is(err, ErrBadParam) || err.Error() != want {
+			t.Errorf("rows=%s: err = %v, want %q wrapping ErrBadParam", rows, err, want)
+		}
+	}
+	if _, err := (&Runner{}).RunOne(context.Background(), Job{Scenario: def{bounded}, Params: Values{"rows": 9}, Seed: 1}); !errors.Is(err, ErrBadParam) {
+		t.Errorf("RunOne with rows=9: err = %v, want ErrBadParam", err)
+	}
+	if _, err := reg.ParseJob(url.Values{"id": {"B"}, "rows": {"many"}}); !errors.Is(err, ErrBadParam) {
+		t.Errorf("rows=many: err = %v, want ErrBadParam", err)
+	}
+
+	for name, mutate := range map[string]func(Schema){
+		"default outside its range": func(sch Schema) { sch[0].Min = Bound(5); sch[0].Default = 4 },
+		"bound on a Float":          func(sch Schema) { sch[1].Max = Bound(2) },
+	} {
+		bad := synthDef("X")
+		bad.Params = append(Schema{}, bad.Params...)
+		mutate(bad.Params)
+		if err := NewRegistry().Register(bad); err == nil {
+			t.Errorf("%s: registered without error", name)
+		}
+	}
+
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Min: Bound(1), Max: Bound(64)}, "in [1, 64]"},
+		{Spec{Min: Bound(41)}, "at least 41"},
+		{Spec{Max: Bound(9)}, "at most 9"},
+		{Spec{}, ""},
+	} {
+		if got := c.spec.rangeText(); got != c.want {
+			t.Errorf("rangeText() = %q, want %q", got, c.want)
+		}
+	}
+}
+
 func TestValuesCanonicalIsSorted(t *testing.T) {
 	v := Values{"b": 2, "a": 1.5, "c": "z"}
 	want := "1:a=3:1.5\n1:b=1:2\n1:c=1:z\n"
@@ -236,14 +296,18 @@ func TestRenderMarkdownShape(t *testing.T) {
 // TestParamsReturnsACopy pins the aliasret remediation: mutating the schema
 // a Scenario hands out must not corrupt the registered definition.
 func TestParamsReturnsACopy(t *testing.T) {
-	s := def{d: synthDef("copy-check")}
+	d := synthDef("copy-check")
+	d.Params = append(Schema{}, d.Params...)
+	d.Params[0].Min = Bound(1)
+	s := def{d: d}
 	got := s.Params()
 	if len(got) == 0 {
 		t.Fatal("empty schema")
 	}
 	got[0].Name = "mutated"
 	got[0].Default = -1
-	if again := s.Params(); again[0].Name != "rows" || again[0].Default != 4 {
+	*got[0].Min = 9
+	if again := s.Params(); again[0].Name != "rows" || again[0].Default != 4 || *again[0].Min != 1 {
 		t.Errorf("registered schema was mutated through the returned copy: %+v", again[0])
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -32,15 +33,27 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Spec declares one parameter: its name, type, default, and documentation.
+// Spec declares one parameter: its name, type, default, documentation and,
+// for an Int, the inclusive range a value must lie in (nil Min or Max: no
+// bound on that side).
 type Spec struct {
-	Name    string
-	Kind    Kind
-	Default any
-	Doc     string
+	Name     string
+	Kind     Kind
+	Default  any
+	Doc      string
+	Min, Max *int
 }
 
-// check reports whether v's dynamic type matches the spec's kind.
+// ErrBadParam is wrapped by every error that rejects a param value: a
+// value outside its declared range here, or one a scenario finds unusable
+// while it runs. humnetd answers it with 400.
+var ErrBadParam = errors.New("bad param")
+
+// Bound returns a pointer to n, for Spec.Min and Spec.Max.
+func Bound(n int) *int { return &n }
+
+// check reports whether v's dynamic type matches the spec's kind and, for a
+// bounded Int, whether v lies in range.
 func (s Spec) check(v any) error {
 	ok := false
 	switch s.Kind {
@@ -56,34 +69,47 @@ func (s Spec) check(v any) error {
 	if !ok {
 		return fmt.Errorf("param %q wants %s, got %T (%v)", s.Name, s.Kind, v, v)
 	}
+	if x, _ := v.(int); (s.Min != nil && x < *s.Min) || (s.Max != nil && x > *s.Max) {
+		return fmt.Errorf("%w %q = %d, want %s", ErrBadParam, s.Name, x, s.rangeText())
+	}
 	return nil
 }
 
-// Parse converts flag-style text into the spec's typed value.
+// rangeText renders the declared bounds ("in [1, 64]", "at least 41", "at
+// most 9"), or "" for an unbounded param.
+func (s Spec) rangeText() string {
+	switch {
+	case s.Min != nil && s.Max != nil:
+		return fmt.Sprintf("in [%d, %d]", *s.Min, *s.Max)
+	case s.Min != nil:
+		return fmt.Sprintf("at least %d", *s.Min)
+	case s.Max != nil:
+		return fmt.Sprintf("at most %d", *s.Max)
+	}
+	return ""
+}
+
+// Parse converts flag-style text into the spec's typed value. Text that
+// does not parse as the kind wraps ErrBadParam.
 func (s Spec) Parse(text string) (any, error) {
+	var v any
+	var err error
 	switch s.Kind {
 	case Int:
-		v, err := strconv.Atoi(text)
-		if err != nil {
-			return nil, fmt.Errorf("param %q: %w", s.Name, err)
-		}
-		return v, nil
+		v, err = strconv.Atoi(text)
 	case Uint:
-		v, err := strconv.ParseUint(text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("param %q: %w", s.Name, err)
-		}
-		return v, nil
+		v, err = strconv.ParseUint(text, 10, 64)
 	case Float:
-		v, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("param %q: %w", s.Name, err)
-		}
-		return v, nil
+		v, err = strconv.ParseFloat(text, 64)
 	case String:
-		return text, nil
+		v = text
+	default:
+		return nil, fmt.Errorf("param %q: unknown kind %v", s.Name, s.Kind)
 	}
-	return nil, fmt.Errorf("param %q: unknown kind %v", s.Name, s.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("%w %q: %w", ErrBadParam, s.Name, err)
+	}
+	return v, nil
 }
 
 // FormatValue renders a typed parameter value canonically: the same value
@@ -106,8 +132,9 @@ func FormatValue(v any) string {
 // Schema is the ordered parameter declaration of one scenario.
 type Schema []Spec
 
-// validate checks the schema itself: unique names, non-empty names, and
-// defaults whose dynamic type matches the declared kind.
+// validate checks the schema itself: unique names, non-empty names, bounds
+// only on Int params, and defaults whose dynamic type matches the declared
+// kind and that lie in their own range.
 func (sch Schema) validate(scenarioID string) error {
 	seen := make(map[string]bool, len(sch))
 	for _, s := range sch {
@@ -120,6 +147,9 @@ func (sch Schema) validate(scenarioID string) error {
 		seen[s.Name] = true
 		if s.Default == nil {
 			return fmt.Errorf("experiment: scenario %s param %q has no default", scenarioID, s.Name)
+		}
+		if (s.Min != nil || s.Max != nil) && s.Kind != Int {
+			return fmt.Errorf("experiment: scenario %s param %q: bounds %s on a %s param", scenarioID, s.Name, s.rangeText(), s.Kind)
 		}
 		if err := s.check(s.Default); err != nil {
 			return fmt.Errorf("experiment: scenario %s default: %w", scenarioID, err)
@@ -272,24 +302,26 @@ func (v Values) Formatted() map[string]string {
 	return out
 }
 
-// ParseFloats parses a comma-separated float list — the encoding used by
-// sweep-style list parameters such as E2's content-presence levels.
-func ParseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
+// Floats parses the string param name as a comma-separated float list —
+// the encoding used by sweep-style list parameters such as E2's
+// content-presence levels. A malformed or empty list wraps ErrBadParam.
+func (v Values) Floats(name string) ([]float64, error) {
+	text := v.String(name)
+	parts := strings.Split(text, ",")
 	out := make([]float64, 0, len(parts))
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
 		}
-		v, err := strconv.ParseFloat(p, 64)
+		x, err := strconv.ParseFloat(p, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad float list element %q: %w", p, err)
+			return nil, fmt.Errorf("%w %q: bad float list element %q: %w", ErrBadParam, name, p, err)
 		}
-		out = append(out, v)
+		out = append(out, x)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("empty float list %q", s)
+		return nil, fmt.Errorf("%w %q: empty float list %q", ErrBadParam, name, text)
 	}
 	return out, nil
 }

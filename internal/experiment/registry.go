@@ -66,8 +66,9 @@ var ErrUnknownScenario = errors.New("unknown scenario")
 // humnetd's /run and reportgen -run both call it, so equal text runs the
 // same job on either path. Every key must appear exactly once; id is
 // required; seed is optional (default: the scenario's) and base 10; every
-// other key must name one of the scenario's params and parse with its
-// Spec.Parse. Job.Params holds only the given params, typed.
+// other key must name one of the scenario's params, parse with its
+// Spec.Parse and lie in its declared range (else the error wraps
+// ErrBadParam). Job.Params holds only the given params, typed.
 func (r *Registry) ParseJob(q url.Values) (Job, error) {
 	names := make([]string, 0, len(q))
 	for name := range q {
@@ -108,6 +109,9 @@ func (r *Registry) ParseJob(q url.Values) (Job, error) {
 			return Job{}, fmt.Errorf("scenario %s has no param %q (see -list or /list)", sc.ID(), name)
 		}
 		v, err := spec.Parse(q.Get(name))
+		if err == nil {
+			err = spec.check(v)
+		}
 		if err != nil {
 			return Job{}, err
 		}

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // Edge is a weighted connection between two nodes. In an undirected graph an
@@ -539,30 +540,7 @@ func (g *Graph) DegreeAssortativity() float64 {
 			ys = append(ys, float64(len(g.adj[e.To])))
 		}
 	}
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	mx := mean(xs)
-	my := mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
+	return stats.Pearson(xs, ys)
 }
 
 // KCore returns each node's core number: the largest k such that the node

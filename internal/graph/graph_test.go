@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/proptest"
 	"repro/internal/rng"
@@ -349,9 +348,8 @@ func TestDegreeAssortativityStarNegative(t *testing.T) {
 }
 
 func TestQuickBFSTriangleInequality(t *testing.T) {
-	r := rng.New(11)
-	f := func(seed uint32) bool {
-		g := ErdosRenyi(30, 0.15, rng.New(uint64(seed)))
+	proptest.Run(t, 208, 25, func(pg *proptest.G) error {
+		g := ErdosRenyi(30, 0.15, rng.New(pg.Uint64()))
 		d := hops(g, 0)
 		// For every edge (u,v): |d[u]-d[v]| <= 1 when both reachable.
 		for u := 0; u < g.N(); u++ {
@@ -359,41 +357,33 @@ func TestQuickBFSTriangleInequality(t *testing.T) {
 				if d[u] >= 0 && d[e.To] >= 0 {
 					diff := d[u] - d[e.To]
 					if diff < -1 || diff > 1 {
-						return false
+						return fmt.Errorf("edge %d-%d: hops %d and %d", u, e.To, d[u], d[e.To])
 					}
 				}
 			}
 		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 25, Rand: nil}
-	_ = r
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+		return nil
+	})
 }
 
 func TestQuickDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
-	f := func(seed uint32) bool {
-		g := ErdosRenyi(25, 0.2, rng.New(uint64(seed)))
+	proptest.Run(t, 209, 25, func(pg *proptest.G) error {
+		g := ErdosRenyi(25, 0.2, rng.New(pg.Uint64()))
 		bfs := hops(g, 0)
 		dij, _ := g.Dijkstra(0)
 		for i := range bfs {
 			if bfs[i] == -1 {
 				if !math.IsInf(dij[i], 1) {
-					return false
+					return fmt.Errorf("node %d: unreachable by BFS, Dijkstra %g", i, dij[i])
 				}
 				continue
 			}
 			if math.Abs(dij[i]-float64(bfs[i])) > 1e-9 {
-				return false
+				return fmt.Errorf("node %d: BFS %d, Dijkstra %g", i, bfs[i], dij[i])
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
+		return nil
+	})
 }
 
 // centralityWorkerCounts are the equivalence matrix from the determinism

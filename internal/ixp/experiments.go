@@ -3,6 +3,7 @@ package ixp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bgpsim"
@@ -425,7 +426,7 @@ func RunGravityCtx(ctx context.Context, cfg GravityConfig) (GravityRow, error) {
 		total += d.Volume
 		pathLen += d.Volume * float64(len(rep.Path))
 		switch {
-		case hasIXP(rep.IXPs, "DE-CIX"):
+		case slices.Contains(rep.IXPs, "DE-CIX"):
 			giant += d.Volume
 		case len(rep.IXPs) > 0:
 			local += d.Volume
@@ -441,15 +442,6 @@ func RunGravityCtx(ctx context.Context, cfg GravityConfig) (GravityRow, error) {
 		row.MeanPathLen = pathLen / total
 	}
 	return row, nil
-}
-
-func hasIXP(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
 }
 
 // GravitySweepCtx runs E2 over a sweep of local content presence values,

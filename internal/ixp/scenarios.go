@@ -17,7 +17,7 @@ func init() {
 		Title: "Mandatory peering vs ASN circumvention",
 		Claim: "Mandated incumbent peering is circumvented through shell ASNs: session counts rise while traffic locality stays flat until users migrate to the member AS.",
 		Params: experiment.Schema{
-			{Name: "competitors", Kind: experiment.Int, Default: 6, Doc: "number of competitor ISPs at the exchange"},
+			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Doc: "number of competitor ISPs at the exchange"},
 			{Name: "incumbent-share", Kind: experiment.Float, Default: 0.6, Doc: "incumbent's user share"},
 			{Name: "max-shells", Kind: experiment.Int, Default: 6, Doc: "max shell ASNs to sweep in the circumvented regime"},
 			{Name: "migrated-shares", Kind: experiment.String, Default: "0,0.25,0.5,0.75,1", Doc: "comma-separated migrated-user shares for the E1b policy sweep"},
@@ -31,7 +31,7 @@ func init() {
 		Seed:  42,
 		Params: experiment.Schema{
 			{Name: "isps", Kind: experiment.Int, Default: 60, Doc: "number of Global-South ISPs"},
-			{Name: "local-ixps", Kind: experiment.Int, Default: 6, Doc: "number of local exchanges"},
+			{Name: "local-ixps", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Doc: "number of local exchanges"},
 			{Name: "presences", Kind: experiment.String, Default: "0,0.2,0.4,0.6,0.8,1", Doc: "comma-separated local content-presence levels to sweep"},
 			{Name: "econ-isps", Kind: experiment.Int, Default: 40, Doc: "E2b: Global-South ISPs in the economics model"},
 			{Name: "econ-ixps", Kind: experiment.Int, Default: 4, Doc: "E2b: local exchanges in the economics model"},
@@ -62,7 +62,7 @@ func runE1(ctx context.Context, p experiment.Values, _ uint64) (*experiment.Resu
 			experiment.F3(r.DomesticShare), experiment.F3(r.IncumbentLocal))
 	}
 
-	migrations, err := experiment.ParseFloats(p.String("migrated-shares"))
+	migrations, err := p.Floats("migrated-shares")
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func runE2(ctx context.Context, p experiment.Values, seed uint64) (*experiment.R
 	workers := experiment.WorkersFrom(ctx)
 	res := &experiment.Result{}
 
-	presences, err := experiment.ParseFloats(p.String("presences"))
+	presences, err := p.Floats("presences")
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func runE2(ctx context.Context, p experiment.Values, seed uint64) (*experiment.R
 			experiment.F3(r.LocalIXPShare), experiment.F3(r.TransitShare), experiment.I(r.RemotePeered))
 	}
 
-	costs, err := experiment.ParseFloats(p.String("port-costs"))
+	costs, err := p.Floats("port-costs")
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,11 @@
 package measure
 
 import (
+	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/proptest"
 )
 
 func genLatency(t *testing.T, events []Event) Series {
@@ -138,14 +140,15 @@ func TestMetricString(t *testing.T) {
 }
 
 func TestQuickGenerateLength(t *testing.T) {
-	f := func(seed uint16, days uint8) bool {
-		d := int(days%100) + 1
-		s, err := Generate(GenConfig{Metric: LatencyMs, Days: d, Base: 10, Noise: 1, Seed: uint64(seed)})
-		return err == nil && len(s.Values) == d
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+	proptest.Run(t, 701, 50, func(g *proptest.G) error {
+		d := g.IntRange(1, 100)
+		seed := uint64(g.Intn(1 << 16))
+		s, err := Generate(GenConfig{Metric: LatencyMs, Days: d, Base: 10, Noise: 1, Seed: seed})
+		if err != nil || len(s.Values) != d {
+			return fmt.Errorf("Generate(days=%d, seed=%d) = %d values, err %v", d, seed, len(s.Values), err)
+		}
+		return nil
+	})
 }
 
 func BenchmarkZScoreDetect(b *testing.B) {

@@ -27,7 +27,7 @@ func init() {
 
 // runE9 sweeps lens strengths.
 func runE9(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	strengths, err := experiment.ParseFloats(p.String("strengths"))
+	strengths, err := p.Floats("strengths")
 	if err != nil {
 		return nil, err
 	}

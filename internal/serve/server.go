@@ -199,9 +199,9 @@ func (s *Server) shed(w http.ResponseWriter, status int) {
 // key meanwhile wait on done, and all of them answer with its outcome.
 type fill struct {
 	done   chan struct{}
-	status int    // 200, the shed status, or 500
+	status int    // 200, the shed status, 400 (a bad param) or 500
 	body   []byte // the rendered response when status is 200
-	msg    string // the error message when status is 500
+	msg    string // the error message when status is 400 or 500
 }
 
 // handleRun serves one scenario execution: LRU, then a fill of the same key
@@ -282,6 +282,9 @@ func (s *Server) execute(r *http.Request, f *fill, job experiment.Job) {
 		f.body, err = experiment.RenderOneJSON(res)
 	}
 	if err != nil {
+		if errors.Is(err, experiment.ErrBadParam) {
+			f.status = http.StatusBadRequest
+		}
 		f.msg = err.Error()
 		return
 	}
@@ -308,6 +311,9 @@ func (s *Server) answer(w http.ResponseWriter, start time.Time, f *fill) {
 	switch f.status {
 	case http.StatusOK:
 		s.finishRun(w, start, f.body)
+	case http.StatusBadRequest:
+		s.met.bad.Add(1)
+		writeJSON(w, f.status, errorBody(f.msg))
 	case http.StatusInternalServerError:
 		s.met.failed.Add(1)
 		writeJSON(w, f.status, errorBody(f.msg))
@@ -323,12 +329,15 @@ func (s *Server) finishRun(w http.ResponseWriter, start time.Time, body []byte) 
 	writeJSON(w, http.StatusOK, body)
 }
 
-// ListParam is one schema entry in the /list response.
+// ListParam is one schema entry in the /list response. Min and Max are
+// the inclusive range a bounded Int param must lie in.
 type ListParam struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`
 	Default string `json:"default"`
 	Doc     string `json:"doc,omitempty"`
+	Min     *int   `json:"min,omitempty"`
+	Max     *int   `json:"max,omitempty"`
 }
 
 // ListScenario is one registry entry in the /list response.
@@ -356,6 +365,8 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 				Kind:    spec.Kind.String(),
 				Default: experiment.FormatValue(spec.Default),
 				Doc:     spec.Doc,
+				Min:     spec.Min,
+				Max:     spec.Max,
 			}
 		}
 		out[i] = ListScenario{

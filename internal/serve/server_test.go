@@ -183,6 +183,62 @@ func TestRunRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestRunBadParamAnswers400: a param value the scenario cannot use is the
+// client's error whether ParseJob rejects it against the declared range or
+// the run rejects it with ErrBadParam. Both answer 400 with a message that
+// names the param and count in bad_request, never in failed or shed.
+func TestRunBadParamAnswers400(t *testing.T) {
+	reg := experiment.NewRegistry()
+	d := testDef("B")
+	d.Params[0].Min, d.Params[0].Max = experiment.Bound(0), experiment.Bound(10)
+	run := d.Run
+	d.Run = func(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+		if p.String("label") == "" {
+			return nil, fmt.Errorf("%w %q: empty", experiment.ErrBadParam, "label")
+		}
+		return run(ctx, p, seed)
+	}
+	if err := reg.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Registry: reg, LRUSize: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, c := range []struct{ query, param string }{
+		{"id=B&rows=11", `"rows" = 11, want in [0, 10]`},
+		{"id=B&rows=-1", `"rows" = -1, want in [0, 10]`},
+		{"id=B&label=", `"label": empty`},
+	} {
+		status, body := get(t, ts, "/run?"+c.query)
+		var msg struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &msg); err != nil || status != http.StatusBadRequest || !strings.Contains(msg.Error, c.param) {
+			t.Errorf("/run?%s = %d %s, want 400 naming %s", c.query, status, body, c.param)
+		}
+	}
+	if status, body := get(t, ts, "/run?id=B&rows=10"); status != http.StatusOK {
+		t.Fatalf("/run at the bound = %d %s", status, body)
+	}
+	m := srv.Metrics()
+	if m.BadRequest != 3 || m.Failed != 0 || m.ShedQueue != 0 || m.ShedWait != 0 {
+		t.Fatalf("metrics = %+v, want 3 bad-request, 0 failed or shed", m)
+	}
+
+	_, body := get(t, ts, "/list")
+	var scenarios []ListScenario
+	if err := json.Unmarshal(body, &scenarios); err != nil {
+		t.Fatal(err)
+	}
+	rows, label := scenarios[0].Params[0], scenarios[0].Params[1]
+	if rows.Min == nil || *rows.Min != 0 || rows.Max == nil || *rows.Max != 10 || label.Min != nil || label.Max != nil {
+		t.Fatalf("/list params = %+v, want rows in [0, 10] and label unbounded", scenarios[0].Params)
+	}
+	if !strings.Contains(string(body), `"min": 0`) || strings.Count(string(body), `"min"`) != 1 {
+		t.Fatalf("/list does not carry exactly rows' min:\n%s", body)
+	}
+}
+
 func TestListHealthzMetricsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 

@@ -32,7 +32,7 @@ func init() {
 // runE11 sweeps practitioner shares plus the closed-consortium
 // counterfactual appended by Sweep.
 func runE11(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	shares, err := experiment.ParseFloats(p.String("shares"))
+	shares, err := p.Floats("shares")
 	if err != nil {
 		return nil, err
 	}

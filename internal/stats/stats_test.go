@@ -1,10 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/proptest"
 	"repro/internal/rng"
 )
 
@@ -152,9 +153,10 @@ func TestQuantileNaNPropagates(t *testing.T) {
 }
 
 func TestQuickJainBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
+	proptest.Run(t, 105, 100, func(g *proptest.G) error {
+		raw := g.IntsIn(0, 49, 0, 255)
 		if len(raw) == 0 {
-			return true
+			return nil
 		}
 		xs := make([]float64, len(raw))
 		anyPos := false
@@ -165,21 +167,22 @@ func TestQuickJainBounds(t *testing.T) {
 			}
 		}
 		if !anyPos {
-			return true
+			return nil
 		}
 		j := Jain(xs)
 		n := float64(len(xs))
-		return j >= 1/n-1e-9 && j <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+		if !(j >= 1/n-1e-9 && j <= 1+1e-9) {
+			return fmt.Errorf("Jain(%v) = %g, want in [1/%g, 1]", xs, j, n)
+		}
+		return nil
+	})
 }
 
 func TestQuickGiniBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
+	proptest.Run(t, 106, 100, func(pg *proptest.G) error {
+		raw := pg.IntsIn(0, 49, 0, 255)
 		if len(raw) == 0 {
-			return true
+			return nil
 		}
 		xs := make([]float64, len(raw))
 		anyPos := false
@@ -190,30 +193,31 @@ func TestQuickGiniBounds(t *testing.T) {
 			}
 		}
 		if !anyPos {
-			return true
+			return nil
 		}
 		g := Gini(xs)
-		return g >= -1e-9 && g <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+		if !(g >= -1e-9 && g <= 1+1e-9) {
+			return fmt.Errorf("Gini(%v) = %g, want in [0, 1]", xs, g)
+		}
+		return nil
+	})
 }
 
 func TestQuickQuantileMonotone(t *testing.T) {
-	f := func(raw []int8) bool {
+	proptest.Run(t, 107, 100, func(g *proptest.G) error {
+		raw := g.IntsIn(0, 49, -128, 127)
 		if len(raw) < 2 {
-			return true
+			return nil
 		}
 		xs := make([]float64, len(raw))
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		return Quantile(xs, 0.25) <= Quantile(xs, 0.75)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+		if q1, q3 := Quantile(xs, 0.25), Quantile(xs, 0.75); !(q1 <= q3+1e-12) {
+			return fmt.Errorf("Quantile(%v): q1 %g > q3 %g", xs, q1, q3)
+		}
+		return nil
+	})
 }
 
 func BenchmarkGini(b *testing.B) {

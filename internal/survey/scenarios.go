@@ -18,7 +18,7 @@ func init() {
 			{Name: "ties", Kind: experiment.Int, Default: 6, Doc: "social ties per person (snowball referral graph)"},
 			{Name: "budget", Kind: experiment.Int, Default: 300, Doc: "contact budget shared by every design"},
 			{Name: "waves", Kind: experiment.Int, Default: 4, Doc: "snowball referral waves"},
-			{Name: "seeds", Kind: experiment.Int, Default: 40, Doc: "snowball seed respondents"},
+			{Name: "seeds", Kind: experiment.Int, Default: 40, Min: experiment.Bound(0), Doc: "snowball seed respondents"},
 			{Name: "max-referrals", Kind: experiment.Int, Default: 3, Doc: "referrals per respondent"},
 			{Name: "response-noise", Kind: experiment.Float, Default: 0.05, Doc: "response-propensity noise"},
 		},

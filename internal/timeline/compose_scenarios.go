@@ -95,7 +95,7 @@ func init() {
 			{Name: "stubs", Kind: experiment.Int, Default: 10, Doc: "stub ASes (each originates a prefix)"},
 			{Name: "per-tick", Kind: experiment.Int, Default: 2, Doc: "flap attempts per tick"},
 			{Name: "hold", Kind: experiment.Int, Default: 3, Doc: "ticks a flapped link/prefix stays down"},
-			{Name: "competitors", Kind: experiment.Int, Default: 6, Doc: "competitor ASes rolling onto the IXP"},
+			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Max: experiment.Bound(64), Doc: "competitor ASes rolling onto the IXP"},
 			{Name: "start", Kind: experiment.Int, Default: 2, Doc: "tick of the first scheduled join wave"},
 			{Name: "wave-every", Kind: experiment.Int, Default: 3, Doc: "ticks between join waves"},
 			{Name: "wave-size", Kind: experiment.Int, Default: 1, Doc: "joins per wave"},
@@ -134,7 +134,7 @@ func init() {
 		Claim: "Poor traffic locality depresses community-operator attitudes; the stratified survey — biased toward visible operators — still detects the drop, a one-shot regulation follows, and forced incumbent peering restores both locality and attitude while marginal stakeholders enter the evaluation phase.",
 		Seed:  42,
 		Params: experiment.Schema{
-			{Name: "competitors", Kind: experiment.Int, Default: 6, Doc: "competitor ASes rolling onto the IXP"},
+			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Max: experiment.Bound(64), Doc: "competitor ASes rolling onto the IXP"},
 			{Name: "start", Kind: experiment.Int, Default: 1, Doc: "tick of the first join wave"},
 			{Name: "wave-every", Kind: experiment.Int, Default: 2, Doc: "ticks between join waves"},
 			{Name: "wave-size", Kind: experiment.Int, Default: 2, Doc: "joins per wave"},
@@ -153,9 +153,6 @@ func init() {
 // compares them.
 func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	nComp, ticks := p.Int("competitors"), p.Int("ticks")
-	if nComp < 1 || nComp > 64 {
-		return nil, fmt.Errorf("timeline: competitors %d outside [1, 64]", nComp)
-	}
 	pressBelow := p.Float("press-below")
 
 	// The merged stream is shared by both runs; the worlds must be fresh per
@@ -282,14 +279,14 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 		return nil, err
 	}
 	if region < 1 || region > len(h.Stubs) {
-		return nil, fmt.Errorf("timeline: region %d outside [1, %d]", region, len(h.Stubs))
+		return nil, fmt.Errorf("%w %q = %d, want in [1, stubs=%d]", experiment.ErrBadParam, "region", region, len(h.Stubs))
 	}
 	if outAt < 0 || outLen < 1 || outAt+outLen >= ticks {
-		return nil, fmt.Errorf("timeline: outage [%d, %d) does not fit before tick %d", outAt, outAt+outLen, ticks)
+		return nil, fmt.Errorf("%w: outage out-at=%d out-len=%d does not fit before ticks=%d", experiment.ErrBadParam, outAt, outLen, ticks)
 	}
 	surge, reachThr := p.Float("surge"), p.Float("reach-thr")
 	if surge <= 0 || surge > MaxDemandScale {
-		return nil, fmt.Errorf("timeline: surge %v outside (0, %d]", surge, MaxDemandScale)
+		return nil, fmt.Errorf("%w %q = %v, want in (0, %d]", experiment.ErrBadParam, "surge", surge, MaxDemandScale)
 	}
 	sched, err := schedulerByName(p.String("scheduler"))
 	if err != nil {
@@ -300,7 +297,7 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	// out-at and is restored out-len ticks later.
 	outage := Stream{Horizon: ticks}
 	for _, stub := range h.Stubs[:region] {
-		for _, prov := range providerList(h.Topo, stub) {
+		for _, prov := range h.Topo.Providers(stub) {
 			down := bgpsim.Delta{Kind: bgpsim.DeltaLinkDown, A: prov, B: stub}
 			up := bgpsim.Delta{Kind: bgpsim.DeltaLinkUp, A: prov, B: stub}
 			outage.Events = append(outage.Events,
@@ -397,9 +394,6 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 // a one-shot regulation back into the attachment domain.
 func runE22(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	nComp, ticks := p.Int("competitors"), p.Int("ticks")
-	if nComp < 1 || nComp > 64 {
-		return nil, fmt.Errorf("timeline: competitors %d outside [1, 64]", nComp)
-	}
 	f, demands, comps, err := buildMXWorld(nComp)
 	if err != nil {
 		return nil, err

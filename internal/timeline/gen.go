@@ -9,7 +9,6 @@ package timeline
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bgpsim"
 	"repro/internal/ixp"
@@ -55,7 +54,7 @@ func GenFlapStorm(h *bgpsim.Hierarchy, seed uint64, ticks, perTick, hold int) (S
 			for attempt := 0; attempt < genAttempts; attempt++ {
 				stub := h.Stubs[r.Intn(len(h.Stubs))]
 				if r.Bool(0.5) {
-					provs := providerList(h.Topo, stub)
+					provs := h.Topo.Providers(stub)
 					if len(provs) == 0 {
 						continue
 					}
@@ -194,18 +193,4 @@ func GenStagedRollout(ixpName string, members []bgpsim.ASN, policy ixp.PeeringPo
 		evs = append(evs, Event{At: t, Kind: KindIXPJoin, Name: ixpName, ASN: members[idx], Policy: policy})
 	}
 	return Stream{Horizon: ticks, Events: evs}.Canonicalize(), nil
-}
-
-// providerList returns n's providers in ascending order (collect-then-sort
-// over the neighbor map, so generation never depends on map order).
-func providerList(t *bgpsim.Topology, n bgpsim.ASN) []bgpsim.ASN {
-	neighbors := t.Neighbors(n)
-	out := make([]bgpsim.ASN, 0, len(neighbors))
-	for nb, rel := range neighbors {
-		if rel == bgpsim.FromProvider {
-			out = append(out, nb)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -60,7 +60,7 @@ func init() {
 		Claim: "Competitor IXP joins lift domestic traffic share stepwise, but incumbent-bound volume stays on foreign transit until the regulation tick forces the incumbent's sessions — membership alone does not localize traffic.",
 		Seed:  42,
 		Params: experiment.Schema{
-			{Name: "competitors", Kind: experiment.Int, Default: 6, Doc: "competitor ASes rolling onto the IXP"},
+			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Max: experiment.Bound(64), Doc: "competitor ASes rolling onto the IXP"},
 			{Name: "start", Kind: experiment.Int, Default: 1, Doc: "tick of the first join wave"},
 			{Name: "wave-every", Kind: experiment.Int, Default: 2, Doc: "ticks between join waves"},
 			{Name: "wave-size", Kind: experiment.Int, Default: 2, Doc: "joins per wave"},
@@ -160,16 +160,13 @@ func schedulerByName(name string) (cn.Scheduler, error) {
 	case "cpr":
 		return &cn.CPR{}, nil
 	default:
-		return nil, fmt.Errorf("timeline: unknown scheduler %q (want proportional, maxmin, or cpr)", name)
+		return nil, fmt.Errorf("%w %q: unknown scheduler %q (want proportional, maxmin, or cpr)", experiment.ErrBadParam, "scheduler", name)
 	}
 }
 
 // runE19 replays a staged rollout plus regulation through the IXP machine.
 func runE19(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	nComp, ticks := p.Int("competitors"), p.Int("ticks")
-	if nComp < 1 || nComp > 64 {
-		return nil, fmt.Errorf("timeline: competitors %d outside [1, 64]", nComp)
-	}
 	f, demands, comps, err := buildMXWorld(nComp)
 	if err != nil {
 		return nil, err

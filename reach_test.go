@@ -48,7 +48,6 @@ var reachAllowed = map[string]string{
 	"repro/internal/qualcode.Codebook.Roots":               "codebook-hierarchy oracle",
 	"repro/internal/rng.Rand.Pareto":                       "heavy-tailed demand fixtures",
 	"repro/internal/stats.Min":                             "the Quantile property and fuzz bounds",
-	"repro/internal/stats.Pearson":                         "correlation measuring tool",
 	"repro/internal/stats.Spearman":                        "rank-correlation measuring tool",
 	"repro/internal/textproc.Corpus.Len":                   "sizes the TFIDF benchmark",
 	"repro/internal/textproc.Corpus.TFIDF":                 "text-similarity measuring tool",
