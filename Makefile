@@ -73,7 +73,9 @@ fuzz-smoke:
 	done; \
 	[ $$n -gt 0 ] || { echo "fuzz-smoke: no Fuzz targets found" >&2; exit 1; }
 
-# Run one benchmark per experiment (E1-E16), each regenerating its table.
+# Time every experiment's registered scenario (E1-E16, the A1/A3 ablations)
+# plus the root graph benchmarks. Nothing is printed: the tables come from
+# `make report` (cmd/reportgen).
 bench:
 	$(GO) test -bench=. -benchmem .
 

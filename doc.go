@@ -9,7 +9,7 @@
 // simulator with Gao–Rexford policies, an IXP fabric with peering
 // regulation, a community-network mesh simulator), and ten experiments
 // (E1–E10) that reproduce the shape of every empirical claim the paper
-// makes. The root-level benchmarks in bench_test.go regenerate each
-// experiment's rows; EXPERIMENTS.md records paper-claim versus measured
-// shape.
+// makes. Each experiment is a registered scenario that cmd/reportgen
+// renders into REPORT.md; the root-level benchmarks in bench_test.go time
+// those same runs. EXPERIMENTS.md records paper-claim versus measured shape.
 package repro

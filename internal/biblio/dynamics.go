@@ -106,19 +106,3 @@ func RunCFP(cfg CFPConfig) ([]CFPYear, error) {
 	}
 	return rows, nil
 }
-
-// FinalQualShare returns the mean accepted qualitative share over the last
-// k years of a run (the settled equilibrium).
-func FinalQualShare(rows []CFPYear, k int) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	if k > len(rows) {
-		k = len(rows)
-	}
-	s := 0.0
-	for _, r := range rows[len(rows)-k:] {
-		s += r.AcceptedQualShare
-	}
-	return s / float64(k)
-}

@@ -19,7 +19,7 @@ func TestCFPBiasPlusConformityLocksIn(t *testing.T) {
 	if len(rows) != biased.Years {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	lockedIn := FinalQualShare(rows, 5)
+	lockedIn := finalQualShare(rows, 5)
 
 	blind := DefaultCFPConfig()
 	blind.QualWeight = 1
@@ -27,7 +27,7 @@ func TestCFPBiasPlusConformityLocksIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fair := FinalQualShare(blindRows, 5)
+	fair := finalQualShare(blindRows, 5)
 
 	// The discounted venue ends far below the method-blind one — and below
 	// what researcher affinity alone (mean 0.5) would produce.
@@ -50,8 +50,8 @@ func TestCFPInterventionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := FinalQualShare(rows[:20], 5)
-	after := FinalQualShare(rows, 5)
+	before := finalQualShare(rows[:20], 5)
+	after := finalQualShare(rows, 5)
 	if !(after > 2*before) {
 		t.Errorf("CFP change should recover the share: before %g, after %g", before, after)
 	}
@@ -90,4 +90,20 @@ func BenchmarkRunCFP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// finalQualShare returns the mean accepted qualitative share over the last
+// k years of a run (the settled equilibrium).
+func finalQualShare(rows []CFPYear, k int) float64 {
+	if len(rows) == 0 {
+		return 0
+	}
+	if k > len(rows) {
+		k = len(rows)
+	}
+	s := 0.0
+	for _, r := range rows[len(rows)-k:] {
+		s += r.AcceptedQualShare
+	}
+	return s / float64(k)
 }

@@ -252,39 +252,3 @@ func Reconcile(cfg Config, ds *Dataset) Coverage {
 	}
 	return cov
 }
-
-// WeeklyDiaryCoverage returns per-week diary coverage of ground truth,
-// exposing compliance decay.
-func WeeklyDiaryCoverage(cfg Config, ds *Dataset) []float64 {
-	weeks := (cfg.Days + 6) / 7
-	hit := make([]float64, weeks)
-	total := make([]float64, weeks)
-	diary := make(map[[2]int]map[string]bool)
-	for _, e := range ds.Entries {
-		key := [2]int{e.Participant, e.Day}
-		m, ok := diary[key]
-		if !ok {
-			m = make(map[string]bool)
-			diary[key] = m
-		}
-		for _, k := range e.Reported {
-			m[k] = true
-		}
-	}
-	for key, kinds := range ds.Truth {
-		w := key[1] / 7
-		for k := range kinds {
-			total[w]++
-			if diary[key][k] {
-				hit[w]++
-			}
-		}
-	}
-	out := make([]float64, weeks)
-	for w := range out {
-		if total[w] > 0 {
-			out[w] = hit[w] / total[w]
-		}
-	}
-	return out
-}

@@ -95,7 +95,7 @@ func TestComplianceDecayShowsInWeeklyCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weekly := WeeklyDiaryCoverage(cfg, ds)
+	weekly := weeklyDiaryCoverage(cfg, ds)
 	if len(weekly) != 8 {
 		t.Fatalf("weeks = %d", len(weekly))
 	}
@@ -174,4 +174,40 @@ func BenchmarkSimulateReconcile(b *testing.B) {
 		}
 		_ = Reconcile(cfg, ds)
 	}
+}
+
+// weeklyDiaryCoverage returns per-week diary coverage of ground truth,
+// exposing compliance decay.
+func weeklyDiaryCoverage(cfg Config, ds *Dataset) []float64 {
+	weeks := (cfg.Days + 6) / 7
+	hit := make([]float64, weeks)
+	total := make([]float64, weeks)
+	diary := make(map[[2]int]map[string]bool)
+	for _, e := range ds.Entries {
+		key := [2]int{e.Participant, e.Day}
+		m, ok := diary[key]
+		if !ok {
+			m = make(map[string]bool)
+			diary[key] = m
+		}
+		for _, k := range e.Reported {
+			m[k] = true
+		}
+	}
+	for key, kinds := range ds.Truth {
+		w := key[1] / 7
+		for k := range kinds {
+			total[w]++
+			if diary[key][k] {
+				hit[w]++
+			}
+		}
+	}
+	out := make([]float64, weeks)
+	for w := range out {
+		if total[w] > 0 {
+			out[w] = hit[w] / total[w]
+		}
+	}
+	return out
 }

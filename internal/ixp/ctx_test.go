@@ -18,7 +18,7 @@ func TestSweepCtxCancelled(t *testing.T) {
 	}
 	base := EconConfig{SouthISPs: 12, LocalIXPs: 3, ContentPresence: 0.5,
 		ContentVolume: 10, TransitPricePerUnit: 2, Seed: 7}
-	if rows, err := EconomicSweepCtx(ctx, base, []float64{1, 100}, 1); err == nil {
+	if rows, err := EconomicSweepCtx(ctx, base, []float64{1, 100}); err == nil {
 		t.Errorf("EconomicSweepCtx on a cancelled context returned %d rows, want error", len(rows))
 	}
 	if rows, err := PolicySweepCtx(ctx, 3, 0.5, []float64{0, 0.5}, 1); err == nil {

@@ -3,8 +3,6 @@ package ixp
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/parallel"
 )
 
 // EconConfig parameterizes the economic variant of the gravity experiment:
@@ -13,7 +11,8 @@ import (
 // giant exchange costs a port fee; reaching content over paid transit costs
 // per unit of traffic. The ISP remote-peers when the transit bill it avoids
 // exceeds the port fee — so the sweep over port cost exposes the crossover
-// where the giant IXP empties out.
+// where the giant IXP empties out. The port fee is the swept variable, so
+// it is not part of the config (see EconomicSweepCtx).
 type EconConfig struct {
 	SouthISPs int
 	LocalIXPs int
@@ -24,14 +23,13 @@ type EconConfig struct {
 	// TransitPricePerUnit is the cost of carrying one volume unit over
 	// paid transit.
 	TransitPricePerUnit float64
-	// RemotePortCost is the flat per-period cost of a remote port at the
-	// giant exchange.
-	RemotePortCost float64
-	Seed           uint64
+	Seed                uint64
 }
 
 // EconRow is one measured point of the economic sweep.
 type EconRow struct {
+	// RemotePortCost is the flat per-period cost of a remote port at the
+	// giant exchange.
 	RemotePortCost float64
 	RemotePeered   int
 	GiantIXPShare  float64
@@ -41,64 +39,54 @@ type EconRow struct {
 	MeanCost float64
 }
 
-// RunEconomicCtx runs one configuration: ISPs without local content compare
-// the transit bill (volume × price) against the remote port fee and pick
-// the cheaper option; ISPs with local content always peer locally (free).
-// ctx cancels the underlying gravity convergence; the row is identical
-// whenever ctx never cancels.
-func RunEconomicCtx(ctx context.Context, cfg EconConfig) (EconRow, error) {
-	if cfg.SouthISPs <= 0 || cfg.LocalIXPs <= 0 {
-		return EconRow{}, fmt.Errorf("ixp: economic config incomplete")
-	}
-	gravityCfg := GravityConfig{
-		SouthISPs:       cfg.SouthISPs,
-		LocalIXPs:       cfg.LocalIXPs,
-		ContentPresence: cfg.ContentPresence,
-		Seed:            cfg.Seed,
-	}
-	// Decide adoption economically: remote peering is worthwhile iff the
-	// avoided transit bill exceeds the port cost.
-	remoteWorthIt := cfg.ContentVolume*cfg.TransitPricePerUnit > cfg.RemotePortCost
-
-	// Reuse the gravity scenario builder twice: the deterministic rule in
-	// RunGravityCtx matches "remote-peer when content absent locally", which
-	// is exactly the worth-it case; when not worth it, nobody remote-peers
-	// and content-absent ISPs ride transit. We emulate the latter with a
-	// presence-1 run restricted to content-present ISPs plus a transit
-	// residue computed analytically from the same PoP placement.
-	row, err := RunGravityCtx(ctx, gravityCfg)
-	if err != nil {
-		return EconRow{}, err
-	}
-	out := EconRow{RemotePortCost: cfg.RemotePortCost}
-	if remoteWorthIt {
-		out.RemotePeered = row.RemotePeered
-		out.GiantIXPShare = row.GiantIXPShare
-		out.LocalIXPShare = row.LocalIXPShare
-		out.TransitShare = row.TransitShare
-		out.MeanCost = float64(row.RemotePeered) * cfg.RemotePortCost / float64(cfg.SouthISPs)
-		return out, nil
-	}
-	// Not worth it: the ISPs that would have remote-peered use transit
-	// instead; locally-covered ISPs are unaffected.
-	transitISPs := row.RemotePeered
-	out.RemotePeered = 0
-	out.LocalIXPShare = row.LocalIXPShare
-	out.GiantIXPShare = 0
-	out.TransitShare = row.GiantIXPShare + row.TransitShare
-	out.MeanCost = float64(transitISPs) * cfg.ContentVolume * cfg.TransitPricePerUnit / float64(cfg.SouthISPs)
-	return out, nil
-}
-
 // EconomicSweepCtx sweeps the remote port cost and returns one row per
 // price point, exposing the adoption crossover at portCost = volume ×
-// transit price. The price points fan out across at most workers goroutines
-// (workers <= 0 means GOMAXPROCS); rows are written by index, so the output
-// is identical for every worker count. ctx is checked between price points.
-func EconomicSweepCtx(ctx context.Context, base EconConfig, portCosts []float64, workers int) ([]EconRow, error) {
-	return parallel.Map(ctx, len(portCosts), workers, func(i int) (EconRow, error) {
-		cfg := base
-		cfg.RemotePortCost = portCosts[i]
-		return RunEconomicCtx(ctx, cfg)
+// transit price. The gravity world does not depend on the port cost, so it
+// is built and converged once; each row is that world's cost decision: ISPs
+// without local content compare the transit bill (volume × price) against
+// the port fee and pick the cheaper option, while ISPs with local content
+// always peer locally (free). ctx cancels the convergence; the rows are
+// identical whenever ctx never cancels.
+func EconomicSweepCtx(ctx context.Context, base EconConfig, portCosts []float64) ([]EconRow, error) {
+	if base.SouthISPs <= 0 || base.LocalIXPs <= 0 {
+		return nil, fmt.Errorf("ixp: economic config incomplete")
+	}
+	// RunGravityCtx remote-peers exactly the ISPs without local content: the
+	// adopters whenever remote peering is worth it.
+	g, err := RunGravityCtx(ctx, GravityConfig{
+		SouthISPs:       base.SouthISPs,
+		LocalIXPs:       base.LocalIXPs,
+		ContentPresence: base.ContentPresence,
+		Seed:            base.Seed,
 	})
+	if err != nil {
+		return nil, err
+	}
+	isps := float64(base.SouthISPs)
+	transitBill := base.ContentVolume * base.TransitPricePerUnit
+	rows := make([]EconRow, len(portCosts))
+	for i, cost := range portCosts {
+		if transitBill > cost {
+			rows[i] = EconRow{
+				RemotePortCost: cost,
+				RemotePeered:   g.RemotePeered,
+				GiantIXPShare:  g.GiantIXPShare,
+				LocalIXPShare:  g.LocalIXPShare,
+				TransitShare:   g.TransitShare,
+				MeanCost:       float64(g.RemotePeered) * cost / isps,
+			}
+			continue
+		}
+		// Not worth it: the ISPs that would have remote-peered ride transit
+		// instead; locally covered ISPs are unaffected. MeanCost keeps the
+		// n × volume × price evaluation order: n × transitBill can round
+		// differently.
+		rows[i] = EconRow{
+			RemotePortCost: cost,
+			LocalIXPShare:  g.LocalIXPShare,
+			TransitShare:   g.GiantIXPShare + g.TransitShare,
+			MeanCost:       float64(g.RemotePeered) * base.ContentVolume * base.TransitPricePerUnit / isps,
+		}
+	}
+	return rows, nil
 }

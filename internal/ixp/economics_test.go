@@ -14,19 +14,24 @@ func econBase() EconConfig {
 	}
 }
 
+// econAt runs the economic sweep at the single port cost cost.
+func econAt(t *testing.T, cfg EconConfig, cost float64) EconRow {
+	t.Helper()
+	rows, err := EconomicSweepCtx(context.Background(), cfg, []float64{cost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[0]
+}
+
 func TestEconomicValidation(t *testing.T) {
-	if _, err := RunEconomicCtx(context.Background(), EconConfig{}); err == nil {
+	if _, err := EconomicSweepCtx(context.Background(), EconConfig{}, []float64{1}); err == nil {
 		t.Error("empty config accepted")
 	}
 }
 
 func TestEconomicCheapPortMeansRemotePeering(t *testing.T) {
-	cfg := econBase()
-	cfg.RemotePortCost = 5 // << volume*price = 20
-	row, err := RunEconomicCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := econAt(t, econBase(), 5) // << volume*price = 20
 	if row.RemotePeered == 0 {
 		t.Error("cheap ports should drive remote peering")
 	}
@@ -36,12 +41,7 @@ func TestEconomicCheapPortMeansRemotePeering(t *testing.T) {
 }
 
 func TestEconomicExpensivePortMeansTransit(t *testing.T) {
-	cfg := econBase()
-	cfg.RemotePortCost = 100 // >> 20
-	row, err := RunEconomicCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := econAt(t, econBase(), 100) // >> 20
 	if row.RemotePeered != 0 {
 		t.Error("expensive ports should kill remote peering")
 	}
@@ -56,7 +56,7 @@ func TestEconomicExpensivePortMeansTransit(t *testing.T) {
 func TestEconomicSweepCrossover(t *testing.T) {
 	cfg := econBase() // crossover at portCost = 20
 	costs := []float64{5, 10, 15, 19, 21, 30, 50}
-	rows, err := EconomicSweepCtx(context.Background(), cfg, costs, 0)
+	rows, err := EconomicSweepCtx(context.Background(), cfg, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,7 @@ func TestEconomicSweepCrossover(t *testing.T) {
 func TestEconomicLocalAlwaysFree(t *testing.T) {
 	cfg := econBase()
 	cfg.ContentPresence = 1 // everyone covered locally
-	cfg.RemotePortCost = 1
-	row, err := RunEconomicCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := econAt(t, cfg, 1)
 	if row.MeanCost != 0 {
 		t.Errorf("fully-local mean cost = %g, want 0", row.MeanCost)
 	}

@@ -336,24 +336,5 @@ func TestSweepsParallelMatchSerial(t *testing.T) {
 				t.Errorf("gravity row %d differs with workers=%d", i, workers)
 			}
 		}
-
-		base := EconConfig{
-			SouthISPs: 40, LocalIXPs: 3, ContentPresence: 0.4,
-			ContentVolume: 10, TransitPricePerUnit: 2, Seed: 7,
-		}
-		portCosts := []float64{1, 10, 19, 20, 21, 40}
-		serialE, err := EconomicSweepCtx(context.Background(), base, portCosts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parE, err := EconomicSweepCtx(context.Background(), base, portCosts, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range serialE {
-			if parE[i] != serialE[i] {
-				t.Errorf("economic row %d differs with workers=%d", i, workers)
-			}
-		}
 	}
 }

@@ -110,7 +110,7 @@ func runE2(ctx context.Context, p experiment.Values, seed uint64) (*experiment.R
 		ContentVolume:       p.Float("content-volume"),
 		TransitPricePerUnit: p.Float("transit-price"),
 		Seed:                p.Uint("econ-seed"),
-	}, costs, workers)
+	}, costs)
 	if err != nil {
 		return nil, err
 	}

@@ -93,17 +93,6 @@ type LensConfig struct {
 	Seed      uint64
 }
 
-// DefaultLensConfig returns the configuration used by the benchmark harness.
-func DefaultLensConfig() LensConfig {
-	return LensConfig{
-		Items:              300,
-		ContestedTopicFrac: 0.35,
-		Select:             30,
-		Strengths:          []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0},
-		Seed:               1,
-	}
-}
-
 // LensRow is one strength level of the E9 sweep.
 type LensRow struct {
 	Strength float64

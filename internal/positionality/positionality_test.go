@@ -115,7 +115,7 @@ func TestJaccardDivergence(t *testing.T) {
 }
 
 func TestE9LensDivergenceGrowsWithStrength(t *testing.T) {
-	rows, err := RunLens(DefaultLensConfig())
+	rows, err := RunLens(defaultLensConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestE9Validation(t *testing.T) {
 }
 
 func TestE9Deterministic(t *testing.T) {
-	a, _ := RunLens(DefaultLensConfig())
-	b, _ := RunLens(DefaultLensConfig())
+	a, _ := RunLens(defaultLensConfig())
+	b, _ := RunLens(defaultLensConfig())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs", i)
@@ -158,10 +158,21 @@ func TestE9Deterministic(t *testing.T) {
 }
 
 func BenchmarkE9Lens(b *testing.B) {
-	cfg := DefaultLensConfig()
+	cfg := defaultLensConfig()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunLens(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// defaultLensConfig returns the E9 scenario's default configuration.
+func defaultLensConfig() LensConfig {
+	return LensConfig{
+		Items:              300,
+		ContestedTopicFrac: 0.35,
+		Select:             30,
+		Strengths:          []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0},
+		Seed:               1,
 	}
 }

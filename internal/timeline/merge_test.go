@@ -7,9 +7,11 @@ package timeline
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/bgpsim"
+	"repro/internal/ixp"
 )
 
 func TestMergeConflictTable(t *testing.T) {
@@ -24,7 +26,8 @@ func TestMergeConflictTable(t *testing.T) {
 		name       string
 		a, b       Event
 		conflict   bool
-		wantEvents int // merged event count when no conflict
+		wantErr    string // substring of the conflict error, when set
+		wantEvents int    // merged event count when no conflict
 	}{
 		{
 			name:     "fail vs repair same node",
@@ -93,6 +96,13 @@ func TestMergeConflictTable(t *testing.T) {
 			conflict: true,
 		},
 		{
+			name:     "join vs leave names both events in grammar form",
+			a:        ev(KindIXPJoin, func(e *Event) { e.Name = "IXP-MX"; e.ASN = 1000; e.Policy = ixp.Open }),
+			b:        ev(KindIXPLeave, func(e *Event) { e.Name = "IXP-MX"; e.ASN = 1000 }),
+			conflict: true,
+			wantErr:  "join IXP-MX 1000 open vs leave IXP-MX 1000",
+		},
+		{
 			name:       "join vs leave different exchanges",
 			a:          ev(KindIXPJoin, func(e *Event) { e.Name = "IX-A"; e.ASN = 9 }),
 			b:          ev(KindIXPLeave, func(e *Event) { e.Name = "IX-B"; e.ASN = 9 }),
@@ -142,6 +152,8 @@ func TestMergeConflictTable(t *testing.T) {
 		if tc.conflict {
 			if !errors.Is(err, ErrStreamConflict) {
 				t.Errorf("%s: Merge error = %v, want ErrStreamConflict", tc.name, err)
+			} else if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: Merge error = %q, want it to name %q", tc.name, err, tc.wantErr)
 			}
 			continue
 		}

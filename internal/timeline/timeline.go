@@ -355,7 +355,7 @@ func findConflict(events []Event) error {
 			for j := i + 1; j < hi; j++ {
 				if conflicts(events[i], events[j]) {
 					return fmt.Errorf("%w: tick %d: %s vs %s",
-						ErrStreamConflict, events[i].At, describeEvent(events[i]), describeEvent(events[j]))
+						ErrStreamConflict, events[i].At, formatEvent(events[i]), formatEvent(events[j]))
 				}
 			}
 		}
@@ -407,23 +407,4 @@ func deltaConflicts(a, b bgpsim.Delta) bool {
 		return a.A == b.A
 	}
 	return false
-}
-
-// describeEvent renders an event for conflict errors: the grammar form where
-// one exists, a compact kind+payload form otherwise.
-func describeEvent(e Event) string {
-	switch e.Kind {
-	case KindBGP:
-		return bgpsim.FormatDelta(e.Delta)
-	case KindCNFail, KindCNRepair:
-		return fmt.Sprintf("%s %d", e.Kind, e.Node)
-	case KindIXPJoin, KindIXPPressure:
-		return fmt.Sprintf("%s %s %d", e.Kind, e.Name, e.ASN)
-	case KindIXPLeave:
-		return fmt.Sprintf("leave %s %d", e.Name, e.ASN)
-	case KindRegulate:
-		return fmt.Sprintf("regulate %s", e.Name)
-	default: // KindCNDemand, KindStakeShift
-		return fmt.Sprintf("%s %v", e.Kind, e.Value)
-	}
 }

@@ -33,17 +33,14 @@ var reachAllowed = map[string]string{
 	"repro/internal/bgpsim.Topology.IsLeaker":              "topology-state oracle",
 	"repro/internal/bgpsim.Topology.Origins":               "topology-state oracle",
 	"repro/internal/bgpsim.Topology.ValleyFree":            "Gao-Rexford path oracle",
-	"repro/internal/biblio.FinalQualShare":                 "called by BenchmarkE5",
 	"repro/internal/cn.CPR.Balances":                       "the CPR scheduler tests read credit balances through it",
 	"repro/internal/cn.ChurnSim.DemandScale":               "the churn tests read the demand surge through it",
-	"repro/internal/diary.WeeklyDiaryCoverage":             "called by BenchmarkE8",
 	"repro/internal/ethno.Schedule.TotalDays":              "the scheduler tests check the budget through it",
 	"repro/internal/graph.BarabasiAlbert":                  "graph fixture generator",
 	"repro/internal/graph.ErdosRenyi":                      "graph fixture generator",
 	"repro/internal/graph.Graph.AddNode":                   "graph fixture builder",
 	"repro/internal/graph.Graph.HasEdge":                   "graph-structure oracle",
 	"repro/internal/ixp.Fabric.RetractMemberSessions":      "the cold oracle the IXP machine's incremental retraction is checked against",
-	"repro/internal/positionality.DefaultLensConfig":       "called by the gated BenchmarkE9Lens",
 	"repro/internal/qualcode.Codebook.Depth":               "codebook-hierarchy oracle",
 	"repro/internal/qualcode.Codebook.Roots":               "codebook-hierarchy oracle",
 	"repro/internal/rng.Rand.Pareto":                       "heavy-tailed demand fixtures",
