@@ -1,8 +1,9 @@
 // participatory-study demonstrates the PAR toolchain end to end (paper §2):
 // the problem-discovery comparison between a data-driven and a community-
-// driven pipeline, the iterative co-design loop, and how the fieldwork
-// schedule and survey design choices interact with reaching the same
-// community.
+// driven pipeline (E4), the iterative co-design loop (E10), and how the
+// fieldwork schedule (E7) and survey design (E8) choices interact with
+// reaching the same community. Each table is the registered scenario run at
+// its defaults, exactly as the report prints it.
 //
 // Run with:
 //
@@ -10,54 +11,21 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/ethno"
-	"repro/internal/par"
+	_ "repro/internal/ethno"
+	"repro/internal/experiment"
+	_ "repro/internal/par"
 	"repro/internal/survey"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	// 1. Whose problems enter the agenda?
-	fmt.Println("== Problem discovery (E4) ==")
-	rows, err := par.RunDiscovery(par.DefaultDiscoveryConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range rows {
-		fmt.Printf("%-14s marginal-share=%.3f (population %.3f)  mean-impact=%.3f\n",
-			r.Pipeline, r.MarginalShare, r.MarginalPopShare, r.MeanAgendaImpact)
-	}
-
-	// 2. Iterate with partners.
-	fmt.Println("\n== Iterative co-design (E10) ==")
-	iter, err := par.RunIteration(par.DefaultIterateConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range iter {
-		if r.Iteration%3 == 0 || r.Iteration == 1 {
-			fmt.Printf("iteration %2d: iterative fit %.3f vs one-shot %.3f\n",
-				r.Iteration, r.IterativeFit, r.OneShotFit)
-		}
-	}
-
-	// 3. Plan the fieldwork that sustains the partnership.
-	fmt.Println("\n== Fieldwork schedule under a 60-day budget (E7) ==")
-	e7, err := ethno.RunE7(ethno.DefaultE7Config())
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range e7 {
-		fmt.Printf("%-11s insight=%6.1f  sites=%d  reflections=%d\n",
-			r.Strategy, r.Insight, r.SitesCovered, r.Reflections)
-	}
-
-	// 4. And if you tried to reach them with a survey instead (E8)...
-	fmt.Println("\n== Survey reach into the same community (E8) ==")
+	// The instrument a team would field if it surveyed the community
+	// instead of partnering with it; E8 measures whom such a survey reaches.
 	instrument := survey.Instrument{
 		Title: "Operator needs",
 		Questions: []survey.Question{
@@ -69,14 +37,20 @@ func main() {
 	if err := instrument.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	e8, err := survey.RunE8(survey.DefaultE8Config())
+
+	var jobs []experiment.Job
+	for _, id := range []string{"E4", "E10", "E7", "E8"} {
+		s, ok := experiment.Get(id)
+		if !ok {
+			log.Fatalf("scenario %s is not registered", id)
+		}
+		jobs = append(jobs, experiment.NewJob(s))
+	}
+	results, err := (&experiment.Runner{}).Run(context.Background(), jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range e8 {
-		fmt.Printf("%-11s respondents=%3d  marginal-share=%.3f (population %.3f)  bias=%+.3f\n",
-			r.Design, r.Respondents, r.MarginalShare, r.MarginalPop, r.Bias)
-	}
+	fmt.Print(experiment.RenderMarkdown(results))
 	fmt.Println("\nReading: cold surveys barely reach the operators PAR partners with;")
 	fmt.Println("snowball referrals recover some reach, at the cost of cluster bias.")
 }

@@ -95,7 +95,16 @@ func TestCircumventionLocalityVsIncumbentShare(t *testing.T) {
 // diary entries become qualcode documents, are coded by activity kind, and
 // the resulting code counts mirror the diary dataset.
 func TestDiaryEntriesAsCodedCorpus(t *testing.T) {
-	cfg := diary.DefaultConfig()
+	// A four-week study of 24 participants at E12's compliance rates.
+	cfg := diary.Config{
+		Participants:   24,
+		Days:           28,
+		Activities:     diary.DefaultActivities(),
+		BaseAdherence:  0.9,
+		AdherenceDecay: 0.97,
+		PromptBoost:    1.25,
+		Seed:           1,
+	}
 	ds, err := diary.Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -32,19 +32,6 @@ type CFPConfig struct {
 	Seed             uint64
 }
 
-// DefaultCFPConfig returns the configuration used by the harness.
-func DefaultCFPConfig() CFPConfig {
-	return CFPConfig{
-		Researchers:      300,
-		Years:            30,
-		Conformity:       0.6,
-		QualWeight:       0.35,
-		BaseAccept:       0.25,
-		InterventionYear: -1,
-		Seed:             1,
-	}
-}
-
 // CFPYear is one simulated year's outcome.
 type CFPYear struct {
 	Year int

@@ -2,7 +2,30 @@ package biblio
 
 import (
 	"testing"
+
+	"repro/internal/experiment"
 )
+
+// reportCFPConfig is the report's E15 configuration: e15Config over the
+// registered schema defaults and default seed.
+func reportCFPConfig(tb testing.TB) CFPConfig {
+	tb.Helper()
+	s, ok := experiment.Get("E15")
+	if !ok {
+		tb.Fatal("scenario E15 is not registered")
+	}
+	return e15Config(s.Params().Defaults(), s.DefaultSeed())
+}
+
+// lockInConfig is the report's E15 configuration run for 30 years with no
+// intervention: the biased venue left to settle.
+func lockInConfig(tb testing.TB) CFPConfig {
+	tb.Helper()
+	cfg := reportCFPConfig(tb)
+	cfg.Years = 30
+	cfg.InterventionYear = -1
+	return cfg
+}
 
 func TestRunCFPValidation(t *testing.T) {
 	if _, err := RunCFP(CFPConfig{}); err == nil {
@@ -11,7 +34,7 @@ func TestRunCFPValidation(t *testing.T) {
 }
 
 func TestCFPBiasPlusConformityLocksIn(t *testing.T) {
-	biased := DefaultCFPConfig()
+	biased := lockInConfig(t)
 	rows, err := RunCFP(biased)
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +44,7 @@ func TestCFPBiasPlusConformityLocksIn(t *testing.T) {
 	}
 	lockedIn := finalQualShare(rows, 5)
 
-	blind := DefaultCFPConfig()
+	blind := lockInConfig(t)
 	blind.QualWeight = 1
 	blindRows, err := RunCFP(blind)
 	if err != nil {
@@ -43,9 +66,7 @@ func TestCFPBiasPlusConformityLocksIn(t *testing.T) {
 }
 
 func TestCFPInterventionRecovers(t *testing.T) {
-	cfg := DefaultCFPConfig()
-	cfg.Years = 40
-	cfg.InterventionYear = 20
+	cfg := reportCFPConfig(t)
 	rows, err := RunCFP(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +95,8 @@ func TestCFPInterventionRecovers(t *testing.T) {
 }
 
 func TestCFPDeterministic(t *testing.T) {
-	a, _ := RunCFP(DefaultCFPConfig())
-	b, _ := RunCFP(DefaultCFPConfig())
+	a, _ := RunCFP(lockInConfig(t))
+	b, _ := RunCFP(lockInConfig(t))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs", i)
@@ -84,7 +105,7 @@ func TestCFPDeterministic(t *testing.T) {
 }
 
 func BenchmarkRunCFP(b *testing.B) {
-	cfg := DefaultCFPConfig()
+	cfg := lockInConfig(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := RunCFP(cfg); err != nil {
 			b.Fatal(err)

@@ -35,9 +35,9 @@ func init() {
 		Claim: "An implicit acceptance discount suppresses qualitative submissions over decades; removing it (the CFP intervention) recovers the submitted and accepted mix within a few years.",
 		Seed:  1,
 		Params: experiment.Schema{
-			{Name: "years", Kind: experiment.Int, Default: 40, Doc: "years simulated"},
+			{Name: "years", Kind: experiment.Int, Default: 40, Min: experiment.Bound(1), Doc: "years simulated"},
 			{Name: "intervention-year", Kind: experiment.Int, Default: 20, Doc: "year the CFP change takes effect (-1 = never)"},
-			{Name: "researchers", Kind: experiment.Int, Default: 300, Doc: "researcher population"},
+			{Name: "researchers", Kind: experiment.Int, Default: 300, Min: experiment.Bound(1), Doc: "researcher population"},
 			{Name: "conformity", Kind: experiment.Float, Default: 0.6, Doc: "weight of the venue's observed mix in method choice"},
 			{Name: "qual-weight", Kind: experiment.Float, Default: 0.35, Doc: "pre-intervention acceptance multiplier for qualitative work"},
 			{Name: "base-accept", Kind: experiment.Float, Default: 0.25, Doc: "acceptance probability of a method-favoured paper"},
@@ -83,17 +83,23 @@ func runE5(_ context.Context, p experiment.Values, seed uint64) (*experiment.Res
 	return res, nil
 }
 
+// e15Config maps E15's params onto the CFP model.
+func e15Config(p experiment.Values, seed uint64) CFPConfig {
+	return CFPConfig{
+		Researchers:      p.Int("researchers"),
+		Years:            p.Int("years"),
+		Conformity:       p.Float("conformity"),
+		QualWeight:       p.Float("qual-weight"),
+		BaseAccept:       p.Float("base-accept"),
+		InterventionYear: p.Int("intervention-year"),
+		Seed:             seed,
+	}
+}
+
 // runE15 simulates the CFP intervention, sampling every fourth year plus the
 // two years straddling the intervention.
 func runE15(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	cfg := DefaultCFPConfig()
-	cfg.Years = p.Int("years")
-	cfg.InterventionYear = p.Int("intervention-year")
-	cfg.Researchers = p.Int("researchers")
-	cfg.Conformity = p.Float("conformity")
-	cfg.QualWeight = p.Float("qual-weight")
-	cfg.BaseAccept = p.Float("base-accept")
-	cfg.Seed = seed
+	cfg := e15Config(p, seed)
 	rows, err := RunCFP(cfg)
 	if err != nil {
 		return nil, err

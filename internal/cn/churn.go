@@ -64,13 +64,18 @@ func NewChurnSim(cfg ChurnConfig, sched Scheduler) (*ChurnSim, error) {
 	}, nil
 }
 
+// MaxDemandScale is the largest demand multiplier SetDemandScale accepts:
+// enough for any surge story, small enough that scaled demand stays far
+// from float trouble.
+const MaxDemandScale = 64
+
 // SetDemandScale sets the absolute demand multiplier applied to every
 // member's draw from now on. Idempotent — re-asserting the current scale is
 // a no-op — so an external controller (a timeline cascade) can set it every
-// epoch. The factor must be finite and in (0, 64].
+// epoch. The factor must be finite and in (0, MaxDemandScale].
 func (s *ChurnSim) SetDemandScale(f float64) error {
-	if !(f > 0) || f > 64 {
-		return fmt.Errorf("cn: demand scale %v outside (0, 64]", f)
+	if !(f > 0) || f > MaxDemandScale {
+		return fmt.Errorf("cn: demand scale %v outside (0, %d]", f, MaxDemandScale)
 	}
 	s.scale = f
 	return nil

@@ -94,20 +94,6 @@ type Config struct {
 	Seed        uint64
 }
 
-// DefaultConfig returns the configuration used by tests and the harness.
-func DefaultConfig() Config {
-	return Config{
-		Participants:   24,
-		Days:           28,
-		Activities:     DefaultActivities(),
-		BaseAdherence:  0.9,
-		AdherenceDecay: 0.97,
-		PromptBoost:    1.25,
-		Prompting:      DailyPrompt,
-		Seed:           1,
-	}
-}
-
 // Dataset is the simulated study output plus its ground truth.
 type Dataset struct {
 	Entries []Entry

@@ -2,7 +2,29 @@ package diary
 
 import (
 	"testing"
+
+	"repro/internal/experiment"
 )
+
+// reportConfig is the report's E12 configuration: e12Config over the
+// registered schema defaults and default seed.
+func reportConfig(tb testing.TB) Config {
+	tb.Helper()
+	s, ok := experiment.Get("E12")
+	if !ok {
+		tb.Fatal("scenario E12 is not registered")
+	}
+	return e12Config(s.Params().Defaults(), s.DefaultSeed())
+}
+
+// studyConfig is the report's E12 configuration cut to the four-week study
+// the dataset-shape tests were written against.
+func studyConfig(tb testing.TB) Config {
+	tb.Helper()
+	cfg := reportConfig(tb)
+	cfg.Days = 28
+	return cfg
+}
 
 func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(Config{}); err == nil {
@@ -11,7 +33,7 @@ func TestSimulateValidation(t *testing.T) {
 }
 
 func TestSimulateShape(t *testing.T) {
-	ds, err := Simulate(DefaultConfig())
+	ds, err := Simulate(studyConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +41,7 @@ func TestSimulateShape(t *testing.T) {
 		t.Fatalf("degenerate dataset: %d entries, %d probes, %d truth days",
 			len(ds.Entries), len(ds.Probes), len(ds.Truth))
 	}
-	cfg := DefaultConfig()
+	cfg := studyConfig(t)
 	for _, e := range ds.Entries {
 		if e.Participant < 0 || e.Participant >= cfg.Participants || e.Day < 0 || e.Day >= cfg.Days {
 			t.Fatalf("entry out of range: %+v", e)
@@ -28,7 +50,7 @@ func TestSimulateShape(t *testing.T) {
 }
 
 func TestProbesOnlyLogInstrumentable(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := studyConfig(t)
 	ds, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +67,7 @@ func TestProbesOnlyLogInstrumentable(t *testing.T) {
 }
 
 func TestDiaryEntriesOnlyReportExperienced(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := studyConfig(t)
 	ds, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +83,7 @@ func TestDiaryEntriesOnlyReportExperienced(t *testing.T) {
 }
 
 func TestReconcileCombinedBeatsEither(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := studyConfig(t)
 	ds, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +110,7 @@ func TestReconcileCombinedBeatsEither(t *testing.T) {
 }
 
 func TestComplianceDecayShowsInWeeklyCoverage(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := reportConfig(t)
 	cfg.Days = 56
 	cfg.AdherenceDecay = 0.93
 	ds, err := Simulate(cfg)
@@ -105,8 +127,7 @@ func TestComplianceDecayShowsInWeeklyCoverage(t *testing.T) {
 }
 
 func TestSignalContingentConcentratesOnEventfulDays(t *testing.T) {
-	base := DefaultConfig()
-	base.Days = 42
+	base := reportConfig(t)
 	base.AdherenceDecay = 0.95
 
 	daily := base
@@ -147,8 +168,8 @@ func TestSignalContingentConcentratesOnEventfulDays(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	a, _ := Simulate(DefaultConfig())
-	b, _ := Simulate(DefaultConfig())
+	a, _ := Simulate(studyConfig(t))
+	b, _ := Simulate(studyConfig(t))
 	if len(a.Entries) != len(b.Entries) || len(a.Probes) != len(b.Probes) {
 		t.Fatal("nondeterministic dataset sizes")
 	}
@@ -166,7 +187,7 @@ func TestPromptingString(t *testing.T) {
 }
 
 func BenchmarkSimulateReconcile(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := studyConfig(b)
 	for i := 0; i < b.N; i++ {
 		ds, err := Simulate(cfg)
 		if err != nil {

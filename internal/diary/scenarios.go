@@ -16,8 +16,8 @@ func init() {
 		Claim: "Probes and diaries cover complementary slices of ground truth; signal-contingent prompting slows compliance decay, and non-instrumentable activities reach the record only through diaries.",
 		Seed:  1,
 		Params: experiment.Schema{
-			{Name: "days", Kind: experiment.Int, Default: 42, Doc: "study length in days"},
-			{Name: "participants", Kind: experiment.Int, Default: 24, Doc: "study participants"},
+			{Name: "days", Kind: experiment.Int, Default: 42, Min: experiment.Bound(1), Doc: "study length in days"},
+			{Name: "participants", Kind: experiment.Int, Default: 24, Min: experiment.Bound(1), Doc: "study participants"},
 			{Name: "base-adherence", Kind: experiment.Float, Default: 0.9, Doc: "day-1 probability of writing when prompted"},
 			{Name: "adherence-decay", Kind: experiment.Float, Default: 0.97, Doc: "per-day multiplicative compliance decay"},
 			{Name: "prompt-boost", Kind: experiment.Float, Default: 1.25, Doc: "adherence multiplier on signal-contingent prompted days"},
@@ -26,17 +26,24 @@ func init() {
 	})
 }
 
+// e12Config maps E12's params onto a study of the default activities under
+// daily prompting; runE12 switches the prompting per row.
+func e12Config(p experiment.Values, seed uint64) Config {
+	return Config{
+		Participants:   p.Int("participants"),
+		Days:           p.Int("days"),
+		Activities:     DefaultActivities(),
+		BaseAdherence:  p.Float("base-adherence"),
+		AdherenceDecay: p.Float("adherence-decay"),
+		PromptBoost:    p.Float("prompt-boost"),
+		Seed:           seed,
+	}
+}
+
 // runE12 simulates both prompting regimes and reconciles each against
 // ground truth.
 func runE12(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	cfg := DefaultConfig()
-	cfg.Days = p.Int("days")
-	cfg.Participants = p.Int("participants")
-	cfg.BaseAdherence = p.Float("base-adherence")
-	cfg.AdherenceDecay = p.Float("adherence-decay")
-	cfg.PromptBoost = p.Float("prompt-boost")
-	cfg.Seed = seed
-
+	cfg := e12Config(p, seed)
 	res := &experiment.Result{}
 	t := res.AddTable("E12", "Diaries + technology probes",
 		"prompting", "diary-cov", "probe-cov", "combined", "human-only-via-diary")

@@ -3,7 +3,20 @@ package ethno
 import (
 	"math"
 	"testing"
+
+	"repro/internal/experiment"
 )
+
+// reportConfig is the report's E7 configuration: e7Config over the
+// registered schema defaults and default seed.
+func reportConfig(tb testing.TB) E7Config {
+	tb.Helper()
+	s, ok := experiment.Get("E7")
+	if !ok {
+		tb.Fatal("scenario E7 is not registered")
+	}
+	return e7Config(s.Params().Defaults(), s.DefaultSeed())
+}
 
 func newStudy(t *testing.T, sites ...Site) *Study {
 	t.Helper()
@@ -157,7 +170,7 @@ func TestRapidPenalty(t *testing.T) {
 }
 
 func TestE7Shapes(t *testing.T) {
-	rows, err := RunE7(DefaultE7Config())
+	rows, err := RunE7(reportConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +216,11 @@ func TestE7Shapes(t *testing.T) {
 }
 
 func TestE7Deterministic(t *testing.T) {
-	a, err := RunE7(DefaultE7Config())
+	a, err := RunE7(reportConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunE7(DefaultE7Config())
+	b, err := RunE7(reportConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +268,7 @@ func TestScheduleTotalDays(t *testing.T) {
 }
 
 func BenchmarkE7(b *testing.B) {
-	cfg := DefaultE7Config()
+	cfg := reportConfig(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := RunE7(cfg); err != nil {
 			b.Fatal(err)

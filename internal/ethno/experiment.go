@@ -39,17 +39,6 @@ type E7Config struct {
 	Params      AccrualParams
 }
 
-// DefaultE7Config returns the configuration used by the benchmark harness.
-func DefaultE7Config() E7Config {
-	return E7Config{
-		Sites:           4,
-		BudgetDays:      60,
-		PatchworkVisits: 4,
-		RapidVisits:     10,
-		Params:          DefaultParams(),
-	}
-}
-
 // buildStudy creates cfg.Sites identical sites so strategy differences are
 // attributable to scheduling alone.
 func buildStudy(cfg E7Config) (*Study, error) {

@@ -55,15 +55,21 @@ func init() {
 	})
 }
 
-// runE7 compares the scheduling strategies. The model is deterministic given
-// its configuration; the seed is unused.
-func runE7(_ context.Context, p experiment.Values, _ uint64) (*experiment.Result, error) {
-	cfg := DefaultE7Config()
-	cfg.Sites = p.Int("sites")
-	cfg.BudgetDays = p.Float("budget-days")
-	cfg.PatchworkVisits = p.Int("patchwork-visits")
-	cfg.RapidVisits = p.Int("rapid-visits")
-	rows, err := RunE7(cfg)
+// e7Config maps E7's params onto the accrual model at its default rates.
+// The model is deterministic given its configuration; the seed is unused.
+func e7Config(p experiment.Values, _ uint64) E7Config {
+	return E7Config{
+		Sites:           p.Int("sites"),
+		BudgetDays:      p.Float("budget-days"),
+		PatchworkVisits: p.Int("patchwork-visits"),
+		RapidVisits:     p.Int("rapid-visits"),
+		Params:          DefaultParams(),
+	}
+}
+
+// runE7 compares the scheduling strategies.
+func runE7(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	rows, err := RunE7(e7Config(p, seed))
 	if err != nil {
 		return nil, err
 	}
@@ -86,10 +92,14 @@ func runReflection(_ context.Context, p experiment.Values, _ uint64) (*experimen
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultE7Config()
-	cfg.Sites = 1
-	cfg.BudgetDays = p.Float("budget-days")
-	cfg.PatchworkVisits = p.Int("patchwork-visits")
+	// Only the continuous and patchwork rows are read, so the rapid plan
+	// is left at its one-visit floor.
+	cfg := E7Config{
+		Sites:           1,
+		BudgetDays:      p.Float("budget-days"),
+		PatchworkVisits: p.Int("patchwork-visits"),
+		Params:          DefaultParams(),
+	}
 	res := &experiment.Result{}
 	t := res.AddTable("ethno-reflection", "Reflection-gain sensitivity, single site",
 		"gain", "patchwork/continuous")

@@ -78,6 +78,28 @@ func TestSmallAuthorPopulationIsAnError(t *testing.T) {
 	}
 }
 
+// TestDomainMinimumsAreDeclared: each of these params feeds a domain check
+// that refuses values below 1, so its schema declares the same minimum and
+// ParseJob turns 0 and -1 into a bad param before anything runs, not into
+// an execution error after it.
+func TestDomainMinimumsAreDeclared(t *testing.T) {
+	for _, param := range []struct{ id, name string }{
+		{"E4", "problems"}, {"E4", "select"},
+		{"E8", "budget"},
+		{"E10", "dimensions"}, {"E10", "iterations"},
+		{"E11", "drafts"}, {"E11", "rounds"}, {"E11", "operators"},
+		{"E12", "days"}, {"E12", "participants"},
+		{"E15", "years"}, {"E15", "researchers"},
+	} {
+		for _, v := range []int{0, -1} {
+			query := fmt.Sprintf("id=%s&%s=%d", param.id, param.name, v)
+			if _, err := experiment.Default.ParseJob(mustQuery(t, query)); !errors.Is(err, experiment.ErrBadParam) {
+				t.Errorf("%s: ParseJob err = %v, want ErrBadParam", query, err)
+			}
+		}
+	}
+}
+
 func mustQuery(t *testing.T, query string) url.Values {
 	t.Helper()
 	q, err := url.ParseQuery(query)

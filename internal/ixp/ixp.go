@@ -183,32 +183,6 @@ func (f *Fabric) Leave(ixpName string, n bgpsim.ASN) {
 // recorded in the fabric (bilateral non-IXP peerings are not counted).
 func (f *Fabric) Sessions() int { return len(f.sessionIXP) }
 
-// RetractMemberSessions removes every session established at the named IXP
-// that involves AS n: the peer edges leave the topology and the attribution
-// map, and the count of retracted sessions is returned. Pair it with Leave
-// to model a member actually departing the exchange — Leave alone only stops
-// future establishment, which models lapsed membership with grandfathered
-// sessions.
-func (f *Fabric) RetractMemberSessions(ixpName string, n bgpsim.ASN) int {
-	keys := make([][2]bgpsim.ASN, 0, 4)
-	for k, name := range f.sessionIXP {
-		if name == ixpName && (k[0] == n || k[1] == n) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		f.Topo.RemovePeer(k[0], k[1])
-		delete(f.sessionIXP, k)
-	}
-	return len(keys)
-}
-
 // wouldPeer reports whether member m agrees to peer with other.
 func (m *member) wouldPeer(other bgpsim.ASN) bool {
 	switch m.policy {
@@ -303,12 +277,16 @@ func (f *Fabric) EstablishMemberSessionsVia(n bgpsim.ASN, reg Regulation, add fu
 	return created
 }
 
-// RetractMemberSessionsVia is RetractMemberSessions with the topology
-// mutation routed through remove instead of Topo.RemovePeer, for the same
-// incremental callers. remove receives the pair in ascending-ASN order;
-// unlike establishment (where a refused pair is a policy outcome), a failed
-// removal means the attribution map and the topology disagree, so it aborts
-// with the error. Returns the number of sessions retracted.
+// RetractMemberSessionsVia removes every session established at the named
+// IXP that involves AS n: the peer edge is removed through remove, which
+// lets an incremental engine (timeline.IXPMachine) withdraw it as a delta,
+// and the session leaves the attribution map. Pair it with Leave to model a member actually
+// departing the exchange — Leave alone only stops future establishment,
+// which models lapsed membership with grandfathered sessions. remove
+// receives the pair in ascending-ASN order; unlike establishment (where a
+// refused pair is a policy outcome), a failed removal means the attribution
+// map and the topology disagree, so it aborts with the error. Returns the
+// number of sessions retracted.
 func (f *Fabric) RetractMemberSessionsVia(ixpName string, n bgpsim.ASN, remove func(a, b bgpsim.ASN) error) (int, error) {
 	keys := make([][2]bgpsim.ASN, 0, 4)
 	for k, name := range f.sessionIXP {

@@ -42,20 +42,6 @@ type DiscoveryConfig struct {
 	Seed        uint64
 }
 
-// DefaultDiscoveryConfig returns the configuration used by the benchmark
-// harness.
-func DefaultDiscoveryConfig() DiscoveryConfig {
-	return DiscoveryConfig{
-		Problems:              400,
-		MarginalFrac:          0.4,
-		VisibilitySuppression: 0.15,
-		Select:                40,
-		Partnerships:          8,
-		SurfaceProb:           0.7,
-		Seed:                  1,
-	}
-}
-
 // DiscoveryRow compares the two pipelines on one population.
 type DiscoveryRow struct {
 	Pipeline         string

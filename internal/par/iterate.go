@@ -26,19 +26,6 @@ type IterateConfig struct {
 	Seed         uint64
 }
 
-// DefaultIterateConfig returns the configuration used by the benchmark
-// harness.
-func DefaultIterateConfig() IterateConfig {
-	return IterateConfig{
-		Dimensions:    6,
-		Iterations:    12,
-		StepSize:      0.35,
-		FeedbackNoise: 0.15,
-		InitialError:  0.4,
-		Seed:          1,
-	}
-}
-
 // IterateRow is the design fit after one feedback round.
 type IterateRow struct {
 	Iteration    int

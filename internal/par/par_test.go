@@ -4,8 +4,20 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/rng"
 )
+
+// reportConfig is the configuration the report runs for scenario id: its
+// builder applied to the registered schema defaults and default seed.
+func reportConfig[C any](tb testing.TB, id string, build func(experiment.Values, uint64) C) C {
+	tb.Helper()
+	s, ok := experiment.Get(id)
+	if !ok {
+		tb.Fatalf("scenario %s is not registered", id)
+	}
+	return build(s.Params().Defaults(), s.DefaultSeed())
+}
 
 func TestPhasesOrder(t *testing.T) {
 	ps := Phases()
@@ -114,7 +126,7 @@ func TestAuditFindings(t *testing.T) {
 }
 
 func TestE4DiscoveryShape(t *testing.T) {
-	rows, err := RunDiscovery(DefaultDiscoveryConfig())
+	rows, err := RunDiscovery(reportConfig(t, "E4", e4Config))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +167,8 @@ func TestE4Validation(t *testing.T) {
 }
 
 func TestE4Deterministic(t *testing.T) {
-	a, _ := RunDiscovery(DefaultDiscoveryConfig())
-	b, _ := RunDiscovery(DefaultDiscoveryConfig())
+	a, _ := RunDiscovery(reportConfig(t, "E4", e4Config))
+	b, _ := RunDiscovery(reportConfig(t, "E4", e4Config))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs", i)
@@ -165,7 +177,7 @@ func TestE4Deterministic(t *testing.T) {
 }
 
 func TestGenerateProblemsSuppression(t *testing.T) {
-	cfg := DefaultDiscoveryConfig()
+	cfg := reportConfig(t, "E4", e4Config)
 	probs := GenerateProblems(cfg, rng.New(5))
 	var mVis, mN, oVis, oN float64
 	for _, p := range probs {
@@ -186,7 +198,7 @@ func TestGenerateProblemsSuppression(t *testing.T) {
 }
 
 func TestE10IterationConverges(t *testing.T) {
-	rows, err := RunIteration(DefaultIterateConfig())
+	rows, err := RunIteration(reportConfig(t, "E10", e10Config))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +232,8 @@ func TestE10Validation(t *testing.T) {
 }
 
 func TestE10Deterministic(t *testing.T) {
-	a, _ := RunIteration(DefaultIterateConfig())
-	b, _ := RunIteration(DefaultIterateConfig())
+	a, _ := RunIteration(reportConfig(t, "E10", e10Config))
+	b, _ := RunIteration(reportConfig(t, "E10", e10Config))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs", i)
@@ -230,7 +242,7 @@ func TestE10Deterministic(t *testing.T) {
 }
 
 func BenchmarkE4Discovery(b *testing.B) {
-	cfg := DefaultDiscoveryConfig()
+	cfg := reportConfig(b, "E4", e4Config)
 	for i := 0; i < b.N; i++ {
 		if _, err := RunDiscovery(cfg); err != nil {
 			b.Fatal(err)
@@ -239,7 +251,7 @@ func BenchmarkE4Discovery(b *testing.B) {
 }
 
 func BenchmarkE10Iteration(b *testing.B) {
-	cfg := DefaultIterateConfig()
+	cfg := reportConfig(b, "E10", e10Config)
 	for i := 0; i < b.N; i++ {
 		if _, err := RunIteration(cfg); err != nil {
 			b.Fatal(err)

@@ -18,15 +18,29 @@ func init() {
 		Seed:  1,
 		Params: experiment.Schema{
 			{Name: "shares", Kind: experiment.String, Default: "0,0.15,0.3,0.45,0.6", Doc: "comma-separated practitioner seat shares to sweep"},
-			{Name: "drafts", Kind: experiment.Int, Default: 40, Doc: "drafts entering the process"},
-			{Name: "rounds", Kind: experiment.Int, Default: 30, Doc: "working-group cycles simulated"},
+			{Name: "drafts", Kind: experiment.Int, Default: 40, Min: experiment.Bound(1), Doc: "drafts entering the process"},
+			{Name: "rounds", Kind: experiment.Int, Default: 30, Min: experiment.Bound(1), Doc: "working-group cycles simulated"},
 			{Name: "seats", Kind: experiment.Int, Default: 8, Doc: "per-round review capacity"},
-			{Name: "operators", Kind: experiment.Int, Default: 200, Doc: "deployment population size"},
+			{Name: "operators", Kind: experiment.Int, Default: 200, Min: experiment.Bound(1), Doc: "deployment population size"},
 			{Name: "patience", Kind: experiment.Int, Default: 10, Doc: "rounds a draft survives without adoption"},
 			{Name: "consortium-share", Kind: experiment.Float, Default: 0.25, Doc: "operator share inside the closed consortium"},
 		},
 		Run: runE11,
 	})
+}
+
+// e11Config maps E11's params onto one working-group process. It leaves
+// PractitionerShare at zero: Sweep sets it per row.
+func e11Config(p experiment.Values, seed uint64) Config {
+	return Config{
+		Drafts:          p.Int("drafts"),
+		Rounds:          p.Int("rounds"),
+		Seats:           p.Int("seats"),
+		ConsortiumShare: p.Float("consortium-share"),
+		Operators:       p.Int("operators"),
+		PatienceRounds:  p.Int("patience"),
+		Seed:            seed,
+	}
 }
 
 // runE11 sweeps practitioner shares plus the closed-consortium
@@ -36,15 +50,7 @@ func runE11(_ context.Context, p experiment.Values, seed uint64) (*experiment.Re
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultConfig()
-	cfg.Drafts = p.Int("drafts")
-	cfg.Rounds = p.Int("rounds")
-	cfg.Seats = p.Int("seats")
-	cfg.Operators = p.Int("operators")
-	cfg.PatienceRounds = p.Int("patience")
-	cfg.ConsortiumShare = p.Float("consortium-share")
-	cfg.Seed = seed
-	rows, err := Sweep(shares, cfg)
+	rows, err := Sweep(shares, e11Config(p, seed))
 	if err != nil {
 		return nil, err
 	}

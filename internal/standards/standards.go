@@ -90,20 +90,6 @@ type Config struct {
 	Seed           uint64
 }
 
-// DefaultConfig returns the configuration used by tests and the harness.
-func DefaultConfig() Config {
-	return Config{
-		Drafts:            40,
-		Rounds:            30,
-		Seats:             8,
-		PractitionerShare: 0.3,
-		ConsortiumShare:   0.25,
-		Operators:         200,
-		PatienceRounds:    10,
-		Seed:              1,
-	}
-}
-
 // Result summarizes one process run.
 type Result struct {
 	RFCs            int

@@ -2,7 +2,29 @@ package standards
 
 import (
 	"testing"
+
+	"repro/internal/experiment"
 )
+
+// reportParams returns E11's registered schema defaults and default seed:
+// the params the report runs.
+func reportParams(tb testing.TB) (experiment.Values, uint64) {
+	tb.Helper()
+	s, ok := experiment.Get("E11")
+	if !ok {
+		tb.Fatal("scenario E11 is not registered")
+	}
+	return s.Params().Defaults(), s.DefaultSeed()
+}
+
+// runConfig is the report's E11 configuration as one open process with 30%
+// practitioner seats, the share a single Run holds fixed.
+func runConfig(tb testing.TB) Config {
+	tb.Helper()
+	cfg := e11Config(reportParams(tb))
+	cfg.PractitionerShare = 0.3
+	return cfg
+}
 
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
@@ -11,16 +33,17 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunProducesRFCs(t *testing.T) {
-	res, err := Run(DefaultConfig())
+	cfg := runConfig(t)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RFCs == 0 {
 		t.Fatal("no RFCs produced")
 	}
-	if res.RFCs+res.Abandoned != DefaultConfig().Drafts {
+	if res.RFCs+res.Abandoned != cfg.Drafts {
 		t.Errorf("accounting: %d RFCs + %d abandoned != %d drafts",
-			res.RFCs, res.Abandoned, DefaultConfig().Drafts)
+			res.RFCs, res.Abandoned, cfg.Drafts)
 	}
 	if res.MeanRoundsToRFC <= 0 {
 		t.Errorf("rounds to RFC = %g", res.MeanRoundsToRFC)
@@ -31,9 +54,9 @@ func TestRunProducesRFCs(t *testing.T) {
 }
 
 func TestPractitionersRaiseFitAndDeployment(t *testing.T) {
-	low := DefaultConfig()
+	low := runConfig(t)
 	low.PractitionerShare = 0.05
-	high := DefaultConfig()
+	high := runConfig(t)
 	high.PractitionerShare = 0.6
 
 	lowRes, err := Run(low)
@@ -55,9 +78,9 @@ func TestPractitionersRaiseFitAndDeployment(t *testing.T) {
 }
 
 func TestClosedProcessFastButNarrow(t *testing.T) {
-	open := DefaultConfig()
+	open := runConfig(t)
 	open.PractitionerShare = 0.4
-	closed := DefaultConfig()
+	closed := runConfig(t)
 	closed.Closed = true
 
 	openRes, err := Run(open)
@@ -85,8 +108,12 @@ func TestClosedProcessFastButNarrow(t *testing.T) {
 }
 
 func TestSweepShape(t *testing.T) {
-	shares := []float64{0, 0.15, 0.3, 0.45, 0.6}
-	rows, err := Sweep(shares, DefaultConfig())
+	p, seed := reportParams(t)
+	shares, err := p.Floats("shares")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Sweep(shares, e11Config(p, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +135,8 @@ func TestSweepShape(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, _ := Run(DefaultConfig())
-	b, _ := Run(DefaultConfig())
+	a, _ := Run(runConfig(t))
+	b, _ := Run(runConfig(t))
 	if a != b {
 		t.Errorf("nondeterministic: %+v vs %+v", a, b)
 	}
@@ -122,7 +149,7 @@ func TestStateString(t *testing.T) {
 }
 
 func BenchmarkRun(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := runConfig(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)

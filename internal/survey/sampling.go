@@ -169,21 +169,6 @@ type E8Config struct {
 	Seed           uint64
 }
 
-// DefaultE8Config returns the configuration used by the benchmark harness.
-func DefaultE8Config() E8Config {
-	return E8Config{
-		Strata:         DefaultStrata(),
-		TiesPerPerson:  6,
-		Budget:         300,
-		MarginalStrata: []string{"community-operator", "rural-operator"},
-		Waves:          4,
-		Seeds:          40,
-		MaxReferrals:   3,
-		ResponseNoise:  0.05,
-		Seed:           1,
-	}
-}
-
 // RunE8 fields the three designs on one synthetic population and returns a
 // row per design in the order random, stratified, snowball.
 func RunE8(cfg E8Config) ([]E8Row, error) {

@@ -16,7 +16,7 @@ func init() {
 		Seed:  1,
 		Params: experiment.Schema{
 			{Name: "ties", Kind: experiment.Int, Default: 6, Doc: "social ties per person (snowball referral graph)"},
-			{Name: "budget", Kind: experiment.Int, Default: 300, Doc: "contact budget shared by every design"},
+			{Name: "budget", Kind: experiment.Int, Default: 300, Min: experiment.Bound(1), Doc: "contact budget shared by every design"},
 			{Name: "waves", Kind: experiment.Int, Default: 4, Doc: "snowball referral waves"},
 			{Name: "seeds", Kind: experiment.Int, Default: 40, Min: experiment.Bound(0), Doc: "snowball seed respondents"},
 			{Name: "max-referrals", Kind: experiment.Int, Default: 3, Doc: "referrals per respondent"},
@@ -26,17 +26,25 @@ func init() {
 	})
 }
 
+// e8Config maps E8's params onto the default strata, reporting the two
+// operator strata as the hard-to-reach ones.
+func e8Config(p experiment.Values, seed uint64) E8Config {
+	return E8Config{
+		Strata:         DefaultStrata(),
+		TiesPerPerson:  p.Int("ties"),
+		Budget:         p.Int("budget"),
+		MarginalStrata: []string{"community-operator", "rural-operator"},
+		Waves:          p.Int("waves"),
+		Seeds:          p.Int("seeds"),
+		MaxReferrals:   p.Int("max-referrals"),
+		ResponseNoise:  p.Float("response-noise"),
+		Seed:           seed,
+	}
+}
+
 // runE8 fields the three designs on one synthetic population.
 func runE8(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	cfg := DefaultE8Config()
-	cfg.TiesPerPerson = p.Int("ties")
-	cfg.Budget = p.Int("budget")
-	cfg.Waves = p.Int("waves")
-	cfg.Seeds = p.Int("seeds")
-	cfg.MaxReferrals = p.Int("max-referrals")
-	cfg.ResponseNoise = p.Float("response-noise")
-	cfg.Seed = seed
-	rows, err := RunE8(cfg)
+	rows, err := RunE8(e8Config(p, seed))
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,20 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/rng"
 )
+
+// reportConfig is the report's E8 configuration: e8Config over the
+// registered schema defaults and default seed.
+func reportConfig(tb testing.TB) E8Config {
+	tb.Helper()
+	s, ok := experiment.Get("E8")
+	if !ok {
+		tb.Fatal("scenario E8 is not registered")
+	}
+	return e8Config(s.Params().Defaults(), s.DefaultSeed())
+}
 
 func TestInstrumentValidate(t *testing.T) {
 	ok := Instrument{
@@ -141,7 +153,7 @@ func TestEstimateMeanEmpty(t *testing.T) {
 }
 
 func TestE8Shapes(t *testing.T) {
-	rows, err := RunE8(DefaultE8Config())
+	rows, err := RunE8(reportConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +207,8 @@ func TestE8Validation(t *testing.T) {
 }
 
 func TestE8Deterministic(t *testing.T) {
-	a, _ := RunE8(DefaultE8Config())
-	b, _ := RunE8(DefaultE8Config())
+	a, _ := RunE8(reportConfig(t))
+	b, _ := RunE8(reportConfig(t))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs", i)
@@ -205,7 +217,7 @@ func TestE8Deterministic(t *testing.T) {
 }
 
 func BenchmarkE8(b *testing.B) {
-	cfg := DefaultE8Config()
+	cfg := reportConfig(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := RunE8(cfg); err != nil {
 			b.Fatal(err)

@@ -400,7 +400,12 @@ func (m *coldIXPMachine) Apply(ev Event) error {
 		if !x.HasMember(ev.ASN) {
 			return fmt.Errorf("AS %d not a member of %s", ev.ASN, ev.Name)
 		}
-		m.f.RetractMemberSessions(ev.Name, ev.ASN)
+		if _, err := m.f.RetractMemberSessionsVia(ev.Name, ev.ASN, func(a, b bgpsim.ASN) error {
+			m.f.Topo.RemovePeer(a, b)
+			return nil
+		}); err != nil {
+			return err
+		}
 		m.f.Leave(ev.Name, ev.ASN)
 	case KindRegulate:
 		m.reg = ixp.Regulation{Country: ev.Name, MandatoryPeering: true}

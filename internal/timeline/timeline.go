@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"repro/internal/bgpsim"
+	"repro/internal/cn"
 	"repro/internal/ixp"
 )
 
@@ -240,12 +241,12 @@ func deltaLess(a, b bgpsim.Delta) bool {
 }
 
 // Stream limits, bounding what a hostile (fuzzed) document can demand.
-// MaxDemandScale bounds KindCNDemand factors — enough for any surge story,
-// small enough that scaled demand stays far from float trouble.
+// MaxDemandScale bounds KindCNDemand factors at the largest multiplier the
+// CN simulator accepts.
 const (
 	MaxHorizon     = 1 << 16
 	MaxEvents      = 4096
-	MaxDemandScale = 64
+	MaxDemandScale = cn.MaxDemandScale
 )
 
 // Stream is an ordered event sequence with a horizon: replay covers ticks

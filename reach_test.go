@@ -40,7 +40,6 @@ var reachAllowed = map[string]string{
 	"repro/internal/graph.ErdosRenyi":                      "graph fixture generator",
 	"repro/internal/graph.Graph.AddNode":                   "graph fixture builder",
 	"repro/internal/graph.Graph.HasEdge":                   "graph-structure oracle",
-	"repro/internal/ixp.Fabric.RetractMemberSessions":      "the cold oracle the IXP machine's incremental retraction is checked against",
 	"repro/internal/qualcode.Codebook.Depth":               "codebook-hierarchy oracle",
 	"repro/internal/qualcode.Codebook.Roots":               "codebook-hierarchy oracle",
 	"repro/internal/rng.Rand.Pareto":                       "heavy-tailed demand fixtures",
