@@ -329,6 +329,10 @@ type RoutingTables struct {
 	// entries and splice the index here, keeping accessors that enumerate
 	// prefixes (Prefixes) byte-identical to a cold convergence.
 	order []int32
+	// reach counts the routed cells (head != nilRef). Cold convergence sets
+	// it, Apply adds each rewritten column's net change, and Revert takes
+	// that change back.
+	reach int
 }
 
 // newRoutingTables allocates zeroed tables; the caller converges them and
@@ -375,6 +379,9 @@ func (rt *RoutingTables) addPrefixColumn(prefix string) int32 {
 
 // dropLastPrefixColumn removes the most recently added column. Only valid
 // immediately after addPrefixColumn (LIFO), which Converged.Revert enforces.
+// Revert has restored every logged cell of the column to empty and taken
+// back its routed-cell change by then, so the count needs no adjustment
+// here, as on add.
 func (rt *RoutingTables) dropLastPrefixColumn() {
 	pi := int32(len(rt.prefixes) - 1)
 	prefix := rt.prefixes[pi]

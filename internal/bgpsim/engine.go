@@ -24,12 +24,31 @@ package bgpsim
 //     would materialize. Cells and table entries are pointer-free (int32
 //     slab refs and dense AS indices), so the garbage collector never traces
 //     the tables.
-//   - Rounds are change-driven: only ASes with a neighbor whose selection
-//     changed in the previous round are re-evaluated. An AS's selection
-//     depends only on its neighbors' previous-round selections (and its own
-//     origins), so skipping quiescent ASes cannot alter any round's table,
-//     and the work queue drains in a deterministic order derived from the
-//     changed set — never from map iteration or goroutine scheduling.
+//   - Rounds are change-driven, by two exact rules. An AS's selection reads
+//     only its own origins and the previous-round entries of the neighbors
+//     it can see: a neighbor's entry is visible if the neighbor exports
+//     everything to it (it is the neighbor's customer, or the neighbor
+//     leaks) or if the entry is origin- or customer-learned.
+//     Rule 1, export-aware queueing: when AS c changes, all its neighbors
+//     are queued only if its old or new entry is origin- or
+//     customer-learned; otherwise only the neighbors c exports everything to
+//     (the edge's sendAll flag, which mirrors the neighbor's receiveAll), as
+//     no other neighbor could see either entry.
+//     Rule 2, changed-neighbor evaluation: a queued AS whose incumbent's
+//     next hop did not change last round starts from its incumbent and
+//     scores only the neighbors that did change, through their edge's back
+//     relationship (the neighbor's rel for the edge). Every unchanged
+//     neighbor offers the candidate it offered when the incumbent won, and
+//     candidates from distinct neighbors never tie (their tails start with
+//     different ASes), so the better of the incumbent and the changed
+//     neighbors' candidates is exactly what a full scan would select. A
+//     full selectBest rescan runs only when the incumbent's next hop
+//     changed, and for the frontier seeds of an incremental Apply.
+//     Skipping or shortening those evaluations cannot alter any round's
+//     table, and the work queue drains in a deterministic order derived
+//     from the changed set — never from map iteration or goroutine
+//     scheduling. The queue order decides only where new path nodes land in
+//     a column's slab, never which route a cell selects.
 //   - Updates are batched and applied at the end of each round, preserving
 //     the synchronous-round semantics of the reference engine (round r reads
 //     only round r-1 state), including its 4·|AS|+16 safety cap on malformed
@@ -124,14 +143,20 @@ func (en entry) plen() int32 { return en.meta >> 2 }
 func (en entry) learned() Relationship { return Relationship(en.meta & 3) }
 
 // neighborEdge is one precompiled adjacency edge from the perspective of the
-// owning AS.
+// owning AS. back and sendAll mirror the reverse edge's rel and receiveAll,
+// so a round can push an AS's change to a neighbor without looking up the
+// neighbor's own edge list.
 type neighborEdge struct {
-	idx int32        // dense index of the neighbor
-	rel Relationship // how the owning AS marks routes learned from this neighbor
+	idx  int32        // dense index of the neighbor
+	rel  Relationship // how the owning AS marks routes learned from this neighbor
+	back Relationship // how the neighbor marks routes learned from the owning AS
 	// receiveAll: the neighbor exports everything to us — either we are its
 	// customer, or it is flagged as a leaker. Otherwise valley-free export
 	// applies (origin/customer routes only).
 	receiveAll bool
+	// sendAll: we export everything to the neighbor — it is our customer,
+	// or we leak.
+	sendAll bool
 }
 
 // engine is the compiled form of a Topology. ConvergeCtx discards it with
@@ -162,6 +187,7 @@ type engine struct {
 // resolution matches Neighbors(): when an ASN is recorded under several link
 // sets, customer overrides provider and peer overrides both.
 func compileEdges(t *Topology, idx map[ASN]int32, n ASN) []neighborEdge {
+	a := t.ases[n]
 	rels := t.Neighbors(n)
 	edges := make([]neighborEdge, 0, len(rels))
 	for nb, rel := range rels {
@@ -169,11 +195,25 @@ func compileEdges(t *Topology, idx map[ASN]int32, n ASN) []neighborEdge {
 		edges = append(edges, neighborEdge{
 			idx:        idx[nb],
 			rel:        rel,
+			back:       relTo(other, n),
 			receiveAll: other.customers[n] || other.leaker,
+			sendAll:    a.customers[nb] || a.leaker,
 		})
 	}
 	sort.Slice(edges, func(a, b int) bool { return edges[a].idx < edges[b].idx })
 	return edges
+}
+
+// relTo is how a marks routes learned from its neighbor nb, resolved as in
+// Neighbors: peer overrides customer, which overrides provider.
+func relTo(a *as, nb ASN) Relationship {
+	switch {
+	case a.peers[nb]:
+		return FromPeer
+	case a.customers[nb]:
+		return FromCustomer
+	}
+	return FromProvider
 }
 
 // leakyExporter reports whether a violates valley-free export toward some
@@ -310,14 +350,76 @@ type colUpdate struct {
 	e   entry
 }
 
+// Per-AS marks of a prefix fixpoint (convState.mark).
+const (
+	markQueued uint8 = 1 << iota // in this round's queue
+	markRescan                   // queued, and its incumbent's next hop moved: full selectBest
+	markMoved                    // its entry changed in the previous round
+	markLoud                     // moved, and its old or new entry is exported to every neighbor
+)
+
 // convState is the reusable per-worker scratch of a prefix fixpoint. slab
 // is the scratch column slab of cold convergence (see convergeRange).
 type convState struct {
-	inQueue []bool
-	queue   []int32
+	mark []uint8 // per AS, the mark bits above
+	// best holds, per queued AS that does not rescan, the best candidate
+	// scored so far in candidate form (see selectBest).
+	best []entry
+	// changed lists the ASes moved in the previous round. Their moved marks
+	// stay set until the next apply clears them, even across columns.
 	changed []int32
+	queue   []int32
 	updates []colUpdate
+	reach   int // net routed cells added by the column writes (see RoutingTables.reach)
 	slab    []pathNode
+}
+
+func newConvState(nAS int) *convState {
+	return &convState{mark: make([]uint8, nAS), best: make([]entry, nAS)}
+}
+
+// exportsToAll reports whether valley-free export sends en to every
+// neighbor: origin- and customer-learned routes. An empty cell (meta 0)
+// reads as provider-learned, so it does not.
+func exportsToAll(en entry) bool {
+	l := en.learned()
+	return l == Origin || l == FromCustomer
+}
+
+// reachDelta is the change in routed cells when a cell goes from old to new.
+func reachDelta(old, new entry) int {
+	switch {
+	case old.head == nilRef && new.head != nilRef:
+		return 1
+	case old.head != nilRef && new.head == nilRef:
+		return -1
+	}
+	return 0
+}
+
+// apply writes the batched round st.updates into col, appending each
+// overwritten cell to *log when log is non-nil, and makes the written ASes
+// the moved set the next round reads. A moved AS is loud when its old or
+// new entry is exported to every neighbor.
+func (st *convState) apply(col []entry, log *[]undoCell) {
+	for _, c := range st.changed {
+		st.mark[c] &^= markMoved | markLoud
+	}
+	st.changed = st.changed[:0]
+	for _, u := range st.updates {
+		old := col[u.idx]
+		if log != nil {
+			*log = append(*log, undoCell{idx: u.idx, e: old})
+		}
+		col[u.idx] = u.e
+		st.reach += reachDelta(old, u.e)
+		m := markMoved
+		if exportsToAll(old) || exportsToAll(u.e) {
+			m |= markLoud
+		}
+		st.mark[u.idx] |= m
+		st.changed = append(st.changed, u.idx)
+	}
 }
 
 // convergePrefix runs the change-driven fixpoint for prefix p, writing the
@@ -325,39 +427,67 @@ type convState struct {
 // nodes it selects onto slab. col must be zeroed on entry.
 func (e *engine) convergePrefix(p int, col []entry, slab *[]pathNode, st *convState) {
 	// Round 0 of the reference engine sees only empty tables, so exactly the
-	// origin ASes obtain a route. Seed those and mark them changed.
-	st.changed = st.changed[:0]
+	// origin ASes obtain a route.
+	st.updates = st.updates[:0]
 	for _, o := range e.origins[p] {
-		col[o] = mkEntry(appendNode(slab, o, nilRef), 1, Origin)
-		st.changed = append(st.changed, o)
+		st.updates = append(st.updates, colUpdate{idx: o, e: mkEntry(appendNode(slab, o, nilRef), 1, Origin)})
 	}
+	st.apply(col, nil)
 	for round := 1; round < e.maxRounds && len(st.changed) > 0; round++ {
-		// Queue exactly the ASes whose inputs changed last round: the
-		// neighbors of every changed AS. The queue order is a deterministic
-		// function of the changed set; evaluation order cannot affect the
-		// outcome because all reads hit the previous round's column.
-		st.queue = st.queue[:0]
-		for _, c := range st.changed {
-			for _, ed := range e.nbr[c] {
-				if !st.inQueue[ed.idx] {
-					st.inQueue[ed.idx] = true
-					st.queue = append(st.queue, ed.idx)
+		e.round(p, col, slab, st)
+		st.apply(col, nil)
+	}
+}
+
+// round evaluates one synchronous round of prefix p against the column the
+// previous round left, batching the changed entries in st.updates. It
+// queues only the neighbors that can see a moved AS's old or new entry
+// (rule 1), and a queued AS whose incumbent's next hop did not move keeps
+// its incumbent and scores only the moved neighbors (rule 2); the rest
+// rescan every neighbor. The queue order is a deterministic function of the
+// moved set, and evaluation order cannot affect the outcome because all
+// reads hit the previous round's column.
+func (e *engine) round(p int, col []entry, slab *[]pathNode, st *convState) {
+	nodes := *slab
+	st.queue = st.queue[:0]
+	for _, c := range st.changed {
+		ce := col[c]
+		loud := st.mark[c]&markLoud != 0
+		for _, ed := range e.nbr[c] {
+			if !loud && !ed.sendAll {
+				continue // c's old and new entries are both hidden from this neighbor
+			}
+			j := ed.idx
+			if st.mark[j]&markQueued == 0 {
+				st.queue = append(st.queue, j)
+				st.mark[j] |= markQueued
+				st.best[j] = entry{}
+				if inc := col[j]; inc.head != nilRef {
+					tail := nodes[inc.head].next
+					if tail != nilRef && st.mark[nodes[tail].as]&markMoved != 0 {
+						st.mark[j] |= markRescan
+					} else {
+						st.best[j] = entry{head: tail, meta: inc.meta}
+					}
 				}
 			}
-		}
-		st.updates = st.updates[:0]
-		for _, i := range st.queue {
-			st.inQueue[i] = false
-			if ne, changed := e.selectBest(i, p, col, slab); changed {
-				st.updates = append(st.updates, colUpdate{idx: i, e: ne})
+			if st.mark[j]&markRescan == 0 && visible(ce, ed.sendAll) {
+				st.best[j] = offer(nodes, j, ce, ed.back, st.best[j])
 			}
 		}
-		// Apply the batch: the round was fully evaluated against round-1
-		// state, matching the reference engine's synchronous semantics.
-		st.changed = st.changed[:0]
-		for _, u := range st.updates {
-			col[u.idx] = u.e
-			st.changed = append(st.changed, u.idx)
+	}
+	st.updates = st.updates[:0]
+	for _, j := range st.queue {
+		var ne entry
+		var changed bool
+		if st.mark[j]&markRescan != 0 {
+			ne, changed = e.selectBest(j, p, col, slab)
+		} else {
+			ne, changed = settle(j, col[j], st.best[j], slab)
+		}
+		st.mark[j] &^= markQueued | markRescan
+		if changed {
+			st.updates = append(st.updates, colUpdate{idx: j, e: ne})
 		}
 	}
 }
@@ -371,11 +501,12 @@ type undoCell struct {
 
 // reconvergeColumn continues the synchronous fixpoint for prefix p from the
 // current column state, evaluating exactly the seed ASes in the first round
-// (the frontier whose inputs the delta changed) and then draining the usual
-// change-driven queue. Every overwritten cell's previous value is appended
-// to *log, oldest first. Returns false when the round cap was hit before
-// quiescence — the caller must then recompute the column cold, which keeps
-// malformed (non-converging) topologies bit-identical to the cold oracle.
+// (the frontier whose inputs the delta changed) with full rescans and then
+// running the usual change-driven rounds. Every overwritten cell's previous
+// value is appended to *log, oldest first. Returns false when the round cap
+// was hit before quiescence — the caller must then recompute the column
+// cold, which keeps malformed (non-converging) topologies bit-identical to
+// the cold oracle.
 func (e *engine) reconvergeColumn(p int, col []entry, slab *[]pathNode, st *convState, seeds []int32, log *[]undoCell) bool {
 	st.updates = st.updates[:0]
 	for _, i := range seeds {
@@ -387,31 +518,8 @@ func (e *engine) reconvergeColumn(p int, col []entry, slab *[]pathNode, st *conv
 		if len(st.updates) == 0 {
 			return true
 		}
-		// Apply the batch, logging prior values for revert, then queue the
-		// neighbors of everything that changed — same synchronous-round
-		// semantics as convergePrefix, just seeded from mid-flight state.
-		st.changed = st.changed[:0]
-		for _, u := range st.updates {
-			*log = append(*log, undoCell{idx: u.idx, e: col[u.idx]})
-			col[u.idx] = u.e
-			st.changed = append(st.changed, u.idx)
-		}
-		st.queue = st.queue[:0]
-		for _, c := range st.changed {
-			for _, ed := range e.nbr[c] {
-				if !st.inQueue[ed.idx] {
-					st.inQueue[ed.idx] = true
-					st.queue = append(st.queue, ed.idx)
-				}
-			}
-		}
-		st.updates = st.updates[:0]
-		for _, i := range st.queue {
-			st.inQueue[i] = false
-			if ne, changed := e.selectBest(i, p, col, slab); changed {
-				st.updates = append(st.updates, colUpdate{idx: i, e: ne})
-			}
-		}
+		st.apply(col, log)
+		e.round(p, col, slab, st)
 	}
 	return len(st.updates) == 0
 }
@@ -425,75 +533,84 @@ func (e *engine) reconvergeColumn(p int, col []entry, slab *[]pathNode, st *conv
 func (e *engine) coldColumn(p int, col []entry, slab *[]pathNode, st *convState, log *[]undoCell) {
 	for i := range col {
 		*log = append(*log, undoCell{idx: int32(i), e: col[i]})
+		st.reach += reachDelta(col[i], entry{})
 		col[i] = entry{}
 	}
 	e.convergePrefix(p, col, slab, st)
 }
 
 // selectBest recomputes AS i's selection for prefix p from the current
-// column and reports whether it differs from the incumbent entry. A best
-// candidate is tracked as (relationship, length, tail) where the full path
-// is self consed onto tail; the origin candidate has a nil tail. A node is
-// appended to slab only when the selection actually changed.
+// column by scanning every neighbor, and reports whether it differs from the
+// incumbent entry. The best candidate is held in candidate form: an entry
+// whose head is the tail the full path conses self onto (nilRef for the
+// origin candidate) and whose meta is the full path's, with meta 0 meaning
+// no candidate.
 func (e *engine) selectBest(i int32, p int, col []entry, slab *[]pathNode) (entry, bool) {
 	nodes := *slab
-	var bestRel Relationship
-	var bestLen int32
-	bestTail := int32(nilRef)
-	has := false
+	var best entry
 	if e.originates(p, i) {
-		bestRel, bestLen, has = Origin, 1, true
+		best = mkEntry(nilRef, 1, Origin)
 	}
 	for _, ed := range e.nbr[i] {
-		ne := col[ed.idx]
-		if ne.head == nilRef {
-			continue
+		if ne := col[ed.idx]; visible(ne, ed.receiveAll) {
+			best = offer(nodes, i, ne, ed.rel, best)
 		}
-		// Export policy from the neighbor's side: we receive everything if
-		// we are its customer or it leaks; otherwise only origin/customer
-		// routes (valley-free).
-		if learned := ne.learned(); !ed.receiveAll && learned != Origin && learned != FromCustomer {
-			continue
-		}
-		// Loop prevention: reject paths already containing us.
-		if chainContains(nodes, ne.head, i) {
-			continue
-		}
-		candLen := ne.plen() + 1
-		if has && !candBetter(nodes, ed.rel, candLen, ne.head, bestRel, bestLen, bestTail) {
-			continue
-		}
-		bestRel, bestLen, bestTail, has = ed.rel, candLen, ne.head, true
 	}
-	old := col[i]
-	if !has {
-		return entry{}, old.head != nilRef
-	}
-	best := mkEntry(old.head, bestLen, bestRel)
-	if old.head != nilRef && old.meta == best.meta && chainEqual(nodes, nodes[old.head].next, bestTail) {
-		return old, false
-	}
-	best.head = appendNode(slab, i, bestTail)
-	return best, true
+	return settle(i, col[i], best, slab)
 }
 
-// candBetter reports whether candidate a should replace incumbent b under
+// visible reports whether a neighbor's entry ne reaches us: it holds a
+// route, and the neighbor exports everything to us (all: we are its
+// customer or it leaks) or ne is origin- or customer-learned (valley-free).
+func visible(ne entry, all bool) bool {
+	return ne.head != nilRef && (all || exportsToAll(ne))
+}
+
+// offer returns the better of candidate best and the route AS i would learn
+// from a neighbor holding the visible entry ne over an edge that i marks
+// rel. A path that already contains i is rejected (loop prevention); the
+// walk is paid only by a candidate that would win.
+func offer(nodes []pathNode, i int32, ne entry, rel Relationship, best entry) entry {
+	cand := mkEntry(ne.head, ne.plen()+1, rel)
+	if best.meta != 0 && !candBetter(nodes, cand, best) || chainContains(nodes, ne.head, i) {
+		return best
+	}
+	return cand
+}
+
+// settle turns AS i's best candidate into its table entry and reports
+// whether that differs from the incumbent old. A node is appended to slab
+// only when the selection actually changed.
+func settle(i int32, old, best entry, slab *[]pathNode) (entry, bool) {
+	if best.meta == 0 {
+		return entry{}, old.head != nilRef
+	}
+	nodes := *slab
+	if old.head != nilRef && old.meta == best.meta && chainEqual(nodes, nodes[old.head].next, best.head) {
+		return old, false
+	}
+	return entry{head: appendNode(slab, i, best.head), meta: best.meta}, true
+}
+
+// candBetter reports whether candidate a should replace candidate b under
 // the standard decision order — higher local pref, then shorter path, then
-// lexicographically smaller path — mirroring better() in reference_test.go. Both
-// paths start with the same AS (self), so only the tails are compared.
-func candBetter(nodes []pathNode, aRel Relationship, aLen, aTail int32, bRel Relationship, bLen, bTail int32) bool {
-	if aRel != bRel {
-		return aRel > bRel
+// lexicographically smaller path — mirroring better() in reference_test.go.
+// Both paths start with the same AS (self), so only the tails are compared.
+// Candidates from distinct neighbors never tie: their tails start with
+// different ASes.
+func candBetter(nodes []pathNode, a, b entry) bool {
+	if a.learned() != b.learned() {
+		return a.learned() > b.learned()
 	}
-	if aLen != bLen {
-		return aLen < bLen
+	if a.plen() != b.plen() {
+		return a.plen() < b.plen()
 	}
-	for aTail != nilRef && bTail != nilRef {
-		a, b := nodes[aTail], nodes[bTail]
-		if a.as != b.as {
-			return a.as < b.as
+	for aTail, bTail := a.head, b.head; aTail != nilRef && bTail != nilRef; {
+		x, y := nodes[aTail], nodes[bTail]
+		if x.as != y.as {
+			return x.as < y.as
 		}
-		aTail, bTail = a.next, b.next
+		aTail, bTail = x.next, y.next
 	}
 	return false
 }
@@ -569,18 +686,27 @@ func (e *engine) convergeAllCtx(ctx context.Context, rt *RoutingTables, workers 
 	}
 	w := parallel.Workers(workers, nP)
 	if w == 1 || nAS*nP < serialWorkFloor {
-		return e.convergeRange(ctx, rt, 0, nP, &convState{inQueue: make([]bool, nAS)})
+		st := newConvState(nAS)
+		err := e.convergeRange(ctx, rt, 0, nP, st)
+		rt.reach = st.reach
+		return err
 	}
 	chunk := convergeChunks(nP, w)
 	nChunks := (nP + chunk - 1) / chunk
-	pool := sync.Pool{New: func() any {
-		return &convState{inQueue: make([]bool, nAS)}
-	}}
-	return parallel.ForEach(ctx, nChunks, w, func(ci int) error {
+	pool := sync.Pool{New: func() any { return newConvState(nAS) }}
+	reach := make([]int, nChunks) // each task writes only its own index
+	err := parallel.ForEach(ctx, nChunks, w, func(ci int) error {
 		st := pool.Get().(*convState)
 		defer pool.Put(st)
-		return e.convergeRange(ctx, rt, ci*chunk, min((ci+1)*chunk, nP), st)
+		st.reach = 0
+		err := e.convergeRange(ctx, rt, ci*chunk, min((ci+1)*chunk, nP), st)
+		reach[ci] = st.reach
+		return err
 	})
+	for _, r := range reach {
+		rt.reach += r
+	}
+	return err
 }
 
 // convergeRange cold-converges columns [lo, hi) of rt. Each column is built

@@ -173,6 +173,7 @@ type patchCol struct {
 	p       int32
 	slabLen int
 	log     []undoCell
+	reach   int // net change in routed cells the column's writes made
 }
 
 // Patch records everything needed to undo one Apply: the delta itself (its
@@ -208,7 +209,9 @@ type Converged struct {
 	e       *engine
 	rt      *RoutingTables
 	workers int
-	st      *convState
+	// states recycles the per-worker convState scratch across Apply calls,
+	// so an event does not allocate it afresh for every worker.
+	states  sync.Pool
 	applied int // LIFO depth, for Revert-order enforcement
 }
 
@@ -231,13 +234,9 @@ func (t *Topology) ConvergeStateCtx(ctx context.Context, workers int) (*Converge
 	if err := e.convergeAllCtx(ctx, rt, workers); err != nil {
 		return nil, err
 	}
-	return &Converged{
-		t:       t,
-		e:       e,
-		rt:      rt,
-		workers: workers,
-		st:      &convState{inQueue: make([]bool, len(e.asns))},
-	}, nil
+	c := &Converged{t: t, e: e, rt: rt, workers: workers}
+	c.states.New = func() any { return newConvState(len(e.asns)) }
+	return c, nil
 }
 
 // Tables returns the live routing tables. They mutate in place on every
@@ -304,6 +303,7 @@ func (c *Converged) Revert(p *Patch) {
 		for j := len(pc.log) - 1; j >= 0; j-- {
 			col[pc.log[j].idx] = pc.log[j].e
 		}
+		c.rt.reach -= pc.reach
 		c.rt.slabs[pc.p] = c.rt.slabs[pc.p][:pc.slabLen]
 	}
 	if _, err := c.applyStructural(p.delta.inverse()); err != nil {
@@ -357,12 +357,14 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
 		i := e.idx[d.A]
 		a := c.t.ases[d.A]
 		// Export policy lives on the receiving side: every neighbor's edge
-		// toward the leaker carries the receiveAll flag. Patch those edges
-		// in place (binary search; adjacency is sorted by index).
-		for _, ed := range e.nbr[i] {
+		// toward the leaker carries the receiveAll flag, mirrored by the
+		// sendAll flag of the leaker's own edge. Patch both in place
+		// (binary search; adjacency is sorted by index).
+		for k, ed := range e.nbr[i] {
 			nb := e.nbr[ed.idx]
 			at := sort.Search(len(nb), func(k int) bool { return nb[k].idx >= i })
 			nb[at].receiveAll = a.customers[e.asns[ed.idx]] || a.leaker
+			e.nbr[i][k].sendAll = nb[at].receiveAll
 		}
 		c.updateLeaky(i)
 	}
@@ -440,34 +442,35 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 		slab := &rt.slabs[pi]
 		pc := patchCol{p: pi, slabLen: len(*slab)}
 		col := rt.entries[int(pi)*nAS : (int(pi)+1)*nAS]
+		reach := st.reach
 		if !safe || !e.reconvergeColumn(int(pi), col, slab, st, seeds, &pc.log) {
 			e.coldColumn(int(pi), col, slab, st, &pc.log)
 		}
+		pc.reach = st.reach - reach
 		return pc
 	}
 
 	pcs := make([]patchCol, len(cols))
 	w := parallel.Workers(c.workers, len(cols))
 	if w == 1 || nAS*len(cols) < serialWorkFloor {
+		st := c.states.Get().(*convState)
 		for i, pi := range cols {
-			pcs[i] = run(pi, c.st)
+			pcs[i] = run(pi, st)
 		}
+		c.states.Put(st)
 	} else {
 		chunk := convergeChunks(len(cols), w)
 		nChunks := (len(cols) + chunk - 1) / chunk
 		chunkCols := make([][]patchCol, nChunks) // each task writes only its own index
-		pool := sync.Pool{New: func() any {
-			return &convState{inQueue: make([]bool, nAS)}
-		}}
 		err := parallel.ForEach(context.Background(), nChunks, w, func(ci int) error {
-			st := pool.Get().(*convState)
+			st := c.states.Get().(*convState)
 			lo, hi := ci*chunk, min((ci+1)*chunk, len(cols))
 			out := make([]patchCol, 0, hi-lo)
 			for i := lo; i < hi; i++ {
 				out = append(out, run(cols[i], st))
 			}
 			chunkCols[ci] = out
-			pool.Put(st)
+			c.states.Put(st)
 			return nil
 		})
 		if err != nil {
@@ -477,9 +480,11 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 			copy(pcs[ci*chunk:], outs)
 		}
 	}
-	// A column that appended nodes also overwrote cells, so the log alone
-	// decides which columns the patch records.
+	// A column that appended nodes or changed the routed count also
+	// overwrote cells, so the log alone decides which columns the patch
+	// records.
 	for _, pc := range pcs {
+		rt.reach += pc.reach
 		if len(pc.log) > 0 {
 			p.cols = append(p.cols, pc)
 		}

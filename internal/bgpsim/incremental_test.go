@@ -31,6 +31,11 @@ func tablesEqualCold(c *Converged) error {
 		return err
 	}
 	live := c.Tables()
+	for _, rt := range []*RoutingTables{cold, live} {
+		if err := reachCountCurrent(rt); err != nil {
+			return err
+		}
+	}
 	for _, n := range c.Topology().ASNs() {
 		cp, lp := cold.Prefixes(n), live.Prefixes(n)
 		if len(cp) != len(lp) {
@@ -47,6 +52,21 @@ func tablesEqualCold(c *Converged) error {
 				return fmt.Errorf("AS %d prefix %s: live %+v, cold %+v", n, p, got, want)
 			}
 		}
+	}
+	return nil
+}
+
+// reachCountCurrent checks the O(1) reachable-cell count that
+// ReachableCells returns against a full scan of the cells.
+func reachCountCurrent(rt *RoutingTables) error {
+	scan := 0
+	for _, en := range rt.entries {
+		if en.head != nilRef {
+			scan++
+		}
+	}
+	if got, _ := rt.ReachableCells(); got != scan {
+		return fmt.Errorf("ReachableCells = %d, a scan counts %d", got, scan)
 	}
 	return nil
 }
@@ -487,6 +507,9 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 					stack = stack[:len(stack)-1]
 				}
 				live := c.Tables()
+				if err := reachCountCurrent(live); err != nil {
+					return fmt.Errorf("after unwind: %w", err)
+				}
 				if len(live.entries) != len(base) {
 					return fmt.Errorf("%d cells after unwind, want %d", len(live.entries), len(base))
 				}
@@ -528,6 +551,9 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 			return fmt.Errorf("revert of %+v did not restore the topology:\n%s", d, got)
 		}
 		live := c.Tables()
+		if err := reachCountCurrent(live); err != nil {
+			return fmt.Errorf("after reverting %+v: %w", d, err)
+		}
 		if len(live.entries) != len(base) {
 			return fmt.Errorf("%d cells after revert, want %d", len(live.entries), len(base))
 		}

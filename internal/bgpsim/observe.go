@@ -12,16 +12,13 @@ func (rt *RoutingTables) Size() (ases, prefixes int) {
 	return len(rt.asns), len(rt.prefixes)
 }
 
-// ReachableCells counts the routed cells of the table — the (AS, prefix)
-// pairs holding a selected route — alongside the total cell count. The ratio
-// is the global reachability share the temporal experiments chart per tick.
+// ReachableCells returns the number of routed cells of the table — the
+// (AS, prefix) pairs holding a selected route — alongside the total cell
+// count, in O(1): the tables keep the count current on every cell write.
+// The ratio is the global reachability share the temporal experiments chart
+// per tick.
 func (rt *RoutingTables) ReachableCells() (reachable, total int) {
-	for i := range rt.entries {
-		if rt.entries[i].head != nilRef {
-			reachable++
-		}
-	}
-	return reachable, len(rt.entries)
+	return rt.reach, len(rt.entries)
 }
 
 // StateFingerprint hashes the live routing state: every cell's slab refs
@@ -30,7 +27,9 @@ func (rt *RoutingTables) ReachableCells() (reachable, total int) {
 // LIFO depth. Slabs are append-only below their length and Revert truncates
 // them back, so equal fingerprints certify the tables are ref-exactly
 // identical — the guarantee Revert makes and the timeline unwind property
-// pins. It is a test-support probe, not a cache key.
+// pins. It is a test-support probe that compares states of one build, not a
+// cache key or a golden across versions: where the work queue appends path
+// nodes can move slab refs without moving any route.
 func (c *Converged) StateFingerprint() uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {

@@ -22,8 +22,8 @@ func init() {
 		Params: experiment.Schema{
 			{Name: "sites", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "comparable field sites available"},
 			{Name: "budget-days", Kind: experiment.Float, Default: 60.0, Doc: "researcher-day budget per strategy"},
-			{Name: "patchwork-visits", Kind: experiment.Int, Default: 4, Doc: "visit count of the patchwork plan"},
-			{Name: "rapid-visits", Kind: experiment.Int, Default: 10, Doc: "visit count of the rapid plan"},
+			{Name: "patchwork-visits", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "visit count of the patchwork plan"},
+			{Name: "rapid-visits", Kind: experiment.Int, Default: 10, Min: experiment.Bound(1), Doc: "visit count of the rapid plan"},
 		},
 		Run: runE7,
 	})
@@ -34,7 +34,7 @@ func init() {
 		Aux:   true,
 		Params: experiment.Schema{
 			{Name: "budget-days", Kind: experiment.Float, Default: 60.0, Doc: "researcher-day budget per strategy"},
-			{Name: "patchwork-visits", Kind: experiment.Int, Default: 4, Doc: "visit count of the patchwork plan"},
+			{Name: "patchwork-visits", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "visit count of the patchwork plan"},
 			{Name: "gains", Kind: experiment.String, Default: "0,0.05,0.1,0.15,0.2,0.3", Doc: "comma-separated reflection gains to sweep"},
 		},
 		Run: runReflection,

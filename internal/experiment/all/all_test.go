@@ -81,7 +81,10 @@ func TestSmallAuthorPopulationIsAnError(t *testing.T) {
 // TestDomainMinimumsAreDeclared: each of these params feeds a domain check
 // that refuses values below 1, so its schema declares the same minimum and
 // ParseJob turns 0 and -1 into a bad param before anything runs, not into
-// an execution error after it.
+// an execution error after it. The last four had no domain check: below 1,
+// E11 `seats` gave a wrong table (the closed consortium's quota went
+// negative and it ratified nothing) and the visit counts were clamped to one
+// visit without a word, so the schema minimum is their only guard.
 func TestDomainMinimumsAreDeclared(t *testing.T) {
 	for _, param := range []struct{ id, name string }{
 		{"E4", "problems"}, {"E4", "select"},
@@ -90,6 +93,9 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 		{"E11", "drafts"}, {"E11", "rounds"}, {"E11", "operators"},
 		{"E12", "days"}, {"E12", "participants"},
 		{"E15", "years"}, {"E15", "researchers"},
+		{"E11", "seats"},
+		{"E7", "patchwork-visits"}, {"E7", "rapid-visits"},
+		{"ethno-reflection", "patchwork-visits"},
 	} {
 		for _, v := range []int{0, -1} {
 			query := fmt.Sprintf("id=%s&%s=%d", param.id, param.name, v)

@@ -20,7 +20,7 @@ func init() {
 			{Name: "shares", Kind: experiment.String, Default: "0,0.15,0.3,0.45,0.6", Doc: "comma-separated practitioner seat shares to sweep"},
 			{Name: "drafts", Kind: experiment.Int, Default: 40, Min: experiment.Bound(1), Doc: "drafts entering the process"},
 			{Name: "rounds", Kind: experiment.Int, Default: 30, Min: experiment.Bound(1), Doc: "working-group cycles simulated"},
-			{Name: "seats", Kind: experiment.Int, Default: 8, Doc: "per-round review capacity"},
+			{Name: "seats", Kind: experiment.Int, Default: 8, Min: experiment.Bound(1), Doc: "per-round review capacity"},
 			{Name: "operators", Kind: experiment.Int, Default: 200, Min: experiment.Bound(1), Doc: "deployment population size"},
 			{Name: "patience", Kind: experiment.Int, Default: 10, Doc: "rounds a draft survives without adoption"},
 			{Name: "consortium-share", Kind: experiment.Float, Default: 0.25, Doc: "operator share inside the closed consortium"},

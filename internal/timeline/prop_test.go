@@ -221,6 +221,69 @@ func TestPropUnwindRestoresStatePointerExactly(t *testing.T) {
 	})
 }
 
+// reachCountMatches checks the reachable-cell count ReachableCells keeps
+// against a full scan of c's tables through the exported accessors.
+func reachCountMatches(c *bgpsim.Converged) error {
+	rt := c.Tables()
+	scan := 0
+	for _, n := range c.Topology().ASNs() {
+		scan += len(rt.Prefixes(n))
+	}
+	if got, _ := rt.ReachableCells(); got != scan {
+		return fmt.Errorf("ReachableCells = %d, a scan counts %d", got, scan)
+	}
+	return nil
+}
+
+// reachCheckedMachine runs reachCountMatches after every Apply.
+type reachCheckedMachine struct{ *BGPMachine }
+
+func (m reachCheckedMachine) Apply(ev Event) error {
+	if err := m.BGPMachine.Apply(ev); err != nil {
+		return err
+	}
+	if err := reachCountMatches(m.State()); err != nil {
+		return fmt.Errorf("after applying %v: %w", ev, err)
+	}
+	return nil
+}
+
+// TestPropReachableCountMatchesScan: the count Observe reads in O(1)
+// equals a full scan after every Apply of a replay, after each Revert of
+// the newest half of its patches, and after Unwind reverts the rest.
+func TestPropReachableCountMatchesScan(t *testing.T) {
+	proptest.Run(t, 906, 20, func(g *proptest.G) error {
+		w := drawWorldSpec(g)
+		h, stream, err := w.build()
+		if err != nil {
+			return err
+		}
+		m, err := NewBGPMachine(context.Background(), h.Topo, 1)
+		if err != nil {
+			return err
+		}
+		if err := reachCountMatches(m.State()); err != nil {
+			return fmt.Errorf("after cold convergence: %w", err)
+		}
+		if _, err := ReplayCtx(context.Background(), stream, reachCheckedMachine{m}); err != nil {
+			return err
+		}
+		for keep := len(m.patches) / 2; len(m.patches) > keep; {
+			last := len(m.patches) - 1
+			m.c.Revert(m.patches[last])
+			m.patches = m.patches[:last]
+			if err := reachCountMatches(m.State()); err != nil {
+				return fmt.Errorf("after reverting patch %d: %w", last, err)
+			}
+		}
+		m.Unwind()
+		if err := reachCountMatches(m.State()); err != nil {
+			return fmt.Errorf("after unwind: %w", err)
+		}
+		return nil
+	})
+}
+
 // TestPropCNReplayDeterministic: the CN machine's demand process is a pure
 // function of the config seed, so equal configs and streams produce equal
 // tables, and generated churn always replays.
