@@ -184,6 +184,7 @@ type Patch struct {
 	delta       Delta
 	cols        []patchCol
 	addedPrefix bool // Apply created a new prefix column (dropped on Revert)
+	c2pAcyclic  bool // the engine's c2pAcyclic before the apply (restored on Revert)
 	seq         int
 }
 
@@ -272,17 +273,32 @@ func (c *Converged) applyScoped(d Delta, scope []int32) (*Patch, error) {
 	// unsafe era leaves cap-truncated tables whose non-seed cells are not
 	// best responses), post-delta safety guarantees the seeded iteration
 	// can only quiesce on the unique stable state.
-	preSafe := c.e.incrementalSafe()
+	e := c.e
+	preSafe := e.incrementalSafe()
+	acyclic := e.c2pAcyclic
+	link := d.Kind == DeltaLinkUp || d.Kind == DeltaLinkDown
+	var before uint8
+	if link {
+		before = e.c2pBetween(d.A, d.B)
+	}
 	addedPrefix, err := c.applyStructural(d)
 	if err != nil {
 		return nil, err
 	}
-	p := &Patch{delta: d, addedPrefix: addedPrefix, seq: c.applied + 1}
+	// A link delta changes the effective provider→customer digraph only
+	// between its two endpoints (relationship overrides apply: removing a
+	// peer record can expose a customer edge). Removing edges from an
+	// acyclic digraph keeps it acyclic, so the whole-graph pass runs only
+	// when a provider→customer edge appeared or the digraph had a cycle.
+	if link && (!acyclic || e.c2pBetween(d.A, d.B)&^before != 0) {
+		e.c2pAcyclic = e.computeC2PAcyclic()
+	}
+	p := &Patch{delta: d, addedPrefix: addedPrefix, c2pAcyclic: acyclic, seq: c.applied + 1}
 	cols, seeds := c.affected(d)
 	if scope != nil {
 		cols = scope
 	}
-	c.reconverge(p, cols, seeds, preSafe && c.e.incrementalSafe())
+	c.reconverge(p, cols, seeds, preSafe && e.incrementalSafe())
 	c.applied++
 	return p, nil
 }
@@ -310,6 +326,7 @@ func (c *Converged) Revert(p *Patch) {
 		// The inverse of a validated, applied delta always applies.
 		panic("bgpsim: Converged.Revert: " + err.Error())
 	}
+	c.e.c2pAcyclic = p.c2pAcyclic
 	if p.addedPrefix {
 		c.dropNewestPrefix()
 	}
@@ -317,8 +334,8 @@ func (c *Converged) Revert(p *Patch) {
 }
 
 // applyStructural mutates the topology and patches the compiled engine to
-// match, without touching the tables. Returns whether a new prefix column
-// was created.
+// match, without touching the tables or c2pAcyclic (Apply and Revert keep
+// that flag). Returns whether a new prefix column was created.
 func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
 	e := c.e
 	if d.Kind == DeltaWithdraw || d.Kind == DeltaAnnounce {
@@ -349,26 +366,57 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
 			i := e.idx[n]
 			e.nbr[i] = compileEdges(c.t, e.idx, n)
 			c.updateLeaky(i)
+			e.leaf[i] = isLeaf(c.t.ases[n])
 		}
-		// Relationship overrides mean even a peer link can change the
-		// effective provider→customer digraph; recompute acyclicity.
-		e.c2pAcyclic = e.computeC2PAcyclic()
 	case DeltaLeakToggle:
 		i := e.idx[d.A]
 		a := c.t.ases[d.A]
 		// Export policy lives on the receiving side: every neighbor's edge
 		// toward the leaker carries the receiveAll flag, mirrored by the
-		// sendAll flag of the leaker's own edge. Patch both in place
-		// (binary search; adjacency is sorted by index).
+		// sendAll flag of the leaker's own edge. Patch both in place.
 		for k, ed := range e.nbr[i] {
-			nb := e.nbr[ed.idx]
-			at := sort.Search(len(nb), func(k int) bool { return nb[k].idx >= i })
-			nb[at].receiveAll = a.customers[e.asns[ed.idx]] || a.leaker
-			e.nbr[i][k].sendAll = nb[at].receiveAll
+			back := &e.nbr[ed.idx][e.edgeTo(ed.idx, i)]
+			back.receiveAll = a.customers[e.asns[ed.idx]] || a.leaker
+			e.nbr[i][k].sendAll = back.receiveAll
 		}
 		c.updateLeaky(i)
+		e.leaf[i] = isLeaf(a)
 	}
 	return addedPrefix, nil
+}
+
+// edgeTo returns the position of j in i's adjacency, or -1 when they are
+// not linked (binary search; adjacency is sorted by index).
+func (e *engine) edgeTo(i, j int32) int {
+	nb := e.nbr[i]
+	k := sort.Search(len(nb), func(k int) bool { return nb[k].idx >= j })
+	if k == len(nb) || nb[k].idx != j {
+		return -1
+	}
+	return k
+}
+
+// c2pBetween returns the edges of the effective provider→customer digraph
+// between ASes a and b: bit 0 when a is b's provider, bit 1 when b is a's.
+// An unknown AS or an absent link has none.
+func (e *engine) c2pBetween(a, b ASN) uint8 {
+	i, okA := e.idx[a]
+	j, okB := e.idx[b]
+	if !okA || !okB {
+		return 0
+	}
+	k := e.edgeTo(i, j)
+	if k < 0 {
+		return 0
+	}
+	var m uint8
+	if e.nbr[i][k].rel == FromCustomer {
+		m |= 1
+	}
+	if e.nbr[i][k].back == FromCustomer {
+		m |= 2
+	}
+	return m
 }
 
 // updateLeaky refreshes the per-AS export-violation flag and the global

@@ -30,6 +30,9 @@ func engineEquivalent(e *engine, t *Topology) error {
 		if e.leaky[i] != f.leaky[i] {
 			return fmt.Errorf("AS %d leaky: %v vs %v", e.asns[i], e.leaky[i], f.leaky[i])
 		}
+		if e.leaf[i] != f.leaf[i] {
+			return fmt.Errorf("AS %d leaf: %v vs %v", e.asns[i], e.leaf[i], f.leaf[i])
+		}
 	}
 	if e.nLeaky != f.nLeaky {
 		return fmt.Errorf("nLeaky: %d vs %d", e.nLeaky, f.nLeaky)
@@ -60,7 +63,13 @@ func engineEquivalent(e *engine, t *Topology) error {
 	return nil
 }
 
+// TestPropEngineStructuralEquivalence: after every Apply and Revert the
+// patched engine equals a fresh compile. Some steps close a provider cycle
+// (an AS becomes the provider of its own provider) and open it again, so
+// the acyclicity flag Apply keeps without a whole-graph pass, and Revert
+// restores, is checked both ways.
 func TestPropEngineStructuralEquivalence(t *testing.T) {
+	cycles := 0
 	proptest.Run(t, 311, 60, func(g *proptest.G) error {
 		spec := g.ASHierarchy(5, 6)
 		topo, _, mids, stubs, err := buildSpecTopology(spec)
@@ -75,6 +84,31 @@ func TestPropEngineStructuralEquivalence(t *testing.T) {
 			if len(stack) > 0 && g.Bool(0.25) {
 				c.Revert(stack[len(stack)-1])
 				stack = stack[:len(stack)-1]
+			} else if g.Bool(0.25) {
+				var n ASN
+				if k := g.Intn(len(mids) + len(stubs)); k < len(mids) {
+					n = mids[k]
+				} else {
+					n = stubs[k-len(mids)]
+				}
+				provs := c.Topology().Providers(n)
+				if len(provs) == 0 || c.Topology().HasProviderCustomer(n, provs[0]) {
+					continue
+				}
+				up := Delta{Kind: DeltaLinkUp, A: n, B: provs[0]}
+				for _, d := range []Delta{up, up.inverse()} {
+					p, err := c.Apply(d)
+					if err != nil {
+						return fmt.Errorf("step %d: Apply(%+v): %v", s, d, err)
+					}
+					stack = append(stack, p)
+					if d == up && !c.e.c2pAcyclic {
+						cycles++
+					}
+					if err := engineEquivalent(c.e, c.Topology()); err != nil {
+						return fmt.Errorf("step %d: after %+v: engine drifted: %w", s, d, err)
+					}
+				}
 			} else {
 				d, ok := randomDelta(g, c, mids, stubs, &extra)
 				if !ok {
@@ -92,4 +126,7 @@ func TestPropEngineStructuralEquivalence(t *testing.T) {
 		}
 		return nil
 	})
+	if cycles == 0 {
+		t.Error("no draw closed a provider cycle")
+	}
 }

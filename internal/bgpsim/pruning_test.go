@@ -82,8 +82,9 @@ func randomUnsafeTopology(g *proptest.G) (*Topology, error) {
 	return t, nil
 }
 
-// roundCapped reports whether some prefix column of topo is still changing
-// when cold convergence stops at the round cap.
+// roundCapped reports whether the transit core of some prefix column of
+// topo is still changing when cold convergence stops at the round cap.
+// Leaves are settled once after the rounds, so they never count.
 func roundCapped(topo *Topology) bool {
 	e := topo.compile()
 	st := newConvState(len(e.asns))

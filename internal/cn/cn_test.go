@@ -32,10 +32,61 @@ func TestBuildMeshTooSmall(t *testing.T) {
 	}
 }
 
-func TestBuildMeshDisconnectedFails(t *testing.T) {
-	// Radius so small no 40-node placement connects.
-	if _, err := BuildMesh(40, 0.01, rng.New(1)); err == nil {
-		t.Error("expected ErrDisconnected for tiny radius")
+// meshConnected checks that every node of net routes to the gateway and
+// reports whether net holds a bridge (an ETX above 3: a link longer than the
+// radio range).
+func meshConnected(t *testing.T, net *Network) (bridged bool) {
+	t.Helper()
+	if got := net.G.GiantComponentSize(); got != net.G.N() {
+		t.Fatalf("giant component %d of %d nodes", got, net.G.N())
+	}
+	for i, d := range net.PathETX {
+		if math.IsInf(d, 1) || math.IsNaN(d) {
+			t.Fatalf("node %d unreachable from gateway", i)
+		}
+		for _, e := range net.G.Neighbors(i) {
+			bridged = bridged || e.Weight > 3
+		}
+	}
+	return bridged
+}
+
+func TestBuildMeshBridgesDisconnectedDraw(t *testing.T) {
+	// Radius so small no 40-node placement connects: the mesh is the last
+	// draw's few links plus bridges, a spanning tree.
+	net, err := BuildMesh(40, 0.01, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !meshConnected(t, net) {
+		t.Fatal("no bridge in a mesh whose draws cannot connect")
+	}
+	if net.G.M() != 39 {
+		t.Errorf("links = %d, want a spanning tree of 39", net.G.M())
+	}
+	for _, r := range []float64{0, math.NaN()} {
+		if _, err := BuildMesh(5, r, rng.New(1)); err == nil {
+			t.Errorf("radius %v accepted", r)
+		}
+	}
+}
+
+// TestSmallCommunitiesAlwaysConnect: the smallest communities draw the most
+// disconnected placements, yet every seed builds a connected mesh, and some
+// of them only through the bridging fallback.
+func TestSmallCommunitiesAlwaysConnect(t *testing.T) {
+	bridged := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		s, err := newSimSetup(4, 0.2, 0.6, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if meshConnected(t, s.net) {
+			bridged++
+		}
+	}
+	if bridged == 0 {
+		t.Error("no seed needed a bridge; the fallback went untested")
 	}
 }
 
