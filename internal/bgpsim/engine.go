@@ -9,9 +9,10 @@ package bgpsim
 // fixpoint — bit-identical tables, paths, and reachability — from a compiled
 // form of the topology:
 //
-//   - ASNs and prefixes are interned to dense indices once, at convergence
-//     start, and the routing state is a flat column of entries per prefix
-//     instead of nested maps. Dense AS indices follow ascending ASN order, so
+//   - ASNs and prefixes are interned to dense indices once, at compile, and
+//     the routing state is a flat column of entries per prefix instead of
+//     nested maps. The RoutingTables own the one interning; the engine reads
+//     it from there. Dense AS indices follow ascending ASN order, so
 //     comparing indices orders hops exactly as comparing ASNs would.
 //   - Neighbor adjacency is precompiled once per convergence: for every AS a
 //     sorted slice of (neighbor index, learned relationship, exports-all)
@@ -70,17 +71,18 @@ package bgpsim
 //     only round r-1 state), including its 4·|AS|+16 safety cap on malformed
 //     (cyclic provider graph) topologies.
 //
-// Prefix columns never interact, so ConvergeCtx fans independent
-// prefixes across internal/parallel workers; each prefix's fixpoint is fully
-// self-contained and lands at its own table offset and in its own slab,
-// making the result bit-identical for every worker count.
+// Prefix columns never interact, so fanOut spreads independent columns
+// across internal/parallel workers, for the cold convergence and for Apply
+// alike; each prefix's fixpoint is fully self-contained and lands at its own
+// table offset and in its own slab, making the result bit-identical for
+// every worker count. ConvergeCtx is ConvergeStateCtx without the state.
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/parallel"
 )
@@ -176,14 +178,13 @@ type neighborEdge struct {
 }
 
 // engine is the compiled form of a Topology. ConvergeCtx discards it with
-// the run; ConvergeStateCtx keeps it alive (together with the interning
-// maps and safety statistics below) so Apply can patch the compiled form
-// in place and re-converge only the blast radius of a delta.
+// the run; ConvergeStateCtx keeps it alive (together with the safety
+// statistics below) so Apply can patch the compiled form in place and
+// re-converge only the blast radius of a delta.
 type engine struct {
-	asns      []ASN
-	idx       map[ASN]int32 // ASN -> dense index
-	prefixes  []string
-	pfxIdx    map[string]int32 // prefix -> column index
+	// rt is the tables the engine converges. They own the one interning of
+	// ASNs and prefixes to dense indices that the engine reads.
+	rt        *RoutingTables
 	nbr       [][]neighborEdge // per AS, sorted by neighbor index ascending
 	origins   [][]int32        // per prefix, origin AS indices ascending (deduped)
 	maxRounds int
@@ -266,7 +267,7 @@ func isLeaf(a *as) bool {
 // precondition for a unique routing fixpoint. Kahn's algorithm over the
 // compiled adjacency.
 func (e *engine) computeC2PAcyclic() bool {
-	n := len(e.asns)
+	n := len(e.nbr)
 	indeg := make([]int32, n)
 	for i := range e.nbr {
 		for _, ed := range e.nbr[i] {
@@ -297,20 +298,26 @@ func (e *engine) computeC2PAcyclic() bool {
 	return done == n
 }
 
-// compile interns the topology into dense form.
-func (t *Topology) compile() *engine {
+// compile interns the topology into zeroed routing tables and compiles the
+// engine that converges them.
+func (t *Topology) compile() (*engine, error) {
 	asns := t.ASNs()
-	idx := make(map[ASN]int32, len(asns))
-	for i, n := range asns {
-		idx[n] = int32(i)
+	var prefixes []string
+	for _, n := range asns {
+		prefixes = append(prefixes, t.ases[n].origins...)
+	}
+	slices.Sort(prefixes)
+	rt, err := newRoutingTables(asns, slices.Compact(prefixes))
+	if err != nil {
+		return nil, err
 	}
 
-	e := &engine{asns: asns, idx: idx, maxRounds: 4*len(asns) + 16}
+	e := &engine{rt: rt, maxRounds: 4*len(asns) + 16}
 	e.nbr = make([][]neighborEdge, len(asns))
 	e.leaky = make([]bool, len(asns))
 	e.leaf = make([]bool, len(asns))
 	for i, n := range asns {
-		e.nbr[i] = compileEdges(t, idx, n)
+		e.nbr[i] = compileEdges(t, rt.asIdx, n)
 		e.leaf[i] = isLeaf(t.ases[n])
 		if leakyExporter(t.ases[n]) {
 			e.leaky[i] = true
@@ -319,24 +326,10 @@ func (t *Topology) compile() *engine {
 	}
 	e.c2pAcyclic = e.computeC2PAcyclic()
 
-	pfxIdx := make(map[string]int32)
-	for _, n := range asns {
-		for _, p := range t.ases[n].origins {
-			if _, ok := pfxIdx[p]; !ok {
-				pfxIdx[p] = 0
-				e.prefixes = append(e.prefixes, p)
-			}
-		}
-	}
-	sort.Strings(e.prefixes)
-	for i, p := range e.prefixes {
-		pfxIdx[p] = int32(i)
-	}
-	e.pfxIdx = pfxIdx
-	e.origins = make([][]int32, len(e.prefixes))
+	e.origins = make([][]int32, len(rt.prefixes))
 	for i, n := range asns {
 		for _, p := range t.ases[n].origins {
-			pi := pfxIdx[p]
+			pi := rt.pfxIdx[p]
 			lst := e.origins[pi]
 			// ASes are visited in ascending index order, so the list stays
 			// sorted; the tail check drops duplicate originations.
@@ -345,7 +338,7 @@ func (t *Topology) compile() *engine {
 			}
 		}
 	}
-	return e
+	return e, nil
 }
 
 // incrementalSafe reports whether frontier-seeded re-convergence from the
@@ -468,16 +461,15 @@ func (e *engine) convergePrefix(p int, col []entry, slab *[]pathNode, st *convSt
 		st.updates = append(st.updates, colUpdate{idx: o, e: mkEntry(appendNode(slab, o, nilRef), 1, Origin)})
 	}
 	st.apply(col, nil)
-	for round := 1; round < e.maxRounds && len(st.changed) > 0; round++ {
+	for round := 1; len(st.changed) > 0; round++ {
 		e.round(p, col, slab, st, e.leaf)
 		if round == e.maxRounds-1 {
-			e.settleLeaves(col, slab, st)
-			st.apply(col, nil)
-			return
+			break // capped: this round's updates land after the leaves settle
 		}
 		st.apply(col, nil)
 	}
 	e.settleLeaves(col, slab, st)
+	st.apply(col, nil) // the capped round's updates; empty after quiescence
 }
 
 // settleLeaves writes every leaf's selection over col in one pass. An origin
@@ -711,84 +703,67 @@ func candBetter(nodes []pathNode, a, b entry) bool {
 // scenario avoids oversubscription. ctx is checked between prefix columns:
 // on cancellation the partial tables are discarded and ctx.Err() returned.
 func (t *Topology) ConvergeCtx(ctx context.Context, workers int) (*RoutingTables, error) {
-	e := t.compile()
-	rt, err := newRoutingTables(e.asns, e.prefixes)
+	c, err := t.ConvergeStateCtx(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.convergeAllCtx(ctx, rt, workers); err != nil {
-		return nil, err
-	}
-	return rt, nil
+	return c.Tables(), nil
 }
 
-// serialWorkFloor is the table-cell count (prefixes × ASes) below which the
-// fork-join machinery costs more than it saves and convergeAllCtx runs the
-// columns serially on the calling goroutine regardless of the worker knob.
+// serialWorkFloor is the table-cell count (columns × ASes) below which the
+// fork-join machinery costs more than it saves and fanOut runs the columns
+// serially on the calling goroutine regardless of the worker knob.
 const serialWorkFloor = 1 << 15
 
-// convergeChunks splits nP prefix columns into coarse contiguous chunks,
-// about four per worker, so each parallel task amortizes its dispatch and
-// scratch-state checkout over many columns instead of paying them per
-// prefix. Returns the chunk size.
-func convergeChunks(nP, workers int) int {
-	chunk := (nP + 4*workers - 1) / (4 * workers)
-	if chunk < 1 {
-		chunk = 1
+// fanOut runs do over n independent columns, each call on a contiguous range
+// [lo, hi) with a convState from c.states, and returns the net routed cells
+// the calls added. Below serialWorkFloor cells, or with one effective worker,
+// it runs one call on the calling goroutine; otherwise it splits the columns
+// into coarse chunks, about four per worker, so each task amortizes its
+// dispatch and scratch checkout over many columns, and runs them on at most
+// c.workers goroutines. Cold convergence and Apply both fan out here.
+func (c *Converged) fanOut(ctx context.Context, n int, do func(lo, hi int, st *convState) error) (int, error) {
+	run := func(lo, hi int) (int, error) {
+		st := c.states.Get().(*convState)
+		defer c.states.Put(st)
+		st.reach = 0
+		err := do(lo, hi, st)
+		return st.reach, err
 	}
-	return chunk
+	w := parallel.Workers(c.workers, n)
+	if w == 1 || len(c.e.rt.asns)*n < serialWorkFloor {
+		return run(0, n)
+	}
+	chunk := (n + 4*w - 1) / (4 * w)
+	reach := make([]int, (n+chunk-1)/chunk) // each task writes only its own index
+	err := parallel.ForEach(ctx, len(reach), w, func(ci int) error {
+		var err error
+		reach[ci], err = run(ci*chunk, min((ci+1)*chunk, n))
+		return err
+	})
+	total := 0
+	for _, r := range reach {
+		total += r
+	}
+	return total, err
 }
 
 // slabChunk caps, in nodes, the shared allocation convergeRange packs
 // column slabs into.
 const slabChunk = 1 << 16
 
-// convergeAllCtx runs the cold fixpoint for every column of rt. Columns are
-// independent, so the fan-out chunks them coarsely across workers; below
-// serialWorkFloor cells (or with one effective worker) it skips the
-// parallel machinery entirely. ctx is checked between prefix columns; on
-// cancellation the tables are left partially converged and ctx.Err() is
-// returned — callers must discard them (cold convergence builds fresh
-// tables, so there is no state to corrupt).
-func (e *engine) convergeAllCtx(ctx context.Context, rt *RoutingTables, workers int) error {
-	nAS, nP := len(e.asns), len(e.prefixes)
-	if nAS == 0 || nP == 0 {
-		return nil
-	}
-	w := parallel.Workers(workers, nP)
-	if w == 1 || nAS*nP < serialWorkFloor {
-		st := newConvState(nAS)
-		err := e.convergeRange(ctx, rt, 0, nP, st)
-		rt.reach = st.reach
-		return err
-	}
-	chunk := convergeChunks(nP, w)
-	nChunks := (nP + chunk - 1) / chunk
-	pool := sync.Pool{New: func() any { return newConvState(nAS) }}
-	reach := make([]int, nChunks) // each task writes only its own index
-	err := parallel.ForEach(ctx, nChunks, w, func(ci int) error {
-		st := pool.Get().(*convState)
-		defer pool.Put(st)
-		st.reach = 0
-		err := e.convergeRange(ctx, rt, ci*chunk, min((ci+1)*chunk, nP), st)
-		reach[ci] = st.reach
-		return err
-	})
-	for _, r := range reach {
-		rt.reach += r
-	}
-	return err
-}
-
-// convergeRange cold-converges columns [lo, hi) of rt. Each column is built
-// in the scratch slab and then copied into a shared buffer as a three-index
-// slice of it, so a later Apply appending to one column reallocates that
-// column instead of overwriting its neighbor. A buffer is sized for one node
-// per cell of the remaining columns (a hierarchy selects each route exactly
-// once), capped at slabChunk nodes, so a small topology costs one slab
-// allocation in total.
-func (e *engine) convergeRange(ctx context.Context, rt *RoutingTables, lo, hi int, st *convState) error {
-	nAS := len(e.asns)
+// convergeRange cold-converges columns [lo, hi) of the engine's tables. ctx
+// is checked between columns; on cancellation the tables are left partially
+// converged and ctx.Err() is returned, and the caller discards them. Each
+// column is built in the scratch slab and then copied into a shared buffer
+// as a three-index slice of it, so a later Apply appending to one column
+// reallocates that column instead of overwriting its neighbor. A buffer is
+// sized for one node per cell of the remaining columns (a hierarchy selects
+// each route exactly once), capped at slabChunk nodes, so a small topology
+// costs one slab allocation in total.
+func (e *engine) convergeRange(ctx context.Context, lo, hi int, st *convState) error {
+	rt := e.rt
+	nAS := len(rt.asns)
 	var buf []pathNode
 	for p := lo; p < hi; p++ {
 		if err := ctx.Err(); err != nil {

@@ -227,7 +227,7 @@ func leakSweepRows(ctx context.Context, h *Hierarchy, victim ASN, workers int) (
 	if err != nil {
 		return nil, err
 	}
-	scope := []int32{c.rt.pfxIdx[prefix]}
+	scope := []int32{c.Tables().pfxIdx[prefix]}
 	measure := func(kind string, leaker ASN) (LeakRow, error) {
 		if err := ctx.Err(); err != nil {
 			return LeakRow{}, err

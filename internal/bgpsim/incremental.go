@@ -43,8 +43,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"repro/internal/parallel"
 )
 
 // DeltaKind enumerates the topology mutations Apply understands.
@@ -207,12 +205,15 @@ func (p *Patch) Cells() int {
 // ConvergeStateCtx; it is not safe for concurrent use.
 type Converged struct {
 	t       *Topology
-	e       *engine
-	rt      *RoutingTables
+	e       *engine // its rt is the live tables
 	workers int
-	// states recycles the per-worker convState scratch across Apply calls,
-	// so an event does not allocate it afresh for every worker.
-	states  sync.Pool
+	// states recycles the per-worker convState scratch of fanOut across the
+	// cold convergence and every Apply, so an event does not allocate it
+	// afresh for every worker. It is a pointer to a pool whose New captures
+	// only the AS count: the runtime keeps a used pool reachable for a
+	// collection or two, and an embedded one would keep the dropped state of
+	// every ConvergeCtx, tables included, alive with it.
+	states  *sync.Pool
 	applied int // LIFO depth, for Revert-order enforcement
 }
 
@@ -227,23 +228,26 @@ type Converged struct {
 // completion — cancelling mid-event would leave the undo log inconsistent —
 // so callers driving event sweeps check the context between events.
 func (t *Topology) ConvergeStateCtx(ctx context.Context, workers int) (*Converged, error) {
-	e := t.compile()
-	rt, err := newRoutingTables(e.asns, e.prefixes)
+	e, err := t.compile()
 	if err != nil {
 		return nil, err
 	}
-	if err := e.convergeAllCtx(ctx, rt, workers); err != nil {
+	nAS := len(e.rt.asns)
+	c := &Converged{t: t, e: e, workers: workers, states: &sync.Pool{New: func() any { return newConvState(nAS) }}}
+	reach, err := c.fanOut(ctx, len(e.rt.prefixes), func(lo, hi int, st *convState) error {
+		return e.convergeRange(ctx, lo, hi, st)
+	})
+	if err != nil {
 		return nil, err
 	}
-	c := &Converged{t: t, e: e, rt: rt, workers: workers}
-	c.states.New = func() any { return newConvState(len(e.asns)) }
+	e.rt.reach = reach
 	return c, nil
 }
 
 // Tables returns the live routing tables. They mutate in place on every
 // Apply/Revert; take copies (Route/Path materialize fresh slices) to keep
 // results across events.
-func (c *Converged) Tables() *RoutingTables { return c.rt }
+func (c *Converged) Tables() *RoutingTables { return c.e.rt }
 
 // Topology returns the underlying topology (mutated by Apply/Revert).
 func (c *Converged) Topology() *Topology { return c.t }
@@ -312,23 +316,26 @@ func (c *Converged) Revert(p *Patch) {
 	if p == nil || p.seq != c.applied {
 		panic("bgpsim: Converged.Revert: patches must be reverted in LIFO order")
 	}
-	nAS := len(c.e.asns)
+	e, rt := c.e, c.e.rt
+	nAS := len(rt.asns)
 	for i := len(p.cols) - 1; i >= 0; i-- {
 		pc := &p.cols[i]
-		col := c.rt.entries[int(pc.p)*nAS : (int(pc.p)+1)*nAS]
+		col := rt.entries[int(pc.p)*nAS : (int(pc.p)+1)*nAS]
 		for j := len(pc.log) - 1; j >= 0; j-- {
 			col[pc.log[j].idx] = pc.log[j].e
 		}
-		c.rt.reach -= pc.reach
-		c.rt.slabs[pc.p] = c.rt.slabs[pc.p][:pc.slabLen]
+		rt.reach -= pc.reach
+		rt.slabs[pc.p] = rt.slabs[pc.p][:pc.slabLen]
 	}
 	if _, err := c.applyStructural(p.delta.inverse()); err != nil {
 		// The inverse of a validated, applied delta always applies.
 		panic("bgpsim: Converged.Revert: " + err.Error())
 	}
-	c.e.c2pAcyclic = p.c2pAcyclic
+	e.c2pAcyclic = p.c2pAcyclic
 	if p.addedPrefix {
-		c.dropNewestPrefix()
+		// The newest column is the one Apply appended (LIFO, enforced above).
+		e.origins = e.origins[:len(e.origins)-1]
+		rt.dropLastPrefixColumn()
 	}
 	c.applied--
 }
@@ -337,9 +344,9 @@ func (c *Converged) Revert(p *Patch) {
 // match, without touching the tables or c2pAcyclic (Apply and Revert keep
 // that flag). Returns whether a new prefix column was created.
 func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
-	e := c.e
+	e, rt := c.e, c.e.rt
 	if d.Kind == DeltaWithdraw || d.Kind == DeltaAnnounce {
-		if _, ok := e.idx[d.A]; !ok {
+		if _, ok := rt.asIdx[d.A]; !ok {
 			return false, fmt.Errorf("%w: %d", ErrUnknownAS, d.A)
 		}
 	}
@@ -348,35 +355,32 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
 	}
 	switch d.Kind {
 	case DeltaWithdraw:
-		pi := e.pfxIdx[d.Prefix] // present: the origin existed, so compile/announce saw it
-		e.origins[pi] = removeSorted(e.origins[pi], e.idx[d.A])
+		pi := rt.pfxIdx[d.Prefix] // present: the origin existed, so compile/announce saw it
+		e.origins[pi] = removeSorted(e.origins[pi], rt.asIdx[d.A])
 	case DeltaAnnounce:
-		pi, ok := e.pfxIdx[d.Prefix]
+		pi, ok := rt.pfxIdx[d.Prefix]
 		if !ok {
-			pi = int32(len(e.prefixes))
-			e.prefixes = append(e.prefixes, d.Prefix)
-			e.pfxIdx[d.Prefix] = pi
+			pi = rt.addPrefixColumn(d.Prefix)
 			e.origins = append(e.origins, nil)
-			c.rt.addPrefixColumn(d.Prefix)
 			addedPrefix = true
 		}
-		e.origins[pi] = insertSorted(e.origins[pi], e.idx[d.A])
+		e.origins[pi] = insertSorted(e.origins[pi], rt.asIdx[d.A])
 	case DeltaLinkUp, DeltaLinkDown:
 		for _, n := range [2]ASN{d.A, d.B} {
-			i := e.idx[n]
-			e.nbr[i] = compileEdges(c.t, e.idx, n)
+			i := rt.asIdx[n]
+			e.nbr[i] = compileEdges(c.t, rt.asIdx, n)
 			c.updateLeaky(i)
 			e.leaf[i] = isLeaf(c.t.ases[n])
 		}
 	case DeltaLeakToggle:
-		i := e.idx[d.A]
+		i := rt.asIdx[d.A]
 		a := c.t.ases[d.A]
 		// Export policy lives on the receiving side: every neighbor's edge
 		// toward the leaker carries the receiveAll flag, mirrored by the
 		// sendAll flag of the leaker's own edge. Patch both in place.
 		for k, ed := range e.nbr[i] {
 			back := &e.nbr[ed.idx][e.edgeTo(ed.idx, i)]
-			back.receiveAll = a.customers[e.asns[ed.idx]] || a.leaker
+			back.receiveAll = a.customers[rt.asns[ed.idx]] || a.leaker
 			e.nbr[i][k].sendAll = back.receiveAll
 		}
 		c.updateLeaky(i)
@@ -400,8 +404,8 @@ func (e *engine) edgeTo(i, j int32) int {
 // between ASes a and b: bit 0 when a is b's provider, bit 1 when b is a's.
 // An unknown AS or an absent link has none.
 func (e *engine) c2pBetween(a, b ASN) uint8 {
-	i, okA := e.idx[a]
-	j, okB := e.idx[b]
+	i, okA := e.rt.asIdx[a]
+	j, okB := e.rt.asIdx[b]
 	if !okA || !okB {
 		return 0
 	}
@@ -422,7 +426,7 @@ func (e *engine) c2pBetween(a, b ASN) uint8 {
 // updateLeaky refreshes the per-AS export-violation flag and the global
 // violator count after a structural change at index i.
 func (c *Converged) updateLeaky(i int32) {
-	now := leakyExporter(c.t.ases[c.e.asns[i]])
+	now := leakyExporter(c.t.ases[c.e.rt.asns[i]])
 	if now != c.e.leaky[i] {
 		c.e.leaky[i] = now
 		if now {
@@ -433,32 +437,21 @@ func (c *Converged) updateLeaky(i int32) {
 	}
 }
 
-// dropNewestPrefix removes the prefix column Apply appended (LIFO, enforced
-// by Revert's seq check).
-func (c *Converged) dropNewestPrefix() {
-	e := c.e
-	last := len(e.prefixes) - 1
-	delete(e.pfxIdx, e.prefixes[last])
-	e.prefixes = e.prefixes[:last]
-	e.origins = e.origins[:last]
-	c.rt.dropLastPrefixColumn()
-}
-
 // affected returns the prefix columns a just-applied delta can influence and
 // the seed frontier to re-evaluate first. nil cols means every column.
 func (c *Converged) affected(d Delta) (cols []int32, seeds []int32) {
-	e := c.e
+	e, rt := c.e, c.e.rt
 	switch d.Kind {
 	case DeltaWithdraw, DeltaAnnounce:
-		return []int32{e.pfxIdx[d.Prefix]}, []int32{e.idx[d.A]}
+		return []int32{rt.pfxIdx[d.Prefix]}, []int32{rt.asIdx[d.A]}
 	case DeltaLinkUp, DeltaLinkDown:
-		seeds = []int32{e.idx[d.A], e.idx[d.B]}
+		seeds = []int32{rt.asIdx[d.A], rt.asIdx[d.B]}
 		if seeds[0] > seeds[1] {
 			seeds[0], seeds[1] = seeds[1], seeds[0]
 		}
 		return nil, seeds
 	default: // DeltaLeakToggle
-		i := e.idx[d.A]
+		i := rt.asIdx[d.A]
 		seeds = make([]int32, len(e.nbr[i]))
 		for k, ed := range e.nbr[i] {
 			seeds[k] = ed.idx
@@ -473,66 +466,39 @@ func (c *Converged) affected(d Delta) (cols []int32, seeds []int32) {
 // any column whose seeded fixpoint hit the round cap — they are recomputed
 // cold (see the package comment for why that preserves cold-identity).
 func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool) {
-	e, rt := c.e, c.rt
-	nAS, nP := len(e.asns), len(e.prefixes)
-	if nAS == 0 || nP == 0 {
-		return
-	}
+	e, rt := c.e, c.e.rt
+	nAS := len(rt.asns)
 	if cols == nil {
-		cols = make([]int32, nP)
+		cols = make([]int32, len(rt.prefixes))
 		for i := range cols {
 			cols[i] = int32(i)
 		}
 	}
-	// Each column appends only to its own slab, so concurrent columns never
-	// share a write.
-	run := func(pi int32, st *convState) patchCol {
-		slab := &rt.slabs[pi]
-		pc := patchCol{p: pi, slabLen: len(*slab)}
-		col := rt.entries[int(pi)*nAS : (int(pi)+1)*nAS]
-		reach := st.reach
-		if !safe || !e.reconvergeColumn(int(pi), col, slab, st, seeds, &pc.log) {
-			e.coldColumn(int(pi), col, slab, st, &pc.log)
-		}
-		pc.reach = st.reach - reach
-		return pc
-	}
-
+	// Each column appends only to its own slab and its own pcs entry, so
+	// concurrent columns never share a write.
 	pcs := make([]patchCol, len(cols))
-	w := parallel.Workers(c.workers, len(cols))
-	if w == 1 || nAS*len(cols) < serialWorkFloor {
-		st := c.states.Get().(*convState)
-		for i, pi := range cols {
-			pcs[i] = run(pi, st)
-		}
-		c.states.Put(st)
-	} else {
-		chunk := convergeChunks(len(cols), w)
-		nChunks := (len(cols) + chunk - 1) / chunk
-		chunkCols := make([][]patchCol, nChunks) // each task writes only its own index
-		err := parallel.ForEach(context.Background(), nChunks, w, func(ci int) error {
-			st := c.states.Get().(*convState)
-			lo, hi := ci*chunk, min((ci+1)*chunk, len(cols))
-			out := make([]patchCol, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				out = append(out, run(cols[i], st))
+	reach, err := c.fanOut(context.Background(), len(cols), func(lo, hi int, st *convState) error {
+		for i, pi := range cols[lo:hi] {
+			slab := &rt.slabs[pi]
+			pc := patchCol{p: pi, slabLen: len(*slab)}
+			col := rt.entries[int(pi)*nAS : (int(pi)+1)*nAS]
+			before := st.reach
+			if !safe || !e.reconvergeColumn(int(pi), col, slab, st, seeds, &pc.log) {
+				e.coldColumn(int(pi), col, slab, st, &pc.log)
 			}
-			chunkCols[ci] = out
-			c.states.Put(st)
-			return nil
-		})
-		if err != nil {
-			panic(err) // only worker panics can land here; re-raise
+			pc.reach = st.reach - before
+			pcs[lo+i] = pc
 		}
-		for ci, outs := range chunkCols {
-			copy(pcs[ci*chunk:], outs)
-		}
+		return nil
+	})
+	if err != nil {
+		panic(err) // only worker panics can land here; re-raise
 	}
+	rt.reach += reach
 	// A column that appended nodes or changed the routed count also
 	// overwrote cells, so the log alone decides which columns the patch
 	// records.
 	for _, pc := range pcs {
-		rt.reach += pc.reach
 		if len(pc.log) > 0 {
 			p.cols = append(p.cols, pc)
 		}

@@ -11,27 +11,30 @@ import (
 // compile of the same topology, keyed by name/ASN (prefix column order may
 // legitimately differ after announces).
 func engineEquivalent(e *engine, t *Topology) error {
-	f := t.compile()
-	if len(e.asns) != len(f.asns) {
-		return fmt.Errorf("asns: %d vs %d", len(e.asns), len(f.asns))
+	f, err := t.compile()
+	if err != nil {
+		return err
 	}
-	for i := range e.asns {
-		if e.asns[i] != f.asns[i] {
-			return fmt.Errorf("asns[%d]: %d vs %d", i, e.asns[i], f.asns[i])
+	if len(e.rt.asns) != len(f.rt.asns) {
+		return fmt.Errorf("asns: %d vs %d", len(e.rt.asns), len(f.rt.asns))
+	}
+	for i := range e.rt.asns {
+		if e.rt.asns[i] != f.rt.asns[i] {
+			return fmt.Errorf("asns[%d]: %d vs %d", i, e.rt.asns[i], f.rt.asns[i])
 		}
 		if len(e.nbr[i]) != len(f.nbr[i]) {
-			return fmt.Errorf("AS %d: %d edges vs %d", e.asns[i], len(e.nbr[i]), len(f.nbr[i]))
+			return fmt.Errorf("AS %d: %d edges vs %d", e.rt.asns[i], len(e.nbr[i]), len(f.nbr[i]))
 		}
 		for j := range e.nbr[i] {
 			if e.nbr[i][j] != f.nbr[i][j] {
-				return fmt.Errorf("AS %d edge %d: %+v vs %+v", e.asns[i], j, e.nbr[i][j], f.nbr[i][j])
+				return fmt.Errorf("AS %d edge %d: %+v vs %+v", e.rt.asns[i], j, e.nbr[i][j], f.nbr[i][j])
 			}
 		}
 		if e.leaky[i] != f.leaky[i] {
-			return fmt.Errorf("AS %d leaky: %v vs %v", e.asns[i], e.leaky[i], f.leaky[i])
+			return fmt.Errorf("AS %d leaky: %v vs %v", e.rt.asns[i], e.leaky[i], f.leaky[i])
 		}
 		if e.leaf[i] != f.leaf[i] {
-			return fmt.Errorf("AS %d leaf: %v vs %v", e.asns[i], e.leaf[i], f.leaf[i])
+			return fmt.Errorf("AS %d leaf: %v vs %v", e.rt.asns[i], e.leaf[i], f.leaf[i])
 		}
 	}
 	if e.nLeaky != f.nLeaky {
@@ -41,8 +44,8 @@ func engineEquivalent(e *engine, t *Topology) error {
 		return fmt.Errorf("c2pAcyclic: %v vs %v", e.c2pAcyclic, f.c2pAcyclic)
 	}
 	// Per-prefix origins, keyed by prefix name.
-	fIdx := f.pfxIdx
-	for p, pi := range e.pfxIdx {
+	fIdx := f.rt.pfxIdx
+	for p, pi := range e.rt.pfxIdx {
 		fpi, ok := fIdx[p]
 		if !ok {
 			if len(e.origins[pi]) == 0 {

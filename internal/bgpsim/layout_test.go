@@ -58,8 +58,8 @@ func TestLinkFlapCyclesReclaimSlabs(t *testing.T) {
 	}
 	c := convergeState(t, h.Topo, 1)
 	slabLens := func() []int {
-		out := make([]int, len(c.rt.slabs))
-		for i, s := range c.rt.slabs {
+		out := make([]int, len(c.Tables().slabs))
+		for i, s := range c.Tables().slabs {
 			out[i] = len(s)
 		}
 		return out

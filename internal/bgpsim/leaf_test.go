@@ -29,7 +29,10 @@ func TestConvergeLeavesOffTransitPaths(t *testing.T) {
 			if s.twist {
 				twistHierarchy(t, hier)
 			}
-			e := hier.Topo.compile()
+			e, err := hier.Topo.compile()
+			if err != nil {
+				t.Fatal(err)
+			}
 			rt, err := hier.Topo.ConvergeCtx(context.Background(), 2)
 			if err != nil {
 				t.Fatal(err)
@@ -44,8 +47,8 @@ func TestConvergeLeavesOffTransitPaths(t *testing.T) {
 // leavesOffPaths walks every selected path of rt, whose AS and prefix order
 // is e's.
 func leavesOffPaths(e *engine, rt *RoutingTables) error {
-	nAS := len(e.asns)
-	for p := range e.prefixes {
+	nAS := len(e.rt.asns)
+	for p := range e.rt.prefixes {
 		nodes := rt.slabs[p]
 		for i, en := range rt.entries[p*nAS : (p+1)*nAS] {
 			if en.head == nilRef {
@@ -55,7 +58,7 @@ func leavesOffPaths(e *engine, rt *RoutingTables) error {
 				as := nodes[r].as
 				if e.leaf[as] && (nodes[r].next != nilRef || !e.originates(p, as)) {
 					return fmt.Errorf("prefix %s: the path of AS %d passes leaf %d",
-						e.prefixes[p], e.asns[i], e.asns[as])
+						e.rt.prefixes[p], e.rt.asns[i], e.rt.asns[as])
 				}
 			}
 		}
@@ -101,15 +104,15 @@ func TestIncrementalStubGainsAndLosesCustomer(t *testing.T) {
 	c := convergeState(t, h.Topo, 1)
 	base := snapshotEntries(c.Tables())
 	stub, cust := h.Stubs[2], h.Stubs[9]
-	if !c.e.leaf[c.e.idx[stub]] {
+	if !c.e.leaf[c.e.rt.asIdx[stub]] {
 		t.Fatalf("stub %d is not a leaf", stub)
 	}
 	up := applyMatchesCold(t, c, Delta{Kind: DeltaLinkUp, A: stub, B: cust})
-	if c.e.leaf[c.e.idx[stub]] {
+	if c.e.leaf[c.e.rt.asIdx[stub]] {
 		t.Fatalf("stub %d with a customer is still a leaf", stub)
 	}
 	down := applyMatchesCold(t, c, Delta{Kind: DeltaLinkDown, A: stub, B: cust})
-	if !c.e.leaf[c.e.idx[stub]] {
+	if !c.e.leaf[c.e.rt.asIdx[stub]] {
 		t.Fatalf("stub %d that lost its customer is not a leaf", stub)
 	}
 	revertAll(t, c, base, up, down)
@@ -126,11 +129,11 @@ func TestIncrementalStubLeakToggle(t *testing.T) {
 	// A leaking stub exports everything to every neighbor, so it must leave
 	// the leaf set.
 	on := applyMatchesCold(t, c, Delta{Kind: DeltaLeakToggle, A: stub})
-	if c.e.leaf[c.e.idx[stub]] {
+	if c.e.leaf[c.e.rt.asIdx[stub]] {
 		t.Fatalf("leaking stub %d is still a leaf", stub)
 	}
 	off := applyMatchesCold(t, c, Delta{Kind: DeltaLeakToggle, A: stub})
-	if !c.e.leaf[c.e.idx[stub]] {
+	if !c.e.leaf[c.e.rt.asIdx[stub]] {
 		t.Fatalf("stub %d is not a leaf after its leak ends", stub)
 	}
 	revertAll(t, c, base, on, off)
@@ -169,7 +172,7 @@ func TestLeafPeersWithOriginLeaf(t *testing.T) {
 	c := convergeState(t, leafPeeringTopology(t, false), 1)
 	base := snapshotEntries(c.Tables())
 	for _, n := range []ASN{5, 6} {
-		if !c.e.leaf[c.e.idx[n]] {
+		if !c.e.leaf[c.e.rt.asIdx[n]] {
 			t.Fatalf("stub %d is not a leaf", n)
 		}
 	}
@@ -187,7 +190,7 @@ func TestDisagreeGadgetLeavesTrailTheCap(t *testing.T) {
 	mustPC(t, topo, 1, 4)
 	mustPC(t, topo, 2, 5)
 	mustPeer(t, topo, 4, 2)
-	if !roundCapped(topo) {
+	if !roundCapped(t, topo) {
 		t.Fatal("the gadget with leaves converged; it must run into the round cap")
 	}
 	assertEngineMatchesReference(t, "disagree with leaves", topo)

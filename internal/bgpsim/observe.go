@@ -43,7 +43,7 @@ func (c *Converged) StateFingerprint() uint64 {
 		}
 		mix(uint64(len(s)))
 	}
-	rt := c.rt
+	rt := c.Tables()
 	mix(uint64(c.applied))
 	mix(uint64(len(rt.asns)))
 	for _, n := range rt.asns {

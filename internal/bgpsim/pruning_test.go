@@ -85,11 +85,15 @@ func randomUnsafeTopology(g *proptest.G) (*Topology, error) {
 // roundCapped reports whether the transit core of some prefix column of
 // topo is still changing when cold convergence stops at the round cap.
 // Leaves are settled once after the rounds, so they never count.
-func roundCapped(topo *Topology) bool {
-	e := topo.compile()
-	st := newConvState(len(e.asns))
-	for p := range e.prefixes {
-		col := make([]entry, len(e.asns))
+func roundCapped(tb testing.TB, topo *Topology) bool {
+	tb.Helper()
+	e, err := topo.compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := newConvState(len(e.rt.asns))
+	for p := range e.rt.prefixes {
+		col := make([]entry, len(e.rt.asns))
 		slab := []pathNode{{}}
 		e.convergePrefix(p, col, &slab, st)
 		if len(st.changed) > 0 {
@@ -121,7 +125,7 @@ func disagreeGadget(t *testing.T) *Topology {
 
 func TestDisagreeGadgetHitsRoundCap(t *testing.T) {
 	topo := disagreeGadget(t)
-	if !roundCapped(topo) {
+	if !roundCapped(t, topo) {
 		t.Fatal("the DISAGREE gadget converged; it must run into the round cap")
 	}
 	assertEngineMatchesReference(t, "disagree", topo)
@@ -148,7 +152,7 @@ func TestPropConvergeMatchesReferenceUnsafe(t *testing.T) {
 				return fmt.Errorf("workers=%d on\n%s: %w", w, FormatTopology(topo), err)
 			}
 		}
-		if roundCapped(topo) {
+		if roundCapped(t, topo) {
 			capped++
 		}
 		return nil
@@ -170,11 +174,11 @@ func mirrorsConsistent(e *engine) error {
 				}
 			}
 			if rev == nil {
-				return fmt.Errorf("edge %d→%d has no reverse edge", e.asns[i], e.asns[ed.idx])
+				return fmt.Errorf("edge %d→%d has no reverse edge", e.rt.asns[i], e.rt.asns[ed.idx])
 			}
 			if ed.sendAll != rev.receiveAll || ed.back != rev.rel {
 				return fmt.Errorf("edge %d→%d: sendAll %v back %v, reverse receiveAll %v rel %v",
-					e.asns[i], e.asns[ed.idx], ed.sendAll, ed.back, rev.receiveAll, rev.rel)
+					e.rt.asns[i], e.rt.asns[ed.idx], ed.sendAll, ed.back, rev.receiveAll, rev.rel)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func TestBuildMeshBridgesDisconnectedDraw(t *testing.T) {
 	if net.G.M() != 39 {
 		t.Errorf("links = %d, want a spanning tree of 39", net.G.M())
 	}
-	for _, r := range []float64{0, math.NaN()} {
+	for _, r := range []float64{0, -0.35, math.NaN()} {
 		if _, err := BuildMesh(5, r, rng.New(1)); err == nil {
 			t.Errorf("radius %v accepted", r)
 		}

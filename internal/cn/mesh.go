@@ -40,10 +40,10 @@ func BuildMesh(n int, radius float64, r *rng.Rand) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("cn: mesh needs at least 2 nodes, got %d", n)
 	}
-	if radius == 0 || math.IsNaN(radius) {
-		// Such a radius links no two nodes, and every bridge would cost an
-		// infinite or NaN ETX.
-		return nil, fmt.Errorf("cn: mesh radius %g links no nodes", radius)
+	if !(radius > 0) {
+		// A radius of 0 or NaN links no two nodes, and every bridge would
+		// cost an infinite or NaN ETX; a negative one is no radio range.
+		return nil, fmt.Errorf("cn: mesh radius %g is not positive", radius)
 	}
 	var g *graph.Graph
 	var pos [][2]float64

@@ -2,6 +2,7 @@ package cn
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/experiment"
@@ -22,7 +23,7 @@ func init() {
 		Claim: "CPR-style credit scheduling protects light users through congestion while keeping utilization on par with proportional and max-min baselines.",
 		Seed:  42,
 		Params: experiment.Schema{
-			{Name: "members", Kind: experiment.Int, Default: 30, Doc: "community members sharing the uplink"},
+			{Name: "members", Kind: experiment.Int, Default: 30, Min: experiment.Bound(2), Doc: "community members sharing the uplink"},
 			{Name: "heavy-frac", Kind: experiment.Float, Default: 0.2, Doc: "fraction of heavy users"},
 			{Name: "capacity-factor", Kind: experiment.Float, Default: 0.6, Doc: "capacity / mean offered load"},
 			{Name: "epochs", Kind: experiment.Int, Default: 300, Doc: "epochs to simulate"},
@@ -51,7 +52,7 @@ func init() {
 		Seed:  42,
 		Aux:   true,
 		Params: experiment.Schema{
-			{Name: "members", Kind: experiment.Int, Default: 30, Doc: "community members"},
+			{Name: "members", Kind: experiment.Int, Default: 30, Min: experiment.Bound(8), Doc: "community members"},
 			{Name: "heavy-frac", Kind: experiment.Float, Default: 0.2, Doc: "fraction of heavy users"},
 			{Name: "capacity-factor", Kind: experiment.Float, Default: 0.6, Doc: "capacity / mean offered load"},
 			{Name: "epochs", Kind: experiment.Int, Default: 300, Doc: "epochs to simulate"},
@@ -66,7 +67,7 @@ func init() {
 		Seed:  7,
 		Aux:   true,
 		Params: experiment.Schema{
-			{Name: "nodes", Kind: experiment.Int, Default: 30, Doc: "mesh nodes"},
+			{Name: "nodes", Kind: experiment.Int, Default: 30, Min: experiment.Bound(8), Doc: "mesh nodes"},
 			{Name: "radius", Kind: experiment.Float, Default: 0.35, Doc: "radio range in unit-square units"},
 		},
 		Run: runGateway,
@@ -127,6 +128,10 @@ func runMaintenance(ctx context.Context, p experiment.Values, seed uint64) (*exp
 // runTopology renders the topology-aware scheduler comparison and the
 // hop-quartile rate table.
 func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	radius, err := radiusParam(p)
+	if err != nil {
+		return nil, err
+	}
 	cfg := SimConfig{
 		Members:        p.Int("members"),
 		HeavyFrac:      p.Float("heavy-frac"),
@@ -145,7 +150,7 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 		t.AddRow(r.Scheduler, experiment.F3(r.NearSat), experiment.F3(r.FarSat),
 			experiment.FP(r.Gap, 2))
 	}
-	rows, err := TopoGapExperiment(p.Int("members"), p.Float("radius"), seed)
+	rows, err := TopoGapExperiment(p.Int("members"), radius, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -158,11 +163,25 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 	return res, nil
 }
 
+// radiusParam returns the radius param, which must be positive: a radius of 0
+// or NaN links no two nodes, and a negative one is no radio range.
+func radiusParam(p experiment.Values) (float64, error) {
+	r := p.Float("radius")
+	if !(r > 0) {
+		return 0, fmt.Errorf("%w %q = %v, want > 0", experiment.ErrBadParam, "radius", r)
+	}
+	return r, nil
+}
+
 // runGateway compares the default (node-0) gateway with the 1-median one
 // on the same seeded mesh, each row with its max-min member rates at unit
 // link capacity, then places the best second gateway on the optimized mesh.
 func runGateway(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
-	nodes, radius := p.Int("nodes"), p.Float("radius")
+	radius, err := radiusParam(p)
+	if err != nil {
+		return nil, err
+	}
+	nodes := p.Int("nodes")
 	gaps, err := TopoGapExperiment(nodes, radius, seed)
 	if err != nil {
 		return nil, err

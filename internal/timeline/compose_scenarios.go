@@ -116,7 +116,7 @@ func init() {
 			{Name: "region", Kind: experiment.Int, Default: 3, Doc: "stubs in the outage region"},
 			{Name: "out-at", Kind: experiment.Int, Default: 6, Doc: "tick the regional outage begins"},
 			{Name: "out-len", Kind: experiment.Int, Default: 8, Doc: "ticks the outage lasts"},
-			{Name: "members", Kind: experiment.Int, Default: 24, Doc: "community members sharing the uplink"},
+			{Name: "members", Kind: experiment.Int, Default: 24, Min: experiment.Bound(2), Doc: "community members sharing the uplink"},
 			{Name: "fail-prob", Kind: experiment.Float, Default: 0.04, Doc: "per-member background failure probability per tick"},
 			{Name: "repair-after", Kind: experiment.Int, Default: 4, Doc: "ticks until a failed member is repaired"},
 			{Name: "heavy-frac", Kind: experiment.Float, Default: 0.2, Doc: "fraction of heavy users"},

@@ -44,7 +44,7 @@ func init() {
 		Claim: "With a fixed repair delay, served demand degrades gracefully under node churn — the CPR discipline keeps light users near full satisfaction even as the up-set shrinks.",
 		Seed:  42,
 		Params: experiment.Schema{
-			{Name: "members", Kind: experiment.Int, Default: 24, Doc: "community members sharing the uplink"},
+			{Name: "members", Kind: experiment.Int, Default: 24, Min: experiment.Bound(2), Doc: "community members sharing the uplink"},
 			{Name: "ticks", Kind: experiment.Int, Default: 36, Doc: "ticks (demand epochs) to replay"},
 			{Name: "fail-prob", Kind: experiment.Float, Default: 0.06, Doc: "per-member failure probability per tick"},
 			{Name: "repair-after", Kind: experiment.Int, Default: 4, Doc: "ticks until a failed member is repaired"},
