@@ -397,26 +397,32 @@ func (rt *RoutingTables) dropLastPrefixColumn() {
 	}
 }
 
-// lookup returns the column index and cell for (n, prefix); the cell is
-// empty (head == nilRef) when either is unknown.
-func (rt *RoutingTables) lookup(n ASN, prefix string) (int32, entry) {
+// lookup returns the column and AS indices and the cell for (n, prefix);
+// the cell is empty (head == nilRef) when either is unknown.
+func (rt *RoutingTables) lookup(n ASN, prefix string) (pi, ai int32, en entry) {
 	ai, ok := rt.asIdx[n]
 	if !ok {
-		return 0, entry{}
+		return 0, 0, entry{}
 	}
-	pi, ok := rt.pfxIdx[prefix]
+	pi, ok = rt.pfxIdx[prefix]
 	if !ok {
-		return 0, entry{}
+		return 0, 0, entry{}
 	}
-	return pi, rt.entries[int(pi)*len(rt.asns)+int(ai)]
+	return pi, ai, rt.entries[int(pi)*len(rt.asns)+int(ai)]
 }
 
-// materialize copies the path of a routed cell of column pi into a fresh
-// slice of ASNs.
-func (rt *RoutingTables) materialize(pi int32, en entry) []ASN {
+// materialize copies the path of AS ai's routed cell of column pi into a
+// fresh slice of ASNs. A bare cell has no node for ai itself, so ai is
+// prepended to its tail.
+func (rt *RoutingTables) materialize(pi, ai int32, en entry) []ASN {
 	nodes := rt.slabs[pi]
 	out := make([]ASN, 0, en.plen())
-	for r := en.head; r != nilRef; r = nodes[r].next {
+	r := en.head
+	if r < 0 {
+		out = append(out, rt.asns[ai])
+		r = -r
+	}
+	for ; r != nilRef; r = nodes[r].next {
 		out = append(out, rt.asns[nodes[r].as])
 	}
 	return out
@@ -426,26 +432,26 @@ func (rt *RoutingTables) materialize(pi int32, en entry) []ASN {
 // The caller owns the returned Route: mutating it, including its Path slice,
 // never affects the converged tables or the result of other calls.
 func (rt *RoutingTables) Route(n ASN, prefix string) *Route {
-	pi, en := rt.lookup(n, prefix)
+	pi, ai, en := rt.lookup(n, prefix)
 	if en.head == nilRef {
 		return nil
 	}
-	return &Route{Prefix: prefix, Path: rt.materialize(pi, en), Learned: en.learned()}
+	return &Route{Prefix: prefix, Path: rt.materialize(pi, ai, en), Learned: en.learned()}
 }
 
 // Path returns the AS path from n to prefix (n first, origin last), or nil
 // when unreachable. The slice is a fresh copy owned by the caller.
 func (rt *RoutingTables) Path(n ASN, prefix string) []ASN {
-	pi, en := rt.lookup(n, prefix)
+	pi, ai, en := rt.lookup(n, prefix)
 	if en.head == nilRef {
 		return nil
 	}
-	return rt.materialize(pi, en)
+	return rt.materialize(pi, ai, en)
 }
 
 // Reachable reports whether n has any route to prefix.
 func (rt *RoutingTables) Reachable(n ASN, prefix string) bool {
-	_, en := rt.lookup(n, prefix)
+	_, _, en := rt.lookup(n, prefix)
 	return en.head != nilRef
 }
 

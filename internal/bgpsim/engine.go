@@ -24,7 +24,13 @@ package bgpsim
 //     mid-convergence comparisons see exactly the paths the reference engine
 //     would materialize. Cells and table entries are pointer-free (int32
 //     slab refs and dense AS indices), so the garbage collector never traces
-//     the tables.
+//     the tables. A leaf's non-origin cell is bare: it holds its next hop's
+//     chain head negated and has no node of its own, since by rule 3 no
+//     chain ever contains that node; readers take a cell's tail through
+//     tail. On the 10k-AS shape 84% of the routed cells are leaves', and
+//     bare cells cut a cold convergence from 90.6 to 51.0 MB allocated
+//     (BENCH_bgpsim.json). Apply clothes an AS that stops being a leaf
+//     before its cells become visible (see clothe in incremental.go).
 //   - Rounds are change-driven, by three exact rules. An AS's selection reads
 //     only its own origins and the previous-round entries of the neighbors
 //     it can see: a neighbor's entry is visible if the neighbor exports
@@ -64,6 +70,7 @@ package bgpsim
 //     the column the last round read, before its updates land. On the 10k-AS
 //     shape 84% of the cells are leaves', and serial cold convergence fell
 //     from 452 to 249 ms on 2 vCPUs of an Intel Xeon (BENCH_bgpsim.json).
+//     The same argument makes a non-origin leaf's cell bare (see settle).
 //     Apply keeps leaves in its rounds: Patch.Cells counts every overwritten
 //     cell, and the timeline tables print that count.
 //   - Updates are batched and applied at the end of each round, preserving
@@ -118,6 +125,16 @@ func appendNode(slab *[]pathNode, as, next int32) int32 {
 	return int32(r)
 }
 
+// tail returns the slab index of the path a routed cell's AS conses itself
+// onto: the next hop's chain head, or nilRef for an origin entry. A bare cell
+// (head < 0, see entry) stores it negated and has no node of its own.
+func tail(nodes []pathNode, en entry) int32 {
+	if en.head < 0 {
+		return -en.head
+	}
+	return nodes[en.head].next
+}
+
 // chainContains reports whether AS index as appears anywhere in chain r.
 func chainContains(nodes []pathNode, r, as int32) bool {
 	for ; r != nilRef; r = nodes[r].next {
@@ -143,10 +160,11 @@ func chainEqual(nodes []pathNode, a, b int32) bool {
 }
 
 // entry is one dense routing-table cell: the selected route of one AS for
-// one prefix, in 8 pointer-free bytes. head == nilRef means no route;
-// otherwise head is the slab index of the full path (self first, origin
-// last), and meta packs the path length and the learned relationship as
-// plen<<2 | learned.
+// one prefix, in 8 pointer-free bytes. head == nilRef means no route; a
+// positive head is the slab index of the full path (self first, origin
+// last); a negative head marks a bare cell, whose path is the AS itself
+// followed by the chain at -head (see settle). meta packs the path length
+// and the learned relationship as plen<<2 | learned.
 type entry struct {
 	head int32
 	meta int32
@@ -490,7 +508,7 @@ func (e *engine) settleLeaves(col []entry, slab *[]pathNode, st *convState) {
 				}
 			}
 		}
-		if ne, changed := settle(int32(i), col[i], best, slab); changed {
+		if ne, changed := e.settle(int32(i), col[i], best, slab); changed {
 			st.reach += reachDelta(col[i], ne)
 			col[i] = ne
 		}
@@ -526,11 +544,11 @@ func (e *engine) round(p int, col []entry, slab *[]pathNode, st *convState, skip
 				st.mark[j] |= markQueued
 				st.best[j] = entry{}
 				if inc := col[j]; inc.head != nilRef {
-					tail := nodes[inc.head].next
-					if tail != nilRef && st.mark[nodes[tail].as]&markMoved != 0 {
+					t := tail(nodes, inc)
+					if t != nilRef && st.mark[nodes[t].as]&markMoved != 0 {
 						st.mark[j] |= markRescan
 					} else {
-						st.best[j] = entry{head: tail, meta: inc.meta}
+						st.best[j] = entry{head: t, meta: inc.meta}
 					}
 				}
 			}
@@ -546,7 +564,7 @@ func (e *engine) round(p int, col []entry, slab *[]pathNode, st *convState, skip
 		if st.mark[j]&markRescan != 0 {
 			ne, changed = e.selectBest(j, p, col, slab)
 		} else {
-			ne, changed = settle(j, col[j], st.best[j], slab)
+			ne, changed = e.settle(j, col[j], st.best[j], slab)
 		}
 		st.mark[j] &^= markQueued | markRescan
 		if changed {
@@ -619,7 +637,7 @@ func (e *engine) selectBest(i int32, p int, col []entry, slab *[]pathNode) (entr
 			best = offer(nodes, i, ne, ed.rel, best)
 		}
 	}
-	return settle(i, col[i], best, slab)
+	return e.settle(i, col[i], best, slab)
 }
 
 // visible reports whether a neighbor's entry ne reaches us: it holds a
@@ -643,14 +661,20 @@ func offer(nodes []pathNode, i int32, ne entry, rel Relationship, best entry) en
 
 // settle turns AS i's best candidate into its table entry and reports
 // whether that differs from the incumbent old. A node is appended to slab
-// only when the selection actually changed.
-func settle(i int32, old, best entry, slab *[]pathNode) (entry, bool) {
+// only when the selection actually changed, and never for a leaf's
+// non-origin selection: that entry is hidden from every neighbor, so no
+// chain ever contains its node (rule 3), and the cell is written bare,
+// holding the negated tail instead.
+func (e *engine) settle(i int32, old, best entry, slab *[]pathNode) (entry, bool) {
 	if best.meta == 0 {
 		return entry{}, old.head != nilRef
 	}
 	nodes := *slab
-	if old.head != nilRef && old.meta == best.meta && chainEqual(nodes, nodes[old.head].next, best.head) {
+	if old.head != nilRef && old.meta == best.meta && chainEqual(nodes, tail(nodes, old), best.head) {
 		return old, false
+	}
+	if e.leaf[i] && best.head != nilRef {
+		return entry{head: -best.head, meta: best.meta}, true
 	}
 	return entry{head: appendNode(slab, i, best.head), meta: best.meta}, true
 }
@@ -758,12 +782,19 @@ const slabChunk = 1 << 16
 // column is built in the scratch slab and then copied into a shared buffer
 // as a three-index slice of it, so a later Apply appending to one column
 // reallocates that column instead of overwriting its neighbor. A buffer is
-// sized for one node per cell of the remaining columns (a hierarchy selects
-// each route exactly once), capped at slabChunk nodes, so a small topology
-// costs one slab allocation in total.
+// sized for the nodes of the remaining columns: one per non-leaf cell (a
+// hierarchy selects each route exactly once; leaf cells are bare), plus the
+// nil slot and an origin leaf's node, capped at slabChunk nodes, so a small
+// topology costs one slab allocation in total.
 func (e *engine) convergeRange(ctx context.Context, lo, hi int, st *convState) error {
 	rt := e.rt
 	nAS := len(rt.asns)
+	perCol := 2
+	for _, leaf := range e.leaf {
+		if !leaf {
+			perCol++
+		}
+	}
 	var buf []pathNode
 	for p := lo; p < hi; p++ {
 		if err := ctx.Err(); err != nil {
@@ -773,7 +804,7 @@ func (e *engine) convergeRange(ctx context.Context, lo, hi int, st *convState) e
 		e.convergePrefix(p, rt.entries[p*nAS:(p+1)*nAS], &st.slab, st)
 		n := len(st.slab)
 		if cap(buf)-len(buf) < n {
-			buf = make([]pathNode, 0, max(n, min(slabChunk, (hi-p)*(nAS+1))))
+			buf = make([]pathNode, 0, max(n, min(slabChunk, (hi-p)*perCol)))
 		}
 		start := len(buf)
 		buf = append(buf, st.slab...)

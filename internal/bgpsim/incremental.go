@@ -166,12 +166,14 @@ func (t *Topology) ApplyDelta(d Delta) error {
 
 // patchCol is the sparse undo log of one re-converged prefix column:
 // every overwritten cell's previous value, oldest first, and the column's
-// slab length before the apply appended to it.
+// slab length before the apply appended to it. The first clothed entries
+// of the log are clothing writes (see clothe), which change no route; the
+// count shares a word with p.
 type patchCol struct {
-	p       int32
-	slabLen int
-	log     []undoCell
-	reach   int // net change in routed cells the column's writes made
+	p, clothed int32
+	slabLen    int
+	log        []undoCell
+	reach      int // net change in routed cells the column's writes made
 }
 
 // Patch records everything needed to undo one Apply: the delta itself (its
@@ -190,11 +192,12 @@ type Patch struct {
 func (p *Patch) Delta() Delta { return p.delta }
 
 // Cells returns the number of table cells the apply overwrote — the measured
-// blast radius of the delta.
+// blast radius of the delta. Clothing a former leaf's bare cells rewrites
+// them without changing a route, so it is not counted.
 func (p *Patch) Cells() int {
 	n := 0
 	for i := range p.cols {
-		n += len(p.cols[i].log)
+		n += len(p.cols[i].log) - int(p.cols[i].clothed)
 	}
 	return n
 }
@@ -285,24 +288,33 @@ func (c *Converged) applyScoped(d Delta, scope []int32) (*Patch, error) {
 	if link {
 		before = e.c2pBetween(d.A, d.B)
 	}
-	addedPrefix, err := c.applyStructural(d)
+	addedPrefix, unleafed, err := c.applyStructural(d)
 	if err != nil {
 		return nil, err
 	}
 	// A link delta changes the effective provider→customer digraph only
 	// between its two endpoints (relationship overrides apply: removing a
-	// peer record can expose a customer edge). Removing edges from an
-	// acyclic digraph keeps it acyclic, so the whole-graph pass runs only
-	// when a provider→customer edge appeared or the digraph had a cycle.
-	if link && (!acyclic || e.c2pBetween(d.A, d.B)&^before != 0) {
-		e.c2pAcyclic = e.computeC2PAcyclic()
+	// peer record can expose a customer edge, adding one can hide it).
+	// Removing edges from an acyclic digraph keeps it acyclic, and adding
+	// edges to a cyclic one keeps it cyclic. An edge that appears in an
+	// acyclic digraph closes a cycle exactly when its provider lies in its
+	// customer's cone, which a DFS from the customer answers; the
+	// whole-graph pass runs only when a cyclic digraph lost an edge.
+	if link {
+		after := e.c2pBetween(d.A, d.B)
+		switch {
+		case acyclic && after&^before != 0:
+			e.c2pAcyclic = !e.closesCycle(d.A, d.B, after&^before)
+		case !acyclic && before&^after != 0:
+			e.c2pAcyclic = e.computeC2PAcyclic()
+		}
 	}
 	p := &Patch{delta: d, addedPrefix: addedPrefix, c2pAcyclic: acyclic, seq: c.applied + 1}
 	cols, seeds := c.affected(d)
 	if scope != nil {
 		cols = scope
 	}
-	c.reconverge(p, cols, seeds, preSafe && e.incrementalSafe())
+	c.reconverge(p, cols, seeds, unleafed, preSafe && e.incrementalSafe())
 	c.applied++
 	return p, nil
 }
@@ -327,7 +339,7 @@ func (c *Converged) Revert(p *Patch) {
 		rt.reach -= pc.reach
 		rt.slabs[pc.p] = rt.slabs[pc.p][:pc.slabLen]
 	}
-	if _, err := c.applyStructural(p.delta.inverse()); err != nil {
+	if _, _, err := c.applyStructural(p.delta.inverse()); err != nil {
 		// The inverse of a validated, applied delta always applies.
 		panic("bgpsim: Converged.Revert: " + err.Error())
 	}
@@ -342,16 +354,25 @@ func (c *Converged) Revert(p *Patch) {
 
 // applyStructural mutates the topology and patches the compiled engine to
 // match, without touching the tables or c2pAcyclic (Apply and Revert keep
-// that flag). Returns whether a new prefix column was created.
-func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
+// that flag). Returns whether a new prefix column was created, and the ASes
+// that stopped being leaves: their bare cells are now visible to a neighbor,
+// so Apply clothes them before it re-converges (Revert restores the cells
+// first, so it needs no clothing).
+func (c *Converged) applyStructural(d Delta) (addedPrefix bool, unleafed []int32, err error) {
 	e, rt := c.e, c.e.rt
 	if d.Kind == DeltaWithdraw || d.Kind == DeltaAnnounce {
 		if _, ok := rt.asIdx[d.A]; !ok {
-			return false, fmt.Errorf("%w: %d", ErrUnknownAS, d.A)
+			return false, nil, fmt.Errorf("%w: %d", ErrUnknownAS, d.A)
 		}
 	}
 	if err := c.t.ApplyDelta(d); err != nil {
-		return false, err
+		return false, nil, err
+	}
+	setLeaf := func(i int32, a *as) {
+		if e.leaf[i] && !isLeaf(a) {
+			unleafed = append(unleafed, i)
+		}
+		e.leaf[i] = isLeaf(a)
 	}
 	switch d.Kind {
 	case DeltaWithdraw:
@@ -370,7 +391,7 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
 			i := rt.asIdx[n]
 			e.nbr[i] = compileEdges(c.t, rt.asIdx, n)
 			c.updateLeaky(i)
-			e.leaf[i] = isLeaf(c.t.ases[n])
+			setLeaf(i, c.t.ases[n])
 		}
 	case DeltaLeakToggle:
 		i := rt.asIdx[d.A]
@@ -384,9 +405,9 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, err error) {
 			e.nbr[i][k].sendAll = back.receiveAll
 		}
 		c.updateLeaky(i)
-		e.leaf[i] = isLeaf(a)
+		setLeaf(i, a)
 	}
-	return addedPrefix, nil
+	return addedPrefix, unleafed, nil
 }
 
 // edgeTo returns the position of j in i's adjacency, or -1 when they are
@@ -421,6 +442,41 @@ func (e *engine) c2pBetween(a, b ASN) uint8 {
 		m |= 2
 	}
 	return m
+}
+
+// closesCycle reports whether the provider→customer edges that appeared
+// between a and b (added, in c2pBetween's bits) close a cycle of the
+// effective digraph, which was acyclic without them: whether an edge's
+// provider is in its customer's cone.
+func (e *engine) closesCycle(a, b ASN, added uint8) bool {
+	i, j := e.rt.asIdx[a], e.rt.asIdx[b]
+	return added&1 != 0 && e.inCone(j, i) || added&2 != 0 && e.inCone(i, j)
+}
+
+// inCone reports whether AS index x lies in the customer cone of r: whether
+// a walk down the effective provider→customer edges from r reaches x. A
+// stub's cone is empty, so that answer costs one adjacency scan.
+func (e *engine) inCone(r, x int32) bool {
+	stack := []int32{r}
+	var seen map[int32]bool
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ed := range e.nbr[i] {
+			if ed.rel != FromCustomer || seen[ed.idx] {
+				continue
+			}
+			if ed.idx == x {
+				return true
+			}
+			if seen == nil {
+				seen = make(map[int32]bool)
+			}
+			seen[ed.idx] = true
+			stack = append(stack, ed.idx)
+		}
+	}
+	return false
 }
 
 // updateLeaky refreshes the per-AS export-violation flag and the global
@@ -462,10 +518,12 @@ func (c *Converged) affected(d Delta) (cols []int32, seeds []int32) {
 
 // reconverge re-runs the fixpoint on the given columns (nil = all) from the
 // seed frontier, recording every overwritten cell into the patch. When safe
-// (see Apply), columns continue from the live tables; otherwise — and for
-// any column whose seeded fixpoint hit the round cap — they are recomputed
-// cold (see the package comment for why that preserves cold-identity).
-func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool) {
+// (see Apply), columns continue from the live tables, after the bare cells
+// of the unleafed ASes are clothed; otherwise — and for any column whose
+// seeded fixpoint hit the round cap — they are recomputed cold (see the
+// package comment for why that preserves cold-identity), which needs no
+// clothing.
+func (c *Converged) reconverge(p *Patch, cols, seeds, unleafed []int32, safe bool) {
 	e, rt := c.e, c.e.rt
 	nAS := len(rt.asns)
 	if cols == nil {
@@ -483,6 +541,12 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 			pc := patchCol{p: pi, slabLen: len(*slab)}
 			col := rt.entries[int(pi)*nAS : (int(pi)+1)*nAS]
 			before := st.reach
+			if safe {
+				for _, j := range unleafed {
+					clothe(col, slab, j, &pc.log)
+				}
+				pc.clothed = int32(len(pc.log))
+			}
 			if !safe || !e.reconvergeColumn(int(pi), col, slab, st, seeds, &pc.log) {
 				e.coldColumn(int(pi), col, slab, st, &pc.log)
 			}
@@ -502,6 +566,16 @@ func (c *Converged) reconverge(p *Patch, cols []int32, seeds []int32, safe bool)
 		if len(pc.log) > 0 {
 			p.cols = append(p.cols, pc)
 		}
+	}
+}
+
+// clothe gives AS i's cell in col a path node of its own if the cell is
+// bare, logging the overwritten cell. The route does not change: the node
+// conses i onto the tail the bare cell held.
+func clothe(col []entry, slab *[]pathNode, i int32, log *[]undoCell) {
+	if en := col[i]; en.head < 0 {
+		*log = append(*log, undoCell{idx: i, e: en})
+		col[i] = entry{head: appendNode(slab, i, -en.head), meta: en.meta}
 	}
 }
 

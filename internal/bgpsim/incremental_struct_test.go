@@ -67,7 +67,8 @@ func engineEquivalent(e *engine, t *Topology) error {
 }
 
 // TestPropEngineStructuralEquivalence: after every Apply and Revert the
-// patched engine equals a fresh compile. Some steps close a provider cycle
+// patched engine equals a fresh compile, and its tables keep the bare-cell
+// rule. Some steps close a provider cycle
 // (an AS becomes the provider of its own provider) and open it again, so
 // the acyclicity flag Apply keeps without a whole-graph pass, and Revert
 // restores, is checked both ways.
@@ -125,6 +126,9 @@ func TestPropEngineStructuralEquivalence(t *testing.T) {
 			}
 			if err := engineEquivalent(c.e, c.Topology()); err != nil {
 				return fmt.Errorf("step %d: engine drifted: %w", s, err)
+			}
+			if err := bareCellsSound(c.e); err != nil {
+				return fmt.Errorf("step %d: %w", s, err)
 			}
 		}
 		return nil

@@ -36,6 +36,9 @@ func tablesEqualCold(c *Converged) error {
 			return err
 		}
 	}
+	if err := bareCellsSound(c.e); err != nil {
+		return err
+	}
 	for _, n := range c.Topology().ASNs() {
 		cp, lp := cold.Prefixes(n), live.Prefixes(n)
 		if len(cp) != len(lp) {
@@ -477,6 +480,9 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 					return fmt.Errorf("building topology: %w", err)
 				}
 				c := convergeState(t, topo, w)
+				if err := bareCellsSound(c.e); err != nil {
+					return fmt.Errorf("after compile: %w", err)
+				}
 				base := snapshotEntries(c.Tables())
 				var stack []*Patch
 				extra := 0

@@ -57,14 +57,7 @@ func TestLinkFlapCyclesReclaimSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := convergeState(t, h.Topo, 1)
-	slabLens := func() []int {
-		out := make([]int, len(c.Tables().slabs))
-		for i, s := range c.Tables().slabs {
-			out[i] = len(s)
-		}
-		return out
-	}
-	baseLens, baseFP := slabLens(), c.StateFingerprint()
+	baseLens, baseFP := slabLens(c), c.StateFingerprint()
 
 	var links []Delta
 	for _, m := range h.Mids {
@@ -83,11 +76,11 @@ func TestLinkFlapCyclesReclaimSlabs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
-		if !grew && !reflect.DeepEqual(slabLens(), baseLens) {
+		if !grew && !reflect.DeepEqual(slabLens(c), baseLens) {
 			grew = true
 		}
 		c.Revert(p)
-		if got := slabLens(); !reflect.DeepEqual(got, baseLens) {
+		if got := slabLens(c); !reflect.DeepEqual(got, baseLens) {
 			t.Fatalf("cycle %d: slab lengths %v after revert, want %v", cycle, got, baseLens)
 		}
 		if fp := c.StateFingerprint(); fp != baseFP {

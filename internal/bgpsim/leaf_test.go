@@ -3,6 +3,7 @@ package bgpsim
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -54,7 +55,7 @@ func leavesOffPaths(e *engine, rt *RoutingTables) error {
 			if en.head == nilRef {
 				continue
 			}
-			for r := nodes[en.head].next; r != nilRef; r = nodes[r].next {
+			for r := tail(nodes, en); r != nilRef; r = nodes[r].next {
 				as := nodes[r].as
 				if e.leaf[as] && (nodes[r].next != nilRef || !e.originates(p, as)) {
 					return fmt.Errorf("prefix %s: the path of AS %d passes leaf %d",
@@ -194,4 +195,125 @@ func TestDisagreeGadgetLeavesTrailTheCap(t *testing.T) {
 		t.Fatal("the gadget with leaves converged; it must run into the round cap")
 	}
 	assertEngineMatchesReference(t, "disagree with leaves", topo)
+}
+
+// bareCellsSound checks the bare-cell rule over e's tables: every bare cell
+// (head < 0) belongs to a current leaf, is not an origin entry, refers into
+// its column's slab, and is visible to no neighbor, so no chain can ever
+// need the node the cell does not have.
+func bareCellsSound(e *engine) error {
+	nAS := len(e.rt.asns)
+	for p := range e.rt.prefixes {
+		for i, en := range e.rt.entries[p*nAS : (p+1)*nAS] {
+			if en.head >= 0 {
+				continue
+			}
+			at := fmt.Sprintf("prefix %s, AS %d", e.rt.prefixes[p], e.rt.asns[i])
+			switch {
+			case !e.leaf[i]:
+				return fmt.Errorf("%s: bare cell of a non-leaf", at)
+			case en.learned() == Origin || e.originates(p, int32(i)):
+				return fmt.Errorf("%s: bare origin cell", at)
+			case int(-en.head) >= len(e.rt.slabs[p]):
+				return fmt.Errorf("%s: bare tail %d beyond the slab's %d nodes", at, -en.head, len(e.rt.slabs[p]))
+			}
+			for _, ed := range e.nbr[i] {
+				if visible(en, ed.sendAll) {
+					return fmt.Errorf("%s: bare cell visible to AS %d", at, e.rt.asns[ed.idx])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// bareCellsOf counts AS i's bare cells over every column of c.
+func bareCellsOf(c *Converged, i int32) int {
+	rt := c.Tables()
+	n := 0
+	for p := range rt.prefixes {
+		if rt.entries[p*len(rt.asns)+int(i)].head < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// slabLens returns the length of every column's slab of c.
+func slabLens(c *Converged) []int {
+	out := make([]int, len(c.Tables().slabs))
+	for i, s := range c.Tables().slabs {
+		out[i] = len(s)
+	}
+	return out
+}
+
+// TestStubGainsCustomerClothesItsCells: a stub that gains a customer stops
+// being a leaf, so Apply clothes its bare cells before the rounds read
+// them. The routes match a cold convergence, Patch.Cells counts no clothing
+// write (it equals the count of the same delta on a state whose leaf cells
+// were all clothed beforehand), and Revert restores the slab lengths and
+// the state fingerprint. A stub leak toggle, stacked on top and on its own,
+// reverts as exactly.
+func TestStubGainsCustomerClothesItsCells(t *testing.T) {
+	h, err := BuildHierarchyOpts(rng.New(23), HierarchyOpts{NMid: 8, NStub: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub, cust, leaker := h.Stubs[2], h.Stubs[9], h.Stubs[5]
+	gain := Delta{Kind: DeltaLinkUp, A: stub, B: cust}
+
+	// The oracle state: the same topology with every bare cell clothed, so
+	// the same delta finds nothing to clothe.
+	ref := convergeState(t, h.Topo.Clone(), 1)
+	for p := range ref.Tables().prefixes {
+		nAS := len(ref.Tables().asns)
+		col := ref.Tables().entries[p*nAS : (p+1)*nAS]
+		var log []undoCell
+		for i := range col {
+			clothe(col, &ref.Tables().slabs[p], int32(i), &log)
+		}
+	}
+	refGain, err := ref.Apply(gain)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := convergeState(t, h.Topo, 1)
+	baseLens, baseFP := slabLens(c), c.StateFingerprint()
+	si := c.e.rt.asIdx[stub]
+	bare := bareCellsOf(c, si)
+	if bare == 0 {
+		t.Fatalf("stub %d holds no bare cell to clothe", stub)
+	}
+	up := applyMatchesCold(t, c, gain)
+	if !c.e.incrementalSafe() {
+		t.Fatal("the stub's customer made the topology unsafe: Apply re-converged cold and clothed nothing")
+	}
+	clothed := 0
+	for _, pc := range up.cols {
+		clothed += int(pc.clothed)
+	}
+	if clothed != bare || bareCellsOf(c, si) != 0 {
+		t.Fatalf("clothed %d of the stub's %d bare cells, %d left bare", clothed, bare, bareCellsOf(c, si))
+	}
+	if up.Cells() != refGain.Cells() {
+		t.Fatalf("Patch.Cells() = %d, want %d as on the clothed state: clothing writes are counted", up.Cells(), refGain.Cells())
+	}
+
+	leak := applyMatchesCold(t, c, Delta{Kind: DeltaLeakToggle, A: leaker})
+	c.Revert(leak)
+	c.Revert(up)
+	if got := slabLens(c); !reflect.DeepEqual(got, baseLens) {
+		t.Fatalf("slab lengths %v after revert, want %v", got, baseLens)
+	}
+	if fp := c.StateFingerprint(); fp != baseFP {
+		t.Fatalf("fingerprint %#x after revert, want %#x", fp, baseFP)
+	}
+
+	leak = applyMatchesCold(t, c, Delta{Kind: DeltaLeakToggle, A: stub})
+	c.Revert(leak)
+	if got, fp := slabLens(c), c.StateFingerprint(); !reflect.DeepEqual(got, baseLens) || fp != baseFP {
+		t.Fatalf("stub leak toggle revert: slab lengths %v, fingerprint %#x; want %v, %#x", got, fp, baseLens, baseFP)
+	}
 }

@@ -54,7 +54,7 @@ func BlastRadius(rt *RoutingTables, leaker ASN, prefix string) (affected []ASN, 
 		if !known || int32(i) == li {
 			continue // an unknown leaker is on no path
 		}
-		if chainContains(nodes, nodes[en.head].next, li) { // skip self hop
+		if chainContains(nodes, tail(nodes, en), li) { // skip self hop, bare or not
 			affected = append(affected, rt.asns[i])
 		}
 	}

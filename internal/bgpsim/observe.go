@@ -23,13 +23,15 @@ func (rt *RoutingTables) ReachableCells() (reachable, total int) {
 
 // StateFingerprint hashes the live routing state: every cell's slab refs
 // (the identity of the shared path-chain nodes, not just the hops they
-// spell), every column's slab length, the prefix interning order, and the
-// LIFO depth. Slabs are append-only below their length and Revert truncates
-// them back, so equal fingerprints certify the tables are ref-exactly
+// spell, and whether a leaf's cell is bare or clothed), every column's slab
+// length, the prefix interning order, and the LIFO depth. Slabs are
+// append-only below their length and Revert truncates them back, clothing
+// included, so equal fingerprints certify the tables are ref-exactly
 // identical — the guarantee Revert makes and the timeline unwind property
 // pins. It is a test-support probe that compares states of one build, not a
 // cache key or a golden across versions: where the work queue appends path
-// nodes can move slab refs without moving any route.
+// nodes, and which cells are stored bare, can move slab refs without moving
+// any route.
 func (c *Converged) StateFingerprint() uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {

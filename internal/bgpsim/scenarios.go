@@ -17,8 +17,8 @@ func init() {
 		Claim: "A single mid-tier misconfiguration propagates through valley-free routing to a large share of the reachable ASes; stub leaks stay contained.",
 		Seed:  5,
 		Params: experiment.Schema{
-			{Name: "mids", Kind: experiment.Int, Default: 8, Doc: "mid-tier AS count in the generated hierarchy"},
-			{Name: "stubs", Kind: experiment.Int, Default: 20, Doc: "stub AS count in the generated hierarchy"},
+			{Name: "mids", Kind: experiment.Int, Default: 8, Min: experiment.Bound(1), Doc: "mid-tier AS count in the generated hierarchy"},
+			{Name: "stubs", Kind: experiment.Int, Default: 20, Min: experiment.Bound(1), Doc: "stub AS count in the generated hierarchy"},
 		},
 		Run: runE14,
 	})
@@ -28,8 +28,8 @@ func init() {
 		Claim: "MOAS hijack capture depends on the attacker's topological position: well-connected mids capture most of the table, stubs only their cone.",
 		Seed:  5,
 		Params: experiment.Schema{
-			{Name: "mids", Kind: experiment.Int, Default: 8, Doc: "mid-tier AS count in the generated hierarchy"},
-			{Name: "stubs", Kind: experiment.Int, Default: 20, Doc: "stub AS count in the generated hierarchy"},
+			{Name: "mids", Kind: experiment.Int, Default: 8, Min: experiment.Bound(1), Doc: "mid-tier AS count in the generated hierarchy"},
+			{Name: "stubs", Kind: experiment.Int, Default: 20, Min: experiment.Bound(1), Doc: "stub AS count in the generated hierarchy"},
 		},
 		Run: runE16,
 	})

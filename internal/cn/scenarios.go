@@ -74,11 +74,20 @@ func init() {
 	})
 }
 
-// runE3 compares the three schedulers on one congestion configuration.
+// runE3 compares the three schedulers on one congestion configuration. Its
+// table reports light and heavy users' satisfaction side by side, so a
+// configuration that draws no heavy or no light user (members × heavy-frac
+// rounds to none or to all) has no table to print: the mean over no user
+// is NaN.
 func runE3(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	members, frac := p.Int("members"), p.Float("heavy-frac")
+	if h := heavyUsers(members, frac); h < 1 || h >= members {
+		return nil, fmt.Errorf("%w: members=%d × heavy-frac=%v draws %d heavy users, want at least one heavy and one light user",
+			experiment.ErrBadParam, members, frac, max(h, 0))
+	}
 	rows, err := CompareSchedulers(SimConfig{
-		Members:        p.Int("members"),
-		HeavyFrac:      p.Float("heavy-frac"),
+		Members:        members,
+		HeavyFrac:      frac,
 		CapacityFactor: p.Float("capacity-factor"),
 		Epochs:         p.Int("epochs"),
 		Seed:           seed,

@@ -44,7 +44,7 @@ type DemandModel struct {
 // rest LightUser, with the standard parameters used by experiment E3.
 func NewDemandModel(n int, heavyFrac float64) DemandModel {
 	kinds := make([]MemberKind, n)
-	heavy := int(float64(n) * heavyFrac)
+	heavy := heavyUsers(n, heavyFrac)
 	for i := 0; i < heavy; i++ {
 		kinds[i] = HeavyUser
 	}
@@ -55,6 +55,12 @@ func NewDemandModel(n int, heavyFrac float64) DemandModel {
 		BurstFactor: 20,
 		HeavyBase:   15,
 	}
+}
+
+// heavyUsers is the number of heavy users among n members: the first
+// n·heavyFrac, rounded down.
+func heavyUsers(n int, heavyFrac float64) int {
+	return int(float64(n) * heavyFrac)
 }
 
 // Sample returns one epoch of byte demands and a parallel slice marking

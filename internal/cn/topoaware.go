@@ -48,16 +48,26 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 		caps[i] = rawRates[i+1] / rateSum * capacity
 	}
 
-	// Near/far split by hop count.
+	// Near/far split by hop count: near is every member at or below the
+	// median hop count. When the median is also the farthest hop count that
+	// leaves no far member, so near stops one hop short of it; when every
+	// member is equally far there is no split, and both halves are the whole
+	// mesh.
 	hops := make([]int, cfg.Members)
-	maxHop := 0
+	minHop, maxHop := 0, 0
 	for i := range hops {
 		hops[i] = net.HopsToGateway(i + 1)
+		if i == 0 || hops[i] < minHop {
+			minHop = hops[i]
+		}
 		if hops[i] > maxHop {
 			maxHop = hops[i]
 		}
 	}
-	median := medianInt(hops)
+	split := medianInt(hops)
+	if split == maxHop {
+		split--
+	}
 
 	sched.Reset(cfg.Members)
 	var nearSats, farSats []float64
@@ -79,9 +89,10 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 			if sat > 1 {
 				sat = 1
 			}
-			if hops[i] <= median {
+			if minHop == maxHop || hops[i] <= split {
 				nearSats = append(nearSats, sat)
-			} else {
+			}
+			if minHop == maxHop || hops[i] > split {
 				farSats = append(farSats, sat)
 			}
 		}

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -86,7 +88,9 @@ func TestSmallAuthorPopulationIsAnError(t *testing.T) {
 // quota went negative and it ratified nothing) and the visit counts were
 // clamped to one visit without a word, so the schema minimum is their only
 // guard. The mesh studies' `members`/`nodes` feed TopoGapExperiment, which
-// needs 8, and the community simulations need 2 members.
+// needs 8, and the community simulations need 2 members. The routing
+// studies need a stub (a sweep victim, a flap, an outage region) and so a
+// mid to home it.
 func TestDomainMinimumsAreDeclared(t *testing.T) {
 	for _, param := range []struct {
 		id, name string
@@ -103,6 +107,9 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 		{"ethno-reflection", "patchwork-visits", 1},
 		{"cn-topology", "members", 8}, {"cn-gateway", "nodes", 8},
 		{"E3", "members", 2}, {"E18", "members", 2}, {"E21", "members", 2},
+		{"E14", "mids", 1}, {"E14", "stubs", 1}, {"E16", "mids", 1}, {"E16", "stubs", 1},
+		{"E17", "mids", 1}, {"E17", "stubs", 1}, {"E20", "mids", 1}, {"E20", "stubs", 1},
+		{"E21", "mids", 1}, {"E21", "stubs", 1},
 	} {
 		for _, v := range []int{param.min - 1, 0, -1} {
 			query := fmt.Sprintf("id=%s&%s=%d", param.id, param.name, v)
@@ -136,7 +143,8 @@ func TestMeshRadiusIsABadParam(t *testing.T) {
 // TestMeshScenariosAtSmallestSize runs every scenario that builds a
 // community mesh at its smallest accepted member or node count over seeds
 // 1..20: the smallest meshes draw the most disconnected placements, and each
-// run must succeed or be refused as a bad param, never fail by chance.
+// run must succeed or be refused as a bad param, never fail by chance. An
+// accepted run prints no NaN or ±Inf cell.
 func TestMeshScenariosAtSmallestSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five scenarios over 20 seeds; skipped under -short")
@@ -161,9 +169,50 @@ func TestMeshScenariosAtSmallestSize(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: ParseJob: %v", query, err)
 			}
-			if _, err := r.RunOne(context.Background(), job); err != nil && !errors.Is(err, experiment.ErrBadParam) {
-				t.Errorf("%s: %v", query, err)
+			res, err := r.RunOne(context.Background(), job)
+			if err != nil {
+				if !errors.Is(err, experiment.ErrBadParam) {
+					t.Errorf("%s: %v", query, err)
+				}
+				continue
 			}
+			if cell, ok := nonFiniteCell(res); ok {
+				t.Errorf("%s: accepted run prints %s", query, cell)
+			}
+		}
+	}
+}
+
+// nonFiniteCell returns the first cell of res that reads as NaN or ±Inf,
+// with its table, row and column.
+func nonFiniteCell(res *experiment.Result) (string, bool) {
+	for _, tb := range res.Tables {
+		for i, row := range tb.Rows {
+			for j, cell := range row {
+				if f, err := strconv.ParseFloat(cell, 64); err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+					return fmt.Sprintf("%q in table %s row %d column %s", cell, tb.ID, i, tb.Columns[j]), true
+				}
+			}
+		}
+	}
+	return "", false
+}
+
+// TestE3NeedsHeavyAndLightUsers: E3 prints light and heavy users'
+// satisfaction side by side, so a configuration whose members × heavy-frac
+// draws no heavy user or no light user is a bad param, not a table of NaN.
+func TestE3NeedsHeavyAndLightUsers(t *testing.T) {
+	r := &experiment.Runner{Workers: 1}
+	for _, query := range []string{
+		"id=E3&members=2", "id=E3&members=4", "id=E3&heavy-frac=0",
+		"id=E3&heavy-frac=1", "id=E3&heavy-frac=2", "id=E3&heavy-frac=NaN",
+	} {
+		job, err := experiment.Default.ParseJob(mustQuery(t, query))
+		if err != nil {
+			t.Fatalf("%s: ParseJob: %v", query, err)
+		}
+		if _, err := r.RunOne(context.Background(), job); !errors.Is(err, experiment.ErrBadParam) {
+			t.Errorf("%s: RunOne err = %v, want ErrBadParam", query, err)
 		}
 	}
 }

@@ -91,8 +91,8 @@ func init() {
 		Claim: "When a flap storm degrades transit reachability, cascade pressure pushes competitors onto the exchange ahead of the staged rollout schedule: the coupled economy reaches full membership and higher domestic share earlier than the uncoupled control.",
 		Seed:  42,
 		Params: experiment.Schema{
-			{Name: "mids", Kind: experiment.Int, Default: 4, Doc: "mid-tier ASes in the routing hierarchy"},
-			{Name: "stubs", Kind: experiment.Int, Default: 10, Doc: "stub ASes (each originates a prefix)"},
+			{Name: "mids", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "mid-tier ASes in the routing hierarchy"},
+			{Name: "stubs", Kind: experiment.Int, Default: 10, Min: experiment.Bound(1), Doc: "stub ASes (each originates a prefix)"},
 			{Name: "per-tick", Kind: experiment.Int, Default: 2, Doc: "flap attempts per tick"},
 			{Name: "hold", Kind: experiment.Int, Default: 3, Doc: "ticks a flapped link/prefix stays down"},
 			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Max: experiment.Bound(64), Doc: "competitor ASes rolling onto the IXP"},
@@ -111,8 +111,8 @@ func init() {
 		Claim: "A regional transit outage propagates across domains: BGP reach-loss triggers a demand surge in the community network, and the CPR discipline holds light-user satisfaction through the surge that proportional sharing would sacrifice.",
 		Seed:  42,
 		Params: experiment.Schema{
-			{Name: "mids", Kind: experiment.Int, Default: 4, Doc: "mid-tier ASes in the routing hierarchy"},
-			{Name: "stubs", Kind: experiment.Int, Default: 10, Doc: "stub ASes (each originates a prefix)"},
+			{Name: "mids", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "mid-tier ASes in the routing hierarchy"},
+			{Name: "stubs", Kind: experiment.Int, Default: 10, Min: experiment.Bound(1), Doc: "stub ASes (each originates a prefix)"},
 			{Name: "region", Kind: experiment.Int, Default: 3, Doc: "stubs in the outage region"},
 			{Name: "out-at", Kind: experiment.Int, Default: 6, Doc: "tick the regional outage begins"},
 			{Name: "out-len", Kind: experiment.Int, Default: 8, Doc: "ticks the outage lasts"},

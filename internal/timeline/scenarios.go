@@ -30,8 +30,8 @@ func init() {
 		Claim: "Under a sustained link/prefix flap storm, the incremental engine tracks cold convergence tick for tick: reachability dips and recovers with each flap window while per-event blast radius stays far below full-table recomputation.",
 		Seed:  42,
 		Params: experiment.Schema{
-			{Name: "mids", Kind: experiment.Int, Default: 6, Doc: "mid-tier ASes in the generated hierarchy"},
-			{Name: "stubs", Kind: experiment.Int, Default: 12, Doc: "stub ASes (each originates a prefix)"},
+			{Name: "mids", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Doc: "mid-tier ASes in the generated hierarchy"},
+			{Name: "stubs", Kind: experiment.Int, Default: 12, Min: experiment.Bound(1), Doc: "stub ASes (each originates a prefix)"},
 			{Name: "ticks", Kind: experiment.Int, Default: 24, Doc: "ticks to replay"},
 			{Name: "per-tick", Kind: experiment.Int, Default: 2, Doc: "flap attempts per tick"},
 			{Name: "hold", Kind: experiment.Int, Default: 3, Doc: "ticks a flapped link/prefix stays down"},
