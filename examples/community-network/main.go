@@ -36,11 +36,9 @@ func main() {
 		far, farHops, net.RouteToGateway(far))
 
 	// Congestion management comparison.
-	cfg := cn.SimConfig{
-		Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6,
-		Epochs: 400, Seed: 11,
-	}
-	results, err := cn.CompareSchedulers(cfg)
+	cfg := cn.ChurnConfig{Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6, Seed: 11}
+	const epochs = 400
+	results, err := cn.CompareSchedulers(cfg, epochs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func main() {
 	fmt.Println("\nCPR rollover-cap ablation (burst satisfaction of light users)")
 	fmt.Println("rollover-cap  burst-sat  light-protected")
 	for _, cap := range []float64{1, 2, 3, 5, 8} {
-		res, err := cn.Simulate(cfg, &cn.CPR{RolloverCap: cap})
+		res, err := cn.Simulate(cfg, epochs, &cn.CPR{RolloverCap: cap})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,52 +1,89 @@
 package cn
 
-// Churn-aware congestion simulation for the timeline engine: the same mesh,
-// demand model, and scheduler discipline as Simulate, but held open as a
-// stateful machine so an external event stream can fail and repair members
-// between epochs. The demand process draws one sample per member per epoch
-// regardless of who is up — churn masks demand, it never perturbs the RNG —
-// so two replays of the same seed stay identical even when their failure
-// schedules differ only in timing, and an empty stream reproduces the
-// all-up trajectory exactly.
+// ChurnSim is the one congestion engine: the mesh, the demand model and a
+// scheduler discipline, held open as a stateful machine so an external event
+// stream can fail and repair members between epochs. Simulate (E3),
+// SimulateTopologyAware (cn-topology) and the timeline's CN machine (E18,
+// E21) all step it and differ only in how they reduce each epoch. The demand
+// process draws one sample per member per epoch regardless of who is up —
+// churn masks demand, it never perturbs the RNG — so two replays of the same
+// seed stay identical even when their failure schedules differ only in
+// timing, and an empty stream reproduces the all-up trajectory exactly.
 
-import "fmt"
+import (
+	"fmt"
+	"math"
 
-// ChurnConfig parameterizes a churn-aware run. It mirrors SimConfig minus
-// the epoch count (the replaying stream's horizon decides that).
+	"repro/internal/experiment"
+	"repro/internal/rng"
+)
+
+// ChurnConfig parameterizes a congestion run: the community and its seed.
+// The epoch count is the caller's (Simulate's argument, or the replaying
+// stream's horizon).
 type ChurnConfig struct {
 	Members   int
 	HeavyFrac float64
 	// CapacityFactor scales the gateway capacity relative to the mean
-	// offered airtime load of the full (all-up) membership.
+	// offered airtime load of the full (all-up) membership; < 1 means
+	// chronic congestion.
 	CapacityFactor float64
 	Seed           uint64
 }
 
-// ChurnSim is the live state: mesh, demand model, scheduler, and the up/down
-// member set. Not safe for concurrent use.
+// ChurnSim is the live state: mesh, demand model and its RNG stream, gateway
+// capacity, scheduler, and the up/down member set. Not safe for concurrent
+// use.
 type ChurnSim struct {
-	simSetup
-	cfg   ChurnConfig
-	sched Scheduler
-	up    []bool
-	nUp   int
+	net       *Network
+	model     DemandModel
+	demandRNG *rng.Rand
+	capacity  float64
+	sched     Scheduler
+	up        []bool
+	nUp       int
 	// scale multiplies every member's demand draw (1 = baseline). It scales
 	// the draw after the RNG consumes it, so changing the scale mid-run never
 	// perturbs the demand process itself — the same churn-independence
 	// guarantee SetUp keeps.
 	scale float64
+	// air is step's airtime buffer, reused every epoch; the schedulers keep
+	// no reference to the demand they are handed.
+	air []float64
 }
 
-// NewChurnSim builds the mesh and demand model exactly as Simulate does for
-// the same (Members, HeavyFrac, Seed) and starts every member up. Member i
-// maps to mesh node i+1 (node 0 is the gateway).
+// meshRadius is the radio range of every congestion run's mesh.
+const meshRadius = 0.35
+
+// NewChurnSim checks cfg, builds the mesh from the seed's first split and the
+// demand stream from its second, sizes the gateway capacity as
+// CapacityFactor times the mean offered airtime load of the full membership,
+// resets sched and starts every member up. Member i maps to mesh node i+1
+// (node 0 is the gateway). A HeavyFrac outside [0, 1] or a CapacityFactor
+// that is not finite and positive is an experiment.ErrBadParam.
 func NewChurnSim(cfg ChurnConfig, sched Scheduler) (*ChurnSim, error) {
 	if cfg.Members < 2 {
 		return nil, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
 	}
-	setup, err := newSimSetup(cfg.Members, cfg.HeavyFrac, cfg.CapacityFactor, cfg.Seed)
+	if !(cfg.HeavyFrac >= 0 && cfg.HeavyFrac <= 1) {
+		return nil, fmt.Errorf("%w %q = %v, want in [0, 1]", experiment.ErrBadParam, "heavy-frac", cfg.HeavyFrac)
+	}
+	if !(cfg.CapacityFactor > 0) || math.IsInf(cfg.CapacityFactor, 1) {
+		return nil, fmt.Errorf("%w %q = %v, want finite and > 0", experiment.ErrBadParam, "capacity-factor", cfg.CapacityFactor)
+	}
+	r := rng.New(cfg.Seed)
+	net, err := BuildMesh(cfg.Members+1, meshRadius, r.Split())
 	if err != nil {
 		return nil, err
+	}
+	model := NewDemandModel(cfg.Members, cfg.HeavyFrac)
+	meanBytes := 0.0
+	for _, k := range model.Kinds {
+		if k == HeavyUser {
+			meanBytes += model.HeavyBase
+		} else {
+			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
+		}
 	}
 
 	sched.Reset(cfg.Members)
@@ -55,12 +92,15 @@ func NewChurnSim(cfg ChurnConfig, sched Scheduler) (*ChurnSim, error) {
 		up[i] = true
 	}
 	return &ChurnSim{
-		simSetup: setup,
-		cfg:      cfg,
-		sched:    sched,
-		up:       up,
-		nUp:      cfg.Members,
-		scale:    1,
+		net:       net,
+		model:     model,
+		demandRNG: r.Split(),
+		capacity:  cfg.CapacityFactor * meanBytes * net.MeanPathETX(),
+		sched:     sched,
+		up:        up,
+		nUp:       cfg.Members,
+		scale:     1,
+		air:       make([]float64, cfg.Members),
 	}, nil
 }
 
@@ -88,8 +128,8 @@ func (s *ChurnSim) DemandScale() float64 { return s.scale }
 // a down member or repairing an up one is an error, never a no-op — so every
 // churn event in a stream is observable and invertible.
 func (s *ChurnSim) SetUp(m int, up bool) error {
-	if m < 0 || m >= s.cfg.Members {
-		return fmt.Errorf("cn: member %d outside [0, %d)", m, s.cfg.Members)
+	if m < 0 || m >= len(s.up) {
+		return fmt.Errorf("cn: member %d outside [0, %d)", m, len(s.up))
 	}
 	if s.up[m] == up {
 		state := "down"
@@ -107,6 +147,24 @@ func (s *ChurnSim) SetUp(m int, up bool) error {
 	return nil
 }
 
+// step runs one epoch: it draws a demand sample for every member (down
+// members' draws are discarded), turns the up members' scaled bytes into
+// airtime and runs the scheduler over it. air is the sim's own buffer, valid
+// until the next step; alloc is the scheduler's fresh allocation, burst marks
+// the light users who burst, and offered is the summed airtime.
+func (s *ChurnSim) step() (air, alloc []float64, burst []bool, offered float64) {
+	bytesDemand, burst := s.model.Sample(s.demandRNG)
+	air = s.air
+	clear(air)
+	for i, b := range bytesDemand {
+		if s.up[i] {
+			air[i] = b * s.scale * s.net.PathETX[i+1]
+			offered += air[i]
+		}
+	}
+	return air, s.sched.Allocate(air, s.capacity), burst, offered
+}
+
 // EpochStats summarizes one epoch of the churn-aware run. Offered and Served
 // are airtime (ETX-weighted bytes) over the up members only.
 type EpochStats struct {
@@ -117,30 +175,17 @@ type EpochStats struct {
 	LightSat float64
 }
 
-// Epoch draws one demand sample for every member (down members' draws are
-// discarded, keeping the process churn-independent), runs the scheduler over
-// the up members' airtime demands, and returns the epoch summary.
+// Epoch steps the sim one epoch and returns its summary.
 func (s *ChurnSim) Epoch() EpochStats {
-	bytesDemand, _ := s.model.Sample(s.demandRNG)
-	airDemand := make([]float64, s.cfg.Members)
-	offered := 0.0
-	for i := range bytesDemand {
-		if !s.up[i] {
-			continue
-		}
-		airDemand[i] = bytesDemand[i] * s.scale * s.net.PathETX[i+1]
-		offered += airDemand[i]
-	}
-	alloc := s.sched.Allocate(airDemand, s.capacity)
-
+	air, alloc, _, offered := s.step()
 	served := 0.0
 	lightSum, lightN := 0.0, 0
 	for i := range alloc {
 		served += alloc[i]
-		if !s.up[i] || s.model.Kinds[i] != LightUser || airDemand[i] <= 0 {
+		if !s.up[i] || s.model.Kinds[i] != LightUser || air[i] <= 0 {
 			continue
 		}
-		lightSum += alloc[i] / airDemand[i]
+		lightSum += alloc[i] / air[i]
 		lightN++
 	}
 	st := EpochStats{Up: s.nUp, Offered: offered, Served: served}

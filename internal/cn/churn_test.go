@@ -10,7 +10,7 @@ import (
 // and never perturbs the demand RNG (scaling is applied to the drawn bytes,
 // so churn and demand stay decoupled).
 func TestChurnSimDemandScale(t *testing.T) {
-	s, err := NewChurnSim(ChurnConfig{Members: 6, Seed: 1}, &CPR{})
+	s, err := NewChurnSim(ChurnConfig{Members: 6, CapacityFactor: 0.6, Seed: 1}, &CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestChurnSimDemandScale(t *testing.T) {
 	// Exact scaling: two sims with identical seeds, one at scale 2, run one
 	// epoch; offered airtime doubles bit-exactly because the multiplier
 	// applies outside the RNG draw.
-	a, err := NewChurnSim(ChurnConfig{Members: 6, Seed: 7}, &CPR{})
+	a, err := NewChurnSim(ChurnConfig{Members: 6, CapacityFactor: 0.6, Seed: 7}, &CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewChurnSim(ChurnConfig{Members: 6, Seed: 7}, &CPR{})
+	b, err := NewChurnSim(ChurnConfig{Members: 6, CapacityFactor: 0.6, Seed: 7}, &CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}

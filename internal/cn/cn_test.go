@@ -77,7 +77,7 @@ func TestBuildMeshBridgesDisconnectedDraw(t *testing.T) {
 func TestSmallCommunitiesAlwaysConnect(t *testing.T) {
 	bridged := 0
 	for seed := uint64(1); seed <= 200; seed++ {
-		s, err := newSimSetup(4, 0.2, 0.6, seed)
+		s, err := NewChurnSim(ChurnConfig{Members: 4, HeavyFrac: 0.2, CapacityFactor: 0.6, Seed: seed}, MaxMin{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -241,11 +241,7 @@ func TestCPRLeftoverRedistributed(t *testing.T) {
 }
 
 func TestSimulateShapesE3(t *testing.T) {
-	cfg := SimConfig{
-		Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6,
-		Epochs: 300, Seed: 42,
-	}
-	results, err := CompareSchedulers(cfg)
+	results, err := CompareSchedulers(ChurnConfig{Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6, Seed: 42}, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +281,12 @@ func TestSimulateShapesE3(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	cfg := SimConfig{Members: 20, HeavyFrac: 0.25, CapacityFactor: 0.7, Epochs: 100, Seed: 5}
-	a, err := Simulate(cfg, &CPR{})
+	cfg := ChurnConfig{Members: 20, HeavyFrac: 0.25, CapacityFactor: 0.7, Seed: 5}
+	a, err := Simulate(cfg, 100, &CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(cfg, &CPR{})
+	b, err := Simulate(cfg, 100, &CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +296,7 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(SimConfig{Members: 1, Epochs: 10}, MaxMin{}); err == nil {
+	if _, err := Simulate(ChurnConfig{Members: 1, CapacityFactor: 1}, 10, MaxMin{}); err == nil {
 		t.Error("1-member sim accepted")
 	}
 }
@@ -394,10 +390,10 @@ func TestJainOfEqualSatisfactions(t *testing.T) {
 }
 
 func BenchmarkSimulateCPR(b *testing.B) {
-	cfg := SimConfig{Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6, Epochs: 100, Seed: 1}
+	cfg := ChurnConfig{Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg, &CPR{}); err != nil {
+		if _, err := Simulate(cfg, 100, &CPR{}); err != nil {
 			b.Fatal(err)
 		}
 	}

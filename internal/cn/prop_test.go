@@ -82,15 +82,15 @@ func TestPropMaxMinProtectsSmallDemands(t *testing.T) {
 
 func TestPropSimulateBoundedAndDeterministic(t *testing.T) {
 	proptest.Run(t, 503, 25, func(g *proptest.G) error {
-		cfg := cn.SimConfig{
+		cfg := cn.ChurnConfig{
 			Members:        g.IntRange(2, 10),
 			HeavyFrac:      g.Float64Range(0, 0.6),
 			CapacityFactor: g.Float64Range(0.3, 2),
-			Epochs:         g.IntRange(1, 20),
-			Seed:           g.Uint64(),
 		}
+		epochs := g.IntRange(1, 20)
+		cfg.Seed = g.Uint64()
 		for _, s := range []cn.Scheduler{cn.MaxMin{}, &cn.CPR{}} {
-			res, err := cn.Simulate(cfg, s)
+			res, err := cn.Simulate(cfg, epochs, s)
 			if err != nil {
 				return fmt.Errorf("%s: %w", s.Name(), err)
 			}
@@ -104,14 +104,14 @@ func TestPropSimulateBoundedAndDeterministic(t *testing.T) {
 					return fmt.Errorf("%s: %s = %v out of [0,1]", s.Name(), name, v)
 				}
 			}
-			if res.CongestedEpochs < 0 || res.CongestedEpochs > cfg.Epochs {
-				return fmt.Errorf("%s: CongestedEpochs %d out of [0,%d]", s.Name(), res.CongestedEpochs, cfg.Epochs)
+			if res.CongestedEpochs < 0 || res.CongestedEpochs > epochs {
+				return fmt.Errorf("%s: CongestedEpochs %d out of [0,%d]", s.Name(), res.CongestedEpochs, epochs)
 			}
 			if !math.IsNaN(res.Utilization) && res.Utilization < -allocTol {
 				return fmt.Errorf("%s: negative utilization %v", s.Name(), res.Utilization)
 			}
 			s.Reset(cfg.Members)
-			res2, err := cn.Simulate(cfg, s)
+			res2, err := cn.Simulate(cfg, epochs, s)
 			if err != nil {
 				return err
 			}
@@ -127,14 +127,14 @@ func TestPropSimulateBoundedAndDeterministic(t *testing.T) {
 
 func TestPropTopologyAwareClampAndGap(t *testing.T) {
 	proptest.Run(t, 504, 25, func(g *proptest.G) error {
-		cfg := cn.SimConfig{
+		cfg := cn.ChurnConfig{
 			Members:        g.IntRange(4, 10),
 			HeavyFrac:      g.Float64Range(0, 0.6),
 			CapacityFactor: g.Float64Range(0.3, 2),
-			Epochs:         g.IntRange(1, 15),
-			Seed:           g.Uint64(),
 		}
-		res, err := cn.SimulateTopologyAware(cfg, cn.MaxMin{})
+		epochs := g.IntRange(1, 15)
+		cfg.Seed = g.Uint64()
+		res, err := cn.SimulateTopologyAware(cfg, epochs, cn.MaxMin{})
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,7 @@ func TestPropTopologyAwareClampAndGap(t *testing.T) {
 		} else if res.Gap != 0 {
 			return fmt.Errorf("FarSat = %v but Gap = %v, want 0", res.FarSat, res.Gap)
 		}
-		res2, err := cn.SimulateTopologyAware(cfg, cn.MaxMin{})
+		res2, err := cn.SimulateTopologyAware(cfg, epochs, cn.MaxMin{})
 		if err != nil {
 			return err
 		}
@@ -164,7 +164,7 @@ func TestPropTopologyAwareClampAndGap(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := cn.SimulateTopologyAware(cn.SimConfig{Members: 3, Epochs: 1, CapacityFactor: 1}, cn.MaxMin{}); err == nil {
+	if _, err := cn.SimulateTopologyAware(cn.ChurnConfig{Members: 3, CapacityFactor: 1}, 1, cn.MaxMin{}); err == nil {
 		t.Error("SimulateTopologyAware accepted Members=3, want error for < 4")
 	}
 }

@@ -26,7 +26,7 @@ func init() {
 			{Name: "members", Kind: experiment.Int, Default: 30, Min: experiment.Bound(2), Doc: "community members sharing the uplink"},
 			{Name: "heavy-frac", Kind: experiment.Float, Default: 0.2, Doc: "fraction of heavy users"},
 			{Name: "capacity-factor", Kind: experiment.Float, Default: 0.6, Doc: "capacity / mean offered load"},
-			{Name: "epochs", Kind: experiment.Int, Default: 300, Doc: "epochs to simulate"},
+			{Name: "epochs", Kind: experiment.Int, Default: 300, Min: experiment.Bound(1), Doc: "epochs to simulate"},
 		},
 		Run: runE3,
 	})
@@ -55,7 +55,7 @@ func init() {
 			{Name: "members", Kind: experiment.Int, Default: 30, Min: experiment.Bound(8), Doc: "community members"},
 			{Name: "heavy-frac", Kind: experiment.Float, Default: 0.2, Doc: "fraction of heavy users"},
 			{Name: "capacity-factor", Kind: experiment.Float, Default: 0.6, Doc: "capacity / mean offered load"},
-			{Name: "epochs", Kind: experiment.Int, Default: 300, Doc: "epochs to simulate"},
+			{Name: "epochs", Kind: experiment.Int, Default: 300, Min: experiment.Bound(1), Doc: "epochs to simulate"},
 			{Name: "radius", Kind: experiment.Float, Default: 0.35, Doc: "gateway placement radius for the hop-quartile table"},
 		},
 		Run: runTopology,
@@ -78,22 +78,22 @@ func init() {
 // table reports light and heavy users' satisfaction side by side, so a
 // configuration that draws no heavy or no light user (members × heavy-frac
 // rounds to none or to all) has no table to print: the mean over no user
-// is NaN.
+// is NaN. So has a run too short to draw a single light-user burst.
 func runE3(_ context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	members, frac := p.Int("members"), p.Float("heavy-frac")
 	if h := heavyUsers(members, frac); h < 1 || h >= members {
 		return nil, fmt.Errorf("%w: members=%d × heavy-frac=%v draws %d heavy users, want at least one heavy and one light user",
 			experiment.ErrBadParam, members, frac, max(h, 0))
 	}
-	rows, err := CompareSchedulers(SimConfig{
-		Members:        members,
-		HeavyFrac:      frac,
-		CapacityFactor: p.Float("capacity-factor"),
-		Epochs:         p.Int("epochs"),
-		Seed:           seed,
-	})
+	epochs := p.Int("epochs")
+	rows, err := CompareSchedulers(congestionConfig(p, seed), epochs)
 	if err != nil {
 		return nil, err
+	}
+	// Every discipline sees the same demand, so one has a burst iff all do.
+	if math.IsNaN(rows[0].BurstSatisfaction) {
+		return nil, fmt.Errorf("%w: members=%d over epochs=%d draws no light-user burst, so burst-sat has no value",
+			experiment.ErrBadParam, members, epochs)
 	}
 	res := &experiment.Result{}
 	t := res.AddTable("E3", "Community congestion management",
@@ -141,18 +141,11 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 	if err != nil {
 		return nil, err
 	}
-	cfg := SimConfig{
-		Members:        p.Int("members"),
-		HeavyFrac:      p.Float("heavy-frac"),
-		CapacityFactor: p.Float("capacity-factor"),
-		Epochs:         p.Int("epochs"),
-		Seed:           seed,
-	}
 	res := &experiment.Result{}
 	t := res.AddTable("cn-topology", "Topology-aware scheduler comparison",
 		"scheduler", "near-sat", "far-sat", "gap")
-	for _, s := range []Scheduler{Proportional{}, MaxMin{}, &CPR{}} {
-		r, err := SimulateTopologyAware(cfg, s)
+	for _, s := range freshSchedulers() {
+		r, err := SimulateTopologyAware(congestionConfig(p, seed), p.Int("epochs"), s)
 		if err != nil {
 			return nil, err
 		}
@@ -170,6 +163,17 @@ func runTopology(_ context.Context, p experiment.Values, seed uint64) (*experime
 			experiment.FP(r.MeanHops, 2), experiment.FP(r.MeanRate, 4))
 	}
 	return res, nil
+}
+
+// congestionConfig reads the community params E3 and cn-topology share;
+// NewChurnSim checks their ranges.
+func congestionConfig(p experiment.Values, seed uint64) ChurnConfig {
+	return ChurnConfig{
+		Members:        p.Int("members"),
+		HeavyFrac:      p.Float("heavy-frac"),
+		CapacityFactor: p.Float("capacity-factor"),
+		Seed:           seed,
+	}
 }
 
 // radiusParam returns the radius param, which must be positive: a radius of 0

@@ -1,7 +1,6 @@
 package cn
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/rng"
@@ -83,17 +82,6 @@ func (m DemandModel) Sample(r *rng.Rand) (demand []float64, burst []bool) {
 	return demand, burst
 }
 
-// SimConfig parameterizes a congestion-management run.
-type SimConfig struct {
-	Members   int
-	HeavyFrac float64
-	// CapacityFactor scales the gateway capacity relative to mean offered
-	// airtime load; < 1 means chronic congestion.
-	CapacityFactor float64
-	Epochs         int
-	Seed           uint64
-}
-
 // SimResult summarizes one run of one scheduler.
 type SimResult struct {
 	Scheduler string
@@ -116,95 +104,36 @@ type SimResult struct {
 	CongestedEpochs int
 }
 
-// meshRadius is the radio range of every congestion run's mesh.
-const meshRadius = 0.35
-
-// simSetup is the common start of Simulate, SimulateTopologyAware and
-// NewChurnSim: the mesh, the demand model and its RNG stream, and the
-// gateway capacity.
-type simSetup struct {
-	net       *Network
-	model     DemandModel
-	demandRNG *rng.Rand
-	capacity  float64
-}
-
-// newSimSetup builds the mesh from the seed's first split and the demand
-// stream from its second, then sizes the gateway capacity as capacityFactor
-// times the mean offered airtime load of the full membership.
-func newSimSetup(members int, heavyFrac, capacityFactor float64, seed uint64) (simSetup, error) {
-	r := rng.New(seed)
-	net, err := BuildMesh(members+1, meshRadius, r.Split())
-	if err != nil {
-		return simSetup{}, err
-	}
-	model := NewDemandModel(members, heavyFrac)
-	demandRNG := r.Split()
-
-	meanBytes := 0.0
-	for _, k := range model.Kinds {
-		if k == HeavyUser {
-			meanBytes += model.HeavyBase
-		} else {
-			meanBytes += model.LightBase * (1 + model.BurstProb*(model.BurstFactor-1))
-		}
-	}
-	return simSetup{
-		net:       net,
-		model:     model,
-		demandRNG: demandRNG,
-		capacity:  capacityFactor * meanBytes * net.MeanPathETX(),
-	}, nil
-}
-
-// Simulate runs the demand process through sched over a freshly built mesh
-// and returns the summary. Member 0 of the behavioural model maps to mesh
-// node 1 (node 0 is the gateway).
-func Simulate(cfg SimConfig, sched Scheduler) (SimResult, error) {
-	if cfg.Members < 2 {
-		return SimResult{}, fmt.Errorf("cn: need at least 2 members, got %d", cfg.Members)
-	}
-	setup, err := newSimSetup(cfg.Members, cfg.HeavyFrac, cfg.CapacityFactor, cfg.Seed)
+// Simulate steps a fresh ChurnSim over cfg through sched for epochs epochs,
+// every member up, and reduces each epoch into the E3 summary.
+func Simulate(cfg ChurnConfig, epochs int, sched Scheduler) (SimResult, error) {
+	s, err := NewChurnSim(cfg, sched)
 	if err != nil {
 		return SimResult{}, err
 	}
-	net, model, demandRNG, capacity := setup.net, setup.model, setup.demandRNG, setup.capacity
-
-	sched.Reset(cfg.Members)
 	var (
 		lights, heavies, bursts meanAcc
 		utils                   meanAcc
 		congested               int
 		lightObs, lightFull     int
 	)
-	// Per-epoch buffers: the schedulers return fresh allocations and keep
-	// no reference to the demand they are handed.
-	airDemand := make([]float64, cfg.Members)
 	sat := make([]float64, cfg.Members)
-	for e := 0; e < cfg.Epochs; e++ {
-		bytesDemand, burst := model.Sample(demandRNG)
-		clear(airDemand)
-		offered := 0.0
-		for i := range bytesDemand {
-			airDemand[i] = bytesDemand[i] * net.PathETX[i+1]
-			offered += airDemand[i]
-		}
-		alloc := sched.Allocate(airDemand, capacity)
-
+	for e := 0; e < epochs; e++ {
+		air, alloc, burst, offered := s.step()
 		granted := 0.0
 		clear(sat)
 		for i := range alloc {
 			granted += alloc[i]
-			if airDemand[i] > 0 {
-				sat[i] = alloc[i] / airDemand[i]
+			if air[i] > 0 {
+				sat[i] = alloc[i] / air[i]
 			}
 		}
-		utils.add(granted / capacity)
-		epochCongested := offered > capacity
+		utils.add(granted / s.capacity)
+		epochCongested := offered > s.capacity
 		if epochCongested {
 			congested++
 		}
-		for i, k := range model.Kinds {
+		for i, k := range s.model.Kinds {
 			switch {
 			case k == HeavyUser:
 				heavies.add(sat[i])
@@ -256,14 +185,18 @@ func (m meanAcc) mean() float64 {
 	return m.sum / float64(m.n)
 }
 
+// freshSchedulers returns new instances of the three disciplines every
+// comparison runs, in report order: unmanaged, max-min, credits.
+func freshSchedulers() []Scheduler { return []Scheduler{Proportional{}, MaxMin{}, &CPR{}} }
+
 // CompareSchedulers runs the same configuration through the unmanaged,
 // max-min, and CPR disciplines (same seed, hence identical demand and mesh)
 // and returns the three results in that order.
-func CompareSchedulers(cfg SimConfig) ([]SimResult, error) {
-	scheds := []Scheduler{Proportional{}, MaxMin{}, &CPR{}}
+func CompareSchedulers(cfg ChurnConfig, epochs int) ([]SimResult, error) {
+	scheds := freshSchedulers()
 	out := make([]SimResult, 0, len(scheds))
 	for _, s := range scheds {
-		res, err := Simulate(cfg, s)
+		res, err := Simulate(cfg, epochs, s)
 		if err != nil {
 			return nil, err
 		}

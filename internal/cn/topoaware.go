@@ -2,6 +2,7 @@ package cn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -18,24 +19,23 @@ type TopoAwareResult struct {
 	Gap float64
 }
 
-// SimulateTopologyAware runs the same demand process as Simulate but clamps
-// every member's allocation at its topology-supported rate (scaled so the
-// mesh's aggregate matches the gateway capacity). It exposes the inequality
-// the gateway-only model hides: even a fair scheduler cannot serve a member
-// past what its path supports.
-func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, error) {
+// SimulateTopologyAware steps a fresh ChurnSim over cfg through sched for
+// epochs epochs, every member up, and clamps every member's allocation at its
+// topology-supported rate (scaled so the mesh's aggregate matches the
+// gateway capacity). It exposes the inequality the gateway-only model hides:
+// even a fair scheduler cannot serve a member past what its path supports.
+func SimulateTopologyAware(cfg ChurnConfig, epochs int, sched Scheduler) (TopoAwareResult, error) {
 	if cfg.Members < 4 {
 		return TopoAwareResult{}, fmt.Errorf("cn: topology-aware sim needs >= 4 members")
 	}
-	setup, err := newSimSetup(cfg.Members, cfg.HeavyFrac, cfg.CapacityFactor, cfg.Seed)
+	s, err := NewChurnSim(cfg, sched)
 	if err != nil {
 		return TopoAwareResult{}, err
 	}
-	net, model, demandRNG, capacity := setup.net, setup.model, setup.demandRNG, setup.capacity
 
 	// Topology rates, rescaled so their sum equals the gateway capacity —
 	// the two layers then describe the same total resource.
-	rawRates, err := net.MaxMinRates(1)
+	rawRates, err := s.net.MaxMinRates(1)
 	if err != nil {
 		return TopoAwareResult{}, err
 	}
@@ -45,7 +45,7 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 	}
 	caps := make([]float64, cfg.Members)
 	for i := range caps {
-		caps[i] = rawRates[i+1] / rateSum * capacity
+		caps[i] = rawRates[i+1] / rateSum * s.capacity
 	}
 
 	// Near/far split by hop count: near is every member at or below the
@@ -56,7 +56,7 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 	hops := make([]int, cfg.Members)
 	minHop, maxHop := 0, 0
 	for i := range hops {
-		hops[i] = net.HopsToGateway(i + 1)
+		hops[i] = s.net.HopsToGateway(i + 1)
 		if i == 0 || hops[i] < minHop {
 			minHop = hops[i]
 		}
@@ -69,23 +69,17 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 		split--
 	}
 
-	sched.Reset(cfg.Members)
 	var nearSats, farSats []float64
-	for e := 0; e < cfg.Epochs; e++ {
-		bytesDemand, _ := model.Sample(demandRNG)
-		airDemand := make([]float64, cfg.Members)
-		for i := range bytesDemand {
-			airDemand[i] = bytesDemand[i] * net.PathETX[i+1]
-		}
-		alloc := sched.Allocate(airDemand, capacity)
+	for e := 0; e < epochs; e++ {
+		air, alloc, _, _ := s.step()
 		for i := range alloc {
 			if alloc[i] > caps[i] {
 				alloc[i] = caps[i] // the path cannot carry more
 			}
-			if airDemand[i] <= 0 {
+			if air[i] <= 0 {
 				continue
 			}
-			sat := alloc[i] / airDemand[i]
+			sat := alloc[i] / air[i]
 			if sat > 1 {
 				sat = 1
 			}
@@ -108,14 +102,9 @@ func SimulateTopologyAware(cfg SimConfig, sched Scheduler) (TopoAwareResult, err
 	return res, nil
 }
 
+// medianInt returns the upper median of xs, leaving xs as it is.
 func medianInt(xs []int) int {
-	cp := append([]int(nil), xs...)
-	for i := 0; i < len(cp); i++ {
-		for j := i + 1; j < len(cp); j++ {
-			if cp[j] < cp[i] {
-				cp[i], cp[j] = cp[j], cp[i]
-			}
-		}
-	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	return cp[len(cp)/2]
 }

@@ -5,18 +5,15 @@ import (
 )
 
 func TestSimulateTopologyAwareValidation(t *testing.T) {
-	if _, err := SimulateTopologyAware(SimConfig{Members: 2, Epochs: 5}, MaxMin{}); err == nil {
+	if _, err := SimulateTopologyAware(ChurnConfig{Members: 2, CapacityFactor: 1}, 5, MaxMin{}); err == nil {
 		t.Error("tiny config accepted")
 	}
 }
 
 func TestTopologyAwareFarMembersSufferEverywhere(t *testing.T) {
-	cfg := SimConfig{
-		Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6,
-		Epochs: 200, Seed: 21,
-	}
-	for _, sched := range []Scheduler{Proportional{}, MaxMin{}, &CPR{}} {
-		res, err := SimulateTopologyAware(cfg, sched)
+	cfg := ChurnConfig{Members: 30, HeavyFrac: 0.2, CapacityFactor: 0.6, Seed: 21}
+	for _, sched := range freshSchedulers() {
+		res, err := SimulateTopologyAware(cfg, 200, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,12 +29,12 @@ func TestTopologyAwareFarMembersSufferEverywhere(t *testing.T) {
 }
 
 func TestTopologyAwareDeterministic(t *testing.T) {
-	cfg := SimConfig{Members: 20, HeavyFrac: 0.2, CapacityFactor: 0.7, Epochs: 100, Seed: 4}
-	a, err := SimulateTopologyAware(cfg, &CPR{})
+	cfg := ChurnConfig{Members: 20, HeavyFrac: 0.2, CapacityFactor: 0.7, Seed: 4}
+	a, err := SimulateTopologyAware(cfg, 100, &CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateTopologyAware(cfg, &CPR{})
+	b, err := SimulateTopologyAware(cfg, 100, &CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ import (
 // the way a /run query can ask for it. A bounded Int param is probed at
 // each declared bound, which ParseJob must accept, and just outside it,
 // which ParseJob must reject with ErrBadParam; an unbounded Int is probed
-// at 0 and -1 and a Uint at 0. Whatever ParseJob accepts must come back
-// from the run as an error or as a result, never as a recovered panic: a
-// panic reaches a /run client as a 500 with no word about which param was
-// wrong.
+// at 0 and -1, a Uint at 0 and a Float at -1, 2 and NaN. Whatever ParseJob
+// accepts must come back from the run as an error or as a result, never as
+// a recovered panic: a panic reaches a /run client as a 500 with no word
+// about which param was wrong.
 func TestNoParamPanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario about a dozen times; skipped under -short")
@@ -30,19 +30,22 @@ func TestNoParamPanics(t *testing.T) {
 	r := &experiment.Runner{Workers: 1, ScenarioWorkers: 2}
 	for _, sc := range experiment.All() {
 		for _, spec := range sc.Params() {
-			var accept, reject []int
+			var accept []string
+			var reject []int
 			switch {
 			case spec.Kind == experiment.Uint:
-				accept = []int{0}
+				accept = []string{"0"}
+			case spec.Kind == experiment.Float:
+				accept = []string{"-1", "2", "NaN"}
 			case spec.Kind != experiment.Int:
 			case spec.Min == nil && spec.Max == nil:
-				accept = []int{0, -1}
+				accept = []string{"0", "-1"}
 			default:
 				if spec.Min != nil {
-					accept, reject = append(accept, *spec.Min), append(reject, *spec.Min-1)
+					accept, reject = append(accept, strconv.Itoa(*spec.Min)), append(reject, *spec.Min-1)
 				}
 				if spec.Max != nil {
-					accept, reject = append(accept, *spec.Max), append(reject, *spec.Max+1)
+					accept, reject = append(accept, strconv.Itoa(*spec.Max)), append(reject, *spec.Max+1)
 				}
 			}
 			for _, v := range reject {
@@ -52,7 +55,7 @@ func TestNoParamPanics(t *testing.T) {
 				}
 			}
 			for _, v := range accept {
-				query := fmt.Sprintf("id=%s&%s=%d", sc.ID(), spec.Name, v)
+				query := fmt.Sprintf("id=%s&%s=%s", sc.ID(), spec.Name, v)
 				job, err := experiment.Default.ParseJob(mustQuery(t, query))
 				if err != nil {
 					t.Errorf("%s: ParseJob: %v", query, err)
@@ -106,6 +109,7 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 		{"E7", "patchwork-visits", 1}, {"E7", "rapid-visits", 1},
 		{"ethno-reflection", "patchwork-visits", 1},
 		{"cn-topology", "members", 8}, {"cn-gateway", "nodes", 8},
+		{"E3", "epochs", 1}, {"cn-topology", "epochs", 1},
 		{"E3", "members", 2}, {"E18", "members", 2}, {"E21", "members", 2},
 		{"E14", "mids", 1}, {"E14", "stubs", 1}, {"E16", "mids", 1}, {"E16", "stubs", 1},
 		{"E17", "mids", 1}, {"E17", "stubs", 1}, {"E20", "mids", 1}, {"E20", "stubs", 1},
@@ -201,12 +205,36 @@ func nonFiniteCell(res *experiment.Result) (string, bool) {
 // TestE3NeedsHeavyAndLightUsers: E3 prints light and heavy users'
 // satisfaction side by side, so a configuration whose members × heavy-frac
 // draws no heavy user or no light user is a bad param, not a table of NaN.
+// So is a run too short to draw a light-user burst, which has no burst-sat.
 func TestE3NeedsHeavyAndLightUsers(t *testing.T) {
+	checkBadParams(t, "id=E3&members=2", "id=E3&members=4", "id=E3&heavy-frac=0",
+		"id=E3&heavy-frac=1", "id=E3&members=5&epochs=1&seed=1", "id=E3&members=5&epochs=1&seed=3")
+}
+
+// TestCongestionConfigIsABadParam: E3, cn-topology, E18 and E21 step one
+// congestion engine, which refuses a heavy-frac outside [0, 1] (more heavy
+// users than members) and a capacity-factor that is not finite and positive
+// (a gateway that serves nothing), so each answers a bad param, never a
+// panic or a table of NaN or of nothing served.
+func TestCongestionConfigIsABadParam(t *testing.T) {
+	var queries []string
+	for _, id := range []string{"E3", "cn-topology", "E18", "E21"} {
+		for _, param := range []string{
+			"heavy-frac=2", "heavy-frac=-0.5", "heavy-frac=NaN",
+			"capacity-factor=0", "capacity-factor=-1", "capacity-factor=NaN", "capacity-factor=Inf",
+		} {
+			queries = append(queries, fmt.Sprintf("id=%s&%s", id, param))
+		}
+	}
+	checkBadParams(t, queries...)
+}
+
+// checkBadParams runs each query, which ParseJob must accept, and wants the
+// run refused with ErrBadParam.
+func checkBadParams(t *testing.T, queries ...string) {
+	t.Helper()
 	r := &experiment.Runner{Workers: 1}
-	for _, query := range []string{
-		"id=E3&members=2", "id=E3&members=4", "id=E3&heavy-frac=0",
-		"id=E3&heavy-frac=1", "id=E3&heavy-frac=2", "id=E3&heavy-frac=NaN",
-	} {
+	for _, query := range queries {
 		job, err := experiment.Default.ParseJob(mustQuery(t, query))
 		if err != nil {
 			t.Fatalf("%s: ParseJob: %v", query, err)

@@ -290,7 +290,7 @@ func composedFixture(seed uint64) (*Composition, Stream, error) {
 	if err != nil {
 		return nil, Stream{}, err
 	}
-	community, err := NewCNMachine(cn.ChurnConfig{Members: 10, Seed: seed}, &cn.CPR{})
+	community, err := NewCNMachine(cn.ChurnConfig{Members: 10, CapacityFactor: 0.6, Seed: seed}, &cn.CPR{})
 	if err != nil {
 		return nil, Stream{}, err
 	}
@@ -575,7 +575,7 @@ func TestStakeholderMachineBiasAndEscalation(t *testing.T) {
 
 func TestCNMachineDemandScale(t *testing.T) {
 	newM := func() *CNMachine {
-		m, err := NewCNMachine(cn.ChurnConfig{Members: 8, Seed: 9}, &cn.CPR{})
+		m, err := NewCNMachine(cn.ChurnConfig{Members: 8, CapacityFactor: 0.6, Seed: 9}, &cn.CPR{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -298,7 +298,7 @@ func TestPropCNReplayDeterministic(t *testing.T) {
 			return err
 		}
 		render := func() (string, error) {
-			m, err := NewCNMachine(cn.ChurnConfig{Members: members, Seed: seed}, &cn.CPR{})
+			m, err := NewCNMachine(cn.ChurnConfig{Members: members, CapacityFactor: 0.6, Seed: seed}, &cn.CPR{})
 			if err != nil {
 				return "", err
 			}

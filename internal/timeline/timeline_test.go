@@ -214,7 +214,7 @@ func TestGenCNChurnReplaysStrictly(t *testing.T) {
 	if len(st.Events) == 0 {
 		t.Fatal("churn generated no events")
 	}
-	m, err := NewCNMachine(cn.ChurnConfig{Members: 12, Seed: 3}, &cn.CPR{})
+	m, err := NewCNMachine(cn.ChurnConfig{Members: 12, CapacityFactor: 0.6, Seed: 3}, &cn.CPR{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestMachinesRejectForeignEvents(t *testing.T) {
 	if err := bm.Apply(Event{Kind: KindCNFail, Node: 1}); err == nil {
 		t.Error("BGP machine applied a CN event")
 	}
-	cm, err := NewCNMachine(cn.ChurnConfig{Members: 4, Seed: 1}, cn.Proportional{})
+	cm, err := NewCNMachine(cn.ChurnConfig{Members: 4, CapacityFactor: 0.6, Seed: 1}, cn.Proportional{})
 	if err != nil {
 		t.Fatal(err)
 	}
