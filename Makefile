@@ -89,15 +89,17 @@ bench:
 # -timeout 0. The baselines are
 # committed; re-run after perf-relevant changes and diff. BENCHTIME=1x gives
 # a quick single-iteration snapshot. BENCHREGEXP covers the engine scales,
-# the incremental-vs-cold delta pair, and the event-driven sweep pairs.
+# the incremental-vs-cold delta pair, and the event-driven sweep pairs;
+# ROOTREGEXP the E1-E10 scenarios, biblio-graph and the k-core decomposition.
 BENCHTIME ?= 1s
 BENCHREGEXP = ^(BenchmarkConverge|BenchmarkDelta|BenchmarkSweep|BenchmarkLeakSweepEndToEnd|BenchmarkRunLeakSweep)
+ROOTREGEXP = ^(BenchmarkE([1-9]|10)[A-Z]|BenchmarkBiblioGraph$$|BenchmarkKCore$$)
 TIMELINEREGEXP = ^(BenchmarkReplayFlapStorm|BenchmarkComposedReplay)$$
 bench-json:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCHREGEXP)' \
 		-benchmem -benchtime $(BENCHTIME) -count 5 -timeout 0 ./internal/bgpsim >>$$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) test -run '^$$' -bench '^BenchmarkE([1-9]|10)[A-Z]' \
+	$(GO) test -run '^$$' -bench '$(ROOTREGEXP)' \
 		-benchmem -benchtime $(BENCHTIME) -count 5 -timeout 0 . >>$$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -out BENCH_bgpsim.json <$$tmp; \
 	rm -f $$tmp
@@ -117,7 +119,7 @@ bench-gate:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCHREGEXP)' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/bgpsim >>$$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) test -run '^$$' -bench '^BenchmarkE([1-9]|10)[A-Z]' \
+	$(GO) test -run '^$$' -bench '$(ROOTREGEXP)' \
 		-benchmem -benchtime $(BENCHTIME) . >>$$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -compare BENCH_bgpsim.json -max-regress $(MAXREGRESS) <$$tmp \
 		|| { rm -f $$tmp; exit 1; }; \

@@ -312,10 +312,10 @@ type Route struct {
 
 // RoutingTables holds the converged best route of every AS for every prefix.
 // Internally the tables are dense: ASNs and prefixes are interned to indices
-// and each (prefix, AS) cell stores the selected relationship, the path
-// length, and the slab index of an immutable shared path chain in its
-// column's slab (see engine.go). All accessors return copies; nothing handed
-// out aliases engine state.
+// and each (prefix, AS) cell is one int32 packing the selected relationship
+// and the slab index of an immutable shared path chain in its column's slab,
+// whose nodes carry the path length (see engine.go). All accessors return
+// copies; nothing handed out aliases engine state.
 type RoutingTables struct {
 	asns     []ASN
 	asIdx    map[ASN]int32
@@ -329,7 +329,7 @@ type RoutingTables struct {
 	// entries and splice the index here, keeping accessors that enumerate
 	// prefixes (Prefixes) byte-identical to a cold convergence.
 	order []int32
-	// reach counts the routed cells (head != nilRef). Cold convergence sets
+	// reach counts the routed (non-zero) cells. Cold convergence sets
 	// it, Apply adds each rewritten column's net change, and Revert takes
 	// that change back.
 	reach int
@@ -398,31 +398,27 @@ func (rt *RoutingTables) dropLastPrefixColumn() {
 }
 
 // lookup returns the column and AS indices and the cell for (n, prefix);
-// the cell is empty (head == nilRef) when either is unknown.
+// the cell is empty (0) when either is unknown.
 func (rt *RoutingTables) lookup(n ASN, prefix string) (pi, ai int32, en entry) {
 	ai, ok := rt.asIdx[n]
 	if !ok {
-		return 0, 0, entry{}
+		return 0, 0, 0
 	}
 	pi, ok = rt.pfxIdx[prefix]
 	if !ok {
-		return 0, 0, entry{}
+		return 0, 0, 0
 	}
 	return pi, ai, rt.entries[int(pi)*len(rt.asns)+int(ai)]
 }
 
 // materialize copies the path of AS ai's routed cell of column pi into a
-// fresh slice of ASNs. A bare cell has no node for ai itself, so ai is
-// prepended to its tail.
+// fresh slice of ASNs: ai itself, then its tail. A bare cell has no node for
+// ai, and a clothed cell's own node holds ai.
 func (rt *RoutingTables) materialize(pi, ai int32, en entry) []ASN {
 	nodes := rt.slabs[pi]
-	out := make([]ASN, 0, en.plen())
-	r := en.head
-	if r < 0 {
-		out = append(out, rt.asns[ai])
-		r = -r
-	}
-	for ; r != nilRef; r = nodes[r].next {
+	out := make([]ASN, 1, pathLen(nodes, en))
+	out[0] = rt.asns[ai]
+	for r := tail(nodes, en); r != nilRef; r = nodes[r].next {
 		out = append(out, rt.asns[nodes[r].as])
 	}
 	return out
@@ -433,7 +429,7 @@ func (rt *RoutingTables) materialize(pi, ai int32, en entry) []ASN {
 // never affects the converged tables or the result of other calls.
 func (rt *RoutingTables) Route(n ASN, prefix string) *Route {
 	pi, ai, en := rt.lookup(n, prefix)
-	if en.head == nilRef {
+	if en == 0 {
 		return nil
 	}
 	return &Route{Prefix: prefix, Path: rt.materialize(pi, ai, en), Learned: en.learned()}
@@ -443,7 +439,7 @@ func (rt *RoutingTables) Route(n ASN, prefix string) *Route {
 // when unreachable. The slice is a fresh copy owned by the caller.
 func (rt *RoutingTables) Path(n ASN, prefix string) []ASN {
 	pi, ai, en := rt.lookup(n, prefix)
-	if en.head == nilRef {
+	if en == 0 {
 		return nil
 	}
 	return rt.materialize(pi, ai, en)
@@ -452,7 +448,7 @@ func (rt *RoutingTables) Path(n ASN, prefix string) []ASN {
 // Reachable reports whether n has any route to prefix.
 func (rt *RoutingTables) Reachable(n ASN, prefix string) bool {
 	_, _, en := rt.lookup(n, prefix)
-	return en.head != nilRef
+	return en != 0
 }
 
 // Prefixes returns the sorted prefixes in n's table.
@@ -463,7 +459,7 @@ func (rt *RoutingTables) Prefixes(n ASN) []string {
 	}
 	out := make([]string, 0, len(rt.prefixes))
 	for _, pi := range rt.order {
-		if rt.entries[int(pi)*len(rt.asns)+int(ai)].head != nilRef {
+		if rt.entries[int(pi)*len(rt.asns)+int(ai)] != 0 {
 			out = append(out, rt.prefixes[pi])
 		}
 	}

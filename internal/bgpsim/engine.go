@@ -22,13 +22,16 @@ package bgpsim
 //     O(1), no slice copy — and comparisons (lexicographic tie-break, loop
 //     check, change detection) walk the cells. Because cells are snapshots,
 //     mid-convergence comparisons see exactly the paths the reference engine
-//     would materialize. Cells and table entries are pointer-free (int32
-//     slab refs and dense AS indices), so the garbage collector never traces
-//     the tables. A leaf's non-origin cell is bare: it holds its next hop's
-//     chain head negated and has no node of its own, since by rule 3 no
-//     chain ever contains that node; readers take a cell's tail through
-//     tail. On the 10k-AS shape 84% of the routed cells are leaves', and
-//     bare cells cut a cold convergence from 90.6 to 51.0 MB allocated
+//     would materialize. A table cell is one int32 and a path node three
+//     (hop, rest of the path, and the length of the chain it heads), so the
+//     garbage collector never traces the tables. A cell packs the learned
+//     relationship into its two low bits above a slab ref; the path length
+//     belongs to the chain, so it lives in the node. A leaf's non-origin
+//     cell is bare: it holds its next hop's chain head, negated, and has no
+//     node of its own, since by rule 3 no chain ever contains that node;
+//     readers take a cell's tail through tail. On the 10k-AS shape 84% of
+//     the routed cells are leaves'. Bare cells cut a cold convergence from
+//     90.6 to 51.0 MB allocated, and 4-byte cells from 51.0 to 33.3 MB
 //     (BENCH_bgpsim.json). Apply clothes an AS that stops being a leaf
 //     before its cells become visible (see clothe in incremental.go).
 //   - Rounds are change-driven, by three exact rules. An AS's selection reads
@@ -95,44 +98,54 @@ import (
 )
 
 // pathNode is one hop of an AS path stored as an immutable cons cell in a
-// column's slab: as is the dense index of the hop's AS, and next the slab
-// index of the rest of the path, with the origin AS last (next == nilRef).
-// Nodes are shared between the adopting AS and its neighbor's route, and
-// never mutated once appended.
+// column's slab: as is the dense index of the hop's AS, next the slab index
+// of the rest of the path, with the origin AS last (next == nilRef), and
+// plen the number of hops of the chain the node heads. Nodes are shared
+// between the adopting AS and its neighbor's route, and never mutated once
+// appended.
 type pathNode struct {
-	as, next int32
+	as, next, plen int32
 }
 
 // nilRef is the slab index that ends a chain. Slot 0 of every slab is a
-// reserved placeholder, so no real node ever has index 0.
+// reserved placeholder of length 0, so no real node ever has index 0.
 const nilRef = 0
 
-// Bounds of the packed layout: slab indices are int32, and a cell packs its
-// path length (at most one hop per AS) above the two relationship bits of an
-// int32.
+// Bounds of the packed layout: a cell packs a slab index above two
+// relationship bits of an int32, and dense AS indices are int32.
 const (
-	maxSlab = math.MaxInt32
-	maxASes = math.MaxInt32 >> 2
+	maxSlab = math.MaxInt32 >> 2
+	maxASes = math.MaxInt32
 )
 
 // appendNode appends the hop (as, next) to the slab and returns its index.
+// The new chain is one hop longer than next's.
 func appendNode(slab *[]pathNode, as, next int32) int32 {
 	r := len(*slab)
 	if r >= maxSlab {
 		panic(fmt.Sprintf("bgpsim: path slab exceeds %d nodes", maxSlab))
 	}
-	*slab = append(*slab, pathNode{as: as, next: next})
+	*slab = append(*slab, pathNode{as: as, next: next, plen: (*slab)[next].plen + 1})
 	return int32(r)
 }
 
 // tail returns the slab index of the path a routed cell's AS conses itself
 // onto: the next hop's chain head, or nilRef for an origin entry. A bare cell
-// (head < 0, see entry) stores it negated and has no node of its own.
+// (en < 0, see entry) stores it negated and has no node of its own.
 func tail(nodes []pathNode, en entry) int32 {
-	if en.head < 0 {
-		return -en.head
+	if en < 0 {
+		return int32(-en >> 2)
 	}
-	return nodes[en.head].next
+	return nodes[en>>2].next
+}
+
+// pathLen returns the number of hops of a routed cell's path, the AS itself
+// included.
+func pathLen(nodes []pathNode, en entry) int32 {
+	if en < 0 {
+		return nodes[-en>>2].plen + 1
+	}
+	return nodes[en>>2].plen
 }
 
 // chainContains reports whether AS index as appears anywhere in chain r.
@@ -160,23 +173,31 @@ func chainEqual(nodes []pathNode, a, b int32) bool {
 }
 
 // entry is one dense routing-table cell: the selected route of one AS for
-// one prefix, in 8 pointer-free bytes. head == nilRef means no route; a
-// positive head is the slab index of the full path (self first, origin
-// last); a negative head marks a bare cell, whose path is the AS itself
-// followed by the chain at -head (see settle). meta packs the path length
-// and the learned relationship as plen<<2 | learned.
-type entry struct {
-	head int32
-	meta int32
+// one prefix, in one pointer-free int32. 0 means no route. A positive cell
+// is ref<<2 | learned, where ref is the slab index of the full path (self
+// first, origin last). A negative cell is bare, -(tail<<2 | learned): its
+// path is the AS itself followed by the chain at tail (see settle), and a
+// stray nodes[en>>2] read of it panics on the negative index.
+//
+// The scratch candidate form of a selection (convState.best, selectBest,
+// settleLeaves) is the same packing of the tail the full path conses self
+// onto, tail<<2 | learned, with 0 meaning no candidate: an origin
+// candidate's tail is nilRef, and its Origin bits keep it non-zero. A bare
+// cell is its winning candidate negated.
+type entry int32
+
+// pack returns the non-negative packing ref<<2 | learned.
+func pack(ref int32, learned Relationship) entry {
+	return entry(ref<<2 | int32(learned))
 }
 
-func mkEntry(head, plen int32, learned Relationship) entry {
-	return entry{head: head, meta: plen<<2 | int32(learned)}
+// learned returns the relationship a cell or candidate was learned over.
+func (en entry) learned() Relationship {
+	if en < 0 {
+		en = -en
+	}
+	return Relationship(en & 3)
 }
-
-func (en entry) plen() int32 { return en.meta >> 2 }
-
-func (en entry) learned() Relationship { return Relationship(en.meta & 3) }
 
 // neighborEdge is one precompiled adjacency edge from the perspective of the
 // owning AS. back and sendAll mirror the reverse edge's rel and receiveAll,
@@ -405,7 +426,7 @@ const (
 type convState struct {
 	mark []uint8 // per AS, the mark bits above
 	// best holds, per queued AS that does not rescan, the best candidate
-	// scored so far in candidate form (see selectBest).
+	// scored so far in candidate form (see entry).
 	best []entry
 	// changed lists the ASes moved in the previous round. Their moved marks
 	// stay set until the next apply clears them, even across columns.
@@ -421,8 +442,8 @@ func newConvState(nAS int) *convState {
 }
 
 // exportsToAll reports whether valley-free export sends en to every
-// neighbor: origin- and customer-learned routes. An empty cell (meta 0)
-// reads as provider-learned, so it does not.
+// neighbor: origin- and customer-learned routes. An empty cell (0) reads as
+// provider-learned, so it does not.
 func exportsToAll(en entry) bool {
 	l := en.learned()
 	return l == Origin || l == FromCustomer
@@ -431,9 +452,9 @@ func exportsToAll(en entry) bool {
 // reachDelta is the change in routed cells when a cell goes from old to new.
 func reachDelta(old, new entry) int {
 	switch {
-	case old.head == nilRef && new.head != nilRef:
+	case old == 0 && new != 0:
 		return 1
-	case old.head != nilRef && new.head == nilRef:
+	case old != 0 && new == 0:
 		return -1
 	}
 	return 0
@@ -476,7 +497,7 @@ func (e *engine) convergePrefix(p int, col []entry, slab *[]pathNode, st *convSt
 	// origin ASes obtain a route.
 	st.updates = st.updates[:0]
 	for _, o := range e.origins[p] {
-		st.updates = append(st.updates, colUpdate{idx: o, e: mkEntry(appendNode(slab, o, nilRef), 1, Origin)})
+		st.updates = append(st.updates, colUpdate{idx: o, e: pack(appendNode(slab, o, nilRef), Origin)})
 	}
 	st.apply(col, nil)
 	for round := 1; len(st.changed) > 0; round++ {
@@ -503,7 +524,7 @@ func (e *engine) settleLeaves(col []entry, slab *[]pathNode, st *convState) {
 		var best entry
 		for _, ed := range e.nbr[i] {
 			if ne := col[ed.idx]; visible(ne, ed.receiveAll) {
-				if cand := mkEntry(ne.head, ne.plen()+1, ed.rel); best.meta == 0 || candBetter(nodes, cand, best) {
+				if cand := pack(int32(ne>>2), ed.rel); best == 0 || candBetter(nodes, cand, best) {
 					best = cand
 				}
 			}
@@ -542,13 +563,13 @@ func (e *engine) round(p int, col []entry, slab *[]pathNode, st *convState, skip
 			if st.mark[j]&markQueued == 0 {
 				st.queue = append(st.queue, j)
 				st.mark[j] |= markQueued
-				st.best[j] = entry{}
-				if inc := col[j]; inc.head != nilRef {
+				st.best[j] = 0
+				if inc := col[j]; inc != 0 {
 					t := tail(nodes, inc)
 					if t != nilRef && st.mark[nodes[t].as]&markMoved != 0 {
 						st.mark[j] |= markRescan
 					} else {
-						st.best[j] = entry{head: t, meta: inc.meta}
+						st.best[j] = pack(t, inc.learned())
 					}
 				}
 			}
@@ -614,23 +635,20 @@ func (e *engine) reconvergeColumn(p int, col []entry, slab *[]pathNode, st *conv
 func (e *engine) coldColumn(p int, col []entry, slab *[]pathNode, st *convState, log *[]undoCell) {
 	for i := range col {
 		*log = append(*log, undoCell{idx: int32(i), e: col[i]})
-		st.reach += reachDelta(col[i], entry{})
-		col[i] = entry{}
+		st.reach += reachDelta(col[i], 0)
+		col[i] = 0
 	}
 	e.convergePrefix(p, col, slab, st)
 }
 
 // selectBest recomputes AS i's selection for prefix p from the current
 // column by scanning every neighbor, and reports whether it differs from the
-// incumbent entry. The best candidate is held in candidate form: an entry
-// whose head is the tail the full path conses self onto (nilRef for the
-// origin candidate) and whose meta is the full path's, with meta 0 meaning
-// no candidate.
+// incumbent entry. The best candidate is held in candidate form (see entry).
 func (e *engine) selectBest(i int32, p int, col []entry, slab *[]pathNode) (entry, bool) {
 	nodes := *slab
 	var best entry
 	if e.originates(p, i) {
-		best = mkEntry(nilRef, 1, Origin)
+		best = pack(nilRef, Origin)
 	}
 	for _, ed := range e.nbr[i] {
 		if ne := col[ed.idx]; visible(ne, ed.receiveAll) {
@@ -644,16 +662,18 @@ func (e *engine) selectBest(i int32, p int, col []entry, slab *[]pathNode) (entr
 // route, and the neighbor exports everything to us (all: we are its
 // customer or it leaks) or ne is origin- or customer-learned (valley-free).
 func visible(ne entry, all bool) bool {
-	return ne.head != nilRef && (all || exportsToAll(ne))
+	return ne != 0 && (all || exportsToAll(ne))
 }
 
 // offer returns the better of candidate best and the route AS i would learn
 // from a neighbor holding the visible entry ne over an edge that i marks
-// rel. A path that already contains i is rejected (loop prevention); the
-// walk is paid only by a candidate that would win.
+// rel. A visible entry is never bare, so ne>>2 is the neighbor's chain head.
+// A path that already contains i is rejected (loop prevention); the walk is
+// paid only by a candidate that would win.
 func offer(nodes []pathNode, i int32, ne entry, rel Relationship, best entry) entry {
-	cand := mkEntry(ne.head, ne.plen()+1, rel)
-	if best.meta != 0 && !candBetter(nodes, cand, best) || chainContains(nodes, ne.head, i) {
+	head := int32(ne >> 2)
+	cand := pack(head, rel)
+	if best != 0 && !candBetter(nodes, cand, best) || chainContains(nodes, head, i) {
 		return best
 	}
 	return cand
@@ -664,35 +684,39 @@ func offer(nodes []pathNode, i int32, ne entry, rel Relationship, best entry) en
 // only when the selection actually changed, and never for a leaf's
 // non-origin selection: that entry is hidden from every neighbor, so no
 // chain ever contains its node (rule 3), and the cell is written bare,
-// holding the negated tail instead.
+// holding the negated candidate instead. Equal chains have equal lengths,
+// so the change test compares the relationship and the hops.
 func (e *engine) settle(i int32, old, best entry, slab *[]pathNode) (entry, bool) {
-	if best.meta == 0 {
-		return entry{}, old.head != nilRef
+	if best == 0 {
+		return 0, old != 0
 	}
 	nodes := *slab
-	if old.head != nilRef && old.meta == best.meta && chainEqual(nodes, tail(nodes, old), best.head) {
+	t := int32(best >> 2)
+	if old != 0 && old.learned() == best.learned() && chainEqual(nodes, tail(nodes, old), t) {
 		return old, false
 	}
-	if e.leaf[i] && best.head != nilRef {
-		return entry{head: -best.head, meta: best.meta}, true
+	if e.leaf[i] && t != nilRef {
+		return -best, true
 	}
-	return entry{head: appendNode(slab, i, best.head), meta: best.meta}, true
+	return pack(appendNode(slab, i, t), best.learned()), true
 }
 
 // candBetter reports whether candidate a should replace candidate b under
 // the standard decision order — higher local pref, then shorter path, then
 // lexicographically smaller path — mirroring better() in reference_test.go.
-// Both paths start with the same AS (self), so only the tails are compared.
-// Candidates from distinct neighbors never tie: their tails start with
-// different ASes.
+// Both paths start with the same AS (self), so only the tails are compared,
+// their lengths first. Candidates are never negative, so their relationship
+// is their two low bits. Candidates from distinct neighbors never tie: their
+// tails start with different ASes.
 func candBetter(nodes []pathNode, a, b entry) bool {
-	if a.learned() != b.learned() {
-		return a.learned() > b.learned()
+	if a&3 != b&3 {
+		return a&3 > b&3
 	}
-	if a.plen() != b.plen() {
-		return a.plen() < b.plen()
+	aTail, bTail := int32(a>>2), int32(b>>2)
+	if la, lb := nodes[aTail].plen, nodes[bTail].plen; la != lb {
+		return la < lb
 	}
-	for aTail, bTail := a.head, b.head; aTail != nilRef && bTail != nilRef; {
+	for aTail != nilRef && bTail != nilRef {
 		x, y := nodes[aTail], nodes[bTail]
 		if x.as != y.as {
 			return x.as < y.as

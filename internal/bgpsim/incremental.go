@@ -41,6 +41,7 @@ package bgpsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -561,21 +562,17 @@ func (c *Converged) reconverge(p *Patch, cols, seeds, unleafed []int32, safe boo
 	rt.reach += reach
 	// A column that appended nodes or changed the routed count also
 	// overwrote cells, so the log alone decides which columns the patch
-	// records.
-	for _, pc := range pcs {
-		if len(pc.log) > 0 {
-			p.cols = append(p.cols, pc)
-		}
-	}
+	// records; the rest are dropped in place, in order.
+	p.cols = slices.DeleteFunc(pcs, func(pc patchCol) bool { return len(pc.log) == 0 })
 }
 
 // clothe gives AS i's cell in col a path node of its own if the cell is
 // bare, logging the overwritten cell. The route does not change: the node
 // conses i onto the tail the bare cell held.
 func clothe(col []entry, slab *[]pathNode, i int32, log *[]undoCell) {
-	if en := col[i]; en.head < 0 {
+	if en := col[i]; en < 0 {
 		*log = append(*log, undoCell{idx: i, e: en})
-		col[i] = entry{head: appendNode(slab, i, -en.head), meta: en.meta}
+		col[i] = pack(appendNode(slab, i, tail(*slab, en)), en.learned())
 	}
 }
 

@@ -39,6 +39,9 @@ func tablesEqualCold(c *Converged) error {
 	if err := bareCellsSound(c.e); err != nil {
 		return err
 	}
+	if err := cellsPacked(c.e); err != nil {
+		return err
+	}
 	for _, n := range c.Topology().ASNs() {
 		cp, lp := cold.Prefixes(n), live.Prefixes(n)
 		if len(cp) != len(lp) {
@@ -64,7 +67,7 @@ func tablesEqualCold(c *Converged) error {
 func reachCountCurrent(rt *RoutingTables) error {
 	scan := 0
 	for _, en := range rt.entries {
-		if en.head != nilRef {
+		if en != 0 {
 			scan++
 		}
 	}
@@ -483,6 +486,9 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 				if err := bareCellsSound(c.e); err != nil {
 					return fmt.Errorf("after compile: %w", err)
 				}
+				if err := cellsPacked(c.e); err != nil {
+					return fmt.Errorf("after compile: %w", err)
+				}
 				base := snapshotEntries(c.Tables())
 				var stack []*Patch
 				extra := 0
@@ -511,6 +517,9 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 				for len(stack) > 0 {
 					c.Revert(stack[len(stack)-1])
 					stack = stack[:len(stack)-1]
+					if err := cellsPacked(c.e); err != nil {
+						return fmt.Errorf("unwind: %w", err)
+					}
 				}
 				live := c.Tables()
 				if err := reachCountCurrent(live); err != nil {
@@ -541,6 +550,9 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 			return fmt.Errorf("building topology: %w", err)
 		}
 		c := convergeState(t, topo, 1)
+		if err := cellsPacked(c.e); err != nil {
+			return fmt.Errorf("after compile: %w", err)
+		}
 		base := snapshotEntries(c.Tables())
 		baseText := FormatTopology(topo)
 		extra := 0
@@ -552,7 +564,13 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("Apply(%+v): %w", d, err)
 		}
+		if err := cellsPacked(c.e); err != nil {
+			return fmt.Errorf("after Apply(%+v): %w", d, err)
+		}
 		c.Revert(p)
+		if err := cellsPacked(c.e); err != nil {
+			return fmt.Errorf("after reverting %+v: %w", d, err)
+		}
 		if got := FormatTopology(topo); got != baseText {
 			return fmt.Errorf("revert of %+v did not restore the topology:\n%s", d, got)
 		}

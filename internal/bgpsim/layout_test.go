@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -8,21 +9,66 @@ import (
 	"repro/internal/rng"
 )
 
-// TestCellLayoutIsPointerFree pins the packed table layout: a cell and a
-// path node are 8 bytes each and hold no pointer, so the garbage collector
-// never traces the routing tables.
+// TestCellLayoutIsPointerFree pins the packed table layout: a cell is one
+// 4-byte int32 and a path node 12 bytes (hop, next, chain length), and
+// neither holds a pointer, so the garbage collector never traces the
+// routing tables.
 func TestCellLayoutIsPointerFree(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 8 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 8", got)
+	if got := unsafe.Sizeof(entry(0)); got != 4 {
+		t.Errorf("unsafe.Sizeof(entry(0)) = %d, want 4", got)
 	}
-	if got := unsafe.Sizeof(pathNode{}); got != 8 {
-		t.Errorf("unsafe.Sizeof(pathNode{}) = %d, want 8", got)
+	if got := unsafe.Sizeof(pathNode{}); got != 12 {
+		t.Errorf("unsafe.Sizeof(pathNode{}) = %d, want 12", got)
 	}
-	for _, typ := range []reflect.Type{reflect.TypeOf(entry{}), reflect.TypeOf(pathNode{})} {
+	if got := unsafe.Sizeof(undoCell{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(undoCell{}) = %d, want 8", got)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(entry(0)), reflect.TypeOf(pathNode{})} {
 		if path, ok := findPointer(typ, typ.Name()); ok {
 			t.Errorf("%s holds a pointer at %s", typ, path)
 		}
 	}
+}
+
+// cellsPacked checks the packed layout over e's tables: slot 0 of every
+// slab is the empty chain, every node's cached plen equals the length of
+// the chain it heads, walked hop by hop, and every routed cell's learned
+// bits, bare or clothed, equal the rel of its AS's edge to its next hop
+// (nodes[tail].as), or Origin when its tail is nilRef.
+func cellsPacked(e *engine) error {
+	nAS := len(e.rt.asns)
+	for p := range e.rt.prefixes {
+		nodes := e.rt.slabs[p]
+		if nodes[nilRef] != (pathNode{}) {
+			return fmt.Errorf("prefix %s: slot 0 holds %+v", e.rt.prefixes[p], nodes[nilRef])
+		}
+		for r := 1; r < len(nodes); r++ {
+			n := int32(0)
+			for h := int32(r); h != nilRef; h = nodes[h].next {
+				n++
+			}
+			if nodes[r].plen != n {
+				return fmt.Errorf("prefix %s: node %d caches plen %d, its chain has %d hops", e.rt.prefixes[p], r, nodes[r].plen, n)
+			}
+		}
+		for i, en := range e.rt.entries[p*nAS : (p+1)*nAS] {
+			if en == 0 {
+				continue
+			}
+			want := Origin
+			if t := tail(nodes, en); t != nilRef {
+				k := e.edgeTo(int32(i), nodes[t].as)
+				if k < 0 {
+					return fmt.Errorf("prefix %s, AS %d: next hop %d is no neighbor", e.rt.prefixes[p], e.rt.asns[i], e.rt.asns[nodes[t].as])
+				}
+				want = e.nbr[i][k].rel
+			}
+			if en.learned() != want {
+				return fmt.Errorf("prefix %s, AS %d: cell %d is %s-learned, its next hop gives %s", e.rt.prefixes[p], e.rt.asns[i], en, en.learned(), want)
+			}
+		}
+	}
+	return nil
 }
 
 // findPointer walks typ and returns the access path of the first field

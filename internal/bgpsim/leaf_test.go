@@ -52,7 +52,7 @@ func leavesOffPaths(e *engine, rt *RoutingTables) error {
 	for p := range e.rt.prefixes {
 		nodes := rt.slabs[p]
 		for i, en := range rt.entries[p*nAS : (p+1)*nAS] {
-			if en.head == nilRef {
+			if en == 0 {
 				continue
 			}
 			for r := tail(nodes, en); r != nilRef; r = nodes[r].next {
@@ -198,14 +198,14 @@ func TestDisagreeGadgetLeavesTrailTheCap(t *testing.T) {
 }
 
 // bareCellsSound checks the bare-cell rule over e's tables: every bare cell
-// (head < 0) belongs to a current leaf, is not an origin entry, refers into
+// (en < 0) belongs to a current leaf, is not an origin entry, refers into
 // its column's slab, and is visible to no neighbor, so no chain can ever
 // need the node the cell does not have.
 func bareCellsSound(e *engine) error {
 	nAS := len(e.rt.asns)
 	for p := range e.rt.prefixes {
 		for i, en := range e.rt.entries[p*nAS : (p+1)*nAS] {
-			if en.head >= 0 {
+			if en >= 0 {
 				continue
 			}
 			at := fmt.Sprintf("prefix %s, AS %d", e.rt.prefixes[p], e.rt.asns[i])
@@ -214,8 +214,8 @@ func bareCellsSound(e *engine) error {
 				return fmt.Errorf("%s: bare cell of a non-leaf", at)
 			case en.learned() == Origin || e.originates(p, int32(i)):
 				return fmt.Errorf("%s: bare origin cell", at)
-			case int(-en.head) >= len(e.rt.slabs[p]):
-				return fmt.Errorf("%s: bare tail %d beyond the slab's %d nodes", at, -en.head, len(e.rt.slabs[p]))
+			case int(-en>>2) >= len(e.rt.slabs[p]):
+				return fmt.Errorf("%s: bare tail %d beyond the slab's %d nodes", at, -en>>2, len(e.rt.slabs[p]))
 			}
 			for _, ed := range e.nbr[i] {
 				if visible(en, ed.sendAll) {
@@ -232,11 +232,45 @@ func bareCellsOf(c *Converged, i int32) int {
 	rt := c.Tables()
 	n := 0
 	for p := range rt.prefixes {
-		if rt.entries[p*len(rt.asns)+int(i)].head < 0 {
+		if rt.entries[p*len(rt.asns)+int(i)] < 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// clotheAll clothes every bare cell of c.
+func clotheAll(c *Converged) {
+	rt := c.Tables()
+	nAS := len(rt.asns)
+	for p := range rt.prefixes {
+		col := rt.entries[p*nAS : (p+1)*nAS]
+		var log []undoCell
+		for i := range col {
+			clothe(col, &rt.slabs[p], int32(i), &log)
+		}
+	}
+}
+
+// TestClotheKeepsRoutes clothes every bare cell of a state whose leaves
+// hold provider- and peer-learned routes: every route reads as before and
+// every clothed cell keeps its learned bits (cellsPacked, which
+// assertTablesMatchCold runs). (Apply re-selects the AS it
+// clothes as a seed of the same delta, so a clothing fault would be
+// overwritten before the property suites could see it.)
+func TestClotheKeepsRoutes(t *testing.T) {
+	c := convergeState(t, leafPeeringTopology(t, true), 1)
+	rt := c.Tables()
+	if en := rt.entries[int(rt.pfxIdx["p"])*len(rt.asns)+int(rt.asIdx[5])]; en >= 0 || en.learned() != FromPeer {
+		t.Fatalf("AS 5's cell for p = %d, want a bare peer-learned cell", en)
+	}
+	clotheAll(c)
+	for _, n := range []ASN{5, 6} {
+		if bare := bareCellsOf(c, rt.asIdx[n]); bare != 0 {
+			t.Fatalf("AS %d keeps %d bare cells", n, bare)
+		}
+	}
+	assertTablesMatchCold(t, "clothed", c)
 }
 
 // slabLens returns the length of every column's slab of c.
@@ -266,14 +300,7 @@ func TestStubGainsCustomerClothesItsCells(t *testing.T) {
 	// The oracle state: the same topology with every bare cell clothed, so
 	// the same delta finds nothing to clothe.
 	ref := convergeState(t, h.Topo.Clone(), 1)
-	for p := range ref.Tables().prefixes {
-		nAS := len(ref.Tables().asns)
-		col := ref.Tables().entries[p*nAS : (p+1)*nAS]
-		var log []undoCell
-		for i := range col {
-			clothe(col, &ref.Tables().slabs[p], int32(i), &log)
-		}
-	}
+	clotheAll(ref)
 	refGain, err := ref.Apply(gain)
 	if err != nil {
 		t.Fatal(err)

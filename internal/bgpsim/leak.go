@@ -47,7 +47,7 @@ func BlastRadius(rt *RoutingTables, leaker ASN, prefix string) (affected []ASN, 
 	li, known := rt.asIdx[leaker]
 	// Dense indices are ascending ASNs, so affected comes out sorted.
 	for i, en := range col {
-		if en.head == nilRef {
+		if en == 0 {
 			continue
 		}
 		reachable++

@@ -62,7 +62,7 @@ func (c *Converged) StateFingerprint() uint64 {
 		mix(uint64(len(slab)))
 	}
 	for _, en := range rt.entries {
-		mix(uint64(uint32(en.head))<<32 | uint64(uint32(en.meta)))
+		mix(uint64(uint32(en)))
 	}
 	return h
 }

@@ -19,7 +19,8 @@ import (
 // the way a /run query can ask for it. A bounded Int param is probed at
 // each declared bound, which ParseJob must accept, and just outside it,
 // which ParseJob must reject with ErrBadParam; an unbounded Int is probed
-// at 0 and -1, a Uint at 0 and a Float at -1, 2 and NaN. Whatever ParseJob
+// at 0 and -1, a Uint at 0 and a Float at -1 and 2, which ParseJob must
+// accept, and at NaN and ±Inf, which it must reject. Whatever ParseJob
 // accepts must come back from the run as an error or as a result, never as
 // a recovered panic: a panic reaches a /run client as a 500 with no word
 // about which param was wrong.
@@ -30,26 +31,25 @@ func TestNoParamPanics(t *testing.T) {
 	r := &experiment.Runner{Workers: 1, ScenarioWorkers: 2}
 	for _, sc := range experiment.All() {
 		for _, spec := range sc.Params() {
-			var accept []string
-			var reject []int
+			var accept, reject []string
 			switch {
 			case spec.Kind == experiment.Uint:
 				accept = []string{"0"}
 			case spec.Kind == experiment.Float:
-				accept = []string{"-1", "2", "NaN"}
+				accept, reject = []string{"-1", "2"}, []string{"NaN", "Inf", "-Inf"}
 			case spec.Kind != experiment.Int:
 			case spec.Min == nil && spec.Max == nil:
 				accept = []string{"0", "-1"}
 			default:
 				if spec.Min != nil {
-					accept, reject = append(accept, strconv.Itoa(*spec.Min)), append(reject, *spec.Min-1)
+					accept, reject = append(accept, strconv.Itoa(*spec.Min)), append(reject, strconv.Itoa(*spec.Min-1))
 				}
 				if spec.Max != nil {
-					accept, reject = append(accept, strconv.Itoa(*spec.Max)), append(reject, *spec.Max+1)
+					accept, reject = append(accept, strconv.Itoa(*spec.Max)), append(reject, strconv.Itoa(*spec.Max+1))
 				}
 			}
 			for _, v := range reject {
-				query := fmt.Sprintf("id=%s&%s=%d", sc.ID(), spec.Name, v)
+				query := fmt.Sprintf("id=%s&%s=%s", sc.ID(), spec.Name, v)
 				if _, err := experiment.Default.ParseJob(mustQuery(t, query)); !errors.Is(err, experiment.ErrBadParam) {
 					t.Errorf("%s: ParseJob err = %v, want ErrBadParam", query, err)
 				}
@@ -127,19 +127,29 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 // TestMeshRadiusIsABadParam: a radius that is not positive links no two
 // nodes (0, NaN) or is no radio range at all (negative), so both mesh studies
 // refuse it as a bad param instead of failing inside BuildMesh or acting on
-// its absolute value.
+// its absolute value. NaN is refused by ParseJob, the rest by the run.
 func TestMeshRadiusIsABadParam(t *testing.T) {
-	r := &experiment.Runner{Workers: 1}
+	var queries []string
 	for _, id := range []string{"cn-gateway", "cn-topology"} {
 		for _, radius := range []string{"0", "-0.35", "NaN"} {
-			query := fmt.Sprintf("id=%s&radius=%s", id, radius)
-			job, err := experiment.Default.ParseJob(mustQuery(t, query))
-			if err != nil {
-				t.Fatalf("%s: ParseJob: %v", query, err)
-			}
-			if _, err := r.RunOne(context.Background(), job); !errors.Is(err, experiment.ErrBadParam) {
-				t.Errorf("%s: RunOne err = %v, want ErrBadParam", query, err)
-			}
+			queries = append(queries, fmt.Sprintf("id=%s&radius=%s", id, radius))
+		}
+	}
+	checkBadParams(t, queries...)
+}
+
+// TestNonFiniteFloatIsABadParam: no Float param gives NaN or ±Inf a meaning,
+// so ParseJob refuses them with ErrBadParam. Each of these queries would
+// otherwise run and print a table with a NaN cell.
+func TestNonFiniteFloatIsABadParam(t *testing.T) {
+	for _, query := range []string{
+		"id=E1&incumbent-share=NaN", "id=E2&content-volume=NaN", "id=E2&transit-price=NaN",
+		"id=E6&base-accuracy=NaN", "id=E6&gain=NaN", "id=E7&budget-days=NaN",
+		"id=E10&step-size=NaN", "id=E10&initial-error=NaN", "id=E15&qual-weight=NaN",
+		"id=ethno-reflection&budget-days=NaN", "id=E1&incumbent-share=Inf", "id=E10&step-size=-Inf",
+	} {
+		if _, err := experiment.Default.ParseJob(mustQuery(t, query)); !errors.Is(err, experiment.ErrBadParam) {
+			t.Errorf("%s: ParseJob err = %v, want ErrBadParam", query, err)
 		}
 	}
 }
@@ -229,18 +239,18 @@ func TestCongestionConfigIsABadParam(t *testing.T) {
 	checkBadParams(t, queries...)
 }
 
-// checkBadParams runs each query, which ParseJob must accept, and wants the
-// run refused with ErrBadParam.
+// checkBadParams wants each query refused with ErrBadParam: by ParseJob
+// (a non-finite Float) or else by the run.
 func checkBadParams(t *testing.T, queries ...string) {
 	t.Helper()
 	r := &experiment.Runner{Workers: 1}
 	for _, query := range queries {
 		job, err := experiment.Default.ParseJob(mustQuery(t, query))
-		if err != nil {
-			t.Fatalf("%s: ParseJob: %v", query, err)
+		if err == nil {
+			_, err = r.RunOne(context.Background(), job)
 		}
-		if _, err := r.RunOne(context.Background(), job); !errors.Is(err, experiment.ErrBadParam) {
-			t.Errorf("%s: RunOne err = %v, want ErrBadParam", query, err)
+		if !errors.Is(err, experiment.ErrBadParam) {
+			t.Errorf("%s: err = %v, want ErrBadParam", query, err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,8 +53,10 @@ var ErrBadParam = errors.New("bad param")
 // Bound returns a pointer to n, for Spec.Min and Spec.Max.
 func Bound(n int) *int { return &n }
 
-// check reports whether v's dynamic type matches the spec's kind and, for a
-// bounded Int, whether v lies in range.
+// check reports whether v's dynamic type matches the spec's kind, whether a
+// Float is finite and, for a bounded Int, whether v lies in range. No
+// scenario gives NaN or ±Inf a meaning: a non-finite value could only print
+// a non-finite table.
 func (s Spec) check(v any) error {
 	ok := false
 	switch s.Kind {
@@ -68,6 +71,9 @@ func (s Spec) check(v any) error {
 	}
 	if !ok {
 		return fmt.Errorf("param %q wants %s, got %T (%v)", s.Name, s.Kind, v, v)
+	}
+	if x, isFloat := v.(float64); isFloat && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		return fmt.Errorf("%w %q = %v, want a finite number", ErrBadParam, s.Name, x)
 	}
 	if x, _ := v.(int); (s.Min != nil && x < *s.Min) || (s.Max != nil && x > *s.Max) {
 		return fmt.Errorf("%w %q = %d, want %s", ErrBadParam, s.Name, x, s.rangeText())
