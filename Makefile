@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race prop fuzz-smoke bench bench-json bench-gate bench-harness serve-smoke report examples clean
+.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race test-386 prop fuzz-smoke bench bench-json bench-gate bench-harness serve-smoke report examples clean
 
 all: build vet lint test test-race report serve-smoke
 
@@ -47,6 +47,13 @@ test-shuffle:
 # call sites (graph centrality, bootstrap CIs, ixp sweeps) must stay clean.
 test-race:
 	$(GO) test -race ./...
+
+# The whole suite built for 32-bit x86: catches int-width assumptions (a
+# constant or total that overflows a 32-bit int, the 4-byte routing cells'
+# limits) that a 64-bit run never sees. cgo is off because the net
+# package's cgo resolver does not cross-compile; the suite needs no cgo.
+test-386:
+	CGO_ENABLED=0 GOARCH=386 $(GO) test ./...
 
 # Deep property-based run: every TestProp* invariant suite (internal/proptest
 # driver) at PROPTEST_N iterations per property instead of the small default

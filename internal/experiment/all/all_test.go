@@ -85,15 +85,16 @@ func TestSmallAuthorPopulationIsAnError(t *testing.T) {
 
 // TestDomainMinimumsAreDeclared: each of these params feeds a domain check
 // that refuses values below min, so its schema declares the same minimum and
-// ParseJob turns min-1, 0 and -1 into a bad param before anything runs, not
-// into an execution error after it. E11 `seats` and the visit counts had no
+// ParseJob turns whichever of min-1, 0 and -1 lie below it into a bad param
+// before anything runs, not into an execution error after it. E11 `seats` and the visit counts had no
 // domain check: below 1, `seats` gave a wrong table (the closed consortium's
 // quota went negative and it ratified nothing) and the visit counts were
 // clamped to one visit without a word, so the schema minimum is their only
 // guard. The mesh studies' `members`/`nodes` feed TopoGapExperiment, which
 // needs 8, and the community simulations need 2 members. The routing
 // studies need a stub (a sweep victim, a flap, an outage region) and so a
-// mid to home it.
+// mid to home it. The Mexican-market replays (E19, E20, E22) take the shape
+// checks of GenStagedRollout, GenFlapStorm and NewStakeholderMachine.
 func TestDomainMinimumsAreDeclared(t *testing.T) {
 	for _, param := range []struct {
 		id, name string
@@ -114,14 +115,28 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 		{"E14", "mids", 1}, {"E14", "stubs", 1}, {"E16", "mids", 1}, {"E16", "stubs", 1},
 		{"E17", "mids", 1}, {"E17", "stubs", 1}, {"E20", "mids", 1}, {"E20", "stubs", 1},
 		{"E21", "mids", 1}, {"E21", "stubs", 1},
+		{"E19", "start", 0}, {"E19", "wave-every", 1}, {"E19", "wave-size", 1},
+		{"E19", "regulate-at", 0}, {"E19", "ticks", 1},
+		{"E20", "start", 0}, {"E20", "wave-every", 1}, {"E20", "wave-size", 1},
+		{"E20", "regulate-at", 0}, {"E20", "ticks", 1}, {"E20", "hold", 1}, {"E20", "per-tick", 0},
+		{"E22", "start", 0}, {"E22", "wave-every", 1}, {"E22", "wave-size", 1},
+		{"E22", "ticks", 1}, {"E22", "sample-per-stratum", 1},
 	} {
 		for _, v := range []int{param.min - 1, 0, -1} {
+			if v >= param.min {
+				continue
+			}
 			query := fmt.Sprintf("id=%s&%s=%d", param.id, param.name, v)
 			if _, err := experiment.Default.ParseJob(mustQuery(t, query)); !errors.Is(err, experiment.ErrBadParam) {
 				t.Errorf("%s: ParseJob err = %v, want ErrBadParam", query, err)
 			}
 		}
 	}
+	// Checks that are not one range: a regulation tick the horizon does not
+	// reach (ticks defaults to 14 in E19 and 16 in E20), and E22's Float
+	// thresholds.
+	checkBadParams(t, "id=E19&regulate-at=14", "id=E19&ticks=1", "id=E20&regulate-at=16",
+		"id=E22&respond-below=1.5", "id=E22&respond-below=-0.1", "id=E22&noise=-1")
 }
 
 // TestMeshRadiusIsABadParam: a radius that is not positive links no two

@@ -68,51 +68,69 @@ type CircumventionRow struct {
 	IncumbentLocal float64 // locality of demand to/from the incumbent only
 }
 
-// asn block layout for the synthetic Mexican topology.
+// The Mexican market of the Telmex case study, shared by E1 and the
+// timeline scenarios E19, E20 and E22.
 const (
-	transitASN   bgpsim.ASN = 1
-	incumbentASN bgpsim.ASN = 100
-	shellBase    bgpsim.ASN = 200
-	compBase     bgpsim.ASN = 1000
+	// MXIncumbent is the incumbent's main AS.
+	MXIncumbent bgpsim.ASN = 100
+	// MXExchange is the market's domestic exchange.
+	MXExchange = "IXP-MX"
+
+	mxTransit  bgpsim.ASN = 1
+	mxCompBase bgpsim.ASN = 1000
+	// shellBase is where E1's shell ASNs start.
+	shellBase bgpsim.ASN = 200
 )
+
+// NewMXMarket builds the Mexican market: the US transit AS 1 over the
+// incumbent AS 100, which originates pfx-incumbent, and competitors
+// 1000+i, each originating pfx-comp<i>, all of them MX. Its one exchange,
+// IXP-MX, has no members yet. It returns the fabric and the competitors'
+// ASNs in ascending order.
+func NewMXMarket(competitors int) (*Fabric, []bgpsim.ASN, error) {
+	topo := bgpsim.NewTopology()
+	if err := topo.AddAS(mxTransit, bgpsim.ASInfo{Name: "IntlTransit", Country: "US", Org: "transit"}); err != nil {
+		return nil, nil, err
+	}
+	if err := topo.AddAS(MXIncumbent, bgpsim.ASInfo{Name: "Incumbent", Country: "MX", Org: "incumbent"}); err != nil {
+		return nil, nil, err
+	}
+	if err := topo.AddProviderCustomer(mxTransit, MXIncumbent); err != nil {
+		return nil, nil, err
+	}
+	if err := topo.Originate(MXIncumbent, "pfx-incumbent"); err != nil {
+		return nil, nil, err
+	}
+	comps := make([]bgpsim.ASN, competitors)
+	for i := range comps {
+		comps[i] = mxCompBase + bgpsim.ASN(i)
+		if err := topo.AddAS(comps[i], bgpsim.ASInfo{Name: fmt.Sprintf("Comp%d", i), Country: "MX", Org: fmt.Sprintf("comp%d", i)}); err != nil {
+			return nil, nil, err
+		}
+		if err := topo.AddProviderCustomer(mxTransit, comps[i]); err != nil {
+			return nil, nil, err
+		}
+		if err := topo.Originate(comps[i], fmt.Sprintf("pfx-comp%d", i)); err != nil {
+			return nil, nil, err
+		}
+	}
+	f := NewFabric(topo)
+	if _, err := f.AddIXP(MXExchange, "MX"); err != nil {
+		return nil, nil, err
+	}
+	return f, comps, nil
+}
 
 // BuildCircumventionScenario constructs the fabric for one E1 scenario and
 // returns it together with the domestic gravity-model demand set.
 func BuildCircumventionScenario(cfg CircumventionConfig) (*Fabric, []Demand, error) {
-	topo := bgpsim.NewTopology()
-	f := NewFabric(topo)
-
-	if err := topo.AddAS(transitASN, bgpsim.ASInfo{Name: "IntlTransit", Country: "US", Org: "transit"}); err != nil {
+	f, comps, err := NewMXMarket(cfg.Competitors)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := topo.AddAS(incumbentASN, bgpsim.ASInfo{Name: "Incumbent", Country: "MX", Org: "incumbent"}); err != nil {
-		return nil, nil, err
-	}
-	if err := topo.AddProviderCustomer(transitASN, incumbentASN); err != nil {
-		return nil, nil, err
-	}
-	if err := topo.Originate(incumbentASN, "pfx-incumbent"); err != nil {
-		return nil, nil, err
-	}
-
-	for i := 0; i < cfg.Competitors; i++ {
-		n := compBase + bgpsim.ASN(i)
-		if err := topo.AddAS(n, bgpsim.ASInfo{Name: fmt.Sprintf("Comp%d", i), Country: "MX", Org: fmt.Sprintf("comp%d", i)}); err != nil {
-			return nil, nil, err
-		}
-		if err := topo.AddProviderCustomer(transitASN, n); err != nil {
-			return nil, nil, err
-		}
-		if err := topo.Originate(n, fmt.Sprintf("pfx-comp%d", i)); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if _, err := f.AddIXP("IXP-MX", "MX"); err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < cfg.Competitors; i++ {
-		if err := f.Join("IXP-MX", compBase+bgpsim.ASN(i), Open); err != nil {
+	topo := f.Topo
+	for _, n := range comps {
+		if err := f.Join(MXExchange, n, Open); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -122,7 +140,7 @@ func BuildCircumventionScenario(cfg CircumventionConfig) (*Fabric, []Demand, err
 	case NoRegulation:
 		// Incumbent absent; competitors still peer openly among themselves.
 	case RegulationCompliant:
-		if err := f.Join("IXP-MX", incumbentASN, Restrictive); err != nil {
+		if err := f.Join(MXExchange, MXIncumbent, Restrictive); err != nil {
 			return nil, nil, err
 		}
 		reg = Regulation{Country: "MX", MandatoryPeering: true}
@@ -134,13 +152,13 @@ func BuildCircumventionScenario(cfg CircumventionConfig) (*Fabric, []Demand, err
 			}
 			// Shell is a customer of the incumbent's main AS: it receives
 			// the incumbent's routes but may not re-export them to peers.
-			if err := topo.AddProviderCustomer(incumbentASN, n); err != nil {
+			if err := topo.AddProviderCustomer(MXIncumbent, n); err != nil {
 				return nil, nil, err
 			}
 			if err := topo.Originate(n, fmt.Sprintf("pfx-shell%d", s)); err != nil {
 				return nil, nil, err
 			}
-			if err := f.Join("IXP-MX", n, Restrictive); err != nil {
+			if err := f.Join(MXExchange, n, Restrictive); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -154,16 +172,15 @@ func BuildCircumventionScenario(cfg CircumventionConfig) (*Fabric, []Demand, err
 		}
 		reg = Regulation{Country: "MX", MandatoryPeering: true}
 	}
-	f.EstablishSessions(reg)
+	f.EstablishSessions(reg, topo.AddPeer)
 
-	demands := circumventionDemands(cfg)
-	return f, demands, nil
+	return f, circumventionDemands(cfg, comps), nil
 }
 
 // circumventionDemands builds the gravity-model domestic traffic matrix:
 // every ordered pair of domestic eyeball networks exchanges volume
 // proportional to the product of their user shares.
-func circumventionDemands(cfg CircumventionConfig) []Demand {
+func circumventionDemands(cfg CircumventionConfig, comps []bgpsim.ASN) []Demand {
 	type eyeball struct {
 		asn    bgpsim.ASN
 		prefix string
@@ -176,10 +193,10 @@ func circumventionDemands(cfg CircumventionConfig) []Demand {
 		incShare -= migrated
 		nets = append(nets, eyeball{shellBase, "pfx-inc-migrated", migrated})
 	}
-	nets = append(nets, eyeball{incumbentASN, "pfx-incumbent", incShare})
+	nets = append(nets, eyeball{MXIncumbent, "pfx-incumbent", incShare})
 	compShare := (1 - cfg.IncumbentShare) / float64(cfg.Competitors)
-	for i := 0; i < cfg.Competitors; i++ {
-		nets = append(nets, eyeball{compBase + bgpsim.ASN(i), fmt.Sprintf("pfx-comp%d", i), compShare})
+	for i, n := range comps {
+		nets = append(nets, eyeball{n, fmt.Sprintf("pfx-comp%d", i), compShare})
 	}
 	var demands []Demand
 	for _, src := range nets {
@@ -239,20 +256,12 @@ func RunCircumventionCtx(ctx context.Context, cfg CircumventionConfig) (Circumve
 		incLocal = incDomestic / incTotal
 	}
 
-	x, _ := f.IXP("IXP-MX")
-	sessions := 0
-	ms := x.Members()
-	for i := 0; i < len(ms); i++ {
-		for j := i + 1; j < len(ms); j++ {
-			if f.SessionIXP(ms[i], ms[j]) == "IXP-MX" {
-				sessions++
-			}
-		}
-	}
+	// IXP-MX is the market's one exchange and nobody leaves it, so every
+	// IXP-attributed session is one of its member pairs.
 	return CircumventionRow{
 		Mode:           cfg.Mode,
 		Shells:         cfg.Shells,
-		IXPSessions:    sessions,
+		IXPSessions:    f.Sessions(),
 		DomesticShare:  res.DomesticShare(),
 		IncumbentLocal: incLocal,
 	}, nil
@@ -372,7 +381,9 @@ func RunGravityCtx(ctx context.Context, cfg GravityConfig) (GravityRow, error) {
 	// Remote peering at the distant giant is a fallback: pairs that can also
 	// peer locally do so at the local exchange.
 	giantIXP.Priority = 1
-	_ = f.Join("DE-CIX", contentASN, Open)
+	if err := f.Join("DE-CIX", contentASN, Open); err != nil {
+		return GravityRow{}, err
+	}
 
 	// Local IXPs, with content PoPs per ContentPresence.
 	contentAt := make([]bool, cfg.LocalIXPs)
@@ -383,7 +394,9 @@ func RunGravityCtx(ctx context.Context, cfg GravityConfig) (GravityRow, error) {
 		}
 		if r.Bool(cfg.ContentPresence) {
 			contentAt[i] = true
-			_ = f.Join(name, contentASN, Open)
+			if err := f.Join(name, contentASN, Open); err != nil {
+				return GravityRow{}, err
+			}
 		}
 	}
 
@@ -403,14 +416,18 @@ func RunGravityCtx(ctx context.Context, cfg GravityConfig) (GravityRow, error) {
 			return GravityRow{}, err
 		}
 		local := i % cfg.LocalIXPs
-		_ = f.Join(fmt.Sprintf("IXP-BR-%d", local), n, Open)
+		if err := f.Join(fmt.Sprintf("IXP-BR-%d", local), n, Open); err != nil {
+			return GravityRow{}, err
+		}
 		if cfg.RemotePeerAlways || !contentAt[local] {
-			_ = f.Join("DE-CIX", n, Open)
+			if err := f.Join("DE-CIX", n, Open); err != nil {
+				return GravityRow{}, err
+			}
 			remotePeered++
 		}
 		demands = append(demands, Demand{Src: n, Prefix: "pfx-content", Volume: 1})
 	}
-	f.EstablishSessions(Regulation{})
+	f.EstablishSessions(Regulation{}, topo.AddPeer)
 	// Serial per scenario; the sweep fans scenarios out (see RunCircumventionCtx).
 	rt, err := topo.ConvergeCtx(ctx, 1)
 	if err != nil {

@@ -171,12 +171,43 @@ func (f *Fabric) Join(ixpName string, n bgpsim.ASN, policy PeeringPolicy, allow 
 	return nil
 }
 
-// Leave removes AS n from the named IXP (sessions already established are
-// not retracted; call EstablishSessions again after mutating membership).
-func (f *Fabric) Leave(ixpName string, n bgpsim.ASN) {
-	if x, ok := f.ixps[ixpName]; ok {
-		delete(x.members, n)
+// Leave removes AS n from the named IXP and retracts every session
+// established there that involves n. Each peer edge goes through remove,
+// which receives the pair in ascending-ASN order: a cold caller removes it
+// from the topology, an incremental engine (timeline.IXPMachine) withdraws
+// it as a delta against live converged state. A failed removal means the
+// attribution map and the topology disagree, so Leave stops with the error
+// and n stays a member. n's sessions at other exchanges are kept; a pair that
+// lost its session here and can also peer elsewhere is re-homed by the next
+// EstablishSessions.
+func (f *Fabric) Leave(ixpName string, n bgpsim.ASN, remove func(a, b bgpsim.ASN) error) error {
+	x, ok := f.ixps[ixpName]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownIXP, ixpName)
 	}
+	if !x.HasMember(n) {
+		return fmt.Errorf("ixp: AS %d not a member of %s", n, ixpName)
+	}
+	keys := make([][2]bgpsim.ASN, 0, 4)
+	for k, name := range f.sessionIXP {
+		if name == ixpName && (k[0] == n || k[1] == n) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	for _, k := range keys {
+		if err := remove(k[0], k[1]); err != nil {
+			return fmt.Errorf("ixp: retract %s session (%d,%d): %w", ixpName, k[0], k[1], err)
+		}
+		delete(f.sessionIXP, k)
+	}
+	delete(x.members, n)
+	return nil
 }
 
 // Sessions returns the number of IXP-attributed peering sessions currently
@@ -195,11 +226,21 @@ func (m *member) wouldPeer(other bgpsim.ASN) bool {
 	}
 }
 
-// EstablishSessions walks every IXP and creates peer edges in the topology
-// for each member pair that agrees to peer (both policies accept), or that
-// the regulation compels. It records which IXP each session belongs to and
-// returns the number of sessions created. Existing peerings are left alone.
-func (f *Fabric) EstablishSessions(reg Regulation) int {
+// EstablishSessions walks every IXP in priority order and, within each,
+// every member pair in ascending ASN order. It establishes a session for each
+// pair that agrees to peer (both policies accept) or that the regulation
+// compels, unless the pair already peers. add creates the peer edge and
+// receives the pair in ascending-ASN order: cold builders pass
+// f.Topo.AddPeer, an incremental engine (timeline.IXPMachine) applies a
+// link+ delta against live converged state. A non-nil return from add skips
+// the pair without recording it. Each session is attributed to the IXP it
+// was established at. Returns the number of sessions created.
+//
+// Because pairs that already peer are skipped, a walk after one membership
+// change reaches only pairs that include the changed member: every other
+// agreeing pair got its session from an earlier walk. It meets those pairs
+// in IXP priority order, then ascending partner ASN.
+func (f *Fabric) EstablishSessions(reg Regulation, add func(a, b bgpsim.ASN) error) int {
 	created := 0
 	names := f.IXPNames()
 	sort.SliceStable(names, func(i, j int) bool {
@@ -219,7 +260,7 @@ func (f *Fabric) EstablishSessions(reg Regulation) int {
 				if f.Topo.HasPeer(a, b) {
 					continue
 				}
-				if err := f.Topo.AddPeer(a, b); err != nil {
+				if err := add(a, b); err != nil {
 					continue
 				}
 				f.sessionIXP[sessionKey(a, b)] = name
@@ -228,85 +269,6 @@ func (f *Fabric) EstablishSessions(reg Regulation) int {
 		}
 	}
 	return created
-}
-
-// EstablishMemberSessionsVia establishes exactly the sessions a full
-// EstablishSessions(reg) run would create for pairs involving member n —
-// same priority order, same attribution, same silent skip of pairs the
-// topology refuses — but routes each topology mutation through add instead
-// of Topo.AddPeer, so an incremental engine (timeline.IXPMachine) can apply
-// the new peer edges as deltas against live converged state. add receives
-// the pair in ascending-ASN order and a non-nil return skips the pair
-// without recording it, mirroring the cold path. Returns sessions created.
-//
-// Equivalence with the cold path rests on the establishment invariant: every
-// pair not involving n that agrees to peer already has its session (the
-// fabric re-establishes after every membership change), so a full run could
-// only add pairs involving n — the pairs this walks.
-func (f *Fabric) EstablishMemberSessionsVia(n bgpsim.ASN, reg Regulation, add func(a, b bgpsim.ASN) error) int {
-	created := 0
-	names := f.IXPNames()
-	sort.SliceStable(names, func(i, j int) bool {
-		return f.ixps[names[i]].Priority < f.ixps[names[j]].Priority
-	})
-	for _, name := range names {
-		x := f.ixps[name]
-		if !x.HasMember(n) {
-			continue
-		}
-		forced := reg.applies(x)
-		for _, m := range x.Members() {
-			if m == n {
-				continue
-			}
-			agree := x.members[n].wouldPeer(m) && x.members[m].wouldPeer(n)
-			if !agree && !forced {
-				continue
-			}
-			if f.Topo.HasPeer(n, m) {
-				continue
-			}
-			k := sessionKey(n, m)
-			if err := add(k[0], k[1]); err != nil {
-				continue
-			}
-			f.sessionIXP[k] = name
-			created++
-		}
-	}
-	return created
-}
-
-// RetractMemberSessionsVia removes every session established at the named
-// IXP that involves AS n: the peer edge is removed through remove, which
-// lets an incremental engine (timeline.IXPMachine) withdraw it as a delta,
-// and the session leaves the attribution map. Pair it with Leave to model a member actually
-// departing the exchange — Leave alone only stops future establishment,
-// which models lapsed membership with grandfathered sessions. remove
-// receives the pair in ascending-ASN order; unlike establishment (where a
-// refused pair is a policy outcome), a failed removal means the attribution
-// map and the topology disagree, so it aborts with the error. Returns the
-// number of sessions retracted.
-func (f *Fabric) RetractMemberSessionsVia(ixpName string, n bgpsim.ASN, remove func(a, b bgpsim.ASN) error) (int, error) {
-	keys := make([][2]bgpsim.ASN, 0, 4)
-	for k, name := range f.sessionIXP {
-		if name == ixpName && (k[0] == n || k[1] == n) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for i, k := range keys {
-		if err := remove(k[0], k[1]); err != nil {
-			return i, fmt.Errorf("ixp: retract %s session (%d,%d): %w", ixpName, k[0], k[1], err)
-		}
-		delete(f.sessionIXP, k)
-	}
-	return len(keys), nil
 }
 
 func sessionKey(a, b bgpsim.ASN) [2]bgpsim.ASN {

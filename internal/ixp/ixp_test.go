@@ -68,7 +68,7 @@ func TestOpenOpenEstablishes(t *testing.T) {
 	f, a, b := twoISPFabric(t)
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Open)
-	n := f.EstablishSessions(Regulation{})
+	n := f.EstablishSessions(Regulation{}, f.Topo.AddPeer)
 	if n != 1 {
 		t.Fatalf("sessions = %d, want 1", n)
 	}
@@ -84,7 +84,7 @@ func TestRestrictiveRefuses(t *testing.T) {
 	f, a, b := twoISPFabric(t)
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Restrictive)
-	if n := f.EstablishSessions(Regulation{}); n != 0 {
+	if n := f.EstablishSessions(Regulation{}, f.Topo.AddPeer); n != 0 {
 		t.Fatalf("sessions = %d, want 0", n)
 	}
 }
@@ -93,11 +93,11 @@ func TestSelectiveAllowlist(t *testing.T) {
 	f, a, b := twoISPFabric(t)
 	_ = f.Join("X", a, Selective, b)
 	_ = f.Join("X", b, Selective) // empty allowlist
-	if n := f.EstablishSessions(Regulation{}); n != 0 {
+	if n := f.EstablishSessions(Regulation{}, f.Topo.AddPeer); n != 0 {
 		t.Fatalf("one-sided selective created %d sessions", n)
 	}
 	_ = f.Join("X", b, Selective, a)
-	if n := f.EstablishSessions(Regulation{}); n != 1 {
+	if n := f.EstablishSessions(Regulation{}, f.Topo.AddPeer); n != 1 {
 		t.Fatalf("mutual selective created %d sessions, want 1", n)
 	}
 }
@@ -107,7 +107,7 @@ func TestRegulationForcesRestrictive(t *testing.T) {
 	_ = f.Join("X", a, Restrictive)
 	_ = f.Join("X", b, Restrictive)
 	reg := Regulation{Country: "MX", MandatoryPeering: true}
-	if n := f.EstablishSessions(reg); n != 1 {
+	if n := f.EstablishSessions(reg, f.Topo.AddPeer); n != 1 {
 		t.Fatalf("regulated sessions = %d, want 1", n)
 	}
 }
@@ -117,7 +117,7 @@ func TestRegulationScopedByCountry(t *testing.T) {
 	_ = f.Join("X", a, Restrictive)
 	_ = f.Join("X", b, Restrictive)
 	reg := Regulation{Country: "BR", MandatoryPeering: true}
-	if n := f.EstablishSessions(reg); n != 0 {
+	if n := f.EstablishSessions(reg, f.Topo.AddPeer); n != 0 {
 		t.Fatalf("foreign regulation created %d sessions", n)
 	}
 }
@@ -126,23 +126,38 @@ func TestEstablishSessionsIdempotent(t *testing.T) {
 	f, a, b := twoISPFabric(t)
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Open)
-	f.EstablishSessions(Regulation{})
-	if n := f.EstablishSessions(Regulation{}); n != 0 {
+	f.EstablishSessions(Regulation{}, f.Topo.AddPeer)
+	if n := f.EstablishSessions(Regulation{}, f.Topo.AddPeer); n != 0 {
 		t.Fatalf("re-establish created %d sessions", n)
 	}
 }
 
+// TestLeave: a leave retracts the member's sessions at that exchange through
+// remove, and leaving an exchange the AS is not a member of is an error.
 func TestLeave(t *testing.T) {
 	f, a, b := twoISPFabric(t)
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Open)
-	f.Leave("X", b)
+	f.EstablishSessions(Regulation{}, f.Topo.AddPeer)
+	removePeer := func(a, b bgpsim.ASN) error { f.Topo.RemovePeer(a, b); return nil }
+	if err := f.Leave("X", b, removePeer); err != nil {
+		t.Fatal(err)
+	}
 	x, _ := f.IXP("X")
 	if x.HasMember(b) {
 		t.Error("member not removed")
 	}
-	if n := f.EstablishSessions(Regulation{}); n != 0 {
+	if f.Topo.HasPeer(a, b) || f.Sessions() != 0 || f.SessionIXP(a, b) != "" {
+		t.Errorf("session survived the leave: peer %v, sessions %d", f.Topo.HasPeer(a, b), f.Sessions())
+	}
+	if n := f.EstablishSessions(Regulation{}, f.Topo.AddPeer); n != 0 {
 		t.Fatalf("sessions after leave = %d", n)
+	}
+	if err := f.Leave("X", b, removePeer); err == nil {
+		t.Error("leave of a non-member accepted")
+	}
+	if err := f.Leave("nope", a, removePeer); err == nil {
+		t.Error("leave of an unknown IXP accepted")
 	}
 }
 
@@ -157,7 +172,7 @@ func TestClassifyPathDomesticVsInternational(t *testing.T) {
 	// With IXP peering the path becomes domestic and attributed to X.
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Open)
-	f.EstablishSessions(Regulation{})
+	f.EstablishSessions(Regulation{}, f.Topo.AddPeer)
 	rt = converge(t, f)
 	rep = f.ClassifyPath(rt, Demand{Src: a, Prefix: "pb", Volume: 1}, "MX")
 	if !rep.Domestic {
@@ -172,7 +187,7 @@ func TestLocalityAggregation(t *testing.T) {
 	f, a, b := twoISPFabric(t)
 	_ = f.Join("X", a, Open)
 	_ = f.Join("X", b, Open)
-	f.EstablishSessions(Regulation{})
+	f.EstablishSessions(Regulation{}, f.Topo.AddPeer)
 	rt := converge(t, f)
 	demands := []Demand{
 		{Src: a, Prefix: "pb", Volume: 3},
@@ -214,7 +229,7 @@ func TestPriorityAttribution(t *testing.T) {
 	_ = f.Join("X", b, Open)
 	_ = f.Join("FAR", a, Open)
 	_ = f.Join("FAR", b, Open)
-	f.EstablishSessions(Regulation{})
+	f.EstablishSessions(Regulation{}, f.Topo.AddPeer)
 	if got := f.SessionIXP(a, b); got != "X" {
 		t.Errorf("session attributed to %q, want local X", got)
 	}

@@ -21,67 +21,35 @@ import (
 	"repro/internal/rng"
 )
 
-// The fixed cast of the Mexican-market scenarios (E19, E20, E22): one
-// foreign transit, one restrictive incumbent, and competitors rolling onto
-// the domestic exchange.
-const (
-	transitASN   = bgpsim.ASN(1)
-	incumbentASN = bgpsim.ASN(100)
-	compBase     = bgpsim.ASN(1000)
-	mxIXP        = "IXP-MX"
-)
-
-// buildMXWorld constructs the Mexican attachment world: a US transit over a
-// restrictive incumbent and nComp competitors (all MX, each originating one
-// prefix), one domestic exchange, and the all-pairs domestic demand matrix
-// whose locality the scenarios measure. Pure construction — no RNG — so
-// every scenario sharing it builds the identical world.
-func buildMXWorld(nComp int) (*ixp.Fabric, []ixp.Demand, []bgpsim.ASN, error) {
-	topo := bgpsim.NewTopology()
-	if err := topo.AddAS(transitASN, bgpsim.ASInfo{Name: "Transit", Country: "US"}); err != nil {
+// mxMarket builds ixp's Mexican market with nComp competitors (an empty
+// exchange) and the demand matrix the Mexican scenarios (E19, E20, E22)
+// measure: every ordered pair of MX eyeballs, the incumbent and the
+// competitors, exchanges one unit. Pure construction — no RNG — so every
+// scenario sharing it builds the identical world.
+func mxMarket(nComp int) (*ixp.Fabric, []ixp.Demand, []bgpsim.ASN, error) {
+	f, comps, err := ixp.NewMXMarket(nComp)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := topo.AddAS(incumbentASN, bgpsim.ASInfo{Name: "Incumbent", Country: "MX", Org: "incumbent"}); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := topo.AddProviderCustomer(transitASN, incumbentASN); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := topo.Originate(incumbentASN, "pfx-incumbent"); err != nil {
-		return nil, nil, nil, err
-	}
-	comps := make([]bgpsim.ASN, nComp)
-	for i := range comps {
-		comps[i] = compBase + bgpsim.ASN(i)
-		if err := topo.AddAS(comps[i], bgpsim.ASInfo{Name: fmt.Sprintf("Comp-%d", i), Country: "MX"}); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := topo.AddProviderCustomer(transitASN, comps[i]); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := topo.Originate(comps[i], fmt.Sprintf("pfx-comp%d", i)); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	f := ixp.NewFabric(topo)
-	if _, err := f.AddIXP(mxIXP, "MX"); err != nil {
-		return nil, nil, nil, err
-	}
-	mxASes := append([]bgpsim.ASN{incumbentASN}, comps...)
-	prefixes := map[bgpsim.ASN]string{incumbentASN: "pfx-incumbent"}
-	for i, c := range comps {
-		prefixes[c] = fmt.Sprintf("pfx-comp%d", i)
-	}
+	eyeballs := append([]bgpsim.ASN{ixp.MXIncumbent}, comps...)
 	var demands []ixp.Demand
-	for _, src := range mxASes {
-		for _, dst := range mxASes {
-			if src == dst {
-				continue
+	for _, src := range eyeballs {
+		for _, dst := range eyeballs {
+			if src != dst {
+				demands = append(demands, ixp.Demand{Src: src, Prefix: f.Topo.Origins(dst)[0], Volume: 1})
 			}
-			demands = append(demands, ixp.Demand{Src: src, Prefix: prefixes[dst], Volume: 1})
 		}
 	}
 	return f, demands, comps, nil
+}
+
+// checkRegulateAt refuses a regulation tick that the stream's horizon does
+// not reach. The schema bounds regulate-at below; its upper bound is ticks.
+func checkRegulateAt(p experiment.Values) error {
+	if at, ticks := p.Int("regulate-at"), p.Int("ticks"); at >= ticks {
+		return fmt.Errorf("%w %q = %d, want below ticks=%d", experiment.ErrBadParam, "regulate-at", at, ticks)
+	}
+	return nil
 }
 
 func init() {
@@ -93,15 +61,15 @@ func init() {
 		Params: experiment.Schema{
 			{Name: "mids", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "mid-tier ASes in the routing hierarchy"},
 			{Name: "stubs", Kind: experiment.Int, Default: 10, Min: experiment.Bound(1), Doc: "stub ASes (each originates a prefix)"},
-			{Name: "per-tick", Kind: experiment.Int, Default: 2, Doc: "flap attempts per tick"},
-			{Name: "hold", Kind: experiment.Int, Default: 3, Doc: "ticks a flapped link/prefix stays down"},
+			{Name: "per-tick", Kind: experiment.Int, Default: 2, Min: experiment.Bound(0), Doc: "flap attempts per tick"},
+			{Name: "hold", Kind: experiment.Int, Default: 3, Min: experiment.Bound(1), Doc: "ticks a flapped link/prefix stays down"},
 			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Max: experiment.Bound(64), Doc: "competitor ASes rolling onto the IXP"},
-			{Name: "start", Kind: experiment.Int, Default: 2, Doc: "tick of the first scheduled join wave"},
-			{Name: "wave-every", Kind: experiment.Int, Default: 3, Doc: "ticks between join waves"},
-			{Name: "wave-size", Kind: experiment.Int, Default: 1, Doc: "joins per wave"},
-			{Name: "regulate-at", Kind: experiment.Int, Default: 12, Doc: "tick mandatory peering takes effect"},
+			{Name: "start", Kind: experiment.Int, Default: 2, Min: experiment.Bound(0), Doc: "tick of the first scheduled join wave"},
+			{Name: "wave-every", Kind: experiment.Int, Default: 3, Min: experiment.Bound(1), Doc: "ticks between join waves"},
+			{Name: "wave-size", Kind: experiment.Int, Default: 1, Min: experiment.Bound(1), Doc: "joins per wave"},
+			{Name: "regulate-at", Kind: experiment.Int, Default: 12, Min: experiment.Bound(0), Doc: "tick mandatory peering takes effect"},
 			{Name: "press-below", Kind: experiment.Float, Default: 0.97, Doc: "reach-share below which routing pressure fires"},
-			{Name: "ticks", Kind: experiment.Int, Default: 16, Doc: "ticks to replay"},
+			{Name: "ticks", Kind: experiment.Int, Default: 16, Min: experiment.Bound(1), Doc: "ticks to replay"},
 		},
 		Run: runE20,
 	})
@@ -135,14 +103,14 @@ func init() {
 		Seed:  42,
 		Params: experiment.Schema{
 			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Max: experiment.Bound(64), Doc: "competitor ASes rolling onto the IXP"},
-			{Name: "start", Kind: experiment.Int, Default: 1, Doc: "tick of the first join wave"},
-			{Name: "wave-every", Kind: experiment.Int, Default: 2, Doc: "ticks between join waves"},
-			{Name: "wave-size", Kind: experiment.Int, Default: 2, Doc: "joins per wave"},
-			{Name: "sample-per-stratum", Kind: experiment.Int, Default: 25, Doc: "survey contacts per stratum per tick"},
+			{Name: "start", Kind: experiment.Int, Default: 1, Min: experiment.Bound(0), Doc: "tick of the first join wave"},
+			{Name: "wave-every", Kind: experiment.Int, Default: 2, Min: experiment.Bound(1), Doc: "ticks between join waves"},
+			{Name: "wave-size", Kind: experiment.Int, Default: 2, Min: experiment.Bound(1), Doc: "joins per wave"},
+			{Name: "sample-per-stratum", Kind: experiment.Int, Default: 25, Min: experiment.Bound(1), Doc: "survey contacts per stratum per tick"},
 			{Name: "noise", Kind: experiment.Float, Default: 0.05, Doc: "survey response noise"},
 			{Name: "respond-below", Kind: experiment.Float, Default: 0.45, Doc: "measured attitude below which regulation fires"},
 			{Name: "mood-spread", Kind: experiment.Float, Default: 0.6, Doc: "attitude shift per unit of domestic-share deviation from 0.5"},
-			{Name: "ticks", Kind: experiment.Int, Default: 12, Doc: "ticks to replay"},
+			{Name: "ticks", Kind: experiment.Int, Default: 12, Min: experiment.Bound(1), Doc: "ticks to replay"},
 		},
 		Run: runE22,
 	})
@@ -152,28 +120,32 @@ func init() {
 // pressure) and an uncoupled control of the same world and stream, then
 // compares them.
 func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	if err := checkRegulateAt(p); err != nil {
+		return nil, err
+	}
 	nComp, ticks := p.Int("competitors"), p.Int("ticks")
 	pressBelow := p.Float("press-below")
+	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
+	if err != nil {
+		return nil, err
+	}
 
 	// The merged stream is shared by both runs; the worlds must be fresh per
-	// run (replay mutates them). The control composes the same parts with no
-	// cascade rules — the uncoupled economy.
-	build := func(coupled bool) (*Composition, error) {
-		h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
+	// run (replay mutates them), so each routes over its own clone of h. The
+	// control composes the same parts with no cascade rules — the uncoupled
+	// economy.
+	build := func(coupled bool) (*Composition, []bgpsim.ASN, error) {
+		routing, err := NewBGPMachine(ctx, h.Topo.Clone(), experiment.WorkersFrom(ctx))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		routing, err := NewBGPMachine(ctx, h.Topo, experiment.WorkersFrom(ctx))
+		f, demands, comps, err := mxMarket(nComp)
 		if err != nil {
-			return nil, err
-		}
-		f, demands, comps, err := buildMXWorld(nComp)
-		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		attachment, err := NewIXPMachine(ctx, f, demands, "MX", experiment.WorkersFrom(ctx))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var rules []CascadeRule
 		if coupled {
@@ -189,30 +161,31 @@ func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 					}
 					evs := make([]Event, 0, len(comps))
 					for _, c := range comps {
-						evs = append(evs, Event{Kind: KindIXPPressure, Name: mxIXP, ASN: c, Policy: ixp.Open})
+						evs = append(evs, Event{Kind: KindIXPPressure, Name: ixp.MXExchange, ASN: c, Policy: ixp.Open})
 					}
 					return evs
 				},
 			}}
 		}
-		return Compose([]Part{{Name: "routing", M: routing}, {Name: "attachment", M: attachment}}, rules)
+		comp, err := Compose([]Part{{Name: "routing", M: routing}, {Name: "attachment", M: attachment}}, rules)
+		return comp, comps, err
+	}
+	coupled, comps, err := build(true)
+	if err != nil {
+		return nil, err
+	}
+	control, _, err := build(false)
+	if err != nil {
+		return nil, err
 	}
 
 	// Stream: the storm over the hierarchy, the staged rollout and scheduled
 	// regulation over the exchange.
-	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
-	if err != nil {
-		return nil, err
-	}
 	storm, err := GenFlapStorm(h, seed^streamSalt, ticks, p.Int("per-tick"), p.Int("hold"))
 	if err != nil {
 		return nil, err
 	}
-	comps := make([]bgpsim.ASN, nComp)
-	for i := range comps {
-		comps[i] = compBase + bgpsim.ASN(i)
-	}
-	rollout, err := GenStagedRollout(mxIXP, comps, ixp.Open, seed^streamSalt,
+	rollout, err := GenStagedRollout(ixp.MXExchange, comps, ixp.Open, seed^streamSalt,
 		p.Int("start"), p.Int("wave-every"), p.Int("wave-size"), ticks)
 	if err != nil {
 		return nil, err
@@ -227,7 +200,7 @@ func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 		}
 	}
 	fixed := Stream{Horizon: ticks, Events: []Event{
-		{At: 0, Kind: KindIXPJoin, Name: mxIXP, ASN: incumbentASN, Policy: ixp.Restrictive},
+		{At: 0, Kind: KindIXPJoin, Name: ixp.MXExchange, ASN: ixp.MXIncumbent, Policy: ixp.Restrictive},
 		{At: p.Int("regulate-at"), Kind: KindRegulate, Name: "MX"},
 	}}
 	st, err := Merge(storm, rollout, fixed)
@@ -235,15 +208,7 @@ func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 		return nil, err
 	}
 
-	coupled, err := build(true)
-	if err != nil {
-		return nil, err
-	}
 	coupledOut, err := coupled.ReplayCtx(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	control, err := build(false)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +359,14 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 // a one-shot regulation back into the attachment domain.
 func runE22(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	nComp, ticks := p.Int("competitors"), p.Int("ticks")
-	f, demands, comps, err := buildMXWorld(nComp)
+	spread, respondBelow, noise := p.Float("mood-spread"), p.Float("respond-below"), p.Float("noise")
+	if respondBelow < 0 || respondBelow > 1 {
+		return nil, fmt.Errorf("%w %q = %v, want in [0, 1]", experiment.ErrBadParam, "respond-below", respondBelow)
+	}
+	if noise < 0 {
+		return nil, fmt.Errorf("%w %q = %v, want at least 0", experiment.ErrBadParam, "noise", noise)
+	}
+	f, demands, comps, err := mxMarket(nComp)
 	if err != nil {
 		return nil, err
 	}
@@ -403,25 +375,24 @@ func runE22(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 		return nil, err
 	}
 	stakeholders, err := NewStakeholderMachine(seed^streamSalt,
-		p.Int("sample-per-stratum"), p.Float("noise"), p.Float("respond-below"))
+		p.Int("sample-per-stratum"), noise, respondBelow)
 	if err != nil {
 		return nil, err
 	}
 
-	rollout, err := GenStagedRollout(mxIXP, comps, ixp.Open, seed^streamSalt,
+	rollout, err := GenStagedRollout(ixp.MXExchange, comps, ixp.Open, seed^streamSalt,
 		p.Int("start"), p.Int("wave-every"), p.Int("wave-size"), ticks)
 	if err != nil {
 		return nil, err
 	}
 	fixed := Stream{Horizon: ticks, Events: []Event{
-		{At: 0, Kind: KindIXPJoin, Name: mxIXP, ASN: incumbentASN, Policy: ixp.Restrictive},
+		{At: 0, Kind: KindIXPJoin, Name: ixp.MXExchange, ASN: ixp.MXIncumbent, Policy: ixp.Restrictive},
 	}}
 	st, err := Merge(rollout, fixed)
 	if err != nil {
 		return nil, err
 	}
 
-	spread, respondBelow := p.Float("mood-spread"), p.Float("respond-below")
 	// The mood shift is quantized to millis (legible logs, exact replay) and
 	// only re-asserted when it changes — the shift is sticky in the
 	// stakeholder machine, so transitions replay identically to a drumbeat.

@@ -400,19 +400,18 @@ func (m *coldIXPMachine) Apply(ev Event) error {
 		if !x.HasMember(ev.ASN) {
 			return fmt.Errorf("AS %d not a member of %s", ev.ASN, ev.Name)
 		}
-		if _, err := m.f.RetractMemberSessionsVia(ev.Name, ev.ASN, func(a, b bgpsim.ASN) error {
+		if err := m.f.Leave(ev.Name, ev.ASN, func(a, b bgpsim.ASN) error {
 			m.f.Topo.RemovePeer(a, b)
 			return nil
 		}); err != nil {
 			return err
 		}
-		m.f.Leave(ev.Name, ev.ASN)
 	case KindRegulate:
 		m.reg = ixp.Regulation{Country: ev.Name, MandatoryPeering: true}
 	default:
 		return fmt.Errorf("IXP machine cannot apply %s events", ev.Kind)
 	}
-	m.f.EstablishSessions(m.reg)
+	m.f.EstablishSessions(m.reg, m.f.Topo.AddPeer)
 	return nil
 }
 
@@ -447,24 +446,25 @@ func (m *coldIXPMachine) Observe(int) ([]float64, error) {
 // observation series matches a cold-path replica that rebuilds sessions from
 // scratch at every event.
 func TestIXPMachineIncrementalMatchesColdPerTick(t *testing.T) {
-	events := []Event{
-		{At: 0, Kind: KindIXPJoin, Name: mxIXP, ASN: incumbentASN, Policy: ixp.Restrictive},
-		{At: 1, Kind: KindIXPJoin, Name: mxIXP, ASN: compBase, Policy: ixp.Open},
-		{At: 1, Kind: KindIXPJoin, Name: mxIXP, ASN: compBase + 1, Policy: ixp.Open},
-		{At: 2, Kind: KindIXPPressure, Name: mxIXP, ASN: compBase + 2, Policy: ixp.Open},
-		{At: 3, Kind: KindIXPPressure, Name: mxIXP, ASN: compBase, Policy: ixp.Open}, // member: no-op
-		{At: 4, Kind: KindIXPLeave, Name: mxIXP, ASN: compBase + 1},
-		{At: 5, Kind: KindIXPJoin, Name: mxIXP, ASN: compBase + 1, Policy: ixp.Selective},
-		{At: 6, Kind: KindRegulate, Name: "MX"},
-		{At: 7, Kind: KindIXPPressure, Name: mxIXP, ASN: compBase + 3, Policy: ixp.Open},
-		{At: 8, Kind: KindIXPLeave, Name: mxIXP, ASN: compBase},
-	}
-	st := Stream{Horizon: 10, Events: events}
-
-	f, demands, _, err := buildMXWorld(4)
+	f, demands, comps, err := mxMarket(4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx, inc0 := ixp.MXExchange, ixp.MXIncumbent
+	events := []Event{
+		{At: 0, Kind: KindIXPJoin, Name: mx, ASN: inc0, Policy: ixp.Restrictive},
+		{At: 1, Kind: KindIXPJoin, Name: mx, ASN: comps[0], Policy: ixp.Open},
+		{At: 1, Kind: KindIXPJoin, Name: mx, ASN: comps[1], Policy: ixp.Open},
+		{At: 2, Kind: KindIXPPressure, Name: mx, ASN: comps[2], Policy: ixp.Open},
+		{At: 3, Kind: KindIXPPressure, Name: mx, ASN: comps[0], Policy: ixp.Open}, // member: no-op
+		{At: 4, Kind: KindIXPLeave, Name: mx, ASN: comps[1]},
+		{At: 5, Kind: KindIXPJoin, Name: mx, ASN: comps[1], Policy: ixp.Selective},
+		{At: 6, Kind: KindRegulate, Name: "MX"},
+		{At: 7, Kind: KindIXPPressure, Name: mx, ASN: comps[3], Policy: ixp.Open},
+		{At: 8, Kind: KindIXPLeave, Name: mx, ASN: comps[0]},
+	}
+	st := Stream{Horizon: 10, Events: events}
+
 	inc, err := NewIXPMachine(context.Background(), f, demands, "MX", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -479,18 +479,125 @@ func TestIXPMachineIncrementalMatchesColdPerTick(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cf, cdemands, _, err := buildMXWorld(4)
+	cf, cdemands, _, err := mxMarket(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := &coldIXPMachine{f: cf, demands: cdemands, country: "MX"}
-	cold.f.EstablishSessions(cold.reg)
+	cold.f.EstablishSessions(cold.reg, cold.f.Topo.AddPeer)
 	coldSeries, err := ReplayCtx(context.Background(), st, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := renderSeries(t, incSeries), renderSeries(t, coldSeries); got != want {
 		t.Errorf("incremental observation series differs from cold replica:\n--- incremental\n%s--- cold\n%s", got, want)
+	}
+}
+
+// TestIXPMachineTwoExchangesMatchColdPerTick exercises the ordering the
+// machine's one session walk relies on across exchanges. A second MX
+// exchange sorts after IXP-MX by name but walks first by Priority; members
+// sit at both, one of them Selective toward a single peer. After every
+// tick, every pair of MX eyeballs must have its session at the same
+// exchange (or none) on the incremental machine as on the cold replica, and
+// the live tables must match a cold convergence.
+func TestIXPMachineTwoExchangesMatchColdPerTick(t *testing.T) {
+	const north = "IXP-MX-North"
+	build := func() (*ixp.Fabric, []ixp.Demand, []bgpsim.ASN) {
+		f, demands, comps, err := mxMarket(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := f.AddIXP(north, "MX")
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Priority = -1
+		for _, j := range []struct {
+			n      bgpsim.ASN
+			policy ixp.PeeringPolicy
+			allow  []bgpsim.ASN
+		}{
+			{comps[0], ixp.Open, nil},
+			{comps[1], ixp.Open, nil},
+			{comps[2], ixp.Selective, []bgpsim.ASN{comps[0]}},
+		} {
+			if err := f.Join(north, j.n, j.policy, j.allow...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f, demands, comps
+	}
+	mx := ixp.MXExchange
+	f, demands, comps := build()
+	st := Stream{Horizon: 12, Events: []Event{
+		{At: 0, Kind: KindIXPJoin, Name: mx, ASN: ixp.MXIncumbent, Policy: ixp.Restrictive},
+		{At: 1, Kind: KindIXPJoin, Name: mx, ASN: comps[0], Policy: ixp.Open},
+		{At: 1, Kind: KindIXPJoin, Name: mx, ASN: comps[1], Policy: ixp.Open},
+		{At: 2, Kind: KindIXPJoin, Name: mx, ASN: comps[2], Policy: ixp.Open},
+		{At: 3, Kind: KindIXPLeave, Name: north, ASN: comps[0]},
+		{At: 3, Kind: KindIXPJoin, Name: north, ASN: ixp.MXIncumbent, Policy: ixp.Restrictive},
+		{At: 4, Kind: KindIXPJoin, Name: north, ASN: comps[3], Policy: ixp.Open},
+		{At: 4, Kind: KindIXPPressure, Name: mx, ASN: comps[3], Policy: ixp.Open},
+		{At: 5, Kind: KindIXPLeave, Name: mx, ASN: comps[1]},
+		{At: 6, Kind: KindIXPJoin, Name: north, ASN: comps[0], Policy: ixp.Selective},
+		{At: 7, Kind: KindRegulate, Name: "MX"},
+		{At: 8, Kind: KindIXPPressure, Name: north, ASN: comps[4], Policy: ixp.Open},
+		{At: 9, Kind: KindIXPLeave, Name: mx, ASN: comps[2]},
+		{At: 10, Kind: KindIXPLeave, Name: north, ASN: comps[1]},
+		{At: 11, Kind: KindIXPJoin, Name: mx, ASN: comps[1], Policy: ixp.Open},
+	}}
+	eyeballs := append([]bgpsim.ASN{ixp.MXIncumbent}, comps...)
+	sessions := func(f *ixp.Fabric) string {
+		var b strings.Builder
+		for i, a := range eyeballs {
+			for _, c := range eyeballs[i+1:] {
+				fmt.Fprintf(&b, "%d-%d:%s ", a, c, f.SessionIXP(a, c))
+			}
+		}
+		return b.String()
+	}
+
+	inc, err := NewIXPMachine(context.Background(), f, demands, "MX", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var incTicks []string
+	incSeries, err := ReplayCtx(context.Background(), st, hookedMachine{inc, func(tick int) error {
+		incTicks = append(incTicks, sessions(f))
+		if err := tablesEqualCold(inc.State()); err != nil {
+			return fmt.Errorf("incremental tables diverge from cold at tick %d: %w", tick, err)
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cf, cdemands, _ := build()
+	cold := &coldIXPMachine{f: cf, demands: cdemands, country: "MX"}
+	cold.f.EstablishSessions(cold.reg, cold.f.Topo.AddPeer)
+	var coldTicks []string
+	coldSeries, err := ReplayCtx(context.Background(), st, hookedMachine{cold, func(int) error {
+		coldTicks = append(coldTicks, sessions(cf))
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := range coldTicks {
+		if incTicks[tick] != coldTicks[tick] {
+			t.Errorf("tick %d: session exchanges differ\nincremental %s\ncold        %s", tick, incTicks[tick], coldTicks[tick])
+		}
+	}
+	if got, want := renderSeries(t, incSeries), renderSeries(t, coldSeries); got != want {
+		t.Errorf("incremental observation series differs from cold replica:\n--- incremental\n%s--- cold\n%s", got, want)
+	}
+	// Priority must have decided something: regulation forces the
+	// restrictive incumbent's pairs at both exchanges in one walk, and the
+	// Priority -1 exchange establishes them first.
+	if got := cf.SessionIXP(ixp.MXIncumbent, comps[0]); got != north {
+		t.Errorf("incumbent-comps[0] session at %q, want %q", got, north)
 	}
 }
 

@@ -1,18 +1,19 @@
 package timeline
 
 // IXPMachine replays exchange-membership and regulation events against an
-// ixp.Fabric, keeping live converged BGP state between ticks. Membership
-// events take the incremental session-delta path: a join (or soft pressure
-// join) establishes only the new member's sessions as link+ peer deltas
-// through bgpsim's incremental engine, and a leave retracts only the
-// departing member's sessions (then re-homes them at the member's remaining
-// exchanges, exactly as a cold re-establishment would). Regulation is the
-// one wholesale rewire — it force-peers entire exchanges — so it rebuilds:
-// full session establishment plus a fresh convergence. Equivalence with the
-// cold path (re-establish everything, re-converge cold, every tick) is
-// pinned per tick by the property suite; the incremental-vs-cold fallback
-// inside Converged.Apply makes the tables themselves bit-identical by
-// contract.
+// ixp.Fabric, keeping live converged BGP state between ticks. Every event
+// ends in one session walk, ixp.Fabric.EstablishSessions, whose new sessions
+// are link+ peer deltas through bgpsim's incremental engine. A join (or soft
+// pressure join) adds only the new member's sessions, since every other
+// agreeing pair already peers. A leave first withdraws the departing
+// member's sessions at that exchange as link- deltas, and the walk re-homes
+// them at its remaining exchanges, exactly as a cold re-establishment would.
+// Regulation force-peers whole exchanges, and the same walk adds those
+// sessions one delta at a time: nothing re-converges after the first tick.
+// Equivalence with the cold path (re-establish everything, re-converge
+// cold, every tick) is pinned per tick by the property suite; the
+// incremental-vs-cold fallback inside Converged.Apply makes the tables
+// themselves bit-identical by contract.
 
 import (
 	"context"
@@ -29,7 +30,6 @@ type IXPMachine struct {
 	reg     ixp.Regulation
 	country string
 	demands []ixp.Demand
-	workers int
 	conv    *bgpsim.Converged
 }
 
@@ -37,12 +37,12 @@ type IXPMachine struct {
 // regulation) and converges once, the state every later event patches
 // incrementally. country scopes the locality observation (and regulation
 // events name their own country); demands are classified against the
-// converged tables every tick. workers fans the convergences (<= 0 means
-// GOMAXPROCS; observations are identical for any value); ctx cancels the
-// initial convergence only — machines have no per-tick context.
+// converged tables every tick. workers fans the one convergence (<= 0 means
+// GOMAXPROCS; observations are identical for any value); ctx cancels it —
+// machines have no per-tick context.
 func NewIXPMachine(ctx context.Context, f *ixp.Fabric, demands []ixp.Demand, country string, workers int) (*IXPMachine, error) {
-	m := &IXPMachine{f: f, country: country, demands: demands, workers: workers}
-	m.f.EstablishSessions(m.reg)
+	m := &IXPMachine{f: f, country: country, demands: demands}
+	f.EstablishSessions(m.reg, f.Topo.AddPeer)
 	conv, err := f.Topo.ConvergeStateCtx(ctx, workers)
 	if err != nil {
 		return nil, err
@@ -63,11 +63,7 @@ func (m *IXPMachine) Kinds() []Kind {
 func (m *IXPMachine) Apply(ev Event) error {
 	switch ev.Kind {
 	case KindIXPJoin, KindIXPPressure:
-		x, ok := m.f.IXP(ev.Name)
-		if !ok {
-			return fmt.Errorf("%w: %s", ixp.ErrUnknownIXP, ev.Name)
-		}
-		if x.HasMember(ev.ASN) {
+		if x, ok := m.f.IXP(ev.Name); ok && x.HasMember(ev.ASN) {
 			if ev.Kind == KindIXPPressure {
 				return nil
 			}
@@ -76,48 +72,26 @@ func (m *IXPMachine) Apply(ev Event) error {
 		if err := m.f.Join(ev.Name, ev.ASN, ev.Policy); err != nil {
 			return err
 		}
-		return m.establishMember(ev.ASN)
 	case KindIXPLeave:
-		x, ok := m.f.IXP(ev.Name)
-		if !ok {
-			return fmt.Errorf("%w: %s", ixp.ErrUnknownIXP, ev.Name)
-		}
-		if !x.HasMember(ev.ASN) {
-			return fmt.Errorf("AS %d not a member of %s", ev.ASN, ev.Name)
-		}
-		if _, err := m.f.RetractMemberSessionsVia(ev.Name, ev.ASN, func(a, b bgpsim.ASN) error {
-			_, err := m.conv.Apply(bgpsim.Delta{Kind: bgpsim.DeltaLinkDown, A: a, B: b, Peer: true})
-			return err
-		}); err != nil {
+		if err := m.f.Leave(ev.Name, ev.ASN, m.peerDelta(bgpsim.DeltaLinkDown)); err != nil {
 			return err
 		}
-		m.f.Leave(ev.Name, ev.ASN)
-		// Re-home: sessions the member held through this exchange may be
-		// re-established at its remaining exchanges, as a cold
-		// re-establishment after the leave would.
-		return m.establishMember(ev.ASN)
 	case KindRegulate:
 		m.reg = ixp.Regulation{Country: ev.Name, MandatoryPeering: true}
-		m.f.EstablishSessions(m.reg)
-		conv, err := m.f.Topo.ConvergeStateCtx(context.Background(), m.workers)
-		if err != nil {
-			return err
-		}
-		m.conv = conv
 	default:
 		return fmt.Errorf("IXP machine cannot apply %s events", ev.Kind)
 	}
+	m.f.EstablishSessions(m.reg, m.peerDelta(bgpsim.DeltaLinkUp))
 	return nil
 }
 
-// establishMember adds n's missing sessions under the current regulation as
-// incremental link+ peer deltas.
-func (m *IXPMachine) establishMember(n bgpsim.ASN) error {
-	m.f.EstablishMemberSessionsVia(n, m.reg, func(a, b bgpsim.ASN) error {
-		_, err := m.conv.Apply(bgpsim.Delta{Kind: bgpsim.DeltaLinkUp, A: a, B: b, Peer: true})
+// peerDelta returns a session callback that applies a peer link delta of the
+// given kind to the live converged state.
+func (m *IXPMachine) peerDelta(kind bgpsim.DeltaKind) func(a, b bgpsim.ASN) error {
+	return func(a, b bgpsim.ASN) error {
+		_, err := m.conv.Apply(bgpsim.Delta{Kind: kind, A: a, B: b, Peer: true})
 		return err
-	})
-	return nil
+	}
 }
 
 // Cols: total memberships across exchanges, IXP-attributed sessions, the

@@ -61,11 +61,11 @@ func init() {
 		Seed:  42,
 		Params: experiment.Schema{
 			{Name: "competitors", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Max: experiment.Bound(64), Doc: "competitor ASes rolling onto the IXP"},
-			{Name: "start", Kind: experiment.Int, Default: 1, Doc: "tick of the first join wave"},
-			{Name: "wave-every", Kind: experiment.Int, Default: 2, Doc: "ticks between join waves"},
-			{Name: "wave-size", Kind: experiment.Int, Default: 2, Doc: "joins per wave"},
-			{Name: "regulate-at", Kind: experiment.Int, Default: 10, Doc: "tick mandatory peering takes effect"},
-			{Name: "ticks", Kind: experiment.Int, Default: 14, Doc: "ticks to replay"},
+			{Name: "start", Kind: experiment.Int, Default: 1, Min: experiment.Bound(0), Doc: "tick of the first join wave"},
+			{Name: "wave-every", Kind: experiment.Int, Default: 2, Min: experiment.Bound(1), Doc: "ticks between join waves"},
+			{Name: "wave-size", Kind: experiment.Int, Default: 2, Min: experiment.Bound(1), Doc: "joins per wave"},
+			{Name: "regulate-at", Kind: experiment.Int, Default: 10, Min: experiment.Bound(0), Doc: "tick mandatory peering takes effect"},
+			{Name: "ticks", Kind: experiment.Int, Default: 14, Min: experiment.Bound(1), Doc: "ticks to replay"},
 		},
 		Run: runE19,
 	})
@@ -166,19 +166,22 @@ func schedulerByName(name string) (cn.Scheduler, error) {
 
 // runE19 replays a staged rollout plus regulation through the IXP machine.
 func runE19(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	if err := checkRegulateAt(p); err != nil {
+		return nil, err
+	}
 	nComp, ticks := p.Int("competitors"), p.Int("ticks")
-	f, demands, comps, err := buildMXWorld(nComp)
+	f, demands, comps, err := mxMarket(nComp)
 	if err != nil {
 		return nil, err
 	}
 
-	rollout, err := GenStagedRollout("IXP-MX", comps, ixp.Open, seed^streamSalt,
+	rollout, err := GenStagedRollout(ixp.MXExchange, comps, ixp.Open, seed^streamSalt,
 		p.Int("start"), p.Int("wave-every"), p.Int("wave-size"), ticks)
 	if err != nil {
 		return nil, err
 	}
 	fixed := Stream{Horizon: ticks, Events: []Event{
-		{At: 0, Kind: KindIXPJoin, Name: "IXP-MX", ASN: incumbentASN, Policy: ixp.Restrictive},
+		{At: 0, Kind: KindIXPJoin, Name: ixp.MXExchange, ASN: ixp.MXIncumbent, Policy: ixp.Restrictive},
 		{At: p.Int("regulate-at"), Kind: KindRegulate, Name: "MX"},
 	}}
 	// One competitor churns off and back onto the exchange after regulation,
@@ -193,8 +196,8 @@ func runE19(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	}
 	if at := p.Int("regulate-at") + 2; joinedAt >= 0 && at > joinedAt && at+1 < ticks {
 		fixed.Events = append(fixed.Events,
-			Event{At: at, Kind: KindIXPLeave, Name: "IXP-MX", ASN: comps[0]},
-			Event{At: at + 1, Kind: KindIXPJoin, Name: "IXP-MX", ASN: comps[0], Policy: ixp.Open})
+			Event{At: at, Kind: KindIXPLeave, Name: ixp.MXExchange, ASN: comps[0]},
+			Event{At: at + 1, Kind: KindIXPJoin, Name: ixp.MXExchange, ASN: comps[0], Policy: ixp.Open})
 	}
 
 	m, err := NewIXPMachine(ctx, f, demands, "MX", experiment.WorkersFrom(ctx))

@@ -31,7 +31,6 @@ var reachAllowed = map[string]string{
 	"repro/internal/bgpsim.RoutingTables.Reachable":        "route-table oracle",
 	"repro/internal/bgpsim.RoutingTables.Route":            "route-table oracle",
 	"repro/internal/bgpsim.Topology.IsLeaker":              "topology-state oracle",
-	"repro/internal/bgpsim.Topology.Origins":               "topology-state oracle",
 	"repro/internal/bgpsim.Topology.ValleyFree":            "Gao-Rexford path oracle",
 	"repro/internal/cn.CPR.Balances":                       "the CPR scheduler tests read credit balances through it",
 	"repro/internal/cn.ChurnSim.DemandScale":               "the churn tests read the demand surge through it",
