@@ -89,7 +89,9 @@ bench:
 # Record the routing-engine + E1-E10 benchmark baseline into
 # BENCH_bgpsim.json (ns/op, B/op, allocs/op per benchmark) and the timeline
 # replay baseline into BENCH_timeline.json (plus events/sec and cells/event
-# custom metrics for the flap-storm and composed replays). Every benchmark
+# custom metrics for the flap-storm and composed replays; the 10k-AS
+# flap-storm replay records the steady-state allocation of Apply/Revert at
+# scale, undo records included). Every benchmark
 # runs five times (-count 5); benchjson folds the repeats into one row of
 # medians with the ns/op min/max and the sample count. Five samples of the
 # 50k/100k-AS convergences outlast go test's default 10-minute timeout, hence
@@ -101,7 +103,7 @@ bench:
 BENCHTIME ?= 1s
 BENCHREGEXP = ^(BenchmarkConverge|BenchmarkDelta|BenchmarkSweep|BenchmarkLeakSweepEndToEnd|BenchmarkRunLeakSweep)
 ROOTREGEXP = ^(BenchmarkE([1-9]|10)[A-Z]|BenchmarkBiblioGraph$$|BenchmarkKCore$$)
-TIMELINEREGEXP = ^(BenchmarkReplayFlapStorm|BenchmarkComposedReplay)$$
+TIMELINEREGEXP = ^(BenchmarkReplayFlapStorm|BenchmarkReplayFlapStormScale|BenchmarkComposedReplay)$$
 bench-json:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCHREGEXP)' \

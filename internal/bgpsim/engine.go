@@ -435,6 +435,11 @@ type convState struct {
 	updates []colUpdate
 	reach   int // net routed cells added by the column writes (see RoutingTables.reach)
 	slab    []pathNode
+	// log and cols are an Apply chunk's undo scratch: the overwritten cells
+	// and the records of the columns that wrote, copied out exact-size into
+	// the chunk's patchPart (see Converged.reconverge).
+	log  []undoCell
+	cols []patchCol
 }
 
 func newConvState(nAS int) *convState {
@@ -763,30 +768,40 @@ func (t *Topology) ConvergeCtx(ctx context.Context, workers int) (*RoutingTables
 // serially on the calling goroutine regardless of the worker knob.
 const serialWorkFloor = 1 << 15
 
-// fanOut runs do over n independent columns, each call on a contiguous range
-// [lo, hi) with a convState from c.states, and returns the net routed cells
-// the calls added. Below serialWorkFloor cells, or with one effective worker,
-// it runs one call on the calling goroutine; otherwise it splits the columns
-// into coarse chunks, about four per worker, so each task amortizes its
-// dispatch and scratch checkout over many columns, and runs them on at most
-// c.workers goroutines. Cold convergence and Apply both fan out here.
-func (c *Converged) fanOut(ctx context.Context, n int, do func(lo, hi int, st *convState) error) (int, error) {
-	run := func(lo, hi int) (int, error) {
+// chunks returns the goroutine count fanOut runs n columns on and the
+// length of its contiguous column chunks: one chunk of every column below
+// serialWorkFloor cells or with one effective worker, else about four
+// chunks per worker, so each task amortizes its dispatch and scratch
+// checkout over many columns.
+func (c *Converged) chunks(n int) (w, size int) {
+	w = parallel.Workers(c.workers, n)
+	if w == 1 || len(c.e.rt.asns)*n < serialWorkFloor {
+		return 1, max(n, 1)
+	}
+	return w, (n + 4*w - 1) / (4 * w)
+}
+
+// fanOut runs do over n independent columns, one call per chunk of chunks(n)
+// with the chunk's index ci, its range [lo, hi) and a convState from
+// c.states, and returns the net routed cells the calls added. One chunk
+// runs on the calling goroutine; more run on at most c.workers goroutines.
+// Cold convergence and Apply both fan out here.
+func (c *Converged) fanOut(ctx context.Context, n int, do func(ci, lo, hi int, st *convState) error) (int, error) {
+	run := func(ci, lo, hi int) (int, error) {
 		st := c.states.Get().(*convState)
 		defer c.states.Put(st)
 		st.reach = 0
-		err := do(lo, hi, st)
+		err := do(ci, lo, hi, st)
 		return st.reach, err
 	}
-	w := parallel.Workers(c.workers, n)
-	if w == 1 || len(c.e.rt.asns)*n < serialWorkFloor {
-		return run(0, n)
+	w, size := c.chunks(n)
+	if w == 1 {
+		return run(0, 0, n)
 	}
-	chunk := (n + 4*w - 1) / (4 * w)
-	reach := make([]int, (n+chunk-1)/chunk) // each task writes only its own index
+	reach := make([]int, (n+size-1)/size) // each task writes only its own index
 	err := parallel.ForEach(ctx, len(reach), w, func(ci int) error {
 		var err error
-		reach[ci], err = run(ci*chunk, min((ci+1)*chunk, n))
+		reach[ci], err = run(ci, ci*size, min((ci+1)*size, n))
 		return err
 	})
 	total := 0

@@ -10,7 +10,10 @@ package bgpsim
 // instead of from every origin, and appending the path nodes it selects to
 // each column's slab; Revert restores the exact pre-Apply state from a
 // sparse undo log without re-converging at all, truncating every slab back
-// to its pre-Apply length so the nodes Apply appended are reused.
+// to its pre-Apply length so the nodes Apply appended are reused. The undo
+// record (Patch) is the size of what it undid: exact-size logs of the
+// overwritten cells and one compact record per column that wrote, nothing
+// for the columns that did not.
 //
 // Contract: after every Apply, the live tables are observably identical
 // (Route/Path/Prefixes on every AS) to a cold ConvergeCtx of the mutated
@@ -41,6 +44,7 @@ package bgpsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -165,25 +169,44 @@ func (t *Topology) ApplyDelta(d Delta) error {
 	return nil
 }
 
-// patchCol is the sparse undo log of one re-converged prefix column:
-// every overwritten cell's previous value, oldest first, and the column's
-// slab length before the apply appended to it. The first clothed entries
-// of the log are clothing writes (see clothe), which change no route; the
-// count shares a word with p.
+// patchCol is the undo record of one re-converged prefix column that
+// wrote, five int32 words: the column p; the count of clothing writes (see
+// clothe), which change no route, at the head of its cells; its slab length
+// before the apply appended to it (at most maxSlab); the end of its cells in
+// its part's log, which start at the previous record's end; and the net
+// change in routed cells its writes made.
 type patchCol struct {
-	p, clothed int32
-	slabLen    int
-	log        []undoCell
-	reach      int // net change in routed cells the column's writes made
+	p, clothed, slabLen, end, reach int32
+}
+
+// patchPart is the undo record of one fan-out chunk of an Apply: the records
+// of the chunk's columns that wrote, in column order, and one log of their
+// overwritten cells, back to back, each column's oldest first. Both are
+// exact-size copies of the worker's scratch.
+type patchPart struct {
+	cols []patchCol
+	log  []undoCell
+}
+
+// cells returns the logged cells of the part's k-th column.
+func (pt *patchPart) cells(k int) []undoCell {
+	start := int32(0)
+	if k > 0 {
+		start = pt.cols[k-1].end
+	}
+	return pt.log[start:pt.cols[k].end]
 }
 
 // Patch records everything needed to undo one Apply: the delta itself (its
-// inverse undoes the structural mutation) and the overwritten table cells.
+// inverse undoes the structural mutation) and the overwritten table cells,
+// one part per fan-out chunk that wrote, in chunk order. A patch holds 20
+// bytes per column that wrote (its record) plus 8 per overwritten cell,
+// clothing writes included, and nothing for the columns that did not.
 // Patches are strictly LIFO: only the most recent unreverted patch may be
 // reverted.
 type Patch struct {
 	delta       Delta
-	cols        []patchCol
+	parts       []patchPart
 	addedPrefix bool // Apply created a new prefix column (dropped on Revert)
 	c2pAcyclic  bool // the engine's c2pAcyclic before the apply (restored on Revert)
 	seq         int
@@ -197,8 +220,11 @@ func (p *Patch) Delta() Delta { return p.delta }
 // them without changing a route, so it is not counted.
 func (p *Patch) Cells() int {
 	n := 0
-	for i := range p.cols {
-		n += len(p.cols[i].log) - int(p.cols[i].clothed)
+	for _, pt := range p.parts {
+		n += len(pt.log)
+		for _, pc := range pt.cols {
+			n -= int(pc.clothed)
+		}
 	}
 	return n
 }
@@ -238,7 +264,7 @@ func (t *Topology) ConvergeStateCtx(ctx context.Context, workers int) (*Converge
 	}
 	nAS := len(e.rt.asns)
 	c := &Converged{t: t, e: e, workers: workers, states: &sync.Pool{New: func() any { return newConvState(nAS) }}}
-	reach, err := c.fanOut(ctx, len(e.rt.prefixes), func(lo, hi int, st *convState) error {
+	reach, err := c.fanOut(ctx, len(e.rt.prefixes), func(_, lo, hi int, st *convState) error {
 		return e.convergeRange(ctx, lo, hi, st)
 	})
 	if err != nil {
@@ -331,14 +357,18 @@ func (c *Converged) Revert(p *Patch) {
 	}
 	e, rt := c.e, c.e.rt
 	nAS := len(rt.asns)
-	for i := len(p.cols) - 1; i >= 0; i-- {
-		pc := &p.cols[i]
-		col := rt.entries[int(pc.p)*nAS : (int(pc.p)+1)*nAS]
-		for j := len(pc.log) - 1; j >= 0; j-- {
-			col[pc.log[j].idx] = pc.log[j].e
+	for i := len(p.parts) - 1; i >= 0; i-- {
+		pt := &p.parts[i]
+		for k := len(pt.cols) - 1; k >= 0; k-- {
+			pc := pt.cols[k]
+			col := rt.entries[int(pc.p)*nAS : (int(pc.p)+1)*nAS]
+			log := pt.cells(k)
+			for j := len(log) - 1; j >= 0; j-- {
+				col[log[j].idx] = log[j].e
+			}
+			rt.reach -= int(pc.reach)
+			rt.slabs[pc.p] = rt.slabs[pc.p][:pc.slabLen]
 		}
-		rt.reach -= pc.reach
-		rt.slabs[pc.p] = rt.slabs[pc.p][:pc.slabLen]
 	}
 	if _, _, err := c.applyStructural(p.delta.inverse()); err != nil {
 		// The inverse of a validated, applied delta always applies.
@@ -517,42 +547,70 @@ func (c *Converged) affected(d Delta) (cols []int32, seeds []int32) {
 	}
 }
 
+// maxPooledLog caps, in cells, the undo scratch a worker's convState keeps
+// between Applies: a larger log (a cold fallback over many columns) is
+// dropped after its copy, so the pool does not hold a whole table's worth.
+const maxPooledLog = 1 << 16
+
 // reconverge re-runs the fixpoint on the given columns (nil = all) from the
 // seed frontier, recording every overwritten cell into the patch. When safe
 // (see Apply), columns continue from the live tables, after the bare cells
 // of the unleafed ASes are clothed; otherwise — and for any column whose
 // seeded fixpoint hit the round cap — they are recomputed cold (see the
 // package comment for why that preserves cold-identity), which needs no
-// clothing.
+// clothing. Each fan-out chunk logs into its worker's scratch and keeps an
+// exact-size copy of the records of its columns that wrote, as one part.
 func (c *Converged) reconverge(p *Patch, cols, seeds, unleafed []int32, safe bool) {
 	e, rt := c.e, c.e.rt
 	nAS := len(rt.asns)
+	n := len(cols)
 	if cols == nil {
-		cols = make([]int32, len(rt.prefixes))
-		for i := range cols {
-			cols[i] = int32(i)
-		}
+		n = len(rt.prefixes)
 	}
-	// Each column appends only to its own slab and its own pcs entry, so
-	// concurrent columns never share a write.
-	pcs := make([]patchCol, len(cols))
-	reach, err := c.fanOut(context.Background(), len(cols), func(lo, hi int, st *convState) error {
-		for i, pi := range cols[lo:hi] {
+	// Each column appends only to its own slab, and each chunk writes only
+	// its own part, so concurrent chunks never share a write.
+	_, size := c.chunks(n)
+	parts := make([]patchPart, (n+size-1)/size)
+	reach, err := c.fanOut(context.Background(), n, func(ci, lo, hi int, st *convState) error {
+		st.log, st.cols = st.log[:0], st.cols[:0]
+		for k := lo; k < hi; k++ {
+			pi := int32(k)
+			if cols != nil {
+				pi = cols[k]
+			}
 			slab := &rt.slabs[pi]
-			pc := patchCol{p: pi, slabLen: len(*slab)}
+			pc := patchCol{p: pi, slabLen: int32(len(*slab))}
 			col := rt.entries[int(pi)*nAS : (int(pi)+1)*nAS]
-			before := st.reach
+			start, before := len(st.log), st.reach
 			if safe {
 				for _, j := range unleafed {
-					clothe(col, slab, j, &pc.log)
+					clothe(col, slab, j, &st.log)
 				}
-				pc.clothed = int32(len(pc.log))
+				pc.clothed = int32(len(st.log) - start)
 			}
-			if !safe || !e.reconvergeColumn(int(pi), col, slab, st, seeds, &pc.log) {
-				e.coldColumn(int(pi), col, slab, st, &pc.log)
+			if !safe || !e.reconvergeColumn(int(pi), col, slab, st, seeds, &st.log) {
+				e.coldColumn(int(pi), col, slab, st, &st.log)
 			}
-			pc.reach = st.reach - before
-			pcs[lo+i] = pc
+			// A column that appended nodes or changed the routed count also
+			// overwrote cells, so the log alone decides which columns the
+			// part records.
+			if len(st.log) == start {
+				continue
+			}
+			if len(st.log) > math.MaxInt32 {
+				panic(fmt.Sprintf("bgpsim: undo log exceeds %d cells", math.MaxInt32))
+			}
+			pc.end, pc.reach = int32(len(st.log)), int32(st.reach-before)
+			st.cols = append(st.cols, pc)
+		}
+		if len(st.cols) > 0 {
+			pt := patchPart{cols: make([]patchCol, len(st.cols)), log: make([]undoCell, len(st.log))}
+			copy(pt.cols, st.cols)
+			copy(pt.log, st.log)
+			parts[ci] = pt
+		}
+		if cap(st.log) > maxPooledLog {
+			st.log = nil
 		}
 		return nil
 	})
@@ -560,10 +618,7 @@ func (c *Converged) reconverge(p *Patch, cols, seeds, unleafed []int32, safe boo
 		panic(err) // only worker panics can land here; re-raise
 	}
 	rt.reach += reach
-	// A column that appended nodes or changed the routed count also
-	// overwrote cells, so the log alone decides which columns the patch
-	// records; the rest are dropped in place, in order.
-	p.cols = slices.DeleteFunc(pcs, func(pc patchCol) bool { return len(pc.log) == 0 })
+	p.parts = slices.DeleteFunc(parts, func(pt patchPart) bool { return len(pt.cols) == 0 })
 }
 
 // clothe gives AS i's cell in col a path node of its own if the cell is

@@ -12,7 +12,8 @@ import (
 // TestCellLayoutIsPointerFree pins the packed table layout: a cell is one
 // 4-byte int32 and a path node 12 bytes (hop, next, chain length), and
 // neither holds a pointer, so the garbage collector never traces the
-// routing tables.
+// routing tables. It pins the undo record sizes too: 8 bytes per logged
+// cell and 20 per column that wrote.
 func TestCellLayoutIsPointerFree(t *testing.T) {
 	if got := unsafe.Sizeof(entry(0)); got != 4 {
 		t.Errorf("unsafe.Sizeof(entry(0)) = %d, want 4", got)
@@ -22,6 +23,9 @@ func TestCellLayoutIsPointerFree(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(undoCell{}); got != 8 {
 		t.Errorf("unsafe.Sizeof(undoCell{}) = %d, want 8", got)
+	}
+	if got := unsafe.Sizeof(patchCol{}); got != 20 {
+		t.Errorf("unsafe.Sizeof(patchCol{}) = %d, want 20", got)
 	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(entry(0)), reflect.TypeOf(pathNode{})} {
 		if path, ok := findPointer(typ, typ.Name()); ok {

@@ -318,8 +318,10 @@ func TestStubGainsCustomerClothesItsCells(t *testing.T) {
 		t.Fatal("the stub's customer made the topology unsafe: Apply re-converged cold and clothed nothing")
 	}
 	clothed := 0
-	for _, pc := range up.cols {
-		clothed += int(pc.clothed)
+	for _, pt := range up.parts {
+		for _, pc := range pt.cols {
+			clothed += int(pc.clothed)
+		}
 	}
 	if clothed != bare || bareCellsOf(c, si) != 0 {
 		t.Fatalf("clothed %d of the stub's %d bare cells, %d left bare", clothed, bare, bareCellsOf(c, si))

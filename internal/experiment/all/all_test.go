@@ -121,6 +121,10 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 		{"E20", "regulate-at", 0}, {"E20", "ticks", 1}, {"E20", "hold", 1}, {"E20", "per-tick", 0},
 		{"E22", "start", 0}, {"E22", "wave-every", 1}, {"E22", "wave-size", 1},
 		{"E22", "ticks", 1}, {"E22", "sample-per-stratum", 1},
+		{"E17", "ticks", 1}, {"E17", "per-tick", 0}, {"E17", "hold", 1},
+		{"E18", "ticks", 1}, {"E18", "repair-after", 1},
+		{"E21", "ticks", 1}, {"E21", "repair-after", 1},
+		{"E6", "coders", 2},
 	} {
 		for _, v := range []int{param.min - 1, 0, -1} {
 			if v >= param.min {
@@ -132,11 +136,22 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 			}
 		}
 	}
+	// Every timeline scenario's horizon is at most timeline.MaxHorizon
+	// (65536) ticks.
+	for _, id := range []string{"E17", "E18", "E19", "E20", "E21", "E22"} {
+		query := fmt.Sprintf("id=%s&ticks=65537", id)
+		if _, err := experiment.Default.ParseJob(mustQuery(t, query)); !errors.Is(err, experiment.ErrBadParam) {
+			t.Errorf("%s: ParseJob err = %v, want ErrBadParam", query, err)
+		}
+	}
 	// Checks that are not one range: a regulation tick the horizon does not
-	// reach (ticks defaults to 14 in E19 and 16 in E20), and E22's Float
-	// thresholds.
+	// reach (ticks defaults to 14 in E19 and 16 in E20), E22's Float
+	// thresholds, and a flap storm of more than 2·ticks·per-tick = 4096
+	// events (ticks defaults to 24 in E17 and 16 in E20).
 	checkBadParams(t, "id=E19&regulate-at=14", "id=E19&ticks=1", "id=E20&regulate-at=16",
-		"id=E22&respond-below=1.5", "id=E22&respond-below=-0.1", "id=E22&noise=-1")
+		"id=E22&respond-below=1.5", "id=E22&respond-below=-0.1", "id=E22&noise=-1",
+		"id=E17&hold=0", "id=E17&ticks=0", "id=E18&ticks=0", "id=E19&ticks=70000&regulate-at=10",
+		"id=E20&per-tick=5000", "id=E17&per-tick=86", "id=E20&per-tick=129", "id=E6&coders=1")
 }
 
 // TestMeshRadiusIsABadParam: a radius that is not positive links no two

@@ -17,7 +17,7 @@ func init() {
 		Seed:  7,
 		Params: experiment.Schema{
 			{Name: "iterations", Kind: experiment.Int, Default: 6, Doc: "codebook refinement iterations"},
-			{Name: "coders", Kind: experiment.Int, Default: 3, Doc: "independent coders"},
+			{Name: "coders", Kind: experiment.Int, Default: 3, Min: experiment.Bound(2), Doc: "independent coders"},
 			{Name: "base-accuracy", Kind: experiment.Float, Default: 0.55, Doc: "iteration-0 coder accuracy"},
 			{Name: "gain", Kind: experiment.Float, Default: 0.45, Doc: "error-rate shrink factor per iteration"},
 		},

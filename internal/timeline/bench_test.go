@@ -51,6 +51,41 @@ func BenchmarkReplayFlapStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayFlapStormScale: a BGP machine replaying a flap storm over
+// the 10k-AS hub-tier hierarchy of bgpsim's scale benchmarks (20 ticks, 4
+// flap attempts a tick, held 3 ticks), unwinding after each replay. It
+// measures the steady-state time and allocation of Apply, Observe and
+// Revert at scale, undo records included; one warm-up replay pays the
+// one-time slab growth first.
+func BenchmarkReplayFlapStormScale(b *testing.B) {
+	b.Run("as10k", func(b *testing.B) {
+		h, err := bgpsim.BuildHierarchyOpts(rng.New(1), bgpsim.HierarchyOpts{NMid: 1600, NStub: 8400, Hubs: 24, OriginEvery: 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		storm, err := GenFlapStorm(h, 1, 20, 4, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := NewBGPMachine(context.Background(), h.Topo, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replay := func() {
+			if _, err := ReplayCtx(context.Background(), storm, m); err != nil {
+				b.Fatal(err)
+			}
+			m.Unwind()
+		}
+		replay()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			replay()
+		}
+	})
+}
+
 // BenchmarkComposedReplay: the two-domain composition (routing + community
 // network with a demand-coupling cascade) replayed end to end. The cascade
 // leaves sticky state in the CN machine, so each iteration rebuilds the

@@ -94,6 +94,7 @@ func (m *BGPMachine) Unwind() {
 	for i := len(m.patches) - 1; i >= 0; i-- {
 		m.c.Revert(m.patches[i])
 	}
+	clear(m.patches) // the truncated slice must not keep the reverted patches reachable
 	m.patches = m.patches[:0]
 	m.tickEvents, m.tickCells = 0, 0
 }

@@ -52,6 +52,17 @@ func checkRegulateAt(p experiment.Values) error {
 	return nil
 }
 
+// checkStormSize refuses a flap storm too large for one stream: up to
+// 2·ticks·per-tick events (a down and an up per flap) beyond MaxEvents. The
+// schema bounds ticks and per-tick one at a time; this is their product.
+func checkStormSize(p experiment.Values) error {
+	if ticks, perTick := p.Int("ticks"), p.Int("per-tick"); perTick > MaxEvents/(2*ticks) {
+		return fmt.Errorf("%w %q = %d: up to 2·ticks·per-tick events exceed %d at ticks=%d",
+			experiment.ErrBadParam, "per-tick", perTick, MaxEvents, ticks)
+	}
+	return nil
+}
+
 func init() {
 	experiment.Register(experiment.Def{
 		ID:    "E20",
@@ -69,7 +80,7 @@ func init() {
 			{Name: "wave-size", Kind: experiment.Int, Default: 1, Min: experiment.Bound(1), Doc: "joins per wave"},
 			{Name: "regulate-at", Kind: experiment.Int, Default: 12, Min: experiment.Bound(0), Doc: "tick mandatory peering takes effect"},
 			{Name: "press-below", Kind: experiment.Float, Default: 0.97, Doc: "reach-share below which routing pressure fires"},
-			{Name: "ticks", Kind: experiment.Int, Default: 16, Min: experiment.Bound(1), Doc: "ticks to replay"},
+			{Name: "ticks", Kind: experiment.Int, Default: 16, Min: experiment.Bound(1), Max: experiment.Bound(MaxHorizon), Doc: "ticks to replay"},
 		},
 		Run: runE20,
 	})
@@ -86,13 +97,13 @@ func init() {
 			{Name: "out-len", Kind: experiment.Int, Default: 8, Doc: "ticks the outage lasts"},
 			{Name: "members", Kind: experiment.Int, Default: 24, Min: experiment.Bound(2), Doc: "community members sharing the uplink"},
 			{Name: "fail-prob", Kind: experiment.Float, Default: 0.04, Doc: "per-member background failure probability per tick"},
-			{Name: "repair-after", Kind: experiment.Int, Default: 4, Doc: "ticks until a failed member is repaired"},
+			{Name: "repair-after", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "ticks until a failed member is repaired"},
 			{Name: "heavy-frac", Kind: experiment.Float, Default: 0.2, Doc: "fraction of heavy users"},
 			{Name: "capacity-factor", Kind: experiment.Float, Default: 0.6, Doc: "capacity / mean offered load"},
 			{Name: "scheduler", Kind: experiment.String, Default: "cpr", Doc: "scheduling discipline: proportional, maxmin, or cpr"},
 			{Name: "surge", Kind: experiment.Float, Default: 2.5, Doc: "demand scale while reachability is degraded"},
 			{Name: "reach-thr", Kind: experiment.Float, Default: 0.95, Doc: "reach-share below which demand surges"},
-			{Name: "ticks", Kind: experiment.Int, Default: 28, Doc: "ticks to replay"},
+			{Name: "ticks", Kind: experiment.Int, Default: 28, Min: experiment.Bound(1), Max: experiment.Bound(MaxHorizon), Doc: "ticks to replay"},
 		},
 		Run: runE21,
 	})
@@ -110,7 +121,7 @@ func init() {
 			{Name: "noise", Kind: experiment.Float, Default: 0.05, Doc: "survey response noise"},
 			{Name: "respond-below", Kind: experiment.Float, Default: 0.45, Doc: "measured attitude below which regulation fires"},
 			{Name: "mood-spread", Kind: experiment.Float, Default: 0.6, Doc: "attitude shift per unit of domestic-share deviation from 0.5"},
-			{Name: "ticks", Kind: experiment.Int, Default: 12, Min: experiment.Bound(1), Doc: "ticks to replay"},
+			{Name: "ticks", Kind: experiment.Int, Default: 12, Min: experiment.Bound(1), Max: experiment.Bound(MaxHorizon), Doc: "ticks to replay"},
 		},
 		Run: runE22,
 	})
@@ -121,6 +132,9 @@ func init() {
 // compares them.
 func runE20(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	if err := checkRegulateAt(p); err != nil {
+		return nil, err
+	}
+	if err := checkStormSize(p); err != nil {
 		return nil, err
 	}
 	nComp, ticks := p.Int("competitors"), p.Int("ticks")

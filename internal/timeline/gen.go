@@ -31,8 +31,8 @@ func GenFlapStorm(h *bgpsim.Hierarchy, seed uint64, ticks, perTick, hold int) (S
 	if perTick < 0 || hold < 1 {
 		return Stream{}, fmt.Errorf("timeline: bad flap storm shape (per-tick %d, hold %d)", perTick, hold)
 	}
-	if n := 2 * ticks * perTick; n > MaxEvents {
-		return Stream{}, fmt.Errorf("timeline: up to %d events exceed limit %d", n, MaxEvents)
+	if perTick > MaxEvents/(2*ticks) { // 2·ticks·perTick, which could overflow
+		return Stream{}, fmt.Errorf("timeline: up to 2·%d·%d events exceed limit %d", ticks, perTick, MaxEvents)
 	}
 	if len(h.Stubs) == 0 {
 		return Stream{}, fmt.Errorf("timeline: hierarchy has no stubs to flap")
@@ -146,25 +146,35 @@ func GenCNChurn(members int, seed uint64, ticks int, failProb float64, repairAft
 		repairAt[m] = -1
 	}
 	var evs []Event
+	pending := 0 // repairs scheduled and not yet emitted
 	for t := 0; t < ticks; t++ {
 		repaired := make([]bool, members)
 		for m := 0; m < members; m++ {
 			if repairAt[m] == t {
 				evs = append(evs, Event{At: t, Kind: KindCNRepair, Node: m})
 				up[m], repairAt[m], repaired[m] = true, -1, true
+				pending--
 			}
 		}
 		for m := 0; m < members; m++ {
 			if !up[m] || repaired[m] || !r.Bool(failProb) {
 				continue
 			}
-			if len(evs) >= MaxEvents {
+			// A fail takes its own slot and its repair's: the stream's
+			// scheduled repairs must fit the event limit too.
+			repair := t+repairAfter < ticks
+			need := 1
+			if repair {
+				need = 2
+			}
+			if len(evs)+pending+need > MaxEvents {
 				break
 			}
 			evs = append(evs, Event{At: t, Kind: KindCNFail, Node: m})
 			up[m] = false
-			if t+repairAfter < ticks {
+			if repair {
 				repairAt[m] = t + repairAfter
+				pending++
 			}
 		}
 	}

@@ -111,3 +111,30 @@ func TestReplayHookSeesEveryTick(t *testing.T) {
 		t.Fatalf("rows %d, hook ticks %v; want 4 rows and ticks 0..3", len(series.Rows), ticks)
 	}
 }
+
+// TestUnwindReleasesPatches: after Unwind, the machine's patch slice, read
+// to its capacity, holds no reverted patch, so the undo records it kept
+// are garbage before the next replay overwrites the slots.
+func TestUnwindReleasesPatches(t *testing.T) {
+	h := buildTestHierarchy(t, 11, 4, 9)
+	st, err := GenFlapStorm(h, 5, 16, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewBGPMachine(context.Background(), h.Topo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayCtx(context.Background(), st, m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Applied() == 0 {
+		t.Fatal("the storm applied no event")
+	}
+	m.Unwind()
+	for i, p := range m.patches[:cap(m.patches)] {
+		if p != nil {
+			t.Fatalf("slot %d of %d still holds a reverted patch after Unwind", i, cap(m.patches))
+		}
+	}
+}

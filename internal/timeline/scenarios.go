@@ -32,9 +32,9 @@ func init() {
 		Params: experiment.Schema{
 			{Name: "mids", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Doc: "mid-tier ASes in the generated hierarchy"},
 			{Name: "stubs", Kind: experiment.Int, Default: 12, Min: experiment.Bound(1), Doc: "stub ASes (each originates a prefix)"},
-			{Name: "ticks", Kind: experiment.Int, Default: 24, Doc: "ticks to replay"},
-			{Name: "per-tick", Kind: experiment.Int, Default: 2, Doc: "flap attempts per tick"},
-			{Name: "hold", Kind: experiment.Int, Default: 3, Doc: "ticks a flapped link/prefix stays down"},
+			{Name: "ticks", Kind: experiment.Int, Default: 24, Min: experiment.Bound(1), Max: experiment.Bound(MaxHorizon), Doc: "ticks to replay"},
+			{Name: "per-tick", Kind: experiment.Int, Default: 2, Min: experiment.Bound(0), Doc: "flap attempts per tick"},
+			{Name: "hold", Kind: experiment.Int, Default: 3, Min: experiment.Bound(1), Doc: "ticks a flapped link/prefix stays down"},
 		},
 		Run: runE17,
 	})
@@ -45,9 +45,9 @@ func init() {
 		Seed:  42,
 		Params: experiment.Schema{
 			{Name: "members", Kind: experiment.Int, Default: 24, Min: experiment.Bound(2), Doc: "community members sharing the uplink"},
-			{Name: "ticks", Kind: experiment.Int, Default: 36, Doc: "ticks (demand epochs) to replay"},
+			{Name: "ticks", Kind: experiment.Int, Default: 36, Min: experiment.Bound(1), Max: experiment.Bound(MaxHorizon), Doc: "ticks (demand epochs) to replay"},
 			{Name: "fail-prob", Kind: experiment.Float, Default: 0.06, Doc: "per-member failure probability per tick"},
-			{Name: "repair-after", Kind: experiment.Int, Default: 4, Doc: "ticks until a failed member is repaired"},
+			{Name: "repair-after", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "ticks until a failed member is repaired"},
 			{Name: "heavy-frac", Kind: experiment.Float, Default: 0.2, Doc: "fraction of heavy users"},
 			{Name: "capacity-factor", Kind: experiment.Float, Default: 0.6, Doc: "capacity / mean offered load"},
 			{Name: "scheduler", Kind: experiment.String, Default: "cpr", Doc: "scheduling discipline: proportional, maxmin, or cpr"},
@@ -65,7 +65,7 @@ func init() {
 			{Name: "wave-every", Kind: experiment.Int, Default: 2, Min: experiment.Bound(1), Doc: "ticks between join waves"},
 			{Name: "wave-size", Kind: experiment.Int, Default: 2, Min: experiment.Bound(1), Doc: "joins per wave"},
 			{Name: "regulate-at", Kind: experiment.Int, Default: 10, Min: experiment.Bound(0), Doc: "tick mandatory peering takes effect"},
-			{Name: "ticks", Kind: experiment.Int, Default: 14, Min: experiment.Bound(1), Doc: "ticks to replay"},
+			{Name: "ticks", Kind: experiment.Int, Default: 14, Min: experiment.Bound(1), Max: experiment.Bound(MaxHorizon), Doc: "ticks to replay"},
 		},
 		Run: runE19,
 	})
@@ -73,6 +73,9 @@ func init() {
 
 // runE17 replays a flap storm through the incremental BGP engine.
 func runE17(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
+	if err := checkStormSize(p); err != nil {
+		return nil, err
+	}
 	h, err := bgpsim.BuildHierarchyOpts(rng.New(seed), bgpsim.HierarchyOpts{NMid: p.Int("mids"), NStub: p.Int("stubs")})
 	if err != nil {
 		return nil, err

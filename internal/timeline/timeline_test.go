@@ -206,6 +206,35 @@ func TestGenPrefixMigrationTracksHolder(t *testing.T) {
 	}
 }
 
+// TestGenCNChurnFitsEventLimit: a churn that would fail members past the
+// event limit stops failing them while their scheduled repairs still fit,
+// so the stream, repairs included, holds at most MaxEvents events and every
+// fail is repaired or lands too late to be.
+func TestGenCNChurnFitsEventLimit(t *testing.T) {
+	const ticks, repairAfter = MaxHorizon, 2
+	st, err := GenCNChurn(24, 3, ticks, 0.5, repairAfter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	down := make(map[int]int) // member → tick of its unrepaired fail
+	for _, e := range st.Events {
+		switch e.Kind {
+		case KindCNFail:
+			down[e.Node] = e.At
+		case KindCNRepair:
+			delete(down, e.Node)
+		}
+	}
+	for m, at := range down {
+		if at+repairAfter < ticks {
+			t.Fatalf("member %d failed at tick %d and is never repaired", m, at)
+		}
+	}
+}
+
 func TestGenCNChurnReplaysStrictly(t *testing.T) {
 	st, err := GenCNChurn(12, 3, 20, 0.3, 2)
 	if err != nil {
