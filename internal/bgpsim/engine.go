@@ -229,11 +229,12 @@ type engine struct {
 	maxRounds int
 
 	// Safety statistics for incremental re-convergence (see incremental.go):
-	// when the effective provider→customer digraph is acyclic and at most one
-	// AS violates valley-free export, Gao–Rexford guarantees a unique stable
+	// when the effective provider→customer digraph is acyclic and no AS
+	// violates valley-free export, Gao–Rexford guarantees a unique stable
 	// state, so a frontier-seeded fixpoint from the old tables lands on the
-	// same state a cold run would. Outside that regime Apply falls back to
-	// cold per-column recomputation.
+	// same state a cold run would (see incrementalSafe: one leaking AS can
+	// already admit two stable states). Outside that regime Apply falls back
+	// to cold per-column recomputation.
 	c2pAcyclic bool
 	leaky      []bool // per AS: violates valley-free export somewhere
 	nLeaky     int

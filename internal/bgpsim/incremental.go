@@ -67,22 +67,25 @@ const (
 	DeltaLeakToggle
 )
 
-// String returns the event-grammar keyword of the kind (see parse.go).
+// deltaKinds is the delta kind table: each kind's event-grammar keyword
+// (see parse.go) and the kind that undoes it. Leak toggles are self-inverse.
+var deltaKinds = [...]struct {
+	keyword string
+	inverse DeltaKind
+}{
+	DeltaWithdraw:   {"withdraw", DeltaAnnounce},
+	DeltaAnnounce:   {"announce", DeltaWithdraw},
+	DeltaLinkUp:     {"link+", DeltaLinkDown},
+	DeltaLinkDown:   {"link-", DeltaLinkUp},
+	DeltaLeakToggle: {"leak", DeltaLeakToggle},
+}
+
+// String returns the event-grammar keyword of the kind.
 func (k DeltaKind) String() string {
-	switch k {
-	case DeltaWithdraw:
-		return "withdraw"
-	case DeltaAnnounce:
-		return "announce"
-	case DeltaLinkUp:
-		return "link+"
-	case DeltaLinkDown:
-		return "link-"
-	case DeltaLeakToggle:
-		return "leak"
-	default:
-		return fmt.Sprintf("DeltaKind(%d)", int(k))
+	if int(k) < len(deltaKinds) {
+		return deltaKinds[k].keyword
 	}
+	return fmt.Sprintf("DeltaKind(%d)", int(k))
 }
 
 // Delta is one topology event. A and Prefix serve withdraw/announce, A and B
@@ -94,18 +97,9 @@ type Delta struct {
 	Peer   bool
 }
 
-// inverse returns the delta that undoes d. Leak toggles are self-inverse.
+// inverse returns the delta that undoes d (see deltaKinds).
 func (d Delta) inverse() Delta {
-	switch d.Kind {
-	case DeltaWithdraw:
-		d.Kind = DeltaAnnounce
-	case DeltaAnnounce:
-		d.Kind = DeltaWithdraw
-	case DeltaLinkUp:
-		d.Kind = DeltaLinkDown
-	case DeltaLinkDown:
-		d.Kind = DeltaLinkUp
-	}
+	d.Kind = deltaKinds[d.Kind].inverse
 	return d
 }
 

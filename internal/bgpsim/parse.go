@@ -145,48 +145,35 @@ func (t *Topology) ApplyDirective(directive string, args []string) error {
 // DeltaKind.String() value: withdraw, announce, link+, link-, leak) plus its
 // space-split arguments — into a Delta. FormatDelta is its inverse.
 func ParseDelta(directive string, args []string) (Delta, error) {
-	var d Delta
-	switch directive {
-	case "withdraw", "announce":
+	d := Delta{Kind: DeltaKind(len(deltaKinds))}
+	for k, row := range deltaKinds {
+		if row.keyword == directive {
+			d.Kind = DeltaKind(k)
+		}
+	}
+	var err error
+	switch d.Kind {
+	case DeltaWithdraw, DeltaAnnounce:
 		if len(args) != 2 {
 			return d, fmt.Errorf("want `%s <asn> <prefix>`, got %d args", directive, len(args))
 		}
-		n, err := ParseASN(args[0])
-		if err != nil {
-			return d, err
-		}
-		d.Kind = DeltaWithdraw
-		if directive == "announce" {
-			d.Kind = DeltaAnnounce
-		}
-		d.A, d.Prefix = n, args[1]
-	case "link+", "link-":
+		d.A, err = ParseASN(args[0])
+		d.Prefix = args[1]
+	case DeltaLinkUp, DeltaLinkDown:
 		if len(args) != 3 || (args[0] != "p2c" && args[0] != "peer") {
 			return d, fmt.Errorf("want `%s p2c|peer <a> <b>`, got %q", directive, strings.Join(args, " "))
 		}
-		a, b, err := parseASNPair(args[1:])
-		if err != nil {
-			return d, err
-		}
-		d.Kind = DeltaLinkUp
-		if directive == "link-" {
-			d.Kind = DeltaLinkDown
-		}
-		d.A, d.B, d.Peer = a, b, args[0] == "peer"
-	case "leak":
+		d.A, d.B, err = parseASNPair(args[1:])
+		d.Peer = args[0] == "peer"
+	case DeltaLeakToggle:
 		if len(args) != 1 {
 			return d, fmt.Errorf("want `leak <asn>`, got %d args", len(args))
 		}
-		n, err := ParseASN(args[0])
-		if err != nil {
-			return d, err
-		}
-		d.Kind = DeltaLeakToggle
-		d.A = n
+		d.A, err = ParseASN(args[0])
 	default:
 		return d, fmt.Errorf("unknown event directive %q", directive)
 	}
-	return d, nil
+	return d, err
 }
 
 // FormatTopology renders t back into the text format, in deterministic

@@ -228,3 +228,25 @@ func FuzzParseTopology(f *testing.F) {
 		}
 	})
 }
+
+// TestDeltaKindTable: each DeltaKind's keyword is its String and parses back
+// to the kind, and inverse is an involution.
+func TestDeltaKindTable(t *testing.T) {
+	for i, row := range deltaKinds {
+		k := DeltaKind(i)
+		if k.String() != row.keyword {
+			t.Errorf("DeltaKind(%d).String() = %q, want %q", i, k, row.keyword)
+		}
+		d := Delta{Kind: k, A: 1, B: 2, Prefix: "p"}
+		if d.inverse().inverse() != d {
+			t.Errorf("%s: inverse is not an involution (inverse %s)", k, d.inverse().Kind)
+		}
+		fields := strings.Fields(FormatDelta(d))
+		if got, err := ParseDelta(fields[0], fields[1:]); err != nil || got.Kind != k {
+			t.Errorf("%s: %q parses to %v, %v", k, FormatDelta(d), got.Kind, err)
+		}
+	}
+	if got := DeltaKind(len(deltaKinds)).String(); got != "DeltaKind(5)" {
+		t.Errorf("unknown delta kind renders as %q", got)
+	}
+}

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -209,10 +210,10 @@ func (s *Study) MethodsAppendix() string {
 		b.WriteString("## Coded corpus\n\n")
 		fmt.Fprintf(&b, "%d documents coded by %d coder(s) against %d codes.\n",
 			len(s.Coding.DocumentIDs()), len(s.Coding.Coders()), s.Coding.Codebook.Len())
-		if k := s.Coding.MeanPairwiseKappa(); !isNaN(k) {
+		if k := s.Coding.MeanPairwiseKappa(); !math.IsNaN(k) {
 			fmt.Fprintf(&b, "Mean pairwise Cohen kappa: %.3f.\n", k)
 		}
-		if a := s.Coding.KrippendorffAlpha(); !isNaN(a) {
+		if a := s.Coding.KrippendorffAlpha(); !math.IsNaN(a) {
 			fmt.Fprintf(&b, "Krippendorff alpha: %.3f.\n", a)
 		}
 		counts := s.Coding.CodeCounts()
@@ -293,5 +294,3 @@ func (s *Study) TriangulationReport(anomalies []ethno.Anomaly, windowDays float6
 	}
 	return b.String()
 }
-
-func isNaN(x float64) bool { return x != x }

@@ -124,6 +124,7 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 		{"E17", "ticks", 1}, {"E17", "per-tick", 0}, {"E17", "hold", 1},
 		{"E18", "ticks", 1}, {"E18", "repair-after", 1},
 		{"E21", "ticks", 1}, {"E21", "repair-after", 1},
+		{"E21", "region", 1}, {"E21", "out-at", 0}, {"E21", "out-len", 1},
 		{"E6", "coders", 2},
 	} {
 		for _, v := range []int{param.min - 1, 0, -1} {
@@ -146,12 +147,14 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 	}
 	// Checks that are not one range: a regulation tick the horizon does not
 	// reach (ticks defaults to 14 in E19 and 16 in E20), E22's Float
-	// thresholds, and a flap storm of more than 2·ticks·per-tick = 4096
-	// events (ticks defaults to 24 in E17 and 16 in E20).
+	// thresholds, a flap storm of more than 2·ticks·per-tick = 4096 events
+	// (ticks defaults to 24 in E17 and 16 in E20), and E21's churn plus
+	// outage over 4096 events at the largest horizon.
 	checkBadParams(t, "id=E19&regulate-at=14", "id=E19&ticks=1", "id=E20&regulate-at=16",
 		"id=E22&respond-below=1.5", "id=E22&respond-below=-0.1", "id=E22&noise=-1",
 		"id=E17&hold=0", "id=E17&ticks=0", "id=E18&ticks=0", "id=E19&ticks=70000&regulate-at=10",
-		"id=E20&per-tick=5000", "id=E17&per-tick=86", "id=E20&per-tick=129", "id=E6&coders=1")
+		"id=E20&per-tick=5000", "id=E17&per-tick=86", "id=E20&per-tick=129", "id=E6&coders=1",
+		"id=E21&ticks=65536")
 }
 
 // TestMeshRadiusIsABadParam: a radius that is not positive links no two

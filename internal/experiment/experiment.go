@@ -14,9 +14,9 @@
 //   - Result / Table: the deterministic output model. Tables carry ordered
 //     columns and rows of cells, each cell the text every renderer prints,
 //     formatted when the row is added (I, I64, F3, FP, FSigned). A Result
-//     has one JSON encoding: the cache entry, the /run body and the -json
-//     report are the same bytes, and the Markdown renderer joins the same
-//     strings.
+//     has one JSON shape: the cache entry holds it compact, the /run body
+//     and the -json report indented, and the Markdown renderer joins the
+//     same strings.
 //   - Registry: ordered, duplicate-rejecting scenario lookup. E-numbered
 //     scenarios sort numerically (E2 before E10); auxiliary scenarios sort
 //     after them by name and are excluded from the standard report.

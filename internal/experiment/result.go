@@ -43,8 +43,8 @@ func (t *Table) AddRow(cells ...string) {
 
 // Result is a scenario execution's complete, renderable output. ID, Title,
 // Claim, Seed, and Params are stamped by the Runner so scenarios only build
-// Tables. Its one JSON encoding is both the on-disk cache entry and the
-// /run body.
+// Tables. It has one JSON shape, which the on-disk cache entry holds
+// compact (Cache.Put) and the /run body indented (RenderOneJSON).
 type Result struct {
 	ID     string            `json:"id"`
 	Title  string            `json:"title"`

@@ -2,6 +2,7 @@ package qualcode
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -186,7 +187,7 @@ func ReliabilityCurve(iterations, coders int, baseAccuracy, gain float64, seed u
 		var fcnt int
 		for _, code := range p.Codebook.IDs() {
 			f := p.FleissKappa(code)
-			if !isNaN(f) {
+			if !math.IsNaN(f) {
 				fsum += f
 				fcnt++
 			}
@@ -218,5 +219,3 @@ func pow(x float64, n int) float64 {
 	}
 	return out
 }
-
-func isNaN(x float64) bool { return x != x }

@@ -130,7 +130,7 @@ func Run(cfg Config) (Result, error) {
 				d.State = RFC
 				// No revision loop: the consortium ratifies at full seat
 				// capacity from the first round.
-				d.RFCRound = 1 + i/maxi(cfg.Seats, 1)
+				d.RFCRound = 1 + i/max(cfg.Seats, 1)
 			} else {
 				d.State = Abandoned
 			}
@@ -214,7 +214,7 @@ func Run(cfg Config) (Result, error) {
 				if cfg.Closed && float64(op) >= cfg.ConsortiumShare*float64(cfg.Operators) {
 					continue
 				}
-				p := d.Fit * (1 + 0.1*float64(mini(d.Champions, 5)))
+				p := d.Fit * (1 + 0.1*float64(min(d.Champions, 5)))
 				if p > 1 {
 					p = 1
 				}
@@ -293,18 +293,4 @@ func Sweep(shares []float64, base Config) ([]E11Row, error) {
 		MeanDeployPerRFC: res.MeanDeploymentPerRFC,
 	})
 	return rows, nil
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

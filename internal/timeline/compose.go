@@ -211,7 +211,7 @@ func (c *Composition) ReplayCtx(ctx context.Context, s Stream) (*ComposedSeries,
 			}
 		}
 		pending = keep
-		sort.SliceStable(due, func(i, j int) bool { return less(due[i], due[j]) })
+		sort.SliceStable(due, func(i, j int) bool { return less(&due[i], &due[j]) })
 		for _, e := range due {
 			p := c.parts[c.byKind[e.Kind]]
 			if err := p.M.Apply(e); err != nil {

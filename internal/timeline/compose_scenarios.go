@@ -92,9 +92,9 @@ func init() {
 		Params: experiment.Schema{
 			{Name: "mids", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "mid-tier ASes in the routing hierarchy"},
 			{Name: "stubs", Kind: experiment.Int, Default: 10, Min: experiment.Bound(1), Doc: "stub ASes (each originates a prefix)"},
-			{Name: "region", Kind: experiment.Int, Default: 3, Doc: "stubs in the outage region"},
-			{Name: "out-at", Kind: experiment.Int, Default: 6, Doc: "tick the regional outage begins"},
-			{Name: "out-len", Kind: experiment.Int, Default: 8, Doc: "ticks the outage lasts"},
+			{Name: "region", Kind: experiment.Int, Default: 3, Min: experiment.Bound(1), Doc: "stubs in the outage region"},
+			{Name: "out-at", Kind: experiment.Int, Default: 6, Min: experiment.Bound(0), Doc: "tick the regional outage begins"},
+			{Name: "out-len", Kind: experiment.Int, Default: 8, Min: experiment.Bound(1), Doc: "ticks the outage lasts"},
 			{Name: "members", Kind: experiment.Int, Default: 24, Min: experiment.Bound(2), Doc: "community members sharing the uplink"},
 			{Name: "fail-prob", Kind: experiment.Float, Default: 0.04, Doc: "per-member background failure probability per tick"},
 			{Name: "repair-after", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "ticks until a failed member is repaired"},
@@ -292,6 +292,10 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	st, err := Merge(outage, churn)
 	if err != nil {
 		return nil, err
+	}
+	if len(st.Events) > MaxEvents {
+		return nil, fmt.Errorf("%w %q = %d: churn and outage make %d events, over %d",
+			experiment.ErrBadParam, "ticks", ticks, len(st.Events), MaxEvents)
 	}
 
 	routing, err := NewBGPMachine(ctx, h.Topo, experiment.WorkersFrom(ctx))

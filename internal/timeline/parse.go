@@ -28,6 +28,13 @@ package timeline
 //	@6 pressure IXP-MX 1000 open soft (idempotent) exchange join, and
 //	@8 stake-shift -0.25         stakeholder attitude shift
 //
+// Each non-BGP keyword is one kindTable row, and takes one argument per
+// field of its payload, in the order shown: parseEvent and formatEvent read
+// the row and branch only on its payload shape, and a directive that names no
+// row goes to bgpsim.ParseDelta, which keeps the delta keywords and answers
+// an unknown directive. A parsed event is validated, so it sets no field
+// outside its kind's payload.
+//
 // Float payloads (demand, stake-shift) render via strconv.FormatFloat 'g'
 // with -1 precision, so format ∘ parse round-trips them bit-exactly. Event
 // provenance (Event.Prov) is runtime-only and has no grammar: cascade-
@@ -44,6 +51,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -185,7 +193,7 @@ func parseTimeline(r io.Reader, allowBase bool) (*Doc, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return less(events[order[a]], events[order[b]]) })
+	sort.SliceStable(order, func(a, b int) bool { return less(&events[order[a]], &events[order[b]]) })
 	canon := make([]Event, len(events))
 	for k, i := range order {
 		canon[k] = events[i]
@@ -207,97 +215,53 @@ func parseTimeline(r io.Reader, allowBase bool) (*Doc, error) {
 	return doc, nil
 }
 
-// parseEvent parses one event directive with its arguments.
+// parseEvent parses one event directive with its arguments: a timeline
+// keyword's arguments by its payload (kindTable), anything else as a delta
+// line.
 func parseEvent(at int, directive string, args []string) (Event, error) {
-	ev := Event{At: at}
-	switch directive {
-	case "withdraw", "announce", "link+", "link-", "leak":
-		d, err := bgpsim.ParseDelta(directive, args)
-		if err != nil {
-			return ev, err
+	ev := Event{At: at, Kind: KindBGP}
+	for k, r := range kindTable {
+		if r.payload != pDelta && r.keyword == directive {
+			ev.Kind = Kind(k)
 		}
-		ev.Kind, ev.Delta = KindBGP, d
-	case "fail", "repair":
-		if len(args) != 1 {
-			return ev, fmt.Errorf("want `%s <node>`, got %d args", directive, len(args))
+	}
+	r := ev.Kind.row()
+	var err error
+	switch {
+	case r.payload == pDelta:
+		ev.Delta, err = bgpsim.ParseDelta(directive, args)
+	case len(args) != bits.OnesCount8(uint8(r.payload)):
+		err = fmt.Errorf("want `%s %s`, got %d args", directive, r.args, len(args))
+	case r.payload == pNode:
+		if ev.Node, err = strconv.Atoi(args[0]); err != nil || ev.Node < 0 {
+			err = fmt.Errorf("bad node %q", args[0])
 		}
-		node, err := strconv.Atoi(args[0])
-		if err != nil || node < 0 {
-			return ev, fmt.Errorf("bad node %q", args[0])
+	case r.payload == pValue:
+		if ev.Value, err = strconv.ParseFloat(args[0], 64); err != nil {
+			err = fmt.Errorf("bad %s value %q", directive, args[0])
 		}
-		ev.Kind, ev.Node = KindCNFail, node
-		if directive == "repair" {
-			ev.Kind = KindCNRepair
+	default: // an exchange or a country, then a member's ASN and policy
+		ev.Name = args[0]
+		if r.payload&pASN != 0 {
+			ev.ASN, err = bgpsim.ParseASN(args[1])
 		}
-	case "join":
-		if len(args) != 3 {
-			return ev, fmt.Errorf("want `join <ixp> <asn> <policy>`, got %d args", len(args))
+		if err == nil && r.payload&pPolicy != 0 {
+			ev.Policy, err = parsePolicy(args[2])
 		}
-		n, err := bgpsim.ParseASN(args[1])
-		if err != nil {
-			return ev, err
-		}
-		pol, err := parsePolicy(args[2])
-		if err != nil {
-			return ev, err
-		}
-		ev.Kind, ev.Name, ev.ASN, ev.Policy = KindIXPJoin, args[0], n, pol
-	case "leave":
-		if len(args) != 2 {
-			return ev, fmt.Errorf("want `leave <ixp> <asn>`, got %d args", len(args))
-		}
-		n, err := bgpsim.ParseASN(args[1])
-		if err != nil {
-			return ev, err
-		}
-		ev.Kind, ev.Name, ev.ASN = KindIXPLeave, args[0], n
-	case "regulate":
-		if len(args) != 1 {
-			return ev, fmt.Errorf("want `regulate <country>`, got %d args", len(args))
-		}
-		ev.Kind, ev.Name = KindRegulate, args[0]
-	case "pressure":
-		if len(args) != 3 {
-			return ev, fmt.Errorf("want `pressure <ixp> <asn> <policy>`, got %d args", len(args))
-		}
-		n, err := bgpsim.ParseASN(args[1])
-		if err != nil {
-			return ev, err
-		}
-		pol, err := parsePolicy(args[2])
-		if err != nil {
-			return ev, err
-		}
-		ev.Kind, ev.Name, ev.ASN, ev.Policy = KindIXPPressure, args[0], n, pol
-	case "demand", "stake-shift":
-		if len(args) != 1 {
-			return ev, fmt.Errorf("want `%s <value>`, got %d args", directive, len(args))
-		}
-		v, err := strconv.ParseFloat(args[0], 64)
-		if err != nil {
-			return ev, fmt.Errorf("bad %s value %q", directive, args[0])
-		}
-		ev.Kind, ev.Value = KindCNDemand, v
-		if directive == "stake-shift" {
-			ev.Kind = KindStakeShift
-		}
-	default:
-		return ev, fmt.Errorf("unknown event directive %q", directive)
+	}
+	if err != nil {
+		return ev, err
 	}
 	return ev, ev.validate()
 }
 
 func parsePolicy(s string) (ixp.PeeringPolicy, error) {
-	switch s {
-	case "open":
-		return ixp.Open, nil
-	case "selective":
-		return ixp.Selective, nil
-	case "restrictive":
-		return ixp.Restrictive, nil
-	default:
-		return 0, fmt.Errorf("bad peering policy %q (want open, selective, or restrictive)", s)
+	for p := ixp.Open; p <= ixp.Restrictive; p++ {
+		if p.String() == s {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("bad peering policy %q (want open, selective, or restrictive)", s)
 }
 
 // FormatStream renders the stream in canonical form: the horizon line, then
@@ -326,25 +290,28 @@ func FormatDoc(d *Doc) string {
 
 // formatEvent renders the event portion of a line; inverse of parseEvent.
 func formatEvent(e Event) string {
-	switch e.Kind {
-	case KindBGP:
-		return bgpsim.FormatDelta(e.Delta)
-	case KindCNFail:
-		return fmt.Sprintf("fail %d", e.Node)
-	case KindCNRepair:
-		return fmt.Sprintf("repair %d", e.Node)
-	case KindIXPJoin:
-		return fmt.Sprintf("join %s %d %s", e.Name, e.ASN, e.Policy)
-	case KindIXPLeave:
-		return fmt.Sprintf("leave %s %d", e.Name, e.ASN)
-	case KindRegulate:
-		return fmt.Sprintf("regulate %s", e.Name)
-	case KindCNDemand:
-		return fmt.Sprintf("demand %s", strconv.FormatFloat(e.Value, 'g', -1, 64))
-	case KindIXPPressure:
-		return fmt.Sprintf("pressure %s %d %s", e.Name, e.ASN, e.Policy)
-	case KindStakeShift:
-		return fmt.Sprintf("stake-shift %s", strconv.FormatFloat(e.Value, 'g', -1, 64))
+	r := e.Kind.row()
+	if r.keyword == "" {
+		return fmt.Sprintf("# bad event kind %d", int(e.Kind))
 	}
-	return fmt.Sprintf("# bad event kind %d", int(e.Kind))
+	if r.payload == pDelta {
+		return bgpsim.FormatDelta(e.Delta)
+	}
+	out := []string{r.keyword}
+	if r.payload&pName != 0 {
+		out = append(out, e.Name)
+	}
+	if r.payload&pASN != 0 {
+		out = append(out, strconv.Itoa(int(e.ASN)))
+	}
+	if r.payload&pPolicy != 0 {
+		out = append(out, e.Policy.String())
+	}
+	if r.payload&pNode != 0 {
+		out = append(out, strconv.Itoa(e.Node))
+	}
+	if r.payload&pValue != 0 {
+		out = append(out, strconv.FormatFloat(e.Value, 'g', -1, 64))
+	}
+	return strings.Join(out, " ")
 }

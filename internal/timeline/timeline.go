@@ -74,35 +74,67 @@ const (
 	KindStakeShift
 )
 
+// payload is a set of Event fields, one bit per field.
+type payload uint8
+
+const (
+	pDelta payload = 1 << iota
+	pName
+	pASN
+	pPolicy
+	pNode
+	pValue
+)
+
+// noKind is the inverse of a kind that has none.
+const noKind Kind = math.MaxUint8
+
+// kindRow is everything the grammar, validation, the canonical order and
+// Merge know about one kind.
+type kindRow struct {
+	keyword string  // the grammar keyword; BGP events render as their delta line
+	payload payload // the Event fields the kind carries
+	args    string  // the grammar's placeholders, for error messages
+	inverse Kind    // the kind that undoes this one on the same target, or noKind
+	set     bool    // an absolute set: one tick cannot hold two different payloads
+}
+
+// kindTable holds one row per Kind.
+var kindTable = [...]kindRow{
+	KindBGP:         {"bgp", pDelta, "", noKind, false},
+	KindCNFail:      {"fail", pNode, "<node>", KindCNRepair, false},
+	KindCNRepair:    {"repair", pNode, "<node>", KindCNFail, false},
+	KindIXPJoin:     {"join", pName | pASN | pPolicy, "<ixp> <asn> <policy>", KindIXPLeave, false},
+	KindIXPLeave:    {"leave", pName | pASN, "<ixp> <asn>", KindIXPJoin, false},
+	KindRegulate:    {"regulate", pName, "<country>", noKind, true},
+	KindCNDemand:    {"demand", pValue, "<value>", noKind, true},
+	KindIXPPressure: {"pressure", pName | pASN | pPolicy, "<ixp> <asn> <policy>", noKind, false},
+	KindStakeShift:  {"stake-shift", pValue, "<value>", noKind, true},
+}
+
+// unknownKind is the row of a kind outside kindTable.
+var unknownKind = kindRow{inverse: noKind}
+
+// row returns k's table row; an unknown kind gets an empty row.
+func (k Kind) row() *kindRow {
+	if int(k) < len(kindTable) {
+		return &kindTable[k]
+	}
+	return &unknownKind
+}
+
 // String returns the event-grammar keyword of the kind. BGP events have no
 // single keyword — they render as their delta line (see FormatStream).
 func (k Kind) String() string {
-	switch k {
-	case KindBGP:
-		return "bgp"
-	case KindCNFail:
-		return "fail"
-	case KindCNRepair:
-		return "repair"
-	case KindIXPJoin:
-		return "join"
-	case KindIXPLeave:
-		return "leave"
-	case KindRegulate:
-		return "regulate"
-	case KindCNDemand:
-		return "demand"
-	case KindIXPPressure:
-		return "pressure"
-	case KindStakeShift:
-		return "stake-shift"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if r := k.row(); r.keyword != "" {
+		return r.keyword
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Event is one tick-stamped occurrence. Exactly the payload fields of its
-// Kind are meaningful; the rest stay zero.
+// Kind (its kindTable row) are meaningful; the rest stay zero, and
+// validation rejects an event that sets one.
 type Event struct {
 	At     int
 	Kind   Kind
@@ -119,49 +151,52 @@ type Event struct {
 	Prov string
 }
 
+// fields returns the set of payload fields e holds a non-zero value in.
+func (e Event) fields() payload {
+	var f payload
+	for bit, set := range [...]bool{ // in payload bit order
+		e.Delta != (bgpsim.Delta{}), e.Name != "", e.ASN != 0, e.Policy != 0, e.Node != 0, e.Value != 0,
+	} {
+		if set {
+			f |= 1 << bit
+		}
+	}
+	return f
+}
+
 // validate checks the event's fields independent of any stream or state.
+// A field outside the kind's payload is zero, so the range checks of the
+// numeric fields hold for every kind.
 func (e Event) validate() error {
 	if e.At < 0 {
 		return fmt.Errorf("timeline: negative tick %d", e.At)
 	}
-	switch e.Kind {
-	case KindBGP:
-		if e.Delta.Kind > bgpsim.DeltaLeakToggle {
-			return fmt.Errorf("timeline: bad delta kind %d", int(e.Delta.Kind))
-		}
-	case KindCNFail, KindCNRepair:
-		if e.Node < 0 {
-			return fmt.Errorf("timeline: negative node %d", e.Node)
-		}
-	case KindIXPJoin, KindIXPLeave, KindIXPPressure:
+	r := e.Kind.row()
+	if r.payload&pName != 0 {
 		if err := validateName(e.Name); err != nil {
 			return err
 		}
-		if e.ASN < 0 {
-			return fmt.Errorf("timeline: negative ASN %d", e.ASN)
-		}
-		if e.Kind != KindIXPLeave && (e.Policy < ixp.Open || e.Policy > ixp.Restrictive) {
-			return fmt.Errorf("timeline: bad peering policy %d", int(e.Policy))
-		}
-	case KindRegulate:
-		if err := validateName(e.Name); err != nil {
-			return err
-		}
-	case KindCNDemand:
-		if math.IsNaN(e.Value) || e.Value <= 0 || e.Value > MaxDemandScale {
-			return fmt.Errorf("timeline: demand scale %v outside (0, %d]", e.Value, MaxDemandScale)
-		}
-	case KindStakeShift:
-		if math.IsNaN(e.Value) || e.Value < -1 || e.Value > 1 {
-			return fmt.Errorf("timeline: stake shift %v outside [-1, 1]", e.Value)
-		}
-	default:
+	}
+	switch {
+	case r.keyword == "":
 		return fmt.Errorf("timeline: unknown event kind %d", int(e.Kind))
+	case e.fields()&^r.payload != 0:
+		return fmt.Errorf("timeline: %s event sets a field outside its payload: %+v", e.Kind, e)
+	case e.Delta.Kind > bgpsim.DeltaLeakToggle:
+		return fmt.Errorf("timeline: bad delta kind %d", int(e.Delta.Kind))
+	case e.Node < 0:
+		return fmt.Errorf("timeline: negative node %d", e.Node)
+	case e.ASN < 0:
+		return fmt.Errorf("timeline: negative ASN %d", e.ASN)
+	case e.Policy < ixp.Open || e.Policy > ixp.Restrictive:
+		return fmt.Errorf("timeline: bad peering policy %d", int(e.Policy))
+	case e.Kind == KindCNDemand && (math.IsNaN(e.Value) || e.Value <= 0 || e.Value > MaxDemandScale):
+		return fmt.Errorf("timeline: demand scale %v outside (0, %d]", e.Value, MaxDemandScale)
+	case e.Kind == KindStakeShift && (math.IsNaN(e.Value) || e.Value < -1 || e.Value > 1):
+		return fmt.Errorf("timeline: stake shift %v outside [-1, 1]", e.Value)
 	}
 	if e.Prov != "" {
-		if err := validateName(e.Prov); err != nil {
-			return err
-		}
+		return validateName(e.Prov)
 	}
 	return nil
 }
@@ -176,48 +211,33 @@ func validateName(s string) error {
 }
 
 // less is the canonical event order: ascending tick, then kind, then the
-// kind's payload fields, then provenance. Within a tick this is the order
-// events APPLY in — the documented semantics, not a display convention. BGP
-// deltas sort withdraws before announces (so a prefix can migrate between
-// ASes in one tick), link-ups before link-downs, leak toggles last; CN fails
-// precede repairs; IXP joins precede leaves; regulation applies after
-// membership settles; cross-domain sets (demand, pressure, stake-shift)
-// apply after the strict kinds they soften or scale. Ties beyond these
-// fields are broken stably by input order.
-func less(a, b Event) bool {
-	if a.At != b.At {
+// payload fields (only the kind's own are set), then provenance. Within a
+// tick this is the order events APPLY in — the documented semantics, not a
+// display convention. BGP deltas sort withdraws before announces (so a
+// prefix can migrate between ASes in one tick), link-ups before link-downs,
+// leak toggles last; CN fails precede repairs; IXP joins precede leaves;
+// regulation applies after membership settles; cross-domain sets (demand,
+// pressure, stake-shift) apply after the strict kinds they soften or scale.
+// Ties beyond these fields are broken stably by input order. Events are
+// compared in place: an Event is too large to copy per comparison.
+func less(a, b *Event) bool {
+	switch {
+	case a.At != b.At:
 		return a.At < b.At
-	}
-	if a.Kind != b.Kind {
+	case a.Kind != b.Kind:
 		return a.Kind < b.Kind
-	}
-	switch a.Kind {
-	case KindBGP:
-		if a.Delta != b.Delta {
-			return deltaLess(a.Delta, b.Delta)
-		}
-	case KindCNFail, KindCNRepair:
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-	case KindIXPJoin, KindIXPLeave, KindIXPPressure:
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.ASN != b.ASN {
-			return a.ASN < b.ASN
-		}
-		if a.Policy != b.Policy {
-			return a.Policy < b.Policy
-		}
-	case KindRegulate:
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-	case KindCNDemand, KindStakeShift:
-		if a.Value != b.Value {
-			return a.Value < b.Value
-		}
+	case a.Delta != b.Delta:
+		return deltaLess(a.Delta, b.Delta)
+	case a.Name != b.Name:
+		return a.Name < b.Name
+	case a.ASN != b.ASN:
+		return a.ASN < b.ASN
+	case a.Policy != b.Policy:
+		return a.Policy < b.Policy
+	case a.Node != b.Node:
+		return a.Node < b.Node
+	case a.Value != b.Value:
+		return a.Value < b.Value
 	}
 	return a.Prov < b.Prov
 }
@@ -263,7 +283,7 @@ type Stream struct {
 // itself (FormatStream emits it).
 func (s Stream) Canonicalize() Stream {
 	out := Stream{Horizon: s.Horizon, Events: append([]Event(nil), s.Events...)}
-	sort.SliceStable(out.Events, func(i, j int) bool { return less(out.Events[i], out.Events[j]) })
+	sort.SliceStable(out.Events, func(i, j int) bool { return less(&out.Events[i], &out.Events[j]) })
 	return out
 }
 
@@ -354,7 +374,7 @@ func findConflict(events []Event) error {
 		}
 		for i := lo; i < hi; i++ {
 			for j := i + 1; j < hi; j++ {
-				if conflicts(events[i], events[j]) {
+				if conflicts(&events[i], &events[j]) {
 					return fmt.Errorf("%w: tick %d: %s vs %s",
 						ErrStreamConflict, events[i].At, formatEvent(events[i]), formatEvent(events[j]))
 				}
@@ -365,25 +385,21 @@ func findConflict(events []Event) error {
 	return nil
 }
 
-// conflicts reports whether two same-tick events contradict each other.
-// Provenance is ignored: a cascade-injected event contradicts a scripted one
-// just as hard.
-func conflicts(a, b Event) bool {
-	if a.Kind == KindBGP && b.Kind == KindBGP {
-		return deltaConflicts(a.Delta, b.Delta)
-	}
+// conflicts reports whether two same-tick events contradict each other:
+// inverse kinds (kindTable) on one target, or two different payloads of one
+// absolute-set kind. Provenance is ignored: a cascade-injected event
+// contradicts a scripted one just as hard.
+func conflicts(a, b *Event) bool {
+	r := a.Kind.row()
 	switch {
-	case a.Kind == KindCNFail && b.Kind == KindCNRepair,
-		a.Kind == KindCNRepair && b.Kind == KindCNFail:
-		return a.Node == b.Node
-	case a.Kind == KindIXPJoin && b.Kind == KindIXPLeave,
-		a.Kind == KindIXPLeave && b.Kind == KindIXPJoin:
-		return a.Name == b.Name && a.ASN == b.ASN
-	case a.Kind == KindCNDemand && b.Kind == KindCNDemand,
-		a.Kind == KindStakeShift && b.Kind == KindStakeShift:
-		return a.Value != b.Value
-	case a.Kind == KindRegulate && b.Kind == KindRegulate:
-		return a.Name != b.Name
+	case r.payload == pDelta && b.Kind == a.Kind:
+		return deltaConflicts(a.Delta, b.Delta)
+	case r.inverse == b.Kind:
+		return a.Node == b.Node && a.Name == b.Name && a.ASN == b.ASN
+	case r.set && b.Kind == a.Kind:
+		x, y := *a, *b
+		x.Prov, y.Prov = "", ""
+		return x != y
 	}
 	return false
 }

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -53,6 +54,113 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// fullPayload returns a valid event of kind k with every field of its
+// payload set to a non-zero value.
+func fullPayload(k Kind) Event {
+	e := Event{At: 1, Kind: k}
+	p := kindTable[k].payload
+	if p&pDelta != 0 {
+		e.Delta = bgpsim.Delta{Kind: bgpsim.DeltaLinkUp, A: 2, B: 3, Peer: true}
+	}
+	if p&pName != 0 {
+		e.Name = "IX"
+	}
+	if p&pASN != 0 {
+		e.ASN = 7
+	}
+	if p&pPolicy != 0 {
+		e.Policy = ixp.Selective
+	}
+	if p&pNode != 0 {
+		e.Node = 3
+	}
+	if p&pValue != 0 {
+		e.Value = 0.5
+	}
+	return e
+}
+
+// TestKindTableIsComplete: every Kind has a row with a keyword, inverses
+// pair up, each kind's canonical line parses back to the same event, and
+// the four machines' Kinds() partition the table, so every kind has exactly
+// one consumer.
+func TestKindTableIsComplete(t *testing.T) {
+	if len(kindTable) != int(KindStakeShift)+1 {
+		t.Fatalf("kindTable has %d rows, want %d", len(kindTable), int(KindStakeShift)+1)
+	}
+	for i, r := range kindTable {
+		k := Kind(i)
+		if r.keyword == "" {
+			t.Errorf("Kind(%d) has no keyword", i)
+		}
+		if r.inverse != noKind && kindTable[r.inverse].inverse != k {
+			t.Errorf("%s: inverse %s is not inverted back", k, r.inverse)
+		}
+		e := fullPayload(k)
+		if e.fields() != r.payload {
+			t.Errorf("%s: fixture sets fields %06b, payload is %06b", k, e.fields(), r.payload)
+		}
+		line := fmt.Sprintf("@%d %s\n", e.At, formatEvent(e))
+		st, err := ParseStream(strings.NewReader(line))
+		if err != nil {
+			t.Errorf("%s: %q does not parse: %v", k, line, err)
+			continue
+		}
+		if got := st.Events[0]; got != e {
+			t.Errorf("%s: %q parses to %+v, want %+v", k, line, got, e)
+		}
+	}
+	owner := map[Kind]string{}
+	for name, m := range map[string]Machine{
+		"bgp": &BGPMachine{}, "cn": &CNMachine{}, "ixp": &IXPMachine{}, "stakeholder": &StakeholderMachine{},
+	} {
+		for _, k := range m.Kinds() {
+			if prev, dup := owner[k]; dup {
+				t.Errorf("%s is consumed by both %s and %s", k, prev, name)
+			}
+			owner[k] = name
+		}
+	}
+	for i := range kindTable {
+		if _, ok := owner[Kind(i)]; !ok {
+			t.Errorf("%s has no consuming machine", Kind(i))
+		}
+	}
+	if len(owner) != len(kindTable) {
+		t.Errorf("machines consume %d kinds, the table has %d", len(owner), len(kindTable))
+	}
+}
+
+// TestEventValidateRejectsFieldsOutsidePayload: for every kind, an
+// otherwise valid event with one field set outside its payload fails
+// validation, and with none it passes.
+func TestEventValidateRejectsFieldsOutsidePayload(t *testing.T) {
+	outside := map[payload]func(*Event){
+		pDelta:  func(e *Event) { e.Delta = bgpsim.Delta{Kind: bgpsim.DeltaAnnounce, A: 1, Prefix: "p"} },
+		pName:   func(e *Event) { e.Name = "x" },
+		pASN:    func(e *Event) { e.ASN = 9 },
+		pPolicy: func(e *Event) { e.Policy = ixp.Restrictive },
+		pNode:   func(e *Event) { e.Node = 1 },
+		pValue:  func(e *Event) { e.Value = 0.25 },
+	}
+	for i, r := range kindTable {
+		e := fullPayload(Kind(i))
+		if err := e.validate(); err != nil {
+			t.Errorf("%s: full payload %+v rejected: %v", e.Kind, e, err)
+		}
+		for field, set := range outside {
+			if r.payload&field != 0 {
+				continue
+			}
+			bad := e
+			set(&bad)
+			if err := bad.validate(); err == nil {
+				t.Errorf("%s: %+v sets a field outside its payload, validated", e.Kind, bad)
+			}
+		}
+	}
+}
+
 func TestEventValidateRejects(t *testing.T) {
 	cases := map[string]Event{
 		"negative tick": {At: -1, Kind: KindCNFail},
@@ -65,6 +173,7 @@ func TestEventValidateRejects(t *testing.T) {
 		"long name":     {Kind: KindIXPLeave, Name: strings.Repeat("x", 65)},
 		"negative ASN":  {Kind: KindIXPLeave, Name: "IX", ASN: -1},
 		"bad policy":    {Kind: KindIXPJoin, Name: "IX", Policy: ixp.PeeringPolicy(7)},
+		"named fail":    {Kind: KindCNFail, Node: 1, Name: "x"},
 	}
 	for name, ev := range cases {
 		if err := ev.validate(); err == nil {
