@@ -23,6 +23,7 @@
 package bgpsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -72,21 +73,103 @@ type ASInfo struct {
 	Org     string
 }
 
-// as is the internal per-AS state.
+// Relationship bits of a link: what the neighbor is to the owning AS. Bits
+// can coexist (an AS pair both in transit and peering); a reader resolves
+// them as Neighbors does, peer over customer over provider.
+const (
+	linkProvider uint8 = 1 << iota // the neighbor sells the owning AS transit
+	linkCustomer                   // the neighbor buys transit from it
+	linkPeer                       // the two peer settlement-free
+)
+
+// link is one neighbor of an AS and the relationship bits it holds with it.
+// Every relationship is stored on both ends, mirrored: an AS's provider bit
+// toward a neighbor is that neighbor's customer bit toward it.
+type link struct {
+	asn  ASN
+	bits uint8
+}
+
+// rel is how an AS marks routes learned over a link with these bits: peer
+// overrides customer, which overrides provider.
+func rel(bits uint8) Relationship {
+	switch {
+	case bits&linkPeer != 0:
+		return FromPeer
+	case bits&linkCustomer != 0:
+		return FromCustomer
+	}
+	return FromProvider
+}
+
+// mirror returns the neighbor's bits for a link with these bits: provider
+// and customer swap, peer stays.
+func mirror(bits uint8) uint8 {
+	return bits&linkPeer | (bits&linkProvider)<<1 | (bits&linkCustomer)>>1
+}
+
+// as is the internal per-AS state. links holds every neighbor once, sorted
+// by ASN, with no link whose bits are all clear.
 type as struct {
-	info      ASInfo
-	providers map[ASN]bool
-	customers map[ASN]bool
-	peers     map[ASN]bool
-	origins   []string
+	info    ASInfo
+	links   []link
+	origins []string
 	// leaker marks an AS that re-exports everything to everyone (a route
 	// leak); see leak.go.
 	leaker bool
 }
 
+// find returns the position of nb in a.links, or where it would be
+// inserted, and whether it is there.
+func (a *as) find(nb ASN) (int, bool) {
+	return slices.BinarySearchFunc(a.links, nb, func(l link, x ASN) int { return cmp.Compare(l.asn, x) })
+}
+
+// bits returns a's relationship bits toward nb (0 when not linked).
+func (a *as) bits(nb ASN) uint8 {
+	if k, ok := a.find(nb); ok {
+		return a.links[k].bits
+	}
+	return 0
+}
+
+// setBit adds bit to a's link toward nb, inserting the link if absent.
+func (a *as) setBit(nb ASN, bit uint8) {
+	k, ok := a.find(nb)
+	if !ok {
+		a.links = slices.Insert(a.links, k, link{asn: nb})
+	}
+	a.links[k].bits |= bit
+}
+
+// clearBit removes bit from a's link toward nb, dropping the link once no
+// bit is left.
+func (a *as) clearBit(nb ASN, bit uint8) {
+	k, ok := a.find(nb)
+	if !ok {
+		return
+	}
+	a.links[k].bits &^= bit
+	if a.links[k].bits == 0 {
+		a.links = slices.Delete(a.links, k, k+1)
+	}
+}
+
+// anyLink reports whether some link of a has all of the bits in mask.
+func (a *as) anyLink(mask uint8) bool {
+	for _, l := range a.links {
+		if l.bits&mask == mask {
+			return true
+		}
+	}
+	return false
+}
+
 // Topology is a mutable AS-level interconnection graph. Add ASes and links,
 // originate prefixes, then call ConvergeCtx to compute routing tables. The zero
-// value is not usable; call NewTopology.
+// value is not usable; call NewTopology. Each AS keeps its neighbors in one
+// ASN-sorted link list, which is the dense index order compile interns them
+// in, so compiling the adjacency is one linear pass per AS.
 type Topology struct {
 	ases map[ASN]*as
 }
@@ -108,12 +191,7 @@ func (t *Topology) AddAS(n ASN, info ASInfo) error {
 	if _, ok := t.ases[n]; ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateAS, n)
 	}
-	t.ases[n] = &as{
-		info:      info,
-		providers: make(map[ASN]bool),
-		customers: make(map[ASN]bool),
-		peers:     make(map[ASN]bool),
-	}
+	t.ases[n] = &as{info: info}
 	return nil
 }
 
@@ -132,7 +210,7 @@ func (t *Topology) ASNs() []ASN {
 	for n := range t.ases {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -157,8 +235,8 @@ func (t *Topology) AddProviderCustomer(provider, customer ASN) error {
 	if err != nil {
 		return err
 	}
-	p.customers[customer] = true
-	c.providers[provider] = true
+	p.setBit(customer, linkCustomer)
+	c.setBit(provider, linkProvider)
 	return nil
 }
 
@@ -168,41 +246,41 @@ func (t *Topology) AddPeer(a, b ASN) error {
 	if err != nil {
 		return err
 	}
-	x.peers[b] = true
-	y.peers[a] = true
+	x.setBit(b, linkPeer)
+	y.setBit(a, linkPeer)
 	return nil
 }
 
 // RemoveProviderCustomer deletes a provider-customer edge if present.
 func (t *Topology) RemoveProviderCustomer(provider, customer ASN) {
 	if p, ok := t.ases[provider]; ok {
-		delete(p.customers, customer)
+		p.clearBit(customer, linkCustomer)
 	}
 	if c, ok := t.ases[customer]; ok {
-		delete(c.providers, provider)
+		c.clearBit(provider, linkProvider)
 	}
 }
 
 // HasProviderCustomer reports whether provider sells transit to customer.
 func (t *Topology) HasProviderCustomer(provider, customer ASN) bool {
 	p, ok := t.ases[provider]
-	return ok && p.customers[customer]
+	return ok && p.bits(customer)&linkCustomer != 0
 }
 
 // RemovePeer deletes a peering edge if present.
 func (t *Topology) RemovePeer(a, b ASN) {
 	if x, ok := t.ases[a]; ok {
-		delete(x.peers, b)
+		x.clearBit(b, linkPeer)
 	}
 	if y, ok := t.ases[b]; ok {
-		delete(y.peers, a)
+		y.clearBit(a, linkPeer)
 	}
 }
 
 // HasPeer reports whether a and b peer.
 func (t *Topology) HasPeer(a, b ASN) bool {
 	x, ok := t.ases[a]
-	return ok && x.peers[b]
+	return ok && x.bits(b)&linkPeer != 0
 }
 
 // Originate announces prefix from AS n. Multiple ASes originating the same
@@ -245,40 +323,29 @@ func (t *Topology) Origins(n ASN) []string {
 func (t *Topology) Clone() *Topology {
 	out := &Topology{ases: make(map[ASN]*as, len(t.ases))}
 	for n, a := range t.ases {
-		c := &as{
-			info:      a.info,
-			providers: make(map[ASN]bool, len(a.providers)),
-			customers: make(map[ASN]bool, len(a.customers)),
-			peers:     make(map[ASN]bool, len(a.peers)),
-			origins:   append([]string(nil), a.origins...),
-			leaker:    a.leaker,
+		out.ases[n] = &as{
+			info:    a.info,
+			links:   slices.Clone(a.links),
+			origins: slices.Clone(a.origins),
+			leaker:  a.leaker,
 		}
-		for p := range a.providers {
-			c.providers[p] = true
-		}
-		for p := range a.customers {
-			c.customers[p] = true
-		}
-		for p := range a.peers {
-			c.peers[p] = true
-		}
-		out.ases[n] = c
 	}
 	return out
 }
 
-// Providers returns n's providers in ascending order, so callers never
-// depend on map order (nil if n is not in the topology).
+// Providers returns n's providers in ascending order (nil if n is not in
+// the topology).
 func (t *Topology) Providers(n ASN) []ASN {
 	a, ok := t.ases[n]
 	if !ok {
 		return nil
 	}
-	out := make([]ASN, 0, len(a.providers))
-	for p := range a.providers {
-		out = append(out, p)
+	out := []ASN{}
+	for _, l := range a.links {
+		if l.bits&linkProvider != 0 {
+			out = append(out, l.asn)
+		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -289,15 +356,9 @@ func (t *Topology) Neighbors(n ASN) map[ASN]Relationship {
 	if !ok {
 		return nil
 	}
-	out := make(map[ASN]Relationship, len(a.providers)+len(a.customers)+len(a.peers))
-	for p := range a.providers {
-		out[p] = FromProvider
-	}
-	for c := range a.customers {
-		out[c] = FromCustomer
-	}
-	for p := range a.peers {
-		out[p] = FromPeer
+	out := make(map[ASN]Relationship, len(a.links))
+	for _, l := range a.links {
+		out[l.asn] = rel(l.bits)
 	}
 	return out
 }
@@ -483,17 +544,18 @@ func (t *Topology) ValleyFree(path []ASN) bool {
 		if !ok {
 			return false
 		}
+		bits := a.bits(to)
 		switch {
-		case a.providers[to]: // going up
+		case bits&linkProvider != 0: // going up
 			if phase != 0 {
 				return false
 			}
-		case a.peers[to]: // lateral: only once, ends uphill
+		case bits&linkPeer != 0: // lateral: only once, ends uphill
 			if phase != 0 {
 				return false
 			}
 			phase = 1
-		case a.customers[to]: // going down
+		case bits&linkCustomer != 0: // going down
 			phase = 2
 		default:
 			return false // not adjacent

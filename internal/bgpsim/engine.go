@@ -92,7 +92,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/parallel"
 )
@@ -244,53 +243,30 @@ type engine struct {
 	leaf []bool
 }
 
-// compileEdges builds the sorted adjacency of n. Neighbor relationship
-// resolution matches Neighbors(): when an ASN is recorded under several link
-// sets, customer overrides provider and peer overrides both.
-func compileEdges(t *Topology, idx map[ASN]int32, n ASN) []neighborEdge {
-	a := t.ases[n]
-	rels := t.Neighbors(n)
-	edges := make([]neighborEdge, 0, len(rels))
-	for nb, rel := range rels {
-		other := t.ases[nb]
-		edges = append(edges, neighborEdge{
-			idx:        idx[nb],
-			rel:        rel,
-			back:       relTo(other, n),
-			receiveAll: other.customers[n] || other.leaker,
-			sendAll:    a.customers[nb] || a.leaker,
-		})
+// fillEdges compiles a's adjacency into edges, which has one slot per link.
+// The links are sorted by ASN, which is dense index order, and every
+// relationship is stored on both ends, so each edge comes from a's own bits:
+// the neighbor's view of the edge is those bits mirrored. leaker reports
+// whether the AS at a dense index leaks.
+func fillEdges(edges []neighborEdge, a *as, idx map[ASN]int32, leaker func(int32) bool) {
+	for k, l := range a.links {
+		j := idx[l.asn]
+		edges[k] = neighborEdge{
+			idx:        j,
+			rel:        rel(l.bits),
+			back:       rel(mirror(l.bits)),
+			receiveAll: l.bits&linkProvider != 0 || leaker(j),
+			sendAll:    l.bits&linkCustomer != 0 || a.leaker,
+		}
 	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a].idx < edges[b].idx })
-	return edges
-}
-
-// relTo is how a marks routes learned from its neighbor nb, resolved as in
-// Neighbors: peer overrides customer, which overrides provider.
-func relTo(a *as, nb ASN) Relationship {
-	switch {
-	case a.peers[nb]:
-		return FromPeer
-	case a.customers[nb]:
-		return FromCustomer
-	}
-	return FromProvider
 }
 
 // leakyExporter reports whether a violates valley-free export toward some
 // neighbor: a flagged leaker re-exports everything, and a customer edge
-// overridden to peer still feeds the raw customer map into receiveAll while
-// the effective relationship is lateral — the same kind of violation.
+// overridden to peer still feeds the customer bit into receiveAll while the
+// effective relationship is lateral — the same kind of violation.
 func leakyExporter(a *as) bool {
-	if a.leaker {
-		return true
-	}
-	for c := range a.customers {
-		if a.peers[c] {
-			return true
-		}
-	}
-	return false
+	return a.leaker || a.anyLink(linkCustomer|linkPeer)
 }
 
 // isLeaf reports whether a is a leaf: it has no customers and does not leak,
@@ -299,7 +275,7 @@ func leakyExporter(a *as) bool {
 // peer-learned and hidden from every neighbor: no selection reads it and no
 // path but its own contains it.
 func isLeaf(a *as) bool {
-	return len(a.customers) == 0 && !a.leaker
+	return !a.leaker && !a.anyLink(linkCustomer)
 }
 
 // computeC2PAcyclic reports whether the effective provider→customer digraph
@@ -342,10 +318,17 @@ func (e *engine) computeC2PAcyclic() bool {
 // engine that converges them.
 func (t *Topology) compile() (*engine, error) {
 	asns := t.ASNs()
+	ases := make([]*as, len(asns))
+	leaker := make([]bool, len(asns))
+	nLinks := 0
 	var prefixes []string
-	for _, n := range asns {
-		prefixes = append(prefixes, t.ases[n].origins...)
+	for i, n := range asns {
+		a := t.ases[n]
+		ases[i], leaker[i] = a, a.leaker
+		nLinks += len(a.links)
+		prefixes = append(prefixes, a.origins...)
 	}
+	nOrigins := len(prefixes)
 	slices.Sort(prefixes)
 	rt, err := newRoutingTables(asns, slices.Compact(prefixes))
 	if err != nil {
@@ -353,22 +336,38 @@ func (t *Topology) compile() (*engine, error) {
 	}
 
 	e := &engine{rt: rt, maxRounds: 4*len(asns) + 16}
+	// One backing array each for the edges and the origin lists; capping
+	// every AS's and prefix's share makes a later append reallocate rather
+	// than run into its successor.
+	edges := make([]neighborEdge, nLinks)
+	isLeaker := func(j int32) bool { return leaker[j] }
 	e.nbr = make([][]neighborEdge, len(asns))
 	e.leaky = make([]bool, len(asns))
 	e.leaf = make([]bool, len(asns))
-	for i, n := range asns {
-		e.nbr[i] = compileEdges(t, rt.asIdx, n)
-		e.leaf[i] = isLeaf(t.ases[n])
-		if leakyExporter(t.ases[n]) {
+	for i, a := range ases {
+		e.nbr[i], edges = edges[:len(a.links):len(a.links)], edges[len(a.links):]
+		fillEdges(e.nbr[i], a, rt.asIdx, isLeaker)
+		e.leaf[i] = isLeaf(a)
+		if leakyExporter(a) {
 			e.leaky[i] = true
 			e.nLeaky++
 		}
 	}
 	e.c2pAcyclic = e.computeC2PAcyclic()
 
+	counts := make([]int, len(rt.prefixes))
+	for _, a := range ases {
+		for _, p := range a.origins {
+			counts[rt.pfxIdx[p]]++
+		}
+	}
+	flat := make([]int32, 0, nOrigins)
 	e.origins = make([][]int32, len(rt.prefixes))
-	for i, n := range asns {
-		for _, p := range t.ases[n].origins {
+	for pi, c := range counts {
+		e.origins[pi], flat = flat[:0:c], flat[c:c]
+	}
+	for i, a := range ases {
+		for _, p := range a.origins {
 			pi := rt.pfxIdx[p]
 			lst := e.origins[pi]
 			// ASes are visited in ascending index order, so the list stays

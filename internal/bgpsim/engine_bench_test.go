@@ -148,6 +148,36 @@ func BenchmarkConvergeScale(b *testing.B) {
 	}
 }
 
+// BenchmarkConvergePhases splits serial cold convergence at the 10k-AS
+// shape into its two phases: compile (interning and the adjacency pass over
+// every AS's links) and rounds (the per-column fixpoints and leaf settling
+// over a freshly compiled engine, whose compile is left out of the timer).
+func BenchmarkConvergePhases(b *testing.B) {
+	h := benchHierarchyOpts(b, benchScales[0].o)
+	b.Run("compile/as10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := h.Topo.compile(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rounds/as10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e, err := h.Topo.compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := h.Topo.convergeCompiled(context.Background(), e, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkDeltaWithdraw measures one withdraw event applied and reverted
 // against a converged 10k-AS state — the steady-state cost of the
 // incremental path. Its cold counterpart below re-converges the whole

@@ -3,6 +3,7 @@ package bgpsim
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/rng"
 )
@@ -58,7 +59,7 @@ func BuildHierarchyOpts(r *rng.Rand, o HierarchyOpts) (*Hierarchy, error) {
 	h := &Hierarchy{Topo: NewTopology()}
 	h.Tier1 = []ASN{1, 2, 3}
 	for _, n := range h.Tier1 {
-		if err := h.Topo.AddAS(n, ASInfo{Name: fmt.Sprintf("Tier1-%d", n)}); err != nil {
+		if err := h.Topo.AddAS(n, ASInfo{Name: "Tier1-" + strconv.Itoa(int(n))}); err != nil {
 			return nil, err
 		}
 	}
@@ -74,14 +75,15 @@ func BuildHierarchyOpts(r *rng.Rand, o HierarchyOpts) (*Hierarchy, error) {
 	midHomes := h.Tier1
 	for i := 0; i < o.Hubs; i++ {
 		n := ASN(10 + i)
-		if err := h.Topo.AddAS(n, ASInfo{Name: fmt.Sprintf("Hub-%d", n)}); err != nil {
+		if err := h.Topo.AddAS(n, ASInfo{Name: "Hub-" + strconv.Itoa(int(n))}); err != nil {
 			return nil, err
 		}
 		h.Hubs = append(h.Hubs, n)
 		if err := h.Topo.AddProviderCustomer(h.Tier1[r.Intn(len(h.Tier1))], n); err != nil {
 			return nil, err
 		}
-		// Second upstream; a duplicate pick is harmless (idempotent sets).
+		// Second upstream; a duplicate pick is harmless (adding a link
+		// twice sets the same bit).
 		_ = h.Topo.AddProviderCustomer(h.Tier1[r.Intn(len(h.Tier1))], n)
 	}
 	for i := 0; i < len(h.Hubs); i++ {
@@ -96,7 +98,7 @@ func BuildHierarchyOpts(r *rng.Rand, o HierarchyOpts) (*Hierarchy, error) {
 	}
 	for i := 0; i < o.NMid; i++ {
 		n := ASN(100 + i)
-		if err := h.Topo.AddAS(n, ASInfo{Name: fmt.Sprintf("Mid-%d", n)}); err != nil {
+		if err := h.Topo.AddAS(n, ASInfo{Name: "Mid-" + strconv.Itoa(int(n))}); err != nil {
 			return nil, err
 		}
 		h.Mids = append(h.Mids, n)
@@ -104,7 +106,8 @@ func BuildHierarchyOpts(r *rng.Rand, o HierarchyOpts) (*Hierarchy, error) {
 			return nil, err
 		}
 		if r.Bool(0.5) {
-			// Multihoming; a duplicate pick is harmless (idempotent sets).
+			// Multihoming; a duplicate pick is harmless (adding a link
+			// twice sets the same bit).
 			_ = h.Topo.AddProviderCustomer(midHomes[r.Intn(len(midHomes))], n)
 		}
 	}
@@ -127,7 +130,7 @@ func BuildHierarchyOpts(r *rng.Rand, o HierarchyOpts) (*Hierarchy, error) {
 	}
 	for i := 0; i < o.NStub; i++ {
 		n := ASN(stubBase + i)
-		if err := h.Topo.AddAS(n, ASInfo{Name: fmt.Sprintf("Stub-%d", n)}); err != nil {
+		if err := h.Topo.AddAS(n, ASInfo{Name: "Stub-" + strconv.Itoa(int(n))}); err != nil {
 			return nil, err
 		}
 		h.Stubs = append(h.Stubs, n)
@@ -138,7 +141,7 @@ func BuildHierarchyOpts(r *rng.Rand, o HierarchyOpts) (*Hierarchy, error) {
 			_ = h.Topo.AddProviderCustomer(h.Mids[r.Intn(len(h.Mids))], n)
 		}
 		if i%every == 0 {
-			if err := h.Topo.Originate(n, fmt.Sprintf("pfx-%d", n)); err != nil {
+			if err := h.Topo.Originate(n, "pfx-"+strconv.Itoa(int(n))); err != nil {
 				return nil, err
 			}
 			h.OriginStubs = append(h.OriginStubs, n)

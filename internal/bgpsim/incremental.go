@@ -256,6 +256,12 @@ func (t *Topology) ConvergeStateCtx(ctx context.Context, workers int) (*Converge
 	if err != nil {
 		return nil, err
 	}
+	return t.convergeCompiled(ctx, e, workers)
+}
+
+// convergeCompiled runs the cold rounds over e, t's freshly compiled engine,
+// and returns the live state: ConvergeStateCtx after its compile phase.
+func (t *Topology) convergeCompiled(ctx context.Context, e *engine, workers int) (*Converged, error) {
 	nAS := len(e.rt.asns)
 	c := &Converged{t: t, e: e, workers: workers, states: &sync.Pool{New: func() any { return newConvState(nAS) }}}
 	reach, err := c.fanOut(ctx, len(e.rt.prefixes), func(_, lo, hi int, st *convState) error {
@@ -412,11 +418,13 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, unleafed []int32
 		}
 		e.origins[pi] = insertSorted(e.origins[pi], rt.asIdx[d.A])
 	case DeltaLinkUp, DeltaLinkDown:
+		isLeaker := func(j int32) bool { return c.t.ases[rt.asns[j]].leaker }
 		for _, n := range [2]ASN{d.A, d.B} {
-			i := rt.asIdx[n]
-			e.nbr[i] = compileEdges(c.t, rt.asIdx, n)
+			i, a := rt.asIdx[n], c.t.ases[n]
+			e.nbr[i] = make([]neighborEdge, len(a.links))
+			fillEdges(e.nbr[i], a, rt.asIdx, isLeaker)
 			c.updateLeaky(i)
-			setLeaf(i, c.t.ases[n])
+			setLeaf(i, a)
 		}
 	case DeltaLeakToggle:
 		i := rt.asIdx[d.A]
@@ -426,7 +434,7 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, unleafed []int32
 		// sendAll flag of the leaker's own edge. Patch both in place.
 		for k, ed := range e.nbr[i] {
 			back := &e.nbr[ed.idx][e.edgeTo(ed.idx, i)]
-			back.receiveAll = a.customers[rt.asns[ed.idx]] || a.leaker
+			back.receiveAll = a.bits(rt.asns[ed.idx])&linkCustomer != 0 || a.leaker
 			e.nbr[i][k].sendAll = back.receiveAll
 		}
 		c.updateLeaky(i)

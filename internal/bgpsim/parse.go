@@ -38,7 +38,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -193,14 +192,13 @@ func FormatTopology(t *Topology) string {
 	// Emit each edge once: p2c from the provider side, peer from the lower
 	// ASN side.
 	for _, n := range asns {
-		neighbors := t.Neighbors(n)
-		for _, nb := range sortedNeighborASNs(neighbors) {
-			switch neighbors[nb] {
+		for _, l := range t.ases[n].links {
+			switch rel(l.bits) {
 			case FromCustomer:
-				fmt.Fprintf(&b, "p2c %d %d\n", n, nb)
+				fmt.Fprintf(&b, "p2c %d %d\n", n, l.asn)
 			case FromPeer:
-				if n < nb {
-					fmt.Fprintf(&b, "peer %d %d\n", n, nb)
+				if n < l.asn {
+					fmt.Fprintf(&b, "peer %d %d\n", n, l.asn)
 				}
 			}
 		}
@@ -233,16 +231,6 @@ func FormatDelta(d Delta) string {
 		return fmt.Sprintf("%s %d", d.Kind, d.A)
 	}
 	return fmt.Sprintf("# bad delta kind %d", int(d.Kind))
-}
-
-// sortedNeighborASNs is the collect-keys-then-sort idiom over a neighbor map.
-func sortedNeighborASNs(neighbors map[ASN]Relationship) []ASN {
-	out := make([]ASN, 0, len(neighbors))
-	for nb := range neighbors {
-		out = append(out, nb)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ParseASN parses a non-negative decimal ASN that fits in 32 bits.

@@ -101,7 +101,7 @@ func (t *Topology) convergeReference() map[ASN]map[string]*Route {
 					// Export policy from nb's side: we receive everything if
 					// we are nb's customer; otherwise only origin/customer
 					// routes (valley-free). A leaker ignores the policy.
-					weAreCustomer := t.ases[nb].customers[n]
+					weAreCustomer := t.HasProviderCustomer(nb, n)
 					if !weAreCustomer && !t.ases[nb].leaker &&
 						nbRoute.Learned != Origin && nbRoute.Learned != FromCustomer {
 						continue

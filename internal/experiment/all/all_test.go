@@ -94,7 +94,8 @@ func TestSmallAuthorPopulationIsAnError(t *testing.T) {
 // needs 8, and the community simulations need 2 members. The routing
 // studies need a stub (a sweep victim, a flap, an outage region) and so a
 // mid to home it. The Mexican-market replays (E19, E20, E22) take the shape
-// checks of GenStagedRollout, GenFlapStorm and NewStakeholderMachine.
+// checks of GenStagedRollout, GenFlapStorm and NewStakeholderMachine. E2's
+// economics model needs an ISP and a local exchange (EconomicSweepCtx).
 func TestDomainMinimumsAreDeclared(t *testing.T) {
 	for _, param := range []struct {
 		id, name string
@@ -126,6 +127,7 @@ func TestDomainMinimumsAreDeclared(t *testing.T) {
 		{"E21", "ticks", 1}, {"E21", "repair-after", 1},
 		{"E21", "region", 1}, {"E21", "out-at", 0}, {"E21", "out-len", 1},
 		{"E6", "coders", 2},
+		{"E2", "econ-isps", 1}, {"E2", "econ-ixps", 1},
 	} {
 		for _, v := range []int{param.min - 1, 0, -1} {
 			if v >= param.min {

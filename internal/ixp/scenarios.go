@@ -33,8 +33,8 @@ func init() {
 			{Name: "isps", Kind: experiment.Int, Default: 60, Doc: "number of Global-South ISPs"},
 			{Name: "local-ixps", Kind: experiment.Int, Default: 6, Min: experiment.Bound(1), Doc: "number of local exchanges"},
 			{Name: "presences", Kind: experiment.String, Default: "0,0.2,0.4,0.6,0.8,1", Doc: "comma-separated local content-presence levels to sweep"},
-			{Name: "econ-isps", Kind: experiment.Int, Default: 40, Doc: "E2b: Global-South ISPs in the economics model"},
-			{Name: "econ-ixps", Kind: experiment.Int, Default: 4, Doc: "E2b: local exchanges in the economics model"},
+			{Name: "econ-isps", Kind: experiment.Int, Default: 40, Min: experiment.Bound(1), Doc: "E2b: Global-South ISPs in the economics model"},
+			{Name: "econ-ixps", Kind: experiment.Int, Default: 4, Min: experiment.Bound(1), Doc: "E2b: local exchanges in the economics model"},
 			{Name: "content-presence", Kind: experiment.Float, Default: 0.5, Doc: "E2b: local content presence"},
 			{Name: "content-volume", Kind: experiment.Float, Default: 10.0, Doc: "E2b: traffic volume toward the giant IXP's content"},
 			{Name: "transit-price", Kind: experiment.Float, Default: 2.0, Doc: "E2b: transit price per traffic unit"},
