@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race test-386 prop fuzz-smoke bench bench-json bench-gate bench-harness serve-smoke report examples clean
+.PHONY: all check build vet lint lint-fix-check test test-shuffle test-race test-386 prop fuzz-smoke bench bench-json bench-gate bench-ab bench-harness serve-smoke report examples clean
 
 all: build vet lint test test-race report serve-smoke
 
@@ -139,6 +139,37 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -compare BENCH_timeline.json -max-regress $(MAXREGRESS) <$$tmp \
 		|| { rm -f $$tmp; exit 1; }; \
 	rm -f $$tmp
+
+# Paired A/B evidence for the working tree against PARENT (a git revision):
+# export PARENT's tree into a temporary directory (git archive, so nothing is
+# registered in the repository), build both sides' internal/bgpsim test
+# binaries, run them alternately PAIRS times at -count 1 over BENCHREGEXP
+# (the first side alternates too), fold each side with cmd/benchjson -out,
+# and print cmd/benchjson -compare of the change's runs against the parent's
+# folded medians. Tooling for a change's evidence, not a gate and not in CI;
+# narrow BENCHREGEXP to the rows a change claims, for example
+# make bench-ab PARENT=HEAD~ BENCHREGEXP='^BenchmarkConverge(Phases|Scale)$$'.
+# ABDIR, when set, keeps both sides' raw runs and folded JSON there.
+PARENT ?= HEAD
+PAIRS ?= 6
+ABDIR ?=
+bench-ab:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/parent"; git archive $(PARENT) | tar -x -C "$$tmp/parent"; \
+	(cd "$$tmp/parent" && $(GO) test -c -o "$$tmp/parent.test" ./internal/bgpsim); \
+	$(GO) test -c -o "$$tmp/change.test" ./internal/bgpsim; \
+	run() { (cd "$$2/internal/bgpsim" && "$$tmp/$$1.test" -test.run '^$$' -test.bench '$(BENCHREGEXP)' \
+		-test.benchmem -test.benchtime $(BENCHTIME) -test.count 1 -test.timeout 0) >>"$$tmp/$$1.txt"; }; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		echo "bench-ab: pair $$i of $(PAIRS)"; \
+		if [ $$((i % 2)) -eq 1 ]; then run parent "$$tmp/parent"; run change .; \
+		else run change .; run parent "$$tmp/parent"; fi; \
+	done; \
+	$(GO) run ./cmd/benchjson -out "$$tmp/parent.json" <"$$tmp/parent.txt"; \
+	$(GO) run ./cmd/benchjson -out "$$tmp/change.json" <"$$tmp/change.txt"; \
+	[ -z "$(ABDIR)" ] || cp "$$tmp"/*.txt "$$tmp"/*.json "$(ABDIR)"; \
+	echo "bench-ab: $(PAIRS) pairs, $(PARENT) -> working tree"; \
+	$(GO) run ./cmd/benchjson -compare "$$tmp/parent.json" -max-regress $(MAXREGRESS) <"$$tmp/change.txt"
 
 # Vet and test the benchmark harness. bench/ is its own module (it imports
 # this one through a replace directive), so the root `go test ./...` never

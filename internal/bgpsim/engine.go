@@ -15,8 +15,11 @@ package bgpsim
 //     it from there. Dense AS indices follow ascending ASN order, so
 //     comparing indices orders hops exactly as comparing ASNs would.
 //   - Neighbor adjacency is precompiled once per convergence: for every AS a
-//     sorted slice of (neighbor index, learned relationship, exports-all)
-//     edges replaces the per-AS-per-round map iteration + sort.
+//     slice of (neighbor index, learned relationship, exports-all) edges
+//     replaces the per-AS-per-round map iteration + sort. The slice is
+//     core-first: the edges to non-leaf neighbors, then the edges to leaves
+//     (see rule 3), each segment ascending by index, with the split kept per
+//     AS (engine.ncore), so a cold round walks only the first segment.
 //   - AS paths are immutable cons cells in a per-column slab. A candidate
 //     path is the routing AS consed onto the neighbor's current path head —
 //     O(1), no slice copy — and comparisons (lexicographic tie-break, loop
@@ -65,17 +68,21 @@ package bgpsim
 //     leak, so no edge of it has sendAll set and it learns no route from a
 //     customer: unless it originates the prefix, its entry is hidden from
 //     every neighbor. No core selection reads it and no path contains it, so
-//     skipping leaves in the rounds leaves the core's trajectory unchanged,
-//     each non-origin leaf's final entry is its selection over the final
-//     column, found without a loop check, and an origin leaf keeps its
-//     round-0 entry. When the core is still changing at the round cap, the
+//     leaving leaves out of the rounds (a cold round walks only the core
+//     segment of a moved AS's edges and never meets a leaf) leaves the
+//     core's trajectory unchanged, each non-origin leaf's final entry is its
+//     selection over the final column, found without a loop check and
+//     written into a cell still empty, and an origin leaf keeps its round-0
+//     entry. When the core is still changing at the round cap, the
 //     reference's leaves trail it by one round, so the leaves settle against
 //     the column the last round read, before its updates land. On the 10k-AS
 //     shape 84% of the cells are leaves', and serial cold convergence fell
 //     from 452 to 249 ms on 2 vCPUs of an Intel Xeon (BENCH_bgpsim.json).
 //     The same argument makes a non-origin leaf's cell bare (see settle).
-//     Apply keeps leaves in its rounds: Patch.Cells counts every overwritten
-//     cell, and the timeline tables print that count.
+//     Apply keeps leaves in its rounds, walking both segments: Patch.Cells
+//     counts every overwritten cell, and the timeline tables print that
+//     count. Apply and Revert keep the split current in place as leaf
+//     status flips (see moveAcross in incremental.go).
 //   - Updates are batched and applied at the end of each round, preserving
 //     the synchronous-round semantics of the reference engine (round r reads
 //     only round r-1 state), including its 4·|AS|+16 safety cap on malformed
@@ -88,6 +95,7 @@ package bgpsim
 // every worker count. ConvergeCtx is ConvergeStateCtx without the state.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -222,9 +230,13 @@ type neighborEdge struct {
 type engine struct {
 	// rt is the tables the engine converges. They own the one interning of
 	// ASNs and prefixes to dense indices that the engine reads.
-	rt        *RoutingTables
-	nbr       [][]neighborEdge // per AS, sorted by neighbor index ascending
-	origins   [][]int32        // per prefix, origin AS indices ascending (deduped)
+	rt *RoutingTables
+	// nbr holds per AS its edges to non-leaf neighbors, then its edges to
+	// leaves, each segment sorted by neighbor index ascending; ncore is the
+	// length of the first segment, the AS's core edges.
+	nbr       [][]neighborEdge
+	ncore     []int32
+	origins   [][]int32 // per prefix, origin AS indices ascending (deduped)
 	maxRounds int
 
 	// Safety statistics for incremental re-convergence (see incremental.go):
@@ -239,26 +251,47 @@ type engine struct {
 	nLeaky     int
 
 	// leaf marks the ASes cold convergence settles after its rounds (see
-	// isLeaf and settleLeaves).
+	// isLeaf and settleLeaves); it decides which segment of nbr an edge to
+	// the AS lies in.
 	leaf []bool
 }
 
-// fillEdges compiles a's adjacency into edges, which has one slot per link.
-// The links are sorted by ASN, which is dense index order, and every
+// fillEdges compiles AS i's adjacency (a is its record) into e.nbr[i], which
+// has one slot per link, core-first (see nbr), and sets e.ncore[i]; the leaf
+// flag of every neighbor must be current. The links are sorted by ASN, which
+// is dense index order, so core edges fill the slots forward and leaf edges
+// backward from the end, and the leaf segment is then reversed. Every
 // relationship is stored on both ends, so each edge comes from a's own bits:
 // the neighbor's view of the edge is those bits mirrored. leaker reports
 // whether the AS at a dense index leaks.
-func fillEdges(edges []neighborEdge, a *as, idx map[ASN]int32, leaker func(int32) bool) {
-	for k, l := range a.links {
+func (e *engine) fillEdges(i int32, a *as, leaker func(int32) bool) {
+	edges, idx, leaf := e.nbr[i], e.rt.asIdx, e.leaf
+	lo, hi := 0, len(edges)
+	for _, l := range a.links {
 		j := idx[l.asn]
-		edges[k] = neighborEdge{
+		ed := neighborEdge{
 			idx:        j,
 			rel:        rel(l.bits),
 			back:       rel(mirror(l.bits)),
 			receiveAll: l.bits&linkProvider != 0 || leaker(j),
 			sendAll:    l.bits&linkCustomer != 0 || a.leaker,
 		}
+		if leaf[j] {
+			hi--
+			edges[hi] = ed
+		} else {
+			edges[lo] = ed
+			lo++
+		}
 	}
+	slices.Reverse(edges[lo:])
+	e.ncore[i] = int32(lo)
+}
+
+// findEdge binary-searches one segment of an adjacency (see nbr) for
+// neighbor j: the position it holds or would take, and whether it is there.
+func findEdge(seg []neighborEdge, j int32) (int, bool) {
+	return slices.BinarySearchFunc(seg, j, func(ed neighborEdge, j int32) int { return cmp.Compare(ed.idx, j) })
 }
 
 // leakyExporter reports whether a violates valley-free export toward some
@@ -342,12 +375,15 @@ func (t *Topology) compile() (*engine, error) {
 	edges := make([]neighborEdge, nLinks)
 	isLeaker := func(j int32) bool { return leaker[j] }
 	e.nbr = make([][]neighborEdge, len(asns))
+	e.ncore = make([]int32, len(asns))
 	e.leaky = make([]bool, len(asns))
 	e.leaf = make([]bool, len(asns))
 	for i, a := range ases {
-		e.nbr[i], edges = edges[:len(a.links):len(a.links)], edges[len(a.links):]
-		fillEdges(e.nbr[i], a, rt.asIdx, isLeaker)
 		e.leaf[i] = isLeaf(a)
+	}
+	for i, a := range ases {
+		e.nbr[i], edges = edges[:len(a.links):len(a.links)], edges[len(a.links):]
+		e.fillEdges(int32(i), a, isLeaker)
 		if leakyExporter(a) {
 			e.leaky[i] = true
 			e.nLeaky++
@@ -506,13 +542,13 @@ func (e *engine) convergePrefix(p int, col []entry, slab *[]pathNode, st *convSt
 	}
 	st.apply(col, nil)
 	for round := 1; len(st.changed) > 0; round++ {
-		e.round(p, col, slab, st, e.leaf)
+		e.round(p, col, slab, st, true)
 		if round == e.maxRounds-1 {
 			break // capped: this round's updates land after the leaves settle
 		}
 		st.apply(col, nil)
 	}
-	e.settleLeaves(col, slab, st)
+	e.settleLeaves(col, *slab, st)
 	st.apply(col, nil) // the capped round's updates; empty after quiescence
 }
 
@@ -520,12 +556,16 @@ func (e *engine) convergePrefix(p int, col []entry, slab *[]pathNode, st *convSt
 // leaf keeps its origin entry. Any other leaf is on no path, so its
 // candidates need no loop check, and its entry is hidden from every
 // neighbor, so the order of the pass cannot change what another leaf reads.
-func (e *engine) settleLeaves(col []entry, slab *[]pathNode, st *convState) {
+// Every non-origin leaf's cell is still empty when the pass runs: the rounds
+// never queue a leaf, and convergePrefix starts from a zeroed column (cold
+// convergence allocates it, coldColumn zeroes it). So a selection is written
+// straight in, bare (see settle), with no incumbent to compare against, and
+// each routed leaf adds one routed cell.
+func (e *engine) settleLeaves(col []entry, nodes []pathNode, st *convState) {
 	for i, leaf := range e.leaf {
-		if !leaf || col[i].learned() == Origin {
-			continue
+		if !leaf || col[i] != 0 {
+			continue // a core AS, or an origin leaf holding its origin entry
 		}
-		nodes := *slab
 		var best entry
 		for _, ed := range e.nbr[i] {
 			if ne := col[ed.idx]; visible(ne, ed.receiveAll) {
@@ -534,9 +574,9 @@ func (e *engine) settleLeaves(col []entry, slab *[]pathNode, st *convState) {
 				}
 			}
 		}
-		if ne, changed := e.settle(int32(i), col[i], best, slab); changed {
-			st.reach += reachDelta(col[i], ne)
-			col[i] = ne
+		if best != 0 {
+			col[i] = -best
+			st.reach++
 		}
 	}
 }
@@ -546,25 +586,26 @@ func (e *engine) settleLeaves(col []entry, slab *[]pathNode, st *convState) {
 // queues only the neighbors that can see a moved AS's old or new entry
 // (rule 1), and a queued AS whose incumbent's next hop did not move keeps
 // its incumbent and scores only the moved neighbors (rule 2); the rest
-// rescan every neighbor. A neighbor marked in skip is never queued (cold
-// convergence passes the leaves; nil queues every neighbor). The queue
-// order is a deterministic function of the moved set, and evaluation order
-// cannot affect the outcome because all reads hit the previous round's
-// column.
-func (e *engine) round(p int, col []entry, slab *[]pathNode, st *convState, skip []bool) {
+// rescan every neighbor. With core set (cold convergence) the round walks
+// only each moved AS's core edges, so it never queues a leaf; Apply's
+// rounds walk every edge. The queue order is a deterministic function of the moved set, and
+// evaluation order cannot affect the outcome because all reads hit the
+// previous round's column.
+func (e *engine) round(p int, col []entry, slab *[]pathNode, st *convState, core bool) {
 	nodes := *slab
 	st.queue = st.queue[:0]
 	for _, c := range st.changed {
 		ce := col[c]
 		loud := st.mark[c]&markLoud != 0
-		for _, ed := range e.nbr[c] {
+		edges := e.nbr[c]
+		if core {
+			edges = edges[:e.ncore[c]]
+		}
+		for _, ed := range edges {
 			if !loud && !ed.sendAll {
 				continue // c's old and new entries are both hidden from this neighbor
 			}
 			j := ed.idx
-			if skip != nil && skip[j] {
-				continue
-			}
 			if st.mark[j]&markQueued == 0 {
 				st.queue = append(st.queue, j)
 				st.mark[j] |= markQueued
@@ -626,7 +667,7 @@ func (e *engine) reconvergeColumn(p int, col []entry, slab *[]pathNode, st *conv
 			return true
 		}
 		st.apply(col, log)
-		e.round(p, col, slab, st, nil)
+		e.round(p, col, slab, st, false)
 	}
 	return len(st.updates) == 0
 }

@@ -388,7 +388,12 @@ func (c *Converged) Revert(p *Patch) {
 // that flag). Returns whether a new prefix column was created, and the ASes
 // that stopped being leaves: their bare cells are now visible to a neighbor,
 // so Apply clothes them before it re-converges (Revert restores the cells
-// first, so it needs no clothing).
+// first, so it needs no clothing). An AS whose leaf status flips (a stub
+// gains its first customer, a mid loses its last, a leak is toggled) has its
+// edge moved across the core/leaf split of every neighbor's adjacency in
+// place (see moveAcross); a link delta refills its two endpoints' own
+// adjacencies after both their flags are current, since each endpoint's
+// list depends on the other's status.
 func (c *Converged) applyStructural(d Delta) (addedPrefix bool, unleafed []int32, err error) {
 	e, rt := c.e, c.e.rt
 	if d.Kind == DeltaWithdraw || d.Kind == DeltaAnnounce {
@@ -399,11 +404,26 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, unleafed []int32
 	if err := c.t.ApplyDelta(d); err != nil {
 		return false, nil, err
 	}
-	setLeaf := func(i int32, a *as) {
-		if e.leaf[i] && !isLeaf(a) {
+	// setLeaf refreshes i's leaf flag and reports whether it flipped.
+	setLeaf := func(i int32, a *as) bool {
+		now := isLeaf(a)
+		if now == e.leaf[i] {
+			return false
+		}
+		if !now {
 			unleafed = append(unleafed, i)
 		}
-		e.leaf[i] = isLeaf(a)
+		e.leaf[i] = now
+		return true
+	}
+	// relocate moves flipped AS i's edge across the split of every
+	// neighbor's adjacency but refilled's, which already holds i's new flag.
+	relocate := func(i, refilled int32) {
+		for _, ed := range e.nbr[i] {
+			if ed.idx != refilled {
+				e.moveAcross(ed.idx, i)
+			}
+		}
 	}
 	switch d.Kind {
 	case DeltaWithdraw:
@@ -419,16 +439,28 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, unleafed []int32
 		e.origins[pi] = insertSorted(e.origins[pi], rt.asIdx[d.A])
 	case DeltaLinkUp, DeltaLinkDown:
 		isLeaker := func(j int32) bool { return c.t.ases[rt.asns[j]].leaker }
-		for _, n := range [2]ASN{d.A, d.B} {
-			i, a := rt.asIdx[n], c.t.ases[n]
+		ends := [2]int32{rt.asIdx[d.A], rt.asIdx[d.B]}
+		var flipped [2]bool
+		for k, i := range ends {
+			flipped[k] = setLeaf(i, c.t.ases[rt.asns[i]])
+		}
+		for _, i := range ends {
+			a := c.t.ases[rt.asns[i]]
 			e.nbr[i] = make([]neighborEdge, len(a.links))
-			fillEdges(e.nbr[i], a, rt.asIdx, isLeaker)
+			e.fillEdges(i, a, isLeaker)
 			c.updateLeaky(i)
-			setLeaf(i, a)
+		}
+		for k, i := range ends {
+			if flipped[k] {
+				relocate(i, ends[1-k])
+			}
 		}
 	case DeltaLeakToggle:
 		i := rt.asIdx[d.A]
 		a := c.t.ases[d.A]
+		if setLeaf(i, a) {
+			relocate(i, -1)
+		}
 		// Export policy lives on the receiving side: every neighbor's edge
 		// toward the leaker carries the receiveAll flag, mirrored by the
 		// sendAll flag of the leaker's own edge. Patch both in place.
@@ -438,20 +470,46 @@ func (c *Converged) applyStructural(d Delta) (addedPrefix bool, unleafed []int32
 			e.nbr[i][k].sendAll = back.receiveAll
 		}
 		c.updateLeaky(i)
-		setLeaf(i, a)
 	}
 	return addedPrefix, unleafed, nil
 }
 
 // edgeTo returns the position of j in i's adjacency, or -1 when they are
-// not linked (binary search; adjacency is sorted by index).
+// not linked: a binary search of the segment j's leaf flag names (see nbr).
 func (e *engine) edgeTo(i, j int32) int {
-	nb := e.nbr[i]
-	k := sort.Search(len(nb), func(k int) bool { return nb[k].idx >= j })
-	if k == len(nb) || nb[k].idx != j {
-		return -1
+	lo, hi := 0, int(e.ncore[i])
+	if e.leaf[j] {
+		lo, hi = hi, len(e.nbr[i])
 	}
-	return k
+	if k, ok := findEdge(e.nbr[i][lo:hi], j); ok {
+		return lo + k
+	}
+	return -1
+}
+
+// moveAcross moves x's edge in y's adjacency across y's core/leaf split
+// after x's leaf flag flipped to e.leaf[x], keeping both segments ascending
+// (see nbr). The edges between the old and the new slot shift by one, in
+// place: O(degree of y), and no allocation.
+func (e *engine) moveAcross(y, x int32) {
+	nb, nc := e.nbr[y], int(e.ncore[y])
+	if e.leaf[x] { // core to leaf: the split moves down past x's old slot
+		k, _ := findEdge(nb[:nc], x)
+		q, _ := findEdge(nb[nc:], x)
+		q += nc - 1
+		ed := nb[k]
+		copy(nb[k:q], nb[k+1:q+1])
+		nb[q] = ed
+		e.ncore[y]--
+		return
+	}
+	k, _ := findEdge(nb[nc:], x) // leaf to core: the split moves up
+	k += nc
+	q, _ := findEdge(nb[:nc], x)
+	ed := nb[k]
+	copy(nb[q+1:k+1], nb[q:k])
+	nb[q] = ed
+	e.ncore[y]++
 }
 
 // c2pBetween returns the edges of the effective provider→customer digraph

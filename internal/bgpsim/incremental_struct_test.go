@@ -2,6 +2,7 @@ package bgpsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/proptest"
@@ -18,17 +19,12 @@ func engineEquivalent(e *engine, t *Topology) error {
 	if len(e.rt.asns) != len(f.rt.asns) {
 		return fmt.Errorf("asns: %d vs %d", len(e.rt.asns), len(f.rt.asns))
 	}
+	if err := checkAdjacency(e, t); err != nil {
+		return err
+	}
 	for i := range e.rt.asns {
 		if e.rt.asns[i] != f.rt.asns[i] {
 			return fmt.Errorf("asns[%d]: %d vs %d", i, e.rt.asns[i], f.rt.asns[i])
-		}
-		if len(e.nbr[i]) != len(f.nbr[i]) {
-			return fmt.Errorf("AS %d: %d edges vs %d", e.rt.asns[i], len(e.nbr[i]), len(f.nbr[i]))
-		}
-		for j := range e.nbr[i] {
-			if e.nbr[i][j] != f.nbr[i][j] {
-				return fmt.Errorf("AS %d edge %d: %+v vs %+v", e.rt.asns[i], j, e.nbr[i][j], f.nbr[i][j])
-			}
 		}
 		if e.leaky[i] != f.leaky[i] {
 			return fmt.Errorf("AS %d leaky: %v vs %v", e.rt.asns[i], e.leaky[i], f.leaky[i])
@@ -60,6 +56,41 @@ func engineEquivalent(e *engine, t *Topology) error {
 		for k := range a {
 			if a[k] != b[k] {
 				return fmt.Errorf("prefix %s origins: %v vs %v", p, a, b)
+			}
+		}
+	}
+	return nil
+}
+
+// checkAdjacency is the adjacency oracle: e.nbr[i][:e.ncore[i]] holds
+// exactly i's non-leaf neighbors and the rest exactly its leaf neighbors,
+// each ascending, with leaf status read off t (isLeaf of each neighbor's
+// record, not e.leaf), and every edge equals the same edge of a fresh
+// compile of t.
+func checkAdjacency(e *engine, t *Topology) error {
+	f, err := t.compile()
+	if err != nil {
+		return err
+	}
+	for i, n := range e.rt.asns {
+		nb, nc := e.nbr[i], int(e.ncore[i])
+		if a := t.ases[n]; len(nb) != len(a.links) || nc < 0 || nc > len(nb) {
+			return fmt.Errorf("AS %d: %d edges with %d core, topology has %d links", n, len(nb), nc, len(a.links))
+		}
+		for k, ed := range nb {
+			m := e.rt.asns[ed.idx]
+			if leaf := isLeaf(t.ases[m]); leaf != (k >= nc) {
+				return fmt.Errorf("AS %d: neighbor %d (leaf %v) at slot %d of %d, split at %d", n, m, leaf, k, len(nb), nc)
+			}
+			if k > 0 && k != nc && nb[k-1].idx >= ed.idx {
+				return fmt.Errorf("AS %d: neighbor %d at slot %d out of ascending order", n, m, k)
+			}
+			fk := slices.IndexFunc(f.nbr[i], func(fe neighborEdge) bool { return fe.idx == ed.idx })
+			if fk < 0 {
+				return fmt.Errorf("AS %d: edge to %d, which a fresh compile does not link", n, m)
+			}
+			if f.nbr[i][fk] != ed {
+				return fmt.Errorf("AS %d: edge %+v to %d, a fresh compile has %+v", n, ed, m, f.nbr[i][fk])
 			}
 		}
 	}

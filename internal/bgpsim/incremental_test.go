@@ -483,6 +483,9 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 					return fmt.Errorf("building topology: %w", err)
 				}
 				c := convergeState(t, topo, w)
+				if err := checkAdjacency(c.e, topo); err != nil {
+					return fmt.Errorf("after compile: %w", err)
+				}
 				if err := bareCellsSound(c.e); err != nil {
 					return fmt.Errorf("after compile: %w", err)
 				}
@@ -510,6 +513,9 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 						}
 						stack = append(stack, p)
 					}
+					if err := checkAdjacency(c.e, topo); err != nil {
+						return fmt.Errorf("step %d: %w", s, err)
+					}
 					if err := tablesEqualCold(c); err != nil {
 						return fmt.Errorf("step %d: %w", s, err)
 					}
@@ -517,6 +523,9 @@ func TestPropIncrementalMatchesCold(t *testing.T) {
 				for len(stack) > 0 {
 					c.Revert(stack[len(stack)-1])
 					stack = stack[:len(stack)-1]
+					if err := checkAdjacency(c.e, topo); err != nil {
+						return fmt.Errorf("unwind: %w", err)
+					}
 					if err := cellsPacked(c.e); err != nil {
 						return fmt.Errorf("unwind: %w", err)
 					}
@@ -550,6 +559,9 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 			return fmt.Errorf("building topology: %w", err)
 		}
 		c := convergeState(t, topo, 1)
+		if err := checkAdjacency(c.e, topo); err != nil {
+			return fmt.Errorf("after compile: %w", err)
+		}
 		if err := cellsPacked(c.e); err != nil {
 			return fmt.Errorf("after compile: %w", err)
 		}
@@ -564,10 +576,16 @@ func TestPropApplyRevertRestoresTables(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("Apply(%+v): %w", d, err)
 		}
+		if err := checkAdjacency(c.e, topo); err != nil {
+			return fmt.Errorf("after Apply(%+v): %w", d, err)
+		}
 		if err := cellsPacked(c.e); err != nil {
 			return fmt.Errorf("after Apply(%+v): %w", d, err)
 		}
 		c.Revert(p)
+		if err := checkAdjacency(c.e, topo); err != nil {
+			return fmt.Errorf("after reverting %+v: %w", d, err)
+		}
 		if err := cellsPacked(c.e); err != nil {
 			return fmt.Errorf("after reverting %+v: %w", d, err)
 		}

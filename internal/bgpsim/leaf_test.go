@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -344,5 +345,86 @@ func TestStubGainsCustomerClothesItsCells(t *testing.T) {
 	c.Revert(leak)
 	if got, fp := slabLens(c), c.StateFingerprint(); !reflect.DeepEqual(got, baseLens) || fp != baseFP {
 		t.Fatalf("stub leak toggle revert: slab lengths %v, fingerprint %#x; want %v, %#x", got, fp, baseLens, baseFP)
+	}
+}
+
+// TestLeafFlipsKeepAdjacencySplit drives seeded Apply/Revert sequences that
+// flip leaf status both ways: a stub's leak goes on and off, the stub gains
+// its first customer and loses it again, a mid loses every customer (the
+// last removal makes it a leaf), and the mid then leaks, which makes the
+// topology unsafe, so Apply re-converges every column cold over the split
+// it maintained. After every Apply and Revert the adjacency equals a fresh
+// compile (checkAdjacency) and the tables a fresh ConvergeCtx; unwinding
+// restores the exact cells.
+func TestLeafFlipsKeepAdjacencySplit(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rng.New(seed)
+		h, err := BuildHierarchyOpts(r, HierarchyOpts{NMid: 8, NStub: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := convergeState(t, h.Topo, 1)
+		base := snapshotEntries(c.Tables())
+		k := r.Intn(len(h.Stubs))
+		stub, cust := h.Stubs[k], h.Stubs[(k+1+r.Intn(len(h.Stubs)-1))%len(h.Stubs)]
+		var mid ASN
+		var custs []ASN
+		for off, m0 := 0, r.Intn(len(h.Mids)); len(custs) == 0 && off < len(h.Mids); off++ {
+			mid = h.Mids[(m0+off)%len(h.Mids)]
+			for nb, rel := range c.Topology().Neighbors(mid) {
+				if rel == FromCustomer {
+					custs = append(custs, nb)
+				}
+			}
+		}
+		if len(custs) == 0 {
+			t.Fatalf("seed %d: no mid has a customer", seed)
+		}
+		slices.Sort(custs)
+
+		type step struct {
+			d    Delta
+			as   ASN
+			leaf bool // as's leaf status after d
+		}
+		steps := []step{
+			{Delta{Kind: DeltaLeakToggle, A: stub}, stub, false},
+			{Delta{Kind: DeltaLeakToggle, A: stub}, stub, true},
+			{Delta{Kind: DeltaLinkUp, A: stub, B: cust}, stub, false},
+			{Delta{Kind: DeltaLinkDown, A: stub, B: cust}, stub, true},
+		}
+		for i, n := range custs {
+			steps = append(steps, step{Delta{Kind: DeltaLinkDown, A: mid, B: n}, mid, i == len(custs)-1})
+		}
+		steps = append(steps, step{Delta{Kind: DeltaLeakToggle, A: mid}, mid, false})
+
+		check := func(label string, as ASN, leaf bool) {
+			t.Helper()
+			label = fmt.Sprintf("seed %d: %s", seed, label)
+			if got := c.e.leaf[c.e.rt.asIdx[as]]; got != leaf {
+				t.Fatalf("%s: AS %d leaf = %v, want %v", label, as, got, leaf)
+			}
+			if err := checkAdjacency(c.e, c.Topology()); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertTablesMatchCold(t, label, c)
+		}
+		patches := make([]*Patch, len(steps))
+		before := make([]bool, len(steps))
+		for i, s := range steps {
+			before[i] = c.e.leaf[c.e.rt.asIdx[s.as]]
+			if patches[i], err = c.Apply(s.d); err != nil {
+				t.Fatalf("seed %d: Apply(%s): %v", seed, FormatDelta(s.d), err)
+			}
+			check("after "+FormatDelta(s.d), s.as, s.leaf)
+		}
+		if c.e.incrementalSafe() {
+			t.Fatalf("seed %d: the leaking mid left the topology safe: no column went cold", seed)
+		}
+		for i := len(steps) - 1; i >= 0; i-- {
+			c.Revert(patches[i])
+			check("after reverting "+FormatDelta(steps[i].d), steps[i].as, before[i])
+		}
+		assertEntriesRestored(t, fmt.Sprintf("seed %d: unwind", seed), c.Tables(), base)
 	}
 }

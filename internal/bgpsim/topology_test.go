@@ -228,29 +228,35 @@ func oracleProviders(a *oracleAS) []ASN {
 	return out
 }
 
-// checkEdges compares the engine's adjacency and its per-AS leaf and leaky
-// flags with the oracle's derivation from the relationship sets.
+// checkEdges compares the engine's adjacency, core edges first, and its
+// per-AS leaf and leaky flags with the oracle's derivation from the
+// relationship sets.
 func checkEdges(t *testing.T, step string, e *engine, o oracleTopo) {
 	t.Helper()
 	for i, n := range e.rt.asns {
 		a := o[n]
-		var want []neighborEdge
+		var core, leaves []neighborEdge
 		nbs := a.neighbors()
 		for _, nb := range e.rt.asns {
 			r, ok := nbs[nb]
 			if !ok {
 				continue
 			}
-			want = append(want, neighborEdge{
+			ed := neighborEdge{
 				idx:        e.rt.asIdx[nb],
 				rel:        r,
 				back:       o[nb].rel(n),
 				receiveAll: o[nb].customers[n] || o[nb].leaker,
 				sendAll:    a.customers[nb] || a.leaker,
-			})
+			}
+			if len(o[nb].customers) == 0 && !o[nb].leaker {
+				leaves = append(leaves, ed)
+			} else {
+				core = append(core, ed)
+			}
 		}
-		if !slices.Equal(e.nbr[i], want) {
-			t.Fatalf("%s: edges of %d = %+v, want %+v", step, n, e.nbr[i], want)
+		if want := append(core, leaves...); !slices.Equal(e.nbr[i], want) || int(e.ncore[i]) != len(core) {
+			t.Fatalf("%s: edges of %d = %+v (%d core), want %+v (%d core)", step, n, e.nbr[i], e.ncore[i], want, len(core))
 		}
 		leaky := a.leaker
 		for c := range a.customers {

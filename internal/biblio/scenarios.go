@@ -21,9 +21,9 @@ func init() {
 		Claim: "Qualitative work concentrates in an HCI-adjacent venue while systems venues stay quantitative; affiliations concentrate (high Gini, heavy top-10 share) and Global-South authorship stays low.",
 		Seed:  1,
 		Params: experiment.Schema{
-			{Name: "papers", Kind: experiment.Int, Default: 2000, Doc: "corpus size"},
+			{Name: "papers", Kind: experiment.Int, Default: 2000, Min: experiment.Bound(1), Doc: "corpus size"},
 			{Name: "authors", Kind: experiment.Int, Default: 1200, Min: experiment.Bound(5), Doc: "author population"},
-			{Name: "affiliations", Kind: experiment.Int, Default: 220, Doc: "institution count (Zipf-sized)"},
+			{Name: "affiliations", Kind: experiment.Int, Default: 220, Min: experiment.Bound(1), Doc: "institution count (Zipf-sized)"},
 			{Name: "south-frac", Kind: experiment.Float, Default: 0.12, Doc: "fraction of authors from the Global South"},
 			{Name: "pref-attachment", Kind: experiment.Float, Default: 0.85, Doc: "weight of past productivity in author selection"},
 		},
@@ -51,7 +51,7 @@ func init() {
 		Seed:  1,
 		Aux:   true,
 		Params: experiment.Schema{
-			{Name: "papers", Kind: experiment.Int, Default: 5000, Doc: "corpus size"},
+			{Name: "papers", Kind: experiment.Int, Default: 5000, Min: experiment.Bound(1), Doc: "corpus size"},
 			{Name: "authors", Kind: experiment.Int, Default: 2500, Min: experiment.Bound(5), Doc: "author population"},
 			{Name: "brokers", Kind: experiment.Int, Default: 5, Min: experiment.Bound(0), Doc: "top betweenness brokers to list"},
 		},

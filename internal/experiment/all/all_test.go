@@ -17,13 +17,14 @@ import (
 
 // TestNoParamPanics probes every registered scenario one param at a time,
 // the way a /run query can ask for it. A bounded Int param is probed at
-// each declared bound, which ParseJob must accept, and just outside it,
-// which ParseJob must reject with ErrBadParam; an unbounded Int is probed
-// at 0 and -1, a Uint at 0 and a Float at -1 and 2, which ParseJob must
-// accept, and at NaN and ±Inf, which it must reject. Whatever ParseJob
-// accepts must come back from the run as an error or as a result, never as
-// a recovered panic: a panic reaches a /run client as a 500 with no word
-// about which param was wrong.
+// each declared bound and one above its minimum, which ParseJob must
+// accept, and just outside a bound, which ParseJob must reject with
+// ErrBadParam; an unbounded Int is probed at 0, 1 and -1, a Uint at 0 and a
+// Float at -1 and 2, which ParseJob must accept, and at NaN and ±Inf, which
+// it must reject. Whatever ParseJob accepts must come back from the run as
+// a result that prints no NaN or ±Inf cell, or as an error that wraps
+// ErrBadParam: a panic or any other error reaches a /run client as a 500
+// with no word about which param was wrong.
 func TestNoParamPanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario about a dozen times; skipped under -short")
@@ -39,10 +40,13 @@ func TestNoParamPanics(t *testing.T) {
 				accept, reject = []string{"-1", "2"}, []string{"NaN", "Inf", "-Inf"}
 			case spec.Kind != experiment.Int:
 			case spec.Min == nil && spec.Max == nil:
-				accept = []string{"0", "-1"}
+				accept = []string{"0", "1", "-1"}
 			default:
 				if spec.Min != nil {
 					accept, reject = append(accept, strconv.Itoa(*spec.Min)), append(reject, strconv.Itoa(*spec.Min-1))
+					if spec.Max == nil || *spec.Min < *spec.Max {
+						accept = append(accept, strconv.Itoa(*spec.Min+1))
+					}
 				}
 				if spec.Max != nil {
 					accept, reject = append(accept, strconv.Itoa(*spec.Max)), append(reject, strconv.Itoa(*spec.Max+1))
@@ -61,8 +65,15 @@ func TestNoParamPanics(t *testing.T) {
 					t.Errorf("%s: ParseJob: %v", query, err)
 					continue
 				}
-				if _, err := r.RunOne(context.Background(), job); err != nil && strings.Contains(err.Error(), "panicked") {
-					t.Errorf("%s: %v", query, err)
+				res, err := r.RunOne(context.Background(), job)
+				if err != nil {
+					if !errors.Is(err, experiment.ErrBadParam) {
+						t.Errorf("%s: %v, want a result or ErrBadParam", query, err)
+					}
+					continue
+				}
+				if cell, ok := nonFiniteCell(res); ok {
+					t.Errorf("%s: accepted run prints %s", query, cell)
 				}
 			}
 		}
@@ -233,12 +244,12 @@ func TestMeshScenariosAtSmallestSize(t *testing.T) {
 }
 
 // nonFiniteCell returns the first cell of res that reads as NaN or ±Inf,
-// with its table, row and column.
+// signed or not, with its table, row and column.
 func nonFiniteCell(res *experiment.Result) (string, bool) {
 	for _, tb := range res.Tables {
 		for i, row := range tb.Rows {
 			for j, cell := range row {
-				if f, err := strconv.ParseFloat(cell, 64); err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				if f, err := strconv.ParseFloat(strings.TrimLeft(cell, "+-"), 64); err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
 					return fmt.Sprintf("%q in table %s row %d column %s", cell, tb.ID, i, tb.Columns[j]), true
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,7 +27,9 @@ import (
 // key's own fields became length-prefixed; v1 entries miss cleanly.
 // v3: a table cell became the formatted string every renderer prints, so an
 // entry is the /run body's JSON shape; v2 typed-cell entries miss cleanly.
-const cacheSchemaVersion = 3
+// v4: an undefined (NaN) statistic prints n/a, so a v3 entry that printed
+// NaN misses instead of serving the old text.
+const cacheSchemaVersion = 4
 
 // moduleVersion identifies the code that produced a cached entry. Release
 // builds get the module version; source builds get the VCS revision when the
@@ -100,12 +103,13 @@ func (c *Cache) path(key string) string {
 }
 
 // Get loads the Result stored under key and verifies it actually belongs to
-// scenario wantID. Any failure — absent, unreadable, or corrupt entry, or a
+// scenario wantID. Any failure — absent, unreadable, or corrupt entry, a
 // well-formed entry whose Result.ID names a different scenario (a renamed or
-// hand-edited file) — is reported as a miss; the cache self-heals on the
-// next Put. Without the ID check, any well-formed JSON at the right path
-// would be served verbatim, so a stray rename could hand one scenario
-// another scenario's tables. Every failure but absence is counted in Corrupt.
+// hand-edited file), or one holding a null table, which no renderer can
+// print — is reported as a miss; the cache self-heals on the next Put.
+// Without the ID check, any well-formed JSON at the right path would be
+// served verbatim, so a stray rename could hand one scenario another
+// scenario's tables. Every failure but absence is counted in Corrupt.
 func (c *Cache) Get(key, wantID string) (*Result, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -115,7 +119,7 @@ func (c *Cache) Get(key, wantID string) (*Result, bool) {
 		return nil, false
 	}
 	var res Result
-	if err := json.Unmarshal(data, &res); err != nil || res.ID != wantID {
+	if err := json.Unmarshal(data, &res); err != nil || res.ID != wantID || slices.Contains(res.Tables, nil) {
 		c.corrupt.Add(1)
 		return nil, false
 	}
@@ -123,8 +127,8 @@ func (c *Cache) Get(key, wantID string) (*Result, bool) {
 }
 
 // Corrupt is the number of entries Get found but could not serve: a read
-// error other than absence, an undecodable body, or a Result naming another
-// scenario.
+// error other than absence, an undecodable body, a Result naming another
+// scenario, or one holding a null table.
 func (c *Cache) Corrupt() int64 { return c.corrupt.Load() }
 
 // Put stores res under key atomically.

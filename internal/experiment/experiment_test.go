@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"strings"
 	"testing"
@@ -309,5 +310,20 @@ func TestParamsReturnsACopy(t *testing.T) {
 	*got[0].Min = 9
 	if again := s.Params(); again[0].Name != "rows" || again[0].Default != 4 || *again[0].Min != 1 {
 		t.Errorf("registered schema was mutated through the returned copy: %+v", again[0])
+	}
+}
+
+// TestUndefinedStatisticRendersNA: a NaN cell prints as n/a through every
+// float formatter, so no accepted query prints NaN; finite values keep
+// their text.
+func TestUndefinedStatisticRendersNA(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct{ got, want string }{
+		{F3(nan), "n/a"}, {FP(nan, 1), "n/a"}, {FSigned(nan, 3), "n/a"},
+		{F3(0.25), "0.250"}, {FSigned(0.25, 2), "+0.25"}, {FSigned(-0.5, 1), "-0.5"},
+	} {
+		if c.got != c.want {
+			t.Errorf("cell %q, want %q", c.got, c.want)
+		}
 	}
 }

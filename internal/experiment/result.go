@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -15,12 +16,28 @@ func I64(v int64) string { return strconv.FormatInt(v, 10) }
 // precision for shares and rates.
 func F3(v float64) string { return FP(v, 3) }
 
-// FP formats a float cell with prec fixed decimals.
-func FP(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
+// FP formats a float cell with prec fixed decimals, or an undefined one
+// (NaN) as naCell.
+func FP(v float64, prec int) string {
+	if math.IsNaN(v) {
+		return naCell
+	}
+	return fmt.Sprintf("%.*f", prec, v)
+}
 
 // FSigned formats a float cell with prec fixed decimals and a forced sign
-// (E8's bias column).
-func FSigned(v float64, prec int) string { return fmt.Sprintf("%+.*f", prec, v) }
+// (E8's bias column), or an undefined one (NaN) as naCell.
+func FSigned(v float64, prec int) string {
+	if math.IsNaN(v) {
+		return naCell
+	}
+	return fmt.Sprintf("%+.*f", prec, v)
+}
+
+// naCell is the one rendering of an undefined statistic: E8's bias of a
+// design that reached no respondent, or the degree assortativity of a
+// co-authorship graph whose degrees do not vary.
+const naCell = "n/a"
 
 // Table is one rendered section of an experiment: an ID ("E1", "E2b"), a
 // title, ordered columns, and rows of cells. A cell is the text every

@@ -15,7 +15,7 @@ func init() {
 		Claim: "Gated facilitation equalizes speaking time and surfaces the quiet quartile's insights that free-for-all discussion leaves unheard.",
 		Seed:  7,
 		Params: experiment.Schema{
-			{Name: "turns", Kind: experiment.Int, Default: 150, Doc: "speaking turns per session"},
+			{Name: "turns", Kind: experiment.Int, Default: 150, Min: experiment.Bound(1), Doc: "speaking turns per session"},
 		},
 		Run: runE13,
 	})

@@ -16,9 +16,9 @@ func init() {
 		Claim: "As researcher lens strength grows, proponent and skeptic agendas diverge, concentrated in the contested topic's share of each agenda.",
 		Seed:  1,
 		Params: experiment.Schema{
-			{Name: "items", Kind: experiment.Int, Default: 300, Doc: "candidate-problem population size"},
+			{Name: "items", Kind: experiment.Int, Default: 300, Min: experiment.Bound(1), Doc: "candidate-problem population size"},
 			{Name: "contested-frac", Kind: experiment.Float, Default: 0.35, Doc: "fraction of items touching the contested topic"},
-			{Name: "select", Kind: experiment.Int, Default: 30, Doc: "agenda size each researcher picks"},
+			{Name: "select", Kind: experiment.Int, Default: 30, Min: experiment.Bound(1), Doc: "agenda size each researcher picks"},
 			{Name: "strengths", Kind: experiment.String, Default: "0,0.2,0.4,0.6,0.8,1", Doc: "comma-separated lens strengths to sweep"},
 		},
 		Run: runE9,

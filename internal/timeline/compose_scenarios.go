@@ -284,8 +284,7 @@ func runE21(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 				Event{At: outAt + outLen, Kind: KindBGP, Delta: up})
 		}
 	}
-	churn, err := GenCNChurn(p.Int("members"), seed^streamSalt, ticks,
-		p.Float("fail-prob"), p.Int("repair-after"))
+	churn, err := churnStream(p, seed, ticks)
 	if err != nil {
 		return nil, err
 	}

@@ -110,14 +110,24 @@ func runE17(ctx context.Context, p experiment.Values, seed uint64) (*experiment.
 	return res, nil
 }
 
+// churnStream generates the member churn E18 and E21 replay from their
+// params. GenCNChurn refuses a fail-prob outside [0, 1]; here that is a bad
+// param.
+func churnStream(p experiment.Values, seed uint64, ticks int) (Stream, error) {
+	failProb := p.Float("fail-prob")
+	if failProb < 0 || failProb > 1 {
+		return Stream{}, fmt.Errorf("%w %q = %v, want in [0, 1]", experiment.ErrBadParam, "fail-prob", failProb)
+	}
+	return GenCNChurn(p.Int("members"), seed^streamSalt, ticks, failProb, p.Int("repair-after"))
+}
+
 // runE18 replays member churn through the community-network machine.
 func runE18(ctx context.Context, p experiment.Values, seed uint64) (*experiment.Result, error) {
 	sched, err := schedulerByName(p.String("scheduler"))
 	if err != nil {
 		return nil, err
 	}
-	st, err := GenCNChurn(p.Int("members"), seed^streamSalt, p.Int("ticks"),
-		p.Float("fail-prob"), p.Int("repair-after"))
+	st, err := churnStream(p, seed, p.Int("ticks"))
 	if err != nil {
 		return nil, err
 	}
